@@ -1,0 +1,176 @@
+"""Golden bytes: seeded CLI runs must reproduce stdout and every output file.
+
+Each case runs ``calcheck`` in-process on seeded simulator output and
+compares the sha256 of its stdout, its exit code, and every file it writes
+under ``--out`` against values recorded from a known-good build.  A
+refactor that changes any decision, number format, or file layout fails
+here.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from calcheck import cli
+
+ROBOT_SIM = {"n_particles": 60, "n_steps": 40}
+SWEEP = {"n_particles": 60, "n_steps": 30, "n_seeds": 2}
+
+# name -> argv; "{weather}", "{robot}", "{robot_cfg}", "{sweep}", "{saved}" and
+# "{out}" are
+# filled in per run.
+CASES = {
+    "check_default": ["check", "{weather}"],
+    "check_holm_tol": ["check", "{weather}", "--sided", "one", "--tolerance", "0.02",
+                       "--testing", "binom_holm"],
+    "check_bins3": ["check", "{weather}", "--bins", "3", "--out", "{out}"],
+    "check_folded_ks": ["check", "{weather}", "--metric", "folded_ks", "--sided", "one",
+                        "--tolerance", "0.01", "--out", "{out}"],
+    "check_pit_ks": ["check", "{weather}", "--metric", "pit_ks", "--out", "{out}"],
+    "check_robot": ["check", "{robot}", "--seed", "1", "--out", "{out}"],
+    "monitor_robot": ["monitor", "{robot}", "--seed", "1", "--out", "{out}"],
+    "monitor_weather": ["monitor", "{weather}", "--out", "{out}"],
+    "simulate_drift_sweep": ["simulate", "drift_sweep", "--config", "{sweep}", "--seed", "0",
+                             "--out", "{out}"],
+    "report_rerender": ["report", "{saved}", "--out", "{out}"],
+    "simulate_robot": ["simulate", "robot", "--seed", "1", "--config", "{robot_cfg}",
+                       "--out", "{out}"],
+    "simulate_weather": ["simulate", "weather", "--seed", "3", "--out", "{out}"],
+}
+
+GOLDEN = {
+    "check_bins3": {
+        "exit": 0,
+        "stdout": "02c319772036a06c4bf96db3cb793da80461b8fb611542ae5e3db3e58a4034a5",
+        "coverage_bin0.csv": "a04ccc6b636cab2c6966987a9617ba519309a7081b13af91f528857be4766189",
+        "coverage_bin1.csv": "15186196561871d0e20e5e6d55993f0d5761e8797df1ba2d7377abd8d3646e36",
+        "coverage_bin2.csv": "346a92ca1288e137a4c242394f611186e4751ddb7cac5290d16cafa0a929327e",
+        "report.json": "a14745935e0ba8662f1243556c4632b9a30f1fecd61dade2e0a7b1be729dd0ed",
+    },
+    "check_default": {
+        "exit": 0,
+        "stdout": "3ab6087ce5f8b7f24f152520f764ddd4916324c50ba443a7407e4233cbbd310e",
+    },
+    "check_folded_ks": {
+        "exit": 0,
+        "stdout": "999069848bf5f3d38bd6780b8eb47de5de9b142d6a3a35fde7207dc35eb12772",
+        "band.csv": "fb0b83ee88b14bcc34b4411ac19faabb5cfb4d0d42343fc5aa3c73ea1b3bd010",
+        "ecdf.csv": "4bef755dd880d9ddcc19c275c2f279ec7cf691640c2e5b5400c96ff2686b4951",
+        "report.json": "5f520b8a34dd2abf7b440025f489e7a525498543a9d675e271b56b90e1f7793e",
+    },
+    "check_holm_tol": {
+        "exit": 0,
+        "stdout": "d5bc7bb88c0cb09b802c224639d6ce58c11362337619133778cd3ab29c1b4d5a",
+    },
+    "check_pit_ks": {
+        "exit": 0,
+        "stdout": "9c3a8fc727232b53919cfdebd5b6872756a10a850030282496ca1b997d276689",
+        "band.csv": "73346f112668b35d6ecdc310ee3e78992503b62f9880638686f2f05cc1238379",
+        "ecdf.csv": "8616415fdaeb6a7e103be53bd34d1bb40c9152844fb8bd62b5a1ba8ac7ea760b",
+        "report.json": "5e4f945d03c60cb40069b8be9b1ae4fb4b0355dd56b7d368dcb852cee3739080",
+    },
+    "check_robot": {
+        "exit": 0,
+        "stdout": "a232d2be0e4b0aa8b0244bdfb2b2b46acb9e2d9c60fe870e6e5814a48fb02fd6",
+        "coverage.csv": "60c0205ff96398e97b498dc1cc7f6158edf620f44ae2d83400ca27918047a488",
+        "report.json": "93b0e496910c9486cdb51ecac12cf12e7ac9288a31e24945be29d3af158d78ea",
+    },
+    "monitor_robot": {
+        "exit": 0,
+        "stdout": "642a51ccafb09e51b43a96fa8fe48ee06de490f98e5e62ca0cac2a15c09f5c99",
+        "etrace.csv": "cab9772e219af47d73156dcb6ba2ceffa7d462662c97f8655cda0b7499e676b2",
+        "report.json": "3cbae30716c8af42bef097a669306597f6776d4715726caf69109fb941650aff",
+    },
+    "monitor_weather": {
+        "exit": 0,
+        "stdout": "f19f0fcee16551c133ec75475a5ed94c70c79708eccc396de4f333213e6a2890",
+        "etrace.csv": "fda8dcde7db9fce1aea9f91dab870d507c0a63889bb98c2e33bb226df30850eb",
+        "report.json": "60ab0372a424da70c102f48434681cdbe4549fedd0c6f2617346d4630b8cc621",
+    },
+    "report_rerender": {
+        "exit": 0,
+        "stdout": "8a762771ea208e010c7056092f5d5fbce31f3d6f75094b2833064b33ef79d0f7",
+        "coverage_bin0.csv": "a04ccc6b636cab2c6966987a9617ba519309a7081b13af91f528857be4766189",
+        "coverage_bin1.csv": "15186196561871d0e20e5e6d55993f0d5761e8797df1ba2d7377abd8d3646e36",
+        "coverage_bin2.csv": "346a92ca1288e137a4c242394f611186e4751ddb7cac5290d16cafa0a929327e",
+    },
+    "simulate_drift_sweep": {
+        "exit": 0,
+        "stdout": "a0338ee76160c7dc0a339440eee5f587232575f4a34306b6d4015ee8a72a4d71",
+        "report.json": "c1a84f066c1e46ba4e6af0ee7b7238e562b0ffc2ea68944fbd72a923d9d527bf",
+        "sweep_envelope.csv": "e82fb925e1497bc7b238efcda980a5c1b6f9be663a2fce0f560351c7db7f85ea",
+        "sweep_summary.csv": "25db7c5ae116fe6f8e11a7c474305258ea4afb2ef3a14eb1133f5357f6b07c7d",
+    },
+    "simulate_robot": {
+        "exit": 0,
+        "stdout": "a6b2f30aa4ffd5037ba07e4f4b0b9e52c5fb4a309b9654ad8c728498791f0eb8",
+        "report.json": "ce941ed14045c5b531d96cda84c7f98942e77ba007bd03b5626c9ab15cd39a60",
+        "robot_records.jsonl": "2cdca3fe83f421c1f7cb9a821f54d1a3ef2aae6011f72b88900c6032b10627b2",
+    },
+    "simulate_weather": {
+        "exit": 0,
+        "stdout": "5ab639e0d6ad59adf4bb531d0581a1a72692d999d07428c572ef52a91cda93a7",
+        "report.json": "8d17b31706a9808b2d39c55f2ac3ec4859817f859c6a5030c56a6ce4656c3d5c",
+        "weather_records.jsonl": "1e7379595075aefb38af0877e2f7d99f8ef190d70d4fc9a377f0db0cd4aac6e9",
+    },
+}
+
+
+def _run(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    return code, buf.getvalue()
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def make_inputs(root):
+    """Simulate the input files and save the report that ``report`` re-renders."""
+    code, _ = _run(["simulate", "weather", "--seed", "3", "--out", str(root / "weather")])
+    assert code == 0
+    robot_cfg = root / "robot.json"
+    robot_cfg.write_text(json.dumps(ROBOT_SIM))
+    code, _ = _run(["simulate", "robot", "--seed", "1", "--config", str(robot_cfg),
+                    "--out", str(root / "robot")])
+    assert code == 0
+    sweep_cfg = root / "sweep.json"
+    sweep_cfg.write_text(json.dumps(SWEEP))
+    saved = root / "saved"
+    code, _ = _run(["check", str(root / "weather" / "weather_records.jsonl"),
+                    "--bins", "3", "--out", str(saved)])
+    assert code == 0
+    return {
+        "root": root,
+        "weather": str(root / "weather" / "weather_records.jsonl"),
+        "robot": str(root / "robot" / "robot_records.jsonl"),
+        "robot_cfg": str(robot_cfg),
+        "sweep": str(sweep_cfg),
+        "saved": str(saved / "report.json"),
+    }
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    return make_inputs(tmp_path_factory.mktemp("golden"))
+
+
+def _digests(name, inputs):
+    out = inputs["root"] / "out" / name
+    fill = dict(inputs, out=str(out))
+    code, stdout = _run([arg.format(**fill) for arg in CASES[name]])
+    got = {"exit": code, "stdout": _sha(stdout.encode())}
+    if out.is_dir():
+        for path in sorted(out.iterdir()):
+            got[path.name] = _sha(path.read_bytes())
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_bytes(name, inputs):
+    assert _digests(name, inputs) == GOLDEN[name]
