@@ -4,7 +4,7 @@ A four-slot pipeline, each slot independently swappable:
 
 * model & data (:mod:`calcheck.dist`) - what the forecaster emits;
 * metric (:mod:`calcheck.metric`) - coverage counts, PIT samples,
-  variance bins, half-plane probes;
+  variance bins, half-plane coverage for particle clouds;
 * hypothesis (:class:`calcheck.hyptest.HypothesisSpec`) - two-sided,
   one-sided over-confidence-only, with an optional tolerance margin;
 * testing (:mod:`calcheck.hyptest`, :mod:`calcheck.seqtest`) - exact
@@ -57,7 +57,6 @@ from .hyptest import (
 )
 from .metric import (
     CoverageCurve,
-    HalfPlaneProbe,
     LevelGrid,
     PitSample,
     VarianceBins,
@@ -65,10 +64,7 @@ from .metric import (
     ecdf_eval,
     fold,
     halfplane_coverage,
-    halfplane_delta,
     pit,
-    probe_coverage_counts,
-    sample_probes,
     variance_bin,
 )
 from .seqtest import (

@@ -11,8 +11,10 @@ configuration error, 3 data error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -65,6 +67,7 @@ from .sim import (
 __all__ = [
     "RecipeConfig",
     "RunReport",
+    "RecordSource",
     "parse_records",
     "iter_records",
     "write_records",
@@ -216,14 +219,13 @@ class RunReport:
         )
 
 
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def _provenance(config: RecipeConfig | dict, payload: bytes) -> dict:
+def _provenance(config: RecipeConfig | dict, payload) -> dict:
+    """``payload`` is the input's bytes, or a running sha256 of the bytes consumed."""
     cfg = config.to_dict() if isinstance(config, RecipeConfig) else config
+    if isinstance(payload, bytes):
+        payload = hashlib.sha256(payload)
     return {
-        "input_digest": _digest(payload),
+        "input_digest": payload.hexdigest(),
         "config": cfg,
         "tool_version": __version__,
     }
@@ -233,6 +235,66 @@ def _provenance(config: RecipeConfig | dict, payload: bytes) -> dict:
 # record ingestion and emission
 # ---------------------------------------------------------------------------
 
+class RecordSource:
+    """A JSON-lines record file, or stdin for ``'-'``, read once in binary mode.
+
+    Every line read is fed to ``sha256``, so once the records are parsed it
+    digests exactly the bytes consumed.  ``peek`` reads ahead to the first
+    non-blank line for schema sniffing; ``lines`` replays what was read ahead
+    and continues from the input.  Use as a context manager to close a file
+    that was not read to its end.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = str(path)
+        self.sha256 = hashlib.sha256()
+        self._ahead: list[bytes] = []
+        self._rest = self._read()
+
+    def __str__(self) -> str:
+        return self.path
+
+    def __enter__(self) -> "RecordSource":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._rest.close()
+
+    def _read(self) -> Iterator[bytes]:
+        stdin = self.path == "-"
+        handle = sys.stdin.buffer if stdin else open(self.path, "rb")
+        try:
+            for line in handle:
+                self.sha256.update(line)
+                yield line
+        finally:
+            if not stdin:
+                handle.close()
+
+    def peek(self) -> bytes | None:
+        """The first non-blank line, or None if the input holds none."""
+        for line in self._ahead:
+            if line.strip():
+                return line
+        for line in self._rest:
+            self._ahead.append(line)
+            if line.strip():
+                return line
+        return None
+
+    def lines(self) -> Iterator[bytes]:
+        """Every line in input order, blank ones included."""
+        ahead, self._ahead = self._ahead, []
+        return itertools.chain(ahead, self._rest)
+
+
+def _opened(source: str | Path | RecordSource):
+    """Context yielding a RecordSource; one made here is closed on exit."""
+    if isinstance(source, RecordSource):
+        return contextlib.nullcontext(source)
+    return RecordSource(source)
+
+
 def _field(obj: dict, name: str, line_no: int):
     try:
         return obj[name]
@@ -240,11 +302,11 @@ def _field(obj: dict, name: str, line_no: int):
         raise DataError(f"line {line_no}: missing field {name!r}") from None
 
 
-def _parse_line(line: str, model_kind: str, line_no: int) -> PredictionRecord:
+def _parse_line(line: bytes, model_kind: str, line_no: int) -> PredictionRecord:
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"line {line_no}: invalid JSON ({exc.msg})") from None
+        obj = json.loads(line.decode())  # decoding first is faster than json's own
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"line {line_no}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
     if not isinstance(obj, dict):
         raise DataError(f"line {line_no}: expected an object")
     t = obj.get("t")
@@ -278,12 +340,13 @@ def _parse_line(line: str, model_kind: str, line_no: int) -> PredictionRecord:
         raise DataError(f"line {line_no}: {exc}") from None
 
 
-def iter_records(path: str | Path, model_kind: str) -> Iterator[PredictionRecord]:
+def iter_records(
+    source: str | Path | RecordSource, model_kind: str
+) -> Iterator[PredictionRecord]:
     """Lazily parse records from a JSON-lines file ('-' reads stdin)."""
-    handle = sys.stdin if str(path) == "-" else open(path, "r")
-    dim = None
-    try:
-        for line_no, line in enumerate(handle, start=1):
+    with _opened(source) as src:
+        dim = None
+        for line_no, line in enumerate(src.lines(), start=1):
             if not line.strip():
                 continue
             rec = _parse_line(line, model_kind, line_no)
@@ -295,16 +358,15 @@ def iter_records(path: str | Path, model_kind: str) -> Iterator[PredictionRecord
                     f"differs from earlier lines ({dim})"
                 )
             yield rec
-    finally:
-        if handle is not sys.stdin:
-            handle.close()
 
 
-def parse_records(path: str | Path, model_kind: str) -> list[PredictionRecord]:
+def parse_records(
+    source: str | Path | RecordSource, model_kind: str
+) -> list[PredictionRecord]:
     """Parse a whole record file, in file order; empty input is an error."""
-    records = list(iter_records(path, model_kind))
+    records = list(iter_records(source, model_kind))
     if not records:
-        raise DataError(f"no records in {path}")
+        raise DataError(f"no records in {source}")
     return records
 
 
@@ -338,24 +400,24 @@ def write_records(records: Iterable[PredictionRecord], path: str | Path) -> None
             handle.write(json.dumps(_record_to_obj(rec)) + "\n")
 
 
-def sniff_model_kind(path: str | Path) -> str:
+_SCHEMA_KEYS = (("sigma", "gaussian"), ("cov", "mv_gaussian"), ("pts", "particles"))
+
+
+def sniff_model_kind(source: str | Path | RecordSource) -> str:
     """Infer the record schema from the first non-blank line."""
-    with open(path, "r") as handle:
-        for line in handle:
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                raise DataError(f"{path}: first record line is not valid JSON") from None
-            if "sigma" in obj:
-                return "gaussian"
-            if "cov" in obj:
-                return "mv_gaussian"
-            if "pts" in obj:
-                return "particles"
-            raise DataError(f"{path}: record schema not recognized")
-    raise DataError(f"no records in {path}")
+    with _opened(source) as src:
+        line = src.peek()
+    if line is None:
+        raise DataError(f"no records in {source}")
+    try:
+        obj = json.loads(line.decode())
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        raise DataError(f"{source}: first record line is not valid JSON") from None
+    if isinstance(obj, dict):
+        for key, kind in _SCHEMA_KEYS:
+            if key in obj:
+                return kind
+    raise DataError(f"{source}: record schema not recognized")
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +495,12 @@ def _single_check(
 def run_check(
     config: RecipeConfig,
     records: list[PredictionRecord],
-    payload: bytes = b"",
+    payload=b"",
 ) -> RunReport:
     """Execute metric, hypothesis, and testing slots on a record batch.
+
+    ``payload`` identifies the input in the provenance: its bytes, or a
+    running sha256 of the bytes consumed (see :class:`RecordSource`).
 
     With ``bins`` configured, the records are partitioned by predicted
     uncertainty and the inner check runs per bin at ``alpha / bins``
@@ -489,7 +554,7 @@ def run_check(
 def run_monitor(
     config: RecipeConfig,
     record_stream: Iterable[PredictionRecord],
-    payload: bytes = b"",
+    payload=b"",
     on_row: Callable[[int, float, bool], None] | None = None,
 ) -> RunReport:
     """Consume records in order, multiplying the test martingale per step.
@@ -497,7 +562,9 @@ def run_monitor(
     Emits one (t, e_value, alarmed) row per record through ``on_row`` as it
     is produced.  The monitor keeps recording after an alarm; the decision
     is the first crossing of ``1/alpha``.  A stream that dies mid-flight
-    yields a partial report marked incomplete rather than nothing.
+    yields a partial report marked incomplete rather than nothing.  The
+    provenance is taken after the stream ends, so a running digest passed as
+    ``payload`` covers every byte the stream consumed.
     """
     ev = config.evalue
     if ev is None:
@@ -619,17 +686,22 @@ def run_simulate(
 # output rendering
 # ---------------------------------------------------------------------------
 
-def _write_outputs(run: RunReport, out_dir: str | Path | None) -> None:
-    if out_dir is None:
-        return
+def _write_csvs(curves: dict, out_dir: str | Path) -> None:
+    """Write each ``name: (header, rows)`` table to ``<out_dir>/<name>.csv``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(run.to_json() + "\n")
-    for name, (header, rows) in run.curves.items():
+    for name, (header, rows) in curves.items():
         lines = [",".join(header)]
         for row in rows:
             lines.append(",".join("" if x is None else repr(x) if isinstance(x, float) else str(x) for x in row))
         (out / f"{name}.csv").write_text("\n".join(lines) + "\n")
+
+
+def _write_outputs(run: RunReport, out_dir: str | Path | None) -> None:
+    if out_dir is None:
+        return
+    _write_csvs(run.curves, out_dir)
+    (Path(out_dir) / "report.json").write_text(run.to_json() + "\n")
 
 
 def _render_summary(run: RunReport) -> str:
@@ -673,22 +745,16 @@ def _report_exit_code(run: RunReport) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--levels", type=str, default=None,
-                    help="comma-separated coverage levels in (0,1)")
-    sp.add_argument("--tolerance", type=float, default=None)
-    sp.add_argument("--sided", choices=("one", "two"), default=None)
-    sp.add_argument("--metric", choices=METRICS, default=None)
-    sp.add_argument("--testing", choices=TESTINGS, default=None)
-    sp.add_argument("--bins", type=int, default=None)
-    sp.add_argument("--lambda", dest="lam", type=float, default=None,
+def _add_run_flags(sp: argparse.ArgumentParser) -> None:
+    """The flags that check, monitor and simulate all read."""
+    sp.add_argument("--alpha", type=float)
+    sp.add_argument("--lambda", type=float,
                     help="coverage level monitored by the e-value recipe")
-    sp.add_argument("--p-alt", dest="p_alt", type=float, default=None,
+    sp.add_argument("--p-alt", dest="p_alt", type=float,
                     help="over-confidence alternative (default: lambda - 0.1)")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--config", type=str, default=None, help="JSON config file")
-    sp.add_argument("--out", type=str, default=None, help="output directory")
+    sp.add_argument("--seed", type=int)
+    sp.add_argument("--config", help="JSON config file")
+    sp.add_argument("--out", help="output directory")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -698,32 +764,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     p_check = sub.add_parser("check", help="offline batch calibration check")
-    p_check.add_argument("records", help="JSON-lines record file")
-    _add_common_flags(p_check)
+    p_check.add_argument("records", help="JSON-lines record file ('-' for stdin)")
+    _add_run_flags(p_check)
+    p_check.add_argument("--levels", help="comma-separated coverage levels in (0,1)")
+    p_check.add_argument("--tolerance", type=float)
+    p_check.add_argument("--sided", choices=("one", "two"))
+    p_check.add_argument("--metric", choices=METRICS)
+    p_check.add_argument("--testing", choices=TESTINGS)
+    p_check.add_argument("--bins", type=int)
     p_mon = sub.add_parser("monitor", help="streaming e-value monitor")
     p_mon.add_argument("records", help="JSON-lines record file ('-' for stdin)")
-    _add_common_flags(p_mon)
+    _add_run_flags(p_mon)
     p_sim = sub.add_parser("simulate", help="generate experiment data")
     p_sim.add_argument("kind", choices=("weather", "robot", "drift_sweep"))
-    _add_common_flags(p_sim)
+    _add_run_flags(p_sim)
     p_rep = sub.add_parser("report", help="re-render a saved run report")
     p_rep.add_argument("path", help="report.json produced by a previous run")
-    _add_common_flags(p_rep)
+    p_rep.add_argument("--out", help="directory for the report's CSV tables")
     return parser
-
-
-def _resolve_seed(args, file_cfg: dict) -> int:
-    if args.seed is not None:
-        return args.seed
-    if "seed" in file_cfg:
-        return int(file_cfg["seed"])
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return 0
 
 
 def _load_file_config(path: str | None) -> dict:
@@ -741,129 +799,155 @@ def _load_file_config(path: str | None) -> dict:
     return cfg
 
 
-def _parse_levels(text: str) -> LevelGrid:
-    try:
-        values = [float(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise ConfigError(f"cannot parse levels {text!r}") from None
-    try:
-        return LevelGrid(np.array(values))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def _resolve(args, file_cfg: dict, key: str, convert=None, default=None):
+    """One setting: its flag, else the config file, else ``default``.
 
-
-def _recipe_from_args(args, file_cfg: dict, model: str, force_monitor: bool) -> RecipeConfig:
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_cfg and file_cfg[key] is not None:
-            return file_cfg[key]
+    A flag the command does not declare and a config value of ``null`` both
+    count as absent.  ``convert`` turns a present value into its type; a
+    value it cannot convert is a configuration error.
+    """
+    value = getattr(args, key, None)
+    if value is None:
+        value = file_cfg.get(key)
+    if value is None:
         return default
+    if convert is None:
+        return value
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {key} {value!r}: {exc}") from None
 
-    alpha = float(pick(args.alpha, "alpha", 0.05))
-    tolerance = float(pick(args.tolerance, "tolerance", 0.0))
-    sided = pick(args.sided, "sided", "two")
-    sidedness = ONE_SIDED if sided == "one" else TWO_SIDED
-    testing = pick(args.testing, "testing", None)
-    if force_monitor:
-        testing = "evalue_monitor"
-    default_metric = "halfplane" if model == "particles" else "coverage"
-    metric = pick(args.metric, "metric", default_metric)
+
+def _resolve_seed(args, file_cfg: dict) -> int:
+    seed = _resolve(args, file_cfg, "seed", _integer)
+    if seed is not None:
+        return seed
+    env = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+
+
+def _integer(value) -> int:
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("not a whole number")
+    return int(value)
+
+
+def _sidedness(value) -> str:
+    if value not in ("one", "two"):
+        raise ValueError("expected 'one' or 'two'")
+    return ONE_SIDED if value == "one" else TWO_SIDED
+
+
+def _parse_levels(value) -> LevelGrid:
+    """A level grid from a comma-separated string or a list of numbers."""
+    if isinstance(value, str):
+        value = [float(x) for x in value.split(",") if x.strip()]
+    return LevelGrid(np.asarray(value, dtype=float))
+
+
+def _evalue_config(args, file_cfg: dict, alpha: float) -> EValueConfig:
+    lam = _resolve(args, file_cfg, "lambda", float, 0.9)
+    # lambda - 0.1 is a documented sensitivity knob, not a paper value
+    p_alt = _resolve(args, file_cfg, "p_alt", float, lam - 0.1)
+    return EValueConfig(level=lam, p_alt=p_alt, alpha=alpha)
+
+
+def _recipe_from_args(args, file_cfg: dict, model: str, testing: str | None) -> RecipeConfig:
+    def setting(key, convert=None, default=None):
+        return _resolve(args, file_cfg, key, convert, default)
+
+    alpha = setting("alpha", float, 0.05)
+    metric = setting("metric", default="halfplane" if model == "particles" else "coverage")
     if testing is None:
-        testing = "ks" if metric in ("pit_ks", "folded_ks") else "binom_bonferroni"
-    levels_text = args.levels if args.levels is not None else file_cfg.get("levels")
-    if levels_text is None:
-        levels = LevelGrid.default()
-    elif isinstance(levels_text, str):
-        levels = _parse_levels(levels_text)
-    else:
-        levels = LevelGrid(np.asarray(levels_text, dtype=float))
-    bins = pick(args.bins, "bins", None)
-    seed = _resolve_seed(args, file_cfg)
-    evalue = None
-    if testing == "evalue_monitor":
-        lam = pick(args.lam, "lambda", 0.9)
-        p_alt = pick(args.p_alt, "p_alt", None)
-        if p_alt is None:
-            p_alt = lam - 0.1  # documented sensitivity knob, not a paper value
-        evalue = EValueConfig(level=float(lam), p_alt=float(p_alt), alpha=alpha)
+        testing = setting(
+            "testing",
+            default="ks" if metric in ("pit_ks", "folded_ks") else "binom_bonferroni",
+        )
     return RecipeConfig(
         model=model,
         metric=metric,
-        hypothesis=HypothesisSpec(sidedness=sidedness, tolerance=tolerance),
+        hypothesis=HypothesisSpec(
+            sidedness=setting("sided", _sidedness, TWO_SIDED),
+            tolerance=setting("tolerance", float, 0.0),
+        ),
         testing=testing,
         alpha=alpha,
-        levels=levels,
-        bins=int(bins) if bins is not None else None,
-        evalue=evalue,
-        seed=seed,
+        levels=setting("levels", _parse_levels, LevelGrid.default()),
+        bins=setting("bins", _integer),
+        evalue=_evalue_config(args, file_cfg, alpha) if testing == "evalue_monitor" else None,
+        seed=_resolve_seed(args, file_cfg),
     )
+
+
+def _finish(run: RunReport, out_dir: str | None) -> int:
+    print(_render_summary(run))
+    _write_outputs(run, out_dir)
+    return _report_exit_code(run)
+
+
+def _print_row(t: int, e: float, alarmed: bool) -> None:
+    print(f"{t},{e!r},{int(alarmed)}")
 
 
 def _cmd_check(args) -> int:
     file_cfg = _load_file_config(args.config)
-    model = file_cfg.get("model") or sniff_model_kind(args.records)
-    config = _recipe_from_args(args, file_cfg, model, force_monitor=False)
-    payload = Path(args.records).read_bytes()
-    records = parse_records(args.records, model)
-    run = run_check(config, records, payload=payload)
-    print(_render_summary(run))
-    _write_outputs(run, args.out)
-    return _report_exit_code(run)
+    with RecordSource(args.records) as source:
+        model = _resolve(args, file_cfg, "model") or sniff_model_kind(source)
+        config = _recipe_from_args(args, file_cfg, model, testing=None)
+        records = parse_records(source, model)
+    return _finish(run_check(config, records, payload=source.sha256), args.out)
 
 
 def _cmd_monitor(args) -> int:
     file_cfg = _load_file_config(args.config)
-    if args.records == "-":
-        model = file_cfg.get("model", "gaussian")
-        payload = b"<stdin>"
-    else:
-        model = file_cfg.get("model") or sniff_model_kind(args.records)
-        payload = Path(args.records).read_bytes()
-    config = _recipe_from_args(args, file_cfg, model, force_monitor=True)
+    with RecordSource(args.records) as source:
+        model = _resolve(args, file_cfg, "model") or sniff_model_kind(source)
+        config = _recipe_from_args(args, file_cfg, model, testing="evalue_monitor")
+        run = run_monitor(config, iter_records(source, model), payload=source.sha256,
+                          on_row=_print_row)
+    return _finish(run, args.out)
 
-    def emit(t: int, e: float, alarmed: bool) -> None:
-        print(f"{t},{e!r},{int(alarmed)}")
 
-    stream = iter_records(args.records, model)
-    run = run_monitor(config, stream, payload=payload, on_row=emit)
-    print(_render_summary(run))
-    _write_outputs(run, args.out)
-    return _report_exit_code(run)
+def _sim_config(cls, file_cfg: dict, seed: int):
+    """A simulator config from the config file's keys for ``cls``."""
+    try:
+        kwargs = {f.name: _integer(file_cfg[f.name]) if f.type == "int" else file_cfg[f.name]
+                  for f in dataclasses.fields(cls) if file_cfg.get(f.name) is not None}
+        kwargs["seed"] = seed
+        if "beacon_positions" in kwargs:
+            kwargs["beacon_positions"] = tuple(map(tuple, kwargs["beacon_positions"]))
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {cls.__name__}: {exc}") from None
+
+
+def _multipliers(value) -> tuple:
+    multipliers = tuple(value)
+    for m in multipliers:
+        float(m)  # fail here on a malformed entry, not inside the sweep
+    return multipliers
 
 
 def _cmd_simulate(args) -> int:
     file_cfg = _load_file_config(args.config)
     out = args.out or "."
     seed = _resolve_seed(args, file_cfg)
-    sim_keys_weather = {f.name for f in dataclasses.fields(WeatherSimConfig)}
-    sim_keys_robot = {f.name for f in dataclasses.fields(RobotSimConfig)}
-    if args.kind == "weather":
-        kwargs = {k: v for k, v in file_cfg.items() if k in sim_keys_weather}
-        kwargs["seed"] = seed
-        cfg = WeatherSimConfig(**kwargs)
-        run = run_simulate("weather", cfg, out)
+    cls = WeatherSimConfig if args.kind == "weather" else RobotSimConfig
+    sim_config = _sim_config(cls, file_cfg, seed)
+    if args.kind == "drift_sweep":
+        alpha = _resolve(args, file_cfg, "alpha", float, 0.05)
+        run = run_simulate(
+            "drift_sweep", sim_config, out,
+            monitor=_evalue_config(args, file_cfg, alpha),
+            multipliers=_resolve(args, file_cfg, "multipliers", _multipliers, (0.5, 1.0, 2.0)),
+            n_seeds=_resolve(args, file_cfg, "n_seeds", _integer, 20),
+        )
     else:
-        kwargs = {k: v for k, v in file_cfg.items() if k in sim_keys_robot}
-        if "beacon_positions" in kwargs:
-            kwargs["beacon_positions"] = tuple(map(tuple, kwargs["beacon_positions"]))
-        kwargs["seed"] = seed
-        cfg = RobotSimConfig(**kwargs)
-        if args.kind == "robot":
-            run = run_simulate("robot", cfg, out)
-        else:
-            alpha = args.alpha if args.alpha is not None else float(file_cfg.get("alpha", 0.05))
-            lam = args.lam if args.lam is not None else float(file_cfg.get("lambda", 0.9))
-            p_alt = args.p_alt if args.p_alt is not None else file_cfg.get("p_alt")
-            monitor = EValueConfig(
-                level=lam,
-                p_alt=float(p_alt) if p_alt is not None else lam - 0.1,
-                alpha=alpha,
-            )
-            multipliers = tuple(file_cfg.get("multipliers", (0.5, 1.0, 2.0)))
-            n_seeds = int(file_cfg.get("n_seeds", 20))
-            run = run_simulate("drift_sweep", cfg, out, monitor=monitor,
-                               multipliers=multipliers, n_seeds=n_seeds)
+        run = run_simulate(args.kind, sim_config, out)
     print(_render_summary(run))
     return EXIT_ACCEPT
 
@@ -892,13 +976,7 @@ def _cmd_report(args) -> int:
         lines.append(f"tool_version: {prov.get('tool_version', '?')}")
     print("\n".join(lines))
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        for name, (header, rows) in data.get("curves", {}).items():
-            csv_lines = [",".join(header)]
-            for row in rows:
-                csv_lines.append(",".join("" if x is None else repr(x) if isinstance(x, float) else str(x) for x in row))
-            (out / f"{name}.csv").write_text("\n".join(csv_lines) + "\n")
+        _write_csvs(data.get("curves", {}), args.out)
     return EXIT_ACCEPT
 
 

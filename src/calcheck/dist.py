@@ -31,7 +31,6 @@ __all__ = [
     "PredictiveDistribution",
     "PredictionRecord",
     "normal_cdf",
-    "normal_qtl",
     "chi2_cdf",
     "chi2_qtl",
     "scalar_cdf",
@@ -63,11 +62,6 @@ UNIT_NORM_TOL = 1e-9
 def normal_cdf(x):
     """Standard normal CDF, accurate to full double precision."""
     return ndtr(x)
-
-
-def normal_qtl(q):
-    """Standard normal quantile function (inverse of :func:`normal_cdf`)."""
-    return ndtri(q)
 
 
 def chi2_cdf(x, d: int):

@@ -3,7 +3,7 @@
 Transforms validation records into the quantities the hypothesis tests
 consume: coverage counts over a level grid, PIT samples (raw and folded),
 ECDF evaluations, variance bins for conditional checks, and half-plane
-probes for particle clouds.
+coverage indicators for particle clouds.
 
 The coverage path for scalar predictions is implemented through the folded
 PIT: the outcome lies in the centered level-``lambda`` interval exactly when
@@ -24,12 +24,10 @@ from .dist import (
     ParticleCloudPrediction,
     PredictionRecord,
     PredictionSetProvider,
-    UNIT_NORM_TOL,
     chi2_cdf,
     mahalanobis_sq,
     project_particles,
     scalar_cdf,
-    weighted_quantile,
 )
 from .errors import DataError, UnsupportedMetricError
 
@@ -37,19 +35,15 @@ __all__ = [
     "LevelGrid",
     "PitSample",
     "CoverageCurve",
-    "HalfPlaneProbe",
     "VarianceBins",
     "coverage_counts",
     "pit",
     "fold",
     "ecdf_eval",
     "variance_bin",
-    "sample_probes",
-    "probe_coverage_counts",
+    "halfplane_indicator",
     "halfplane_coverage",
-    "halfplane_delta",
     "random_direction",
-    "default_probe_count",
 ]
 
 
@@ -128,27 +122,6 @@ class CoverageCurve:
     @property
     def fractions(self) -> np.ndarray:
         return self.counts / self.n
-
-
-@dataclass(frozen=True, eq=False)
-class HalfPlaneProbe:
-    """A frozen (direction, threshold) cut with its nominal coverage level.
-
-    ``null_mean`` is the probability, under the reference cloud the probe was
-    drawn from, that a projected draw falls at or below the threshold.
-    """
-
-    direction: np.ndarray
-    threshold: float
-    null_mean: float
-
-    def __post_init__(self):
-        d = np.atleast_1d(np.asarray(self.direction, dtype=float))
-        if abs(float(np.linalg.norm(d)) - 1.0) > UNIT_NORM_TOL:
-            raise ValueError("probe direction must be a unit vector")
-        if not 0.0 <= self.null_mean <= 1.0:
-            raise ValueError("null_mean must lie in [0, 1]")
-        object.__setattr__(self, "direction", d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,13 +280,8 @@ def variance_bin(records: list[PredictionRecord], k_bins: int) -> VarianceBins:
 
 
 # ---------------------------------------------------------------------------
-# half-plane probes for particle clouds
+# half-plane coverage for particle clouds
 # ---------------------------------------------------------------------------
-
-def default_probe_count(pred_dim: int, per_dim: int = 10) -> int:
-    """Linear-in-dimension probe budget; ``per_dim`` is the tuning knob."""
-    return per_dim * pred_dim
-
 
 def random_direction(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform random unit direction.
@@ -331,55 +299,39 @@ def random_direction(dim: int, rng: np.random.Generator) -> np.ndarray:
     return g / np.linalg.norm(g)
 
 
-def sample_probes(
-    pred_dim: int,
-    count: int,
-    grid: LevelGrid,
-    rng_seed: int,
-    reference: ParticleCloudPrediction,
-) -> list[HalfPlaneProbe]:
-    """Draw frozen half-plane probes before looking at the data.
+def halfplane_indicator(
+    pred: ParticleCloudPrediction,
+    y,
+    levels,
+    rng: np.random.Generator,
+):
+    """Whether one outcome falls in a cloud's centered projected intervals.
 
-    Each probe pairs a fresh direction with a threshold at a weighted
-    empirical quantile of the reference cloud projected on that direction;
-    the quantile levels cycle through the grid, so each probe's coverage
-    indicator has null mean equal to its grid level by construction.
+    Draws a fresh direction independently of the outcome, projects the cloud
+    and the outcome onto it, and tests the outcome's projection against the
+    centered weighted-quantile interval at each level in ``levels`` (a float
+    or an array), with weak inequalities at the endpoints.  The quantiles
+    are the left-continuous inverse of the weighted ECDF, read off one sort
+    of the projected cloud.  Because the direction never looks at the data,
+    each indicator is Bernoulli(level) under calibration whatever the cloud
+    looks like; a degenerate cloud resolves through the quantile tie policy.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if reference.dim != pred_dim:
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if y.shape[0] != pred.dim:
         raise ValueError(
-            f"reference cloud has dimension {reference.dim}, expected {pred_dim}"
+            f"outcome has dimension {y.shape[0]}, cloud has {pred.dim}"
         )
-    rng = np.random.default_rng(rng_seed)
-    probes = []
-    for i in range(count):
-        level = float(grid.levels[i % grid.k])
-        d = random_direction(pred_dim, rng)
-        w, z = project_particles(reference, d)
-        threshold = weighted_quantile(w, z, level)
-        probes.append(HalfPlaneProbe(direction=d, threshold=threshold, null_mean=level))
-    return probes
-
-
-def probe_coverage_counts(
-    records: list[PredictionRecord], probes: list[HalfPlaneProbe]
-) -> np.ndarray:
-    """Per-probe counts of outcomes at or below the frozen threshold.
-
-    Under the null that outcomes are draws from the reference cloud's law,
-    each count is Binomial(n, probe.null_mean).  Only meaningful when the
-    record stream is exchangeable with the reference; a drifting cloud needs
-    the per-record construction of :func:`halfplane_coverage` instead.
-    """
-    if not records:
-        raise DataError("cannot probe an empty record list")
-    outcomes = np.stack([r.outcome for r in records])
-    counts = np.empty(len(probes), dtype=int)
-    for j, probe in enumerate(probes):
-        z = outcomes @ probe.direction
-        counts[j] = int(np.count_nonzero(z <= probe.threshold))
-    return counts
+    d = random_direction(pred.dim, rng)
+    w, z = project_particles(pred, d)
+    order = np.argsort(z, kind="stable")
+    z_sorted = z[order]
+    cum = np.cumsum(w[order])
+    total = cum[-1]
+    last = z.size - 1  # guards float roundoff at levels near 1
+    lo = z_sorted[np.minimum(np.searchsorted(cum, (1.0 - levels) / 2.0 * total), last)]
+    hi = z_sorted[np.minimum(np.searchsorted(cum, (1.0 + levels) / 2.0 * total), last)]
+    zy = float(y @ d)
+    return (lo <= zy) & (zy <= hi)
 
 
 def halfplane_coverage(
@@ -389,56 +341,20 @@ def halfplane_coverage(
 ) -> CoverageCurve:
     """Coverage curve for particle-cloud records via random projections.
 
-    For each record a fresh direction is drawn independently of the outcome;
-    the record's own projected cloud supplies a centered weighted-quantile
-    interval at every grid level, and the outcome's projection is tested for
-    membership (weak inequalities at the endpoints).  Each indicator is then
-    Bernoulli(level) under calibration, so the counts feed the same Binomial
-    machinery as ordinary coverage counts.
+    Each record contributes one :func:`halfplane_indicator` per grid level,
+    drawn on its own fresh direction.  Each indicator is Bernoulli(level)
+    under calibration, so the counts feed the same Binomial machinery as
+    ordinary coverage counts.
     """
     if not records:
         raise DataError("cannot compute coverage of an empty record list")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
-    lo_q = (1.0 - grid.levels) / 2.0
-    hi_q = (1.0 + grid.levels) / 2.0
     counts = np.zeros(grid.k, dtype=int)
     for rec in records:
-        pred = rec.prediction
-        if not isinstance(pred, ParticleCloudPrediction):
+        if not isinstance(rec.prediction, ParticleCloudPrediction):
             raise UnsupportedMetricError(
                 "half-plane coverage requires particle-cloud predictions"
             )
-        d = random_direction(pred.dim, rng)
-        w, z = project_particles(pred, d)
-        order = np.argsort(z, kind="stable")
-        z_sorted = z[order]
-        cum = np.cumsum(w[order])
-        total = cum[-1]
-        lo_idx = np.minimum(
-            np.searchsorted(cum, lo_q * total, side="left"), z.size - 1
-        )
-        hi_idx = np.minimum(
-            np.searchsorted(cum, hi_q * total, side="left"), z.size - 1
-        )
-        zy = float(rec.outcome @ d)
-        counts += (z_sorted[lo_idx] <= zy) & (zy <= z_sorted[hi_idx])
+        counts += halfplane_indicator(rec.prediction, rec.outcome, grid.levels, rng)
     return CoverageCurve(levels=grid, counts=counts, n=len(records))
-
-
-def halfplane_delta(
-    probe: HalfPlaneProbe, pred: ParticleCloudPrediction, y
-) -> float:
-    """Signed half-plane discrepancy between a cloud and one outcome.
-
-    Weighted particle mass strictly above the cut minus the outcome's own
-    indicator; lies in [-1, 1] and has expectation 0 under calibration for
-    every probe.
-    """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape[0] != pred.dim or probe.direction.shape[0] != pred.dim:
-        raise ValueError("probe, cloud, and outcome dimensions must agree")
-    z_cloud = pred.points @ probe.direction
-    mass_above = float(pred.weights[z_cloud > probe.threshold].sum())
-    y_above = float(y @ probe.direction > probe.threshold)
-    return mass_above - y_above

@@ -18,15 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import (
-    GaussianPrediction,
-    ParticleCloudPrediction,
-    centered_interval,
-    project_particles,
-    weighted_quantile,
-)
+from .dist import GaussianPrediction, ParticleCloudPrediction, centered_interval
 from .errors import ConfigError
-from .metric import random_direction
+from .metric import halfplane_indicator
 
 __all__ = [
     "EValueConfig",
@@ -157,22 +151,9 @@ def monitor_step_halfplane(
 ) -> MartingaleState:
     """One step of the half-plane particle monitor.
 
-    Draws a fresh direction independently of the outcome, projects the cloud
-    and the outcome onto it, forms the centered weighted-quantile interval
-    at the configured level, and feeds the indicator to the martingale.
-    Because the direction never looks at the data, the indicator is
-    Bernoulli(level) under calibration whatever the cloud looks like; a
-    degenerate cloud simply resolves through the quantile tie policy.
+    Scores the coverage indicator of :func:`calcheck.metric.halfplane_indicator`
+    at the configured level, on a fresh direction drawn from ``rng``, and
+    feeds it to the martingale.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape[0] != pred.dim:
-        raise ValueError(
-            f"outcome has dimension {y.shape[0]}, cloud has {pred.dim}"
-        )
-    d = random_direction(pred.dim, rng)
-    w, z = project_particles(pred, d)
-    lo = weighted_quantile(w, z, (1.0 - config.level) / 2.0)
-    hi = weighted_quantile(w, z, (1.0 + config.level) / 2.0)
-    zy = float(y @ d)
-    k = 1 if lo <= zy <= hi else 0
+    k = 1 if halfplane_indicator(pred, y, config.level, rng) else 0
     return state.advanced(_log_lr(k, config), config)

@@ -121,19 +121,7 @@ def run_weather_sim(config: WeatherSimConfig) -> list[PredictionRecord]:
     if not np.all(np.isfinite(sigma_hat)) or np.any(degenerate):
         bad = int(np.flatnonzero(degenerate | ~np.isfinite(sigma_hat))[0]) + w
         raise DataError(f"degenerate window ending at day {bad}: zero residual spread")
-    records = []
-    for i in range(mu_hat.size):
-        records.append(
-            PredictionRecord(
-                prediction=GaussianPrediction(
-                    mu=float(mu_hat[i] + config.injected_mean_bias),
-                    sigma=float(sigma_hat[i] * config.injected_sd_scale),
-                ),
-                outcome=series[w + i],
-                time_index=w + i,
-            )
-        )
-    return records
+    return _weather_records(mu_hat, sigma_hat, series, config)
 
 
 def run_weather_oracle(config: WeatherSimConfig) -> list[PredictionRecord]:
@@ -146,19 +134,26 @@ def run_weather_oracle(config: WeatherSimConfig) -> list[PredictionRecord]:
     """
     clean, sigma, series = _seasonal_series(config)
     w = config.window
-    records = []
-    for t in range(w, config.n_days):
-        records.append(
-            PredictionRecord(
-                prediction=GaussianPrediction(
-                    mu=float(clean[t] + config.injected_mean_bias),
-                    sigma=float(sigma[t] * config.injected_sd_scale),
-                ),
-                outcome=series[t],
-                time_index=t,
-            )
+    return _weather_records(clean[w:], sigma[w:], series, config)
+
+
+def _weather_records(mu, sigma, series, config: WeatherSimConfig) -> list[PredictionRecord]:
+    """One record per day past the warm-up, with the injections applied.
+
+    ``mu[i]`` and ``sigma[i]`` forecast day ``window + i``.
+    """
+    w = config.window
+    return [
+        PredictionRecord(
+            prediction=GaussianPrediction(
+                mu=float(mu[i] + config.injected_mean_bias),
+                sigma=float(sigma[i] * config.injected_sd_scale),
+            ),
+            outcome=series[w + i],
+            time_index=w + i,
         )
-    return records
+        for i in range(len(mu))
+    ]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,10 @@
+import ast
+import importlib.util
+import io
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,3 +372,149 @@ def test_cli_check_monitor_slot_swap(tmp_path):
     on = cli.main(["check", str(path), "--testing", "evalue_monitor",
                    "--lambda", "0.9"])
     assert off in (0, 1) and on in (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# configuration resolution
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv, file_cfg, code",
+    [
+        (["check", "{weather}"], {"alpha": "x"}, 2),
+        (["check", "{weather}"], {"levels": [0.5, 0.2]}, 2),
+        (["check", "{weather}"], {"bins": "x"}, 2),
+        (["check", "{weather}"], {"bins": 2.5}, 2),
+        (["check", "{weather}"], {"sided": "One"}, 2),
+        (["simulate", "weather", "--out", "{out}"], {"window": 1}, 2),
+        (["simulate", "robot", "--out", "{out}"], {"n_particles": 20.5}, 2),
+        # null means absent in every command, as it does for check
+        (["simulate", "drift_sweep", "--out", "{out}"],
+         {"alpha": None, "n_seeds": 1, "n_steps": 5, "n_particles": 20,
+          "multipliers": [1.0]}, 0),
+    ],
+)
+def test_cli_config_values_resolve_alike(tmp_path, capsys, argv, file_cfg, code):
+    path, _ = weather_file(tmp_path, seed=5)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(file_cfg))
+    fill = {"weather": str(path), "out": str(tmp_path / "out")}
+    got = cli.main([a.format(**fill) for a in argv] + ["--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert got == code
+    if code == 2:
+        assert err.startswith("config error:")
+
+
+# ---------------------------------------------------------------------------
+# stdin provenance
+# ---------------------------------------------------------------------------
+
+def pipe(monkeypatch, data: bytes) -> None:
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+
+
+def input_digest(out_dir) -> str:
+    report = json.loads((out_dir / "report.json").read_text())
+    return report["provenance"]["input_digest"]
+
+
+def stream_bytes(seed: int) -> bytes:
+    rng = np.random.default_rng(seed)
+    lines = [gaussian_line(0.0, 1.0, float(y)) for y in rng.normal(size=50)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_cli_stdin_digest_covers_the_bytes_read(tmp_path, monkeypatch, capsys):
+    digests = []
+    for seed in (1, 2):
+        pipe(monkeypatch, stream_bytes(seed))
+        out = tmp_path / f"s{seed}"
+        assert cli.main(["monitor", "-", "--out", str(out)]) in (0, 1)
+        digests.append(input_digest(out))
+    assert digests[0] != digests[1]
+
+
+def test_cli_stdin_digest_matches_file_digest(tmp_path, monkeypatch, capsys):
+    data = stream_bytes(3)
+    path = tmp_path / "s.jsonl"
+    path.write_bytes(data)
+    assert cli.main(["monitor", str(path), "--out", str(tmp_path / "file")]) in (0, 1)
+    pipe(monkeypatch, data)
+    assert cli.main(["monitor", "-", "--out", str(tmp_path / "pipe")]) in (0, 1)
+    assert input_digest(tmp_path / "pipe") == input_digest(tmp_path / "file")
+    assert (tmp_path / "pipe" / "etrace.csv").read_bytes() == (
+        tmp_path / "file" / "etrace.csv").read_bytes()
+
+
+def test_cli_stdin_particles_sniffed_without_config(tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng(4)
+    recs = _random_records(rng, "particles", 20)
+    path = tmp_path / "p.jsonl"
+    write_records(recs, path)
+    pipe(monkeypatch, b"\n" + path.read_bytes())
+    assert cli.main(["monitor", "-", "--seed", "2", "--out", str(tmp_path / "o")]) in (0, 1)
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["provenance"]["config"]["model"] == "particles"
+    assert report["report"]["recipe_config"]["t"] == 20
+
+
+# ---------------------------------------------------------------------------
+# per-command flags
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _written_invocations() -> list[list[str]]:
+    """Every argv list passed literally to a ``main`` under tests/ and bench/.
+
+    Elements that are not string literals become "1", which every flag
+    value and path argument accepts.
+    """
+    found = []
+    for path in sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("bench/*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and node.args
+                    and isinstance(node.args[0], ast.List)):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name.endswith("main"):
+                found.append([e.value if isinstance(e, ast.Constant) else "1"
+                              for e in node.args[0].elts])
+    return found
+
+
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(f"_loaded_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def _workload_invocations() -> list[list[str]]:
+    wl = _load(ROOT / "bench" / "workloads.py")
+    return [list(cmd.argv) for w in wl.WORKLOADS
+            for cmd in wl.commands(w, wl.FULL, 1)]
+
+
+def test_cli_refuses_flags_a_command_ignores(capsys):
+    for argv in (["report", "R", "--bins", "5"],
+                 ["simulate", "weather", "--metric", "pit_ks"],
+                 ["monitor", "F", "--levels", "0.5"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    golden = _load(ROOT / "tests" / "test_golden.py")
+    invocations = (_written_invocations() + _workload_invocations()
+                   + [list(argv) for argv in golden.CASES.values()])
+    assert len(invocations) > 30
+    parser = cli._build_parser()
+    for argv in invocations:
+        parser.parse_args(argv)

@@ -14,17 +14,13 @@ from calcheck.dist import (
 from calcheck.errors import DataError, UnsupportedMetricError
 from calcheck.metric import (
     CoverageCurve,
-    HalfPlaneProbe,
     LevelGrid,
     PitSample,
     coverage_counts,
     ecdf_eval,
     fold,
     halfplane_coverage,
-    halfplane_delta,
     pit,
-    probe_coverage_counts,
-    sample_probes,
     variance_bin,
 )
 from calcheck.hyptest import ONE_SIDED, HypothesisSpec, ks_statistic, ks_critical
@@ -250,78 +246,12 @@ def test_variance_bin_mv_uses_log_det_ordering():
 
 
 # ---------------------------------------------------------------------------
-# half-plane probes
+# half-plane coverage
 # ---------------------------------------------------------------------------
 
 def make_cloud(rng, m=2000, dim=2):
     pts = rng.normal(size=(m, dim))
     return ParticleCloudPrediction(weights=np.full(m, 1.0 / m), points=pts)
-
-
-def test_sample_probes_deterministic_and_counted():
-    rng = np.random.default_rng(0)
-    ref = make_cloud(rng)
-    grid = LevelGrid.default()
-    a = sample_probes(2, 20, grid, rng_seed=5, reference=ref)
-    b = sample_probes(2, 20, grid, rng_seed=5, reference=ref)
-    assert len(a) == 20
-    for pa, pb in zip(a, b):
-        assert np.array_equal(pa.direction, pb.direction)
-        assert pa.threshold == pb.threshold
-        assert pa.null_mean == pb.null_mean
-
-
-def test_sample_probes_1d_reduces_to_reference_quantiles():
-    rng = np.random.default_rng(1)
-    pts = rng.normal(size=(500, 1))
-    ref = ParticleCloudPrediction(weights=np.full(500, 1 / 500), points=pts)
-    grid = LevelGrid.default()
-    probes = sample_probes(1, grid.k, grid, rng_seed=3, reference=ref)
-    from calcheck.dist import weighted_quantile
-
-    for probe, lam in zip(probes, grid.levels):
-        assert np.array_equal(probe.direction, [1.0])
-        assert probe.threshold == weighted_quantile(ref.weights, pts[:, 0], lam)
-
-
-def test_probe_null_mean_monte_carlo():
-    rng = np.random.default_rng(8)
-    ref = make_cloud(rng, m=2000)
-    grid = LevelGrid.default()
-    probes = sample_probes(2, 18, grid, rng_seed=9, reference=ref)
-    draws = 10_000
-    idx = rng.integers(0, ref.n_particles, size=draws)
-    ys = ref.points[idx]
-    recs = [PredictionRecord(prediction=ref, outcome=y) for y in ys]
-    counts = probe_coverage_counts(recs, probes)
-    for probe, count in zip(probes, counts):
-        se = math.sqrt(probe.null_mean * (1 - probe.null_mean) / draws)
-        assert abs(count / draws - probe.null_mean) <= 3.0 * se + 1.0 / ref.n_particles
-
-
-def test_halfplane_delta_hand_values():
-    cloud = ParticleCloudPrediction(
-        weights=[0.5, 0.5], points=[[0.0, 1.0], [0.0, -1.0]]
-    )
-    probe = HalfPlaneProbe(direction=[0.0, 1.0], threshold=0.0, null_mean=0.5)
-    # all mass and outcome on the same side
-    same = halfplane_delta(probe, ParticleCloudPrediction(
-        weights=[0.5, 0.5], points=[[0.0, 1.0], [0.0, 2.0]]), [0.0, 3.0])
-    assert same == 0.0
-    # one particle each side, outcome above
-    assert halfplane_delta(probe, cloud, [0.0, 5.0]) == pytest.approx(-0.5)
-
-
-def test_halfplane_delta_centered_monte_carlo():
-    rng = np.random.default_rng(13)
-    cloud = make_cloud(rng, m=400)
-    probe = HalfPlaneProbe(
-        direction=np.array([1.0, 0.0]), threshold=0.3, null_mean=0.6
-    )
-    trials = 10_000
-    idx = rng.integers(0, cloud.n_particles, size=trials)
-    deltas = [halfplane_delta(probe, cloud, cloud.points[i]) for i in idx]
-    assert abs(np.mean(deltas)) <= 3.0 / math.sqrt(trials) + 1.0 / cloud.n_particles
 
 
 def test_halfplane_coverage_calibrated_and_monotone():
