@@ -219,13 +219,11 @@ class RunReport:
         )
 
 
-def _provenance(config: RecipeConfig | dict, payload) -> dict:
-    """``payload`` is the input's bytes, or a running sha256 of the bytes consumed."""
+def _provenance(config: RecipeConfig | dict, digest: hashlib._Hash) -> dict:
+    """``digest`` is a sha256 of the input bytes consumed."""
     cfg = config.to_dict() if isinstance(config, RecipeConfig) else config
-    if isinstance(payload, bytes):
-        payload = hashlib.sha256(payload)
     return {
-        "input_digest": payload.hexdigest(),
+        "input_digest": digest.hexdigest(),
         "config": cfg,
         "tool_version": __version__,
     }
@@ -495,12 +493,12 @@ def _single_check(
 def run_check(
     config: RecipeConfig,
     records: list[PredictionRecord],
-    payload=b"",
+    digest: hashlib._Hash = hashlib.sha256(),
 ) -> RunReport:
     """Execute metric, hypothesis, and testing slots on a record batch.
 
-    ``payload`` identifies the input in the provenance: its bytes, or a
-    running sha256 of the bytes consumed (see :class:`RecordSource`).
+    ``digest``, a sha256 of the input bytes (see :class:`RecordSource`),
+    identifies the input in the provenance.
 
     With ``bins`` configured, the records are partitioned by predicted
     uncertainty and the inner check runs per bin at ``alpha / bins``
@@ -511,11 +509,11 @@ def run_check(
         raise DataError("no records to check")
     _check_records_model(config, records)
     if config.testing == "evalue_monitor":
-        return run_monitor(config, records, payload=payload)
+        return run_monitor(config, records, digest=digest)
     if config.bins is None:
         report, curves = _single_check(config, records, config.alpha)
         return RunReport(report=report, curves=curves,
-                         provenance=_provenance(config, payload))
+                         provenance=_provenance(config, digest))
 
     bins = variance_bin(records, config.bins)
     per_bin_alpha = config.alpha / config.bins
@@ -544,7 +542,7 @@ def run_check(
         },
     )
     return RunReport(report=report, curves=curves,
-                     provenance=_provenance(config, payload))
+                     provenance=_provenance(config, digest))
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +552,7 @@ def run_check(
 def run_monitor(
     config: RecipeConfig,
     record_stream: Iterable[PredictionRecord],
-    payload=b"",
+    digest: hashlib._Hash = hashlib.sha256(),
     on_row: Callable[[int, float, bool], None] | None = None,
 ) -> RunReport:
     """Consume records in order, multiplying the test martingale per step.
@@ -563,8 +561,8 @@ def run_monitor(
     is produced.  The monitor keeps recording after an alarm; the decision
     is the first crossing of ``1/alpha``.  A stream that dies mid-flight
     yields a partial report marked incomplete rather than nothing.  The
-    provenance is taken after the stream ends, so a running digest passed as
-    ``payload`` covers every byte the stream consumed.
+    provenance is taken after the stream ends, so a running ``digest`` of
+    the input covers every byte the stream consumed.
     """
     ev = config.evalue
     if ev is None:
@@ -613,7 +611,7 @@ def run_monitor(
     return RunReport(
         report=report,
         curves={"etrace": (["t", "e_value", "alarmed", "threshold"], rows)},
-        provenance=_provenance(config, payload),
+        provenance=_provenance(config, digest),
     )
 
 
@@ -633,7 +631,7 @@ def run_simulate(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg_dict = dataclasses.asdict(sim_config)
-    payload = json.dumps(cfg_dict, sort_keys=True, default=str).encode()
+    digest = hashlib.sha256(json.dumps(cfg_dict, sort_keys=True, default=str).encode())
     curves: dict = {}
     if kind == "weather":
         records = run_weather_sim(sim_config)
@@ -677,7 +675,7 @@ def run_simulate(
     else:
         raise ConfigError(f"unknown simulation kind {kind!r}")
     run = RunReport(report=summary, curves=curves,
-                    provenance=_provenance(cfg_dict, payload))
+                    provenance=_provenance(cfg_dict, digest))
     _write_outputs(run, out)
     return run
 
@@ -899,7 +897,7 @@ def _cmd_check(args) -> int:
         model = _resolve(args, file_cfg, "model") or sniff_model_kind(source)
         config = _recipe_from_args(args, file_cfg, model, testing=None)
         records = parse_records(source, model)
-    return _finish(run_check(config, records, payload=source.sha256), args.out)
+    return _finish(run_check(config, records, digest=source.sha256), args.out)
 
 
 def _cmd_monitor(args) -> int:
@@ -907,15 +905,17 @@ def _cmd_monitor(args) -> int:
     with RecordSource(args.records) as source:
         model = _resolve(args, file_cfg, "model") or sniff_model_kind(source)
         config = _recipe_from_args(args, file_cfg, model, testing="evalue_monitor")
-        run = run_monitor(config, iter_records(source, model), payload=source.sha256,
+        run = run_monitor(config, iter_records(source, model), digest=source.sha256,
                           on_row=_print_row)
     return _finish(run, args.out)
 
 
 def _sim_config(cls, file_cfg: dict, seed: int):
-    """A simulator config from the config file's keys for ``cls``."""
+    """A simulator config from the config file's keys for ``cls``, each
+    converted by its field's annotation."""
+    convert = {"int": _integer, "float": float}
     try:
-        kwargs = {f.name: _integer(file_cfg[f.name]) if f.type == "int" else file_cfg[f.name]
+        kwargs = {f.name: convert.get(f.type, lambda v: v)(file_cfg[f.name])
                   for f in dataclasses.fields(cls) if file_cfg.get(f.name) is not None}
         kwargs["seed"] = seed
         if "beacon_positions" in kwargs:

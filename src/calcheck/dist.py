@@ -375,25 +375,27 @@ def ellipsoid_contains(pred: MvGaussianPrediction, y, level: float) -> bool:
     return mahalanobis_sq(pred, y) <= float(chi2_qtl(level, pred.dim))
 
 
-def weighted_quantile(weights, values, q: float) -> float:
+def weighted_quantile(weights, values, q):
     """Left-continuous generalized inverse of the weighted ECDF.
 
     Returns the smallest sample value whose cumulative weight reaches ``q``.
     This matches the unweighted empirical quantile convention and keeps the
-    coverage indicator conservative at ties.
+    coverage indicator conservative at ties.  ``q`` may be an array of
+    levels, answered from one sort as an array of the same shape.
     """
     w = np.asarray(weights, dtype=float)
     v = np.asarray(values, dtype=float)
+    q = np.asarray(q, dtype=float)
     if v.size == 0:
         raise ValueError("cannot take a quantile of an empty sample")
-    if not 0.0 < q < 1.0:
+    if not (q.min() > 0.0 and q.max() < 1.0):
         raise ValueError(f"q must be in (0, 1), got {q}")
     order = np.argsort(v, kind="stable")
     cum = np.cumsum(w[order])
-    target = q * cum[-1]
-    idx = int(np.searchsorted(cum, target, side="left"))
-    idx = min(idx, v.size - 1)  # guard float roundoff at q ~ 1
-    return float(v[order[idx]])
+    idx = np.searchsorted(cum, q * cum[-1], side="left")
+    idx = np.minimum(idx, v.size - 1)  # guard float roundoff at q ~ 1
+    quantiles = v[order[idx]]
+    return float(quantiles) if quantiles.ndim == 0 else quantiles
 
 
 def project_particles(pred: ParticleCloudPrediction, direction) -> tuple[np.ndarray, np.ndarray]:

@@ -28,6 +28,7 @@ from .dist import (
     mahalanobis_sq,
     project_particles,
     scalar_cdf,
+    weighted_quantile,
 )
 from .errors import DataError, UnsupportedMetricError
 
@@ -310,11 +311,12 @@ def halfplane_indicator(
     Draws a fresh direction independently of the outcome, projects the cloud
     and the outcome onto it, and tests the outcome's projection against the
     centered weighted-quantile interval at each level in ``levels`` (a float
-    or an array), with weak inequalities at the endpoints.  The quantiles
-    are the left-continuous inverse of the weighted ECDF, read off one sort
-    of the projected cloud.  Because the direction never looks at the data,
-    each indicator is Bernoulli(level) under calibration whatever the cloud
-    looks like; a degenerate cloud resolves through the quantile tie policy.
+    or an array), with weak inequalities at the endpoints.  Both endpoints
+    at every level come from one :func:`calcheck.dist.weighted_quantile`
+    call, so the projected cloud is sorted once.  Because the direction
+    never looks at the data, each indicator is Bernoulli(level) under
+    calibration whatever the cloud looks like; a degenerate cloud resolves
+    through the quantile tie policy.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.shape[0] != pred.dim:
@@ -323,13 +325,7 @@ def halfplane_indicator(
         )
     d = random_direction(pred.dim, rng)
     w, z = project_particles(pred, d)
-    order = np.argsort(z, kind="stable")
-    z_sorted = z[order]
-    cum = np.cumsum(w[order])
-    total = cum[-1]
-    last = z.size - 1  # guards float roundoff at levels near 1
-    lo = z_sorted[np.minimum(np.searchsorted(cum, (1.0 - levels) / 2.0 * total), last)]
-    hi = z_sorted[np.minimum(np.searchsorted(cum, (1.0 + levels) / 2.0 * total), last)]
+    lo, hi = weighted_quantile(w, z, np.array([1.0 - levels, 1.0 + levels]) / 2.0)
     zy = float(y @ d)
     return (lo <= zy) & (zy <= hi)
 

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib.util
 import io
 import json
@@ -181,8 +182,8 @@ def test_run_check_deterministic_reports(tmp_path):
     path, recs = weather_file(tmp_path, seed=5)
     config = RecipeConfig(model="gaussian", metric="coverage")
     payload = path.read_bytes()
-    a = run_check(config, recs, payload=payload).to_json()
-    b = run_check(config, recs, payload=payload).to_json()
+    a = run_check(config, recs, digest=hashlib.sha256(payload)).to_json()
+    b = run_check(config, recs, digest=hashlib.sha256(payload)).to_json()
     assert a == b
 
 
@@ -392,6 +393,8 @@ def test_cli_check_monitor_slot_swap(tmp_path):
         (["simulate", "drift_sweep", "--out", "{out}"],
          {"alpha": None, "n_seeds": 1, "n_steps": 5, "n_particles": 20,
           "multipliers": [1.0]}, 0),
+        # a float field nothing validates still fails as configuration
+        (["simulate", "weather", "--out", "{out}"], {"seasonal_amplitude": "x"}, 2),
     ],
 )
 def test_cli_config_values_resolve_alike(tmp_path, capsys, argv, file_cfg, code):

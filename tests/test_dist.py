@@ -205,6 +205,19 @@ def test_weighted_quantile_matches_order_statistic():
         assert got == expected
 
 
+def test_weighted_quantile_array_matches_scalar_calls():
+    rng = np.random.default_rng(12)
+    weights = rng.dirichlet(np.ones(30))
+    values = np.round(rng.normal(size=30), 1)  # ties exercise the policy
+    q = np.array([[0.05, 0.25], [0.5, 0.999]])
+    got = weighted_quantile(weights, values, q)
+    assert got.shape == q.shape
+    for idx in np.ndindex(q.shape):
+        assert got[idx] == weighted_quantile(weights, values, float(q[idx]))
+    with pytest.raises(ValueError):
+        weighted_quantile(weights, values, [0.5, 1.0])
+
+
 def test_project_particles_axis_and_inner_product():
     cloud = ParticleCloudPrediction(
         weights=[0.5, 0.5], points=[[3.0, 4.0], [1.0, -1.0]]
