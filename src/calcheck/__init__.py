@@ -2,7 +2,8 @@
 
 A four-slot pipeline, each slot independently swappable:
 
-* model & data (:mod:`calcheck.dist`) - what the forecaster emits;
+* model & data (:mod:`calcheck.dist`, :mod:`calcheck.records`) - what the
+  forecaster emits, one prediction or a columnar batch of records;
 * metric (:mod:`calcheck.metric`) - coverage counts, PIT samples,
   variance bins, half-plane coverage for particle clouds;
 * hypothesis (:class:`calcheck.hyptest.HypothesisSpec`) - two-sided,
@@ -20,8 +21,6 @@ from .dist import (
     MvGaussianPrediction,
     ParametricPrediction,
     ParticleCloudPrediction,
-    PredictionRecord,
-    PredictionSetProvider,
     centered_interval,
     ellipsoid_contains,
     exponential_prediction,
@@ -67,6 +66,7 @@ from .metric import (
     pit,
     variance_bin,
 )
+from .records import GaussianBatch, MvGaussianBatch, ParticleBatch, RecordBatch
 from .seqtest import (
     EValueConfig,
     MartingaleState,

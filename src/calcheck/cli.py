@@ -3,9 +3,11 @@
 Subcommands: ``check`` (offline batch decision), ``monitor`` (streaming
 e-value monitor), ``simulate`` (generate experiment data), ``report``
 (re-render a saved run report).  Records travel as JSON lines, one record
-per line, so monitors can stream and tests can diff.  Exit codes are
-scriptable safety gates: 0 accept/clean, 1 reject/alarm, 2 usage or
-configuration error, 3 data error.
+per line, so monitors can stream and tests can diff; a file's records are
+read into one batch of their family (:mod:`calcheck.records`), a stream
+into one-record batches.  Exit codes are scriptable safety gates: 0
+accept/clean, 1 reject/alarm, 2 usage or configuration error, 3 data error,
+and 141 (128 + SIGPIPE) when the reader of stdout goes away.
 """
 
 from __future__ import annotations
@@ -25,13 +27,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import __version__
-from .dist import (
-    GaussianPrediction,
-    MvGaussianPrediction,
-    ParticleCloudPrediction,
-    PredictionRecord,
-)
-from .errors import CalcheckError, ConfigError, DataError, InvalidDistributionError
+from .errors import CalcheckError, ConfigError, DataError
 from .hyptest import (
     ONE_SIDED,
     TWO_SIDED,
@@ -50,7 +46,8 @@ from .metric import (
     pit,
     variance_bin,
 )
-from .seqtest import (
+from .records import FAMILIES, RecordBatch
+from .seqtest import (  # noqa: F401  bench/tracing.py wraps the two monitor steps here
     EValueConfig,
     MartingaleState,
     monitor_step_gaussian,
@@ -77,12 +74,11 @@ __all__ = [
     "main",
 ]
 
-MODELS = ("gaussian", "mv_gaussian", "parametric", "particles", "set_provider")
+MODELS = tuple(FAMILIES)
 METRICS = ("coverage", "pit_ks", "folded_ks", "halfplane")
 TESTINGS = ("binom_bonferroni", "binom_holm", "ks", "evalue_monitor")
 
-_CDF_MODELS = ("gaussian", "mv_gaussian", "parametric")
-_PARSEABLE_MODELS = ("gaussian", "mv_gaussian", "particles")
+_CDF_MODELS = ("gaussian", "mv_gaussian")
 
 SEED_ENV_VAR = "CALCHECK_SEED"
 
@@ -90,6 +86,7 @@ EXIT_ACCEPT = 0
 EXIT_REJECT = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 
 
 # ---------------------------------------------------------------------------
@@ -293,112 +290,55 @@ def _opened(source: str | Path | RecordSource):
     return RecordSource(source)
 
 
-def _field(obj: dict, name: str, line_no: int):
-    try:
-        return obj[name]
-    except KeyError:
-        raise DataError(f"line {line_no}: missing field {name!r}") from None
+def _decoded_lines(src: RecordSource, keys: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
+    """``(line number, record object)`` for each non-blank line.
+
+    The lists among the fields ``keys`` become float arrays at once, so that
+    a whole file of large particle clouds is never held as decoded JSON
+    lists.
+    """
+    for line_no, line in enumerate(src.lines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line.decode())  # decoding first is faster than json's own
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DataError(f"line {line_no}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
+        if not isinstance(obj, dict):
+            raise DataError(f"line {line_no}: expected an object")
+        try:
+            obj.update({key: np.asarray(obj[key], dtype=float)
+                        for key in keys if isinstance(obj.get(key), list)})
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"line {line_no}: {exc}") from None
+        yield line_no, obj
 
 
-def _parse_line(line: bytes, model_kind: str, line_no: int) -> PredictionRecord:
-    try:
-        obj = json.loads(line.decode())  # decoding first is faster than json's own
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"line {line_no}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
-    if not isinstance(obj, dict):
-        raise DataError(f"line {line_no}: expected an object")
-    t = obj.get("t")
-    try:
-        if model_kind == "gaussian":
-            pred = GaussianPrediction(
-                mu=float(_field(obj, "mu", line_no)),
-                sigma=float(_field(obj, "sigma", line_no)),
-            )
-        elif model_kind == "mv_gaussian":
-            pred = MvGaussianPrediction(
-                mu=np.asarray(_field(obj, "mu", line_no), dtype=float),
-                cov=np.asarray(_field(obj, "cov", line_no), dtype=float),
-            )
-        elif model_kind == "particles":
-            pred = ParticleCloudPrediction(
-                weights=np.asarray(_field(obj, "w", line_no), dtype=float),
-                points=np.asarray(_field(obj, "pts", line_no), dtype=float),
-            )
-        else:
-            raise DataError(
-                f"model {model_kind!r} has no record schema; only "
-                f"{_PARSEABLE_MODELS} can be parsed from files"
-            )
-        return PredictionRecord(
-            prediction=pred,
-            outcome=np.asarray(_field(obj, "y", line_no), dtype=float),
-            time_index=int(t) if t is not None else None,
-        )
-    except (InvalidDistributionError, TypeError, ValueError) as exc:
-        raise DataError(f"line {line_no}: {exc}") from None
-
-
-def iter_records(
-    source: str | Path | RecordSource, model_kind: str
-) -> Iterator[PredictionRecord]:
-    """Lazily parse records from a JSON-lines file ('-' reads stdin)."""
+def iter_records(source: str | Path | RecordSource, model_kind: str) -> Iterator[RecordBatch]:
+    """Lazily parse records from a JSON-lines file ('-' reads stdin), one
+    one-record batch per line."""
+    cls = FAMILIES[model_kind]
     with _opened(source) as src:
-        dim = None
-        for line_no, line in enumerate(src.lines(), start=1):
-            if not line.strip():
-                continue
-            rec = _parse_line(line, model_kind, line_no)
-            if dim is None:
-                dim = rec.outcome.shape[0]
-            elif rec.outcome.shape[0] != dim:
-                raise DataError(
-                    f"line {line_no}: outcome dimension {rec.outcome.shape[0]} "
-                    f"differs from earlier lines ({dim})"
-                )
-            yield rec
+        for line_no, obj in _decoded_lines(src, ()):  # each line becomes arrays at once
+            yield cls.from_objs([obj], [line_no])
 
 
-def parse_records(
-    source: str | Path | RecordSource, model_kind: str
-) -> list[PredictionRecord]:
-    """Parse a whole record file, in file order; empty input is an error."""
-    records = list(iter_records(source, model_kind))
-    if not records:
+def parse_records(source: str | Path | RecordSource, model_kind: str) -> RecordBatch:
+    """Parse a whole record file into one batch; empty input is an error."""
+    cls = FAMILIES[model_kind]
+    with _opened(source) as src:
+        numbered = list(_decoded_lines(src, cls.keys))
+    if not numbered:
         raise DataError(f"no records in {source}")
-    return records
+    line_nos, objs = zip(*numbered)
+    return cls.from_objs(objs, line_nos)
 
 
-def _record_to_obj(rec: PredictionRecord) -> dict:
-    pred = rec.prediction
-    if isinstance(pred, GaussianPrediction):
-        obj = {"mu": pred.mu, "sigma": pred.sigma, "y": rec.scalar_outcome}
-    elif isinstance(pred, MvGaussianPrediction):
-        obj = {
-            "mu": pred.mu.tolist(),
-            "cov": pred.cov.tolist(),
-            "y": rec.outcome.tolist(),
-        }
-    elif isinstance(pred, ParticleCloudPrediction):
-        obj = {
-            "w": pred.weights.tolist(),
-            "pts": pred.points.tolist(),
-            "y": rec.outcome.tolist(),
-        }
-    else:
-        raise DataError(f"{type(pred).__name__} records cannot be serialized")
-    if rec.time_index is not None:
-        obj["t"] = rec.time_index
-    return obj
-
-
-def write_records(records: Iterable[PredictionRecord], path: str | Path) -> None:
+def write_records(records: RecordBatch, path: str | Path) -> None:
     """Write records as JSON lines; floats round-trip exactly."""
     with open(path, "w") as handle:
-        for rec in records:
-            handle.write(json.dumps(_record_to_obj(rec)) + "\n")
-
-
-_SCHEMA_KEYS = (("sigma", "gaussian"), ("cov", "mv_gaussian"), ("pts", "particles"))
+        for obj in records.to_objs():
+            handle.write(json.dumps(obj) + "\n")
 
 
 def sniff_model_kind(source: str | Path | RecordSource) -> str:
@@ -412,8 +352,8 @@ def sniff_model_kind(source: str | Path | RecordSource) -> str:
     except (json.JSONDecodeError, UnicodeDecodeError):
         raise DataError(f"{source}: first record line is not valid JSON") from None
     if isinstance(obj, dict):
-        for key, kind in _SCHEMA_KEYS:
-            if key in obj:
+        for kind, cls in FAMILIES.items():
+            if cls.keys[1] in obj:
                 return kind
     raise DataError(f"{source}: record schema not recognized")
 
@@ -455,22 +395,8 @@ def _ks_tables(sample, report: TestReport, grid: LevelGrid) -> dict:
     }
 
 
-def _check_records_model(config: RecipeConfig, records: list[PredictionRecord]) -> None:
-    kinds = {
-        "gaussian": GaussianPrediction,
-        "mv_gaussian": MvGaussianPrediction,
-        "particles": ParticleCloudPrediction,
-    }
-    expected = kinds.get(config.model)
-    if expected is not None and records and not isinstance(records[0].prediction, expected):
-        raise ConfigError(
-            f"config names model {config.model!r} but records hold "
-            f"{type(records[0].prediction).__name__}"
-        )
-
-
 def _single_check(
-    config: RecipeConfig, records: list[PredictionRecord], alpha: float
+    config: RecipeConfig, records: RecordBatch, alpha: float
 ) -> tuple[TestReport, dict]:
     spec = config.hypothesis
     if config.metric in ("coverage", "halfplane"):
@@ -492,7 +418,7 @@ def _single_check(
 
 def run_check(
     config: RecipeConfig,
-    records: list[PredictionRecord],
+    records: RecordBatch,
     digest: hashlib._Hash = hashlib.sha256(),
 ) -> RunReport:
     """Execute metric, hypothesis, and testing slots on a record batch.
@@ -505,11 +431,10 @@ def run_check(
     (Bonferroni across bins; disjoint samples make this tight); the family
     rejects when any bin does.
     """
-    if not records:
+    if not len(records):
         raise DataError("no records to check")
-    _check_records_model(config, records)
     if config.testing == "evalue_monitor":
-        return run_monitor(config, records, digest=digest)
+        return run_monitor(config, [records], digest=digest)
     if config.bins is None:
         report, curves = _single_check(config, records, config.alpha)
         return RunReport(report=report, curves=curves,
@@ -520,8 +445,7 @@ def run_check(
     curves: dict = {}
     bin_reports = []
     for b in range(config.bins):
-        members = [records[i] for i in bins.bin_indices(b)]
-        rep, tables = _single_check(config, members, per_bin_alpha)
+        rep, tables = _single_check(config, records.take(bins.bin_indices(b)), per_bin_alpha)
         bin_reports.append(rep)
         for name, table in tables.items():
             curves[f"{name}_bin{b}"] = table
@@ -551,11 +475,12 @@ def run_check(
 
 def run_monitor(
     config: RecipeConfig,
-    record_stream: Iterable[PredictionRecord],
+    batches: Iterable[RecordBatch],
     digest: hashlib._Hash = hashlib.sha256(),
     on_row: Callable[[int, float, bool], None] | None = None,
 ) -> RunReport:
-    """Consume records in order, multiplying the test martingale per step.
+    """Consume the records of ``batches`` in order, multiplying the test
+    martingale per record.
 
     Emits one (t, e_value, alarmed) row per record through ``on_row`` as it
     is produced.  The monitor keeps recording after an alarm; the decision
@@ -573,20 +498,13 @@ def run_monitor(
     incomplete = False
     error = None
     try:
-        for rec in record_stream:
-            pred = rec.prediction
-            if isinstance(pred, GaussianPrediction):
-                state = monitor_step_gaussian(state, pred, rec.scalar_outcome, ev)
-            elif isinstance(pred, ParticleCloudPrediction):
-                state = monitor_step_halfplane(state, pred, rec.outcome, ev, rng)
-            else:
-                raise ConfigError(
-                    f"no monitor recipe for {type(pred).__name__} predictions"
-                )
-            # constant threshold column keeps the emitted trace plottable as-is
-            rows.append([state.t, state.e_value, int(state.alarmed), 1.0 / ev.alpha])
-            if on_row is not None:
-                on_row(state.t, state.e_value, state.alarmed)
+        for batch in batches:
+            for i in range(len(batch)):
+                state = batch.monitor_step(state, i, ev, rng)
+                # constant threshold column keeps the emitted trace plottable as-is
+                rows.append([state.t, state.e_value, int(state.alarmed), 1.0 / ev.alpha])
+                if on_row is not None:
+                    on_row(state.t, state.e_value, state.alarmed)
     except DataError as exc:
         incomplete = True
         error = str(exc)
@@ -633,14 +551,9 @@ def run_simulate(
     cfg_dict = dataclasses.asdict(sim_config)
     digest = hashlib.sha256(json.dumps(cfg_dict, sort_keys=True, default=str).encode())
     curves: dict = {}
-    if kind == "weather":
-        records = run_weather_sim(sim_config)
-        path = out / "weather_records.jsonl"
-        write_records(records, path)
-        summary = {"kind": kind, "n_records": len(records), "files": [path.name]}
-    elif kind == "robot":
-        records = run_robot_sim(sim_config)
-        path = out / "robot_records.jsonl"
+    if kind in ("weather", "robot"):
+        records = (run_weather_sim if kind == "weather" else run_robot_sim)(sim_config)
+        path = out / f"{kind}_records.jsonl"
         write_records(records, path)
         summary = {"kind": kind, "n_records": len(records), "files": [path.name]}
     elif kind == "drift_sweep":
@@ -991,6 +904,11 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except BrokenPipeError:
+        # the reader left: stop quietly, and keep the exit-time flush of the
+        # buffered output from failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,10 +1,11 @@
 """Prediction models and the geometric primitives derived from them.
 
-Every supported prediction family lives here: scalar Gaussians, multivariate
+One prediction of each family lives here: scalar Gaussians, multivariate
 Gaussians, generic parametric distributions given by CDF/quantile callables,
-weighted particle clouds, and density-free set providers.  The operations
-derive the objects the metrics need: centered intervals, coverage ellipsoids,
-weighted quantiles, and projections.
+and weighted particle clouds.  The operations derive the objects the metrics
+need: centered intervals, coverage ellipsoids, weighted quantiles, and
+projections.  Batches of (prediction, outcome) records are columnar arrays
+in :mod:`calcheck.records`, validated by the same parameter checks.
 
 All types are immutable after construction and all operations are pure.
 """
@@ -12,7 +13,7 @@ All types are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -27,10 +28,8 @@ __all__ = [
     "MvGaussianPrediction",
     "ParametricPrediction",
     "ParticleCloudPrediction",
-    "PredictionSetProvider",
-    "PredictiveDistribution",
-    "PredictionRecord",
-    "normal_cdf",
+    "check_gaussian",
+    "mv_cholesky",
     "chi2_cdf",
     "chi2_qtl",
     "scalar_cdf",
@@ -40,11 +39,11 @@ __all__ = [
     "gamma_prediction",
     "centered_interval",
     "mahalanobis_sq",
+    "whitened_sq_norm",
     "ellipsoid_contains",
     "weighted_quantile",
     "project_particles",
     "moment_match_gaussian",
-    "prediction_dim",
 ]
 
 # Weight tolerance for particle clouds: the weight vector must sum to 1
@@ -58,11 +57,6 @@ UNIT_NORM_TOL = 1e-9
 # ---------------------------------------------------------------------------
 # scalar special functions
 # ---------------------------------------------------------------------------
-
-def normal_cdf(x):
-    """Standard normal CDF, accurate to full double precision."""
-    return ndtr(x)
-
 
 def chi2_cdf(x, d: int):
     """Chi-square CDF with ``d`` degrees of freedom.
@@ -91,10 +85,18 @@ class GaussianPrediction:
     sigma: float
 
     def __post_init__(self):
-        if not np.isfinite(self.mu) or not np.isfinite(self.sigma):
+        check_gaussian(self.mu, self.sigma)
+
+
+def check_gaussian(mu, sigma) -> None:
+    """Require finite means and standard deviations (scalars or arrays), ``sigma > 0``."""
+    # one count when all is well; NaN fails both sigma comparisons
+    ok = np.isfinite(mu) & (sigma > 0.0) & (sigma < np.inf)
+    if np.count_nonzero(ok) != np.size(ok):
+        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
             raise InvalidDistributionError("gaussian parameters must be finite")
-        if self.sigma <= 0:
-            raise InvalidDistributionError(f"sigma must be > 0, got {self.sigma}")
+        bad = np.extract(np.less_equal(sigma, 0.0), sigma)
+        raise InvalidDistributionError(f"sigma must be > 0, got {bad[0]}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,25 +117,7 @@ class MvGaussianPrediction:
     def __post_init__(self):
         mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
         cov = np.asarray(self.cov, dtype=float)
-        d = mu.shape[0]
-        if mu.ndim != 1 or cov.shape != (d, d):
-            raise InvalidDistributionError(
-                f"mean has length {d} but covariance has shape {cov.shape}"
-            )
-        if not np.all(np.isfinite(mu)) or not np.all(np.isfinite(cov)):
-            raise InvalidDistributionError("parameters must be finite")
-        if not np.allclose(cov, cov.T, rtol=1e-9, atol=1e-12):
-            raise InvalidDistributionError("covariance must be symmetric")
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            jitter = 1e-10 * np.trace(cov) / d
-            try:
-                chol = np.linalg.cholesky(cov + jitter * np.eye(d))
-            except np.linalg.LinAlgError:
-                raise InvalidDistributionError(
-                    "covariance is singular or indefinite (jitter retry failed)"
-                ) from None
+        chol = mv_cholesky(mu[None], cov[None])[0]
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "_chol", chol)
@@ -142,9 +126,41 @@ class MvGaussianPrediction:
     def dim(self) -> int:
         return self.mu.shape[0]
 
-    def log_det_cov(self) -> float:
-        """log det(cov) via the cached Cholesky factor (overflow-safe)."""
-        return 2.0 * float(np.sum(np.log(np.diag(self._chol))))
+
+def mv_cholesky(mu: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of ``n`` Gaussians, means ``(n, d)`` and
+    covariances ``(n, d, d)``, validated as :class:`MvGaussianPrediction` says.
+
+    One batched factorization serves the usual case; when it fails, each
+    covariance is factorized alone with its own one-shot jitter retry.
+    """
+    d = mu.shape[-1]
+    if mu.ndim != 2 or cov.shape != (len(mu), d, d):
+        raise InvalidDistributionError(
+            f"mean has length {d} but covariance has shape {cov.shape[1:]}"
+        )
+    if not np.all(np.isfinite(mu)) or not np.all(np.isfinite(cov)):
+        raise InvalidDistributionError("parameters must be finite")
+    if not np.allclose(cov, np.swapaxes(cov, 1, 2), rtol=1e-9, atol=1e-12):
+        raise InvalidDistributionError("covariance must be symmetric")
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        return np.stack([_jittered_cholesky(c) for c in cov])
+
+
+def _jittered_cholesky(cov: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        d = cov.shape[0]
+        jitter = 1e-10 * np.trace(cov) / d
+        try:
+            return np.linalg.cholesky(cov + jitter * np.eye(d))
+        except np.linalg.LinAlgError:
+            raise InvalidDistributionError(
+                "covariance is singular or indefinite (jitter retry failed)"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -211,68 +227,6 @@ class ParticleCloudPrediction:
         return self.points.shape[1]
 
 
-@dataclass(frozen=True)
-class PredictionSetProvider:
-    """Density-free prediction-set model.
-
-    ``contains(level, outcome)`` indicates membership of the outcome in the
-    level-``lambda`` prediction set.  Must be monotone in the level:
-    membership at a lower level implies membership at any higher level
-    (checkable on grids; the coverage-curve constructor asserts the
-    resulting counts are monotone).
-    """
-
-    contains: Callable[[float, np.ndarray], bool]
-
-
-PredictiveDistribution = Union[
-    GaussianPrediction,
-    MvGaussianPrediction,
-    ParametricPrediction,
-    ParticleCloudPrediction,
-    PredictionSetProvider,
-]
-
-
-def prediction_dim(pred: PredictiveDistribution) -> int | None:
-    """Outcome dimension of a prediction, or None when unknowable."""
-    if isinstance(pred, (GaussianPrediction, ParametricPrediction)):
-        return 1
-    if isinstance(pred, MvGaussianPrediction):
-        return pred.dim
-    if isinstance(pred, ParticleCloudPrediction):
-        return pred.dim
-    return None  # set providers accept whatever the caller hands them
-
-
-@dataclass(frozen=True, eq=False)
-class PredictionRecord:
-    """One (prediction, outcome) pair, the atom of all validation data.
-
-    The outcome is stored as a 1-D vector (length 1 for scalar models).
-    The conditioning input is deliberately not stored: no test needs it.
-    """
-
-    prediction: PredictiveDistribution
-    outcome: np.ndarray
-    time_index: int | None = None
-
-    def __post_init__(self):
-        y = np.atleast_1d(np.asarray(self.outcome, dtype=float))
-        if y.ndim != 1 or not np.all(np.isfinite(y)):
-            raise InvalidDistributionError("outcome must be a finite 1-D vector")
-        d = prediction_dim(self.prediction)
-        if d is not None and y.shape[0] != d:
-            raise InvalidDistributionError(
-                f"outcome has dimension {y.shape[0]}, prediction expects {d}"
-            )
-        object.__setattr__(self, "outcome", y)
-
-    @property
-    def scalar_outcome(self) -> float:
-        return float(self.outcome[0])
-
-
 # ---------------------------------------------------------------------------
 # built-in parametric families
 # ---------------------------------------------------------------------------
@@ -308,7 +262,7 @@ def gamma_prediction(shape: float, scale: float = 1.0) -> ParametricPrediction:
 # scalar CDF / quantile dispatch
 # ---------------------------------------------------------------------------
 
-def scalar_cdf(pred: PredictiveDistribution, y: float) -> float:
+def scalar_cdf(pred: GaussianPrediction | ParametricPrediction, y: float) -> float:
     """CDF of a scalar prediction evaluated at ``y``."""
     if isinstance(pred, GaussianPrediction):
         return float(ndtr((y - pred.mu) / pred.sigma))
@@ -319,7 +273,7 @@ def scalar_cdf(pred: PredictiveDistribution, y: float) -> float:
     )
 
 
-def scalar_qtl(pred: PredictiveDistribution, q: float) -> float:
+def scalar_qtl(pred: GaussianPrediction | ParametricPrediction, q: float) -> float:
     """Quantile of a scalar prediction at probability ``q``."""
     if isinstance(pred, GaussianPrediction):
         return float(pred.mu + pred.sigma * ndtri(q))
@@ -364,7 +318,12 @@ def mahalanobis_sq(pred: MvGaussianPrediction, y) -> float:
         raise InvalidDistributionError(
             f"outcome has shape {y.shape}, expected {pred.mu.shape}"
         )
-    z = solve_triangular(pred._chol, y - pred.mu, lower=True)
+    return whitened_sq_norm(pred._chol, y - pred.mu)
+
+
+def whitened_sq_norm(chol: np.ndarray, diff: np.ndarray) -> float:
+    """``|L^-1 diff|^2`` for a lower Cholesky factor ``L``, by triangular solve."""
+    z = solve_triangular(chol, diff, lower=True)
     return float(z @ z)
 
 

@@ -1,9 +1,11 @@
 """The metric slot: record batches in, test-ready statistics out.
 
-Transforms validation records into the quantities the hypothesis tests
-consume: coverage counts over a level grid, PIT samples (raw and folded),
-ECDF evaluations, variance bins for conditional checks, and half-plane
-coverage indicators for particle clouds.
+Transforms a record batch (:mod:`calcheck.records`) into the quantities the
+hypothesis tests consume: coverage counts over a level grid, PIT samples
+(raw and folded), ECDF evaluations, variance bins for conditional checks,
+and half-plane coverage indicators for particle clouds.  What differs by
+prediction family comes from the batch; the statistics here are the same
+for every family.
 
 The coverage path for scalar predictions is implemented through the folded
 PIT: the outcome lies in the centered level-``lambda`` interval exactly when
@@ -17,20 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import (
-    GaussianPrediction,
-    MvGaussianPrediction,
-    ParametricPrediction,
-    ParticleCloudPrediction,
-    PredictionRecord,
-    PredictionSetProvider,
-    chi2_cdf,
-    mahalanobis_sq,
-    project_particles,
-    scalar_cdf,
-    weighted_quantile,
-)
-from .errors import DataError, UnsupportedMetricError
+from .dist import ParticleCloudPrediction, project_particles, weighted_quantile
+from .errors import DataError
 
 __all__ = [
     "LevelGrid",
@@ -144,10 +134,6 @@ class VarianceBins:
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "assignments", assign)
 
-    @property
-    def n_bins(self) -> int:
-        return int(self.assignments.max()) + 1 if self.assignments.size else 0
-
     def bin_indices(self, b: int) -> np.ndarray:
         return np.flatnonzero(self.assignments == b)
 
@@ -156,10 +142,7 @@ class VarianceBins:
 # PIT
 # ---------------------------------------------------------------------------
 
-_SCALAR_CDF_FAMILIES = (GaussianPrediction, ParametricPrediction)
-
-
-def pit(records: list[PredictionRecord]) -> PitSample:
+def pit(records) -> PitSample:
     """Probability integral transform of a record batch.
 
     Scalar predictions use their own CDF at the outcome; multivariate
@@ -167,22 +150,10 @@ def pit(records: list[PredictionRecord]) -> PitSample:
     under calibration is chi-square with ``d`` degrees of freedom.  Particle
     clouds have no CDF, so their PIT is undefined and raises.
     """
-    if not records:
+    if not len(records):
         raise DataError("cannot compute the PIT of an empty record list")
-    out = np.empty(len(records))
-    for i, rec in enumerate(records):
-        pred = rec.prediction
-        if isinstance(pred, _SCALAR_CDF_FAMILIES):
-            out[i] = scalar_cdf(pred, rec.scalar_outcome)
-        elif isinstance(pred, MvGaussianPrediction):
-            out[i] = chi2_cdf(mahalanobis_sq(pred, rec.outcome), pred.dim)
-        else:
-            raise UnsupportedMetricError(
-                f"PIT is undefined for {type(pred).__name__}; use the "
-                "half-plane coverage path for particle clouds"
-            )
     # CDF callables may stray outside [0, 1] by an ulp; clip defensively.
-    return PitSample(values=np.clip(out, 0.0, 1.0), folded=False)
+    return PitSample(values=np.clip(records.pit_values(), 0.0, 1.0), folded=False)
 
 
 def fold(sample: PitSample) -> PitSample:
@@ -203,60 +174,28 @@ def ecdf_eval(sample: PitSample, t: float) -> float:
 # coverage
 # ---------------------------------------------------------------------------
 
-def coverage_counts(records: list[PredictionRecord], grid: LevelGrid) -> CoverageCurve:
+def coverage_counts(records, grid: LevelGrid) -> CoverageCurve:
     """Observed coverage counts of centered prediction sets over a grid.
 
     For scalar CDF-bearing predictions the count at each level is computed
     through the folded-PIT shortcut (``v_i <= lambda``), which makes the
     coverage curve and the folded-PIT ECDF agree exactly, not merely up to
     rounding.  Multivariate Gaussians count ellipsoid membership through the
-    chi-square PIT; set providers are asked directly.
+    chi-square PIT.
     """
-    if not records:
+    if not len(records):
         raise DataError("cannot compute coverage of an empty record list")
-    preds = [r.prediction for r in records]
-    n = len(records)
-
-    if all(isinstance(p, _SCALAR_CDF_FAMILIES) for p in preds):
-        v = fold(pit(records)).values
-        counts = np.count_nonzero(v[None, :] <= grid.levels[:, None], axis=1)
-    elif all(isinstance(p, MvGaussianPrediction) for p in preds):
-        u = pit(records).values
-        counts = np.count_nonzero(u[None, :] <= grid.levels[:, None], axis=1)
-    elif all(isinstance(p, PredictionSetProvider) for p in preds):
-        counts = np.array(
-            [
-                sum(bool(r.prediction.contains(lam, r.outcome)) for r in records)
-                for lam in grid.levels
-            ]
-        )
-    elif any(isinstance(p, ParticleCloudPrediction) for p in preds):
-        raise UnsupportedMetricError(
-            "particle clouds have no centered interval; use halfplane_coverage"
-        )
-    else:
-        raise DataError("records mix incompatible prediction families")
-    return CoverageCurve(levels=grid, counts=counts, n=n)
+    sample = pit(records)
+    v = fold(sample).values if records.fold_for_coverage else sample.values
+    counts = np.count_nonzero(v[None, :] <= grid.levels[:, None], axis=1)
+    return CoverageCurve(levels=grid, counts=counts, n=len(records))
 
 
 # ---------------------------------------------------------------------------
 # variance binning
 # ---------------------------------------------------------------------------
 
-def _uncertainty_scalar(rec: PredictionRecord) -> float:
-    pred = rec.prediction
-    if isinstance(pred, GaussianPrediction):
-        return pred.sigma
-    if isinstance(pred, MvGaussianPrediction):
-        # log det instead of det: a monotone transform leaves quantile bins
-        # unchanged and cannot overflow in high dimension.
-        return pred.log_det_cov()
-    raise UnsupportedMetricError(
-        f"{type(pred).__name__} exposes no scalar uncertainty for binning"
-    )
-
-
-def variance_bin(records: list[PredictionRecord], k_bins: int) -> VarianceBins:
+def variance_bin(records, k_bins: int) -> VarianceBins:
     """Partition records into equal-count bins by predicted uncertainty.
 
     Bin edges sit at the empirical ``j / k_bins`` quantiles of the
@@ -264,13 +203,13 @@ def variance_bin(records: list[PredictionRecord], k_bins: int) -> VarianceBins:
     by record order (stable sort), sending edge-straddling ties to the lower
     bin, which keeps reports reproducible.
     """
-    if not records:
+    if not len(records):
         raise DataError("cannot bin an empty record list")
     if k_bins < 1:
         raise ValueError("k_bins must be >= 1")
     if k_bins > len(records):
         raise ValueError(f"k_bins={k_bins} exceeds the number of records {len(records)}")
-    values = np.array([_uncertainty_scalar(r) for r in records])
+    values = records.uncertainty()
     order = np.argsort(values, kind="stable")
     chunks = np.array_split(order, k_bins)
     assignments = np.empty(len(records), dtype=int)
@@ -331,7 +270,7 @@ def halfplane_indicator(
 
 
 def halfplane_coverage(
-    records: list[PredictionRecord],
+    records,
     grid: LevelGrid,
     rng: np.random.Generator | int,
 ) -> CoverageCurve:
@@ -342,15 +281,11 @@ def halfplane_coverage(
     under calibration, so the counts feed the same Binomial machinery as
     ordinary coverage counts.
     """
-    if not records:
+    if not len(records):
         raise DataError("cannot compute coverage of an empty record list")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     counts = np.zeros(grid.k, dtype=int)
-    for rec in records:
-        if not isinstance(rec.prediction, ParticleCloudPrediction):
-            raise UnsupportedMetricError(
-                "half-plane coverage requires particle-cloud predictions"
-            )
-        counts += halfplane_indicator(rec.prediction, rec.outcome, grid.levels, rng)
+    for cloud, y in zip(records.particle_clouds(), records.y):
+        counts += halfplane_indicator(cloud, y, grid.levels, rng)
     return CoverageCurve(levels=grid, counts=counts, n=len(records))

@@ -17,8 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
-from .dist import GaussianPrediction, ParticleCloudPrediction, centered_interval
+from .dist import ParticleCloudPrediction
 from .errors import ConfigError
 from .metric import halfplane_indicator
 
@@ -124,20 +125,24 @@ def average_evalues(es) -> float:
 
 def monitor_step_gaussian(
     state: MartingaleState,
-    pred: GaussianPrediction,
+    mu: float,
+    sigma: float,
     y: float,
     config: EValueConfig,
 ) -> MartingaleState:
     """One step of the scalar-Gaussian coverage monitor.
 
-    Forms the centered interval at the configured level, scores the coverage
-    indicator (weak inequalities at the endpoints), and multiplies the
-    running martingale by the likelihood-ratio e-value of that indicator.
+    Forms the centered interval of ``N(mu, sigma^2)`` (``sigma > 0``) at the
+    configured level, as :func:`calcheck.dist.centered_interval` does, scores
+    the coverage indicator (weak inequalities at the endpoints), and
+    multiplies the running martingale by the likelihood-ratio e-value of
+    that indicator.
     """
     y = float(y)
     if not math.isfinite(y):
         raise ValueError("outcome must be finite")
-    lo, hi = centered_interval(pred, config.level)
+    lo = mu + sigma * ndtri((1.0 - config.level) / 2.0)
+    hi = mu + sigma * ndtri((1.0 + config.level) / 2.0)
     k = 1 if lo <= y <= hi else 0
     return state.advanced(_log_lr(k, config), config)
 

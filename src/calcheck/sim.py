@@ -22,8 +22,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import logsumexp
 
-from .dist import GaussianPrediction, ParticleCloudPrediction, PredictionRecord
 from .errors import DataError
+from .records import GaussianBatch, ParticleBatch
 from .seqtest import EValueConfig, MartingaleState, monitor_step_halfplane
 
 __all__ = [
@@ -96,7 +96,7 @@ def _seasonal_series(config: WeatherSimConfig):
     return clean, sigma, series
 
 
-def run_weather_sim(config: WeatherSimConfig) -> list[PredictionRecord]:
+def run_weather_sim(config: WeatherSimConfig) -> GaussianBatch:
     """Sliding-window regression forecaster on a synthetic seasonal series.
 
     For each day past the warm-up, ordinary least squares of the trailing
@@ -124,7 +124,7 @@ def run_weather_sim(config: WeatherSimConfig) -> list[PredictionRecord]:
     return _weather_records(mu_hat, sigma_hat, series, config)
 
 
-def run_weather_oracle(config: WeatherSimConfig) -> list[PredictionRecord]:
+def run_weather_oracle(config: WeatherSimConfig) -> GaussianBatch:
     """Forecaster that reports the series' true conditional distribution.
 
     Emits the same days as :func:`run_weather_sim` but with the exact
@@ -137,23 +137,19 @@ def run_weather_oracle(config: WeatherSimConfig) -> list[PredictionRecord]:
     return _weather_records(clean[w:], sigma[w:], series, config)
 
 
-def _weather_records(mu, sigma, series, config: WeatherSimConfig) -> list[PredictionRecord]:
+def _weather_records(mu, sigma, series, config: WeatherSimConfig) -> GaussianBatch:
     """One record per day past the warm-up, with the injections applied.
 
     ``mu[i]`` and ``sigma[i]`` forecast day ``window + i``.
     """
     w = config.window
-    return [
-        PredictionRecord(
-            prediction=GaussianPrediction(
-                mu=float(mu[i] + config.injected_mean_bias),
-                sigma=float(sigma[i] * config.injected_sd_scale),
-            ),
-            outcome=series[w + i],
-            time_index=w + i,
-        )
-        for i in range(len(mu))
-    ]
+    n = len(mu)
+    return GaussianBatch(
+        mu=mu + config.injected_mean_bias,
+        sigma=sigma * config.injected_sd_scale,
+        y=series[w:w + n],
+        t=range(w, w + n),
+    )
 
 
 @dataclass(frozen=True)
@@ -200,7 +196,7 @@ def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nd
     return np.searchsorted(np.cumsum(weights), positions).clip(0, m - 1)
 
 
-def run_robot_sim(config: RobotSimConfig) -> list[PredictionRecord]:
+def run_robot_sim(config: RobotSimConfig) -> ParticleBatch:
     """Run the drift-mismatched particle filter and emit one record per step.
 
     Each record holds the weighted post-update (pre-resampling) particle
@@ -220,7 +216,7 @@ def run_robot_sim(config: RobotSimConfig) -> list[PredictionRecord]:
     particles = center + rng.normal(0.0, _INIT_SD, (m, 2))
     log_w = np.full(m, -np.log(m))
 
-    records = []
+    weights_seq, particles_seq, truths = [], [], []
     for t in range(1, config.n_steps + 1):
         truth = truth + drift + rng.normal(0.0, q, 2)
         particles = particles + rng.normal(0.0, q, (m, 2))  # drift-free model
@@ -238,22 +234,16 @@ def run_robot_sim(config: RobotSimConfig) -> list[PredictionRecord]:
         log_w = log_w - norm
         weights = np.exp(log_w)
 
-        records.append(
-            PredictionRecord(
-                prediction=ParticleCloudPrediction(
-                    weights=weights, points=particles.copy()
-                ),
-                outcome=truth.copy(),
-                time_index=t,
-            )
-        )
+        weights_seq.append(weights)
+        particles_seq.append(particles)
+        truths.append(truth)
 
         ess = 1.0 / float((weights**2).sum())
         if ess < m / 2.0:
             idx = _systematic_resample(weights, rng)
             particles = particles[idx]
             log_w = np.full(m, -np.log(m))
-    return records
+    return ParticleBatch(weights_seq, particles_seq, truths, t=range(1, config.n_steps + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +292,8 @@ def drift_sweep(
             records = run_robot_sim(cfg)
             mon_rng = np.random.default_rng([cfg.seed, 1])  # independent of sim
             state = MartingaleState()
-            for i, rec in enumerate(records):
-                state = monitor_step_halfplane(
-                    state, rec.prediction, rec.outcome, monitor, mon_rng
-                )
+            for i, (cloud, y) in enumerate(zip(records.clouds, records.y)):
+                state = monitor_step_halfplane(state, cloud, y, monitor, mon_rng)
                 log_traces[s, i] = state.log_e
             if state.alarmed:
                 crossings.append(state.first_crossing)

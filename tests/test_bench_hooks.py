@@ -1,7 +1,9 @@
-"""The names the benchmark's tracer and reference checks use must exist.
+"""The names and behaviour the benchmark's tracer and reference checks use.
 
-``bench/tracing.py`` wraps calcheck functions by module attribute; a rename
-would otherwise surface only as an AttributeError in a traced benchmark run.
+``bench/tracing.py`` wraps calcheck functions by module attribute and counts
+simulated records with ``len()``; ``bench/reference.py`` round-trips a
+simulated record file.  A break here would otherwise surface only in a
+benchmark run.
 """
 
 import importlib
@@ -10,6 +12,7 @@ import inspect
 from pathlib import Path
 
 import calcheck.cli
+from calcheck.sim import RobotSimConfig, WeatherSimConfig, run_robot_sim, run_weather_sim
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -35,3 +38,17 @@ def test_benchmark_entry_points_exist():
     # called positionally, as bench/reference.py calls them
     inspect.signature(calcheck.cli.parse_records).bind("records.jsonl", "gaussian")
     inspect.signature(calcheck.cli.write_records).bind([], "copy.jsonl")
+
+
+def test_simulated_batches_support_len():
+    # the tracer's sim.records_simulated counter is len() of these results
+    assert len(run_weather_sim(WeatherSimConfig(window=5, n_days=12))) == 7
+    assert len(run_robot_sim(RobotSimConfig(n_particles=10, n_steps=3))) == 3
+
+
+def test_gaussian_records_round_trip_byte_for_byte(tmp_path):
+    assert calcheck.cli.main(["simulate", "weather", "--seed", "1", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "weather_records.jsonl"
+    copy = tmp_path / "copy.jsonl"
+    calcheck.cli.write_records(calcheck.cli.parse_records(path, "gaussian"), copy)
+    assert copy.read_bytes() == path.read_bytes()

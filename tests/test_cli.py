@@ -4,6 +4,8 @@ import importlib.util
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,15 +22,10 @@ from calcheck.cli import (
     sniff_model_kind,
     write_records,
 )
-from calcheck.dist import (
-    GaussianPrediction,
-    MvGaussianPrediction,
-    ParticleCloudPrediction,
-    PredictionRecord,
-)
 from calcheck.errors import ConfigError, DataError
 from calcheck.hyptest import ONE_SIDED, HypothesisSpec
 from calcheck.metric import LevelGrid
+from calcheck.records import GaussianBatch, MvGaussianBatch, ParticleBatch
 from calcheck.seqtest import EValueConfig
 from calcheck.sim import WeatherSimConfig, run_weather_sim
 
@@ -50,8 +47,8 @@ def test_parse_gaussian_line(tmp_path):
     p = write_lines(tmp_path / "r.jsonl", [gaussian_line(16.9, 3.2, 15.1)])
     recs = parse_records(p, "gaussian")
     assert len(recs) == 1
-    assert recs[0].prediction.mu == 16.9
-    assert recs[0].scalar_outcome == 15.1
+    assert recs.mu[0] == 16.9
+    assert recs.y[0, 0] == 15.1
 
 
 def test_parse_empty_file_errors(tmp_path):
@@ -67,7 +64,7 @@ def test_parse_particles_renormalizes_near_one(tmp_path):
     )
     p = write_lines(tmp_path / "p.jsonl", [line])
     recs = parse_records(p, "particles")
-    assert recs[0].prediction.weights.sum() == pytest.approx(1.0, abs=1e-15)
+    assert recs.clouds[0].weights.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_parse_errors_cite_line_and_field(tmp_path):
@@ -82,6 +79,16 @@ def test_parse_errors_cite_line_and_field(tmp_path):
         parse_records(p2, "gaussian")
 
 
+def test_parse_error_names_its_line_once(tmp_path, capsys):
+    p = write_lines(tmp_path / "g.jsonl", [gaussian_line(0, 1, 0)])
+    with pytest.raises(DataError, match=r"^line 1: missing field 'cov'$"):
+        parse_records(p, "mv_gaussian")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "mv_gaussian"}))
+    assert cli.main(["check", p, "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == "data error: line 1: missing field 'cov'\n"
+
+
 def test_parse_dimension_mismatch_across_lines(tmp_path):
     l1 = json.dumps({"mu": [0, 0], "cov": [[1, 0], [0, 1]], "y": [0, 0]})
     l2 = json.dumps({"mu": [0, 0, 0], "cov": np.eye(3).tolist(), "y": [0, 0, 0]})
@@ -91,42 +98,29 @@ def test_parse_dimension_mismatch_across_lines(tmp_path):
 
 
 def _random_records(rng, kind, n):
-    recs = []
-    for _ in range(n):
-        if kind == "gaussian":
-            pred = GaussianPrediction(rng.normal(), rng.uniform(0.5, 2.0))
-            y = rng.normal()
-        elif kind == "mv_gaussian":
-            a = rng.normal(size=(2, 2))
-            pred = MvGaussianPrediction(
-                mu=rng.normal(size=2), cov=a @ a.T + 0.5 * np.eye(2)
-            )
-            y = rng.normal(size=2)
-        else:
-            m = int(rng.integers(2, 6))
-            w = rng.uniform(0.1, 1.0, size=m)
-            pred = ParticleCloudPrediction(
-                weights=w / w.sum(), points=rng.normal(size=(m, 2))
-            )
-            y = rng.normal(size=2)
-        t = int(rng.integers(0, 1000)) if rng.random() < 0.5 else None
-        recs.append(PredictionRecord(prediction=pred, outcome=y, time_index=t))
-    return recs
+    t = [int(rng.integers(0, 1000)) if rng.random() < 0.5 else None for _ in range(n)]
+    y = rng.normal(size=(n, 2))
+    if kind == "gaussian":
+        return GaussianBatch(rng.normal(size=n), rng.uniform(0.5, 2.0, n), y[:, 0], t)
+    if kind == "mv_gaussian":
+        a = rng.normal(size=(n, 2, 2))
+        cov = a @ a.transpose(0, 2, 1) + 0.5 * np.eye(2)
+        return MvGaussianBatch(rng.normal(size=(n, 2)), cov, y, t)
+    w = [rng.uniform(0.1, 1.0, size=int(m)) for m in rng.integers(2, 6, n)]
+    return ParticleBatch([x / x.sum() for x in w], [rng.normal(size=(len(x), 2)) for x in w],
+                         y, t)
 
 
-def records_equal(a, b):
-    if type(a.prediction) is not type(b.prediction) or a.time_index != b.time_index:
-        return False
-    if not np.array_equal(a.outcome, b.outcome):
-        return False
-    pa, pb = a.prediction, b.prediction
-    if isinstance(pa, GaussianPrediction):
-        return pa == pb
-    if isinstance(pa, MvGaussianPrediction):
-        return np.array_equal(pa.mu, pb.mu) and np.array_equal(pa.cov, pb.cov)
-    return np.array_equal(pa.weights, pb.weights) and np.array_equal(
-        pa.points, pb.points
-    )
+def batches_equal(a, b):
+    """Same family and records, every float bit for bit."""
+    def arrays(batch):
+        if isinstance(batch, ParticleBatch):
+            return [x for c in batch.clouds for x in (c.weights, c.points)] + [batch.y]
+        return [col for name, col in vars(batch).items() if name != "t"]
+
+    return (type(a) is type(b) and len(a) == len(b) and a.t == b.t
+            and all(p.shape == q.shape and p.tobytes() == q.tobytes()
+                    for p, q in zip(arrays(a), arrays(b))))
 
 
 def test_round_trip_all_kinds(tmp_path):
@@ -136,8 +130,7 @@ def test_round_trip_all_kinds(tmp_path):
         path = tmp_path / f"{kind}.jsonl"
         write_records(recs, path)
         back = parse_records(path, kind)
-        assert len(back) == len(recs)
-        assert all(records_equal(x, y) for x, y in zip(recs, back))
+        assert batches_equal(recs, back)
         assert sniff_model_kind(path) == kind
 
 
@@ -204,10 +197,7 @@ def test_run_check_slot_swap_to_monitor_runs(tmp_path):
 
 
 def test_run_monitor_all_miss_crosses_at_five():
-    recs = [
-        PredictionRecord(prediction=GaussianPrediction(0.0, 1.0), outcome=100.0)
-        for _ in range(8)
-    ]
+    recs = GaussianBatch(np.zeros(8), np.ones(8), np.full(8, 100.0))
     config = RecipeConfig(
         model="gaussian",
         metric="coverage",
@@ -215,7 +205,7 @@ def test_run_monitor_all_miss_crosses_at_five():
         evalue=EValueConfig(level=0.9, p_alt=0.8, alpha=0.05),
     )
     rows = []
-    run = run_monitor(config, recs, on_row=lambda t, e, a: rows.append((t, e, a)))
+    run = run_monitor(config, [recs], on_row=lambda t, e, a: rows.append((t, e, a)))
     assert run.report.decision == "reject"
     assert run.report.recipe_config["first_crossing"] == 5
     assert rows[3][2] is False and rows[4][2] is True
@@ -307,6 +297,21 @@ def test_cli_monitor_stream_and_exit(tmp_path, capsys):
     assert cli.main(["monitor", str(p2), "--lambda", "0.5"]) in (0, 1)
 
 
+def test_cli_monitor_broken_pipe_exits_141(tmp_path):
+    # more rows than the pipe and stdout's buffer hold, so writing continues
+    # after the reader has gone
+    path = write_lines(tmp_path / "hits.jsonl", [gaussian_line(0.0, 1.0, 0.0)] * 10_000)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-m", "calcheck.cli", "monitor", path],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.readline().startswith(b"1,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+
+
 def test_cli_seed_env_fallback(tmp_path, capsys, monkeypatch):
     path, _ = weather_file(tmp_path, seed=5)
     monkeypatch.setenv(cli.SEED_ENV_VAR, "123")
@@ -347,7 +352,7 @@ def test_cli_simulate_robot_defaults(tmp_path):
     assert code == 0
     recs = parse_records(out / "robot_records.jsonl", "particles")
     assert len(recs) == 500
-    assert recs[0].prediction.n_particles == 500
+    assert recs.clouds[0].n_particles == 500
 
 
 def test_cli_simulate_drift_sweep_scaled(tmp_path, capsys):
@@ -395,6 +400,9 @@ def test_cli_check_monitor_slot_swap(tmp_path):
           "multipliers": [1.0]}, 0),
         # a float field nothing validates still fails as configuration
         (["simulate", "weather", "--out", "{out}"], {"seasonal_amplitude": "x"}, 2),
+        # models no record file can hold are unknown, not bad data
+        (["check", "{weather}"], {"model": "parametric"}, 2),
+        (["check", "{weather}"], {"model": "set_provider"}, 2),
     ],
 )
 def test_cli_config_values_resolve_alike(tmp_path, capsys, argv, file_cfg, code):

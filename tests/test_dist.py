@@ -8,7 +8,6 @@ from calcheck.dist import (
     MvGaussianPrediction,
     ParametricPrediction,
     ParticleCloudPrediction,
-    PredictionRecord,
     centered_interval,
     chi2_cdf,
     chi2_qtl,
@@ -23,6 +22,7 @@ from calcheck.dist import (
     weighted_quantile,
 )
 from calcheck.errors import InvalidDistributionError
+from calcheck.records import GaussianBatch, MvGaussianBatch
 
 
 def equal_cloud(points):
@@ -59,12 +59,11 @@ def test_particle_weights_renormalized_within_tolerance():
 
 
 def test_record_checks_outcome_dimension():
-    pred = MvGaussianPrediction(mu=[0, 0], cov=np.eye(2))
-    with pytest.raises(InvalidDistributionError):
-        PredictionRecord(prediction=pred, outcome=[1.0])
-    rec = PredictionRecord(prediction=GaussianPrediction(0, 1), outcome=2.5)
-    assert rec.outcome.shape == (1,)
-    assert rec.scalar_outcome == 2.5
+    with pytest.raises(InvalidDistributionError, match="dimension 1, prediction expects 2"):
+        MvGaussianBatch(mu=[[0, 0]], cov=[np.eye(2)], y=[[1.0]])
+    recs = GaussianBatch(mu=[0.0], sigma=[1.0], y=[2.5])
+    assert recs.y.shape == (1, 1)
+    assert recs.y[0, 0] == 2.5
 
 
 # ---------------------------------------------------------------------------

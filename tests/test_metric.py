@@ -3,14 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from calcheck.dist import (
-    GaussianPrediction,
-    MvGaussianPrediction,
-    ParticleCloudPrediction,
-    PredictionRecord,
-    PredictionSetProvider,
-    normal_cdf,
-)
 from calcheck.errors import DataError, UnsupportedMetricError
 from calcheck.metric import (
     CoverageCurve,
@@ -24,13 +16,15 @@ from calcheck.metric import (
     variance_bin,
 )
 from calcheck.hyptest import ONE_SIDED, HypothesisSpec, ks_statistic, ks_critical
+from calcheck.records import GaussianBatch, MvGaussianBatch, ParticleBatch
 
 
 def gaussian_records(mus, sigmas, ys):
-    return [
-        PredictionRecord(prediction=GaussianPrediction(m, s), outcome=y)
-        for m, s, y in zip(np.atleast_1d(mus), np.atleast_1d(sigmas), np.atleast_1d(ys))
-    ]
+    return GaussianBatch(np.atleast_1d(mus), np.atleast_1d(sigmas), np.atleast_1d(ys))
+
+
+def one_cloud_batch():
+    return ParticleBatch([[0.5, 0.5]], [[[0.0], [1.0]]], [[0.5]])
 
 
 def test_level_grid_default_and_validation():
@@ -61,23 +55,18 @@ def test_pit_standard_normal_table_value():
 
 def test_pit_mv_gaussian_chi2_reduction():
     radius = math.sqrt(2.0 * math.log(2.0))
-    rec = PredictionRecord(
-        prediction=MvGaussianPrediction(mu=[0.0, 0.0], cov=np.eye(2)),
-        outcome=[radius, 0.0],
-    )
-    assert pit([rec]).values[0] == pytest.approx(0.5, rel=1e-12)
+    recs = MvGaussianBatch(mu=[[0.0, 0.0]], cov=[np.eye(2)], y=[[radius, 0.0]])
+    assert pit(recs).values[0] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_pit_undefined_for_particles():
-    cloud = ParticleCloudPrediction(weights=[0.5, 0.5], points=[[0.0], [1.0]])
-    rec = PredictionRecord(prediction=cloud, outcome=[0.5])
     with pytest.raises(UnsupportedMetricError):
-        pit([rec])
+        pit(one_cloud_batch())
 
 
 def test_pit_empty_errors():
     with pytest.raises(DataError):
-        pit([])
+        pit(gaussian_records([], [], []))
 
 
 def test_fold_values_and_double_fold_error():
@@ -155,33 +144,14 @@ def test_coverage_calibrated_monte_carlo():
         assert abs(frac - lam) <= 3.0 * math.sqrt(lam * (1 - lam) / n)
 
 
-def test_coverage_set_provider_and_monotonicity_guard():
-    ball = PredictionSetProvider(
-        contains=lambda lam, y: bool(np.linalg.norm(y) <= 2.0 * lam)
-    )
-    recs = [
-        PredictionRecord(prediction=ball, outcome=[0.1, 0.0]),
-        PredictionRecord(prediction=ball, outcome=[1.5, 0.0]),
-    ]
-    curve = coverage_counts(recs, LevelGrid([0.1, 0.9]))
-    assert list(curve.counts) == [1, 2]
+def test_coverage_curve_monotonicity_guard():
     with pytest.raises(ValueError):
         CoverageCurve(levels=LevelGrid([0.1, 0.9]), counts=[2, 1], n=2)
 
 
-def test_coverage_rejects_particles_and_mixtures():
-    cloud = ParticleCloudPrediction(weights=[0.5, 0.5], points=[[0.0], [1.0]])
+def test_coverage_rejects_particles():
     with pytest.raises(UnsupportedMetricError):
-        coverage_counts(
-            [PredictionRecord(prediction=cloud, outcome=[0.5])], LevelGrid.default()
-        )
-    mixed = gaussian_records([0.0], [1.0], [0.0]) + [
-        PredictionRecord(
-            prediction=MvGaussianPrediction(mu=[0.0], cov=[[1.0]]), outcome=[0.0]
-        )
-    ]
-    with pytest.raises(DataError):
-        coverage_counts(mixed, LevelGrid.default())
+        coverage_counts(one_cloud_batch(), LevelGrid.default())
 
 
 def test_brownian_bridge_covariance_light():
@@ -234,13 +204,9 @@ def test_variance_bin_rejects_more_bins_than_records():
 
 
 def test_variance_bin_mv_uses_log_det_ordering():
-    recs = [
-        PredictionRecord(
-            prediction=MvGaussianPrediction(mu=[0, 0], cov=s * np.eye(2)),
-            outcome=[0.0, 0.0],
-        )
-        for s in (3.0, 1.0, 2.0)
-    ]
+    recs = MvGaussianBatch(
+        mu=np.zeros((3, 2)), cov=[s * np.eye(2) for s in (3.0, 1.0, 2.0)], y=np.zeros((3, 2))
+    )
     bins = variance_bin(recs, 3)
     assert list(bins.assignments) == [2, 0, 1]
 
@@ -249,19 +215,15 @@ def test_variance_bin_mv_uses_log_det_ordering():
 # half-plane coverage
 # ---------------------------------------------------------------------------
 
-def make_cloud(rng, m=2000, dim=2):
-    pts = rng.normal(size=(m, dim))
-    return ParticleCloudPrediction(weights=np.full(m, 1.0 / m), points=pts)
-
-
 def test_halfplane_coverage_calibrated_and_monotone():
     rng = np.random.default_rng(17)
     grid = LevelGrid.default()
-    records = []
+    m = 300
+    pts, ys = [], []
     for _ in range(400):
-        cloud = make_cloud(rng, m=300)
-        y = cloud.points[rng.integers(0, cloud.n_particles)]
-        records.append(PredictionRecord(prediction=cloud, outcome=y))
+        pts.append(rng.normal(size=(m, 2)))
+        ys.append(pts[-1][rng.integers(0, m)])
+    records = ParticleBatch([np.full(m, 1.0 / m)] * len(pts), pts, ys)
     curve = halfplane_coverage(records, grid, np.random.default_rng(99))
     assert np.all(np.diff(curve.counts) >= 0)
     for lam, frac in zip(grid.levels, curve.fractions):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from calcheck.dist import GaussianPrediction, ParticleCloudPrediction
+from calcheck.dist import ParticleCloudPrediction
 from calcheck.errors import ConfigError
 from calcheck.seqtest import (
     EValueConfig,
@@ -70,9 +70,8 @@ def test_average_preserves_null_mean_monte_carlo():
 
 def test_gaussian_monitor_all_hits_never_alarms():
     state = MartingaleState()
-    pred = GaussianPrediction(mu=0.0, sigma=1.0)
     for t in range(200):
-        state = monitor_step_gaussian(state, pred, 0.0, CFG)
+        state = monitor_step_gaussian(state, 0.0, 1.0, 0.0, CFG)
     assert not state.alarmed
     assert state.first_crossing is None
     assert state.e_value == pytest.approx((0.8 / 0.9) ** 200, rel=1e-9)
@@ -80,9 +79,8 @@ def test_gaussian_monitor_all_hits_never_alarms():
 
 def test_gaussian_monitor_all_misses_crosses_at_five():
     state = MartingaleState()
-    pred = GaussianPrediction(mu=0.0, sigma=1.0)
     for t in range(1, 8):
-        state = monitor_step_gaussian(state, pred, 100.0, CFG)
+        state = monitor_step_gaussian(state, 0.0, 1.0, 100.0, CFG)
         if t == 4:
             assert not state.alarmed  # 2^4 = 16 < 20
     assert state.alarmed
@@ -92,11 +90,10 @@ def test_gaussian_monitor_all_misses_crosses_at_five():
 
 def test_monitor_keeps_recording_after_alarm():
     state = MartingaleState()
-    pred = GaussianPrediction(mu=0.0, sigma=1.0)
     for _ in range(6):
-        state = monitor_step_gaussian(state, pred, 100.0, CFG)
+        state = monitor_step_gaussian(state, 0.0, 1.0, 100.0, CFG)
     assert state.alarmed and state.first_crossing == 5
-    later = monitor_step_gaussian(state, pred, 0.0, CFG)
+    later = monitor_step_gaussian(state, 0.0, 1.0, 0.0, CFG)
     assert later.alarmed and later.first_crossing == 5
     assert later.t == 7
 

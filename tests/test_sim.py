@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from calcheck.dist import GaussianPrediction, PredictionRecord, moment_match_gaussian
+from calcheck.dist import moment_match_gaussian
 from calcheck.errors import DataError
 from calcheck.hyptest import ONE_SIDED, TWO_SIDED, HypothesisSpec, ks_test
 from calcheck.metric import LevelGrid, coverage_counts, fold, halfplane_coverage, pit
+from calcheck.records import MvGaussianBatch
 from calcheck.seqtest import EValueConfig
 from calcheck.sim import (
     DRIFT_PER_STEP,
@@ -26,26 +27,22 @@ from calcheck.sim import (
 def test_weather_defaults_emit_365_records():
     recs = run_weather_sim(WeatherSimConfig(seed=0))
     assert len(recs) == 365
-    assert recs[0].time_index == 30
+    assert recs.t[0] == 30
 
 
 def test_weather_deterministic_given_seed():
     a = run_weather_sim(WeatherSimConfig(seed=42))
     b = run_weather_sim(WeatherSimConfig(seed=42))
-    assert all(
-        ra.prediction == rb.prediction and ra.scalar_outcome == rb.scalar_outcome
-        for ra, rb in zip(a, b)
-    )
+    assert np.array_equal(a.mu, b.mu) and np.array_equal(a.sigma, b.sigma)
+    assert np.array_equal(a.y, b.y)
     c = run_weather_sim(WeatherSimConfig(seed=43))
-    assert any(ra.scalar_outcome != rc.scalar_outcome for ra, rc in zip(a, c))
+    assert np.any(a.y != c.y)
 
 
 def test_weather_targets_plausible_magnitudes():
     recs = run_weather_sim(WeatherSimConfig(seed=7))
-    mus = np.array([r.prediction.mu for r in recs])
-    sigmas = np.array([r.prediction.sigma for r in recs])
-    assert abs(mus.mean() - 16.9) < 1.5
-    assert abs(sigmas.mean() - 3.2) < 0.6
+    assert abs(recs.mu.mean() - 16.9) < 1.5
+    assert abs(recs.sigma.mean() - 3.2) < 0.6
 
 
 def test_weather_degenerate_window_errors():
@@ -117,18 +114,18 @@ def test_weather_sd_inflation_is_detectable_but_not_reliably():
 def test_robot_defaults_shapes():
     recs = run_robot_sim(RobotSimConfig(seed=0, n_steps=50))
     assert len(recs) == 50
-    assert recs[0].prediction.n_particles == 500
-    assert recs[0].prediction.dim == 2
-    assert recs[0].outcome.shape == (2,)
+    assert recs.clouds[0].n_particles == 500
+    assert recs.clouds[0].dim == 2
+    assert recs.y.shape == (50, 2)
 
 
 def test_robot_deterministic_given_seed():
     a = run_robot_sim(RobotSimConfig(seed=9, n_steps=40))
     b = run_robot_sim(RobotSimConfig(seed=9, n_steps=40))
-    for ra, rb in zip(a, b):
-        assert np.array_equal(ra.outcome, rb.outcome)
-        assert np.array_equal(ra.prediction.points, rb.prediction.points)
-        assert np.array_equal(ra.prediction.weights, rb.prediction.weights)
+    assert np.array_equal(a.y, b.y)
+    for ca, cb in zip(a.clouds, b.clouds):
+        assert np.array_equal(ca.points, cb.points)
+        assert np.array_equal(ca.weights, cb.weights)
 
 
 def test_robot_config_validation():
@@ -162,9 +159,8 @@ def test_robot_baseline_drift_filter_lags_truth():
         errs.append(
             np.mean(
                 [
-                    (r.outcome - r.prediction.weights @ r.prediction.points)
-                    @ direction
-                    for r in recs
+                    (y - cloud.weights @ cloud.points) @ direction
+                    for cloud, y in zip(recs.clouds, recs.y)
                 ]
             )
         )
@@ -175,12 +171,8 @@ def test_robot_gaussian_swap_tracks_halfplane_curve():
     grid = LevelGrid.default()
     recs = run_robot_sim(RobotSimConfig(seed=3, drift_multiplier=0.0))
     hp = halfplane_coverage(recs, grid, np.random.default_rng([3, 2]))
-    mm = [
-        PredictionRecord(
-            prediction=moment_match_gaussian(r.prediction), outcome=r.outcome
-        )
-        for r in recs
-    ]
+    fits = [moment_match_gaussian(cloud) for cloud in recs.clouds]
+    mm = MvGaussianBatch([f.mu for f in fits], [f.cov for f in fits], recs.y)
     mv = coverage_counts(mm, grid)
     assert np.max(np.abs(mv.fractions - hp.fractions)) <= 0.05
 
