@@ -47,7 +47,7 @@ from .metric import (
     variance_bin,
 )
 from .records import FAMILIES, RecordBatch
-from .seqtest import (  # noqa: F401  bench/tracing.py wraps the two monitor steps here
+from .seqtest import (
     EValueConfig,
     MartingaleState,
     monitor_step_gaussian,
@@ -290,48 +290,37 @@ def _opened(source: str | Path | RecordSource):
     return RecordSource(source)
 
 
-def _decoded_lines(src: RecordSource, keys: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
-    """``(line number, record object)`` for each non-blank line.
-
-    The lists among the fields ``keys`` become float arrays at once, so that
-    a whole file of large particle clouds is never held as decoded JSON
-    lists.
-    """
-    for line_no, line in enumerate(src.lines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line.decode())  # decoding first is faster than json's own
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise DataError(f"line {line_no}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
-        if not isinstance(obj, dict):
-            raise DataError(f"line {line_no}: expected an object")
-        try:
-            obj.update({key: np.asarray(obj[key], dtype=float)
-                        for key in keys if isinstance(obj.get(key), list)})
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"line {line_no}: {exc}") from None
-        yield line_no, obj
-
-
 def iter_records(source: str | Path | RecordSource, model_kind: str) -> Iterator[RecordBatch]:
     """Lazily parse records from a JSON-lines file ('-' reads stdin), one
-    one-record batch per line."""
+    one-record batch per non-blank line; all share the first record's
+    outcome dimension."""
     cls = FAMILIES[model_kind]
+    dim = None
     with _opened(source) as src:
-        for line_no, obj in _decoded_lines(src, ()):  # each line becomes arrays at once
-            yield cls.from_objs([obj], [line_no])
+        for line_no, line in enumerate(src.lines(), start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line.decode())  # decoding first is faster than json's own
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise DataError(f"line {line_no}: invalid JSON "
+                                f"({getattr(exc, 'msg', exc)})") from None
+            if not isinstance(obj, dict):
+                raise DataError(f"line {line_no}: expected an object")
+            batch = cls.from_obj(obj, line_no)
+            if dim not in (None, batch.dim):
+                raise DataError(f"line {line_no}: outcome dimension {batch.dim} differs "
+                                f"from earlier lines ({dim})")
+            dim = batch.dim
+            yield batch
 
 
 def parse_records(source: str | Path | RecordSource, model_kind: str) -> RecordBatch:
     """Parse a whole record file into one batch; empty input is an error."""
-    cls = FAMILIES[model_kind]
-    with _opened(source) as src:
-        numbered = list(_decoded_lines(src, cls.keys))
-    if not numbered:
+    batches = list(iter_records(source, model_kind))
+    if not batches:
         raise DataError(f"no records in {source}")
-    line_nos, objs = zip(*numbered)
-    return cls.from_objs(objs, line_nos)
+    return FAMILIES[model_kind].concat(batches)
 
 
 def write_records(records: RecordBatch, path: str | Path) -> None:
@@ -500,7 +489,15 @@ def run_monitor(
     try:
         for batch in batches:
             for i in range(len(batch)):
-                state = batch.monitor_step(state, i, ev, rng)
+                # the steps are looked up on this module, where the
+                # benchmark's tracer (bench/tracing.py) wraps them
+                if batch.kind == "gaussian":
+                    state = monitor_step_gaussian(state, batch.mu[i], batch.sigma[i],
+                                                  batch.y[i, 0], ev)
+                elif batch.kind == "particles":
+                    state = monitor_step_halfplane(state, batch.clouds[i], batch.y[i], ev, rng)
+                else:
+                    raise ConfigError(f"no monitor recipe for {batch.kind} predictions")
                 # constant threshold column keeps the emitted trace plottable as-is
                 rows.append([state.t, state.e_value, int(state.alarmed), 1.0 / ev.alpha])
                 if on_row is not None:

@@ -38,6 +38,7 @@ __all__ = [
     "exponential_prediction",
     "gamma_prediction",
     "centered_interval",
+    "gaussian_interval",
     "mahalanobis_sq",
     "whitened_sq_norm",
     "ellipsoid_contains",
@@ -298,13 +299,23 @@ def centered_interval(
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    lo = scalar_qtl(pred, (1.0 - level) / 2.0)
-    hi = scalar_qtl(pred, (1.0 + level) / 2.0)
+    if isinstance(pred, GaussianPrediction):
+        lo, hi = gaussian_interval(pred.mu, pred.sigma, level)
+    else:
+        lo, hi = scalar_qtl(pred, (1.0 - level) / 2.0), scalar_qtl(pred, (1.0 + level) / 2.0)
     if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
         raise InvalidDistributionError(
             f"quantile function produced an invalid interval ({lo}, {hi})"
         )
     return lo, hi
+
+
+def gaussian_interval(mu: float, sigma: float, level: float) -> tuple[float, float]:
+    """Centered interval of ``N(mu, sigma^2)`` carrying probability mass ``level``."""
+    if not (0.0 < level < 1.0 and sigma > 0.0):
+        raise ValueError(f"need 0 < level < 1 and sigma > 0, got {level} and {sigma}")
+    return (float(mu + sigma * ndtri((1.0 - level) / 2.0)),
+            float(mu + sigma * ndtri((1.0 + level) / 2.0)))
 
 
 def mahalanobis_sq(pred: MvGaussianPrediction, y) -> float:

@@ -2,15 +2,17 @@
 
 A batch holds ``n`` (prediction, outcome) records of one family: outcomes
 ``y`` of shape ``(n, d)``, the optional per-record time index ``t``, and the
-family's parameter columns.  Everything that depends on the family lives on
-its batch type: the JSON keys of its record lines, parsing and validation,
+family's parameter columns.  What depends on the family lives on its batch
+type: the JSON keys of its record lines, parsing and validation,
 serialisation, the PIT, the scalar uncertainty that variance bins sort by,
-particle clouds for half-plane coverage, and the monitor step.
-``FAMILIES`` maps each model name to its type, so a batch's family is
-decided once, when its type is chosen.
+and particle clouds for half-plane coverage.  ``FAMILIES`` maps each model
+name to its type, so a batch's family is decided once, when its type is
+chosen; the monitor picks its step by the batch's ``kind``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.special import ndtr
@@ -22,8 +24,7 @@ from .dist import (
     mv_cholesky,
     whitened_sq_norm,
 )
-from .errors import ConfigError, DataError, InvalidDistributionError, UnsupportedMetricError
-from .seqtest import monitor_step_gaussian, monitor_step_halfplane
+from .errors import DataError, InvalidDistributionError, UnsupportedMetricError
 
 __all__ = [
     "RecordBatch",
@@ -84,31 +85,26 @@ class RecordBatch:
         return new
 
     @classmethod
-    def from_objs(cls, objs, line_nos) -> "RecordBatch":
-        """One batch from decoded record lines, validated once for all of them.
-
-        A bad record raises :class:`DataError` naming its line: when the
-        batch does not build, each line is rebuilt alone to find the first
-        bad one, or the first whose outcome dimension differs from the lines
-        before it.
-        """
+    def from_obj(cls, obj: dict, line_no: int) -> "RecordBatch":
+        """A one-record batch from the decoded record line ``line_no``; a bad
+        record raises :class:`DataError` naming its line."""
         try:
-            return cls(*([obj[key] for obj in objs] for key in cls.keys),
-                       t=[obj.get("t") for obj in objs])
+            return cls(*([obj[key]] for key in cls.keys), t=[obj.get("t")])
         except KeyError as exc:
             error = f"missing field {exc.args[0]!r}"
         except (InvalidDistributionError, TypeError, ValueError) as exc:
             error = str(exc)
-        if len(objs) == 1:
-            raise DataError(f"line {line_nos[0]}: {error}") from None
-        dim = None
-        for obj, line_no in zip(objs, line_nos):
-            one = cls.from_objs([obj], [line_no])
-            if dim not in (None, one.dim):
-                raise DataError(f"line {line_no}: outcome dimension {one.dim} differs "
-                                f"from earlier lines ({dim})")
-            dim = one.dim
-        raise DataError(error)
+        raise DataError(f"line {line_no}: {error}")
+
+    @classmethod
+    def concat(cls, batches: list["RecordBatch"]) -> "RecordBatch":
+        """The records of ``batches``, of one outcome dimension, as one batch, in order."""
+        new = object.__new__(cls)
+        for name, col in vars(batches[0]).items():
+            cols = [getattr(b, name) for b in batches]
+            setattr(new, name, np.concatenate(cols) if isinstance(col, np.ndarray)
+                    else [v for c in cols for v in c])
+        return new
 
     def to_objs(self):
         """The records as JSON-ready dicts, keys in file order, ``t`` where set."""
@@ -129,10 +125,6 @@ class RecordBatch:
     def particle_clouds(self) -> list[ParticleCloudPrediction]:
         raise UnsupportedMetricError("half-plane coverage requires particle-cloud predictions")
 
-    def monitor_step(self, state, i: int, config, rng):
-        """The monitor's :class:`MartingaleState` after record ``i``."""
-        raise ConfigError(f"no monitor recipe for {self.kind} predictions")
-
 
 class GaussianBatch(RecordBatch):
     """Scalar Gaussians: means ``mu`` and standard deviations ``sigma``, ``(n,)`` each."""
@@ -149,6 +141,20 @@ class GaussianBatch(RecordBatch):
         check_gaussian(self.mu, self.sigma)
         self._set_outcomes(y, t, len(self.mu), {1})
 
+    @classmethod
+    def from_obj(cls, obj, line_no):
+        # A line of finite floats and an integer or absent t, as write_records
+        # writes them, skips the array checks; any other line goes through
+        # the constructor.
+        mu, sigma, y, t = map(obj.get, ("mu", "sigma", "y", "t"))
+        if not (type(mu) is type(sigma) is type(y) is float and type(t) in (int, type(None))
+                and math.isfinite(mu) and math.isfinite(y) and 0.0 < sigma < math.inf):
+            return super().from_obj(obj, line_no)
+        batch = object.__new__(cls)
+        batch.mu, batch.sigma, batch.y = np.array([mu]), np.array([sigma]), np.array([[y]])
+        batch.t = [t]
+        return batch
+
     def _json_columns(self):
         return self.mu.tolist(), self.sigma.tolist(), self.y[:, 0].tolist()
 
@@ -157,9 +163,6 @@ class GaussianBatch(RecordBatch):
 
     def uncertainty(self):
         return self.sigma
-
-    def monitor_step(self, state, i, config, rng):
-        return monitor_step_gaussian(state, self.mu[i], self.sigma[i], self.y[i, 0], config)
 
 
 class MvGaussianBatch(RecordBatch):
@@ -208,9 +211,6 @@ class ParticleBatch(RecordBatch):
 
     def particle_clouds(self):
         return self.clouds
-
-    def monitor_step(self, state, i, config, rng):
-        return monitor_step_halfplane(state, self.clouds[i], self.y[i], config, rng)
 
 
 FAMILIES: dict[str, type[RecordBatch]] = {

@@ -17,9 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
-from .dist import ParticleCloudPrediction
+from .dist import ParticleCloudPrediction, gaussian_interval
 from .errors import ConfigError
 from .metric import halfplane_indicator
 
@@ -132,17 +131,15 @@ def monitor_step_gaussian(
 ) -> MartingaleState:
     """One step of the scalar-Gaussian coverage monitor.
 
-    Forms the centered interval of ``N(mu, sigma^2)`` (``sigma > 0``) at the
-    configured level, as :func:`calcheck.dist.centered_interval` does, scores
-    the coverage indicator (weak inequalities at the endpoints), and
-    multiplies the running martingale by the likelihood-ratio e-value of
-    that indicator.
+    Forms the centered interval of ``N(mu, sigma^2)`` at the configured
+    level, scores the coverage indicator (weak inequalities at the
+    endpoints), and multiplies the running martingale by the
+    likelihood-ratio e-value of that indicator.
     """
     y = float(y)
     if not math.isfinite(y):
         raise ValueError("outcome must be finite")
-    lo = mu + sigma * ndtri((1.0 - config.level) / 2.0)
-    hi = mu + sigma * ndtri((1.0 + config.level) / 2.0)
+    lo, hi = gaussian_interval(mu, sigma, config.level)
     k = 1 if lo <= y <= hi else 0
     return state.advanced(_log_lr(k, config), config)
 

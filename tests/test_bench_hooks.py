@@ -12,6 +12,8 @@ import inspect
 from pathlib import Path
 
 import calcheck.cli
+import calcheck.metric
+import calcheck.sim
 from calcheck.sim import RobotSimConfig, WeatherSimConfig, run_robot_sim, run_weather_sim
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -38,6 +40,35 @@ def test_benchmark_entry_points_exist():
     # called positionally, as bench/reference.py calls them
     inspect.signature(calcheck.cli.parse_records).bind("records.jsonl", "gaussian")
     inspect.signature(calcheck.cli.write_records).bind([], "copy.jsonl")
+
+
+def test_traced_layers_see_ingest_and_monitor_steps(tmp_path):
+    # check and monitor must reach ingest and the monitor steps through the
+    # module attributes the tracer wraps, or those layers read zero
+    weather, robot = tmp_path / "w", tmp_path / "r"
+    cfg = tmp_path / "robot.json"
+    cfg.write_text('{"n_steps": 5, "n_particles": 20}')
+    assert calcheck.cli.main(["simulate", "weather", "--seed", "1", "--out", str(weather)]) == 0
+    assert calcheck.cli.main(["simulate", "robot", "--seed", "1", "--config", str(cfg),
+                              "--out", str(robot)]) == 0
+    tracer = load_tracing().Tracer()
+    saved = tracer.install({"cli": calcheck.cli, "metric": calcheck.metric,
+                            "sim": calcheck.sim})
+    try:
+        tracer.begin_command()
+        for argv in (["check", str(weather / "weather_records.jsonl")],
+                     ["monitor", str(weather / "weather_records.jsonl")],
+                     ["monitor", str(robot / "robot_records.jsonl"), "--seed", "1"]):
+            calcheck.cli.main(argv)
+        tracer.end_command(keep=True)
+    finally:
+        tracer.uninstall(saved)
+    n_weather = len(run_weather_sim(WeatherSimConfig(seed=1)))
+    assert tracer.counts["cli.records_parsed"] == 2 * n_weather + 5
+    assert tracer.counts["seqtest.steps"] == n_weather + 5
+    for layer in ("cli.iter_records", "seqtest.monitor_step_gaussian",
+                  "seqtest.monitor_step_halfplane"):
+        assert tracer.totals[layer][0] > 0, layer
 
 
 def test_simulated_batches_support_len():

@@ -79,6 +79,15 @@ def test_parse_errors_cite_line_and_field(tmp_path):
         parse_records(p2, "gaussian")
 
 
+def test_parse_gaussian_outcome_as_number_or_one_element_list(tmp_path):
+    lines = [gaussian_line(0.0, 1.0, 0.5), gaussian_line(1.0, 2.0, [1.5]), gaussian_line(0, 1, 2)]
+    recs = parse_records(write_lines(tmp_path / "mixed.jsonl", lines), "gaussian")
+    assert recs.y.tolist() == [[0.5], [1.5], [2.0]]
+    bad = write_lines(tmp_path / "bad.jsonl", lines + [gaussian_line(0.0, -1.0, [0.0])])
+    with pytest.raises(DataError, match=r"^line 4: sigma must be > 0"):
+        parse_records(bad, "gaussian")
+
+
 def test_parse_error_names_its_line_once(tmp_path, capsys):
     p = write_lines(tmp_path / "g.jsonl", [gaussian_line(0, 1, 0)])
     with pytest.raises(DataError, match=r"^line 1: missing field 'cov'$"):

@@ -1,11 +1,13 @@
-"""Property tests of record batches: the JSON round trip and the coverage
-path, over random batches of every family."""
+"""Property tests of record batches: the JSON round trip, the parse of one
+record line, and the coverage path, over random batches of every family."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calcheck.cli import parse_records, write_records
+from calcheck.errors import DataError, InvalidDistributionError
 from calcheck.metric import LevelGrid, coverage_counts, ecdf_eval, fold, pit
 from calcheck.records import GaussianBatch, MvGaussianBatch, ParticleBatch
 
@@ -78,3 +80,27 @@ def test_gaussian_coverage_counts_are_the_folded_pit_ecdf(batch, levels):
     for count, lam in zip(curve.counts, grid.levels):
         assert count == np.count_nonzero(folded.values <= lam)
         assert count / curve.n == ecdf_eval(folded, lam)
+
+
+json_number = st.one_of(st.floats(), st.integers(-10**6, 10**6))
+
+
+@SETTINGS
+@given(st.fixed_dictionaries(
+    {"mu": json_number, "sigma": json_number,
+     "y": st.one_of(json_number, st.lists(st.floats(), min_size=1, max_size=1))},
+    optional={"t": time_index}))
+def test_gaussian_line_parses_as_the_constructor_builds_it(obj):
+    # plain-float lines take a shorter path than the constructor; it must
+    # accept the same lines and build the same batch
+    try:
+        want = GaussianBatch([obj["mu"]], [obj["sigma"]], [obj["y"]], [obj.get("t")])
+    except InvalidDistributionError as exc:
+        with pytest.raises(DataError) as info:
+            GaussianBatch.from_obj(obj, 7)
+        assert str(info.value) == f"line 7: {exc}"
+        return
+    got = GaussianBatch.from_obj(obj, 7)
+    assert got.t == want.t and list(vars(got)) == list(vars(want))
+    for a, b in zip(float_arrays(want), float_arrays(got), strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
