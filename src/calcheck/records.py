@@ -92,7 +92,7 @@ class RecordBatch:
             return cls(*([obj[key]] for key in cls.keys), t=[obj.get("t")])
         except KeyError as exc:
             error = f"missing field {exc.args[0]!r}"
-        except (InvalidDistributionError, TypeError, ValueError) as exc:
+        except (InvalidDistributionError, TypeError, ValueError, OverflowError) as exc:
             error = str(exc)
         raise DataError(f"line {line_no}: {error}")
 

@@ -77,6 +77,11 @@ def test_parse_errors_cite_line_and_field(tmp_path):
     p2 = write_lines(tmp_path / "bad2.jsonl", ["not json"])
     with pytest.raises(DataError, match="line 1"):
         parse_records(p2, "gaussian")
+    # an integer beyond the float range is bad data, not a crash
+    p3 = write_lines(tmp_path / "bad3.jsonl",
+                     [gaussian_line(0, 1, 0), gaussian_line(10**400, 1, 0)])
+    with pytest.raises(DataError, match="^line 2: int too large"):
+        parse_records(p3, "gaussian")
 
 
 def test_parse_gaussian_outcome_as_number_or_one_element_list(tmp_path):
@@ -316,7 +321,8 @@ def test_cli_monitor_broken_pipe_exits_141(tmp_path):
                             env={**os.environ, "PYTHONPATH": src})
     assert proc.stdout.readline().startswith(b"1,")
     proc.stdout.close()
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert proc.wait(timeout=120) == 141
     assert err == b""
 
