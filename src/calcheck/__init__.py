@@ -2,8 +2,8 @@
 
 A four-slot pipeline, each slot independently swappable:
 
-* model & data (:mod:`calcheck.dist`, :mod:`calcheck.records`) - what the
-  forecaster emits, one prediction or a columnar batch of records;
+* model & data (:mod:`calcheck.records`) - what the forecaster emits, as
+  columnar batches of (prediction, outcome) records, one type per family;
 * metric (:mod:`calcheck.metric`) - coverage counts, PIT samples,
   variance bins, half-plane coverage for particle clouds;
 * hypothesis (:class:`calcheck.hyptest.HypothesisSpec`) - two-sided,
@@ -16,21 +16,6 @@ Every recipe ends in a single accept/reject decision.
 
 __version__ = "0.1.0"
 
-from .dist import (
-    GaussianPrediction,
-    MvGaussianPrediction,
-    ParametricPrediction,
-    ParticleCloudPrediction,
-    centered_interval,
-    ellipsoid_contains,
-    exponential_prediction,
-    gamma_prediction,
-    mahalanobis_sq,
-    moment_match_gaussian,
-    project_particles,
-    student_t_prediction,
-    weighted_quantile,
-)
 from .errors import (
     CalcheckError,
     ConfigError,
@@ -65,6 +50,7 @@ from .metric import (
     halfplane_coverage,
     pit,
     variance_bin,
+    weighted_quantile,
 )
 from .records import GaussianBatch, MvGaussianBatch, ParticleBatch, RecordBatch
 from .seqtest import (

@@ -141,11 +141,14 @@ class RecipeConfig:
                 raise ConfigError("KS tolerance bands run on the folded PIT")
             if self.hypothesis.sidedness == TWO_SIDED and self.hypothesis.tolerance > 0.0:
                 raise ConfigError("no two-sided KS tolerance band is defined")
-        if self.testing in ("binom_bonferroni", "binom_holm") and self.metric not in (
-            "coverage",
-            "halfplane",
-        ):
-            raise ConfigError("Binomial testing consumes coverage counts")
+        if self.testing in ("binom_bonferroni", "binom_holm"):
+            if self.metric not in ("coverage", "halfplane"):
+                raise ConfigError("Binomial testing consumes coverage counts")
+            # the tests run at level - tolerance and, two-sided, level + tolerance
+            tol, lv = self.hypothesis.tolerance, self.levels.levels
+            out = (lv - tol <= 0.0) | ((self.hypothesis.sidedness == TWO_SIDED) & (lv + tol >= 1.0))
+            if out.any():
+                raise ConfigError(f"tolerance {tol} shifts level {lv[out][0]:g} out of (0, 1)")
         if self.testing == "evalue_monitor":
             if self.evalue is None:
                 raise ConfigError("evalue_monitor requires an e-value config")
@@ -495,7 +498,8 @@ def run_monitor(
                     state = monitor_step_gaussian(state, batch.mu[i], batch.sigma[i],
                                                   batch.y[i, 0], ev)
                 elif batch.kind == "particles":
-                    state = monitor_step_halfplane(state, batch.clouds[i], batch.y[i], ev, rng)
+                    state = monitor_step_halfplane(state, batch.w[i], batch.pts[i], batch.y[i],
+                                                   ev, rng)
                 else:
                     raise ConfigError(f"no monitor recipe for {batch.kind} predictions")
                 # constant threshold column keeps the emitted trace plottable as-is
@@ -544,14 +548,16 @@ def run_simulate(
 ) -> RunReport:
     """Generate experiment data and write record files under ``out_dir``."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    with _writing_output():
+        out.mkdir(parents=True, exist_ok=True)
     cfg_dict = dataclasses.asdict(sim_config)
     digest = hashlib.sha256(json.dumps(cfg_dict, sort_keys=True, default=str).encode())
     curves: dict = {}
     if kind in ("weather", "robot"):
         records = (run_weather_sim if kind == "weather" else run_robot_sim)(sim_config)
         path = out / f"{kind}_records.jsonl"
-        write_records(records, path)
+        with _writing_output():
+            write_records(records, path)
         summary = {"kind": kind, "n_records": len(records), "files": [path.name]}
     elif kind == "drift_sweep":
         if monitor is None:
@@ -594,22 +600,34 @@ def run_simulate(
 # output rendering
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def _writing_output():
+    """Report a failure to create or write the output directory as a
+    configuration error, not as bad input data."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from None
+
+
 def _write_csvs(curves: dict, out_dir: str | Path) -> None:
     """Write each ``name: (header, rows)`` table to ``<out_dir>/<name>.csv``."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, (header, rows) in curves.items():
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join("" if x is None else repr(x) if isinstance(x, float) else str(x) for x in row))
-        (out / f"{name}.csv").write_text("\n".join(lines) + "\n")
+    with _writing_output():
+        out.mkdir(parents=True, exist_ok=True)
+        for name, (header, rows) in curves.items():
+            lines = [",".join(header)]
+            for row in rows:
+                lines.append(",".join("" if x is None else repr(x) if isinstance(x, float) else str(x) for x in row))
+            (out / f"{name}.csv").write_text("\n".join(lines) + "\n")
 
 
 def _write_outputs(run: RunReport, out_dir: str | Path | None) -> None:
     if out_dir is None:
         return
     _write_csvs(run.curves, out_dir)
-    (Path(out_dir) / "report.json").write_text(run.to_json() + "\n")
+    with _writing_output():
+        (Path(out_dir) / "report.json").write_text(run.to_json() + "\n")
 
 
 def _render_summary(run: RunReport) -> str:
@@ -862,6 +880,24 @@ def _cmd_simulate(args) -> int:
     return EXIT_ACCEPT
 
 
+def _saved_report_parts(data) -> tuple[dict, dict, dict]:
+    """The ``report``, ``provenance`` and ``curves`` objects of a saved run
+    report, each ``{}`` when absent or null; any other shape is bad data."""
+    if not isinstance(data, dict):
+        raise DataError("report must be a JSON object")
+    parts = {key: {} if data.get(key) is None else data[key]
+             for key in ("report", "provenance", "curves")}
+    for key, part in parts.items():
+        if not isinstance(part, dict):
+            raise DataError(f"report field {key!r} must be an object")
+    for name, table in parts["curves"].items():
+        header, rows = table if isinstance(table, list) and len(table) == 2 else (None, None)
+        if not (isinstance(header, list) and all(isinstance(h, str) for h in header)
+                and isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+            raise DataError(f"report table {name!r} must be [header, rows]")
+    return parts["report"], parts["provenance"], parts["curves"]
+
+
 def _cmd_report(args) -> int:
     try:
         data = json.loads(Path(args.path).read_text())
@@ -869,24 +905,23 @@ def _cmd_report(args) -> int:
         raise DataError(f"cannot read report: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"report is not valid JSON: {exc.msg}") from None
-    rep = data.get("report", {})
+    rep, prov, curves = _saved_report_parts(data)
     lines = []
-    if isinstance(rep, dict) and "decision" in rep:
+    if "decision" in rep:
         lines.append(f"decision: {rep['decision']}")
         for key in ("statistic", "threshold", "alpha", "p_value"):
             if rep.get(key) is not None:
                 lines.append(f"{key}: {rep[key]!r}")
     else:
         lines.append("simulation summary:")
-        for key, value in (rep or {}).items():
+        for key, value in rep.items():
             lines.append(f"  {key}: {value}")
-    prov = data.get("provenance", {})
     if prov:
         lines.append(f"input_digest: {prov.get('input_digest', '?')}")
         lines.append(f"tool_version: {prov.get('tool_version', '?')}")
     print("\n".join(lines))
     if args.out:
-        _write_csvs(data.get("curves", {}), args.out)
+        _write_csvs(curves, args.out)
     return EXIT_ACCEPT
 
 

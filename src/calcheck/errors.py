@@ -6,8 +6,9 @@ class CalcheckError(Exception):
 
 
 class InvalidDistributionError(CalcheckError, ValueError):
-    """A prediction object violates its invariants (bad sigma, singular
-    covariance, non-finite quantile, ...)."""
+    """Prediction parameters in a record batch violate their family's
+    invariants (bad sigma, singular covariance, particle weights that do not
+    sum to 1, ...)."""
 
 
 class UnsupportedMetricError(CalcheckError, TypeError):

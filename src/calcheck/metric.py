@@ -3,7 +3,8 @@
 Transforms a record batch (:mod:`calcheck.records`) into the quantities the
 hypothesis tests consume: coverage counts over a level grid, PIT samples
 (raw and folded), ECDF evaluations, variance bins for conditional checks,
-and half-plane coverage indicators for particle clouds.  What differs by
+and half-plane coverage indicators for particle clouds, whose centered
+projected intervals come from :func:`weighted_quantile`.  What differs by
 prediction family comes from the batch; the statistics here are the same
 for every family.
 
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import ParticleCloudPrediction, project_particles, weighted_quantile
 from .errors import DataError
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "fold",
     "ecdf_eval",
     "variance_bin",
+    "weighted_quantile",
     "halfplane_indicator",
     "halfplane_coverage",
     "random_direction",
@@ -208,7 +209,7 @@ def variance_bin(records, k_bins: int) -> VarianceBins:
     if k_bins < 1:
         raise ValueError("k_bins must be >= 1")
     if k_bins > len(records):
-        raise ValueError(f"k_bins={k_bins} exceeds the number of records {len(records)}")
+        raise DataError(f"k_bins={k_bins} exceeds the number of records {len(records)}")
     values = records.uncertainty()
     order = np.argsort(values, kind="stable")
     chunks = np.array_split(order, k_bins)
@@ -239,32 +240,57 @@ def random_direction(dim: int, rng: np.random.Generator) -> np.ndarray:
     return g / np.linalg.norm(g)
 
 
+def weighted_quantile(weights, values, q):
+    """Left-continuous generalized inverse of the weighted ECDF.
+
+    Returns the smallest sample value whose cumulative weight reaches ``q``.
+    This matches the unweighted empirical quantile convention and keeps the
+    coverage indicator conservative at ties.  ``q`` may be an array of
+    levels, answered from one sort as an array of the same shape.
+    """
+    w = np.asarray(weights, dtype=float)
+    v = np.asarray(values, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if v.size == 0:
+        raise ValueError("cannot take a quantile of an empty sample")
+    if not (q.min() > 0.0 and q.max() < 1.0):
+        raise ValueError(f"q must be in (0, 1), got {q}")
+    order = np.argsort(v, kind="stable")
+    cum = np.cumsum(w[order])
+    idx = np.searchsorted(cum, q * cum[-1], side="left")
+    idx = np.minimum(idx, v.size - 1)  # guard float roundoff at q ~ 1
+    quantiles = v[order[idx]]
+    return float(quantiles) if quantiles.ndim == 0 else quantiles
+
+
 def halfplane_indicator(
-    pred: ParticleCloudPrediction,
+    w: np.ndarray,
+    pts: np.ndarray,
     y,
     levels,
     rng: np.random.Generator,
 ):
     """Whether one outcome falls in a cloud's centered projected intervals.
 
-    Draws a fresh direction independently of the outcome, projects the cloud
-    and the outcome onto it, and tests the outcome's projection against the
-    centered weighted-quantile interval at each level in ``levels`` (a float
-    or an array), with weak inequalities at the endpoints.  Both endpoints
-    at every level come from one :func:`calcheck.dist.weighted_quantile`
-    call, so the projected cloud is sorted once.  Because the direction
-    never looks at the data, each indicator is Bernoulli(level) under
-    calibration whatever the cloud looks like; a degenerate cloud resolves
-    through the quantile tie policy.
+    The cloud is weights ``w`` of shape ``(m,)`` and points ``pts`` of shape
+    ``(m, d)``.  Draws a fresh direction independently of the outcome,
+    projects the cloud and the outcome onto it, and tests the outcome's
+    projection against the centered weighted-quantile interval at each level
+    in ``levels`` (a float or an array), with weak inequalities at the
+    endpoints.  Both endpoints at every level come from one
+    :func:`weighted_quantile` call, so the projected cloud is sorted once.
+    Because the direction never looks at the data, each indicator is
+    Bernoulli(level) under calibration whatever the cloud looks like; a
+    degenerate cloud resolves through the quantile tie policy.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape[0] != pred.dim:
+    dim = pts.shape[1]
+    if y.shape[0] != dim:
         raise ValueError(
-            f"outcome has dimension {y.shape[0]}, cloud has {pred.dim}"
+            f"outcome has dimension {y.shape[0]}, cloud has {dim}"
         )
-    d = random_direction(pred.dim, rng)
-    w, z = project_particles(pred, d)
-    lo, hi = weighted_quantile(w, z, np.array([1.0 - levels, 1.0 + levels]) / 2.0)
+    d = random_direction(dim, rng)
+    lo, hi = weighted_quantile(w, pts @ d, np.array([1.0 - levels, 1.0 + levels]) / 2.0)
     zy = float(y @ d)
     return (lo <= zy) & (zy <= hi)
 
@@ -286,6 +312,6 @@ def halfplane_coverage(
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     counts = np.zeros(grid.k, dtype=int)
-    for cloud, y in zip(records.particle_clouds(), records.y):
-        counts += halfplane_indicator(cloud, y, grid.levels, rng)
+    for (w, pts), y in zip(records.particle_clouds(), records.y):
+        counts += halfplane_indicator(w, pts, y, grid.levels, rng)
     return CoverageCurve(levels=grid, counts=counts, n=len(records))

@@ -1,13 +1,14 @@
-"""Record batches: one columnar batch type per prediction family.
+"""Record batches: the data model, one columnar batch type per prediction family.
 
 A batch holds ``n`` (prediction, outcome) records of one family: outcomes
 ``y`` of shape ``(n, d)``, the optional per-record time index ``t``, and the
 family's parameter columns.  What depends on the family lives on its batch
-type: the JSON keys of its record lines, parsing and validation,
-serialisation, the PIT, the scalar uncertainty that variance bins sort by,
-and particle clouds for half-plane coverage.  ``FAMILIES`` maps each model
-name to its type, so a batch's family is decided once, when its type is
-chosen; the monitor picks its step by the batch's ``kind``.
+type: the JSON keys of its record lines, parsing and validation of the
+parameters, serialisation, the PIT, the scalar uncertainty that variance
+bins sort by, and the weighted particle columns that half-plane coverage
+projects.  ``FAMILIES`` maps each model name to its type, so a batch's
+family is decided once, when its type is chosen; the monitor picks its step
+by the batch's ``kind``.
 """
 
 from __future__ import annotations
@@ -15,15 +16,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.linalg import solve_triangular
+from scipy.special import gammainc, ndtr
 
-from .dist import (
-    ParticleCloudPrediction,
-    check_gaussian,
-    chi2_cdf,
-    mv_cholesky,
-    whitened_sq_norm,
-)
 from .errors import DataError, InvalidDistributionError, UnsupportedMetricError
 
 __all__ = [
@@ -32,7 +27,115 @@ __all__ = [
     "MvGaussianBatch",
     "ParticleBatch",
     "FAMILIES",
+    "chi2_cdf",
 ]
+
+# Weight tolerance for particle clouds: the weight vector must sum to 1
+# within this absolute slack before the exact renormalisation is applied.
+WEIGHT_SUM_TOL = 1e-9
+
+
+def chi2_cdf(x, d: int):
+    """Chi-square CDF with ``d`` degrees of freedom.
+
+    Computed as the regularized lower incomplete gamma function
+    ``P(d/2, x/2)``, which is stable to far more digits than any tolerance
+    used by the tests built on top of it.
+    """
+    return gammainc(d / 2.0, np.asarray(x, dtype=float) / 2.0)
+
+
+def check_gaussian(mu, sigma) -> None:
+    """Require finite means and standard deviations (scalars or arrays), ``sigma > 0``."""
+    # one count when all is well; NaN fails both sigma comparisons
+    ok = np.isfinite(mu) & (sigma > 0.0) & (sigma < np.inf)
+    if np.count_nonzero(ok) != np.size(ok):
+        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
+            raise InvalidDistributionError("gaussian parameters must be finite")
+        bad = np.extract(np.less_equal(sigma, 0.0), sigma)
+        raise InvalidDistributionError(f"sigma must be > 0, got {bad[0]}")
+
+
+def mv_cholesky(mu: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of ``n`` Gaussians, means ``(n, d)`` and
+    covariances ``(n, d, d)``.
+
+    Each covariance must be finite, symmetric and positive definite, as
+    established by a successful factorization.  One batched factorization
+    serves the usual case; when it fails, each covariance is factorized
+    alone, and one that fails gets a single jitter of ``1e-10 * trace/d`` on
+    its diagonal (near-singular covariances arise naturally from
+    moment-matching tight particle clouds); a second failure raises.
+    """
+    d = mu.shape[-1]
+    if mu.ndim != 2 or cov.shape != (len(mu), d, d):
+        raise InvalidDistributionError(
+            f"mean has length {d} but covariance has shape {cov.shape[1:]}"
+        )
+    if not np.all(np.isfinite(mu)) or not np.all(np.isfinite(cov)):
+        raise InvalidDistributionError("parameters must be finite")
+    if not np.allclose(cov, np.swapaxes(cov, 1, 2), rtol=1e-9, atol=1e-12):
+        raise InvalidDistributionError("covariance must be symmetric")
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        return np.stack([_jittered_cholesky(c) for c in cov])
+
+
+def _jittered_cholesky(cov: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        d = cov.shape[0]
+        jitter = 1e-10 * np.trace(cov) / d
+        try:
+            return np.linalg.cholesky(cov + jitter * np.eye(d))
+        except np.linalg.LinAlgError:
+            raise InvalidDistributionError(
+                "covariance is singular or indefinite (jitter retry failed)"
+            ) from None
+
+
+def whitened_sq_norm(chol: np.ndarray, diff: np.ndarray) -> float:
+    """``|L^-1 diff|^2`` for a lower Cholesky factor ``L``, by triangular solve,
+    never through an explicit matrix inverse."""
+    z = solve_triangular(chol, diff, lower=True)
+    return float(z @ z)
+
+
+def _checked_cloud(w, pts) -> tuple[np.ndarray, np.ndarray]:
+    """One cloud's weights ``(m,)`` and points ``(m, d)``, validated.
+
+    Weights must be nonnegative and sum to 1 within ``WEIGHT_SUM_TOL``; they
+    are then renormalised to sum to 1 exactly.  At least 2 particles are
+    required.
+    """
+    w = np.asarray(w, dtype=float)
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if w.ndim != 1 or pts.ndim != 2 or w.shape[0] != pts.shape[0]:
+        raise InvalidDistributionError(
+            f"weights {w.shape} do not match points {pts.shape}"
+        )
+    if w.shape[0] < 2:
+        raise InvalidDistributionError("need at least 2 particles")
+    if not np.all(np.isfinite(w)) or not np.all(np.isfinite(pts)):
+        raise InvalidDistributionError("particles must be finite")
+    if np.any(w < 0):
+        raise InvalidDistributionError("weights must be nonnegative")
+    total = float(w.sum())
+    # boundary inclusive up to representation error of the inputs
+    if abs(total - 1.0) > WEIGHT_SUM_TOL * (1.0 + 1e-6):
+        raise InvalidDistributionError(
+            f"weights sum to {total!r}, outside 1 +/- {WEIGHT_SUM_TOL}"
+        )
+    # skip the division when the sum is already 1 to working precision:
+    # renormalization stays idempotent, so serialized clouds round-trip
+    # bit for bit
+    if abs(total - 1.0) > 1e-12:
+        w = w / total
+    return w, pts
 
 
 class RecordBatch:
@@ -122,7 +225,8 @@ class RecordBatch:
         """One scalar spread per record; a monotone transform is enough for binning."""
         raise UnsupportedMetricError(f"{self.kind} records have no scalar uncertainty to bin by")
 
-    def particle_clouds(self) -> list[ParticleCloudPrediction]:
+    def particle_clouds(self):
+        """Each record's particle weights and points, as ``(w, pts)`` pairs."""
         raise UnsupportedMetricError("half-plane coverage requires particle-cloud predictions")
 
 
@@ -195,22 +299,24 @@ class MvGaussianBatch(RecordBatch):
 
 
 class ParticleBatch(RecordBatch):
-    """Weighted particle clouds, one :class:`ParticleCloudPrediction` per
-    record; clouds may differ in particle count but not in dimension."""
+    """Weighted particle clouds as ragged columns: per record, weights
+    ``w[i]`` of shape ``(m_i,)`` and points ``pts[i]`` of shape ``(m_i, d)``;
+    clouds may differ in particle count but not in dimension."""
 
     kind = "particles"
     keys = ("w", "pts", "y")
 
     def __init__(self, w, pts, y, t=None):
-        self.clouds = [ParticleCloudPrediction(wi, pi) for wi, pi in zip(w, pts, strict=True)]
-        self._set_outcomes(y, t, len(self.clouds), {c.dim for c in self.clouds})
+        clouds = [_checked_cloud(wi, pi) for wi, pi in zip(w, pts, strict=True)]
+        self.w = [wi for wi, _ in clouds]
+        self.pts = [pi for _, pi in clouds]
+        self._set_outcomes(y, t, len(clouds), {pi.shape[1] for pi in self.pts})
 
     def _json_columns(self):
-        return ([c.weights.tolist() for c in self.clouds],
-                [c.points.tolist() for c in self.clouds], self.y.tolist())
+        return [wi.tolist() for wi in self.w], [pi.tolist() for pi in self.pts], self.y.tolist()
 
     def particle_clouds(self):
-        return self.clouds
+        return zip(self.w, self.pts)
 
 
 FAMILIES: dict[str, type[RecordBatch]] = {

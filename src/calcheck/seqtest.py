@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
-from .dist import ParticleCloudPrediction, gaussian_interval
 from .errors import ConfigError
 from .metric import halfplane_indicator
 
@@ -27,6 +27,7 @@ __all__ = [
     "MartingaleState",
     "lr_evalue",
     "average_evalues",
+    "gaussian_interval",
     "monitor_step_gaussian",
     "monitor_step_halfplane",
 ]
@@ -122,6 +123,18 @@ def average_evalues(es) -> float:
     return float(arr.mean())
 
 
+def gaussian_interval(mu: float, sigma: float, level: float) -> tuple[float, float]:
+    """Centered interval of ``N(mu, sigma^2)`` carrying probability mass ``level``.
+
+    Returns the ``(1-level)/2`` and ``(1+level)/2`` quantiles, the interval
+    placed symmetrically (in probability) around the median.
+    """
+    if not (0.0 < level < 1.0 and sigma > 0.0):
+        raise ValueError(f"need 0 < level < 1 and sigma > 0, got {level} and {sigma}")
+    return (float(mu + sigma * ndtri((1.0 - level) / 2.0)),
+            float(mu + sigma * ndtri((1.0 + level) / 2.0)))
+
+
 def monitor_step_gaussian(
     state: MartingaleState,
     mu: float,
@@ -146,16 +159,18 @@ def monitor_step_gaussian(
 
 def monitor_step_halfplane(
     state: MartingaleState,
-    pred: ParticleCloudPrediction,
+    w: np.ndarray,
+    pts: np.ndarray,
     y,
     config: EValueConfig,
     rng: np.random.Generator,
 ) -> MartingaleState:
-    """One step of the half-plane particle monitor.
+    """One step of the half-plane particle monitor on the cloud of weights
+    ``w`` ``(m,)`` and points ``pts`` ``(m, d)``.
 
     Scores the coverage indicator of :func:`calcheck.metric.halfplane_indicator`
     at the configured level, on a fresh direction drawn from ``rng``, and
     feeds it to the martingale.
     """
-    k = 1 if halfplane_indicator(pred, y, config.level, rng) else 0
+    k = 1 if halfplane_indicator(w, pts, y, config.level, rng) else 0
     return state.advanced(_log_lr(k, config), config)

@@ -292,8 +292,8 @@ def drift_sweep(
             records = run_robot_sim(cfg)
             mon_rng = np.random.default_rng([cfg.seed, 1])  # independent of sim
             state = MartingaleState()
-            for i, (cloud, y) in enumerate(zip(records.clouds, records.y)):
-                state = monitor_step_halfplane(state, cloud, y, monitor, mon_rng)
+            for i, (w, pts, y) in enumerate(zip(records.w, records.pts, records.y)):
+                state = monitor_step_halfplane(state, w, pts, y, monitor, mon_rng)
                 log_traces[s, i] = state.log_e
             if state.alarmed:
                 crossings.append(state.first_crossing)

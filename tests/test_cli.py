@@ -64,7 +64,7 @@ def test_parse_particles_renormalizes_near_one(tmp_path):
     )
     p = write_lines(tmp_path / "p.jsonl", [line])
     recs = parse_records(p, "particles")
-    assert recs.clouds[0].weights.sum() == pytest.approx(1.0, abs=1e-15)
+    assert recs.w[0].sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_parse_errors_cite_line_and_field(tmp_path):
@@ -129,7 +129,7 @@ def batches_equal(a, b):
     """Same family and records, every float bit for bit."""
     def arrays(batch):
         if isinstance(batch, ParticleBatch):
-            return [x for c in batch.clouds for x in (c.weights, c.points)] + [batch.y]
+            return [*batch.w, *batch.pts, batch.y]
         return [col for name, col in vars(batch).items() if name != "t"]
 
     return (type(a) is type(b) and len(a) == len(b) and a.t == b.t
@@ -296,6 +296,35 @@ def test_cli_data_error_exit_3(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("\n")
     assert cli.main(["check", str(empty)]) == 3
+    five = write_lines(tmp_path / "five.jsonl", [gaussian_line(0.0, 1.0, 0.5)] * 5)
+    assert cli.main(["check", five, "--bins", "6"]) == 3  # more bins than records
+
+
+@pytest.mark.parametrize("saved", [
+    [],
+    {"report": [1]},
+    {"report": {}, "provenance": "x"},
+    {"report": {}, "curves": {"coverage": [1]}},
+    {"report": {}, "curves": {"coverage": [["level", 2], []]}},
+    {"report": {}, "curves": {"coverage": [["level"], [0.5]]}},
+])
+def test_cli_report_of_wrong_shape_exits_3(tmp_path, capsys, saved):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(saved))
+    assert cli.main(["report", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("data error: report")
+
+
+def test_cli_unwritable_out_exits_2(tmp_path, capsys):
+    path, _ = weather_file(tmp_path, seed=5)
+    saved = tmp_path / "saved.json"
+    saved.write_text(json.dumps({"report": {}, "curves": {"c": [["a"], [[1]]]}}))
+    blocked = str(path / "sub")  # a directory below a regular file cannot be made
+    for argv in (["check", str(path)], ["monitor", str(path)],
+                 ["simulate", "weather"], ["report", str(saved)]):
+        capsys.readouterr()
+        assert cli.main(argv + ["--out", blocked]) == 2, argv
+        assert capsys.readouterr().err.startswith("config error: cannot write output: "), argv
 
 
 def test_cli_monitor_stream_and_exit(tmp_path, capsys):
@@ -367,7 +396,7 @@ def test_cli_simulate_robot_defaults(tmp_path):
     assert code == 0
     recs = parse_records(out / "robot_records.jsonl", "particles")
     assert len(recs) == 500
-    assert recs.clouds[0].n_particles == 500
+    assert recs.w[0].shape == (500,)
 
 
 def test_cli_simulate_drift_sweep_scaled(tmp_path, capsys):
@@ -418,6 +447,10 @@ def test_cli_check_monitor_slot_swap(tmp_path):
         # models no record file can hold are unknown, not bad data
         (["check", "{weather}"], {"model": "parametric"}, 2),
         (["check", "{weather}"], {"model": "set_provider"}, 2),
+        # Binomial tests at level -/+ tolerance need those levels in (0, 1)
+        (["check", "{weather}", "--tolerance", "0.1", "--sided", "one"], {}, 2),
+        (["check", "{weather}"], {"tolerance": 0.1, "levels": [0.5, 0.95]}, 2),
+        (["check", "{weather}"], {"tolerance": 0.1, "levels": [0.5, 0.95], "sided": "one"}, 0),
     ],
 )
 def test_cli_config_values_resolve_alike(tmp_path, capsys, argv, file_cfg, code):

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from calcheck.dist import ParticleCloudPrediction
+from scipy.special import ndtr
+
 from calcheck.errors import ConfigError
 from calcheck.seqtest import (
     EValueConfig,
     MartingaleState,
     average_evalues,
+    gaussian_interval,
     lr_evalue,
     monitor_step_gaussian,
     monitor_step_halfplane,
@@ -16,6 +18,37 @@ from calcheck.seqtest import (
 
 
 CFG = EValueConfig(level=0.9, p_alt=0.8, alpha=0.05)
+
+
+# ---------------------------------------------------------------------------
+# Gaussian centered intervals
+# ---------------------------------------------------------------------------
+
+def test_gaussian_interval_standard_normal_68():
+    lo, hi = gaussian_interval(0.0, 1.0, 0.6827)
+    assert lo == pytest.approx(-1.0, abs=5e-4)
+    assert hi == pytest.approx(1.0, abs=5e-4)
+
+
+def test_gaussian_interval_collapses_to_median():
+    lo, hi = gaussian_interval(5.0, 2.0, 1e-12)
+    assert lo == pytest.approx(5.0, abs=1e-5)
+    assert hi == pytest.approx(5.0, abs=1e-5)
+
+
+def test_gaussian_interval_mass_matches_level():
+    for mu, sigma in ((0.0, 1.0), (1.0, 2.0), (-3.0, 0.1)):
+        for level in (0.1, 0.5, 0.6827, 0.95):
+            lo, hi = gaussian_interval(mu, sigma, level)
+            mass = ndtr((hi - mu) / sigma) - ndtr((lo - mu) / sigma)
+            assert mass == pytest.approx(level, abs=1e-12)
+            assert (lo + hi) / 2.0 == pytest.approx(mu, abs=1e-12)
+
+
+def test_gaussian_interval_rejects_bad_level_and_sigma():
+    for level, sigma in ((0.0, 1.0), (1.0, 1.0), (0.5, 0.0), (0.5, -1.0)):
+        with pytest.raises(ValueError):
+            gaussian_interval(0.0, sigma, level)
 
 
 def test_config_validation():
@@ -127,32 +160,30 @@ def test_anytime_validity_light_monte_carlo():
 
 
 def test_halfplane_monitor_tie_policy_two_particles():
-    cloud = ParticleCloudPrediction(
-        weights=[0.5, 0.5], points=[[0.0, 0.0], [1.0, 1.0]]
-    )
+    w, pts = np.array([0.5, 0.5]), np.array([[0.0, 0.0], [1.0, 1.0]])
     rng = np.random.default_rng(0)
     state = MartingaleState()
     for _ in range(50):
-        state = monitor_step_halfplane(state, cloud, [1.0, 1.0], CFG, rng)
+        state = monitor_step_halfplane(state, w, pts, [1.0, 1.0], CFG, rng)
     # outcome equals a particle: indicator is 1 for any direction at lambda=0.9
     assert state.e_value == pytest.approx((0.8 / 0.9) ** 50, rel=1e-9)
 
 
 def test_halfplane_monitor_deterministic_given_seed():
     rng_cloud = np.random.default_rng(40)
-    clouds = []
+    points = []
     ys = []
     for _ in range(30):
         pts = rng_cloud.normal(size=(64, 2))
-        clouds.append(ParticleCloudPrediction(np.full(64, 1 / 64), pts))
+        points.append(pts)
         ys.append(pts[rng_cloud.integers(0, 64)])
 
     def run():
         rng = np.random.default_rng(777)
         st = MartingaleState()
         trace = []
-        for cloud, y in zip(clouds, ys):
-            st = monitor_step_halfplane(st, cloud, y, CFG, rng)
+        for pts, y in zip(points, ys):
+            st = monitor_step_halfplane(st, np.full(64, 1 / 64), pts, y, CFG, rng)
             trace.append(st.log_e)
         return st, trace
 
@@ -168,12 +199,11 @@ def test_halfplane_monitor_ville_light():
     alarms = 0
     for _ in range(reps):
         pts = rng.normal(size=(m, 2))
-        cloud = ParticleCloudPrediction(np.full(m, 1 / m), pts)
         mon_rng = np.random.default_rng(rng.integers(2**63))
         st = MartingaleState()
         for _ in range(horizon):
             y = pts[rng.integers(0, m)]
-            st = monitor_step_halfplane(st, cloud, y, CFG, mon_rng)
+            st = monitor_step_halfplane(st, np.full(m, 1 / m), pts, y, CFG, mon_rng)
         alarms += st.alarmed
     assert alarms / reps <= 0.05 + 3 * math.sqrt(0.05 * 0.95 / reps)
 

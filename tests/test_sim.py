@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from calcheck.dist import moment_match_gaussian
 from calcheck.errors import DataError
 from calcheck.hyptest import ONE_SIDED, TWO_SIDED, HypothesisSpec, ks_test
 from calcheck.metric import LevelGrid, coverage_counts, fold, halfplane_coverage, pit
@@ -114,8 +113,8 @@ def test_weather_sd_inflation_is_detectable_but_not_reliably():
 def test_robot_defaults_shapes():
     recs = run_robot_sim(RobotSimConfig(seed=0, n_steps=50))
     assert len(recs) == 50
-    assert recs.clouds[0].n_particles == 500
-    assert recs.clouds[0].dim == 2
+    assert recs.w[0].shape == (500,)
+    assert recs.pts[0].shape == (500, 2)
     assert recs.y.shape == (50, 2)
 
 
@@ -123,9 +122,10 @@ def test_robot_deterministic_given_seed():
     a = run_robot_sim(RobotSimConfig(seed=9, n_steps=40))
     b = run_robot_sim(RobotSimConfig(seed=9, n_steps=40))
     assert np.array_equal(a.y, b.y)
-    for ca, cb in zip(a.clouds, b.clouds):
-        assert np.array_equal(ca.points, cb.points)
-        assert np.array_equal(ca.weights, cb.weights)
+    for pa, pb in zip(a.pts, b.pts, strict=True):
+        assert np.array_equal(pa, pb)
+    for wa, wb in zip(a.w, b.w, strict=True):
+        assert np.array_equal(wa, wb)
 
 
 def test_robot_config_validation():
@@ -159,8 +159,8 @@ def test_robot_baseline_drift_filter_lags_truth():
         errs.append(
             np.mean(
                 [
-                    (y - cloud.weights @ cloud.points) @ direction
-                    for cloud, y in zip(recs.clouds, recs.y)
+                    (y - w @ pts) @ direction
+                    for w, pts, y in zip(recs.w, recs.pts, recs.y)
                 ]
             )
         )
@@ -171,8 +171,11 @@ def test_robot_gaussian_swap_tracks_halfplane_curve():
     grid = LevelGrid.default()
     recs = run_robot_sim(RobotSimConfig(seed=3, drift_multiplier=0.0))
     hp = halfplane_coverage(recs, grid, np.random.default_rng([3, 2]))
-    fits = [moment_match_gaussian(cloud) for cloud in recs.clouds]
-    mm = MvGaussianBatch([f.mu for f in fits], [f.cov for f in fits], recs.y)
+    # each cloud's weighted mean and covariance (weights sum to 1)
+    mu = np.array([w @ pts for w, pts in zip(recs.w, recs.pts)])
+    cov = np.array([(w[:, None] * (pts - m)).T @ (pts - m)
+                    for w, pts, m in zip(recs.w, recs.pts, mu)])
+    mm = MvGaussianBatch(mu, (cov + cov.transpose(0, 2, 1)) / 2.0, recs.y)
     mv = coverage_counts(mm, grid)
     assert np.max(np.abs(mv.fractions - hp.fractions)) <= 0.05
 
