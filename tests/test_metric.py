@@ -14,7 +14,6 @@ from calcheck.metric import (
     halfplane_coverage,
     pit,
     variance_bin,
-    weighted_quantile,
 )
 from calcheck.hyptest import ONE_SIDED, HypothesisSpec, ks_statistic, ks_critical
 from calcheck.records import GaussianBatch, MvGaussianBatch, ParticleBatch
@@ -220,52 +219,6 @@ def test_coverage_counts_ellipsoid_center_and_chi2_boundary():
     curve = coverage_counts(recs, LevelGrid([0.5, 0.999]))
     # the center and the boundary point lie in the 0.5 ellipsoid, the far point only at 0.999
     assert curve.counts.tolist() == [2, 3]
-
-
-# ---------------------------------------------------------------------------
-# weighted quantiles
-# ---------------------------------------------------------------------------
-
-def test_weighted_quantile_equal_weights_median():
-    assert weighted_quantile([0.25] * 4, [1.0, 2.0, 3.0, 4.0], 0.5) == 2.0
-
-
-def test_weighted_quantile_degenerate_single_value():
-    for q in (0.01, 0.5, 0.99):
-        assert weighted_quantile([1.0], [7.3], q) == 7.3
-
-
-def test_weighted_quantile_skewed_weights():
-    assert weighted_quantile([0.9, 0.1], [0.0, 100.0], 0.95) == 100.0
-
-
-def test_weighted_quantile_empty_errors():
-    with pytest.raises(ValueError):
-        weighted_quantile([], [], 0.5)
-
-
-def test_weighted_quantile_matches_order_statistic():
-    rng = np.random.default_rng(11)
-    for _ in range(1000):
-        n = int(rng.integers(1, 40))
-        values = rng.normal(size=n)
-        q = float(rng.uniform(0.01, 0.99))
-        got = weighted_quantile(np.full(n, 1.0 / n), values, q)
-        expected = np.sort(values)[math.ceil(q * n) - 1]
-        assert got == expected
-
-
-def test_weighted_quantile_array_matches_scalar_calls():
-    rng = np.random.default_rng(12)
-    weights = rng.dirichlet(np.ones(30))
-    values = np.round(rng.normal(size=30), 1)  # ties exercise the policy
-    q = np.array([[0.05, 0.25], [0.5, 0.999]])
-    got = weighted_quantile(weights, values, q)
-    assert got.shape == q.shape
-    for idx in np.ndindex(q.shape):
-        assert got[idx] == weighted_quantile(weights, values, float(q[idx]))
-    with pytest.raises(ValueError):
-        weighted_quantile(weights, values, [0.5, 1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,6 @@
-"""Record batches: parameter checks and the multivariate PIT on hand-picked
-cases, then property tests of the JSON round trip, the parse of one record
-line, and the coverage path, over random batches of every family."""
-
-import math
+"""Record batches: the Cholesky jitter retry on hand-picked covariances, then
+property tests of the JSON round trip, the parse of one record line, and the
+coverage path, over random batches of every family."""
 
 import numpy as np
 import pytest
@@ -12,26 +10,12 @@ from hypothesis import strategies as st
 from calcheck.cli import parse_records, write_records
 from calcheck.errors import DataError, InvalidDistributionError
 from calcheck.metric import LevelGrid, coverage_counts, ecdf_eval, fold, pit
-from calcheck.records import GaussianBatch, MvGaussianBatch, ParticleBatch, chi2_cdf
-
+from calcheck.records import GaussianBatch, MvGaussianBatch, ParticleBatch
 
 
 # ---------------------------------------------------------------------------
-# parameter checks
+# Cholesky jitter retry
 # ---------------------------------------------------------------------------
-
-def test_gaussian_batch_requires_positive_sigma():
-    for sigma in (0.0, -1.0):
-        with pytest.raises(InvalidDistributionError, match="sigma must be > 0"):
-            GaussianBatch(mu=[0.0, 0.0], sigma=[1.0, sigma], y=[0.0, 0.0])
-
-
-def test_mv_gaussian_batch_rejects_asymmetric_and_indefinite():
-    with pytest.raises(InvalidDistributionError, match="symmetric"):
-        MvGaussianBatch(mu=[[0, 0]], cov=[[[1.0, 0.5], [0.2, 1.0]]], y=[[0, 0]])
-    with pytest.raises(InvalidDistributionError, match="jitter retry failed"):
-        MvGaussianBatch(mu=[[0, 0]], cov=[[[1.0, 2.0], [2.0, 1.0]]], y=[[0, 0]])
-
 
 def test_mv_gaussian_batch_jitter_retry_builds_rank_deficient_cov():
     # the moment-matched covariance of the cloud {(0, 0), (2, 0)}: zero
@@ -48,71 +32,6 @@ def test_mv_gaussian_batch_all_zero_cov_raises():
     # the covariance of a cloud of identical particles
     with pytest.raises(InvalidDistributionError, match="jitter retry failed"):
         MvGaussianBatch(mu=[[1.0, 1.0]], cov=[np.zeros((2, 2))], y=[[1.0, 1.0]])
-
-
-def test_particle_batch_weights_renormalized_within_tolerance():
-    batch = ParticleBatch([[0.5, 0.499999999]], [np.zeros((2, 1))], [[0.0]])  # sums to 0.999999999
-    assert batch.w[0].sum() == pytest.approx(1.0, abs=1e-15)
-    exact = np.array([0.25, 0.75])
-    assert ParticleBatch([exact], [np.zeros((2, 1))], [[0.0]]).w[0].tobytes() == exact.tobytes()
-    for w, pts, error in (([0.5, 0.4], np.zeros((2, 1)), "weights sum to"),
-                          ([1.0], np.zeros((1, 1)), "at least 2 particles"),
-                          ([1.5, -0.5], np.zeros((2, 1)), "nonnegative"),
-                          ([0.5, 0.5], [[0.0], [np.nan]], "finite"),
-                          ([0.5, 0.5], np.zeros((3, 1)), "do not match")):
-        with pytest.raises(InvalidDistributionError, match=error):
-            ParticleBatch([w], [pts], [[0.0]])
-
-
-def test_record_checks_outcome_dimension():
-    with pytest.raises(InvalidDistributionError, match="dimension 1, prediction expects 2"):
-        MvGaussianBatch(mu=[[0, 0]], cov=[np.eye(2)], y=[[1.0]])
-    with pytest.raises(InvalidDistributionError, match="dimension 1, prediction expects 2"):
-        ParticleBatch([[0.5, 0.5]], [np.zeros((2, 2))], [[1.0]])
-    recs = GaussianBatch(mu=[0.0], sigma=[1.0], y=[2.5])
-    assert recs.y.shape == (1, 1)
-    assert recs.y[0, 0] == 2.5
-
-
-# ---------------------------------------------------------------------------
-# multivariate PIT: the squared Mahalanobis distance through chi2_cdf
-# ---------------------------------------------------------------------------
-
-def mv_pit(mu, cov, y) -> float:
-    return float(MvGaussianBatch([mu], [cov], [y]).pit_values()[0])
-
-
-def test_chi2_cdf_matches_closed_form_d2():
-    xs = np.array([0.1, 1.0, 2.0 * math.log(2.0), 5.0])
-    assert np.allclose(chi2_cdf(xs, 2), 1.0 - np.exp(-xs / 2.0), atol=1e-12)
-
-
-def test_mv_pit_zero_at_mean():
-    assert mv_pit([1.0, -2.0], [[2.0, 0.3], [0.3, 1.0]], [1.0, -2.0]) == 0.0
-
-
-def test_mv_pit_identity_cov_is_squared_norm():
-    assert mv_pit([0.0, 0.0], np.eye(2), [3.0, 4.0]) == pytest.approx(
-        float(chi2_cdf(25.0, 2)), rel=1e-12)
-
-
-def test_mv_pit_diagonal_cov():
-    assert mv_pit([0.0, 0.0], np.diag([4.0, 1.0]), [2.0, 1.0]) == pytest.approx(
-        float(chi2_cdf(2.0, 2)), rel=1e-12)
-
-
-def test_mv_pit_affine_invariance():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        d = rng.integers(2, 5)
-        a = rng.normal(size=(d, d)) + d * np.eye(d)
-        mu = rng.normal(size=d)
-        m = rng.normal(size=(d, d))
-        cov = m @ m.T + 0.5 * np.eye(d)
-        y = mu + rng.normal(size=d)
-        base = mv_pit(mu, cov, y)
-        mapped = mv_pit(a @ mu, a @ cov @ a.T, a @ y)
-        assert mapped == pytest.approx(base, abs=1e-8, rel=1e-8)
 
 
 # ---------------------------------------------------------------------------
