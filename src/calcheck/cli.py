@@ -882,7 +882,9 @@ def _cmd_simulate(args) -> int:
 
 def _saved_report_parts(data) -> tuple[dict, dict, dict]:
     """The ``report``, ``provenance`` and ``curves`` objects of a saved run
-    report, each ``{}`` when absent or null; any other shape is bad data."""
+    report, each ``{}`` when absent or null; any other shape is bad data, and
+    so is a table name that is not a plain file name, since ``--out`` writes
+    each table to ``<name>.csv``."""
     if not isinstance(data, dict):
         raise DataError("report must be a JSON object")
     parts = {key: {} if data.get(key) is None else data[key]
@@ -891,6 +893,8 @@ def _saved_report_parts(data) -> tuple[dict, dict, dict]:
         if not isinstance(part, dict):
             raise DataError(f"report field {key!r} must be an object")
     for name, table in parts["curves"].items():
+        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+            raise DataError(f"report table name {name!r} is not a plain file name")
         header, rows = table if isinstance(table, list) and len(table) == 2 else (None, None)
         if not (isinstance(header, list) and all(isinstance(h, str) for h in header)
                 and isinstance(rows, list) and all(isinstance(row, list) for row in rows)):

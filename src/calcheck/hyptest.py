@@ -7,10 +7,16 @@ through every test: a one-sided variant that only rejects over-confidence
 margin so benign miscalibration survives large samples.
 
 Binomial tail probabilities are computed through the regularized incomplete
-beta function (scipy's binom), never a normal approximation, so the integer
-quantiles are exact at any sample size.  KS critical values use the
-closed-form finite-sample-valid bounds rather than the asymptotic
-Kolmogorov distribution; the slight conservatism is the safe direction.
+beta function, never a normal approximation, so the integer quantiles are
+exact at any sample size.  They come from the Boost ufuncs in
+``scipy.special._ufuncs`` that ``scipy.stats.binom`` itself calls, behind a
+small adapter that keeps ``binom``'s boundary rules; this keeps the slow
+``scipy.stats`` import out of the CLI's start-up.  Where those private names
+are missing, the adapter falls back to ``scipy.stats.binom`` itself.
+
+KS critical values use the closed-form finite-sample-valid bounds rather
+than the asymptotic Kolmogorov distribution; the slight conservatism is the
+safe direction.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import binom as _binom
 
 from .errors import ConfigError
 from .metric import CoverageCurve, PitSample
@@ -110,6 +115,45 @@ def _decision(reject: bool) -> str:
 # ---------------------------------------------------------------------------
 # exact Binomial machinery
 # ---------------------------------------------------------------------------
+
+try:
+    from scipy.special._ufuncs import _binom_cdf, _binom_isf, _binom_ppf, _binom_sf
+except ImportError:  # private names, moved between scipy releases
+    from scipy.stats import binom as _binom
+else:
+    class _BoostBinom:
+        """``scipy.stats.binom``'s scalar ``cdf``, ``sf``, ``ppf`` and ``isf``
+        for integer ``n >= 1`` and ``0 < p < 1``, bit for bit: the same Boost
+        kernels, with ``rv_discrete``'s flooring of ``k``, its answers outside
+        the support ``[0, n)`` and its clipping to [0, 1].  The quantiles take
+        ``0 < q < 1``."""
+
+        @staticmethod
+        def cdf(k, n, p):
+            if k < 0:
+                return 0.0
+            if k >= n:
+                return 1.0
+            return min(max(float(_binom_cdf(float(math.floor(k)), float(n), p)), 0.0), 1.0)
+
+        @staticmethod
+        def sf(k, n, p):
+            if k < 0:
+                return 1.0
+            if k >= n:
+                return 0.0
+            return min(max(float(_binom_sf(float(math.floor(k)), float(n), p)), 0.0), 1.0)
+
+        @staticmethod
+        def ppf(q, n, p):
+            return float(_binom_ppf(q, float(n), p))
+
+        @staticmethod
+        def isf(q, n, p):
+            return float(_binom_isf(q, float(n), p))
+
+    _binom = _BoostBinom
+
 
 def binom_lower_quantile(n: int, p: float, a: float) -> int:
     """Smallest integer c with P(C <= c) >= a for C ~ Binomial(n, p)."""

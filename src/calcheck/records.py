@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import gammainc, ndtr
 
 from .errors import DataError, InvalidDistributionError, UnsupportedMetricError
@@ -99,6 +98,8 @@ def _jittered_cholesky(cov: np.ndarray) -> np.ndarray:
 def whitened_sq_norm(chol: np.ndarray, diff: np.ndarray) -> float:
     """``|L^-1 diff|^2`` for a lower Cholesky factor ``L``, by triangular solve,
     never through an explicit matrix inverse."""
+    from scipy.linalg import solve_triangular  # only the mv_gaussian path needs scipy.linalg
+
     z = solve_triangular(chol, diff, lower=True)
     return float(z @ z)
 

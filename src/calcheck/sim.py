@@ -20,7 +20,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import logsumexp
 
 from .errors import DataError
 from .records import GaussianBatch, ParticleBatch
@@ -196,6 +195,21 @@ def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nd
     return np.searchsorted(np.cumsum(weights), positions).clip(0, m - 1)
 
 
+def _log_sum_exp(log_w: np.ndarray, t: int) -> float:
+    """``log(sum(exp(log_w)))`` as ``scipy.special.logsumexp`` computes it,
+    bit for bit: the maximal terms are split off the shifted sum and their
+    count is added back in log space.  A non-finite maximum means every
+    weight underflowed (or overflowed) at step ``t``."""
+    top = log_w.max()
+    if not np.isfinite(top):
+        raise DataError(f"particle depletion at step {t}: all weights underflowed")
+    at_top = log_w == top
+    terms = np.exp(log_w - top)
+    terms[at_top] = 0.0
+    ties = np.count_nonzero(at_top)
+    return np.log1p(terms.sum() / ties) + np.log(ties) + top
+
+
 def run_robot_sim(config: RobotSimConfig) -> ParticleBatch:
     """Run the drift-mismatched particle filter and emit one record per step.
 
@@ -228,10 +242,7 @@ def run_robot_sim(config: RobotSimConfig) -> ParticleBatch:
         with np.errstate(over="ignore"):  # depletion is detected below
             log_w = log_w - 0.5 * (((z - pred_ranges) / r) ** 2).sum(axis=1)
 
-        norm = logsumexp(log_w)
-        if not np.isfinite(norm):
-            raise DataError(f"particle depletion at step {t}: all weights underflowed")
-        log_w = log_w - norm
+        log_w = log_w - _log_sum_exp(log_w, t)
         weights = np.exp(log_w)
 
         weights_seq.append(weights)

@@ -315,6 +315,25 @@ def test_cli_report_of_wrong_shape_exits_3(tmp_path, capsys, saved):
     assert capsys.readouterr().err.startswith("data error: report")
 
 
+@pytest.mark.parametrize("name", ["../escaped", "sub/table", "..", ""])
+def test_cli_report_table_name_outside_out_exits_3(tmp_path, capsys, name):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"report": {}, "curves": {name: [["a"], [[1]]]}}))
+    out = tmp_path / "work" / "out"
+    assert cli.main(["report", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("data error: report table name")
+    assert sorted(tmp_path.rglob("*")) == [path]  # nothing created, in out/ or beside it
+
+
+def test_cli_import_leaves_out_scipy_stats_and_linalg():
+    probe = ("import sys, calcheck.cli; "
+             "print(sorted(m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_cli_unwritable_out_exits_2(tmp_path, capsys):
     path, _ = weather_file(tmp_path, seed=5)
     saved = tmp_path / "saved.json"

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
+from calcheck import hyptest
 from calcheck.errors import ConfigError
 from calcheck.metric import CoverageCurve, LevelGrid, PitSample
 from calcheck.hyptest import (
@@ -50,6 +52,18 @@ def oracle_upper_quantile(n, p, a):
 # ---------------------------------------------------------------------------
 # Binomial quantiles and p-values
 # ---------------------------------------------------------------------------
+
+def test_binom_adapter_matches_scipy_stats_bit_for_bit():
+    rng = np.random.default_rng(20260)
+    for _ in range(500):
+        n = int(rng.integers(1, 50_001))
+        p, q = rng.uniform(0.0, 1.0, 2)
+        for k in (-1, 0, n - 1, n, int(rng.integers(-1, n + 2)), rng.uniform(-1, n + 1)):
+            assert hyptest._binom.cdf(k, n, p) == binom.cdf(k, n, p), (k, n, p)
+            assert hyptest._binom.sf(k, n, p) == binom.sf(k, n, p), (k, n, p)
+        assert hyptest._binom.ppf(q, n, p) == binom.ppf(q, n, p), (q, n, p)
+        assert hyptest._binom.isf(q, n, p) == binom.isf(q, n, p), (q, n, p)
+
 
 def test_lower_quantile_tiny_cases():
     # n=1, p=0.5: P(C<=0)=0.5 < 0.6, P(C<=1)=1 >= 0.6
