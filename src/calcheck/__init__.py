@@ -29,11 +29,8 @@ from .hyptest import (
     HypothesisSpec,
     TestReport,
     binom_lower_quantile,
-    binom_p_value,
     binom_test,
-    bonferroni,
     coverage_binomial_report,
-    holm,
     ks_critical,
     ks_p_value,
     ks_statistic,
@@ -45,7 +42,6 @@ from .metric import (
     PitSample,
     VarianceBins,
     coverage_counts,
-    ecdf_eval,
     fold,
     halfplane_coverage,
     pit,
@@ -56,8 +52,6 @@ from .records import GaussianBatch, MvGaussianBatch, ParticleBatch, RecordBatch
 from .seqtest import (
     EValueConfig,
     MartingaleState,
-    average_evalues,
-    lr_evalue,
     monitor_step_gaussian,
     monitor_step_halfplane,
 )

@@ -7,7 +7,9 @@ per line, so monitors can stream and tests can diff; a file's records are
 read into one batch of their family (:mod:`calcheck.records`), a stream
 into one-record batches.  Exit codes are scriptable safety gates: 0
 accept/clean, 1 reject/alarm, 2 usage or configuration error, 3 data error,
-and 141 (128 + SIGPIPE) when the reader of stdout goes away.
+and 141 (128 + SIGPIPE) when the reader of stdout goes away.  ``report``
+prints the summary block the saved run printed and exits as it did: 1 for a
+reject, 3 for an incomplete monitor, 0 for an accept or a simulation summary.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from .errors import CalcheckError, ConfigError, DataError
 from .hyptest import (
     ONE_SIDED,
     TWO_SIDED,
+    BinomLevelResult,
     HypothesisSpec,
     TestReport,
     coverage_binomial_report,
-    ks_critical,
     ks_test,
 )
 from .metric import (
@@ -630,41 +632,41 @@ def _write_outputs(run: RunReport, out_dir: str | Path | None) -> None:
         (Path(out_dir) / "report.json").write_text(run.to_json() + "\n")
 
 
-def _render_summary(run: RunReport) -> str:
-    rep = run.report
-    lines = []
-    if isinstance(rep, TestReport):
-        lines.append(f"decision: {rep.decision}")
-        lines.append(
-            f"test: {rep.recipe_config.get('test', '?')}  statistic: {rep.statistic!r}  "
-            f"threshold: {rep.threshold!r}  alpha: {rep.alpha!r}"
-        )
-        if rep.p_value is not None:
-            lines.append(f"p_value: {rep.p_value!r}")
-        if rep.per_level:
-            lines.append("level count n lower upper p_value reject")
-            for row in rep.per_level:
-                lines.append(
-                    f"{row.level:g} {row.count} {row.n} {row.lower_bound} "
-                    f"{row.upper_bound} {row.p_value:.6g} {int(row.reject)}"
-                )
-        for key in ("t", "first_crossing", "final_e", "incomplete", "bin_decisions"):
-            if key in rep.recipe_config:
-                lines.append(f"{key}: {rep.recipe_config[key]}")
-    else:
-        lines.append("simulation summary:")
-        for key, value in rep.items():
-            lines.append(f"  {key}: {value}")
+def _render_summary(rep: dict) -> str:
+    """The summary block of a run's report in the JSON shape ``report.json``
+    holds it in, so a live run and ``report`` on its saved report print the
+    same lines; a report without a decision is a simulation summary."""
+    if "decision" not in rep:
+        return "\n".join(["simulation summary:",
+                          *(f"  {key}: {value}" for key, value in rep.items())])
+    cfg = rep.get("recipe_config") or {}
+    lines = [
+        f"decision: {rep['decision']}",
+        f"test: {cfg.get('test', '?')}  statistic: {rep.get('statistic')!r}  "
+        f"threshold: {rep.get('threshold')!r}  alpha: {rep.get('alpha')!r}",
+    ]
+    if rep.get("p_value") is not None:
+        lines.append(f"p_value: {rep['p_value']!r}")
+    if rep.get("per_level"):
+        lines.append("level count n lower upper p_value reject")
+        for row in rep["per_level"]:
+            lines.append(
+                f"{row['level']:g} {row['count']} {row['n']} {row['lower_bound']} "
+                f"{row['upper_bound']} {row['p_value']:.6g} {int(row['reject'])}"
+            )
+    for key in ("t", "first_crossing", "final_e", "incomplete", "bin_decisions"):
+        if key in cfg:
+            lines.append(f"{key}: {cfg[key]}")
     return "\n".join(lines)
 
 
-def _report_exit_code(run: RunReport) -> int:
-    rep = run.report
-    if isinstance(rep, TestReport):
-        if rep.recipe_config.get("incomplete"):
-            return EXIT_DATA
-        return EXIT_REJECT if rep.rejected else EXIT_ACCEPT
-    return EXIT_ACCEPT
+def _report_exit_code(rep: dict) -> int:
+    """The exit code of a report in its JSON shape, live or saved."""
+    if "decision" not in rep:
+        return EXIT_ACCEPT
+    if (rep.get("recipe_config") or {}).get("incomplete"):
+        return EXIT_DATA
+    return EXIT_REJECT if rep["decision"] == "reject" else EXIT_ACCEPT
 
 
 # ---------------------------------------------------------------------------
@@ -810,9 +812,10 @@ def _recipe_from_args(args, file_cfg: dict, model: str, testing: str | None) -> 
 
 
 def _finish(run: RunReport, out_dir: str | None) -> int:
-    print(_render_summary(run))
+    rep = dataclasses.asdict(run.report)  # the shape report.json saves, as `report` reads it
+    print(_render_summary(rep))
     _write_outputs(run, out_dir)
-    return _report_exit_code(run)
+    return _report_exit_code(rep)
 
 
 def _print_row(t: int, e: float, alarmed: bool) -> None:
@@ -853,10 +856,19 @@ def _sim_config(cls, file_cfg: dict, seed: int):
         raise ConfigError(f"bad {cls.__name__}: {exc}") from None
 
 
+def _positive_integer(value) -> int:
+    count = _integer(value)
+    if count < 1:
+        raise ValueError("must be >= 1")
+    return count
+
+
 def _multipliers(value) -> tuple:
     multipliers = tuple(value)
     for m in multipliers:
-        float(m)  # fail here on a malformed entry, not inside the sweep
+        # fail here on a malformed entry, before the output directory is made
+        if not float(m) >= 0.0:
+            raise ValueError("drift multipliers must be >= 0")
     return multipliers
 
 
@@ -872,19 +884,20 @@ def _cmd_simulate(args) -> int:
             "drift_sweep", sim_config, out,
             monitor=_evalue_config(args, file_cfg, alpha),
             multipliers=_resolve(args, file_cfg, "multipliers", _multipliers, (0.5, 1.0, 2.0)),
-            n_seeds=_resolve(args, file_cfg, "n_seeds", _integer, 20),
+            n_seeds=_resolve(args, file_cfg, "n_seeds", _positive_integer, 20),
         )
     else:
         run = run_simulate(args.kind, sim_config, out)
-    print(_render_summary(run))
+    print(_render_summary(run.report))
     return EXIT_ACCEPT
 
 
 def _saved_report_parts(data) -> tuple[dict, dict, dict]:
     """The ``report``, ``provenance`` and ``curves`` objects of a saved run
     report, each ``{}`` when absent or null; any other shape is bad data, and
-    so is a table name that is not a plain file name, since ``--out`` writes
-    each table to ``<name>.csv``."""
+    so are a ``recipe_config`` or ``per_level`` rows the summary cannot
+    render, and a table name that is not a plain file name, since ``--out``
+    writes each table to ``<name>.csv``."""
     if not isinstance(data, dict):
         raise DataError("report must be a JSON object")
     parts = {key: {} if data.get(key) is None else data[key]
@@ -892,6 +905,15 @@ def _saved_report_parts(data) -> tuple[dict, dict, dict]:
     for key, part in parts.items():
         if not isinstance(part, dict):
             raise DataError(f"report field {key!r} must be an object")
+    rep = parts["report"]
+    if not isinstance(rep.get("recipe_config") or {}, dict):
+        raise DataError("report field 'recipe_config' must be an object")
+    rows = rep.get("per_level") or []
+    if not (isinstance(rows, list) and all(
+            isinstance(row, dict) and all(isinstance(row.get(f.name), (int, float))
+                                          for f in dataclasses.fields(BinomLevelResult))
+            for row in rows)):
+        raise DataError("report field 'per_level' must be a list of level rows")
     for name, table in parts["curves"].items():
         if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
             raise DataError(f"report table name {name!r} is not a plain file name")
@@ -910,23 +932,13 @@ def _cmd_report(args) -> int:
     except json.JSONDecodeError as exc:
         raise DataError(f"report is not valid JSON: {exc.msg}") from None
     rep, prov, curves = _saved_report_parts(data)
-    lines = []
-    if "decision" in rep:
-        lines.append(f"decision: {rep['decision']}")
-        for key in ("statistic", "threshold", "alpha", "p_value"):
-            if rep.get(key) is not None:
-                lines.append(f"{key}: {rep[key]!r}")
-    else:
-        lines.append("simulation summary:")
-        for key, value in rep.items():
-            lines.append(f"  {key}: {value}")
+    print(_render_summary(rep))
     if prov:
-        lines.append(f"input_digest: {prov.get('input_digest', '?')}")
-        lines.append(f"tool_version: {prov.get('tool_version', '?')}")
-    print("\n".join(lines))
+        print(f"input_digest: {prov.get('input_digest', '?')}")
+        print(f"tool_version: {prov.get('tool_version', '?')}")
     if args.out:
         _write_csvs(curves, args.out)
-    return EXIT_ACCEPT
+    return _report_exit_code(rep)
 
 
 def main(argv=None) -> int:

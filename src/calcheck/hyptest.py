@@ -37,11 +37,8 @@ __all__ = [
     "TestReport",
     "binom_lower_quantile",
     "binom_upper_quantile",
-    "binom_p_value",
     "binom_directional_p",
     "binom_test",
-    "bonferroni",
-    "holm",
     "coverage_binomial_report",
     "ks_statistic",
     "ks_critical",
@@ -185,13 +182,6 @@ def binom_upper_quantile(n: int, p: float, a: float) -> int:
     return c
 
 
-def binom_p_value(count: int, n: int, level: float) -> float:
-    """Exact lower-tail p-value: P(C <= count) for C ~ Binomial(n, level)."""
-    if not 0 <= count <= n:
-        raise ValueError(f"count must lie in [0, {n}], got {count}")
-    return float(_binom.cdf(count, n, level))
-
-
 def binom_directional_p(count: int, n: int, level: float, spec: HypothesisSpec) -> float:
     """Decision p-value at the (tolerance-shifted) null.
 
@@ -258,25 +248,6 @@ def binom_test(
 # multiplicity corrections
 # ---------------------------------------------------------------------------
 
-def bonferroni(p_values, alpha: float) -> TestReport:
-    """Reject when any p-value falls below ``alpha / K``."""
-    ps = np.asarray(p_values, dtype=float)
-    if ps.size == 0:
-        raise ValueError("need at least one p-value")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    threshold = alpha / ps.size
-    p_min = float(ps.min())
-    return TestReport(
-        decision=_decision(p_min < threshold),
-        statistic=p_min,
-        threshold=threshold,
-        alpha=alpha,
-        p_value=p_min,
-        recipe_config={"test": "bonferroni", "k": int(ps.size)},
-    )
-
-
 def _holm_mask(ps: np.ndarray, alpha: float) -> np.ndarray:
     """Boolean rejection mask of the step-down procedure, original order."""
     k = ps.size
@@ -288,30 +259,6 @@ def _holm_mask(ps: np.ndarray, alpha: float) -> np.ndarray:
         else:
             break
     return mask
-
-
-def holm(p_values, alpha: float) -> TestReport:
-    """Holm step-down correction; rejects whenever Bonferroni does."""
-    ps = np.asarray(p_values, dtype=float)
-    if ps.size == 0:
-        raise ValueError("need at least one p-value")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    mask = _holm_mask(ps, alpha)
-    p_min = float(ps.min())
-    return TestReport(
-        decision=_decision(bool(mask.any())),
-        statistic=p_min,
-        threshold=alpha / ps.size,
-        alpha=alpha,
-        p_value=p_min,
-        recipe_config={
-            "test": "holm",
-            "k": int(ps.size),
-            "n_rejected": int(mask.sum()),
-            "rejected_indices": [int(i) for i in np.flatnonzero(mask)],
-        },
-    )
 
 
 def coverage_binomial_report(

@@ -2,11 +2,10 @@
 
 Transforms a record batch (:mod:`calcheck.records`) into the quantities the
 hypothesis tests consume: coverage counts over a level grid, PIT samples
-(raw and folded), ECDF evaluations, variance bins for conditional checks,
-and half-plane coverage indicators for particle clouds, whose centered
-projected intervals come from :func:`weighted_quantile`.  What differs by
-prediction family comes from the batch; the statistics here are the same
-for every family.
+(raw and folded), variance bins for conditional checks, and half-plane
+coverage indicators for particle clouds, whose centered projected intervals
+come from :func:`weighted_quantile`.  What differs by prediction family
+comes from the batch; the statistics here are the same for every family.
 
 The coverage path for scalar predictions is implemented through the folded
 PIT: the outcome lies in the centered level-``lambda`` interval exactly when
@@ -30,7 +29,6 @@ __all__ = [
     "coverage_counts",
     "pit",
     "fold",
-    "ecdf_eval",
     "variance_bin",
     "weighted_quantile",
     "halfplane_indicator",
@@ -162,13 +160,6 @@ def fold(sample: PitSample) -> PitSample:
     if sample.folded:
         raise ValueError("sample is already folded")
     return PitSample(values=np.abs(2.0 * sample.values - 1.0), folded=True)
-
-
-def ecdf_eval(sample: PitSample, t: float) -> float:
-    """Empirical CDF of the sample at ``t`` (weak inequality at ties)."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    return float(np.mean(sample.values <= t))
 
 
 # ---------------------------------------------------------------------------

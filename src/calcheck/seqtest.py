@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtr
 
 from .errors import ConfigError
 from .metric import halfplane_indicator
@@ -25,9 +25,6 @@ from .metric import halfplane_indicator
 __all__ = [
     "EValueConfig",
     "MartingaleState",
-    "lr_evalue",
-    "average_evalues",
-    "gaussian_interval",
     "monitor_step_gaussian",
     "monitor_step_halfplane",
 ]
@@ -93,46 +90,13 @@ class MartingaleState:
         )
 
 
-def lr_evalue(k: int, config: EValueConfig) -> float:
-    """Single-observation likelihood ratio for a coverage indicator.
-
-    ``(p_alt/level)^k * ((1-p_alt)/(1-level))^(1-k)``; its null expectation
-    is exactly 1 for every valid configuration.
-    """
-    if k not in (0, 1):
-        raise ValueError(f"indicator must be 0 or 1, got {k}")
-    if k:
-        return config.p_alt / config.level
-    return (1.0 - config.p_alt) / (1.0 - config.level)
-
-
 def _log_lr(k: int, config: EValueConfig) -> float:
+    """Log of the likelihood-ratio e-value of one coverage indicator ``k``,
+    ``(p_alt/level)^k * ((1-p_alt)/(1-level))^(1-k)``, whose null
+    expectation is exactly 1 for every valid configuration."""
     if k:
         return math.log(config.p_alt) - math.log(config.level)
     return math.log1p(-config.p_alt) - math.log1p(-config.level)
-
-
-def average_evalues(es) -> float:
-    """Arithmetic mean of e-values, itself a valid e-value regardless of
-    dependence between the inputs."""
-    arr = np.asarray(es, dtype=float)
-    if arr.size == 0:
-        raise ValueError("need at least one e-value")
-    if np.any(arr < 0.0):
-        raise ValueError("e-values must be nonnegative")
-    return float(arr.mean())
-
-
-def gaussian_interval(mu: float, sigma: float, level: float) -> tuple[float, float]:
-    """Centered interval of ``N(mu, sigma^2)`` carrying probability mass ``level``.
-
-    Returns the ``(1-level)/2`` and ``(1+level)/2`` quantiles, the interval
-    placed symmetrically (in probability) around the median.
-    """
-    if not (0.0 < level < 1.0 and sigma > 0.0):
-        raise ValueError(f"need 0 < level < 1 and sigma > 0, got {level} and {sigma}")
-    return (float(mu + sigma * ndtri((1.0 - level) / 2.0)),
-            float(mu + sigma * ndtri((1.0 + level) / 2.0)))
 
 
 def monitor_step_gaussian(
@@ -144,16 +108,16 @@ def monitor_step_gaussian(
 ) -> MartingaleState:
     """One step of the scalar-Gaussian coverage monitor.
 
-    Forms the centered interval of ``N(mu, sigma^2)`` at the configured
-    level, scores the coverage indicator (weak inequalities at the
-    endpoints), and multiplies the running martingale by the
-    likelihood-ratio e-value of that indicator.
+    Scores whether ``y`` falls in the centered level interval of
+    ``N(mu, sigma^2)`` through its folded PIT ``|2 Phi(z) - 1| <= level``,
+    the operations :func:`calcheck.metric.coverage_counts` applies to a
+    batch, and multiplies the running martingale by the likelihood-ratio
+    e-value of that indicator.
     """
     y = float(y)
     if not math.isfinite(y):
         raise ValueError("outcome must be finite")
-    lo, hi = gaussian_interval(mu, sigma, config.level)
-    k = 1 if lo <= y <= hi else 0
+    k = 1 if abs(2.0 * ndtr((y - mu) / sigma) - 1.0) <= config.level else 0
     return state.advanced(_log_lr(k, config), config)
 
 

@@ -307,6 +307,9 @@ def test_cli_data_error_exit_3(tmp_path):
     {"report": {}, "curves": {"coverage": [1]}},
     {"report": {}, "curves": {"coverage": [["level", 2], []]}},
     {"report": {}, "curves": {"coverage": [["level"], [0.5]]}},
+    {"report": {"decision": "accept", "recipe_config": [1]}},
+    {"report": {"decision": "accept", "per_level": {"level": 0.5}}},
+    {"report": {"decision": "accept", "per_level": [{"level": 0.5, "count": 3}]}},
 ])
 def test_cli_report_of_wrong_shape_exits_3(tmp_path, capsys, saved):
     path = tmp_path / "report.json"
@@ -323,6 +326,29 @@ def test_cli_report_table_name_outside_out_exits_3(tmp_path, capsys, name):
     assert cli.main(["report", str(path), "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("data error: report table name")
     assert sorted(tmp_path.rglob("*")) == [path]  # nothing created, in out/ or beside it
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", "{weather}"], 0),
+    (["check", "{biased}", "--bins", "2"], 1),
+    (["monitor", "{weather}"], 0),
+    (["monitor", "{cut}"], 3),
+])
+def test_cli_report_prints_and_exits_as_the_run_that_saved_it(tmp_path, capsys, argv, code):
+    weather, _ = weather_file(tmp_path, seed=5)
+    (tmp_path / "b").mkdir()
+    biased, _ = weather_file(tmp_path / "b", seed=5, injected_mean_bias=2.5)
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text(weather.read_text() + "not json\n")  # the stream dies: incomplete
+    fill = {"weather": weather, "biased": biased, "cut": cut}
+    out = tmp_path / "out"
+    assert cli.main([a.format(**fill) for a in argv] + ["--out", str(out)]) == code
+    live = capsys.readouterr().out.splitlines()
+    assert cli.main(["report", str(out / "report.json")]) == code
+    saved = capsys.readouterr().out.splitlines()
+    assert saved[-2].startswith("input_digest: ") and saved[-1].startswith("tool_version: ")
+    block = saved[:-2]
+    assert block[0].startswith("decision: ") and live[-len(block):] == block
 
 
 def test_cli_import_leaves_out_scipy_stats_and_linalg():
@@ -470,6 +496,11 @@ def test_cli_check_monitor_slot_swap(tmp_path):
         (["check", "{weather}", "--tolerance", "0.1", "--sided", "one"], {}, 2),
         (["check", "{weather}"], {"tolerance": 0.1, "levels": [0.5, 0.95]}, 2),
         (["check", "{weather}"], {"tolerance": 0.1, "levels": [0.5, 0.95], "sided": "one"}, 0),
+        # a drift sweep needs a seed and no negative drift
+        (["simulate", "drift_sweep", "--out", "{out}"],
+         {"n_seeds": 0, "n_steps": 5, "n_particles": 20}, 2),
+        (["simulate", "drift_sweep", "--out", "{out}"],
+         {"n_seeds": 1, "n_steps": 5, "n_particles": 20, "multipliers": [1.0, -0.5]}, 2),
     ],
 )
 def test_cli_config_values_resolve_alike(tmp_path, capsys, argv, file_cfg, code):
@@ -482,6 +513,7 @@ def test_cli_config_values_resolve_alike(tmp_path, capsys, argv, file_cfg, code)
     assert got == code
     if code == 2:
         assert err.startswith("config error:")
+        assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ GOLDEN = {
     },
     "report_rerender": {
         "exit": 0,
-        "stdout": "8a762771ea208e010c7056092f5d5fbce31f3d6f75094b2833064b33ef79d0f7",
+        "stdout": "ed1350cffa84d8ea7452c9ae4e015d7c51189429eced124c6825ba6cbae97d76",
         "coverage_bin0.csv": "a04ccc6b636cab2c6966987a9617ba519309a7081b13af91f528857be4766189",
         "coverage_bin1.csv": "15186196561871d0e20e5e6d55993f0d5761e8797df1ba2d7377abd8d3646e36",
         "coverage_bin2.csv": "346a92ca1288e137a4c242394f611186e4751ddb7cac5290d16cafa0a929327e",

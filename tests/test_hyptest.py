@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from calcheck import hyptest
@@ -11,13 +13,12 @@ from calcheck.hyptest import (
     ONE_SIDED,
     TWO_SIDED,
     HypothesisSpec,
+    _holm_mask,
+    binom_directional_p,
     binom_lower_quantile,
-    binom_p_value,
     binom_test,
     binom_upper_quantile,
-    bonferroni,
     coverage_binomial_report,
-    holm,
     ks_critical,
     ks_p_value,
     ks_statistic,
@@ -83,12 +84,14 @@ def test_quantiles_match_pmf_summation_oracle():
 
 
 def test_p_value_exact_values():
-    assert binom_p_value(7, 7, 0.3) == 1.0
-    assert binom_p_value(0, 1, 0.5) == pytest.approx(0.5, rel=1e-12)
-    assert binom_p_value(40, 100, 0.5) == pytest.approx(
-        cdf_sum(40, 100, 0.5), rel=1e-10
-    )
-    assert binom_p_value(40, 100, 0.5) == pytest.approx(0.0284, abs=2e-4)
+    # the one-sided decision p-value is the exact lower tail P(C <= count)
+    def lower_tail(count, n, level):
+        return binom_directional_p(count, n, level, HypothesisSpec(ONE_SIDED))
+
+    assert lower_tail(7, 7, 0.3) == 1.0
+    assert lower_tail(0, 1, 0.5) == pytest.approx(0.5, rel=1e-12)
+    assert lower_tail(40, 100, 0.5) == pytest.approx(cdf_sum(40, 100, 0.5), rel=1e-10)
+    assert lower_tail(40, 100, 0.5) == pytest.approx(0.0284, abs=2e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -173,32 +176,48 @@ def test_tolerance_monotonicity_never_flips_accept_to_reject():
 # ---------------------------------------------------------------------------
 
 def test_bonferroni_threshold_and_decisions():
-    rep = bonferroni([1.0] * 10, 0.05)
+    grid = LevelGrid.default()
+    calibrated = CoverageCurve(levels=grid, counts=np.rint(grid.levels * 1000), n=1000)
+    rep = coverage_binomial_report(calibrated, HypothesisSpec(), 0.05, "bonferroni")
     assert rep.threshold == pytest.approx(0.005)
     assert rep.decision == "accept"
-    rep = bonferroni([0.004] + [0.9] * 9, 0.05)
+    short = CoverageCurve(levels=grid, counts=[50, 150, 250, 350, 450, 550, 650, 750, 850, 900],
+                          n=1000)
+    rep = coverage_binomial_report(short, HypothesisSpec(), 0.05, "bonferroni")
     assert rep.decision == "reject"
+    assert [r.reject for r in rep.per_level] == [False] * 9 + [True]
 
 
 def test_holm_hand_stepdown():
-    rep = holm([0.010, 0.026, 0.9], 0.05)
-    assert rep.decision == "reject"
-    assert rep.recipe_config["n_rejected"] == 1
-    assert rep.recipe_config["rejected_indices"] == [0]
+    assert _holm_mask(np.array([0.010, 0.026, 0.9]), 0.05).tolist() == [True, False, False]
+    assert _holm_mask(np.array([0.9, 0.010, 0.02]), 0.05).tolist() == [False, True, True]
 
 
 def test_holm_single_p_equals_plain_test():
-    assert holm([0.04], 0.05).decision == "reject"
-    assert holm([0.06], 0.05).decision == "accept"
+    assert _holm_mask(np.array([0.04]), 0.05).tolist() == [True]
+    assert _holm_mask(np.array([0.06]), 0.05).tolist() == [False]
 
 
-def test_holm_dominates_bonferroni():
-    rng = np.random.default_rng(5)
-    for _ in range(1000):
-        k = int(rng.integers(1, 12))
-        ps = rng.uniform(size=k) ** rng.uniform(0.5, 3.0)
-        if bonferroni(ps, 0.05).decision == "reject":
-            assert holm(ps, 0.05).decision == "reject"
+@st.composite
+def coverage_curves(draw):
+    grid = LevelGrid.default()
+    n = draw(st.integers(1, 2000))
+    counts = sorted(draw(st.lists(st.integers(0, n), min_size=grid.k, max_size=grid.k)))
+    return CoverageCurve(levels=grid, counts=counts, n=n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coverage_curves(), st.sampled_from([TWO_SIDED, ONE_SIDED]), st.sampled_from([0.0, 0.02]))
+def test_holm_dominates_bonferroni(curve, sidedness, tolerance):
+    # Holm tests each level at alpha / (k - step) >= alpha / k, and the
+    # accepted-count bounds narrow as the per-level alpha grows
+    spec = HypothesisSpec(sidedness, tolerance)
+    bonf = coverage_binomial_report(curve, spec, 0.05, "bonferroni")
+    holm = coverage_binomial_report(curve, spec, 0.05, "holm")
+    for b, h in zip(bonf.per_level, holm.per_level, strict=True):
+        assert b.lower_bound <= h.lower_bound and h.upper_bound <= b.upper_bound
+        assert h.reject or not b.reject
+    assert holm.rejected or not bonf.rejected
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from calcheck.metric import (
     LevelGrid,
     PitSample,
     coverage_counts,
-    ecdf_eval,
     fold,
     halfplane_coverage,
     pit,
@@ -92,14 +91,6 @@ def test_fold_preserves_uniformity():
     assert passes >= 98
 
 
-def test_ecdf_eval():
-    s = PitSample(values=[0.1, 0.5, 0.9])
-    assert ecdf_eval(s, 1.0) == 1.0
-    assert ecdf_eval(s, 0.5) == pytest.approx(2.0 / 3.0)
-    with pytest.raises(ValueError):
-        ecdf_eval(s, 1.5)
-
-
 # ---------------------------------------------------------------------------
 # coverage counts
 # ---------------------------------------------------------------------------
@@ -128,7 +119,7 @@ def test_coverage_matches_folded_ecdf_bit_for_bit():
         curve = coverage_counts(recs, grid)
         folded = fold(pit(recs))
         for k, lam in enumerate(grid.levels):
-            assert curve.counts[k] / curve.n == ecdf_eval(folded, lam)
+            assert curve.counts[k] / curve.n == np.mean(folded.values <= lam)
 
 
 def test_coverage_calibrated_monte_carlo():

@@ -2,16 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scipy.special import ndtr
-
+from calcheck.cli import RecipeConfig, run_monitor
 from calcheck.errors import ConfigError
+from calcheck.metric import LevelGrid, coverage_counts
+from calcheck.records import GaussianBatch
 from calcheck.seqtest import (
     EValueConfig,
     MartingaleState,
-    average_evalues,
-    gaussian_interval,
-    lr_evalue,
+    _log_lr,
     monitor_step_gaussian,
     monitor_step_halfplane,
 )
@@ -21,34 +22,50 @@ CFG = EValueConfig(level=0.9, p_alt=0.8, alpha=0.05)
 
 
 # ---------------------------------------------------------------------------
-# Gaussian centered intervals
+# the Gaussian monitor's centered intervals
 # ---------------------------------------------------------------------------
 
+def hit(mu, sigma, y, config) -> bool:
+    """Whether one monitor step scored ``y`` inside the centered interval."""
+    state = monitor_step_gaussian(MartingaleState(), mu, sigma, y, config)
+    assert state.log_e in (_log_lr(1, config), _log_lr(0, config))
+    return state.log_e == _log_lr(1, config)
+
+
 def test_gaussian_interval_standard_normal_68():
-    lo, hi = gaussian_interval(0.0, 1.0, 0.6827)
-    assert lo == pytest.approx(-1.0, abs=5e-4)
-    assert hi == pytest.approx(1.0, abs=5e-4)
+    # the centered 68.27% interval is mu -/+ sigma
+    cfg = EValueConfig(level=0.6827, p_alt=0.5, alpha=0.05)
+    for mu, sigma in ((0.0, 1.0), (5.0, 2.0)):
+        for z, inside in ((0.999, True), (-0.999, True), (1.001, False), (-1.001, False)):
+            assert hit(mu, sigma, mu + z * sigma, cfg) == inside
 
 
 def test_gaussian_interval_collapses_to_median():
-    lo, hi = gaussian_interval(5.0, 2.0, 1e-12)
-    assert lo == pytest.approx(5.0, abs=1e-5)
-    assert hi == pytest.approx(5.0, abs=1e-5)
+    cfg = EValueConfig(level=1e-12, p_alt=5e-13, alpha=0.05)
+    assert hit(5.0, 2.0, 5.0, cfg)
+    assert not hit(5.0, 2.0, 5.0 + 1e-5, cfg)
+    assert not hit(5.0, 2.0, 5.0 - 1e-5, cfg)
 
 
-def test_gaussian_interval_mass_matches_level():
-    for mu, sigma in ((0.0, 1.0), (1.0, 2.0), (-3.0, 0.1)):
-        for level in (0.1, 0.5, 0.6827, 0.95):
-            lo, hi = gaussian_interval(mu, sigma, level)
-            mass = ndtr((hi - mu) / sigma) - ndtr((lo - mu) / sigma)
-            assert mass == pytest.approx(level, abs=1e-12)
-            assert (lo + hi) / 2.0 == pytest.approx(mu, abs=1e-12)
+moderate = st.floats(min_value=-1e6, max_value=1e6)
 
 
-def test_gaussian_interval_rejects_bad_level_and_sigma():
-    for level, sigma in ((0.0, 1.0), (1.0, 1.0), (0.5, 0.0), (0.5, -1.0)):
-        with pytest.raises(ValueError):
-            gaussian_interval(0.0, sigma, level)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gaussian_monitor_hits_equal_coverage_counts(data):
+    # the streaming monitor and the offline coverage count score the same
+    # records alike, bit for bit, at any level
+    n = data.draw(st.integers(1, 40))
+    mu = np.array(data.draw(st.lists(moderate, min_size=n, max_size=n)))
+    sigma = np.array(data.draw(st.lists(st.floats(1e-6, 1e6), min_size=n, max_size=n)))
+    z = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    batch = GaussianBatch(mu, sigma, mu + z * sigma)
+    level = data.draw(st.floats(0.001, 0.999))
+    config = RecipeConfig(testing="evalue_monitor", evalue=EValueConfig(level, level / 2, 0.05))
+    # a hit halves the e-value and a miss raises it
+    e = [1.0] + [row[1] for row in run_monitor(config, [batch]).curves["etrace"][1]]
+    hits = sum(after < before for before, after in zip(e, e[1:]))
+    assert hits == coverage_counts(batch, LevelGrid([level])).counts[0]
 
 
 def test_config_validation():
@@ -58,6 +75,10 @@ def test_config_validation():
         EValueConfig(level=0.9, p_alt=0.0, alpha=0.05)
     with pytest.raises(ConfigError):
         EValueConfig(level=1.0, p_alt=0.5, alpha=0.05)
+
+
+def lr_evalue(k: int, config: EValueConfig) -> float:
+    return math.exp(_log_lr(k, config))
 
 
 def test_lr_evalue_plain_arithmetic():
@@ -76,29 +97,6 @@ def test_lr_evalue_null_mean_exactly_one():
             cfg = EValueConfig(level=float(lam), p_alt=float(p_alt), alpha=0.05)
             mean = lam * lr_evalue(1, cfg) + (1 - lam) * lr_evalue(0, cfg)
             assert mean == pytest.approx(1.0, abs=1e-12)
-
-
-def test_average_evalues():
-    assert average_evalues([1.0, 1.0, 1.0]) == 1.0
-    assert average_evalues([2.0, 0.0]) == 1.0
-    with pytest.raises(ValueError):
-        average_evalues([])
-    with pytest.raises(ValueError):
-        average_evalues([-0.1, 1.0])
-
-
-def test_average_preserves_null_mean_monte_carlo():
-    rng = np.random.default_rng(10)
-    draws = 10_000
-    k = 5
-    # dependent e-values: same indicator stream scored at different p_alt
-    configs = [EValueConfig(0.9, p, 0.05) for p in (0.5, 0.6, 0.7, 0.8, 0.85)]
-    means = np.empty(draws)
-    for i in range(draws):
-        ind = rng.random() < 0.9
-        means[i] = average_evalues([lr_evalue(int(ind), c) for c in configs])
-    se = means.std(ddof=1) / math.sqrt(draws)
-    assert means.mean() <= 1.0 + 3.0 * se
 
 
 def test_gaussian_monitor_all_hits_never_alarms():

@@ -1,0 +1,76 @@
+"""Import hygiene of the package source, read statically with ``ast``: each
+module uses every name it imports, and every name in an ``__all__`` or
+imported from a sibling module is defined there.  A deleted function whose
+import or export was left behind fails here, not at a user's import."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "calcheck"
+TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def imports(tree):
+    """(bound name, sibling module or None, imported name) of every import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                yield bound, None, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            sibling = None
+            if node.level:  # relative: `from .records import X`, `from . import X`
+                sibling = node.module or "__init__"
+            for alias in node.names:
+                yield alias.asname or alias.name, sibling, alias.name
+
+
+def exported(tree) -> list[str]:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def defined(tree) -> set[str]:
+    """Names bound at module level, also inside top-level if/try blocks."""
+    names = set()
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(bound for bound, _, _ in imports(node))
+        elif isinstance(node, (ast.If, ast.Try)):
+            stack.extend(node.body + node.orelse + getattr(node, "finalbody", []))
+            for handler in getattr(node, "handlers", []):
+                stack.extend(handler.body)
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(set(TREES) - {"__init__"}))
+def test_every_imported_name_is_used(module):
+    # the package __init__ imports only to re-export
+    tree = TREES[module]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used.update(exported(tree))
+    unused = sorted({bound for bound, _, _ in imports(tree)} - used)
+    assert not unused, f"calcheck/{module}.py imports but never uses {unused}"
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_exported_and_sibling_imported_names_resolve(module):
+    tree = TREES[module]
+    missing = [f"__all__ entry {name!r}" for name in exported(tree)
+               if name not in defined(tree)]
+    missing += [f"{name!r} from calcheck/{sibling}.py"
+                for _, sibling, name in imports(tree)
+                if sibling is not None and name not in defined(TREES[sibling])]
+    assert not missing, f"calcheck/{module}.py names what does not exist: {missing}"
