@@ -3,13 +3,15 @@
 Subcommands: ``check`` (offline batch decision), ``monitor`` (streaming
 e-value monitor), ``simulate`` (generate experiment data), ``report``
 (re-render a saved run report).  Records travel as JSON lines, one record
-per line, so monitors can stream and tests can diff; a file's records are
-read into one batch of their family (:mod:`calcheck.records`), a stream
-into one-record batches.  Exit codes are scriptable safety gates: 0
-accept/clean, 1 reject/alarm, 2 usage or configuration error, 3 data error,
-and 141 (128 + SIGPIPE) when the reader of stdout goes away.  ``report``
-prints the summary block the saved run printed and exits as it did: 1 for a
-reject, 3 for an incomplete monitor, 0 for an accept or a simulation summary.
+per line, so monitors can stream and tests can diff.  Input is read in
+blocks, and each block's complete lines become one batch of their family
+(:mod:`calcheck.records`); ``check`` joins a file's blocks into one batch,
+``monitor`` steps through each block's records as it arrives.  Exit codes
+are scriptable safety gates: 0 accept/clean, 1 reject/alarm, 2 usage or
+configuration error, 3 data error, and 141 (128 + SIGPIPE) when the reader
+of stdout goes away.  ``report`` prints the summary block the saved run
+printed and exits as it did: 1 for a reject, 3 for an incomplete monitor, 0
+for an accept or a simulation summary.
 """
 
 from __future__ import annotations
@@ -89,6 +91,8 @@ EXIT_REJECT = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
+
+BLOCK = 1 << 16  # bytes asked of each read of a record input
 
 
 # ---------------------------------------------------------------------------
@@ -236,19 +240,22 @@ def _provenance(config: RecipeConfig | dict, digest: hashlib._Hash) -> dict:
 # ---------------------------------------------------------------------------
 
 class RecordSource:
-    """A JSON-lines record file, or stdin for ``'-'``, read once in binary mode.
+    """A JSON-lines record file, or stdin for ``'-'``, read once in binary mode
+    in blocks of at most ``BLOCK`` bytes.
 
-    Every line read is fed to ``sha256``, so once the records are parsed it
-    digests exactly the bytes consumed.  ``peek`` reads ahead to the first
-    non-blank line for schema sniffing; ``lines`` replays what was read ahead
-    and continues from the input.  Use as a context manager to close a file
-    that was not read to its end.
+    Each block is fed to ``sha256`` as it is read, so the digest covers every
+    byte read: the whole input once it is parsed to its end, and the whole
+    last block read when a bad line stops the parse.  ``blocks`` yields the
+    lines of each block, split on ``b"\n"`` only, with a partial last line
+    carried into the next; ``peek`` reads ahead to the first non-blank line
+    for schema sniffing, and ``blocks`` replays what it read.  Use as a
+    context manager to close a file that was not read to its end.
     """
 
     def __init__(self, path: str | Path):
         self.path = str(path)
         self.sha256 = hashlib.sha256()
-        self._ahead: list[bytes] = []
+        self._ahead: list[list[bytes]] = []
         self._rest = self._read()
 
     def __str__(self) -> str:
@@ -260,30 +267,36 @@ class RecordSource:
     def __exit__(self, *exc) -> None:
         self._rest.close()
 
-    def _read(self) -> Iterator[bytes]:
+    def _read(self) -> Iterator[list[bytes]]:
         stdin = self.path == "-"
         handle = sys.stdin.buffer if stdin else open(self.path, "rb")
         try:
-            for line in handle:
-                self.sha256.update(line)
-                yield line
+            parts: list[bytes] = []
+            # read1 returns what a pipe already holds, so a live stream's
+            # records are parsed as they arrive
+            while chunk := handle.read1(BLOCK):
+                self.sha256.update(chunk)
+                parts.append(chunk)
+                if b"\n" in chunk:
+                    lines = b"".join(parts).split(b"\n")
+                    parts = [lines.pop()]
+                    yield lines
+            if any(parts):
+                yield [b"".join(parts)]
         finally:
             if not stdin:
                 handle.close()
 
     def peek(self) -> bytes | None:
         """The first non-blank line, or None if the input holds none."""
-        for line in self._ahead:
-            if line.strip():
-                return line
-        for line in self._rest:
-            self._ahead.append(line)
-            if line.strip():
-                return line
-        return None
+        while (line := next((x for b in self._ahead for x in b if x.strip()), None)) is None:
+            if (block := next(self._rest, None)) is None:
+                return None
+            self._ahead.append(block)
+        return line
 
-    def lines(self) -> Iterator[bytes]:
-        """Every line in input order, blank ones included."""
+    def blocks(self) -> Iterator[list[bytes]]:
+        """The lines of each block in input order, blank ones included."""
         ahead, self._ahead = self._ahead, []
         return itertools.chain(ahead, self._rest)
 
@@ -296,28 +309,46 @@ def _opened(source: str | Path | RecordSource):
 
 
 def iter_records(source: str | Path | RecordSource, model_kind: str) -> Iterator[RecordBatch]:
-    """Lazily parse records from a JSON-lines file ('-' reads stdin), one
-    one-record batch per non-blank line; all share the first record's
-    outcome dimension."""
+    """Lazily parse records from a JSON-lines file ('-' reads stdin): one
+    batch per block of complete lines read (see :class:`RecordSource`),
+    blank lines skipped; all share the first record's outcome dimension.
+    The first bad line in file order raises a :class:`DataError` naming it,
+    after the records before it have been yielded."""
     cls = FAMILIES[model_kind]
-    dim = None
+    dim, line_no = None, 0
     with _opened(source) as src:
-        for line_no, line in enumerate(src.lines(), start=1):
-            if not line.strip():
-                continue
+        for block in src.blocks():
+            objs, line_nos, error = [], [], None
+            for line in block:
+                line_no += 1
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line.decode())  # decoding first is faster than json's own
+                except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                    error = DataError(f"line {line_no}: invalid JSON "
+                                      f"({getattr(exc, 'msg', exc)})")
+                    break
+                if not isinstance(obj, dict):
+                    error = DataError(f"line {line_no}: expected an object")
+                    break
+                objs.append(obj)
+                line_nos.append(line_no)
             try:
-                obj = json.loads(line.decode())  # decoding first is faster than json's own
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise DataError(f"line {line_no}: invalid JSON "
-                                f"({getattr(exc, 'msg', exc)})") from None
-            if not isinstance(obj, dict):
-                raise DataError(f"line {line_no}: expected an object")
-            batch = cls.from_obj(obj, line_no)
-            if dim not in (None, batch.dim):
-                raise DataError(f"line {line_no}: outcome dimension {batch.dim} differs "
-                                f"from earlier lines ({dim})")
-            dim = batch.dim
-            yield batch
+                batches = [cls(*([obj[key] for obj in objs] for key in cls.keys),
+                               t=[obj.get("t") for obj in objs])] if objs else []
+            except (KeyError, TypeError, ValueError, OverflowError):  # from_obj names the bad line
+                batches = map(cls.from_obj, objs, line_nos)
+            # a block batch holds one outcome dimension, so its first line is
+            # the first whose dimension can differ
+            for batch, first in zip(batches, line_nos):
+                if dim not in (None, batch.dim):
+                    raise DataError(f"line {first}: outcome dimension {batch.dim} differs "
+                                    f"from earlier lines ({dim})")
+                dim = batch.dim
+                yield batch
+            if error is not None:
+                raise error
 
 
 def parse_records(source: str | Path | RecordSource, model_kind: str) -> RecordBatch:
@@ -632,13 +663,18 @@ def _write_outputs(run: RunReport, out_dir: str | Path | None) -> None:
         (Path(out_dir) / "report.json").write_text(run.to_json() + "\n")
 
 
+_SIMULATION_KEYS = ("kind", "n_records", "multipliers", "n_seeds", "alarm_counts", "files")
+
+
 def _render_summary(rep: dict) -> str:
     """The summary block of a run's report in the JSON shape ``report.json``
     holds it in, so a live run and ``report`` on its saved report print the
     same lines; a report without a decision is a simulation summary."""
     if "decision" not in rep:
-        return "\n".join(["simulation summary:",
-                          *(f"  {key}: {value}" for key, value in rep.items())])
+        # report.json sorts its keys: print a simulation's in the live order
+        keys = ([k for k in _SIMULATION_KEYS if k in rep]
+                + [k for k in rep if k not in _SIMULATION_KEYS])
+        return "\n".join(["simulation summary:", *(f"  {key}: {rep[key]}" for key in keys)])
     cfg = rep.get("recipe_config") or {}
     lines = [
         f"decision: {rep['decision']}",
@@ -864,12 +900,13 @@ def _positive_integer(value) -> int:
 
 
 def _multipliers(value) -> tuple:
-    multipliers = tuple(value)
-    for m in multipliers:
-        # fail here on a malformed entry, before the output directory is made
-        if not float(m) >= 0.0:
-            raise ValueError("drift multipliers must be >= 0")
-    return multipliers
+    # fail here on a malformed value, before the output directory is made
+    if not (isinstance(value, list) and value and all(
+            isinstance(m, (int, float)) and not isinstance(m, bool) for m in value)):
+        raise ValueError("drift multipliers must be a non-empty list of numbers")
+    if not all(m >= 0.0 for m in value):
+        raise ValueError("drift multipliers must be >= 0")
+    return tuple(value)
 
 
 def _cmd_simulate(args) -> int:

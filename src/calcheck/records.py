@@ -13,8 +13,6 @@ by the batch's ``kind``.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.special import gammainc, ndtr
 
@@ -139,6 +137,13 @@ def _checked_cloud(w, pts) -> tuple[np.ndarray, np.ndarray]:
     return w, pts
 
 
+def _time_index(v) -> int:
+    """A record's time index, an integer: not a bool, float or string stored as one."""
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return int(v)
+    raise InvalidDistributionError(f"time index must be an integer or null, got {v!r}")
+
+
 class RecordBatch:
     """Records of one prediction family; each subclass is one family.
 
@@ -170,7 +175,8 @@ class RecordBatch:
                 f"outcome has dimension {y.shape[1]}, prediction expects {min(bad)}"
             )
         self.y = y
-        self.t = [None] * n if t is None else [None if v is None else int(v) for v in t]
+        self.t = [None] * n if t is None else [v if v is None or type(v) is int else _time_index(v)
+                                               for v in t]
         if len(self.t) != n:
             raise InvalidDistributionError(f"{len(self.t)} time indices for {n} records")
 
@@ -190,8 +196,8 @@ class RecordBatch:
 
     @classmethod
     def from_obj(cls, obj: dict, line_no: int) -> "RecordBatch":
-        """A one-record batch from the decoded record line ``line_no``; a bad
-        record raises :class:`DataError` naming its line."""
+        """A one-record batch from the decoded record line ``line_no``, which
+        ingest builds to find a bad line; it raises :class:`DataError` naming it."""
         try:
             return cls(*([obj[key]] for key in cls.keys), t=[obj.get("t")])
         except KeyError as exc:
@@ -245,20 +251,6 @@ class GaussianBatch(RecordBatch):
             raise InvalidDistributionError("mu and sigma must be one number per record")
         check_gaussian(self.mu, self.sigma)
         self._set_outcomes(y, t, len(self.mu), {1})
-
-    @classmethod
-    def from_obj(cls, obj, line_no):
-        # A line of finite floats and an integer or absent t, as write_records
-        # writes them, skips the array checks; any other line goes through
-        # the constructor.
-        mu, sigma, y, t = map(obj.get, ("mu", "sigma", "y", "t"))
-        if not (type(mu) is type(sigma) is type(y) is float and type(t) in (int, type(None))
-                and math.isfinite(mu) and math.isfinite(y) and 0.0 < sigma < math.inf):
-            return super().from_obj(obj, line_no)
-        batch = object.__new__(cls)
-        batch.mu, batch.sigma, batch.y = np.array([mu]), np.array([sigma]), np.array([[y]])
-        batch.t = [t]
-        return batch
 
     def _json_columns(self):
         return self.mu.tolist(), self.sigma.tolist(), self.y[:, 0].tolist()

@@ -103,6 +103,21 @@ def test_parse_error_names_its_line_once(tmp_path, capsys):
     assert capsys.readouterr().err == "data error: line 1: missing field 'cov'\n"
 
 
+@pytest.mark.parametrize("t", [1.5, True, "7"])
+def test_parse_time_index_that_is_not_an_integer_exits_3(tmp_path, capsys, t):
+    # each would be stored, and written back, as another integer: 1, 1 and 7
+    line = json.dumps({"mu": 0.0, "sigma": 1.0, "y": 0.5, "t": t})
+    p = write_lines(tmp_path / "t.jsonl", [gaussian_line(0, 1, 0), line])
+    with pytest.raises(DataError, match=r"^line 2: time index must be an integer or null"):
+        parse_records(p, "gaussian")
+    assert cli.main(["check", p]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: line 2: time index must be an integer or null, got {t!r}\n")
+    good = write_lines(tmp_path / "good.jsonl", [json.dumps({"mu": 0.0, "sigma": 1.0, "y": 0.5,
+                                                             "t": tt}) for tt in (7, None)])
+    assert parse_records(good, "gaussian").t == [7, None]
+
+
 def test_parse_dimension_mismatch_across_lines(tmp_path):
     l1 = json.dumps({"mu": [0, 0], "cov": [[1, 0], [0, 1]], "y": [0, 0]})
     l2 = json.dumps({"mu": [0, 0, 0], "cov": np.eye(3).tolist(), "y": [0, 0, 0]})
@@ -328,6 +343,23 @@ def test_cli_report_table_name_outside_out_exits_3(tmp_path, capsys, name):
     assert sorted(tmp_path.rglob("*")) == [path]  # nothing created, in out/ or beside it
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "weather", "--seed", "3"],
+    ["simulate", "drift_sweep", "--seed", "3", "--config", "{cfg}"],
+])
+def test_cli_report_prints_a_simulation_as_it_ran(tmp_path, capsys, argv):
+    # report.json sorts its keys; the summary keeps the order the live run printed
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_seeds": 1, "n_steps": 5, "n_particles": 20}))
+    out = tmp_path / "out"
+    assert cli.main([a.format(cfg=cfg) for a in argv] + ["--out", str(out)]) == 0
+    live = capsys.readouterr().out.splitlines()
+    assert cli.main(["report", str(out / "report.json")]) == 0
+    saved = capsys.readouterr().out.splitlines()
+    assert live[0] == "simulation summary:" and saved[:-2] == live
+    assert live[1] == f"  kind: {argv[1]}" and live[-1].startswith("  files: ")
+
+
 @pytest.mark.parametrize("argv, code", [
     (["check", "{weather}"], 0),
     (["check", "{biased}", "--bins", "2"], 1),
@@ -501,6 +533,14 @@ def test_cli_check_monitor_slot_swap(tmp_path):
          {"n_seeds": 0, "n_steps": 5, "n_particles": 20}, 2),
         (["simulate", "drift_sweep", "--out", "{out}"],
          {"n_seeds": 1, "n_steps": 5, "n_particles": 20, "multipliers": [1.0, -0.5]}, 2),
+        # drift multipliers are a non-empty list of numbers: not a string of
+        # digits, not a bool
+        (["simulate", "drift_sweep", "--out", "{out}"],
+         {"n_seeds": 1, "n_steps": 5, "n_particles": 20, "multipliers": "12"}, 2),
+        (["simulate", "drift_sweep", "--out", "{out}"],
+         {"n_seeds": 1, "n_steps": 5, "n_particles": 20, "multipliers": [True, 1]}, 2),
+        (["simulate", "drift_sweep", "--out", "{out}"],
+         {"n_seeds": 1, "n_steps": 5, "n_particles": 20, "multipliers": []}, 2),
     ],
 )
 def test_cli_config_values_resolve_alike(tmp_path, capsys, argv, file_cfg, code):

@@ -171,6 +171,24 @@ def test_tolerance_monotonicity_never_flips_accept_to_reject():
             assert not (later and not earlier)
 
 
+@pytest.mark.parametrize("sidedness", [TWO_SIDED, ONE_SIDED])
+@pytest.mark.parametrize("tolerance", [0.0, 0.02])
+def test_exact_size_is_at_most_the_per_level_alpha(sidedness, tolerance):
+    # the null pmf summed over binom_test's rejection region, exactly, at the
+    # ends of the tolerated coverage band and at its centre
+    spec = HypothesisSpec(sidedness, tolerance)
+    levels = LevelGrid.default().levels
+    for n in (10, 365, 2000):
+        counts = np.arange(n + 1)
+        for lam in levels:
+            for a in (0.05 / levels.size, 0.05):  # Bonferroni's per-level alpha, and K = 1
+                res = binom_test(0, n, float(lam), spec, a)
+                reject = (counts < res.lower_bound) | (counts > res.upper_bound)
+                for q in (lam - tolerance, lam, lam + tolerance):
+                    size = math.fsum(binom.pmf(counts[reject], n, q))
+                    assert size <= a, (n, lam, a, q, size)
+
+
 # ---------------------------------------------------------------------------
 # multiplicity corrections
 # ---------------------------------------------------------------------------

@@ -118,8 +118,8 @@ json_number = st.one_of(st.floats(), st.integers(-10**6, 10**6))
      "y": st.one_of(json_number, st.lists(st.floats(), min_size=1, max_size=1))},
     optional={"t": time_index}))
 def test_gaussian_line_parses_as_the_constructor_builds_it(obj):
-    # plain-float lines take a shorter path than the constructor; it must
-    # accept the same lines and build the same batch
+    # the one-line parse that names a bad line in a failed block must accept
+    # the lines the constructor accepts and build the same batch
     try:
         want = GaussianBatch([obj["mu"]], [obj["sigma"]], [obj["y"]], [obj.get("t")])
     except InvalidDistributionError as exc:
