@@ -6,12 +6,13 @@ e-value monitor), ``simulate`` (generate experiment data), ``report``
 per line, so monitors can stream and tests can diff.  Input is read in
 blocks, and each block's complete lines become one batch of their family
 (:mod:`calcheck.records`); ``check`` joins a file's blocks into one batch,
-``monitor`` steps through each block's records as it arrives.  Exit codes
-are scriptable safety gates: 0 accept/clean, 1 reject/alarm, 2 usage or
-configuration error, 3 data error, and 141 (128 + SIGPIPE) when the reader
-of stdout goes away.  ``report`` prints the summary block the saved run
-printed and exits as it did: 1 for a reject, 3 for an incomplete monitor, 0
-for an accept or a simulation summary.
+and ``monitor`` advances its martingale and prints its trace rows one block
+at a time, as the blocks arrive.  Exit codes are scriptable safety gates: 0
+accept/clean, 1 reject/alarm, 2 usage or configuration error, 3 data error,
+and 141 (128 + SIGPIPE) when the reader of stdout goes away.  ``report``
+prints the summary block the saved run printed and exits as it did: 1 for a
+reject, 3 for an incomplete monitor, 0 for an accept or a simulation
+summary.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -502,43 +504,50 @@ def run_monitor(
     config: RecipeConfig,
     batches: Iterable[RecordBatch],
     digest: hashlib._Hash = hashlib.sha256(),
-    on_row: Callable[[int, float, bool], None] | None = None,
+    on_row: Callable[[list[list]], None] | None = None,
 ) -> RunReport:
-    """Consume the records of ``batches`` in order, multiplying the test
-    martingale per record.
+    """Consume ``batches`` in order, advancing the test martingale one batch
+    at a time and multiplying it by one e-value per record.
 
-    Emits one (t, e_value, alarmed) row per record through ``on_row`` as it
-    is produced.  The monitor keeps recording after an alarm; the decision
-    is the first crossing of ``1/alpha``.  A stream that dies mid-flight
-    yields a partial report marked incomplete rather than nothing.  The
-    provenance is taken after the stream ends, so a running ``digest`` of
-    the input covers every byte the stream consumed.
+    Each record adds one ``[t, e_value, alarmed, threshold]`` row to the
+    trace, and ``on_row`` receives each batch's rows, in order, as soon as
+    the batch is scored.  The monitor keeps recording after an alarm; the
+    decision is the first crossing of ``1/alpha``.  A stream that dies
+    mid-flight yields a partial report marked incomplete rather than
+    nothing.  An e-value too large for a float raises ``OverflowError``
+    after the rows before it have been emitted.  The provenance is taken
+    after the stream ends, so a running ``digest`` of the input covers
+    every byte the stream consumed.
     """
     ev = config.evalue
     if ev is None:
         raise ConfigError("monitoring requires an e-value config")
     state = MartingaleState()
     rng = np.random.default_rng([config.seed, 1])
+    threshold = 1.0 / ev.alpha  # a constant column keeps the trace plottable as-is
     rows = []
     incomplete = False
     error = None
     try:
         for batch in batches:
-            for i in range(len(batch)):
-                # the steps are looked up on this module, where the
-                # benchmark's tracer (bench/tracing.py) wraps them
-                if batch.kind == "gaussian":
-                    state = monitor_step_gaussian(state, batch.mu[i], batch.sigma[i],
-                                                  batch.y[i, 0], ev)
-                elif batch.kind == "particles":
-                    state = monitor_step_halfplane(state, batch.w[i], batch.pts[i], batch.y[i],
-                                                   ev, rng)
-                else:
-                    raise ConfigError(f"no monitor recipe for {batch.kind} predictions")
-                # constant threshold column keeps the emitted trace plottable as-is
-                rows.append([state.t, state.e_value, int(state.alarmed), 1.0 / ev.alpha])
+            # the steps are looked up on this module, where the benchmark's
+            # tracer (bench/tracing.py) wraps them
+            t0 = state.t
+            if batch.kind == "gaussian":
+                state, log_e = monitor_step_gaussian(state, batch, ev)
+            elif batch.kind == "particles":
+                state, log_e = monitor_step_halfplane(state, batch, ev, rng)
+            else:
+                raise ConfigError(f"no monitor recipe for {batch.kind} predictions")
+            crossing = state.first_crossing or math.inf  # steps count from 1
+            try:
+                # math.exp, not np.exp: the trace holds libm's bits
+                for t, log in enumerate(log_e.tolist(), start=t0 + 1):
+                    rows.append([t, math.exp(log), int(t >= crossing), threshold])
+            finally:
+                # on an overflow, the rows before it are still emitted
                 if on_row is not None:
-                    on_row(state.t, state.e_value, state.alarmed)
+                    on_row(rows[t0:])
     except DataError as exc:
         incomplete = True
         error = str(exc)
@@ -547,7 +556,7 @@ def run_monitor(
     report = TestReport(
         decision="reject" if state.alarmed else "accept",
         statistic=max((r[1] for r in rows), default=1.0),
-        threshold=1.0 / ev.alpha,
+        threshold=threshold,
         alpha=ev.alpha,
         recipe_config={
             "test": "evalue_monitor",
@@ -650,8 +659,8 @@ def _write_csvs(curves: dict, out_dir: str | Path) -> None:
         out.mkdir(parents=True, exist_ok=True)
         for name, (header, rows) in curves.items():
             lines = [",".join(header)]
-            for row in rows:
-                lines.append(",".join("" if x is None else repr(x) if isinstance(x, float) else str(x) for x in row))
+            lines += [",".join(["" if x is None else repr(x) if isinstance(x, float) else str(x)
+                                for x in row]) for row in rows]
             (out / f"{name}.csv").write_text("\n".join(lines) + "\n")
 
 
@@ -794,10 +803,21 @@ def _resolve_seed(args, file_cfg: dict) -> int:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
+def _not_bool(value):
+    # JSON true and false load as Python bools, which int() and float() accept
+    if isinstance(value, bool):
+        raise ValueError("a boolean is not a number")
+    return value
+
+
+def _number(value) -> float:
+    return float(_not_bool(value))
+
+
 def _integer(value) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ValueError("not a whole number")
-    return int(value)
+    return int(_not_bool(value))
 
 
 def _sidedness(value) -> str:
@@ -814,9 +834,9 @@ def _parse_levels(value) -> LevelGrid:
 
 
 def _evalue_config(args, file_cfg: dict, alpha: float) -> EValueConfig:
-    lam = _resolve(args, file_cfg, "lambda", float, 0.9)
+    lam = _resolve(args, file_cfg, "lambda", _number, 0.9)
     # lambda - 0.1 is a documented sensitivity knob, not a paper value
-    p_alt = _resolve(args, file_cfg, "p_alt", float, lam - 0.1)
+    p_alt = _resolve(args, file_cfg, "p_alt", _number, lam - 0.1)
     return EValueConfig(level=lam, p_alt=p_alt, alpha=alpha)
 
 
@@ -824,7 +844,7 @@ def _recipe_from_args(args, file_cfg: dict, model: str, testing: str | None) -> 
     def setting(key, convert=None, default=None):
         return _resolve(args, file_cfg, key, convert, default)
 
-    alpha = setting("alpha", float, 0.05)
+    alpha = setting("alpha", _number, 0.05)
     metric = setting("metric", default="halfplane" if model == "particles" else "coverage")
     if testing is None:
         testing = setting(
@@ -836,7 +856,7 @@ def _recipe_from_args(args, file_cfg: dict, model: str, testing: str | None) -> 
         metric=metric,
         hypothesis=HypothesisSpec(
             sidedness=setting("sided", _sidedness, TWO_SIDED),
-            tolerance=setting("tolerance", float, 0.0),
+            tolerance=setting("tolerance", _number, 0.0),
         ),
         testing=testing,
         alpha=alpha,
@@ -854,8 +874,9 @@ def _finish(run: RunReport, out_dir: str | None) -> int:
     return _report_exit_code(rep)
 
 
-def _print_row(t: int, e: float, alarmed: bool) -> None:
-    print(f"{t},{e!r},{int(alarmed)}")
+def _print_rows(rows: list[list]) -> None:
+    """A batch of monitor trace rows as ``t,e_value,alarmed`` lines, in one write."""
+    sys.stdout.write("".join([f"{t},{e!r},{alarmed}\n" for t, e, alarmed, _ in rows]))
 
 
 def _cmd_check(args) -> int:
@@ -873,14 +894,14 @@ def _cmd_monitor(args) -> int:
         model = _resolve(args, file_cfg, "model") or sniff_model_kind(source)
         config = _recipe_from_args(args, file_cfg, model, testing="evalue_monitor")
         run = run_monitor(config, iter_records(source, model), digest=source.sha256,
-                          on_row=_print_row)
+                          on_row=_print_rows)
     return _finish(run, args.out)
 
 
 def _sim_config(cls, file_cfg: dict, seed: int):
     """A simulator config from the config file's keys for ``cls``, each
     converted by its field's annotation."""
-    convert = {"int": _integer, "float": float}
+    convert = {"int": _integer, "float": _number}
     try:
         kwargs = {f.name: convert.get(f.type, lambda v: v)(file_cfg[f.name])
                   for f in dataclasses.fields(cls) if file_cfg.get(f.name) is not None}
@@ -916,7 +937,7 @@ def _cmd_simulate(args) -> int:
     cls = WeatherSimConfig if args.kind == "weather" else RobotSimConfig
     sim_config = _sim_config(cls, file_cfg, seed)
     if args.kind == "drift_sweep":
-        alpha = _resolve(args, file_cfg, "alpha", float, 0.05)
+        alpha = _resolve(args, file_cfg, "alpha", _number, 0.05)
         run = run_simulate(
             "drift_sweep", sim_config, out,
             monitor=_evalue_config(args, file_cfg, alpha),

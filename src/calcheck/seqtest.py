@@ -8,7 +8,9 @@ and raise an alarm at the first crossing of ``1/alpha``.
 
 The running product is held in log space: an all-miss stream doubles the
 product every step, which would overflow floating point near one thousand
-steps if stored directly.
+steps if stored directly.  A step advances the martingale over a whole
+record batch at once and returns the running log e-value after each
+record, so a stream read in blocks is monitored one block at a time.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigError
-from .metric import halfplane_indicator
+from .metric import fold, halfplane_indicator, pit
+from .records import GaussianBatch, ParticleBatch
 
 __all__ = [
     "EValueConfig",
@@ -79,16 +81,6 @@ class MartingaleState:
     def e_value(self) -> float:
         return math.exp(self.log_e)
 
-    def advanced(self, log_step: float, config: EValueConfig) -> "MartingaleState":
-        """Next state after multiplying by one per-step e-value."""
-        log_e = self.log_e + log_step
-        t = self.t + 1
-        if not self.alarmed and log_e > config.log_threshold:
-            return MartingaleState(log_e=log_e, t=t, alarmed=True, first_crossing=t)
-        return MartingaleState(
-            log_e=log_e, t=t, alarmed=self.alarmed, first_crossing=self.first_crossing
-        )
-
 
 def _log_lr(k: int, config: EValueConfig) -> float:
     """Log of the likelihood-ratio e-value of one coverage indicator ``k``,
@@ -99,42 +91,62 @@ def _log_lr(k: int, config: EValueConfig) -> float:
     return math.log1p(-config.p_alt) - math.log1p(-config.level)
 
 
-def monitor_step_gaussian(
-    state: MartingaleState,
-    mu: float,
-    sigma: float,
-    y: float,
-    config: EValueConfig,
-) -> MartingaleState:
-    """One step of the scalar-Gaussian coverage monitor.
+def _advanced(
+    state: MartingaleState, covered: np.ndarray, config: EValueConfig
+) -> tuple[MartingaleState, np.ndarray]:
+    """The state after one step per coverage indicator in ``covered``, and
+    the running log e-value after each of those steps.
 
-    Scores whether ``y`` falls in the centered level interval of
-    ``N(mu, sigma^2)`` through its folded PIT ``|2 Phi(z) - 1| <= level``,
-    the operations :func:`calcheck.metric.coverage_counts` applies to a
-    batch, and multiplies the running martingale by the likelihood-ratio
-    e-value of that indicator.
+    ``np.add.accumulate`` over ``[log_e, *steps]`` adds the steps one at a
+    time, left to right, so every entry is the sum a step-by-step loop would
+    hold, bit for bit; adding the carried ``log_e`` to a cumulative sum of
+    the steps would round differently.
     """
-    y = float(y)
-    if not math.isfinite(y):
-        raise ValueError("outcome must be finite")
-    k = 1 if abs(2.0 * ndtr((y - mu) / sigma) - 1.0) <= config.level else 0
-    return state.advanced(_log_lr(k, config), config)
+    steps = np.where(covered, _log_lr(1, config), _log_lr(0, config))
+    log_e = np.add.accumulate(np.concatenate(([state.log_e], steps)))
+    first_crossing = state.first_crossing
+    if not state.alarmed:
+        above = np.flatnonzero(log_e[1:] > config.log_threshold)
+        if above.size:
+            first_crossing = state.t + int(above[0]) + 1
+    new = MartingaleState(
+        log_e=float(log_e[-1]),
+        t=state.t + len(steps),
+        alarmed=state.alarmed or first_crossing is not None,
+        first_crossing=first_crossing,
+    )
+    return new, log_e[1:]
+
+
+def monitor_step_gaussian(
+    state: MartingaleState, batch: GaussianBatch, config: EValueConfig
+) -> tuple[MartingaleState, np.ndarray]:
+    """Advance the scalar-Gaussian coverage monitor over a batch of records.
+
+    Scores whether each outcome falls in the centered level interval of its
+    ``N(mu, sigma^2)`` through the folded PIT ``|2 Phi(z) - 1| <= level``,
+    the operations :func:`calcheck.metric.coverage_counts` applies, and
+    multiplies the running martingale by the likelihood-ratio e-value of
+    each indicator in record order.  Returns the state after the batch and
+    the running log e-value after each of its records.
+    """
+    return _advanced(state, fold(pit(batch)).values <= config.level, config)
 
 
 def monitor_step_halfplane(
     state: MartingaleState,
-    w: np.ndarray,
-    pts: np.ndarray,
-    y,
+    batch: ParticleBatch,
     config: EValueConfig,
     rng: np.random.Generator,
-) -> MartingaleState:
-    """One step of the half-plane particle monitor on the cloud of weights
-    ``w`` ``(m,)`` and points ``pts`` ``(m, d)``.
+) -> tuple[MartingaleState, np.ndarray]:
+    """Advance the half-plane particle monitor over a batch of clouds.
 
-    Scores the coverage indicator of :func:`calcheck.metric.halfplane_indicator`
-    at the configured level, on a fresh direction drawn from ``rng``, and
-    feeds it to the martingale.
+    Scores each record's coverage indicator of
+    :func:`calcheck.metric.halfplane_indicator` at the configured level, on a
+    fresh direction drawn from ``rng`` cloud by cloud in record order, and
+    feeds them to the martingale.  Returns what
+    :func:`monitor_step_gaussian` returns.
     """
-    k = 1 if halfplane_indicator(w, pts, y, config.level, rng) else 0
-    return state.advanced(_log_lr(k, config), config)
+    covered = [halfplane_indicator(w, pts, y, config.level, rng)
+               for (w, pts), y in zip(batch.particle_clouds(), batch.y)]
+    return _advanced(state, np.array(covered, dtype=bool), config)

@@ -288,9 +288,11 @@ def drift_sweep(
     """Run the half-plane monitor over a grid of drift magnitudes.
 
     For each (multiplier, seed) the robot sim is rerun and the monitor's
-    martingale is tracked step by step.  Reports per-multiplier alarm
-    counts, the median first-crossing time among alarmed seeds, and the
-    across-seed 5%/50%/95% envelope of the running e-value.
+    martingale is advanced over its whole run in one step call, which
+    returns the running log e-value after every step.  Reports
+    per-multiplier alarm counts, the median first-crossing time among
+    alarmed seeds, and the across-seed 5%/50%/95% envelope of the running
+    e-value.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
@@ -300,12 +302,9 @@ def drift_sweep(
         crossings = []
         for s in range(n_seeds):
             cfg = replace(base, drift_multiplier=float(mult), seed=base.seed + s)
-            records = run_robot_sim(cfg)
             mon_rng = np.random.default_rng([cfg.seed, 1])  # independent of sim
-            state = MartingaleState()
-            for i, (w, pts, y) in enumerate(zip(records.w, records.pts, records.y)):
-                state = monitor_step_halfplane(state, w, pts, y, monitor, mon_rng)
-                log_traces[s, i] = state.log_e
+            state, log_traces[s] = monitor_step_halfplane(
+                MartingaleState(), run_robot_sim(cfg), monitor, mon_rng)
             if state.alarmed:
                 crossings.append(state.first_crossing)
         envelope = np.exp(

@@ -64,13 +64,14 @@ def test_traced_layers_see_ingest_and_monitor_steps(tmp_path):
     finally:
         tracer.uninstall(saved)
     n_weather = len(run_weather_sim(WeatherSimConfig(seed=1)))
-    # the tracer counts one per yield of iter_records, which is one block
+    # the tracer counts one per yield of iter_records, which is one block,
+    # and one per monitor step call, which takes one block
     inputs = [(weather / "weather_records.jsonl", "gaussian")] * 2 + [
         (robot / "robot_records.jsonl", "particles")]
-    batches = [b for path, kind in inputs for b in calcheck.cli.iter_records(path, kind)]
-    assert tracer.counts["cli.records_parsed"] == len(batches)
-    assert sum(map(len, batches)) == 2 * n_weather + 5
-    assert tracer.counts["seqtest.steps"] == n_weather + 5
+    batches = [list(calcheck.cli.iter_records(path, kind)) for path, kind in inputs]
+    assert tracer.counts["cli.records_parsed"] == sum(map(len, batches))
+    assert sum(len(b) for blocks in batches for b in blocks) == 2 * n_weather + 5
+    assert tracer.counts["seqtest.steps"] == len(batches[1]) + len(batches[2])
     for layer in ("cli.iter_records", "seqtest.monitor_step_gaussian",
                   "seqtest.monitor_step_halfplane"):
         assert tracer.totals[layer][0] > 0, layer

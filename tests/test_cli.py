@@ -233,13 +233,18 @@ def test_run_monitor_all_miss_crosses_at_five():
         testing="evalue_monitor",
         evalue=EValueConfig(level=0.9, p_alt=0.8, alpha=0.05),
     )
-    rows = []
-    run = run_monitor(config, [recs], on_row=lambda t, e, a: rows.append((t, e, a)))
+    emitted = []  # one list of rows per batch
+    run = run_monitor(config, [recs.take(range(3)), recs.take(range(3, 8))],
+                      on_row=emitted.append)
     assert run.report.decision == "reject"
     assert run.report.recipe_config["first_crossing"] == 5
-    assert rows[3][2] is False and rows[4][2] is True
+    assert [len(rows) for rows in emitted] == [3, 5]
+    rows = emitted[0] + emitted[1]
+    assert [row[0] for row in rows] == list(range(1, 9))
+    assert rows[3][2] == 0 and rows[4][2] == 1
     header, table = run.curves["etrace"]
     assert header == ["t", "e_value", "alarmed", "threshold"]
+    assert table == rows
     assert all(row[3] == 20.0 for row in table)
 
 
@@ -554,6 +559,41 @@ def test_cli_config_values_resolve_alike(tmp_path, capsys, argv, file_cfg, code)
     if code == 2:
         assert err.startswith("config error:")
         assert not (tmp_path / "out").exists()
+
+
+SWEEP = {"n_seeds": 1, "n_steps": 5, "n_particles": 20}
+
+
+@pytest.mark.parametrize(
+    "argv, file_cfg",
+    [
+        # recipe integers: a true bins ran a one-bin check, a true seed seed 1
+        (["check", "{weather}", "--out", "{out}"], {"bins": True}),
+        (["check", "{weather}", "--out", "{out}"], {"seed": True}),
+        # recipe reals: a false tolerance passed as 0.0
+        (["check", "{weather}", "--out", "{out}"], {"tolerance": False}),
+        (["monitor", "{weather}", "--out", "{out}"], {"alpha": True}),
+        (["monitor", "{weather}", "--out", "{out}"], {"lambda": True}),
+        (["monitor", "{weather}", "--out", "{out}"], {"p_alt": False}),
+        # simulator integer and real fields
+        (["simulate", "weather", "--out", "{out}"], {"n_days": True}),
+        (["simulate", "robot", "--out", "{out}"], {"process_noise_sd": True}),
+        # the drift sweep's own counts and reals
+        (["simulate", "drift_sweep", "--out", "{out}"], {**SWEEP, "n_seeds": True}),
+        (["simulate", "drift_sweep", "--out", "{out}"], {**SWEEP, "alpha": False}),
+    ],
+)
+def test_cli_boolean_config_value_for_a_number_exits_2(tmp_path, capsys, argv, file_cfg):
+    path, _ = weather_file(tmp_path, seed=5)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(file_cfg))
+    fill = {"weather": str(path), "out": str(tmp_path / "out")}
+    assert cli.main([a.format(**fill) for a in argv] + ["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:")
+    assert "a boolean is not a number" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

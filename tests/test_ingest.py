@@ -1,14 +1,18 @@
 """Block ingest: ``iter_records`` builds one batch per block of lines read.
 
-Every test here compares it with the reference it replaced, a per-line parse
-through ``RecordBatch.from_obj`` joined by ``concat``: the records must be
-the same bit for bit, and a bad line must end the input at the same record
-with the same error text, in ``parse_records`` and in ``run_monitor`` alike.
+The differential tests compare it with the reference it replaced, a per-line
+parse through ``RecordBatch.from_obj`` joined by ``concat``: the records must
+be the same bit for bit, and a bad line must end the input at the same
+record with the same error text, in ``parse_records`` and in ``run_monitor``
+alike.  The monitor, which advances one batch at a time, must print and save
+the same bytes however its input is cut into blocks.
 """
 
 import hashlib
+import io
 import json
 import os
+import itertools
 import signal
 import sys
 
@@ -275,3 +279,62 @@ def test_live_pipe_yields_a_record_before_the_writer_closes(monkeypatch):
         os.close(write_fd)
         stdin.close()
     assert len(batch) == 1 and batch.t == [1]
+
+
+class OddSizedReads(io.RawIOBase):
+    """The bytes of ``data`` in reads of 1 to 7,919 bytes, as a pipe hands
+    small writes to a reader that keeps up with them."""
+
+    def __init__(self, data: bytes):
+        self.data, self.at = data, 0
+        self.sizes = itertools.cycle((1, 7, 61, 509, 4093, 7919, 3))
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = min(len(buffer), next(self.sizes), len(self.data) - self.at)
+        buffer[:n] = self.data[self.at:self.at + n]
+        self.at += n
+        return n
+
+
+def odd_sized_stdin(monkeypatch, data: bytes) -> None:
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BufferedReader(OddSizedReads(data))))
+
+
+def first_difference(a: str, b: str):
+    """The first line where two outputs differ, as (index, line of a, line
+    of b), or None; a cheaper report than a full diff of long outputs."""
+    pairs = enumerate(itertools.zip_longest(a.splitlines(), b.splitlines()))
+    return next(((i, x, y) for i, (x, y) in pairs if x != y), None)
+
+
+@pytest.mark.parametrize("kind, n", [("gaussian", 3_000), ("particles", 400)])
+def test_monitor_carries_its_state_across_blocks_and_reads(tmp_path, monkeypatch, capsys,
+                                                           kind, n):
+    # a file read in 64 KiB blocks and the same bytes through stdin in small
+    # odd-sized reads cut the stream into different batches: the martingale,
+    # its alarm and the half-plane direction stream carry across every cut
+    rng = np.random.default_rng(9)
+    objs = [good_obj(rng, kind) for _ in range(n)]
+    for obj in objs[n // 3:]:  # a drifting tail, so the monitor alarms mid-stream
+        obj["y"] = (np.asarray(obj["y"]) + 1.0).tolist()
+    data = "".join(json.dumps(obj) + "\n" for obj in objs).encode()
+    assert len(data) > 2 * cli.BLOCK
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(data)
+    odd_sized_stdin(monkeypatch, data)
+    n_file, n_pipe = len(list(iter_records(path, kind))), len(list(iter_records("-", kind)))
+    assert 2 < n_file and 10 * n_file < n_pipe
+    assert cli.main(["monitor", str(path), "--seed", "5", "--out", str(tmp_path / "file")]) == 1
+    by_file = capsys.readouterr()
+    odd_sized_stdin(monkeypatch, data)
+    assert cli.main(["monitor", "-", "--seed", "5", "--out", str(tmp_path / "pipe")]) == 1
+    by_pipe = capsys.readouterr()
+    assert by_pipe.err == by_file.err == ""
+    assert first_difference(by_pipe.out, by_file.out) is None
+    assert by_file.out.count("\n") > n
+    for name in ("etrace.csv", "report.json"):
+        pipe, file = ((tmp_path / d / name).read_text() for d in ("pipe", "file"))
+        assert first_difference(pipe, file) is None, name

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from calcheck.cli import RecipeConfig, run_monitor
 from calcheck.errors import ConfigError
 from calcheck.metric import LevelGrid, coverage_counts
-from calcheck.records import GaussianBatch
+from calcheck.records import GaussianBatch, ParticleBatch
 from calcheck.seqtest import (
     EValueConfig,
     MartingaleState,
@@ -25,26 +25,26 @@ CFG = EValueConfig(level=0.9, p_alt=0.8, alpha=0.05)
 # the Gaussian monitor's centered intervals
 # ---------------------------------------------------------------------------
 
-def hit(mu, sigma, y, config) -> bool:
-    """Whether one monitor step scored ``y`` inside the centered interval."""
-    state = monitor_step_gaussian(MartingaleState(), mu, sigma, y, config)
-    assert state.log_e in (_log_lr(1, config), _log_lr(0, config))
-    return state.log_e == _log_lr(1, config)
+def hits(mu, sigma, y, config) -> list[bool]:
+    """Whether one monitor step over the records scored each ``y`` inside
+    its centered interval: a hit lowers the running log e-value."""
+    _, log_e = monitor_step_gaussian(MartingaleState(), GaussianBatch(mu, sigma, y), config)
+    return (np.diff(log_e, prepend=0.0) < 0.0).tolist()
 
 
 def test_gaussian_interval_standard_normal_68():
     # the centered 68.27% interval is mu -/+ sigma
     cfg = EValueConfig(level=0.6827, p_alt=0.5, alpha=0.05)
+    z = np.array([0.999, -0.999, 1.001, -1.001])
     for mu, sigma in ((0.0, 1.0), (5.0, 2.0)):
-        for z, inside in ((0.999, True), (-0.999, True), (1.001, False), (-1.001, False)):
-            assert hit(mu, sigma, mu + z * sigma, cfg) == inside
+        assert hits(np.full(4, mu), np.full(4, sigma), mu + z * sigma, cfg) == [
+            True, True, False, False]
 
 
 def test_gaussian_interval_collapses_to_median():
     cfg = EValueConfig(level=1e-12, p_alt=5e-13, alpha=0.05)
-    assert hit(5.0, 2.0, 5.0, cfg)
-    assert not hit(5.0, 2.0, 5.0 + 1e-5, cfg)
-    assert not hit(5.0, 2.0, 5.0 - 1e-5, cfg)
+    y = [5.0, 5.0 + 1e-5, 5.0 - 1e-5]
+    assert hits(np.full(3, 5.0), np.full(3, 2.0), y, cfg) == [True, False, False]
 
 
 moderate = st.floats(min_value=-1e6, max_value=1e6)
@@ -99,34 +99,79 @@ def test_lr_evalue_null_mean_exactly_one():
             assert mean == pytest.approx(1.0, abs=1e-12)
 
 
+def constant_batch(n: int, y: float) -> GaussianBatch:
+    """``n`` standard-normal predictions of the outcome ``y``."""
+    return GaussianBatch(np.zeros(n), np.ones(n), np.full(n, y))
+
+
 def test_gaussian_monitor_all_hits_never_alarms():
-    state = MartingaleState()
-    for t in range(200):
-        state = monitor_step_gaussian(state, 0.0, 1.0, 0.0, CFG)
+    state, log_e = monitor_step_gaussian(MartingaleState(), constant_batch(200, 0.0), CFG)
     assert not state.alarmed
     assert state.first_crossing is None
+    assert state.t == len(log_e) == 200
     assert state.e_value == pytest.approx((0.8 / 0.9) ** 200, rel=1e-9)
 
 
 def test_gaussian_monitor_all_misses_crosses_at_five():
-    state = MartingaleState()
-    for t in range(1, 8):
-        state = monitor_step_gaussian(state, 0.0, 1.0, 100.0, CFG)
-        if t == 4:
-            assert not state.alarmed  # 2^4 = 16 < 20
+    state, _ = monitor_step_gaussian(MartingaleState(), constant_batch(4, 100.0), CFG)
+    assert not state.alarmed  # 2^4 = 16 < 20
+    state, log_e = monitor_step_gaussian(state, constant_batch(3, 100.0), CFG)
     assert state.alarmed
     assert state.first_crossing == 5  # 2^5 = 32 > 20
     assert state.e_value == pytest.approx(2.0**7, rel=1e-9)
+    assert np.exp(log_e) == pytest.approx([2.0**5, 2.0**6, 2.0**7], rel=1e-9)
 
 
 def test_monitor_keeps_recording_after_alarm():
-    state = MartingaleState()
-    for _ in range(6):
-        state = monitor_step_gaussian(state, 0.0, 1.0, 100.0, CFG)
+    state, _ = monitor_step_gaussian(MartingaleState(), constant_batch(6, 100.0), CFG)
     assert state.alarmed and state.first_crossing == 5
-    later = monitor_step_gaussian(state, 0.0, 1.0, 0.0, CFG)
+    later, _ = monitor_step_gaussian(state, constant_batch(1, 0.0), CFG)
     assert later.alarmed and later.first_crossing == 5
     assert later.t == 7
+
+
+def sequential(state: MartingaleState, covered, config: EValueConfig):
+    """The martingale stepped one indicator at a time: the running log
+    e-values and the final (log_e, t, alarmed, first_crossing)."""
+    log_e, t, alarmed, crossing = state.log_e, state.t, state.alarmed, state.first_crossing
+    logs = []
+    for k in covered:
+        log_e = log_e + _log_lr(k, config)
+        t += 1
+        if not alarmed and log_e > config.log_threshold:
+            alarmed, crossing = True, t
+        logs.append(log_e)
+    return logs, (log_e, t, alarmed, crossing)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_batch_steps_equal_sequential_steps_bit_for_bit(data):
+    # however a stream is cut into batches, the per-batch step holds the
+    # running sums, step count, alarm and first crossing of a one-step-at-a-
+    # time martingale, exactly
+    covered = data.draw(st.lists(st.booleans(), max_size=300), label="covered")
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(covered)), max_size=6), label="cuts"))
+    level = data.draw(st.floats(0.01, 0.99))
+    config = EValueConfig(level, level * data.draw(st.floats(0.01, 0.99)),
+                          data.draw(st.floats(1e-6, 0.5)))
+    start = data.draw(st.sampled_from([
+        MartingaleState(),
+        MartingaleState(log_e=data.draw(st.floats(-50.0, 50.0)), t=data.draw(st.integers(0, 99))),
+        MartingaleState(log_e=1.5, t=9, alarmed=True, first_crossing=3),
+    ]))
+    want_logs, want = sequential(start, covered, config)
+    state, logs = start, []
+    for a, b in zip([0, *cuts], [*cuts, len(covered)]):
+        if a == b:
+            continue  # ingest yields no empty batch
+        # a hit scores the median, a miss an outcome fifty sigmas out
+        batch = GaussianBatch(np.zeros(b - a), np.ones(b - a), np.where(covered[a:b], 0.0, 50.0))
+        state, log_e = monitor_step_gaussian(state, batch, config)
+        assert len(log_e) == b - a
+        logs += log_e.tolist()
+    assert logs == want_logs
+    assert (state.log_e, state.t, state.alarmed, state.first_crossing) == want
 
 
 def test_martingale_mean_stays_below_one():
@@ -159,10 +204,8 @@ def test_anytime_validity_light_monte_carlo():
 
 def test_halfplane_monitor_tie_policy_two_particles():
     w, pts = np.array([0.5, 0.5]), np.array([[0.0, 0.0], [1.0, 1.0]])
-    rng = np.random.default_rng(0)
-    state = MartingaleState()
-    for _ in range(50):
-        state = monitor_step_halfplane(state, w, pts, [1.0, 1.0], CFG, rng)
+    batch = ParticleBatch([w] * 50, [pts] * 50, [[1.0, 1.0]] * 50)
+    state, _ = monitor_step_halfplane(MartingaleState(), batch, CFG, np.random.default_rng(0))
     # outcome equals a particle: indicator is 1 for any direction at lambda=0.9
     assert state.e_value == pytest.approx((0.8 / 0.9) ** 50, rel=1e-9)
 
@@ -175,18 +218,20 @@ def test_halfplane_monitor_deterministic_given_seed():
         pts = rng_cloud.normal(size=(64, 2))
         points.append(pts)
         ys.append(pts[rng_cloud.integers(0, 64)])
+    batch = ParticleBatch([np.full(64, 1 / 64)] * 30, points, ys)
 
-    def run():
+    def run(cuts):
+        # the direction stream runs on across batches, cloud by cloud
         rng = np.random.default_rng(777)
-        st = MartingaleState()
-        trace = []
-        for pts, y in zip(points, ys):
-            st = monitor_step_halfplane(st, np.full(64, 1 / 64), pts, y, CFG, rng)
-            trace.append(st.log_e)
-        return st, trace
+        state, trace = MartingaleState(), []
+        for a, b in zip([0, *cuts], [*cuts, 30]):
+            state, log_e = monitor_step_halfplane(state, batch.take(range(a, b)), CFG, rng)
+            trace += log_e.tolist()
+        return state, trace
 
-    s1, t1 = run()
-    s2, t2 = run()
+    s1, t1 = run([])
+    s2, t2 = run([1, 2, 17])
+    assert len(t1) == 30
     assert t1 == t2
     assert s1 == s2
 
@@ -198,10 +243,9 @@ def test_halfplane_monitor_ville_light():
     for _ in range(reps):
         pts = rng.normal(size=(m, 2))
         mon_rng = np.random.default_rng(rng.integers(2**63))
-        st = MartingaleState()
-        for _ in range(horizon):
-            y = pts[rng.integers(0, m)]
-            st = monitor_step_halfplane(st, np.full(m, 1 / m), pts, y, CFG, mon_rng)
+        ys = [pts[rng.integers(0, m)] for _ in range(horizon)]
+        batch = ParticleBatch([np.full(m, 1 / m)] * horizon, [pts] * horizon, ys)
+        st, _ = monitor_step_halfplane(MartingaleState(), batch, CFG, mon_rng)
         alarms += st.alarmed
     assert alarms / reps <= 0.05 + 3 * math.sqrt(0.05 * 0.95 / reps)
 
