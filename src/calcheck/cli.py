@@ -7,12 +7,12 @@ per line, so monitors can stream and tests can diff.  Input is read in
 blocks, and each block's complete lines become one batch of their family
 (:mod:`calcheck.records`); ``check`` joins a file's blocks into one batch,
 and ``monitor`` advances its martingale and prints its trace rows one block
-at a time, as the blocks arrive.  Exit codes are scriptable safety gates: 0
-accept/clean, 1 reject/alarm, 2 usage or configuration error, 3 data error,
-and 141 (128 + SIGPIPE) when the reader of stdout goes away.  ``report``
-prints the summary block the saved run printed and exits as it did: 1 for a
-reject, 3 for an incomplete monitor, 0 for an accept or a simulation
-summary.
+at a time, as the blocks arrive; it takes every family and scores the sets
+``check`` scores.  Exit codes are scriptable safety gates: 0 accept/clean,
+1 reject/alarm, 2 usage or configuration error, 3 data error, and 141
+(128 + SIGPIPE) when the reader of stdout goes away.  ``report`` prints the
+summary block the saved run printed and exits as it did: 1 for a reject,
+3 for an incomplete monitor, 0 for an accept or a simulation summary.
 """
 
 from __future__ import annotations
@@ -160,10 +160,6 @@ class RecipeConfig:
         if self.testing == "evalue_monitor":
             if self.evalue is None:
                 raise ConfigError("evalue_monitor requires an e-value config")
-            if self.model not in ("gaussian", "particles"):
-                raise ConfigError(
-                    "monitors are defined for gaussian and particles models"
-                )
         if self.bins is not None:
             if self.bins < 1:
                 raise ConfigError("bins must be >= 1")
@@ -533,12 +529,10 @@ def run_monitor(
             # the steps are looked up on this module, where the benchmark's
             # tracer (bench/tracing.py) wraps them
             t0 = state.t
-            if batch.kind == "gaussian":
-                state, log_e = monitor_step_gaussian(state, batch, ev)
-            elif batch.kind == "particles":
+            if batch.kind == "particles":
                 state, log_e = monitor_step_halfplane(state, batch, ev, rng)
             else:
-                raise ConfigError(f"no monitor recipe for {batch.kind} predictions")
+                state, log_e = monitor_step_gaussian(state, batch, ev)
             crossing = state.first_crossing or math.inf  # steps count from 1
             try:
                 # math.exp, not np.exp: the trace holds libm's bits
@@ -794,13 +788,15 @@ def _resolve(args, file_cfg: dict, key: str, convert=None, default=None):
 
 def _resolve_seed(args, file_cfg: dict) -> int:
     seed = _resolve(args, file_cfg, "seed", _integer)
-    if seed is not None:
-        return seed
-    env = os.environ.get(SEED_ENV_VAR, "0")
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+    if seed is None:
+        env = os.environ.get(SEED_ENV_VAR, "0")
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+    if seed < 0:  # numpy's generators take non-negative seeds only
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _not_bool(value):

@@ -2,15 +2,16 @@
 
 Transforms a record batch (:mod:`calcheck.records`) into the quantities the
 hypothesis tests consume: coverage counts over a level grid, PIT samples
-(raw and folded), variance bins for conditional checks, and half-plane
-coverage indicators for particle clouds, whose centered projected intervals
+(raw and folded), variance bins for conditional checks, and the half-plane
+coverage indicator for particle clouds, whose centered projected intervals
 come from :func:`weighted_quantile`.  What differs by prediction family
 comes from the batch; the statistics here are the same for every family.
 
-The coverage path for scalar predictions is implemented through the folded
-PIT: the outcome lies in the centered level-``lambda`` interval exactly when
-the folded PIT value is ``<= lambda``, so the empirical coverage curve and
-the folded-PIT ECDF are the same object bit for bit.
+Coverage counts sum the batch's own coverage indicator,
+:meth:`~calcheck.records.RecordBatch.covered`, which the online monitor
+reads too, so the offline and online tests score the same sets.  For scalar
+Gaussians that indicator is the folded PIT ``<= lambda``, so the empirical
+coverage curve and the folded-PIT ECDF are the same object bit for bit.
 """
 
 from __future__ import annotations
@@ -47,9 +48,10 @@ class LevelGrid:
         lv = np.atleast_1d(np.asarray(self.levels, dtype=float))
         if lv.size == 0:
             raise ValueError("level grid must be nonempty")
-        if np.any(lv <= 0.0) or np.any(lv >= 1.0):
+        # written so that NaN, which fails every comparison, fails both
+        if not np.all((lv > 0.0) & (lv < 1.0)):
             raise ValueError("levels must lie strictly inside (0, 1)")
-        if np.any(np.diff(lv) <= 0.0):
+        if not np.all(np.diff(lv) > 0.0):
             raise ValueError("levels must be strictly increasing")
         object.__setattr__(self, "levels", lv)
 
@@ -166,20 +168,18 @@ def fold(sample: PitSample) -> PitSample:
 # coverage
 # ---------------------------------------------------------------------------
 
-def coverage_counts(records, grid: LevelGrid) -> CoverageCurve:
+def coverage_counts(records, grid: LevelGrid, rng=None) -> CoverageCurve:
     """Observed coverage counts of centered prediction sets over a grid.
 
-    For scalar CDF-bearing predictions the count at each level is computed
-    through the folded-PIT shortcut (``v_i <= lambda``), which makes the
-    coverage curve and the folded-PIT ECDF agree exactly, not merely up to
-    rounding.  Multivariate Gaussians count ellipsoid membership through the
-    chi-square PIT.
+    Counts, level by level, the records that the batch's coverage indicator
+    :meth:`~calcheck.records.RecordBatch.covered` puts inside the centered
+    set: the folded PIT ``<= lambda`` for scalar Gaussians, the chi-square
+    PIT (ellipsoid membership) for multivariate Gaussians, and
+    :func:`halfplane_indicator` for particle clouds, which need ``rng``.
     """
     if not len(records):
         raise DataError("cannot compute coverage of an empty record list")
-    sample = pit(records)
-    v = fold(sample).values if records.fold_for_coverage else sample.values
-    counts = np.count_nonzero(v[None, :] <= grid.levels[:, None], axis=1)
+    counts = np.count_nonzero(records.covered(grid.levels, rng), axis=0)
     return CoverageCurve(levels=grid, counts=counts, n=len(records))
 
 
@@ -281,28 +281,14 @@ def halfplane_indicator(
             f"outcome has dimension {y.shape[0]}, cloud has {dim}"
         )
     d = random_direction(dim, rng)
-    lo, hi = weighted_quantile(w, pts @ d, np.array([1.0 - levels, 1.0 + levels]) / 2.0)
+    # (1 + level) / 2 rounds up to 1 at the level one ulp below 1, where the
+    # largest float below 1 stands in for it
+    q = np.minimum(np.array([1.0 - levels, 1.0 + levels]) / 2.0, np.nextafter(1.0, 0.0))
+    lo, hi = weighted_quantile(w, pts @ d, q)
     zy = float(y @ d)
     return (lo <= zy) & (zy <= hi)
 
 
-def halfplane_coverage(
-    records,
-    grid: LevelGrid,
-    rng: np.random.Generator | int,
-) -> CoverageCurve:
-    """Coverage curve for particle-cloud records via random projections.
-
-    Each record contributes one :func:`halfplane_indicator` per grid level,
-    drawn on its own fresh direction.  Each indicator is Bernoulli(level)
-    under calibration, so the counts feed the same Binomial machinery as
-    ordinary coverage counts.
-    """
-    if not len(records):
-        raise DataError("cannot compute coverage of an empty record list")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
-    counts = np.zeros(grid.k, dtype=int)
-    for (w, pts), y in zip(records.particle_clouds(), records.y):
-        counts += halfplane_indicator(w, pts, y, grid.levels, rng)
-    return CoverageCurve(levels=grid, counts=counts, n=len(records))
+# The half-plane metric's coverage curve is coverage_counts on particle
+# clouds; a name of its own keeps it a separate layer in bench/tracing.py.
+halfplane_coverage = coverage_counts

@@ -5,10 +5,10 @@ A batch holds ``n`` (prediction, outcome) records of one family: outcomes
 family's parameter columns.  What depends on the family lives on its batch
 type: the JSON keys of its record lines, parsing and validation of the
 parameters, serialisation, the PIT, the scalar uncertainty that variance
-bins sort by, and the weighted particle columns that half-plane coverage
-projects.  ``FAMILIES`` maps each model name to its type, so a batch's
-family is decided once, when its type is chosen; the monitor picks its step
-by the batch's ``kind``.
+bins sort by, and the coverage indicator, whether each outcome lies in its
+prediction's centered level set, which the offline coverage counts and the
+online monitor both read.  ``FAMILIES`` maps each model name to its type,
+so a batch's family is decided once, when its type is chosen.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import gammainc, ndtr
 
 from .errors import DataError, InvalidDistributionError, UnsupportedMetricError
+from .metric import fold, halfplane_indicator, pit
 
 __all__ = [
     "RecordBatch",
@@ -150,14 +151,12 @@ class RecordBatch:
     Every attribute of a batch holds one entry per record, so :meth:`take`
     indexes them all together.  ``keys`` are the family's JSON fields in
     file order, the outcome ``y`` last; the second key is the one that names
-    the family in a record line.  ``fold_for_coverage`` says whether the
-    family's centered coverage sets are intervals, read off the folded PIT,
-    rather than sets whose mass the PIT itself measures.
+    the family in a record line.  :meth:`covered` is the family's one
+    coverage indicator.
     """
 
     kind: str
     keys: tuple[str, ...]
-    fold_for_coverage = False
 
     def _set_outcomes(self, y, t, n: int, dims: set[int]) -> None:
         """Store the outcomes of ``n`` predictions as ``(n, d)``, checked
@@ -232,9 +231,11 @@ class RecordBatch:
         """One scalar spread per record; a monotone transform is enough for binning."""
         raise UnsupportedMetricError(f"{self.kind} records have no scalar uncertainty to bin by")
 
-    def particle_clouds(self):
-        """Each record's particle weights and points, as ``(w, pts)`` pairs."""
-        raise UnsupportedMetricError("half-plane coverage requires particle-cloud predictions")
+    def covered(self, levels: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
+        """Whether each outcome lies in its prediction's centered set at each of
+        ``levels``, as ``(n, k)`` booleans.  By default the PIT, the mass of the
+        smallest centered set holding the outcome, is ``<= lambda``."""
+        return pit(self).values[:, None] <= levels
 
 
 class GaussianBatch(RecordBatch):
@@ -242,7 +243,6 @@ class GaussianBatch(RecordBatch):
 
     kind = "gaussian"
     keys = ("mu", "sigma", "y")
-    fold_for_coverage = True
 
     def __init__(self, mu, sigma, y, t=None):
         self.mu = np.asarray(mu, dtype=float)
@@ -260,6 +260,11 @@ class GaussianBatch(RecordBatch):
 
     def uncertainty(self):
         return self.sigma
+
+    def covered(self, levels, rng=None):
+        # the centered interval at level lambda holds y exactly when the
+        # folded PIT |2 Phi(z) - 1| is <= lambda
+        return fold(pit(self)).values[:, None] <= levels
 
 
 class MvGaussianBatch(RecordBatch):
@@ -308,8 +313,12 @@ class ParticleBatch(RecordBatch):
     def _json_columns(self):
         return [wi.tolist() for wi in self.w], [pi.tolist() for pi in self.pts], self.y.tolist()
 
-    def particle_clouds(self):
-        return zip(self.w, self.pts)
+    def covered(self, levels, rng=None):
+        # one halfplane_indicator row per cloud, each on a fresh direction
+        if rng is None:
+            raise UnsupportedMetricError("half-plane coverage of particle clouds needs an rng")
+        return np.array([halfplane_indicator(w, pts, y, levels, rng) for w, pts, y
+                         in zip(self.w, self.pts, self.y)], bool).reshape(len(self), len(levels))
 
 
 FAMILIES: dict[str, type[RecordBatch]] = {

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .metric import fold, halfplane_indicator, pit
-from .records import GaussianBatch, ParticleBatch
+from .records import ParticleBatch, RecordBatch
 
 __all__ = [
     "EValueConfig",
@@ -119,18 +118,20 @@ def _advanced(
 
 
 def monitor_step_gaussian(
-    state: MartingaleState, batch: GaussianBatch, config: EValueConfig
+    state: MartingaleState, batch: RecordBatch, config: EValueConfig
 ) -> tuple[MartingaleState, np.ndarray]:
-    """Advance the scalar-Gaussian coverage monitor over a batch of records.
+    """Advance the coverage monitor over a batch of records of any family
+    with a CDF, scalar and multivariate Gaussians alike; ``bench/tracing.py``
+    traces it under this name.
 
-    Scores whether each outcome falls in the centered level interval of its
-    ``N(mu, sigma^2)`` through the folded PIT ``|2 Phi(z) - 1| <= level``,
-    the operations :func:`calcheck.metric.coverage_counts` applies, and
-    multiplies the running martingale by the likelihood-ratio e-value of
-    each indicator in record order.  Returns the state after the batch and
-    the running log e-value after each of its records.
+    Scores each record's coverage indicator
+    :meth:`~calcheck.records.RecordBatch.covered` at the configured level,
+    the one :func:`calcheck.metric.coverage_counts` counts, and multiplies
+    the running martingale by the likelihood-ratio e-value of each
+    indicator in record order.  Returns the state after the batch and the
+    running log e-value after each of its records.
     """
-    return _advanced(state, fold(pit(batch)).values <= config.level, config)
+    return _advanced(state, batch.covered(np.array([config.level]))[:, 0], config)
 
 
 def monitor_step_halfplane(
@@ -141,12 +142,9 @@ def monitor_step_halfplane(
 ) -> tuple[MartingaleState, np.ndarray]:
     """Advance the half-plane particle monitor over a batch of clouds.
 
-    Scores each record's coverage indicator of
-    :func:`calcheck.metric.halfplane_indicator` at the configured level, on a
-    fresh direction drawn from ``rng`` cloud by cloud in record order, and
-    feeds them to the martingale.  Returns what
+    Scores each record's half-plane coverage indicator at the configured
+    level, on a fresh direction drawn from ``rng`` cloud by cloud in record
+    order, and feeds them to the martingale.  Returns what
     :func:`monitor_step_gaussian` returns.
     """
-    covered = [halfplane_indicator(w, pts, y, config.level, rng)
-               for (w, pts), y in zip(batch.particle_clouds(), batch.y)]
-    return _advanced(state, np.array(covered, dtype=bool), config)
+    return _advanced(state, batch.covered(np.array([config.level]), rng)[:, 0], config)

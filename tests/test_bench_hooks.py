@@ -75,6 +75,19 @@ def test_traced_layers_see_ingest_and_monitor_steps(tmp_path):
     for layer in ("cli.iter_records", "seqtest.monitor_step_gaussian",
                   "seqtest.monitor_step_halfplane"):
         assert tracer.totals[layer][0] > 0, layer
+    # coverage_counts and halfplane_coverage each delegate to the batch's
+    # coverage indicator; check must still reach both by the names the
+    # tracer wraps, the weather check the one and a particle check the other
+    saved = tracer.install({"cli": calcheck.cli, "metric": calcheck.metric,
+                            "sim": calcheck.sim})
+    try:
+        tracer.begin_command()
+        calcheck.cli.main(["check", str(robot / "robot_records.jsonl"), "--seed", "1"])
+        tracer.end_command(keep=True)
+    finally:
+        tracer.uninstall(saved)
+    for layer in ("metric.coverage_counts", "metric.halfplane_coverage"):
+        assert tracer.totals[layer][0] > 0, layer
 
 
 def test_simulated_batches_support_len():

@@ -448,6 +448,19 @@ def test_cli_seed_env_fallback(tmp_path, capsys, monkeypatch):
     assert cli.main(["check", str(path)]) == 2
 
 
+@pytest.mark.parametrize("argv", [["check", "{weather}"], ["monitor", "{weather}"],
+                                  ["simulate", "weather", "--out", "{out}"]])
+def test_cli_negative_seed_env_is_a_config_error(tmp_path, capsys, monkeypatch, argv):
+    # numpy's generators refuse a negative seed with a ValueError, which
+    # would exit 1, the reject code
+    path, _ = weather_file(tmp_path, seed=5)
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "-1")
+    fill = {"weather": str(path), "out": str(tmp_path / "out")}
+    assert cli.main([a.format(**fill) for a in argv]) == 2
+    assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_byte_identical_reruns(tmp_path):
     path, _ = weather_file(tmp_path, seed=8)
     for d in ("r1", "r2"):
@@ -495,6 +508,30 @@ def test_cli_simulate_drift_sweep_scaled(tmp_path, capsys):
     assert len(table) == 4  # default three multipliers
     env = (out / "sweep_envelope.csv").read_text().splitlines()
     assert len(env) == 1 + 3 * 60
+
+
+def mv_gaussian_file(tmp_path, seed: int, scale: float):
+    """Calibrated two-dimensional Gaussians whose covariances are then
+    shrunk by ``scale**2``: below 1 they are overconfident."""
+    rng = np.random.default_rng(seed)
+    n = 200
+    a = rng.normal(size=(n, 2, 2))
+    cov = a @ a.transpose(0, 2, 1) + 0.5 * np.eye(2)
+    mu = rng.normal(size=(n, 2))
+    y = mu + np.einsum("nij,nj->ni", np.linalg.cholesky(cov), rng.standard_normal((n, 2)))
+    path = tmp_path / f"mv_{scale}.jsonl"
+    write_records(MvGaussianBatch(mu, cov * scale**2, y), path)
+    return path
+
+
+@pytest.mark.parametrize("scale, code", [(1.0, 0), (0.5, 1)])
+def test_cli_monitor_mv_gaussian_decides(tmp_path, capsys, scale, code):
+    # the monitor scores the ellipsoids check's coverage metric counts
+    path = mv_gaussian_file(tmp_path, seed=12, scale=scale)
+    assert cli.main(["monitor", str(path), "--out", str(tmp_path / "out")]) == code
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["report"]["recipe_config"]["t"] == 200
+    assert report["report"]["decision"] == ("reject" if code else "accept")
 
 
 def test_cli_check_monitor_slot_swap(tmp_path):
@@ -546,6 +583,14 @@ def test_cli_check_monitor_slot_swap(tmp_path):
          {"n_seeds": 1, "n_steps": 5, "n_particles": 20, "multipliers": [True, 1]}, 2),
         (["simulate", "drift_sweep", "--out", "{out}"],
          {"n_seeds": 1, "n_steps": 5, "n_particles": 20, "multipliers": []}, 2),
+        # numpy's generators take no negative seed, by flag or by config key
+        (["monitor", "{weather}", "--seed", "-1"], {}, 2),
+        (["simulate", "weather", "--seed", "-1", "--out", "{out}"], {}, 2),
+        (["check", "{weather}"], {"seed": -1}, 2),
+        (["simulate", "weather", "--out", "{out}"], {"seed": -1}, 2),
+        # NaN fails every comparison, so it passes no range or order check
+        (["check", "{weather}", "--levels", "0.5,nan"], {}, 2),
+        (["check", "{weather}", "--levels", "nan"], {}, 2),
     ],
 )
 def test_cli_config_values_resolve_alike(tmp_path, capsys, argv, file_cfg, code):

@@ -111,6 +111,15 @@ def test_weighted_quantile_skewed_weights():
     assert weighted_quantile([0.9, 0.1], [0.0, 100.0], 0.95) == 100.0
 
 
+def test_halfplane_interval_at_the_level_one_ulp_below_one():
+    # (1 + lambda) / 2 rounds to 1 there, outside weighted_quantile's domain
+    lam = np.nextafter(1.0, 0.0)
+    assert (1.0 + lam) / 2.0 == 1.0
+    cloud = ParticleBatch([[0.25, 0.5, 0.25]], [[[0.0], [1.0], [2.0]]], [[2.0]])
+    assert cloud.covered(np.array([0.5, lam]), np.random.default_rng(0)).tolist() == [
+        [False, True]]
+
+
 def test_weighted_quantile_empty_errors():
     with pytest.raises(ValueError):
         weighted_quantile([], [], 0.5)

@@ -205,9 +205,8 @@ def test_block_ingest_matches_the_per_line_parse(tmp_path, monkeypatch, kind, bl
         else:
             assert error == want_error
             assert_same_records(kind, whole, want if error is None else [])
-        if kind != "mv_gaussian":  # monitors are defined for gaussian and particles
-            assert (monitor_outcome(kind, iter_records(path, kind))
-                    == monitor_outcome(kind, replay(want, want_error))), seed
+        assert (monitor_outcome(kind, iter_records(path, kind))
+                == monitor_outcome(kind, replay(want, want_error))), seed
 
 
 def test_file_of_many_blocks_cut_by_a_bad_line(tmp_path):

@@ -11,6 +11,12 @@ from calcheck.cli import parse_records, write_records
 from calcheck.errors import DataError, InvalidDistributionError
 from calcheck.metric import LevelGrid, coverage_counts, fold, pit
 from calcheck.records import GaussianBatch, MvGaussianBatch, ParticleBatch
+from calcheck.seqtest import (
+    EValueConfig,
+    MartingaleState,
+    monitor_step_gaussian,
+    monitor_step_halfplane,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -67,15 +73,15 @@ def mv_gaussian_batches(draw):
 
 
 @st.composite
-def particle_batches(draw):
+def particle_batches(draw, values=finite):
     n, d = draw(st.integers(1, 10)), draw(st.integers(1, 3))
     weights, points = [], []
     for m in draw(st.lists(st.integers(2, 6), min_size=n, max_size=n)):  # ragged clouds
         w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m)))
         weights.append(w / w.sum())
-        points.append(np.array(draw(st.lists(finite, min_size=m * d, max_size=m * d)))
+        points.append(np.array(draw(st.lists(values, min_size=m * d, max_size=m * d)))
                       .reshape(m, d))
-    y = np.array(draw(st.lists(finite, min_size=n * d, max_size=n * d))).reshape(n, d)
+    y = np.array(draw(st.lists(values, min_size=n * d, max_size=n * d))).reshape(n, d)
     return ParticleBatch(weights, points, y, draw(st.lists(time_index, min_size=n, max_size=n)))
 
 
@@ -107,6 +113,36 @@ def test_gaussian_coverage_counts_are_the_folded_pit_ecdf(batch, levels):
     for count, lam in zip(curve.counts, grid.levels):
         assert count == np.count_nonzero(folded.values <= lam)
         assert count / curve.n == np.mean(folded.values <= lam)
+
+
+@SETTINGS
+@given(st.one_of(gaussian_batches(moderate, st.floats(1e-6, 1e6)), mv_gaussian_batches(),
+                 particle_batches(moderate)),
+       st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                min_size=1, max_size=12, unique=True),
+       st.floats(0.001, 0.999), st.integers(0, 2**32 - 1))
+def test_check_and_monitor_read_one_coverage_indicator(batch, levels, lam, seed):
+    # coverage counts, each level's column alone, and a monitor step all
+    # score the same sets; particle clouds draw one direction per record
+    # whatever the number of levels, so equal seeds give equal draws
+    def rng():
+        return np.random.default_rng(seed)
+
+    grid = LevelGrid(sorted(levels))
+    covered = batch.covered(grid.levels, rng())
+    assert covered.shape == (len(batch), grid.k) and covered.dtype == bool
+    assert np.array_equal(coverage_counts(batch, grid, rng()).counts,
+                          np.count_nonzero(covered, axis=0))
+    for j in range(grid.k):
+        assert np.array_equal(covered[:, j], batch.covered(grid.levels[j:j + 1], rng())[:, 0])
+    config = EValueConfig(lam, lam / 2, 0.05)
+    if isinstance(batch, ParticleBatch):
+        _, log_e = monitor_step_halfplane(MartingaleState(), batch, config, rng())
+    else:
+        _, log_e = monitor_step_gaussian(MartingaleState(), batch, config)
+    hits = np.diff(log_e, prepend=0.0) < 0.0  # a covered step halves the e-value
+    assert np.array_equal(hits, batch.covered(np.array([lam]), rng())[:, 0])
+    assert np.count_nonzero(hits) == coverage_counts(batch, LevelGrid([lam]), rng()).counts[0]
 
 
 json_number = st.one_of(st.floats(), st.integers(-10**6, 10**6))
