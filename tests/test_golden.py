@@ -12,16 +12,17 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 from calcheck import cli
+from calcheck.records import MvGaussianBatch
 
 ROBOT_SIM = {"n_particles": 60, "n_steps": 40}
 SWEEP = {"n_particles": 60, "n_steps": 30, "n_seeds": 2}
 
-# name -> argv; "{weather}", "{robot}", "{robot_cfg}", "{sweep}", "{saved}" and
-# "{out}" are
-# filled in per run.
+# name -> argv; "{weather}", "{robot}", "{robot_cfg}", "{sweep}", "{saved}",
+# "{mv}" and "{out}" are filled in per run.
 CASES = {
     "check_default": ["check", "{weather}"],
     "check_holm_tol": ["check", "{weather}", "--sided", "one", "--tolerance", "0.02",
@@ -39,6 +40,8 @@ CASES = {
     "simulate_robot": ["simulate", "robot", "--seed", "1", "--config", "{robot_cfg}",
                        "--out", "{out}"],
     "simulate_weather": ["simulate", "weather", "--seed", "3", "--out", "{out}"],
+    "check_mv": ["check", "{mv}", "--out", "{out}"],
+    "monitor_mv": ["monitor", "{mv}", "--out", "{out}"],
 }
 
 GOLDEN = {
@@ -72,11 +75,23 @@ GOLDEN = {
         "ecdf.csv": "8616415fdaeb6a7e103be53bd34d1bb40c9152844fb8bd62b5a1ba8ac7ea760b",
         "report.json": "5e4f945d03c60cb40069b8be9b1ae4fb4b0355dd56b7d368dcb852cee3739080",
     },
+    "check_mv": {
+        "exit": 0,
+        "stdout": "9edb3a4bb30ec9fc06b9225ff7798b7ae302edae74380ceb88754ac750a6f507",
+        "coverage.csv": "539dbd57d7daa5b5914ad4bf021498d7d236772ce2f6f153577c84221509eddc",
+        "report.json": "973144fc338655820901f8a9df31335d3a3b959b1c5fca45346896c576a887ca",
+    },
     "check_robot": {
         "exit": 0,
         "stdout": "a232d2be0e4b0aa8b0244bdfb2b2b46acb9e2d9c60fe870e6e5814a48fb02fd6",
         "coverage.csv": "60c0205ff96398e97b498dc1cc7f6158edf620f44ae2d83400ca27918047a488",
         "report.json": "93b0e496910c9486cdb51ecac12cf12e7ac9288a31e24945be29d3af158d78ea",
+    },
+    "monitor_mv": {
+        "exit": 0,
+        "stdout": "1c04881a617000ec605e5cb0b2a0c73e5caacf9614ffbd86bd36abdcedec95b0",
+        "etrace.csv": "1ed6d0c2a195f34c27d712365c4a8b9bee4cecaa214c3d00f7bf5d17d234de15",
+        "report.json": "769616a444fb064319a3ccf3db6a75d331576c9c64e6ae96cf3c01ebb0454318",
     },
     "monitor_robot": {
         "exit": 0,
@@ -130,6 +145,17 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def mv_records(path, seed=7, n=200):
+    """Seeded two-dimensional Gaussian forecasts and outcomes drawn from them."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, 2, 2))
+    cov = a @ a.transpose(0, 2, 1) + 0.5 * np.eye(2)
+    mu = rng.normal(size=(n, 2))
+    y = mu + np.einsum("nij,nj->ni", np.linalg.cholesky(cov), rng.standard_normal((n, 2)))
+    cli.write_records(MvGaussianBatch(mu, cov, y), path)
+    return str(path)
+
+
 def make_inputs(root):
     """Simulate the input files and save the report that ``report`` re-renders."""
     code, _ = _run(["simulate", "weather", "--seed", "3", "--out", str(root / "weather")])
@@ -152,6 +178,7 @@ def make_inputs(root):
         "robot_cfg": str(robot_cfg),
         "sweep": str(sweep_cfg),
         "saved": str(saved / "report.json"),
+        "mv": mv_records(root / "mv_records.jsonl"),
     }
 
 
