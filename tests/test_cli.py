@@ -388,13 +388,20 @@ def test_cli_report_prints_and_exits_as_the_run_that_saved_it(tmp_path, capsys, 
     assert block[0].startswith("decision: ") and live[-len(block):] == block
 
 
-def test_cli_import_leaves_out_scipy_stats_and_linalg():
-    probe = ("import sys, calcheck.cli; "
-             "print(sorted(m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules))")
+def test_cli_import_leaves_out_scipy_stats_and_linalg(tmp_path):
+    # and so do check and monitor on mv_gaussian records, whose distances
+    # come from numpy's batched matmul
+    path = str(mv_gaussian_file(tmp_path, seed=12, scale=1.0))
+    probe = ("import sys, calcheck.cli\n"
+             "def loaded():\n"
+             "    print(sorted(m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules))\n"
+             f"loaded(); calcheck.cli.main(['check', {path!r}])\n"
+             f"calcheck.cli.main(['monitor', {path!r}]); loaded()\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert proc.stdout.strip() == "[]"
+    lines = proc.stdout.splitlines()
+    assert len(lines) > 2 and lines[0] == lines[-1] == "[]"
 
 
 def test_cli_unwritable_out_exits_2(tmp_path, capsys):

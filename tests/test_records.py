@@ -1,11 +1,14 @@
 """Record batches: the Cholesky jitter retry on hand-picked covariances, then
-property tests of the JSON round trip, the parse of one record line, and the
-coverage path, over random batches of every family."""
+property tests of the Mahalanobis distances, the JSON round trip, the parse of
+one record line, and the coverage path, over random batches of every family."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from calcheck.cli import parse_records, write_records
 from calcheck.errors import DataError, InvalidDistributionError
@@ -143,6 +146,25 @@ def test_check_and_monitor_read_one_coverage_indicator(batch, levels, lam, seed)
     hits = np.diff(log_e, prepend=0.0) < 0.0  # a covered step halves the e-value
     assert np.array_equal(hits, batch.covered(np.array([lam]), rng())[:, 0])
     assert np.count_nonzero(hits) == coverage_counts(batch, LevelGrid([lam]), rng()).counts[0]
+
+
+@SETTINGS
+@given(st.integers(1, 8), st.integers(1, 20), st.integers(0, 2**32 - 1),
+       st.floats(-6.0, 6.0), st.floats(-12.0, 2.0), st.floats(-3.0, 8.0))
+def test_mv_gaussian_distances_equal_per_record_triangular_solves(d, n, seed, scale, load,
+                                                                   spread):
+    # covariances of rank below d plus a diagonal load down to 1e-12 of their
+    # scale are ill-conditioned; the batched forward substitution behind the
+    # chi-square PIT must still give each record's solve_triangular and z @ z
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, d, rng.integers(1, d + 1))) * 10.0 ** (scale / 2)
+    cov = a @ a.transpose(0, 2, 1) + 10.0 ** (scale + load) * np.eye(d)
+    batch = MvGaussianBatch(rng.normal(size=(n, d)), cov, rng.normal(size=(n, d)) * 10.0**spread)
+    with mock.patch("calcheck.records.chi2_cdf", lambda m, dof: m):
+        got = batch.pit_values()
+    want = np.array([float(z @ z) for z in (solve_triangular(c, r, lower=True)
+                                            for c, r in zip(batch.chol, batch.y - batch.mu))])
+    assert got.tobytes() == want.tobytes()
 
 
 json_number = st.one_of(st.floats(), st.integers(-10**6, 10**6))
