@@ -46,8 +46,8 @@ class LevelGrid:
 
     def __post_init__(self):
         lv = np.atleast_1d(np.asarray(self.levels, dtype=float))
-        if lv.size == 0:
-            raise ValueError("level grid must be nonempty")
+        if lv.ndim != 1 or lv.size == 0:
+            raise ValueError("level grid must be a nonempty flat list")
         # written so that NaN, which fails every comparison, fails both
         if not np.all((lv > 0.0) & (lv < 1.0)):
             raise ValueError("levels must lie strictly inside (0, 1)")
@@ -281,6 +281,12 @@ def halfplane_indicator(
             f"outcome has dimension {y.shape[0]}, cloud has {dim}"
         )
     d = random_direction(dim, rng)
+    # coordinates beyond 2**500 could overflow their projections; the interval
+    # test is invariant under positive scaling, so scale the cloud and the
+    # outcome by an exact power of two, and leave every other input untouched
+    k = np.frexp(max(np.abs(pts).max(), np.abs(y).max()))[1]
+    if k > 500:
+        pts, y = pts * np.ldexp(1.0, -k), y * np.ldexp(1.0, -k)
     # (1 + level) / 2 rounds up to 1 at the level one ulp below 1, where the
     # largest float below 1 stands in for it
     q = np.minimum(np.array([1.0 - levels, 1.0 + levels]) / 2.0, np.nextafter(1.0, 0.0))

@@ -276,7 +276,6 @@ class DriftSweepEntry:
 @dataclass(frozen=True)
 class DriftSweepReport:
     entries: tuple[DriftSweepEntry, ...]
-    monitor: EValueConfig
 
 
 def drift_sweep(
@@ -319,4 +318,4 @@ def drift_sweep(
                 envelope=envelope,
             )
         )
-    return DriftSweepReport(entries=tuple(entries), monitor=monitor)
+    return DriftSweepReport(entries=tuple(entries))

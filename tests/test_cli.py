@@ -598,6 +598,9 @@ def test_cli_check_monitor_slot_swap(tmp_path):
         # NaN fails every comparison, so it passes no range or order check
         (["check", "{weather}", "--levels", "0.5,nan"], {}, 2),
         (["check", "{weather}", "--levels", "nan"], {}, 2),
+        # a level grid is one flat list, not a list of lists
+        (["check", "{weather}"], {"levels": [[0.5, 0.9]]}, 2),
+        (["check", "{weather}"], {"levels": [[0.5], [0.9]]}, 2),
     ],
 )
 def test_cli_config_values_resolve_alike(tmp_path, capsys, argv, file_cfg, code):

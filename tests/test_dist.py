@@ -120,6 +120,19 @@ def test_halfplane_interval_at_the_level_one_ulp_below_one():
         [False, True]]
 
 
+def test_halfplane_indicator_scales_clouds_whose_projections_would_overflow():
+    # finite points near the float maximum project to inf unless scaled; the
+    # interval test is scale-free, so the cloud scores as its copy at 2**-600
+    pts = np.array([[1.5e308, 1.5e308], [-1.5e308, 1e308]])
+    levels = np.array([0.1, 0.5, 0.9])
+    for seed in range(20):
+        for y in ([0.0, 1.2e308], [1.5e308, 1.5e308], [-1e308, -1e308]):
+            big = ParticleBatch([[0.5, 0.5]], [pts], [y])
+            small = ParticleBatch([[0.5, 0.5]], [pts * 2.0**-600], [np.multiply(y, 2.0**-600)])
+            assert np.array_equal(big.covered(levels, np.random.default_rng(seed)),
+                                  small.covered(levels, np.random.default_rng(seed)))
+
+
 def test_weighted_quantile_empty_errors():
     with pytest.raises(ValueError):
         weighted_quantile([], [], 0.5)

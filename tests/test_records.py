@@ -76,15 +76,15 @@ def mv_gaussian_batches(draw):
 
 
 @st.composite
-def particle_batches(draw, values=finite):
+def particle_batches(draw):
     n, d = draw(st.integers(1, 10)), draw(st.integers(1, 3))
     weights, points = [], []
     for m in draw(st.lists(st.integers(2, 6), min_size=n, max_size=n)):  # ragged clouds
         w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m)))
         weights.append(w / w.sum())
-        points.append(np.array(draw(st.lists(values, min_size=m * d, max_size=m * d)))
+        points.append(np.array(draw(st.lists(finite, min_size=m * d, max_size=m * d)))
                       .reshape(m, d))
-    y = np.array(draw(st.lists(values, min_size=n * d, max_size=n * d))).reshape(n, d)
+    y = np.array(draw(st.lists(finite, min_size=n * d, max_size=n * d))).reshape(n, d)
     return ParticleBatch(weights, points, y, draw(st.lists(time_index, min_size=n, max_size=n)))
 
 
@@ -120,7 +120,7 @@ def test_gaussian_coverage_counts_are_the_folded_pit_ecdf(batch, levels):
 
 @SETTINGS
 @given(st.one_of(gaussian_batches(moderate, st.floats(1e-6, 1e6)), mv_gaussian_batches(),
-                 particle_batches(moderate)),
+                 particle_batches()),
        st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
                 min_size=1, max_size=12, unique=True),
        st.floats(0.001, 0.999), st.integers(0, 2**32 - 1))
