@@ -19,10 +19,12 @@ from calcheck import cli
 from calcheck.records import MvGaussianBatch
 
 ROBOT_SIM = {"n_particles": 60, "n_steps": 40}
+# nine beacons: numpy sums a row of 8 or more pairwise, not in sequence
+MANY_BEACONS = {**ROBOT_SIM, "beacon_positions": [[x, y] for y in (0, 5, 10) for x in (0, 5, 10)]}
 SWEEP = {"n_particles": 60, "n_steps": 30, "n_seeds": 2}
 
-# name -> argv; "{weather}", "{robot}", "{robot_cfg}", "{sweep}", "{saved}",
-# "{mv}" and "{out}" are filled in per run.
+# name -> argv; "{weather}", "{robot}", "{robot_cfg}", "{many_cfg}", "{sweep}",
+# "{saved}", "{mv}" and "{out}" are filled in per run.
 CASES = {
     "check_default": ["check", "{weather}"],
     "check_holm_tol": ["check", "{weather}", "--sided", "one", "--tolerance", "0.02",
@@ -42,6 +44,8 @@ CASES = {
     "simulate_weather": ["simulate", "weather", "--seed", "3", "--out", "{out}"],
     "check_mv": ["check", "{mv}", "--out", "{out}"],
     "monitor_mv": ["monitor", "{mv}", "--out", "{out}"],
+    "simulate_robot_many_beacons": ["simulate", "robot", "--seed", "1", "--config", "{many_cfg}",
+                                    "--out", "{out}"],
 }
 
 GOLDEN = {
@@ -131,6 +135,12 @@ GOLDEN = {
         "report.json": "8d17b31706a9808b2d39c55f2ac3ec4859817f859c6a5030c56a6ce4656c3d5c",
         "weather_records.jsonl": "1e7379595075aefb38af0877e2f7d99f8ef190d70d4fc9a377f0db0cd4aac6e9",
     },
+    "simulate_robot_many_beacons": {
+        "exit": 0,
+        "stdout": "a6b2f30aa4ffd5037ba07e4f4b0b9e52c5fb4a309b9654ad8c728498791f0eb8",
+        "report.json": "2cfb3d8cbd1f70e0718306d1cdd41a6b2692129731819f4fa7f382e1930100fe",
+        "robot_records.jsonl": "e31ca455614b9a1631b65af8fdbb31c59396c71d173d3ac6e7c9c707b56aee1d",
+    },
 }
 
 
@@ -162,6 +172,8 @@ def make_inputs(root):
     assert code == 0
     robot_cfg = root / "robot.json"
     robot_cfg.write_text(json.dumps(ROBOT_SIM))
+    many_cfg = root / "many_beacons.json"
+    many_cfg.write_text(json.dumps(MANY_BEACONS))
     code, _ = _run(["simulate", "robot", "--seed", "1", "--config", str(robot_cfg),
                     "--out", str(root / "robot")])
     assert code == 0
@@ -176,6 +188,7 @@ def make_inputs(root):
         "weather": str(root / "weather" / "weather_records.jsonl"),
         "robot": str(root / "robot" / "robot_records.jsonl"),
         "robot_cfg": str(robot_cfg),
+        "many_cfg": str(many_cfg),
         "sweep": str(sweep_cfg),
         "saved": str(saved / "report.json"),
         "mv": mv_records(root / "mv_records.jsonl"),
