@@ -192,7 +192,8 @@ class RobotSimConfig:
 def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     m = weights.size
     positions = (rng.uniform(0.0, 1.0) + np.arange(m)) / m
-    return np.searchsorted(np.cumsum(weights), positions).clip(0, m - 1)
+    # searchsorted returns no negative index, so only the top needs a bound
+    return np.minimum(np.searchsorted(np.cumsum(weights), positions), m - 1)
 
 
 def _log_sum_exp(log_w: np.ndarray, t: int) -> float:
@@ -220,6 +221,7 @@ def run_robot_sim(config: RobotSimConfig) -> ParticleBatch:
     """
     rng = np.random.default_rng(config.seed)
     beacons = config.beacons
+    bx, by = beacons[:, :1], beacons[:, 1:]  # (k, 1) columns
     center = beacons.mean(axis=0)
     m = config.n_particles
     q = config.process_noise_sd
@@ -228,19 +230,28 @@ def run_robot_sim(config: RobotSimConfig) -> ParticleBatch:
 
     truth = center + rng.normal(0.0, _INIT_SD, 2)
     particles = center + rng.normal(0.0, _INIT_SD, (m, 2))
-    log_w = np.full(m, -np.log(m))
+    flat = np.full(m, -np.log(m))  # never written in place, so shared
+    log_w = flat
 
     weights_seq, particles_seq, truths = [], [], []
     for t in range(1, config.n_steps + 1):
         truth = truth + drift + rng.normal(0.0, q, 2)
         particles = particles + rng.normal(0.0, q, (m, 2))  # drift-free model
 
-        true_ranges = np.linalg.norm(truth - beacons, axis=1)
-        z = true_ranges + rng.normal(0.0, r, beacons.shape[0])
-        diffs = particles[:, None, :] - beacons[None, :, :]
-        pred_ranges = np.linalg.norm(diffs, axis=2)
+        # Ranges coordinate by coordinate, one (beacon, particle) row per
+        # beacon: sqrt(dx*dx + dy*dy) is np.linalg.norm's two-term sum bit
+        # for bit, without numpy's slow reductions over a length-2 axis.
+        true_ranges = np.sqrt((truth[0] - bx) ** 2 + (truth[1] - by) ** 2)
+        z = true_ranges + rng.normal(0.0, r, (len(beacons), 1))
+        dx = particles[:, 0] - bx
+        dy = particles[:, 1] - by
         with np.errstate(over="ignore"):  # depletion is detected below
-            log_w = log_w - 0.5 * (((z - pred_ranges) / r) ** 2).sum(axis=1)
+            res = (z - np.sqrt(dx * dx + dy * dy)) / r
+            sq = res * res
+        # summed over beacons on the C-contiguous (particle, beacon) layout,
+        # the order .sum(axis=1) gives it: in sequence below 8 beacons and
+        # pairwise from 8 up
+        log_w = log_w - 0.5 * np.ascontiguousarray(sq.T).sum(axis=1)
 
         log_w = log_w - _log_sum_exp(log_w, t)
         weights = np.exp(log_w)
@@ -253,7 +264,7 @@ def run_robot_sim(config: RobotSimConfig) -> ParticleBatch:
         if ess < m / 2.0:
             idx = _systematic_resample(weights, rng)
             particles = particles[idx]
-            log_w = np.full(m, -np.log(m))
+            log_w = flat
     return ParticleBatch(weights_seq, particles_seq, truths, t=range(1, config.n_steps + 1))
 
 

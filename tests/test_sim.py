@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calcheck.errors import DataError
 from calcheck.hyptest import ONE_SIDED, TWO_SIDED, HypothesisSpec, ks_test
@@ -9,9 +12,11 @@ from calcheck.metric import LevelGrid, coverage_counts, fold, halfplane_coverage
 from calcheck.records import MvGaussianBatch
 from calcheck.seqtest import EValueConfig
 from calcheck.sim import (
+    _INIT_SD,
     DRIFT_PER_STEP,
     RobotSimConfig,
     WeatherSimConfig,
+    _log_sum_exp,
     drift_sweep,
     run_robot_sim,
     run_weather_oracle,
@@ -178,6 +183,74 @@ def test_robot_gaussian_swap_tracks_halfplane_curve():
     mm = MvGaussianBatch(mu, (cov + cov.transpose(0, 2, 1)) / 2.0, recs.y)
     mv = coverage_counts(mm, grid)
     assert np.max(np.abs(mv.fractions - hp.fractions)) <= 0.05
+
+
+def reference_robot_sim(config):
+    """The filter with its range likelihood on the 3-D (particle, beacon,
+    coordinate) differences: ``np.linalg.norm`` over the coordinates,
+    ``.sum(axis=1)`` over the beacons, ``.clip`` on resampled indices."""
+    rng = np.random.default_rng(config.seed)
+    beacons = config.beacons
+    center = beacons.mean(axis=0)
+    m, q, r = config.n_particles, config.process_noise_sd, config.range_noise_sd
+    drift = config.drift_multiplier * DRIFT_PER_STEP
+    truth = center + rng.normal(0.0, _INIT_SD, 2)
+    particles = center + rng.normal(0.0, _INIT_SD, (m, 2))
+    log_w = np.full(m, -np.log(m))
+    out = []
+    for t in range(1, config.n_steps + 1):
+        truth = truth + drift + rng.normal(0.0, q, 2)
+        particles = particles + rng.normal(0.0, q, (m, 2))
+        z = np.linalg.norm(truth - beacons, axis=1) + rng.normal(0.0, r, beacons.shape[0])
+        pred = np.linalg.norm(particles[:, None, :] - beacons[None, :, :], axis=2)
+        with np.errstate(over="ignore"):
+            log_w = log_w - 0.5 * (((z - pred) / r) ** 2).sum(axis=1)
+        log_w = log_w - _log_sum_exp(log_w, t)
+        weights = np.exp(log_w)
+        out.append((weights, particles, truth))
+        if 1.0 / float((weights**2).sum()) < m / 2.0:
+            positions = (rng.uniform(0.0, 1.0) + np.arange(m)) / m
+            particles = particles[np.searchsorted(np.cumsum(weights), positions).clip(0, m - 1)]
+            log_w = np.full(m, -np.log(m))
+    return out
+
+
+@st.composite
+def robot_configs(draw):
+    k = draw(st.integers(3, 12))
+    beacons = draw(st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+                            min_size=k, max_size=k, unique=True))
+    try:
+        return RobotSimConfig(
+            n_particles=draw(st.integers(2, 300)),
+            n_steps=draw(st.integers(1, 6)),
+            drift_multiplier=draw(st.sampled_from([0.0, 0.5, 1.0, 40.0])),
+            beacon_positions=tuple(beacons),
+            range_noise_sd=draw(st.sampled_from([1e-300, 0.002, 0.05, 0.28, 3.0])),
+            seed=draw(st.integers(0, 2**32)),
+        )
+    except ValueError:  # collinear beacons
+        return draw(st.nothing())
+
+
+@settings(max_examples=60, deadline=None)
+@given(robot_configs())
+def test_robot_sim_equals_the_3d_range_reference_bit_for_bit(config):
+    # row-wise ranges and the transposed beacon sum must give numpy's
+    # reduction order for every beacon count: in sequence below 8, pairwise
+    # from 8 up; depletion must stop both at the same step
+    try:
+        want = reference_robot_sim(config)
+    except DataError as exc:
+        with pytest.raises(DataError, match=re.escape(str(exc))):
+            run_robot_sim(config)
+        return
+    got = run_robot_sim(config)
+    assert len(got) == len(want)
+    for w, pts, y, (w_ref, pts_ref, y_ref) in zip(got.w, got.pts, got.y, want, strict=True):
+        assert w.tobytes() == w_ref.tobytes()
+        assert pts.tobytes() == pts_ref.tobytes()
+        assert y.tobytes() == y_ref.tobytes()
 
 
 # ---------------------------------------------------------------------------
