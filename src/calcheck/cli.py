@@ -921,6 +921,8 @@ def _multipliers(value) -> tuple:
     if not (isinstance(value, list) and value and all(
             isinstance(m, (int, float)) and not isinstance(m, bool) for m in value)):
         raise ValueError("drift multipliers must be a non-empty list of numbers")
+    if not all(math.isfinite(m) for m in value):
+        raise ValueError("drift multipliers must be finite")
     if not all(m >= 0.0 for m in value):
         raise ValueError("drift multipliers must be >= 0")
     return tuple(value)

@@ -282,11 +282,18 @@ class MvGaussianBatch(RecordBatch):
         ``z = L^-1 (y - mu)`` by forward substitution over the ``d`` rows, never an
         explicit inverse; batched-matmul dot products match a per-record triangular
         solve and ``z @ z`` bit for bit, where ``einsum`` or ``(z * z).sum`` do not.
+
+        With finite parameters and outcomes, a step overflows only for a residual
+        beyond about 1e154 standard deviations, whose distance exceeds the float
+        range; it ends as inf, or as NaN from ``inf - inf`` or ``0 * inf``, and
+        scores PIT 1.
         """
-        chol, z = self.chol, self.y - self.mu  # z[:, i] turns from residual to solution
-        for i in range(self.dim):
-            z[:, i] = (z[:, i] - (chol[:, None, i, :i] @ z[:, :i, None])[:, 0, 0]) / chol[:, i, i]
-        return chi2_cdf((z[:, None, :] @ z[:, :, None])[:, 0, 0], self.dim)
+        with np.errstate(over="ignore", invalid="ignore"):
+            chol, z = self.chol, self.y - self.mu  # z[:, i] turns from residual to solution
+            for i in range(self.dim):
+                z[:, i] = (z[:, i] - (chol[:, None, i, :i] @ z[:, :i, None])[:, 0, 0]) / chol[:, i, i]
+            m = (z[:, None, :] @ z[:, :, None])[:, 0, 0]
+        return chi2_cdf(np.where(np.isnan(m), np.inf, m), self.dim)
 
     def uncertainty(self):
         # log det instead of det: a monotone transform leaves quantile bins

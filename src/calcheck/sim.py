@@ -15,7 +15,7 @@ Every generator is a deterministic function of its seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -55,6 +55,14 @@ _INIT_SD = 0.15  # initial position uncertainty shared by truth and particles
 _SEASON_DAYS = 365.25
 
 
+def _require_finite(config) -> None:
+    """Reject a NaN or infinite ``float`` field by name: NaN passes every
+    range check below, and either would otherwise surface as a data error."""
+    for f in fields(config):
+        if f.type == "float" and not np.isfinite(getattr(config, f.name)):
+            raise ValueError(f"{f.name} must be finite")
+
+
 @dataclass(frozen=True)
 class WeatherSimConfig:
     """Synthetic seasonal series plus sliding-window forecaster settings.
@@ -74,6 +82,7 @@ class WeatherSimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.window < 2:
             raise ValueError("window must be >= 2")
         if self.n_days <= self.window:
@@ -169,6 +178,7 @@ class RobotSimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.n_particles < 2:
             raise ValueError("n_particles must be >= 2")
         if self.n_steps < 1:
@@ -180,6 +190,8 @@ class RobotSimConfig:
         beacons = np.asarray(self.beacon_positions, dtype=float)
         if beacons.ndim != 2 or beacons.shape[1] != 2 or beacons.shape[0] < 3:
             raise ValueError("need at least 3 beacons in the plane")
+        if not np.all(np.isfinite(beacons)):
+            raise ValueError("beacon_positions must be finite")
         offsets = beacons[1:] - beacons[0]
         if np.linalg.matrix_rank(offsets, tol=1e-9) < 2:
             raise ValueError("beacons must not be collinear")

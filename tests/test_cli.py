@@ -541,6 +541,23 @@ def test_cli_monitor_mv_gaussian_decides(tmp_path, capsys, scale, code):
     assert report["report"]["decision"] == ("reject" if code else "accept")
 
 
+def test_cli_mv_residual_beyond_the_float_range_scores_as_a_far_miss(tmp_path, capsys):
+    # a squared distance past the float maximum warned of overflow in matmul,
+    # a traceback and exit 1 under -W error; check and monitor must score it
+    # PIT 1, as a miss of 1e3 standard deviations already is
+    lines = mv_gaussian_file(tmp_path, seed=12, scale=1.0).read_text().splitlines()
+    runs = {}
+    for y in (1e3, 1e200):
+        far = json.dumps({"mu": [0, 0], "cov": [[1, 0], [0, 1]], "y": [y, y]})
+        path = tmp_path / f"far_{y}.jsonl"
+        path.write_text("\n".join(lines[:100] + [far] + lines[100:]) + "\n")
+        check = cli.main(["check", str(path)]), capsys.readouterr()
+        monitor = cli.main(["monitor", str(path)]), capsys.readouterr()
+        runs[y] = check, monitor
+    assert runs[1e3] == runs[1e200]
+    assert all(out.err == "" for _, out in runs[1e200])
+
+
 def test_cli_check_monitor_slot_swap(tmp_path):
     # pure testing-slot swap: same records, same model/metric fields
     path, _ = weather_file(tmp_path, seed=5)
@@ -601,6 +618,16 @@ def test_cli_check_monitor_slot_swap(tmp_path):
         # a level grid is one flat list, not a list of lists
         (["check", "{weather}"], {"levels": [[0.5, 0.9]]}, 2),
         (["check", "{weather}"], {"levels": [[0.5], [0.9]]}, 2),
+        # a NaN or infinite simulator value is configuration, not a depleted
+        # filter, a degenerate window or collinear beacons
+        (["simulate", "robot", "--out", "{out}"], {"range_noise_sd": math.nan}, 2),
+        (["simulate", "robot", "--out", "{out}"], {"drift_multiplier": math.inf}, 2),
+        (["simulate", "weather", "--out", "{out}"], {"noise_sd": math.nan}, 2),
+        (["simulate", "weather", "--out", "{out}"], {"seasonal_amplitude": math.inf}, 2),
+        (["simulate", "robot", "--out", "{out}"],
+         {"beacon_positions": [[0, 0], [10, 0], [0, math.inf]]}, 2),
+        (["simulate", "drift_sweep", "--out", "{out}"],
+         {"n_seeds": 1, "n_steps": 5, "n_particles": 20, "multipliers": [math.inf]}, 2),
     ],
 )
 def test_cli_config_values_resolve_alike(tmp_path, capsys, argv, file_cfg, code):

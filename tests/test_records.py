@@ -167,6 +167,20 @@ def test_mv_gaussian_distances_equal_per_record_triangular_solves(d, n, seed, sc
     assert got.tobytes() == want.tobytes()
 
 
+def test_mv_gaussian_distance_beyond_the_float_range_scores_pit_one():
+    # residuals of 1e200 standard deviations: one overflows z @ z, one the
+    # solve of a tiny covariance (then 0 * inf in the next row), one y - mu
+    # itself; each scores PIT 1 without a warning, and a plain record beside
+    # them keeps the distance it has alone
+    batch = MvGaussianBatch(
+        mu=[[0, 0], [0, 0], [-1e308, 0], [0, 0]],
+        cov=[np.eye(2), 1e-300 * np.eye(2), [[1, 0.5], [0.5, 1]], np.eye(2)],
+        y=[[1e200, 1e200], [1e200, 0], [1e308, 1e308], [0.5, 0.2]])
+    got = batch.pit_values()
+    assert got[:3].tolist() == [1.0, 1.0, 1.0]
+    assert got[3] == MvGaussianBatch([[0, 0]], [np.eye(2)], [[0.5, 0.2]]).pit_values()[0]
+
+
 json_number = st.one_of(st.floats(), st.integers(-10**6, 10**6))
 
 

@@ -62,6 +62,11 @@ def test_weather_config_validation():
         WeatherSimConfig(n_days=30, window=30)
     with pytest.raises(ValueError):
         WeatherSimConfig(noise_sd=0.0)
+    # NaN passes every range check, so non-finite values are named first
+    for key in ("seasonal_amplitude", "noise_sd", "injected_mean_bias", "injected_sd_scale"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{key} must be finite"):
+                WeatherSimConfig(**{key: bad})
 
 
 def test_weather_zero_injection_passes_safety_check():
@@ -142,6 +147,12 @@ def test_robot_config_validation():
         RobotSimConfig(beacon_positions=((0, 0), (1, 1), (2, 2)))  # collinear
     with pytest.raises(ValueError):
         RobotSimConfig(beacon_positions=((0, 0), (1, 1)))
+    for key in ("drift_multiplier", "range_noise_sd", "process_noise_sd"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{key} must be finite"):
+                RobotSimConfig(**{key: bad})
+    with pytest.raises(ValueError, match="beacon_positions must be finite"):
+        RobotSimConfig(beacon_positions=((0, 0), (1, 0), (0, math.nan)))
 
 
 def test_robot_depletion_raises_with_step_number():
