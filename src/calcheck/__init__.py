@@ -56,7 +56,6 @@ from .seqtest import (
     monitor_step_halfplane,
 )
 from .sim import (
-    DriftSweepReport,
     RobotSimConfig,
     WeatherSimConfig,
     drift_sweep,

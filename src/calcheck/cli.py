@@ -13,6 +13,11 @@ at a time, as the blocks arrive; it takes every family and scores the sets
 (128 + SIGPIPE) when the reader of stdout goes away.  ``report`` prints the
 summary block the saved run printed and exits as it did: 1 for a reject,
 3 for an incomplete monitor, 0 for an accept or a simulation summary.
+
+Each setting comes from its flag, else the ``--config`` file, else its
+default; a given setting that the run does not apply is refused as a
+configuration error before records are parsed or output is made.
+``check``, ``monitor`` and ``simulate`` all emit through ``_finish``.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ from .hyptest import (
     ks_test,
 )
 from .metric import (
-    CoverageCurve,
     LevelGrid,
     coverage_counts,
     fold,
@@ -160,6 +164,8 @@ class RecipeConfig:
         if self.testing == "evalue_monitor":
             if self.evalue is None:
                 raise ConfigError("evalue_monitor requires an e-value config")
+            if self.metric in ("pit_ks", "folded_ks"):
+                raise ConfigError("the e-value monitor scores coverage, not the PIT")
         if self.bins is not None:
             if self.bins < 1:
                 raise ConfigError("bins must be >= 1")
@@ -192,35 +198,20 @@ class RecipeConfig:
 class RunReport:
     """Decision-first run output with curve tables and provenance.
 
-    ``report`` is the TestReport (or a plain summary dict for simulations);
-    ``curves`` maps table names to (header, rows); ``provenance`` carries the
-    input digest, the full recipe configuration, and the tool version, so a
-    rerun with identical inputs reproduces the report byte for byte.
+    ``report`` holds what ``report.json`` saves: a TestReport as
+    ``dataclasses.asdict`` gives it, or a simulation summary; ``curves`` maps
+    table names to (header, rows); ``provenance`` carries the input digest,
+    the full recipe configuration, and the tool version, so a rerun with
+    identical inputs reproduces the report byte for byte.
     """
 
-    report: TestReport | dict
+    report: dict
     curves: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        def default(obj):
-            if isinstance(obj, np.ndarray):
-                return obj.tolist()
-            if isinstance(obj, (np.floating, np.integer)):
-                return obj.item()
-            if dataclasses.is_dataclass(obj):
-                return dataclasses.asdict(obj)
-            raise TypeError(f"not serializable: {type(obj)}")
-
-        return json.dumps(
-            {
-                "report": self.report,
-                "curves": self.curves,
-                "provenance": self.provenance,
-            },
-            sort_keys=True,
-            default=default,
-        )
+        return json.dumps({"report": self.report, "curves": self.curves,
+                           "provenance": self.provenance}, sort_keys=True)
 
 
 def _provenance(config: RecipeConfig | dict, digest: hashlib._Hash) -> dict:
@@ -385,16 +376,11 @@ def sniff_model_kind(source: str | Path | RecordSource) -> str:
 # offline check
 # ---------------------------------------------------------------------------
 
-def _coverage_table(curve: CoverageCurve, report: TestReport) -> tuple[list, list]:
+def _coverage_table(report: TestReport) -> tuple[list, list]:
     header = ["level", "count", "n", "fraction", "lower_bound", "upper_bound",
               "p_value", "reject"]
-    rows = []
-    per_level = report.per_level or ()
-    for lam, c, row in zip(curve.levels.levels, curve.counts, per_level):
-        rows.append(
-            [float(lam), int(c), curve.n, float(c / curve.n), row.lower_bound,
-             row.upper_bound, row.p_value, int(row.reject)]
-        )
+    rows = [[row.level, row.count, row.n, row.count / row.n, row.lower_bound,
+             row.upper_bound, row.p_value, int(row.reject)] for row in report.per_level]
     return header, rows
 
 
@@ -431,7 +417,7 @@ def _single_check(
             )
         correction = "holm" if config.testing == "binom_holm" else "bonferroni"
         report = coverage_binomial_report(curve, spec, alpha, correction)
-        return report, {"coverage": _coverage_table(curve, report)}
+        return report, {"coverage": _coverage_table(report)}
     sample = pit(records)
     if config.metric == "folded_ks":
         sample = fold(sample)
@@ -460,7 +446,7 @@ def run_check(
         return run_monitor(config, [records], digest=digest)
     if config.bins is None:
         report, curves = _single_check(config, records, config.alpha)
-        return RunReport(report=report, curves=curves,
+        return RunReport(report=dataclasses.asdict(report), curves=curves,
                          provenance=_provenance(config, digest))
 
     bins = variance_bin(records, config.bins)
@@ -473,7 +459,7 @@ def run_check(
         for name, table in tables.items():
             curves[f"{name}_bin{b}"] = table
     any_reject = any(r.rejected for r in bin_reports)
-    p_min = min(r.p_value for r in bin_reports if r.p_value is not None)
+    p_min = min(r.p_value for r in bin_reports)
     report = TestReport(
         decision="reject" if any_reject else "accept",
         statistic=p_min,
@@ -485,10 +471,10 @@ def run_check(
             "bins": config.bins,
             "bin_edges": [float(e) for e in bins.bin_edges],
             "bin_decisions": [r.decision for r in bin_reports],
-            "inner": bin_reports[0].recipe_config.get("test") if bin_reports else None,
+            "inner": bin_reports[0].recipe_config.get("test"),
         },
     )
-    return RunReport(report=report, curves=curves,
+    return RunReport(report=dataclasses.asdict(report), curves=curves,
                      provenance=_provenance(config, digest))
 
 
@@ -564,7 +550,7 @@ def run_monitor(
         },
     )
     return RunReport(
-        report=report,
+        report=dataclasses.asdict(report),
         curves={"etrace": (["t", "e_value", "alarmed", "threshold"], rows)},
         provenance=_provenance(config, digest),
     )
@@ -582,12 +568,13 @@ def run_simulate(
     multipliers: tuple[float, ...] = (0.5, 1.0, 2.0),
     n_seeds: int = 20,
 ) -> RunReport:
-    """Generate experiment data and write record files under ``out_dir``."""
+    """Generate experiment data and write its record files under ``out_dir``;
+    the caller emits the returned run, ``report.json`` included."""
     out = Path(out_dir)
     with _writing_output():
         out.mkdir(parents=True, exist_ok=True)
     cfg_dict = dataclasses.asdict(sim_config)
-    digest = hashlib.sha256(json.dumps(cfg_dict, sort_keys=True, default=str).encode())
+    digest = hashlib.sha256(json.dumps(cfg_dict, sort_keys=True).encode())
     curves: dict = {}
     if kind in ("weather", "robot"):
         records = (run_weather_sim if kind == "weather" else run_robot_sim)(sim_config)
@@ -601,7 +588,7 @@ def run_simulate(
         sweep = drift_sweep(sim_config, multipliers, n_seeds, monitor)
         summary_rows = []
         env_rows = []
-        for entry in sweep.entries:
+        for entry in sweep:
             summary_rows.append(
                 [entry.multiplier, entry.n_seeds, entry.alarm_count,
                  entry.median_first_crossing]
@@ -621,15 +608,13 @@ def run_simulate(
             "kind": kind,
             "multipliers": list(multipliers),
             "n_seeds": n_seeds,
-            "alarm_counts": [e.alarm_count for e in sweep.entries],
+            "alarm_counts": [e.alarm_count for e in sweep],
             "files": [],
         }
     else:
         raise ConfigError(f"unknown simulation kind {kind!r}")
-    run = RunReport(report=summary, curves=curves,
-                    provenance=_provenance(cfg_dict, digest))
-    _write_outputs(run, out)
-    return run
+    return RunReport(report=summary, curves=curves,
+                     provenance=_provenance(cfg_dict, digest))
 
 
 # ---------------------------------------------------------------------------
@@ -766,28 +751,47 @@ def _load_file_config(path: str | None) -> dict:
     return cfg
 
 
-def _resolve(args, file_cfg: dict, key: str, convert=None, default=None):
-    """One setting: its flag, else the config file, else ``default``.
+class _Settings:
+    """One command's flags and config file; ``read`` notes every key resolved."""
 
-    A flag the command does not declare and a config value of ``null`` both
-    count as absent.  ``convert`` turns a present value into its type; a
-    value it cannot convert is a configuration error.
-    """
-    value = getattr(args, key, None)
-    if value is None:
-        value = file_cfg.get(key)
-    if value is None:
-        return default
-    if convert is None:
-        return value
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {key} {value!r}: {exc}") from None
+    _NOT_SETTINGS = ("command", "records", "kind", "config", "out")  # argparse fields, not settings
+
+    def __init__(self, args):
+        self.args = args
+        self.file = _load_file_config(args.config)
+        self.read: set[str] = set()
+
+    def resolve(self, key: str, convert=None, default=None):
+        """One setting: its flag, else the config file, else ``default``.
+
+        A flag the command does not declare and a config value of ``null``
+        both count as absent.  ``convert`` turns a present value into its
+        type; a value it cannot convert is a configuration error.
+        """
+        self.read.add(key)
+        value = getattr(self.args, key, None)
+        if value is None:
+            value = self.file.get(key)
+        if value is None:
+            return default
+        if convert is None:
+            return value
+        try:
+            return convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad {key} {value!r}: {exc}") from None
+
+    def refuse_unread(self) -> None:
+        """Refuse a given flag or non-null config key that nothing read."""
+        flags = [(key, value) for key, value in vars(self.args).items()
+                 if key not in self._NOT_SETTINGS]
+        for key, value in flags + list(self.file.items()):
+            if value is not None and key not in self.read:
+                raise ConfigError(f"{self.args.command} does not apply {key!r}")
 
 
-def _resolve_seed(args, file_cfg: dict) -> int:
-    seed = _resolve(args, file_cfg, "seed", _integer)
+def _resolve_seed(settings: _Settings) -> int:
+    seed = settings.resolve("seed", _integer)
     if seed is None:
         env = os.environ.get(SEED_ENV_VAR, "0")
         try:
@@ -829,45 +833,43 @@ def _parse_levels(value) -> LevelGrid:
     return LevelGrid(np.asarray(value, dtype=float))
 
 
-def _evalue_config(args, file_cfg: dict, alpha: float) -> EValueConfig:
-    lam = _resolve(args, file_cfg, "lambda", _number, 0.9)
+def _evalue_config(settings: _Settings, alpha: float) -> EValueConfig:
+    lam = settings.resolve("lambda", _number, 0.9)
     # lambda - 0.1 is a documented sensitivity knob, not a paper value
-    p_alt = _resolve(args, file_cfg, "p_alt", _number, lam - 0.1)
+    p_alt = settings.resolve("p_alt", _number, lam - 0.1)
     return EValueConfig(level=lam, p_alt=p_alt, alpha=alpha)
 
 
-def _recipe_from_args(args, file_cfg: dict, model: str, testing: str | None) -> RecipeConfig:
-    def setting(key, convert=None, default=None):
-        return _resolve(args, file_cfg, key, convert, default)
-
-    alpha = setting("alpha", _number, 0.05)
-    metric = setting("metric", default="halfplane" if model == "particles" else "coverage")
+def _recipe_from_args(settings: _Settings, model: str, testing: str | None) -> RecipeConfig:
+    alpha = settings.resolve("alpha", _number, 0.05)
+    metric = settings.resolve("metric", default="halfplane" if model == "particles" else "coverage")
     if testing is None:
-        testing = setting(
+        testing = settings.resolve(
             "testing",
             default="ks" if metric in ("pit_ks", "folded_ks") else "binom_bonferroni",
         )
-    return RecipeConfig(
-        model=model,
-        metric=metric,
-        hypothesis=HypothesisSpec(
-            sidedness=setting("sided", _sidedness, TWO_SIDED),
-            tolerance=setting("tolerance", _number, 0.0),
-        ),
-        testing=testing,
-        alpha=alpha,
-        levels=setting("levels", _parse_levels, LevelGrid.default()),
-        bins=setting("bins", _integer),
-        evalue=_evalue_config(args, file_cfg, alpha) if testing == "evalue_monitor" else None,
-        seed=_resolve_seed(args, file_cfg),
-    )
+    if testing == "evalue_monitor":
+        # a monitor tests coverage at lambda alone: it applies no sidedness,
+        # tolerance, level grid or bins, so those keep their defaults
+        slots = {"evalue": _evalue_config(settings, alpha)}
+    else:
+        slots = {
+            "hypothesis": HypothesisSpec(
+                sidedness=settings.resolve("sided", _sidedness, TWO_SIDED),
+                tolerance=settings.resolve("tolerance", _number, 0.0),
+            ),
+            "levels": settings.resolve("levels", _parse_levels, LevelGrid.default()),
+            "bins": settings.resolve("bins", _integer),
+        }
+    return RecipeConfig(model=model, metric=metric, testing=testing, alpha=alpha,
+                        seed=_resolve_seed(settings), **slots)
 
 
 def _finish(run: RunReport, out_dir: str | None) -> int:
-    rep = dataclasses.asdict(run.report)  # the shape report.json saves, as `report` reads it
-    print(_render_summary(rep))
+    """Print a run's summary, write its outputs under ``out_dir``, return its exit code."""
+    print(_render_summary(run.report))
     _write_outputs(run, out_dir)
-    return _report_exit_code(rep)
+    return _report_exit_code(run.report)
 
 
 def _print_rows(rows: list[list]) -> None:
@@ -876,31 +878,35 @@ def _print_rows(rows: list[list]) -> None:
 
 
 def _cmd_check(args) -> int:
-    file_cfg = _load_file_config(args.config)
+    settings = _Settings(args)
     with RecordSource(args.records) as source:
-        model = _resolve(args, file_cfg, "model") or sniff_model_kind(source)
-        config = _recipe_from_args(args, file_cfg, model, testing=None)
+        model = settings.resolve("model") or sniff_model_kind(source)
+        config = _recipe_from_args(settings, model, testing=None)
+        settings.refuse_unread()
         records = parse_records(source, model)
     return _finish(run_check(config, records, digest=source.sha256), args.out)
 
 
 def _cmd_monitor(args) -> int:
-    file_cfg = _load_file_config(args.config)
+    settings = _Settings(args)
     with RecordSource(args.records) as source:
-        model = _resolve(args, file_cfg, "model") or sniff_model_kind(source)
-        config = _recipe_from_args(args, file_cfg, model, testing="evalue_monitor")
+        model = settings.resolve("model") or sniff_model_kind(source)
+        config = _recipe_from_args(settings, model, testing="evalue_monitor")
+        settings.refuse_unread()
         run = run_monitor(config, iter_records(source, model), digest=source.sha256,
                           on_row=_print_rows)
     return _finish(run, args.out)
 
 
-def _sim_config(cls, file_cfg: dict, seed: int):
+def _sim_config(cls, settings: _Settings, seed: int):
     """A simulator config from the config file's keys for ``cls``, each
     converted by its field's annotation."""
     convert = {"int": _integer, "float": _number}
+    fields, file_cfg = dataclasses.fields(cls), settings.file
+    settings.read.update(f.name for f in fields)
     try:
         kwargs = {f.name: convert.get(f.type, lambda v: v)(file_cfg[f.name])
-                  for f in dataclasses.fields(cls) if file_cfg.get(f.name) is not None}
+                  for f in fields if file_cfg.get(f.name) is not None}
         kwargs["seed"] = seed
         if "beacon_positions" in kwargs:
             kwargs["beacon_positions"] = tuple(map(tuple, kwargs["beacon_positions"]))
@@ -929,23 +935,21 @@ def _multipliers(value) -> tuple:
 
 
 def _cmd_simulate(args) -> int:
-    file_cfg = _load_file_config(args.config)
-    out = args.out or "."
-    seed = _resolve_seed(args, file_cfg)
+    settings = _Settings(args)
+    seed = _resolve_seed(settings)
     cls = WeatherSimConfig if args.kind == "weather" else RobotSimConfig
-    sim_config = _sim_config(cls, file_cfg, seed)
+    sim_config = _sim_config(cls, settings, seed)
+    sweep = {}
     if args.kind == "drift_sweep":
-        alpha = _resolve(args, file_cfg, "alpha", _number, 0.05)
-        run = run_simulate(
-            "drift_sweep", sim_config, out,
-            monitor=_evalue_config(args, file_cfg, alpha),
-            multipliers=_resolve(args, file_cfg, "multipliers", _multipliers, (0.5, 1.0, 2.0)),
-            n_seeds=_resolve(args, file_cfg, "n_seeds", _positive_integer, 20),
-        )
-    else:
-        run = run_simulate(args.kind, sim_config, out)
-    print(_render_summary(run.report))
-    return EXIT_ACCEPT
+        alpha = settings.resolve("alpha", _number, 0.05)
+        sweep = {
+            "monitor": _evalue_config(settings, alpha),
+            "multipliers": settings.resolve("multipliers", _multipliers, (0.5, 1.0, 2.0)),
+            "n_seeds": settings.resolve("n_seeds", _positive_integer, 20),
+        }
+    settings.refuse_unread()
+    out = args.out or "."
+    return _finish(run_simulate(args.kind, sim_config, out, **sweep), out)
 
 
 def _saved_report_parts(data) -> tuple[dict, dict, dict]:

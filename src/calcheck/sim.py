@@ -29,7 +29,6 @@ __all__ = [
     "WeatherSimConfig",
     "RobotSimConfig",
     "DriftSweepEntry",
-    "DriftSweepReport",
     "run_weather_sim",
     "run_weather_oracle",
     "run_robot_sim",
@@ -296,17 +295,12 @@ class DriftSweepEntry:
     envelope: np.ndarray = field(repr=False)
 
 
-@dataclass(frozen=True)
-class DriftSweepReport:
-    entries: tuple[DriftSweepEntry, ...]
-
-
 def drift_sweep(
     base: RobotSimConfig,
     multipliers: Sequence[float],
     n_seeds: int,
     monitor: EValueConfig,
-) -> DriftSweepReport:
+) -> tuple[DriftSweepEntry, ...]:
     """Run the half-plane monitor over a grid of drift magnitudes.
 
     For each (multiplier, seed) the robot sim is rerun and the monitor's
@@ -314,7 +308,7 @@ def drift_sweep(
     returns the running log e-value after every step.  Reports
     per-multiplier alarm counts, the median first-crossing time among
     alarmed seeds, and the across-seed 5%/50%/95% envelope of the running
-    e-value.
+    e-value, as one entry per multiplier in the order given.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
@@ -341,4 +335,4 @@ def drift_sweep(
                 envelope=envelope,
             )
         )
-    return DriftSweepReport(entries=tuple(entries))
+    return tuple(entries)

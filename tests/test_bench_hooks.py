@@ -90,6 +90,28 @@ def test_traced_layers_see_ingest_and_monitor_steps(tmp_path):
         assert tracer.totals[layer][0] > 0, layer
 
 
+def test_traced_simulate_reaches_the_render_layer(tmp_path):
+    # simulate prints and writes report.json through the functions the
+    # tracer wraps as cli.render, or sweep_robot's render figures read zero
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text('{"n_seeds": 1, "n_steps": 5, "n_particles": 20, "multipliers": [1.0]}')
+    out = tmp_path / "out"
+    tracer = load_tracing().Tracer()
+    saved = tracer.install({"cli": calcheck.cli, "metric": calcheck.metric,
+                            "sim": calcheck.sim})
+    try:
+        tracer.begin_command()
+        assert calcheck.cli.main(["simulate", "drift_sweep", "--config", str(cfg),
+                                  "--out", str(out)]) == 0
+        tracer.end_command(keep=True)
+    finally:
+        tracer.uninstall(saved)
+    assert tracer.totals["cli.render"][0] == 2  # the summary, then the files
+    names = ["report.json", "sweep_envelope.csv", "sweep_summary.csv"]
+    assert sorted(p.name for p in out.iterdir()) == names
+    assert tracer.counts["cli.report_bytes"] == sum((out / n).stat().st_size for n in names)
+
+
 def test_simulated_batches_support_len():
     # the tracer's sim.records_simulated counter is len() of these results
     assert len(run_weather_sim(WeatherSimConfig(window=5, n_days=12))) == 7

@@ -220,8 +220,8 @@ def test_run_check_slot_swap_to_monitor_runs(tmp_path):
     )
     rep_off = run_check(offline, recs)
     rep_on = run_check(online, recs)
-    assert rep_off.report.recipe_config["test"].startswith("binom")
-    assert rep_on.report.recipe_config["test"] == "evalue_monitor"
+    assert rep_off.report["recipe_config"]["test"].startswith("binom")
+    assert rep_on.report["recipe_config"]["test"] == "evalue_monitor"
     assert "etrace" in rep_on.curves
 
 
@@ -236,8 +236,8 @@ def test_run_monitor_all_miss_crosses_at_five():
     emitted = []  # one list of rows per batch
     run = run_monitor(config, [recs.take(range(3)), recs.take(range(3, 8))],
                       on_row=emitted.append)
-    assert run.report.decision == "reject"
-    assert run.report.recipe_config["first_crossing"] == 5
+    assert run.report["decision"] == "reject"
+    assert run.report["recipe_config"]["first_crossing"] == 5
     assert [len(rows) for rows in emitted] == [3, 5]
     rows = emitted[0] + emitted[1]
     assert [row[0] for row in rows] == list(range(1, 9))
@@ -258,8 +258,8 @@ def test_run_monitor_incomplete_stream_marked(tmp_path):
         evalue=EValueConfig(level=0.9, p_alt=0.8, alpha=0.05),
     )
     run = run_monitor(config, iter_records(p, "gaussian"))
-    assert run.report.recipe_config["incomplete"] is True
-    assert run.report.recipe_config["t"] == 1
+    assert run.report["recipe_config"]["incomplete"] is True
+    assert run.report["recipe_config"]["t"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -676,6 +676,96 @@ def test_cli_boolean_config_value_for_a_number_exits_2(tmp_path, capsys, argv, f
     assert "a boolean is not a number" in captured.err
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, file_cfg, error",
+    [
+        # a misspelled key is not a tolerance of 0.0
+        (["check", "{weather}"], {"tolerence": 0.3, "sided": "one"},
+         "check does not apply 'tolerence'"),
+        # a monitor tests coverage at lambda alone
+        (["check", "{weather}", "--testing", "evalue_monitor", "--tolerance", "0.3"], {},
+         "check does not apply 'tolerance'"),
+        (["check", "{weather}", "--testing", "evalue_monitor", "--metric", "pit_ks"], {},
+         "the e-value monitor scores coverage, not the PIT"),
+        (["check", "{weather}", "--testing", "evalue_monitor", "--levels", "0.5"], {},
+         "check does not apply 'levels'"),
+        (["check", "{weather}", "--testing", "evalue_monitor", "--sided", "one"], {},
+         "check does not apply 'sided'"),
+        (["monitor", "{weather}"],
+         {"testing": "ks", "metric": "pit_ks", "tolerance": 0.2, "levels": [0.5]},
+         "the e-value monitor scores coverage, not the PIT"),
+        (["monitor", "{weather}"], {"testing": "ks"}, "monitor does not apply 'testing'"),
+        (["monitor", "{weather}"], {"tolerance": 0.2, "levels": [0.5]},
+         "monitor does not apply 'tolerance'"),
+        # Binomial tests take no e-value alternative; simulations test nothing
+        (["check", "{weather}", "--lambda", "0.5", "--p-alt", "0.1"], {},
+         "check does not apply 'lambda'"),
+        (["simulate", "weather", "--alpha", "0.9", "--lambda", "0.2"], {},
+         "simulate does not apply 'alpha'"),
+    ],
+)
+def test_cli_settings_a_run_does_not_apply_exit_2(tmp_path, capsys, argv, file_cfg, error):
+    # an ignored setting would be recorded in the provenance as applied
+    path, _ = weather_file(tmp_path, seed=5)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(file_cfg))
+    fill = {"weather": str(path)}
+    argv = [a.format(**fill) for a in argv] + ["--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {error}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+PARTICLE_LINE = json.dumps({"w": [0.5, 0.5], "pts": [[0.0, 0.0], [1.0, 1.0]], "y": [0.5, 0.5]})
+
+
+@pytest.mark.parametrize(
+    "argv, files, code, message",
+    [
+        # the config file: missing, not JSON, not an object
+        (["check", "{weather}", "--config", "{dir}/absent.json"], {}, 2,
+         "cannot read config file"),
+        (["check", "{weather}", "--config", "{dir}/c.json"], {"c.json": "{"}, 2,
+         "config file is not valid JSON"),
+        (["check", "{weather}", "--config", "{dir}/c.json"], {"c.json": "[1]"}, 2,
+         "config file must hold a JSON object"),
+        # a saved report: unreadable, not JSON
+        (["report", "{dir}/absent.json"], {}, 3, "cannot read report"),
+        (["report", "{dir}/r.json"], {"r.json": "{"}, 3, "report is not valid JSON"),
+        # the first record line: not JSON, no known schema
+        (["check", "{dir}/r.jsonl"], {"r.jsonl": "not json\n"}, 3,
+         "first record line is not valid JSON"),
+        (["check", "{dir}/r.jsonl"], {"r.jsonl": '{"a": 1}\n'}, 3, "record schema not recognized"),
+        # recipes the slots refuse
+        (["check", "{weather}", "--config", "{dir}/c.json"], {"c.json": '{"metric": "brier"}'},
+         2, "unknown metric 'brier'"),
+        (["check", "{weather}", "--config", "{dir}/c.json"], {"c.json": '{"testing": "t"}'},
+         2, "unknown testing 't'"),
+        (["check", "{dir}/p.jsonl", "--metric", "coverage"], {"p.jsonl": PARTICLE_LINE}, 2,
+         "particle clouds have no centered interval"),
+        (["check", "{weather}", "--metric", "pit_ks", "--tolerance", "0.1"], {}, 2,
+         "KS tolerance bands run on the folded PIT"),
+        (["check", "{weather}", "--metric", "folded_ks", "--tolerance", "0.1"], {}, 2,
+         "no two-sided KS tolerance band is defined"),
+        (["check", "{weather}", "--metric", "pit_ks", "--testing", "binom_bonferroni"], {}, 2,
+         "Binomial testing consumes coverage counts"),
+        (["check", "{weather}", "--bins", "0"], {}, 2, "bins must be >= 1"),
+        (["check", "{weather}", "--tolerance", "0.6"], {}, 2, "tolerance must lie in [0, 0.5)"),
+        (["monitor", "{weather}", "--alpha", "2"], {}, 2, "alpha must lie in (0, 1)"),
+    ],
+)
+def test_cli_error_branches_exit_with_their_code(tmp_path, capsys, argv, files, code, message):
+    path, _ = weather_file(tmp_path, seed=5)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert cli.main([a.format(weather=path, dir=tmp_path) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " if code == 2 else "data error: ")
+    assert message in err
 
 
 # ---------------------------------------------------------------------------

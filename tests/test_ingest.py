@@ -100,7 +100,7 @@ def monitor_outcome(kind: str, batches) -> tuple:
         run = run_monitor(config, batches)
     except DataError as exc:
         return ("raised", str(exc))
-    cfg = run.report.recipe_config
+    cfg = run.report["recipe_config"]
     return run.curves["etrace"][1], cfg["t"], cfg["incomplete"], cfg.get("error")
 
 

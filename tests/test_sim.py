@@ -273,20 +273,19 @@ MONITOR = EValueConfig(level=0.9, p_alt=0.8, alpha=0.05)
 
 
 def test_drift_sweep_empty_multipliers():
-    rep = drift_sweep(RobotSimConfig(seed=0, n_steps=10), (), 2, MONITOR)
-    assert rep.entries == ()
+    assert drift_sweep(RobotSimConfig(seed=0, n_steps=10), (), 2, MONITOR) == ()
 
 
 def test_drift_sweep_zero_drift_rarely_alarms():
-    rep = drift_sweep(RobotSimConfig(seed=0), (0.0,), 20, MONITOR)
-    assert rep.entries[0].alarm_count <= 1  # >= 95% of these seeds stay quiet
+    (entry,) = drift_sweep(RobotSimConfig(seed=0), (0.0,), 20, MONITOR)
+    assert entry.alarm_count <= 1  # >= 95% of these seeds stay quiet
 
 
 def test_drift_sweep_entry_bookkeeping():
     base = RobotSimConfig(seed=0, n_steps=60)
-    rep = drift_sweep(base, (0.5, 2.0), 3, MONITOR)
-    assert [e.multiplier for e in rep.entries] == [0.5, 2.0]
-    for entry in rep.entries:
+    entries = drift_sweep(base, (0.5, 2.0), 3, MONITOR)
+    assert [e.multiplier for e in entries] == [0.5, 2.0]
+    for entry in entries:
         assert entry.n_seeds == 3
         assert entry.envelope.shape == (60, 3)
         assert np.all(entry.envelope[:, 0] <= entry.envelope[:, 1])
