@@ -16,8 +16,15 @@ summary block the saved run printed and exits as it did: 1 for a reject,
 
 Each setting comes from its flag, else the ``--config`` file, else its
 default; a given setting that the run does not apply is refused as a
-configuration error before records are parsed or output is made.
+configuration error before records are parsed or output is made, and before
+a bad, empty or missing record input is reported.
 ``check``, ``monitor`` and ``simulate`` all emit through ``_finish``.
+
+Importing this module loads numpy but no scipy.  ``scipy.special`` is
+loaded by the first PIT of (multivariate) Gaussian records and by the first
+Binomial tail, so by ``check`` and by ``monitor`` on Gaussian records;
+``simulate``, ``report``, ``monitor`` on particles and a run that fails on
+its configuration never load it.
 """
 
 from __future__ import annotations
@@ -840,9 +847,21 @@ def _evalue_config(settings: _Settings, alpha: float) -> EValueConfig:
     return EValueConfig(level=lam, p_alt=p_alt, alpha=alpha)
 
 
-def _recipe_from_args(settings: _Settings, model: str, testing: str | None) -> RecipeConfig:
+def _recipe_from_args(settings: _Settings, source: RecordSource,
+                      testing: str | None) -> RecipeConfig:
+    """The recipe of a check or monitor run over ``source``, after
+    ``refuse_unread``.
+
+    The model (the config's, else the one sniffed from the first record
+    line) only picks the default metric, ``halfplane`` for particles and
+    ``coverage`` otherwise, and both take the same default testing.  So every
+    setting is resolved before the input is read: a refused setting exits 2
+    before a bad, empty or missing input exits 3, while a recipe the model
+    cannot run is reported before a refused setting.
+    """
+    model = settings.resolve("model")
     alpha = settings.resolve("alpha", _number, 0.05)
-    metric = settings.resolve("metric", default="halfplane" if model == "particles" else "coverage")
+    metric = settings.resolve("metric")
     if testing is None:
         testing = settings.resolve(
             "testing",
@@ -861,8 +880,18 @@ def _recipe_from_args(settings: _Settings, model: str, testing: str | None) -> R
             "levels": settings.resolve("levels", _parse_levels, LevelGrid.default()),
             "bins": settings.resolve("bins", _integer),
         }
-    return RecipeConfig(model=model, metric=metric, testing=testing, alpha=alpha,
-                        seed=_resolve_seed(settings), **slots)
+    seed = _resolve_seed(settings)
+    try:
+        model = model or sniff_model_kind(source)
+    except (DataError, OSError):
+        settings.refuse_unread()
+        raise
+    if metric is None:
+        metric = "halfplane" if model == "particles" else "coverage"
+    config = RecipeConfig(model=model, metric=metric, testing=testing, alpha=alpha,
+                          seed=seed, **slots)
+    settings.refuse_unread()
+    return config
 
 
 def _finish(run: RunReport, out_dir: str | None) -> int:
@@ -880,20 +909,16 @@ def _print_rows(rows: list[list]) -> None:
 def _cmd_check(args) -> int:
     settings = _Settings(args)
     with RecordSource(args.records) as source:
-        model = settings.resolve("model") or sniff_model_kind(source)
-        config = _recipe_from_args(settings, model, testing=None)
-        settings.refuse_unread()
-        records = parse_records(source, model)
+        config = _recipe_from_args(settings, source, testing=None)
+        records = parse_records(source, config.model)
     return _finish(run_check(config, records, digest=source.sha256), args.out)
 
 
 def _cmd_monitor(args) -> int:
     settings = _Settings(args)
     with RecordSource(args.records) as source:
-        model = settings.resolve("model") or sniff_model_kind(source)
-        config = _recipe_from_args(settings, model, testing="evalue_monitor")
-        settings.refuse_unread()
-        run = run_monitor(config, iter_records(source, model), digest=source.sha256,
+        config = _recipe_from_args(settings, source, testing="evalue_monitor")
+        run = run_monitor(config, iter_records(source, config.model), digest=source.sha256,
                           on_row=_print_rows)
     return _finish(run, args.out)
 

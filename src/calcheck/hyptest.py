@@ -10,9 +10,10 @@ Binomial tail probabilities are computed through the regularized incomplete
 beta function, never a normal approximation, so the integer quantiles are
 exact at any sample size.  They come from the Boost ufuncs in
 ``scipy.special._ufuncs`` that ``scipy.stats.binom`` itself calls, behind a
-small adapter that keeps ``binom``'s boundary rules; this keeps the slow
-``scipy.stats`` import out of the CLI's start-up.  Where those private names
-are missing, the adapter falls back to ``scipy.stats.binom`` itself.
+small adapter that keeps ``binom``'s boundary rules.  The adapter is built on
+the first Binomial tail, so importing this module loads no scipy and a run
+that tests no count never does; where the private names are missing, the
+first tail loads ``scipy.stats.binom`` instead.
 
 KS critical values use the closed-form finite-sample-valid bounds rather
 than the asymptotic Kolmogorov distribution; the slight conservatism is the
@@ -21,6 +22,7 @@ safe direction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -113,11 +115,19 @@ def _decision(reject: bool) -> str:
 # exact Binomial machinery
 # ---------------------------------------------------------------------------
 
-try:
-    from scipy.special._ufuncs import _binom_cdf, _binom_isf, _binom_ppf, _binom_sf
-except ImportError:  # private names, moved between scipy releases
-    from scipy.stats import binom as _binom
-else:
+@functools.cache
+def _binom():
+    """The Binomial distribution every tail and quantile here reads, built on
+    the first call: ``_BoostBinom`` over the Boost ufuncs that
+    ``scipy.stats.binom`` itself calls, or ``scipy.stats.binom`` where those
+    private names are missing."""
+    try:
+        from scipy.special._ufuncs import _binom_cdf, _binom_isf, _binom_ppf, _binom_sf
+    except ImportError:  # private names, moved between scipy releases
+        from scipy.stats import binom
+
+        return binom
+
     class _BoostBinom:
         """``scipy.stats.binom``'s scalar ``cdf``, ``sf``, ``ppf`` and ``isf``
         for integer ``n >= 1`` and ``0 < p < 1``, bit for bit: the same Boost
@@ -149,7 +159,7 @@ else:
         def isf(q, n, p):
             return float(_binom_isf(q, float(n), p))
 
-    _binom = _BoostBinom
+    return _BoostBinom
 
 
 def binom_lower_quantile(n: int, p: float, a: float) -> int:
@@ -158,12 +168,12 @@ def binom_lower_quantile(n: int, p: float, a: float) -> int:
         raise ValueError("n must be >= 1")
     if not 0.0 < p < 1.0 or not 0.0 < a < 1.0:
         raise ValueError("p and a must lie in (0, 1)")
-    c = int(np.clip(_binom.ppf(a, n, p), 0, n))
+    c = int(np.clip(_binom().ppf(a, n, p), 0, n))
     # scipy's ppf already implements this inverse; nudge across any
     # floating-point knife edge so the definition holds exactly.
-    while c > 0 and _binom.cdf(c - 1, n, p) >= a:
+    while c > 0 and _binom().cdf(c - 1, n, p) >= a:
         c -= 1
-    while c < n and _binom.cdf(c, n, p) < a:
+    while c < n and _binom().cdf(c, n, p) < a:
         c += 1
     return c
 
@@ -174,10 +184,10 @@ def binom_upper_quantile(n: int, p: float, a: float) -> int:
         raise ValueError("n must be >= 1")
     if not 0.0 < p < 1.0 or not 0.0 < a < 1.0:
         raise ValueError("p and a must lie in (0, 1)")
-    c = int(np.clip(_binom.isf(a, n, p), 0, n))
-    while c < n and _binom.sf(c, n, p) >= a:  # P(C >= c+1) still >= a
+    c = int(np.clip(_binom().isf(a, n, p), 0, n))
+    while c < n and _binom().sf(c, n, p) >= a:  # P(C >= c+1) still >= a
         c += 1
-    while c > 0 and _binom.sf(c - 1, n, p) < a:  # P(C >= c) < a
+    while c > 0 and _binom().sf(c - 1, n, p) < a:  # P(C >= c) < a
         c -= 1
     return c
 
@@ -191,10 +201,10 @@ def binom_directional_p(count: int, n: int, level: float, spec: HypothesisSpec) 
     classical exact-Binomial p-values.
     """
     lo_level, hi_level = _shifted_levels(level, spec)
-    p_low = float(_binom.cdf(count, n, lo_level))
+    p_low = float(_binom().cdf(count, n, lo_level))
     if spec.sidedness == ONE_SIDED:
         return p_low
-    p_high = float(_binom.sf(count - 1, n, hi_level))  # P(C >= count)
+    p_high = float(_binom().sf(count - 1, n, hi_level))  # P(C >= count)
     return min(1.0, 2.0 * min(p_low, p_high))
 
 

@@ -14,7 +14,6 @@ so a batch's family is decided once, when its type is chosen.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammainc, ndtr
 
 from .errors import DataError, InvalidDistributionError, UnsupportedMetricError
 from .metric import fold, halfplane_indicator, pit
@@ -38,8 +37,11 @@ def chi2_cdf(x, d: int):
 
     Computed as the regularized lower incomplete gamma function
     ``P(d/2, x/2)``, which is stable to far more digits than any tolerance
-    used by the tests built on top of it.
+    used by the tests built on top of it.  ``scipy.special`` is imported by
+    the first call, not with this module.
     """
+    from scipy.special import gammainc
+
     return gammainc(d / 2.0, np.asarray(x, dtype=float) / 2.0)
 
 
@@ -247,6 +249,10 @@ class GaussianBatch(RecordBatch):
         return self.mu.tolist(), self.sigma.tolist(), self.y[:, 0].tolist()
 
     def pit_values(self):
+        """The standard normal CDF of each standardised residual;
+        ``scipy.special`` is imported by the first call, not with this module."""
+        from scipy.special import ndtr
+
         return ndtr((self.y[:, 0] - self.mu) / self.sigma)
 
     def uncertainty(self):

@@ -404,6 +404,51 @@ def test_cli_import_leaves_out_scipy_stats_and_linalg(tmp_path):
     assert len(lines) > 2 and lines[0] == lines[-1] == "[]"
 
 
+def test_cli_loads_scipy_only_for_a_gaussian_cdf_or_binomial_tail(tmp_path):
+    # scipy.special is imported by the first Gaussian PIT, chi-square CDF or
+    # Binomial tail; simulations, particle monitors, report and refused
+    # settings need none of them
+    weather, _ = weather_file(tmp_path, seed=5)
+    bad = write_lines(tmp_path / "bad.jsonl", ["not json"])
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"n_seeds": 1, "n_steps": 5, "n_particles": 20}))
+    robot = tmp_path / "robot.json"
+    robot.write_text(json.dumps({"n_steps": 20, "n_particles": 50}))
+    sim, mon = tmp_path / "sim", tmp_path / "mon"
+    steps = [
+        ["simulate", "drift_sweep", "--config", str(sweep), "--out", str(tmp_path / "sweep")],
+        ["simulate", "robot", "--config", str(robot), "--out", str(sim)],
+        ["simulate", "weather", "--out", str(sim)],
+        ["monitor", str(sim / "robot_records.jsonl"), "--out", str(mon)],
+        ["report", str(mon / "report.json")],
+        ["check", str(weather), "--lambda", "0.5"],
+        ["check", bad],
+        ["check", str(weather)],
+    ]
+    result = tmp_path / "loaded.json"
+    probe = ("import json, sys, calcheck.cli\n"
+             "def scipy():\n"
+             "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+             "seen = [[None, scipy()]]\n"
+             "for argv in json.loads(sys.argv[1]):\n"
+             "    seen.append([calcheck.cli.main(argv), scipy()])\n"
+             "with open(sys.argv[2], 'w') as out:\n"
+             "    json.dump(seen, out)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", probe, json.dumps(steps), str(result)],
+                   capture_output=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    (_, on_import), *ran = json.loads(result.read_text())
+    codes = [code for code, _ in ran]
+    assert codes[:3] == [0, 0, 0] and codes[3] in (0, 1) and codes[4] == codes[3]
+    assert codes[5:] == [2, 3, 0]
+    assert on_import == [], on_import
+    for argv, (_, loaded) in zip(steps[:-1], ran):
+        assert loaded == [], (argv, loaded)
+    loaded = ran[-1][1]
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m.startswith(("scipy.stats", "scipy.linalg"))], loaded
+
+
 def test_cli_unwritable_out_exits_2(tmp_path, capsys):
     path, _ = weather_file(tmp_path, seed=5)
     saved = tmp_path / "saved.json"
@@ -766,6 +811,33 @@ def test_cli_error_branches_exit_with_their_code(tmp_path, capsys, argv, files, 
     err = capsys.readouterr().err
     assert err.startswith("config error: " if code == 2 else "data error: ")
     assert message in err
+
+
+@pytest.mark.parametrize("text", ["not json\n", "", None], ids=["bad_line", "empty", "missing"])
+@pytest.mark.parametrize(
+    "argv, file_cfg, key",
+    [
+        (["check", "{records}", "--lambda", "0.5"], {}, "lambda"),
+        (["check", "{records}"], {"tolerence": 0.3}, "tolerence"),
+        # monitor reads every flag it declares: only a config key can be refused
+        (["monitor", "{records}"], {"levels": [0.5]}, "levels"),
+        (["monitor", "{records}"], {"testing": "ks"}, "testing"),
+    ],
+)
+def test_cli_refused_setting_beats_bad_record_input(tmp_path, capsys, argv, file_cfg, key,
+                                                     text):
+    # every setting is resolved before the first record line is sniffed, so
+    # a refused one exits 2 where the same input alone exits 3
+    records = tmp_path / "r.jsonl"
+    if text is not None:
+        records.write_text(text)
+    assert cli.main(argv[:1] + [str(records)]) == 3
+    capsys.readouterr()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(file_cfg))
+    argv = [a.format(records=records) for a in argv] + ["--config", str(cfg)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {argv[0]} does not apply {key!r}\n"
 
 
 # ---------------------------------------------------------------------------

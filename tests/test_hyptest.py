@@ -1,4 +1,6 @@
 import math
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -55,15 +57,47 @@ def oracle_upper_quantile(n, p, a):
 # ---------------------------------------------------------------------------
 
 def test_binom_adapter_matches_scipy_stats_bit_for_bit():
+    adapter = hyptest._binom()
     rng = np.random.default_rng(20260)
     for _ in range(500):
         n = int(rng.integers(1, 50_001))
         p, q = rng.uniform(0.0, 1.0, 2)
         for k in (-1, 0, n - 1, n, int(rng.integers(-1, n + 2)), rng.uniform(-1, n + 1)):
-            assert hyptest._binom.cdf(k, n, p) == binom.cdf(k, n, p), (k, n, p)
-            assert hyptest._binom.sf(k, n, p) == binom.sf(k, n, p), (k, n, p)
-        assert hyptest._binom.ppf(q, n, p) == binom.ppf(q, n, p), (q, n, p)
-        assert hyptest._binom.isf(q, n, p) == binom.isf(q, n, p), (q, n, p)
+            assert adapter.cdf(k, n, p) == binom.cdf(k, n, p), (k, n, p)
+            assert adapter.sf(k, n, p) == binom.sf(k, n, p), (k, n, p)
+        assert adapter.ppf(q, n, p) == binom.ppf(q, n, p), (q, n, p)
+        assert adapter.isf(q, n, p) == binom.isf(q, n, p), (q, n, p)
+
+
+def binomial_answers():
+    rng = np.random.default_rng(20261)
+    answers = []
+    for _ in range(200):
+        n = int(rng.integers(1, 5_001))
+        p, a = rng.uniform(0.01, 0.99, 2)
+        count = int(rng.integers(0, n + 1))
+        spec = HypothesisSpec(TWO_SIDED if rng.uniform() < 0.5 else ONE_SIDED,
+                              float(rng.uniform(0.0, min(p, 1.0 - p))))
+        answers.append((binom_lower_quantile(n, p, a), binom_upper_quantile(n, p, a),
+                        binom_directional_p(count, n, p, spec)))
+    return answers
+
+
+def test_binom_falls_back_to_scipy_stats_without_the_private_ufuncs(monkeypatch):
+    expected = binomial_answers()
+    assert hyptest._binom() is not binom
+    # a scipy release without the private names: the loader's import fails,
+    # while scipy.stats.binom keeps the ufunc module it bound at its import
+    monkeypatch.setitem(sys.modules, "scipy.special._ufuncs",
+                        types.ModuleType("scipy.special._ufuncs"))
+    hyptest._binom.cache_clear()
+    try:
+        assert hyptest._binom() is binom
+        assert binomial_answers() == expected
+    finally:
+        monkeypatch.undo()
+        hyptest._binom.cache_clear()
+    assert hyptest._binom() is not binom
 
 
 def test_lower_quantile_tiny_cases():

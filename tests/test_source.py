@@ -1,7 +1,8 @@
 """Import hygiene of the package source, read statically with ``ast``: each
 module uses every name it imports, and every name in an ``__all__`` or
 imported from a sibling module is defined there.  A deleted function whose
-import or export was left behind fails here, not at a user's import."""
+import or export was left behind fails here, not at a user's import.  No
+module imports scipy when it is itself imported."""
 
 import ast
 from pathlib import Path
@@ -74,3 +75,28 @@ def test_exported_and_sibling_imported_names_resolve(module):
                 for _, sibling, name in imports(tree)
                 if sibling is not None and name not in defined(TREES[sibling])]
     assert not missing, f"calcheck/{module}.py names what does not exist: {missing}"
+
+
+def import_time_modules(tree):
+    """(line, module) of each absolute import that runs when the module is
+    imported: everywhere but in function bodies, so in module-level try, if
+    and class blocks too."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if not node.level:
+                yield node.lineno, node.module
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_module_level_scipy_import(module):
+    # scipy is imported by the first call that needs it, so importing the
+    # CLI loads numpy only
+    found = sorted(line for line, name in import_time_modules(TREES[module])
+                   if name.split(".")[0] == "scipy")
+    assert not found, f"calcheck/{module}.py imports scipy at module level, lines {found}"
