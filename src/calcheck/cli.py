@@ -25,6 +25,11 @@ loaded by the first PIT of (multivariate) Gaussian records and by the first
 Binomial tail, so by ``check`` and by ``monitor`` on Gaussian records;
 ``simulate``, ``report``, ``monitor`` on particles and a run that fails on
 its configuration never load it.
+
+``simulate drift_sweep`` runs its independent (multiplier, seed) cells in
+forked worker processes, one per usable CPU, and its output is identical to
+a serial run's; no other command starts a process or imports
+``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -134,12 +139,8 @@ class RecipeConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}")
-        if self.metric not in METRICS:
-            raise ConfigError(f"unknown metric {self.metric!r}")
-        if self.testing not in TESTINGS:
-            raise ConfigError(f"unknown testing {self.testing!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
+        _check_slots(self.metric, self.testing, self.alpha, self.hypothesis, self.levels,
+                     self.bins, self.evalue)
         if self.metric in ("pit_ks", "folded_ks") and self.model not in _CDF_MODELS:
             raise ConfigError(
                 f"metric {self.metric!r} needs a CDF-bearing model; the PIT is "
@@ -151,37 +152,8 @@ class RecipeConfig:
             raise ConfigError(
                 "particle clouds have no centered interval; use metric=halfplane"
             )
-        if self.testing == "ks":
-            if self.metric not in ("pit_ks", "folded_ks"):
-                raise ConfigError("the KS test requires a PIT-family metric")
-            if self.hypothesis.sidedness == ONE_SIDED and self.metric != "folded_ks":
-                raise ConfigError("the one-sided KS test runs on the folded PIT")
-            if self.hypothesis.tolerance > 0.0 and self.metric != "folded_ks":
-                raise ConfigError("KS tolerance bands run on the folded PIT")
-            if self.hypothesis.sidedness == TWO_SIDED and self.hypothesis.tolerance > 0.0:
-                raise ConfigError("no two-sided KS tolerance band is defined")
-        if self.testing in ("binom_bonferroni", "binom_holm"):
-            if self.metric not in ("coverage", "halfplane"):
-                raise ConfigError("Binomial testing consumes coverage counts")
-            # the tests run at level - tolerance and, two-sided, level + tolerance
-            tol, lv = self.hypothesis.tolerance, self.levels.levels
-            out = (lv - tol <= 0.0) | ((self.hypothesis.sidedness == TWO_SIDED) & (lv + tol >= 1.0))
-            if out.any():
-                raise ConfigError(f"tolerance {tol} shifts level {lv[out][0]:g} out of (0, 1)")
-        if self.testing == "evalue_monitor":
-            if self.evalue is None:
-                raise ConfigError("evalue_monitor requires an e-value config")
-            if self.metric in ("pit_ks", "folded_ks"):
-                raise ConfigError("the e-value monitor scores coverage, not the PIT")
-        if self.bins is not None:
-            if self.bins < 1:
-                raise ConfigError("bins must be >= 1")
-            if self.model not in ("gaussian", "mv_gaussian"):
-                raise ConfigError(
-                    "variance binning needs a scalar predicted uncertainty"
-                )
-            if self.testing == "evalue_monitor":
-                raise ConfigError("variance binning does not wrap monitors")
+        if self.bins is not None and self.model not in _CDF_MODELS:
+            raise ConfigError("variance binning needs a scalar predicted uncertainty")
 
     def to_dict(self) -> dict:
         d = {
@@ -199,6 +171,45 @@ class RecipeConfig:
             d["lambda"] = self.evalue.level
             d["p_alt"] = self.evalue.p_alt
         return d
+
+
+def _check_slots(metric: str, testing: str, alpha: float, hypothesis: HypothesisSpec,
+                 levels: LevelGrid, bins: int | None, evalue: EValueConfig | None) -> None:
+    """The recipe checks that do not read the model, so a run can make them
+    before it reads its input to learn the model."""
+    if metric not in METRICS:
+        raise ConfigError(f"unknown metric {metric!r}")
+    if testing not in TESTINGS:
+        raise ConfigError(f"unknown testing {testing!r}")
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    if testing == "ks":
+        if metric not in ("pit_ks", "folded_ks"):
+            raise ConfigError("the KS test requires a PIT-family metric")
+        if hypothesis.sidedness == ONE_SIDED and metric != "folded_ks":
+            raise ConfigError("the one-sided KS test runs on the folded PIT")
+        if hypothesis.tolerance > 0.0 and metric != "folded_ks":
+            raise ConfigError("KS tolerance bands run on the folded PIT")
+        if hypothesis.sidedness == TWO_SIDED and hypothesis.tolerance > 0.0:
+            raise ConfigError("no two-sided KS tolerance band is defined")
+    if testing in ("binom_bonferroni", "binom_holm"):
+        if metric not in ("coverage", "halfplane"):
+            raise ConfigError("Binomial testing consumes coverage counts")
+        # the tests run at level - tolerance and, two-sided, level + tolerance
+        tol, lv = hypothesis.tolerance, levels.levels
+        out = (lv - tol <= 0.0) | ((hypothesis.sidedness == TWO_SIDED) & (lv + tol >= 1.0))
+        if out.any():
+            raise ConfigError(f"tolerance {tol} shifts level {lv[out][0]:g} out of (0, 1)")
+    if testing == "evalue_monitor":
+        if evalue is None:
+            raise ConfigError("evalue_monitor requires an e-value config")
+        if metric in ("pit_ks", "folded_ks"):
+            raise ConfigError("the e-value monitor scores coverage, not the PIT")
+    if bins is not None:
+        if bins < 1:
+            raise ConfigError("bins must be >= 1")
+        if testing == "evalue_monitor":
+            raise ConfigError("variance binning does not wrap monitors")
 
 
 @dataclass(frozen=True)
@@ -854,10 +865,12 @@ def _recipe_from_args(settings: _Settings, source: RecordSource,
 
     The model (the config's, else the one sniffed from the first record
     line) only picks the default metric, ``halfplane`` for particles and
-    ``coverage`` otherwise, and both take the same default testing.  So every
-    setting is resolved before the input is read: a refused setting exits 2
-    before a bad, empty or missing input exits 3, while a recipe the model
-    cannot run is reported before a refused setting.
+    ``coverage`` otherwise, and both take the same default testing and pass
+    or fail the same model-independent checks.  So every setting is resolved
+    and those checks are made before the input is read: a refused setting or
+    a recipe value refused whatever the model exits 2 before a bad, empty or
+    missing input exits 3, while a recipe the model cannot run is reported
+    before a refused setting.
     """
     model = settings.resolve("model")
     alpha = settings.resolve("alpha", _number, 0.05)
@@ -867,20 +880,23 @@ def _recipe_from_args(settings: _Settings, source: RecordSource,
             "testing",
             default="ks" if metric in ("pit_ks", "folded_ks") else "binom_bonferroni",
         )
+    slots = {"hypothesis": HypothesisSpec(), "levels": LevelGrid.default(), "bins": None,
+             "evalue": None}
     if testing == "evalue_monitor":
         # a monitor tests coverage at lambda alone: it applies no sidedness,
         # tolerance, level grid or bins, so those keep their defaults
-        slots = {"evalue": _evalue_config(settings, alpha)}
+        slots["evalue"] = _evalue_config(settings, alpha)
     else:
-        slots = {
-            "hypothesis": HypothesisSpec(
+        slots.update(
+            hypothesis=HypothesisSpec(
                 sidedness=settings.resolve("sided", _sidedness, TWO_SIDED),
                 tolerance=settings.resolve("tolerance", _number, 0.0),
             ),
-            "levels": settings.resolve("levels", _parse_levels, LevelGrid.default()),
-            "bins": settings.resolve("bins", _integer),
-        }
+            levels=settings.resolve("levels", _parse_levels, LevelGrid.default()),
+            bins=settings.resolve("bins", _integer),
+        )
     seed = _resolve_seed(settings)
+    _check_slots(metric or "coverage", testing, alpha, **slots)
     try:
         model = model or sniff_model_kind(source)
     except (DataError, OSError):

@@ -15,7 +15,9 @@ Every generator is a deterministic function of its seed.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -259,10 +261,10 @@ def run_robot_sim(config: RobotSimConfig) -> ParticleBatch:
         with np.errstate(over="ignore"):  # depletion is detected below
             res = (z - np.sqrt(dx * dx + dy * dy)) / r
             sq = res * res
-        # summed over beacons on the C-contiguous (particle, beacon) layout,
-        # the order .sum(axis=1) gives it: in sequence below 8 beacons and
-        # pairwise from 8 up
-        log_w = log_w - 0.5 * np.ascontiguousarray(sq.T).sum(axis=1)
+            # summed over beacons on the C-contiguous (particle, beacon)
+            # layout, the order .sum(axis=1) gives it: in sequence below 8
+            # beacons and pairwise from 8 up
+            log_w = log_w - 0.5 * np.ascontiguousarray(sq.T).sum(axis=1)
 
         log_w = log_w - _log_sum_exp(log_w, t)
         weights = np.exp(log_w)
@@ -295,6 +297,50 @@ class DriftSweepEntry:
     envelope: np.ndarray = field(repr=False)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _sweep_cell(cfg: RobotSimConfig, monitor: EValueConfig) -> tuple[MartingaleState, np.ndarray]:
+    """One (multiplier, seed) cell of the sweep: the robot sim, then the
+    half-plane monitor over its whole run on the cell's own stream.  Returns
+    the final state and the running log e-value after every step."""
+    mon_rng = np.random.default_rng([cfg.seed, 1])  # independent of sim
+    return monitor_step_halfplane(MartingaleState(), run_robot_sim(cfg), monitor, mon_rng)
+
+
+def _map_cells(run_cell, cells: list) -> list:
+    """``run_cell`` over ``cells``, in order, on a pool of forked workers.
+
+    Fork, not spawn: a forked worker starts with calcheck and numpy already
+    imported, where a spawned one would pay that import before its first cell.
+    ``imap`` returns the results in cell order and raises the first failing
+    cell's error in that order, as the serial loop does.  The pool is
+    terminated and joined on every exit, so no worker outlives the call.
+    """
+    workers = min(len(cells), _usable_cpus())
+    if workers <= 1:
+        return list(map(run_cell, cells))
+    import multiprocessing  # here, so importing calcheck starts nothing
+    import signal
+
+    try:
+        # a Ctrl-C interrupts this process alone, which then stops the workers
+        pool = multiprocessing.get_context("fork").Pool(
+            workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
+    except OSError:  # no process to spare, e.g. fork's EAGAIN: run them here
+        return list(map(run_cell, cells))
+    try:
+        return list(pool.imap(run_cell, cells, chunksize=1))
+    finally:
+        pool.terminate()
+        pool.join()
+
+
 def drift_sweep(
     base: RobotSimConfig,
     multipliers: Sequence[float],
@@ -309,22 +355,25 @@ def drift_sweep(
     per-multiplier alarm counts, the median first-crossing time among
     alarmed seeds, and the across-seed 5%/50%/95% envelope of the running
     e-value, as one entry per multiplier in the order given.
+
+    The cells share no state, so they run in forked worker processes, one
+    per usable CPU (at most one per cell), and in this process when that is
+    one worker or when no worker can be started.  Each cell draws from its
+    own seeded streams, so the entries are identical to a serial run's; a
+    cell's error is raised as the serial loop would raise it, from the first
+    failing cell in grid order, and no worker outlives the call.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
+    cells = [replace(base, drift_multiplier=float(mult), seed=base.seed + s)
+             for mult in multipliers for s in range(n_seeds)]
+    results = _map_cells(partial(_sweep_cell, monitor=monitor), cells)
     entries = []
-    for mult in multipliers:
-        log_traces = np.empty((n_seeds, base.n_steps))
-        crossings = []
-        for s in range(n_seeds):
-            cfg = replace(base, drift_multiplier=float(mult), seed=base.seed + s)
-            mon_rng = np.random.default_rng([cfg.seed, 1])  # independent of sim
-            state, log_traces[s] = monitor_step_halfplane(
-                MartingaleState(), run_robot_sim(cfg), monitor, mon_rng)
-            if state.alarmed:
-                crossings.append(state.first_crossing)
+    for i, mult in enumerate(multipliers):
+        states, log_traces = zip(*results[i * n_seeds:(i + 1) * n_seeds])
+        crossings = [state.first_crossing for state in states if state.alarmed]
         envelope = np.exp(
-            np.percentile(log_traces, [5.0, 50.0, 95.0], axis=0).T
+            np.percentile(np.stack(log_traces), [5.0, 50.0, 95.0], axis=0).T
         )
         entries.append(
             DriftSweepEntry(

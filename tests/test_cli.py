@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import calcheck.sim
 from calcheck import cli
 from calcheck.cli import (
     RecipeConfig,
@@ -407,7 +409,8 @@ def test_cli_import_leaves_out_scipy_stats_and_linalg(tmp_path):
 def test_cli_loads_scipy_only_for_a_gaussian_cdf_or_binomial_tail(tmp_path):
     # scipy.special is imported by the first Gaussian PIT, chi-square CDF or
     # Binomial tail; simulations, particle monitors, report and refused
-    # settings need none of them
+    # settings need none of them.  multiprocessing is imported by a drift
+    # sweep that starts worker processes, and by no other command
     weather, _ = weather_file(tmp_path, seed=5)
     bad = write_lines(tmp_path / "bad.jsonl", ["not json"])
     sweep = tmp_path / "sweep.json"
@@ -416,11 +419,11 @@ def test_cli_loads_scipy_only_for_a_gaussian_cdf_or_binomial_tail(tmp_path):
     robot.write_text(json.dumps({"n_steps": 20, "n_particles": 50}))
     sim, mon = tmp_path / "sim", tmp_path / "mon"
     steps = [
-        ["simulate", "drift_sweep", "--config", str(sweep), "--out", str(tmp_path / "sweep")],
         ["simulate", "robot", "--config", str(robot), "--out", str(sim)],
         ["simulate", "weather", "--out", str(sim)],
         ["monitor", str(sim / "robot_records.jsonl"), "--out", str(mon)],
         ["report", str(mon / "report.json")],
+        ["simulate", "drift_sweep", "--config", str(sweep), "--out", str(tmp_path / "sweep")],
         ["check", str(weather), "--lambda", "0.5"],
         ["check", bad],
         ["check", str(weather)],
@@ -429,21 +432,24 @@ def test_cli_loads_scipy_only_for_a_gaussian_cdf_or_binomial_tail(tmp_path):
     probe = ("import json, sys, calcheck.cli\n"
              "def scipy():\n"
              "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-             "seen = [[None, scipy()]]\n"
+             "def forks():\n"
+             "    return 'multiprocessing' in sys.modules\n"
+             "seen = [[None, scipy(), forks()]]\n"
              "for argv in json.loads(sys.argv[1]):\n"
-             "    seen.append([calcheck.cli.main(argv), scipy()])\n"
+             "    seen.append([calcheck.cli.main(argv), scipy(), forks()])\n"
              "with open(sys.argv[2], 'w') as out:\n"
              "    json.dump(seen, out)\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", probe, json.dumps(steps), str(result)],
                    capture_output=True, env={**os.environ, "PYTHONPATH": src}, check=True)
-    (_, on_import), *ran = json.loads(result.read_text())
-    codes = [code for code, _ in ran]
-    assert codes[:3] == [0, 0, 0] and codes[3] in (0, 1) and codes[4] == codes[3]
-    assert codes[5:] == [2, 3, 0]
+    (_, on_import, forked), *ran = json.loads(result.read_text())
+    codes = [code for code, _, _ in ran]
+    assert codes[:2] == [0, 0] and codes[2] in (0, 1) and codes[3] == codes[2]
+    assert codes[4:] == [0, 2, 3, 0]
     assert on_import == [], on_import
-    for argv, (_, loaded) in zip(steps[:-1], ran):
+    for argv, (_, loaded, _) in zip(steps[:-1], ran):
         assert loaded == [], (argv, loaded)
+    assert [forked] + [f for _, _, f in ran[:4]] == [False] * 5
     loaded = ran[-1][1]
     assert "scipy.special" in loaded
     assert not [m for m in loaded if m.startswith(("scipy.stats", "scipy.linalg"))], loaded
@@ -838,6 +844,52 @@ def test_cli_refused_setting_beats_bad_record_input(tmp_path, capsys, argv, file
     argv = [a.format(records=records) for a in argv] + ["--config", str(cfg)]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"config error: {argv[0]} does not apply {key!r}\n"
+
+
+@pytest.mark.parametrize("text", ["not json\n", "", None], ids=["bad_line", "empty", "missing"])
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["check", "{records}", "--alpha", "2"], "alpha must lie in (0, 1), got 2.0"),
+        (["check", "{records}", "--bins", "0"], "bins must be >= 1"),
+        (["check", "{records}", "--metric", "pit_ks", "--testing", "binom_holm"],
+         "Binomial testing consumes coverage counts"),
+        (["check", "{records}", "--testing", "ks"], "the KS test requires a PIT-family metric"),
+        (["check", "{records}", "--tolerance", "0.3", "--levels", "0.2"],
+         "tolerance 0.3 shifts level 0.2 out of (0, 1)"),
+        (["monitor", "{records}", "--alpha", "2"], "alpha must lie in (0, 1), got 2.0"),
+    ],
+)
+def test_cli_refused_recipe_value_beats_bad_record_input(tmp_path, capsys, argv, error, text):
+    # a value refused whatever the model is checked before the first record
+    # line is sniffed, so it exits 2 where the same input alone exits 3
+    records = tmp_path / "r.jsonl"
+    if text is not None:
+        records.write_text(text)
+    assert cli.main(argv[:1] + [str(records)]) == 3
+    capsys.readouterr()
+    assert cli.main([a.format(records=records) for a in argv]) == 2
+    assert capsys.readouterr().err == f"config error: {error}\n"
+
+
+def test_cli_drift_sweep_worker_error_exits_3_as_one_cell_does(tmp_path, capsys, monkeypatch):
+    # a cell's data error comes back from its worker process and exits as
+    # the same error from a sweep run in this process
+    monkeypatch.setattr(calcheck.sim, "_usable_cpus", lambda: 4)
+    errors = []
+    for grid in ({"n_seeds": 1, "multipliers": [1.0]},
+                 {"n_seeds": 2, "multipliers": [0.5, 1.0, 2.0]}):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**grid, "n_steps": 5, "n_particles": 20,
+                                   "range_noise_sd": 1e-300}))
+        argv = ["simulate", "drift_sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1] == (
+        "data error: particle depletion at step 1: all weights underflowed\n")
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

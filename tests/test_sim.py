@@ -1,16 +1,20 @@
+import errno
 import math
+import multiprocessing
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from calcheck import sim
 from calcheck.errors import DataError
 from calcheck.hyptest import ONE_SIDED, TWO_SIDED, HypothesisSpec, ks_test
 from calcheck.metric import LevelGrid, coverage_counts, fold, halfplane_coverage, pit
 from calcheck.records import MvGaussianBatch, ParticleBatch
-from calcheck.seqtest import EValueConfig
+from calcheck.seqtest import EValueConfig, MartingaleState, monitor_step_halfplane
 from calcheck.sim import (
     _INIT_SD,
     DRIFT_PER_STEP,
@@ -290,3 +294,106 @@ def test_drift_sweep_entry_bookkeeping():
         assert entry.envelope.shape == (60, 3)
         assert np.all(entry.envelope[:, 0] <= entry.envelope[:, 1])
         assert np.all(entry.envelope[:, 1] <= entry.envelope[:, 2])
+
+
+def serial_sweep(base, multipliers, n_seeds, monitor):
+    """The drift sweep cell by cell in this process, as (multiplier, alarm
+    count, median first crossing, envelope) per multiplier: the reference
+    the worker processes must reproduce bit for bit."""
+    entries = []
+    for mult in multipliers:
+        log_traces = np.empty((n_seeds, base.n_steps))
+        crossings = []
+        for s in range(n_seeds):
+            cfg = replace(base, drift_multiplier=float(mult), seed=base.seed + s)
+            state, log_traces[s] = monitor_step_halfplane(
+                MartingaleState(), run_robot_sim(cfg), monitor,
+                np.random.default_rng([cfg.seed, 1]))
+            if state.alarmed:
+                crossings.append(state.first_crossing)
+        envelope = np.exp(np.percentile(log_traces, [5.0, 50.0, 95.0], axis=0).T)
+        entries.append((float(mult), len(crossings),
+                        float(np.median(crossings)) if crossings else None, envelope))
+    return entries
+
+
+def as_tuples(entries):
+    return [(e.multiplier, e.alarm_count, e.median_first_crossing, e.envelope)
+            for e in entries]
+
+
+def assert_same_entries(got, want):
+    assert len(got) == len(want)
+    for (mult, alarms, median, env), (mult_ref, alarms_ref, median_ref, env_ref) in zip(
+            got, want):
+        assert (mult, alarms, median) == (mult_ref, alarms_ref, median_ref)
+        assert env.shape == env_ref.shape and env.tobytes() == env_ref.tobytes()
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Count the worker pools drift_sweep starts."""
+    started = []
+    get_context = multiprocessing.get_context
+
+    def counting(method=None):
+        started.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", counting)
+    return started
+
+
+SWEEP_BASE = RobotSimConfig(seed=3, n_steps=40, n_particles=100)
+
+
+@pytest.mark.parametrize(
+    "multipliers, n_seeds, cpus, n_pools",
+    [
+        ((2.0,), 1, 4, 0),                 # one cell runs in this process
+        ((0.5, 8.0), 1, 4, 1),             # fewer cells than CPUs
+        ((0.5, 8.0), 3, 4, 1),             # 6 cells do not divide among 4 workers
+        ((0.0, 1.0, 6.0), 2, 1, 0),        # one CPU: the serial loop
+        ((), 2, 4, 0),                     # no cells
+    ],
+    ids=["one_cell", "fewer_cells_than_cpus", "uneven", "one_cpu", "empty"],
+)
+def test_drift_sweep_workers_match_the_serial_loop(monkeypatch, pools, multipliers, n_seeds,
+                                                   cpus, n_pools):
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: cpus)
+    got = drift_sweep(SWEEP_BASE, multipliers, n_seeds, MONITOR)
+    want = serial_sweep(SWEEP_BASE, multipliers, n_seeds, MONITOR)
+    assert_same_entries(as_tuples(got), want)
+    # multiplier 8 alarms within 40 steps, so crossings and medians are compared too
+    assert all(alarms > 0 for mult, alarms, _, _ in want if mult == 8.0)
+    assert pools == ["fork"] * n_pools
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("range_noise_sd", [1e-300, 1e-155])
+def test_drift_sweep_worker_error_leaves_no_worker(monkeypatch, pools, range_noise_sd):
+    # every cell's weights underflow: at 1e-300 all at step 1, at 1e-155 the
+    # first cell at step 6 and later cells sooner; the first cell's error wins
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+    base = RobotSimConfig(seed=0, n_steps=60, n_particles=20, range_noise_sd=range_noise_sd)
+    with pytest.raises(DataError) as serial:
+        serial_sweep(base, (0.5, 4.0), 3, MONITOR)
+    with pytest.raises(DataError) as pooled:
+        drift_sweep(base, (0.5, 4.0), 3, MONITOR)
+    assert str(pooled.value) == str(serial.value)
+    assert str(serial.value).startswith(
+        "particle depletion at step 1:" if range_noise_sd == 1e-300 else
+        "particle depletion at step 6:")
+    assert pools == ["fork"]
+    assert multiprocessing.active_children() == []
+
+
+def test_drift_sweep_runs_in_process_when_no_worker_starts(monkeypatch):
+    class NoProcesses:
+        def Pool(self, *args, **kwargs):
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: NoProcesses())
+    got = drift_sweep(SWEEP_BASE, (0.5, 8.0), 2, MONITOR)
+    assert_same_entries(as_tuples(got), serial_sweep(SWEEP_BASE, (0.5, 8.0), 2, MONITOR))
