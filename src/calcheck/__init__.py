@@ -22,6 +22,7 @@ from .errors import (
     DataError,
     InvalidDistributionError,
     UnsupportedMetricError,
+    WorkerLostError,
 )
 from .hyptest import (
     ONE_SIDED,

@@ -9,8 +9,10 @@ blocks, and each block's complete lines become one batch of their family
 and ``monitor`` advances its martingale and prints its trace rows one block
 at a time, as the blocks arrive; it takes every family and scores the sets
 ``check`` scores.  Exit codes are scriptable safety gates: 0 accept/clean,
-1 reject/alarm, 2 usage or configuration error, 3 data error, and 141
-(128 + SIGPIPE) when the reader of stdout goes away.  ``report`` prints the
+1 reject/alarm, 2 usage or configuration error, 3 data error, 70 when a
+drift sweep worker process dies before returning its cell (a signal, the
+out-of-memory killer), and 141 (128 + SIGPIPE) when the reader of stdout
+goes away.  ``report`` prints the
 summary block the saved run printed and exits as it did: 1 for a reject,
 3 for an incomplete monitor, 0 for an accept or a simulation summary.
 
@@ -27,9 +29,9 @@ Binomial tail, so by ``check`` and by ``monitor`` on Gaussian records;
 its configuration never load it.
 
 ``simulate drift_sweep`` runs its independent (multiplier, seed) cells in
-forked worker processes, one per usable CPU, and its output is identical to
-a serial run's; no other command starts a process or imports
-``multiprocessing``.
+forked worker processes, one per usable CPU (on Linux; elsewhere in this
+process), and its output is identical to a serial run's; no other command
+starts a process or imports ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import __version__
-from .errors import CalcheckError, ConfigError, DataError
+from .errors import CalcheckError, ConfigError, DataError, WorkerLostError
 from .hyptest import (
     ONE_SIDED,
     TWO_SIDED,
@@ -108,6 +110,7 @@ EXIT_ACCEPT = 0
 EXIT_REJECT = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
+EXIT_SOFTWARE = 70  # the run could not finish: a drift sweep worker died
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 
 BLOCK = 1 << 16  # bytes asked of each read of a record input
@@ -1064,6 +1067,9 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except WorkerLostError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOFTWARE
     except CalcheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

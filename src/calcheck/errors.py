@@ -24,3 +24,8 @@ class ConfigError(CalcheckError, ValueError):
 class DataError(CalcheckError, ValueError):
     """Input records are malformed, empty, or inconsistent.
     Maps to CLI exit code 3."""
+
+
+class WorkerLostError(CalcheckError, RuntimeError):
+    """A worker process ended before it returned its result (killed by a
+    signal or by the out-of-memory killer).  Maps to CLI exit code 70."""

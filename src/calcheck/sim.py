@@ -15,7 +15,9 @@ Every generator is a deterministic function of its seed.
 
 from __future__ import annotations
 
+import math
 import os
+import sys
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import Sequence
@@ -23,7 +25,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError
+from .errors import DataError, WorkerLostError
 from .records import GaussianBatch, ParticleBatch
 from .seqtest import EValueConfig, MartingaleState, monitor_step_halfplane
 
@@ -297,12 +299,39 @@ class DriftSweepEntry:
     envelope: np.ndarray = field(repr=False)
 
 
+def _cpu_quota(cgroup_root: str = "/sys/fs/cgroup",
+               cgroup_file: str = "/proc/self/cgroup") -> float:
+    """CPUs this process's cgroup v2 CPU quota grants: the tightest
+    ``cpu.max`` over its cgroup and the cgroups above it, or inf where none
+    is set or readable (no quota, cgroup v1, another platform)."""
+    try:
+        with open(cgroup_file) as handle:
+            path = next(line[3:].strip() for line in handle if line.startswith("0::"))
+    except (OSError, StopIteration):
+        return math.inf
+    parts = [part for part in path.split("/") if part]
+    quota = math.inf
+    for depth in range(len(parts) + 1):
+        try:
+            with open(os.path.join(cgroup_root, *parts[:depth], "cpu.max")) as handle:
+                limit, period = handle.read().split()
+            if limit != "max":
+                quota = min(quota, int(limit) / int(period))
+        except (OSError, ValueError):
+            continue
+    return quota
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the platform
-    has one, else the machine's count."""
+    has one, else the machine's count, capped by a cgroup v2 CPU quota
+    rounded up."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    quota = _cpu_quota()
+    return max(1, math.ceil(quota)) if quota < cpus else cpus
 
 
 def _sweep_cell(cfg: RobotSimConfig, monitor: EValueConfig) -> tuple[MartingaleState, np.ndarray]:
@@ -313,32 +342,65 @@ def _sweep_cell(cfg: RobotSimConfig, monitor: EValueConfig) -> tuple[MartingaleS
     return monitor_step_halfplane(MartingaleState(), run_robot_sim(cfg), monitor, mon_rng)
 
 
-def _map_cells(run_cell, cells: list) -> list:
-    """``run_cell`` over ``cells``, in order, on a pool of forked workers.
+# The cell's layers as this module defines and imports them.  A wrapper put
+# on either module attribute (a tracer's or a profiler's) keeps what it
+# records in this process, so the sweep then runs its cells here.
+_CELL_LAYERS = (run_robot_sim, monitor_step_halfplane)
+
+
+def _map_cells(run_cell, cells: list, workers: int) -> list:
+    """``run_cell`` over ``cells``, in order, on up to ``workers`` forked
+    worker processes.
 
     Fork, not spawn: a forked worker starts with calcheck and numpy already
-    imported, where a spawned one would pay that import before its first cell.
-    ``imap`` returns the results in cell order and raises the first failing
-    cell's error in that order, as the serial loop does.  The pool is
-    terminated and joined on every exit, so no worker outlives the call.
+    imported, where a spawned one would pay that import before its first
+    cell.  Workers are forked only on Linux, from a process that may have
+    children (not a daemonic worker) and runs no other Python thread, whose
+    locks the fork would copy mid-use.  Otherwise, on one worker, and when a
+    worker cannot be started (fork's ``EAGAIN``), the cells run in this
+    process.  ``map`` returns the results in cell order and raises the first
+    failing cell's error in that order, as the serial loop does.  A worker
+    that dies (a signal, the out-of-memory killer) ends the call with
+    :class:`WorkerLostError`.  Workers ignore SIGINT, so a Ctrl-C interrupts
+    this process alone; the pool is shut down on every exit, so no worker
+    outlives the call.
     """
-    workers = min(len(cells), _usable_cpus())
-    if workers <= 1:
+    if workers <= 1 or not sys.platform.startswith("linux"):
         return list(map(run_cell, cells))
     import multiprocessing  # here, so importing calcheck starts nothing
     import signal
+    import threading
+    import warnings
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
+    if (multiprocessing.current_process().daemon or threading.active_count() > 1
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return list(map(run_cell, cells))
+    known = set(multiprocessing.active_children())
     try:
-        # a Ctrl-C interrupts this process alone, which then stops the workers
-        pool = multiprocessing.get_context("fork").Pool(
-            workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
-    except OSError:  # no process to spare, e.g. fork's EAGAIN: run them here
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on a fork while any thread lives; the only
+            # ones left are native, such as OpenBLAS's, which handles forks
+            warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
+                                    DeprecationWarning)
+            pool = ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
+            results = pool.map(run_cell, cells)  # the first cell forks every worker
+    except OSError:  # no process to spare: stop those that started, run the cells here
+        for proc in set(multiprocessing.active_children()) - known:
+            proc.terminate()
+            proc.join()
         return list(map(run_cell, cells))
     try:
-        return list(pool.imap(run_cell, cells, chunksize=1))
+        return list(results)
+    except BrokenProcessPool:
+        raise WorkerLostError(
+            "a drift sweep worker process ended without its result "
+            "(killed by a signal or out of memory)") from None
     finally:
-        pool.terminate()
-        pool.join()
+        pool.shutdown(cancel_futures=True)
 
 
 def drift_sweep(
@@ -357,17 +419,23 @@ def drift_sweep(
     e-value, as one entry per multiplier in the order given.
 
     The cells share no state, so they run in forked worker processes, one
-    per usable CPU (at most one per cell), and in this process when that is
-    one worker or when no worker can be started.  Each cell draws from its
-    own seeded streams, so the entries are identical to a serial run's; a
-    cell's error is raised as the serial loop would raise it, from the first
-    failing cell in grid order, and no worker outlives the call.
+    per usable CPU (the affinity mask, capped by a cgroup v2 CPU quota; at
+    most one per cell).  They run in this process on one CPU, where fork is
+    not safe or not available (see ``_map_cells``), when no worker can be
+    started, and when ``run_robot_sim`` or ``monitor_step_halfplane`` has
+    been wrapped on this module, so the wrapper sees every cell.  Each cell
+    draws from its own seeded streams, so the entries are identical to a
+    serial run's; a cell's error is raised as the serial loop would raise
+    it, from the first failing cell in grid order.  A worker that dies
+    raises :class:`WorkerLostError`, and no worker outlives the call.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     cells = [replace(base, drift_multiplier=float(mult), seed=base.seed + s)
              for mult in multipliers for s in range(n_seeds)]
-    results = _map_cells(partial(_sweep_cell, monitor=monitor), cells)
+    workers = 1 if (run_robot_sim, monitor_step_halfplane) != _CELL_LAYERS else min(
+        len(cells), _usable_cpus())
+    results = _map_cells(partial(_sweep_cell, monitor=monitor), cells, workers)
     entries = []
     for i, mult in enumerate(multipliers):
         states, log_traces = zip(*results[i * n_seeds:(i + 1) * n_seeds])

@@ -892,6 +892,26 @@ def test_cli_drift_sweep_worker_error_exits_3_as_one_cell_does(tmp_path, capsys,
     assert multiprocessing.active_children() == []
 
 
+def test_cli_drift_sweep_exits_70_when_a_worker_dies(tmp_path, capsys, monkeypatch):
+    # a killed worker ends the sweep with the crash code, not a verdict,
+    # and leaves no worker behind
+    from test_sim import cell_killed_at_seed_4
+
+    monkeypatch.setattr(calcheck.sim, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(calcheck.sim, "_sweep_cell", cell_killed_at_seed_4)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_seeds": 2, "multipliers": [0.5, 1.0],
+                               "n_steps": 5, "n_particles": 20}))
+    argv = ["simulate", "drift_sweep", "--seed", "3", "--config", str(cfg),
+            "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == cli.EXIT_SOFTWARE == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: a drift sweep worker process ended without its result "
+                            "(killed by a signal or out of memory)\n")
+    assert multiprocessing.active_children() == []
+
+
 # ---------------------------------------------------------------------------
 # stdin provenance
 # ---------------------------------------------------------------------------

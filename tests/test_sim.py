@@ -1,8 +1,13 @@
 import errno
 import math
 import multiprocessing
+import os
 import re
+import signal
+import sys
+import threading
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calcheck import sim
-from calcheck.errors import DataError
+from calcheck.errors import DataError, WorkerLostError
 from calcheck.hyptest import ONE_SIDED, TWO_SIDED, HypothesisSpec, ks_test
 from calcheck.metric import LevelGrid, coverage_counts, fold, halfplane_coverage, pit
 from calcheck.records import MvGaussianBatch, ParticleBatch
@@ -388,12 +393,114 @@ def test_drift_sweep_worker_error_leaves_no_worker(monkeypatch, pools, range_noi
     assert multiprocessing.active_children() == []
 
 
-def test_drift_sweep_runs_in_process_when_no_worker_starts(monkeypatch):
-    class NoProcesses:
-        def Pool(self, *args, **kwargs):
+def test_drift_sweep_runs_in_process_when_no_worker_starts(monkeypatch, pools):
+    # the first worker forks, the second fails as fork does with no process
+    # to spare: the first is stopped and the cells run in this process
+    fork = os.fork
+    forks = []
+
+    def fork_once():
+        forks.append(None)
+        if len(forks) > 1:
             raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
 
     monkeypatch.setattr(sim, "_usable_cpus", lambda: 4)
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: NoProcesses())
+    monkeypatch.setattr(os, "fork", fork_once)
     got = drift_sweep(SWEEP_BASE, (0.5, 8.0), 2, MONITOR)
+    monkeypatch.undo()
+    assert len(forks) == 2 and pools == ["fork"]
+    assert multiprocessing.active_children() == []
     assert_same_entries(as_tuples(got), serial_sweep(SWEEP_BASE, (0.5, 8.0), 2, MONITOR))
+
+
+@pytest.mark.parametrize("where", ["other_thread", "daemonic_worker", "no_fork", "not_linux"])
+def test_drift_sweep_runs_in_process_where_it_may_not_fork(monkeypatch, pools, where):
+    # another thread's locks would be copied mid-use, a daemonic worker may
+    # not have children, and fork is used on Linux alone
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 4)
+    if where == "daemonic_worker":
+        monkeypatch.setattr(multiprocessing, "current_process",
+                            lambda: SimpleNamespace(daemon=True))
+    elif where == "no_fork":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    elif where == "not_linux":
+        monkeypatch.setattr(sys, "platform", "darwin")
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    if where == "other_thread":
+        other.start()
+    try:
+        got = drift_sweep(SWEEP_BASE, (0.5, 8.0), 2, MONITOR)
+    finally:
+        stop.set()
+        if other.is_alive():
+            other.join()
+    monkeypatch.undo()
+    assert pools == []
+    assert_same_entries(as_tuples(got), serial_sweep(SWEEP_BASE, (0.5, 8.0), 2, MONITOR))
+
+
+def test_drift_sweep_runs_wrapped_layers_in_process(monkeypatch, pools):
+    # a tracer's or profiler's wrapper records in this process only, so it
+    # must see every cell here
+    calls = []
+    for name in ("run_robot_sim", "monitor_step_halfplane"):
+        def wrapper(*args, _fn=getattr(sim, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(sim, name, wrapper)
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 4)
+    got = drift_sweep(SWEEP_BASE, (0.5, 8.0), 2, MONITOR)
+    assert pools == []
+    assert sorted(calls) == ["monitor_step_halfplane"] * 4 + ["run_robot_sim"] * 4
+    monkeypatch.undo()
+    assert_same_entries(as_tuples(got), serial_sweep(SWEEP_BASE, (0.5, 8.0), 2, MONITOR))
+
+
+def cell_killed_at_seed_4(cfg, monitor):
+    """A sweep cell whose worker process is killed at seed 4."""
+    if cfg.seed == 4:
+        assert multiprocessing.parent_process() is not None, "not in a worker"
+        os.kill(os.getpid(), signal.SIGKILL)
+    return SWEEP_CELL(cfg, monitor)
+
+
+SWEEP_CELL = sim._sweep_cell
+
+
+def test_drift_sweep_ends_when_a_worker_dies(monkeypatch, pools):
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(sim, "_sweep_cell", cell_killed_at_seed_4)
+    with pytest.raises(WorkerLostError, match="ended without its result"):
+        drift_sweep(SWEEP_BASE, (0.5, 8.0), 3, MONITOR)  # seeds 3, 4, 5
+    assert pools == ["fork"]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "files, quota",
+    [
+        ({"cpu.max": "max 100000"}, math.inf),
+        ({"cpu.max": "150000 100000"}, 1.5),
+        ({"cpu.max": "max 100000", "a/cpu.max": "400000 100000",
+          "a/b/cpu.max": "200000 100000"}, 2.0),         # the tightest on the path
+        ({"a/b/cpu.max": "max 100000", "a/cpu.max": "50000 100000"}, 0.5),
+        ({}, math.inf),                                      # no cpu.max (cgroup v1)
+    ],
+)
+def test_cpu_quota_is_the_tightest_cpu_max_on_the_cgroup_path(tmp_path, files, quota):
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text + "\n")
+    cgroup = tmp_path / "cgroup"
+    cgroup.write_text("1:cpu:/\n0::/a/b\n")
+    assert sim._cpu_quota(str(tmp_path), str(cgroup)) == quota
+    assert sim._cpu_quota(str(tmp_path), str(tmp_path / "missing")) == math.inf
+
+
+@pytest.mark.parametrize("quota, cpus", [(math.inf, 8), (8.0, 8), (1.5, 2), (0.5, 1)])
+def test_usable_cpus_is_capped_by_the_cpu_quota(monkeypatch, quota, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(sim, "_cpu_quota", lambda: quota)
+    assert sim._usable_cpus() == cpus
