@@ -256,10 +256,12 @@ class RecordSource:
     Each block is fed to ``sha256`` as it is read, so the digest covers every
     byte read: the whole input once it is parsed to its end, and the whole
     last block read when a bad line stops the parse.  ``blocks`` yields the
-    lines of each block, split on ``b"\n"`` only, with a partial last line
-    carried into the next; ``peek`` reads ahead to the first non-blank line
-    for schema sniffing, and ``blocks`` replays what it read.  Use as a
-    context manager to close a file that was not read to its end.
+    lines of each block as undecoded bytes, split on ``b"\n"`` only, with a
+    partial last line carried into the next; a line keeps its ``\r`` and any
+    other whitespace, which ``_parse_line`` strips as JSON does.  ``peek``
+    reads ahead to the first non-blank line for schema sniffing, and
+    ``blocks`` replays what it read.  Use as a context manager to close a
+    file that was not read to its end.
     """
 
     def __init__(self, path: str | Path):
@@ -318,12 +320,40 @@ def _opened(source: str | Path | RecordSource):
     return RecordSource(source)
 
 
+_SCAN = json.JSONDecoder().scan_once  # the scanner json.loads wraps in Python
+
+
+def _parse_line(line: bytes):
+    """The JSON value of one record line, in one scanner call.
+
+    Only JSON's four whitespace characters are stripped around the value, so
+    a line ``json.loads`` refuses (a BOM, a form feed) is refused here too: a
+    line the scanner does not read whole, or fails on, goes to ``json.loads``,
+    which raises json's own exception and message.  Deep nesting raises
+    ``RecursionError`` and an integer of more than
+    ``sys.get_int_max_str_digits()`` digits ``ValueError``, as from
+    ``json.loads``.
+    """
+    text = line.decode()  # decoding first is faster than json's own
+    value = text.strip(" \t\r\n")
+    try:
+        obj, end = _SCAN(value, 0)
+        if end == len(value):
+            return obj
+    except (StopIteration, ValueError):
+        pass
+    return json.loads(text)  # the unstripped line, so json's error positions hold
+
+
 def iter_records(source: str | Path | RecordSource, model_kind: str) -> Iterator[RecordBatch]:
     """Lazily parse records from a JSON-lines file ('-' reads stdin): one
     batch per block of complete lines read (see :class:`RecordSource`),
     blank lines skipped; all share the first record's outcome dimension.
+    Each line is parsed by ``_parse_line``, one call of json's scanner.
     The first bad line in file order raises a :class:`DataError` naming it,
-    after the records before it have been yielded."""
+    after the records before it have been yielded: a line that is not UTF-8,
+    not JSON, nested too deeply or holding too long an integer is invalid
+    JSON."""
     cls = FAMILIES[model_kind]
     dim, line_no = None, 0
     with _opened(source) as src:
@@ -334,8 +364,8 @@ def iter_records(source: str | Path | RecordSource, model_kind: str) -> Iterator
                 if not line.strip():
                     continue
                 try:
-                    obj = json.loads(line.decode())  # decoding first is faster than json's own
-                except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                    obj = _parse_line(line)
+                except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors are ValueErrors
                     error = DataError(f"line {line_no}: invalid JSON "
                                       f"({getattr(exc, 'msg', exc)})")
                     break
@@ -383,8 +413,8 @@ def sniff_model_kind(source: str | Path | RecordSource) -> str:
     if line is None:
         raise DataError(f"no records in {source}")
     try:
-        obj = json.loads(line.decode())
-    except (json.JSONDecodeError, UnicodeDecodeError):
+        obj = _parse_line(line)
+    except (ValueError, RecursionError):
         raise DataError(f"{source}: first record line is not valid JSON") from None
     if isinstance(obj, dict):
         for kind, cls in FAMILIES.items():
@@ -408,7 +438,7 @@ def _coverage_table(report: TestReport) -> tuple[list, list]:
 def _ks_tables(sample, report: TestReport, grid: LevelGrid) -> dict:
     v = np.sort(sample.values)
     n = v.size
-    ecdf_rows = [[float(val), float((i + 1) / n)] for i, val in enumerate(v)]
+    ecdf_rows = np.column_stack((v, np.arange(1, n + 1) / n)).tolist()
     crit = report.recipe_config["band_halfwidth"]
     tol = report.recipe_config["tolerance"]
     band_rows = []
@@ -659,8 +689,7 @@ def _write_csvs(curves: dict, out_dir: str | Path) -> None:
         out.mkdir(parents=True, exist_ok=True)
         for name, (header, rows) in curves.items():
             lines = [",".join(header)]
-            lines += [",".join(["" if x is None else repr(x) if isinstance(x, float) else str(x)
-                                for x in row]) for row in rows]
+            lines += [",".join(["" if x is None else str(x) for x in row]) for row in rows]
             (out / f"{name}.csv").write_text("\n".join(lines) + "\n")
 
 
@@ -939,7 +968,10 @@ def _cmd_monitor(args) -> int:
         config = _recipe_from_args(settings, source, testing="evalue_monitor")
         run = run_monitor(config, iter_records(source, config.model), digest=source.sha256,
                           on_row=_print_rows)
-    return _finish(run, args.out)
+    code = _finish(run, args.out)
+    if error := run.report["recipe_config"].get("error"):
+        print(f"data error: {error}", file=sys.stderr)  # why the run is incomplete
+    return code
 
 
 def _sim_config(cls, settings: _Settings, seed: int):

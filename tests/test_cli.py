@@ -26,7 +26,7 @@ from calcheck.cli import (
 )
 from calcheck.errors import ConfigError, DataError
 from calcheck.hyptest import ONE_SIDED, HypothesisSpec
-from calcheck.metric import LevelGrid
+from calcheck.metric import LevelGrid, fold, pit
 from calcheck.records import GaussianBatch, MvGaussianBatch, ParticleBatch
 from calcheck.seqtest import EValueConfig
 from calcheck.sim import WeatherSimConfig, run_weather_sim
@@ -297,6 +297,33 @@ def test_cli_tolerance_rescues_bonferroni(tmp_path, capsys):
     assert tolerant == 0
 
 
+@pytest.mark.parametrize("n", [1, 3, 7, 10, 49, 97, 1_000, 4_096, 99_991])
+def test_ks_ecdf_levels_are_integer_division_bit_for_bit(n):
+    # the ecdf table divides a float64 arange by n; exact integers up to 2**53
+    # divide as Python's int / int does, both correctly rounded
+    want = [repr(float((i + 1) / n)) for i in range(n)]
+    assert [repr(x) for x in (np.arange(1, n + 1) / n).tolist()] == want
+
+
+def test_ks_ecdf_table_pairs_each_sorted_pit_with_its_level(tmp_path):
+    _, recs = weather_file(tmp_path, seed=5)
+    config = RecipeConfig(model="gaussian", metric="folded_ks", testing="ks",
+                          hypothesis=HypothesisSpec(ONE_SIDED, 0.01))
+    header, rows = run_check(config, recs).curves["ecdf"]
+    v = np.sort(fold(pit(recs)).values)
+    want = [[float(val), float((i + 1) / v.size)] for i, val in enumerate(v)]
+    assert header == ["value", "ecdf"] and repr(rows) == repr(want)
+
+
+def test_csv_cells_are_str_of_each_value(tmp_path):
+    # a float's str is its repr, so floats round-trip; a numpy scalar prints
+    # as its number, not as its constructor
+    rows = [[0.1, 1e-300, float("inf"), -0.0, None, 3, True, np.float64(0.5), np.int64(7)]]
+    cli._write_csvs({"t": (["a", "b", "c", "d", "e", "f", "g", "h", "i"], rows)}, tmp_path)
+    assert (tmp_path / "t.csv").read_text() == (
+        "a,b,c,d,e,f,g,h,i\n0.1,1e-300,inf,-0.0,,3,True,0.5,7\n")
+
+
 def test_cli_binned_check_runs(tmp_path, capsys):
     path, _ = weather_file(tmp_path, seed=5)
     code = cli.main(["check", str(path), "--bins", "3", "--out", str(tmp_path / "b")])
@@ -320,6 +347,36 @@ def test_cli_data_error_exit_3(tmp_path):
     assert cli.main(["check", str(empty)]) == 3
     five = write_lines(tmp_path / "five.jsonl", [gaussian_line(0.0, 1.0, 0.5)] * 5)
     assert cli.main(["check", five, "--bins", "6"]) == 3  # more bins than records
+
+
+MALFORMED_LINES = {
+    "deep_nesting": ("[" * 100_000 + "]" * 100_000,
+                     "maximum recursion depth exceeded while decoding a JSON array"),
+    "long_integer": ('{"mu": ' + "7" * 5_000 + ', "sigma": 1.0, "y": 0.5}',
+                     "Exceeds the limit (4300 digits) for integer string conversion"),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "monitor"])
+@pytest.mark.parametrize("at", ["first", "first_of_a_named_model", "later"])
+@pytest.mark.parametrize("line, reason", MALFORMED_LINES.values(), ids=MALFORMED_LINES)
+def test_cli_line_json_cannot_hold_is_a_data_error(tmp_path, capsys, command, at, line, reason):
+    # a line too deep for the parser's recursion or holding an integer too
+    # long to convert exits 3 with one message, as any invalid JSON does
+    good = gaussian_line(0.0, 1.0, 0.5)
+    path = write_lines(tmp_path / "r.jsonl", [good, line, good] if at == "later" else [line, good])
+    argv = [command, path]
+    if at == "first_of_a_named_model":  # no sniffing: the line reaches iter_records
+        (tmp_path / "c.json").write_text('{"model": "gaussian"}')
+        argv += ["--config", str(tmp_path / "c.json")]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    if at == "first":
+        assert err == f"data error: {path}: first record line is not valid JSON\n"
+    else:
+        line_no = 2 if at == "later" else 1
+        assert err.startswith(f"data error: line {line_no}: invalid JSON ({reason}")
+        assert err.endswith(")\n") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("saved", [
@@ -382,9 +439,16 @@ def test_cli_report_prints_and_exits_as_the_run_that_saved_it(tmp_path, capsys, 
     fill = {"weather": weather, "biased": biased, "cut": cut}
     out = tmp_path / "out"
     assert cli.main([a.format(**fill) for a in argv] + ["--out", str(out)]) == code
-    live = capsys.readouterr().out.splitlines()
+    captured = capsys.readouterr()
+    live = captured.out.splitlines()
+    # an incomplete monitor says why on stderr, as a check on the same input would
+    n_lines = weather.read_text().count("\n")
+    assert captured.err == (f"data error: line {n_lines + 1}: invalid JSON (Expecting value)\n"
+                            if code == 3 else "")
     assert cli.main(["report", str(out / "report.json")]) == code
-    saved = capsys.readouterr().out.splitlines()
+    captured = capsys.readouterr()
+    saved = captured.out.splitlines()
+    assert captured.err == ""
     assert saved[-2].startswith("input_digest: ") and saved[-1].startswith("tool_version: ")
     block = saved[:-2]
     assert block[0].startswith("decision: ") and live[-len(block):] == block

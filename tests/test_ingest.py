@@ -5,7 +5,9 @@ parse through ``RecordBatch.from_obj`` joined by ``concat``: the records must
 be the same bit for bit, and a bad line must end the input at the same
 record with the same error text, in ``parse_records`` and in ``run_monitor``
 alike.  The monitor, which advances one batch at a time, must print and save
-the same bytes however its input is cut into blocks.
+the same bytes however its input is cut into blocks.  Each line is parsed by
+one call of json's scanner, which must give what ``json.loads`` gives: the
+same value, or the same exception and message.
 """
 
 import hashlib
@@ -18,6 +20,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calcheck import cli
 from calcheck.cli import RecipeConfig, RecordSource, iter_records, parse_records, run_monitor
@@ -40,7 +44,7 @@ def per_line(data: bytes, kind: str) -> tuple[list, str | None]:
             continue
         try:
             obj = json.loads(line.decode())
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             return good, f"line {line_no}: invalid JSON ({getattr(exc, 'msg', exc)})"
         if not isinstance(obj, dict):
             return good, f"line {line_no}: expected an object"
@@ -249,6 +253,124 @@ def test_digest_covers_the_whole_block_a_bad_line_stops(tmp_path):
         with pytest.raises(DataError, match="line 2: invalid JSON"):
             parse_records(source, "gaussian")
     assert source.sha256.hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# one scanner call per line, against json.loads
+# ---------------------------------------------------------------------------
+
+GOOD = '{"mu": 0.5, "sigma": 1.0, "y": 0.25}'
+
+# each line between two good ones, and the error iter_records must end with
+SCANNER_CASES = {
+    "plain": (GOOD, None),
+    "trailing_data": (GOOD + ' {"a": 1}', "line 2: invalid JSON (Extra data)"),
+    "trailing_garbage": (GOOD + "x", "line 2: invalid JSON (Extra data)"),
+    "truncated": (GOOD[:-3], "line 2: invalid JSON (Expecting ',' delimiter)"),
+    "bom": ("\ufeff" + GOOD,
+            "line 2: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+    "form_feed_before": ("\x0c" + GOOD, "line 2: invalid JSON (Expecting value)"),
+    "form_feed_after": (GOOD + "\x0c", "line 2: invalid JSON (Extra data)"),
+    "vertical_tab_before": ("\x0b" + GOOD, "line 2: invalid JSON (Expecting value)"),
+    "vertical_tab_after": (GOOD + "\x0b", "line 2: invalid JSON (Extra data)"),
+    "no_break_space_before": ("\u00a0" + GOOD, "line 2: invalid JSON (Expecting value)"),
+    "next_line_after": (GOOD + "\x85", "line 2: invalid JSON (Extra data)"),
+    "only_form_feed": ("\x0c", None),  # blank to bytes.strip(): skipped
+    "json_whitespace_around": (" \t " + GOOD + "\t \r", None),
+    "crlf": (GOOD + "\r", None),
+    "nan_constant": ('{"mu": 0.5, "sigma": 1.0, "y": 0.25, "note": NaN}', None),
+    "infinity_constant": ('{"mu": 0.5, "sigma": Infinity, "y": -Infinity}',
+                          "line 2: gaussian parameters must be finite"),
+    "invalid_utf8": (b'{"mu": 0.5, "sigma": 1.0, "y": 0.25, "n": "\xff"}',
+                     "line 2: invalid JSON ('utf-8' codec can't decode byte 0xff in "
+                     "position 43: invalid start byte)"),
+    "top_level_list": ("[0.5, 1.0, 0.25]", "line 2: expected an object"),
+    "top_level_number": ("0.5", "line 2: expected an object"),
+    "deep_nesting": ("[" * 100_000 + "]" * 100_000,
+                     "line 2: invalid JSON (maximum recursion depth exceeded while decoding "
+                     "a JSON array from a unicode string)"),
+    "deep_in_a_record": ('{"mu": 0.5, "sigma": 1.0, "y": 0.25, "n": ' + "{\"a\": " * 100_000
+                         + "1" + "}" * 100_001,
+                         "line 2: invalid JSON (maximum recursion depth exceeded while decoding "
+                         "a JSON object from a unicode string)"),
+    "long_integer": ('{"mu": ' + "7" * 5_000 + ', "sigma": 1.0, "y": 0.25}',
+                     "line 2: invalid JSON (Exceeds the limit (4300 digits) for integer string "
+                     "conversion: value has 5000 digits; use sys.set_int_max_str_digits() to "
+                     "increase the limit)"),
+}
+
+
+def as_bytes(line: str | bytes) -> bytes:
+    return line if isinstance(line, bytes) else line.encode("utf-8", "surrogatepass")
+
+
+def parsed(parse, line: bytes) -> tuple:
+    """A parse's value as its ``repr`` (so NaN equals NaN, and -0.0, 0 and
+    False differ from 0.0), or the type and message of what it raised."""
+    try:
+        return "value", repr(parse(line))
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+def json_loads_line(line: bytes):
+    return json.loads(line.decode())
+
+
+def assert_scanner_matches_json_loads(path, line: bytes) -> str | None:
+    """``_parse_line`` gives what ``json.loads`` gives on ``line``, and
+    ``iter_records`` over the line between two good ones stops where and as
+    the per-line reference does; returns that error."""
+    assert b"\n" not in line
+    assert parsed(cli._parse_line, line) == parsed(json_loads_line, line)
+    data = b"\n".join([GOOD.encode(), line, GOOD.encode(), b""])
+    path.write_bytes(data)
+    got, error = by_blocks(path, "gaussian")
+    want, want_error = per_line(data, "gaussian")
+    assert error == want_error
+    assert_same_records("gaussian", got, want)
+    return error
+
+
+@pytest.mark.parametrize("line, error", SCANNER_CASES.values(), ids=SCANNER_CASES)
+def test_scanner_path_matches_json_loads(tmp_path, line, error):
+    assert assert_scanner_matches_json_loads(tmp_path / "r.jsonl", as_bytes(line)) == error
+
+
+keys = st.sampled_from(["mu", "sigma", "y", "t", "n", ""]) | st.text(max_size=4)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(keys, inner, max_size=5),
+    max_leaves=12,
+)
+# JSON's whitespace, whitespace that only str.strip() or bytes.strip() knows, a BOM
+pads = st.text(alphabet=" \t\r\x0b\x0c\x1c\x85\u00a0\u2028\ufeff", max_size=3)
+
+
+@st.composite
+def text_lines(draw) -> bytes:
+    text = json.dumps(draw(json_values), ensure_ascii=draw(st.booleans()))
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    text = draw(pads) + text + draw(pads) + draw(st.sampled_from(["", "x", "0", "{}", ",", "]"]))
+    return text.encode("utf-8", "surrogatepass")  # a lone surrogate is invalid UTF-8
+
+
+@st.composite
+def byte_lines(draw) -> bytes:
+    """Raw bytes, or a record line with a few bytes overwritten."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=24)).replace(b"\n", b"")
+    line = bytearray(GOOD.encode())
+    for _ in range(draw(st.integers(1, 3))):
+        line[draw(st.integers(0, len(line) - 1))] = draw(st.integers(0, 255))
+    return bytes(line).replace(b"\n", b"")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(text_lines(), byte_lines()))
+def test_scanner_path_matches_json_loads_on_any_line(tmp_path_factory, line):
+    assert_scanner_matches_json_loads(tmp_path_factory.getbasetemp() / "scan.jsonl", line)
 
 
 # ---------------------------------------------------------------------------

@@ -100,3 +100,31 @@ def test_no_module_level_scipy_import(module):
     found = sorted(line for line, name in import_time_modules(TREES[module])
                    if name.split(".")[0] == "scipy")
     assert not found, f"calcheck/{module}.py imports scipy at module level, lines {found}"
+
+
+def callers(tree, callee: str) -> set[str]:
+    """The names of the innermost functions of ``tree`` that call ``callee``,
+    a plain name or ``module.attr``, with ``<module>`` for a call outside any."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == callee:
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_record_lines_have_one_parse_path():
+    # json.loads and json.load read the config file and a saved report; a
+    # record line is parsed by _parse_line alone, whose scanner call falls
+    # back to json.loads for a line it does not take whole
+    cli = TREES["cli"]
+    assert callers(cli, "json.loads") == {"_parse_line", "_cmd_report"}
+    assert callers(cli, "json.load") == {"_load_file_config"}
+    assert callers(cli, "_SCAN") == {"_parse_line"}
+    assert callers(cli, "_parse_line") == {"iter_records", "sniff_model_kind"}
