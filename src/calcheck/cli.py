@@ -223,12 +223,16 @@ class RunReport:
     ``dataclasses.asdict`` gives it, or a simulation summary; ``curves`` maps
     table names to (header, rows); ``provenance`` carries the input digest,
     the full recipe configuration, and the tool version, so a rerun with
-    identical inputs reproduces the report byte for byte.
+    identical inputs reproduces the report byte for byte.  ``rendered`` maps
+    a table of ``curves`` to its CSV lines after the header, as text chunks
+    the run already made, which are written in place of rendering its rows
+    again.
     """
 
     report: dict
     curves: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
+    rendered: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         return json.dumps({"report": self.report, "curves": self.curves,
@@ -533,24 +537,38 @@ def run_check(
 # streaming monitor
 # ---------------------------------------------------------------------------
 
+def _trace_lines(t0: int, es: list[float], crossing: int | None) -> str:
+    """The ``t,e_value,alarmed`` trace lines of records ``t0 + 1, ...``,
+    whose e-values are ``es``; a record is alarmed from ``crossing`` on."""
+    n = len(es)
+    quiet = n if crossing is None else min(max(crossing - t0 - 1, 0), n)
+    alarmed = itertools.chain(itertools.repeat(0, quiet), itertools.repeat(1, n - quiet))
+    return "".join(map("{},{!r},{}\n".format, range(t0 + 1, t0 + n + 1), es, alarmed))
+
+
 def run_monitor(
     config: RecipeConfig,
     batches: Iterable[RecordBatch],
     digest: hashlib._Hash = hashlib.sha256(),
-    on_row: Callable[[list[list]], None] | None = None,
+    on_row: Callable[[str], None] | None = None,
 ) -> RunReport:
     """Consume ``batches`` in order, advancing the test martingale one batch
     at a time and multiplying it by one e-value per record.
 
-    Each record adds one ``[t, e_value, alarmed, threshold]`` row to the
-    trace, and ``on_row`` receives each batch's rows, in order, as soon as
-    the batch is scored.  The monitor keeps recording after an alarm; the
+    Each record adds one ``t,e_value,alarmed`` line to the trace text, and
+    ``on_row`` receives each batch's lines as one string, in order, as soon
+    as the batch is scored.  The monitor keeps recording after an alarm; the
     decision is the first crossing of ``1/alpha``.  A stream that dies
     mid-flight yields a partial report marked incomplete rather than
     nothing.  An e-value too large for a float raises ``OverflowError``
-    after the rows before it have been emitted.  The provenance is taken
+    after the lines before it have been emitted.  The provenance is taken
     after the stream ends, so a running ``digest`` of the input covers
     every byte the stream consumed.
+
+    The run's ``etrace`` table holds one ``[t, e_value, alarmed, threshold]``
+    row per record, built once the stream ends; its CSV is the same trace
+    text with the threshold appended to every line, so each e-value is
+    turned into text once for stdout and ``etrace.csv`` alike.
     """
     ev = config.evalue
     if ev is None:
@@ -558,7 +576,9 @@ def run_monitor(
     state = MartingaleState()
     rng = np.random.default_rng([config.seed, 1])
     threshold = 1.0 / ev.alpha  # a constant column keeps the trace plottable as-is
-    rows = []
+    line_end = f",{threshold!r}\n"
+    es: list[float] = []  # the e-value after each record
+    csv_lines: list[str] = []  # etrace.csv after its header, one chunk per batch
     incomplete = False
     error = None
     try:
@@ -570,15 +590,16 @@ def run_monitor(
                 state, log_e = monitor_step_halfplane(state, batch, ev, rng)
             else:
                 state, log_e = monitor_step_gaussian(state, batch, ev)
-            crossing = state.first_crossing or math.inf  # steps count from 1
             try:
-                # math.exp, not np.exp: the trace holds libm's bits
-                for t, log in enumerate(log_e.tolist(), start=t0 + 1):
-                    rows.append([t, math.exp(log), int(t >= crossing), threshold])
+                # math.exp, not np.exp: the trace holds libm's bits; extend
+                # keeps the values before an overflowing one
+                es.extend(map(math.exp, log_e.tolist()))
             finally:
-                # on an overflow, the rows before it are still emitted
+                # on an overflow, the lines before it are still emitted
+                lines = _trace_lines(t0, es[t0:], state.first_crossing)
                 if on_row is not None:
-                    on_row(rows[t0:])
+                    on_row(lines)
+            csv_lines.append(lines.replace("\n", line_end))
     except DataError as exc:
         incomplete = True
         error = str(exc)
@@ -586,7 +607,7 @@ def run_monitor(
         raise DataError("no records to monitor")
     report = TestReport(
         decision="reject" if state.alarmed else "accept",
-        statistic=max((r[1] for r in rows), default=1.0),
+        statistic=max(es, default=1.0),
         threshold=threshold,
         alpha=ev.alpha,
         recipe_config={
@@ -600,10 +621,13 @@ def run_monitor(
             **({"error": error} if error else {}),
         },
     )
+    crossing = state.first_crossing or math.inf  # steps count from 1
+    rows = [[t, e, int(t >= crossing), threshold] for t, e in enumerate(es, start=1)]
     return RunReport(
         report=dataclasses.asdict(report),
         curves={"etrace": (["t", "e_value", "alarmed", "threshold"], rows)},
         provenance=_provenance(config, digest),
+        rendered={"etrace": csv_lines},
     )
 
 
@@ -682,21 +706,27 @@ def _writing_output():
         raise ConfigError(f"cannot write output: {exc}") from None
 
 
-def _write_csvs(curves: dict, out_dir: str | Path) -> None:
-    """Write each ``name: (header, rows)`` table to ``<out_dir>/<name>.csv``."""
+def _write_csvs(curves: dict, out_dir: str | Path, rendered: dict | None = None) -> None:
+    """Write each ``name: (header, rows)`` table to ``<out_dir>/<name>.csv``,
+    a cell as ``str`` of its value; a table in ``rendered`` has its lines
+    after the header written from there instead (see :class:`RunReport`)."""
     out = Path(out_dir)
+    rendered = rendered or {}
     with _writing_output():
         out.mkdir(parents=True, exist_ok=True)
         for name, (header, rows) in curves.items():
-            lines = [",".join(header)]
-            lines += [",".join(["" if x is None else str(x) for x in row]) for row in rows]
-            (out / f"{name}.csv").write_text("\n".join(lines) + "\n")
+            lines = rendered[name] if name in rendered else [
+                "".join([",".join(["" if x is None else str(x) for x in row]) + "\n"
+                         for row in rows])]
+            with open(out / f"{name}.csv", "w") as handle:
+                handle.write(",".join(header) + "\n")
+                handle.writelines(lines)
 
 
 def _write_outputs(run: RunReport, out_dir: str | Path | None) -> None:
     if out_dir is None:
         return
-    _write_csvs(run.curves, out_dir)
+    _write_csvs(run.curves, out_dir, run.rendered)
     with _writing_output():
         (Path(out_dir) / "report.json").write_text(run.to_json() + "\n")
 
@@ -728,7 +758,7 @@ def _render_summary(rep: dict) -> str:
                 f"{row['level']:g} {row['count']} {row['n']} {row['lower_bound']} "
                 f"{row['upper_bound']} {row['p_value']:.6g} {int(row['reject'])}"
             )
-    for key in ("t", "first_crossing", "final_e", "incomplete", "bin_decisions"):
+    for key in ("t", "first_crossing", "final_e", "incomplete", "error", "bin_decisions"):
         if key in cfg:
             lines.append(f"{key}: {cfg[key]}")
     return "\n".join(lines)
@@ -949,11 +979,6 @@ def _finish(run: RunReport, out_dir: str | None) -> int:
     return _report_exit_code(run.report)
 
 
-def _print_rows(rows: list[list]) -> None:
-    """A batch of monitor trace rows as ``t,e_value,alarmed`` lines, in one write."""
-    sys.stdout.write("".join([f"{t},{e!r},{alarmed}\n" for t, e, alarmed, _ in rows]))
-
-
 def _cmd_check(args) -> int:
     settings = _Settings(args)
     with RecordSource(args.records) as source:
@@ -967,7 +992,7 @@ def _cmd_monitor(args) -> int:
     with RecordSource(args.records) as source:
         config = _recipe_from_args(settings, source, testing="evalue_monitor")
         run = run_monitor(config, iter_records(source, config.model), digest=source.sha256,
-                          on_row=_print_rows)
+                          on_row=sys.stdout.write)
     code = _finish(run, args.out)
     if error := run.report["recipe_config"].get("error"):
         print(f"data error: {error}", file=sys.stderr)  # why the run is incomplete

@@ -8,10 +8,13 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import calcheck.sim
 from calcheck import cli
@@ -195,6 +198,10 @@ def test_config_slot_compatibility():
 # run_check / run_monitor library behavior
 # ---------------------------------------------------------------------------
 
+MONITOR = RecipeConfig(model="gaussian", metric="coverage", testing="evalue_monitor",
+                       evalue=EValueConfig(level=0.9, p_alt=0.8, alpha=0.05))
+
+
 def weather_file(tmp_path, **kwargs):
     recs = run_weather_sim(WeatherSimConfig(**kwargs))
     path = tmp_path / "weather.jsonl"
@@ -229,25 +236,109 @@ def test_run_check_slot_swap_to_monitor_runs(tmp_path):
 
 def test_run_monitor_all_miss_crosses_at_five():
     recs = GaussianBatch(np.zeros(8), np.ones(8), np.full(8, 100.0))
-    config = RecipeConfig(
-        model="gaussian",
-        metric="coverage",
-        testing="evalue_monitor",
-        evalue=EValueConfig(level=0.9, p_alt=0.8, alpha=0.05),
-    )
-    emitted = []  # one list of rows per batch
-    run = run_monitor(config, [recs.take(range(3)), recs.take(range(3, 8))],
+    emitted = []  # one string of trace lines per batch
+    run = run_monitor(MONITOR, [recs.take(range(3)), recs.take(range(3, 8))],
                       on_row=emitted.append)
     assert run.report["decision"] == "reject"
     assert run.report["recipe_config"]["first_crossing"] == 5
-    assert [len(rows) for rows in emitted] == [3, 5]
-    rows = emitted[0] + emitted[1]
-    assert [row[0] for row in rows] == list(range(1, 9))
-    assert rows[3][2] == 0 and rows[4][2] == 1
+    assert [text.count("\n") for text in emitted] == [3, 5]
+    rows = [line.split(",") for line in "".join(emitted).splitlines()]
+    assert [int(row[0]) for row in rows] == list(range(1, 9))
+    assert rows[3][2] == "0" and rows[4][2] == "1"
     header, table = run.curves["etrace"]
     assert header == ["t", "e_value", "alarmed", "threshold"]
-    assert table == rows
+    assert [row[:3] for row in table] == [[int(t), float(e), int(a)] for t, e, a in rows]
     assert all(row[3] == 20.0 for row in table)
+    assert "".join(run.rendered["etrace"]) == "".join(emitted).replace("\n", ",20.0\n")
+
+
+def test_run_monitor_overflow_emits_every_line_before_it():
+    # an all-miss stream doubles the e-value at each step, so math.exp
+    # overflows after about a thousand steps: every step before the first
+    # that overflows is emitted, and then the run raises
+    n = 1100
+    recs = GaussianBatch(np.zeros(n), np.ones(n), np.full(n, 10.0))
+    miss = math.log1p(-0.8) - math.log1p(-0.9)  # log of the e-value of a miss
+    want, log_e = [], 0.0
+    for t in range(1, n + 1):
+        log_e += miss
+        try:
+            e = math.exp(log_e)
+        except OverflowError:
+            break
+        want.append(f"{t},{e!r},{int(t >= 5)}\n")
+    assert 900 < len(want) < n
+    emitted = []
+    with pytest.raises(OverflowError):
+        run_monitor(MONITOR, [recs.take(range(a, min(a + 300, n))) for a in range(0, n, 300)],
+                    on_row=emitted.append)
+    assert [text.count("\n") for text in emitted] == [300, 300, 300, len(want) - 900]
+    assert "".join(emitted) == "".join(want)
+
+
+def monitor_outputs(recs, cuts) -> tuple[str, bytes, bytes]:
+    """The stdout text, ``etrace.csv`` and ``report.json`` of a monitor over
+    ``recs`` delivered in blocks split before each record position in ``cuts``."""
+    bounds = [0, *sorted(set(cuts)), len(recs)]
+    emitted = []
+    run = run_monitor(MONITOR, [recs.take(range(a, b)) for a, b in zip(bounds, bounds[1:])],
+                      on_row=emitted.append)
+    with tempfile.TemporaryDirectory() as out:
+        cli._write_outputs(run, out)
+        return ("".join(emitted), (Path(out) / "etrace.csv").read_bytes(),
+                (Path(out) / "report.json").read_bytes())
+
+
+@pytest.mark.parametrize("y, cuts", [
+    (100.0, [4]),  # the crossing at t=5 is a block's first record
+    (100.0, [5]),  # ... its last record
+    (100.0, [2, 7]),  # ... inside a block
+    (0.0, [3]),  # no crossing
+])
+def test_run_monitor_output_does_not_depend_on_block_split(y, cuts):
+    recs = GaussianBatch(np.zeros(8), np.ones(8), np.full(8, y))
+    assert monitor_outputs(recs, cuts) == monitor_outputs(recs, [])
+
+
+@st.composite
+def gaussian_streams(draw):
+    """Gaussian records whose standardised outcomes mix hits and misses at
+    level 0.9, so the monitor crosses in some streams and not in others."""
+    n = draw(st.one_of(st.integers(1, 8), st.integers(9, 40)))  # short ones never cross
+    mu = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+    sigma = draw(st.lists(st.floats(0.01, 100.0), min_size=n, max_size=n))
+    z = draw(st.lists(st.one_of(st.floats(-1.5, 1.5), st.floats(2.0, 6.0), st.floats(-6.0, -2.0)),
+                      min_size=n, max_size=n))
+    mu, sigma = np.array(mu), np.array(sigma)
+    return GaussianBatch(mu, sigma, mu + sigma * np.array(z))
+
+
+@settings(max_examples=40, deadline=None)
+@given(gaussian_streams(), st.data())
+def test_run_monitor_output_does_not_depend_on_random_block_split(recs, data):
+    # cut right before or right after the first crossing as well as at
+    # random, so the alarmed column is pinned at block edges too
+    whole = monitor_outputs(recs, [])
+    n, crossing = len(recs), json.loads(whole[2])["report"]["recipe_config"]["first_crossing"]
+    cuts = data.draw(st.lists(st.integers(1, n - 1), max_size=6)) if n > 1 else []
+    if crossing is not None:
+        cuts += [c for c in data.draw(st.sampled_from([[], [crossing - 1], [crossing]]))
+                 if 0 < c < n]
+    assert monitor_outputs(recs, cuts) == whole
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "mv_gaussian", "particles"])
+def test_monitor_etrace_csv_equals_report_rerender(tmp_path, capsys, kind):
+    # monitor --out writes etrace.csv from its trace text; report --out
+    # renders the saved rows cell by cell: the two files agree byte for byte
+    path = tmp_path / "records.jsonl"
+    write_records(_random_records(np.random.default_rng(17), kind, 300), path)
+    cli.main(["monitor", str(path), "--out", str(tmp_path / "live")])
+    assert cli.main(["report", str(tmp_path / "live" / "report.json"),
+                     "--out", str(tmp_path / "saved")]) in (0, 1)
+    live = (tmp_path / "live" / "etrace.csv").read_text()
+    assert {line.split(",")[2] for line in live.splitlines()[1:]} == {"0", "1"}
+    assert live == (tmp_path / "saved" / "etrace.csv").read_text()
 
 
 def test_run_monitor_incomplete_stream_marked(tmp_path):
@@ -442,9 +533,11 @@ def test_cli_report_prints_and_exits_as_the_run_that_saved_it(tmp_path, capsys, 
     captured = capsys.readouterr()
     live = captured.out.splitlines()
     # an incomplete monitor says why on stderr, as a check on the same input would
+    # and so does its summary, which report prints from the saved run
     n_lines = weather.read_text().count("\n")
-    assert captured.err == (f"data error: line {n_lines + 1}: invalid JSON (Expecting value)\n"
-                            if code == 3 else "")
+    reason = f"line {n_lines + 1}: invalid JSON (Expecting value)"
+    assert captured.err == (f"data error: {reason}\n" if code == 3 else "")
+    assert (f"error: {reason}" in live) == (code == 3)
     assert cli.main(["report", str(out / "report.json")]) == code
     captured = capsys.readouterr()
     saved = captured.out.splitlines()
@@ -452,6 +545,7 @@ def test_cli_report_prints_and_exits_as_the_run_that_saved_it(tmp_path, capsys, 
     assert saved[-2].startswith("input_digest: ") and saved[-1].startswith("tool_version: ")
     block = saved[:-2]
     assert block[0].startswith("decision: ") and live[-len(block):] == block
+    assert (f"error: {reason}" in block) == (code == 3)
 
 
 def test_cli_import_leaves_out_scipy_stats_and_linalg(tmp_path):
