@@ -24,7 +24,7 @@ MANY_BEACONS = {**ROBOT_SIM, "beacon_positions": [[x, y] for y in (0, 5, 10) for
 SWEEP = {"n_particles": 60, "n_steps": 30, "n_seeds": 2}
 
 # name -> argv; "{weather}", "{robot}", "{robot_cfg}", "{many_cfg}", "{sweep}",
-# "{saved}", "{mv}" and "{out}" are filled in per run.
+# "{saved}", "{mv}", "{cut}", "{bad_first}" and "{out}" are filled in per run.
 CASES = {
     "check_default": ["check", "{weather}"],
     "check_holm_tol": ["check", "{weather}", "--sided", "one", "--tolerance", "0.02",
@@ -46,6 +46,12 @@ CASES = {
     "monitor_mv": ["monitor", "{mv}", "--out", "{out}"],
     "simulate_robot_many_beacons": ["simulate", "robot", "--seed", "1", "--config", "{many_cfg}",
                                     "--out", "{out}"],
+    # the slot swap that reaches the monitor through run_check
+    "check_evalue_monitor": ["check", "{weather}", "--testing", "evalue_monitor", "--lambda", "0.9",
+                             "--out", "{out}"],
+    # incomplete runs: rows up to a bad line, and none at all
+    "monitor_cut": ["monitor", "{cut}", "--out", "{out}"],
+    "monitor_bad_first": ["monitor", "{bad_first}", "--out", "{out}"],
 }
 
 GOLDEN = {
@@ -60,6 +66,12 @@ GOLDEN = {
     "check_default": {
         "exit": 0,
         "stdout": "3ab6087ce5f8b7f24f152520f764ddd4916324c50ba443a7407e4233cbbd310e",
+    },
+    "check_evalue_monitor": {
+        "exit": 0,
+        "stdout": "2da45335fb122e0c8932623129da1253b66268fce1e485c89c56ff0f2f576a6d",
+        "etrace.csv": "fda8dcde7db9fce1aea9f91dab870d507c0a63889bb98c2e33bb226df30850eb",
+        "report.json": "60ab0372a424da70c102f48434681cdbe4549fedd0c6f2617346d4630b8cc621",
     },
     "check_folded_ks": {
         "exit": 0,
@@ -90,6 +102,18 @@ GOLDEN = {
         "stdout": "a232d2be0e4b0aa8b0244bdfb2b2b46acb9e2d9c60fe870e6e5814a48fb02fd6",
         "coverage.csv": "60c0205ff96398e97b498dc1cc7f6158edf620f44ae2d83400ca27918047a488",
         "report.json": "93b0e496910c9486cdb51ecac12cf12e7ac9288a31e24945be29d3af158d78ea",
+    },
+    "monitor_bad_first": {
+        "exit": 3,
+        "stdout": "c9844f7c06f7e9a0ba1b6d04ae6e203325dc8ec2bdc846ab998a824d9bb1fbbe",
+        "etrace.csv": "c2dbd3d46fb63b2197b48bdfed62fea5e41dd81c2472b9e4d450999cbad2f4da",
+        "report.json": "6d789ae15b333723a7bfd3455c94ed1c8b70e636173cfad903e7d30fb8624479",
+    },
+    "monitor_cut": {
+        "exit": 3,
+        "stdout": "ddd69dbc771ff751edcc8167f9cce34ca509a4c7f00bd5b2d526170b5ecb3304",
+        "etrace.csv": "a2cf3f4cfd224474b414e9948e199ebbae053df12dbbb6afd93cac920e77e4c2",
+        "report.json": "b5500dd8c774e92d2a1e42c86f82126bbc4e93165e94291bc36d79cc7461be0d",
     },
     "monitor_mv": {
         "exit": 0,
@@ -179,6 +203,11 @@ def make_inputs(root):
     assert code == 0
     sweep_cfg = root / "sweep.json"
     sweep_cfg.write_text(json.dumps(SWEEP))
+    weather = (root / "weather" / "weather_records.jsonl").read_text().splitlines(keepends=True)
+    cut = root / "cut.jsonl"
+    cut.write_text("".join(weather[:200] + ['{"mu": 1.0, "sigma": 2.0,\n'] + weather[200:]))
+    bad_first = root / "bad_first.jsonl"
+    bad_first.write_text('{"mu": 0.0, "sigma": -1, "y": 0.0}\n' + "".join(weather[:5]))
     saved = root / "saved"
     code, _ = _run(["check", str(root / "weather" / "weather_records.jsonl"),
                     "--bins", "3", "--out", str(saved)])
@@ -192,6 +221,8 @@ def make_inputs(root):
         "sweep": str(sweep_cfg),
         "saved": str(saved / "report.json"),
         "mv": mv_records(root / "mv_records.jsonl"),
+        "cut": str(cut),
+        "bad_first": str(bad_first),
     }
 
 
