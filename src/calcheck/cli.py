@@ -7,12 +7,13 @@ per line, so monitors can stream and tests can diff.  Input is read in
 blocks, and each block's complete lines become one batch of their family
 (:mod:`calcheck.records`); ``check`` joins a file's blocks into one batch,
 and ``monitor`` advances its martingale and prints its trace rows one block
-at a time, as the blocks arrive; it takes every family and scores the sets
-``check`` scores.  Exit codes are scriptable safety gates: 0 accept/clean,
-1 reject/alarm, 2 usage or configuration error, 3 data error, 70 when a
-drift sweep worker process dies before returning its cell (a signal, the
-out-of-memory killer), and 141 (128 + SIGPIPE) when the reader of stdout
-goes away.  ``report`` prints the
+at a time, as the blocks arrive, and writes them under ``--out`` as it
+prints them, so its memory does not grow with the stream; it takes every
+family and scores the sets ``check`` scores.  Exit codes are scriptable
+safety gates: 0 accept/clean, 1 reject/alarm, 2 usage or configuration
+error, 3 data error, 70 when a drift sweep worker process dies before
+returning its cell (a signal, the out-of-memory killer), and 141
+(128 + SIGPIPE) when the reader of stdout goes away.  ``report`` prints the
 summary block the saved run printed and exits as it did: 1 for a reject,
 3 for an incomplete monitor, 0 for an accept or a simulation summary.
 
@@ -223,16 +224,15 @@ class RunReport:
     ``dataclasses.asdict`` gives it, or a simulation summary; ``curves`` maps
     table names to (header, rows); ``provenance`` carries the input digest,
     the full recipe configuration, and the tool version, so a rerun with
-    identical inputs reproduces the report byte for byte.  ``rendered`` maps
-    a table of ``curves`` to its CSV lines after the header, as text chunks
-    the run already made, which are written in place of rendering its rows
-    again.
+    identical inputs reproduces the report byte for byte.  A monitor run
+    holds no ``etrace`` table: its rows are streamed as they are made (see
+    :func:`run_monitor` and :class:`_TraceWriter`) and exist only in the
+    files they are written to.
     """
 
     report: dict
     curves: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
-    rendered: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         return json.dumps({"report": self.report, "curves": self.curves,
@@ -484,11 +484,14 @@ def run_check(
     config: RecipeConfig,
     records: RecordBatch,
     digest: hashlib._Hash = hashlib.sha256(),
+    on_row: Callable[[str], None] | None = None,
 ) -> RunReport:
     """Execute metric, hypothesis, and testing slots on a record batch.
 
     ``digest``, a sha256 of the input bytes (see :class:`RecordSource`),
-    identifies the input in the provenance.
+    identifies the input in the provenance.  The ``evalue_monitor`` testing
+    slot runs :func:`run_monitor` on the batch, which hands its trace text
+    to ``on_row``.
 
     With ``bins`` configured, the records are partitioned by predicted
     uncertainty and the inner check runs per bin at ``alpha / bins``
@@ -498,7 +501,7 @@ def run_check(
     if not len(records):
         raise DataError("no records to check")
     if config.testing == "evalue_monitor":
-        return run_monitor(config, [records], digest=digest)
+        return run_monitor(config, [records], digest=digest, on_row=on_row)
     if config.bins is None:
         report, curves = _single_check(config, records, config.alpha)
         return RunReport(report=dataclasses.asdict(report), curves=curves,
@@ -555,30 +558,28 @@ def run_monitor(
     """Consume ``batches`` in order, advancing the test martingale one batch
     at a time and multiplying it by one e-value per record.
 
-    Each record adds one ``t,e_value,alarmed`` line to the trace text, and
-    ``on_row`` receives each batch's lines as one string, in order, as soon
-    as the batch is scored.  The monitor keeps recording after an alarm; the
-    decision is the first crossing of ``1/alpha``.  A stream that dies
-    mid-flight yields a partial report marked incomplete rather than
-    nothing.  An e-value too large for a float raises ``OverflowError``
-    after the lines before it have been emitted.  The provenance is taken
-    after the stream ends, so a running ``digest`` of the input covers
-    every byte the stream consumed.
-
-    The run's ``etrace`` table holds one ``[t, e_value, alarmed, threshold]``
-    row per record, built once the stream ends; its CSV is the same trace
-    text with the threshold appended to every line, so each e-value is
-    turned into text once for stdout and ``etrace.csv`` alike.
+    The monitor holds no per-record state, only the martingale, the running
+    maximum of the e-value and the batch in hand, so its memory does not
+    grow with the stream.  Each record gets one ``t,e_value,alarmed`` line
+    of trace text, and ``on_row`` receives each batch's lines as one string,
+    in order, as soon as the batch is scored; the trace is kept nowhere
+    else.  ``monitor`` prints it and, under ``--out``, writes the same text
+    to ``etrace.csv`` and to ``report.json``'s ``curves.etrace`` rows as it
+    arrives (:class:`_TraceWriter`), so each e-value is turned into text
+    once.  The monitor keeps recording after an alarm; the decision is the
+    first crossing of ``1/alpha``.  A stream that dies mid-flight yields a
+    partial report marked incomplete rather than nothing.  An e-value too
+    large for a float raises ``OverflowError`` after the lines before it
+    have been emitted.  The provenance is taken after the stream ends, so a
+    running ``digest`` of the input covers every byte the stream consumed.
+    The returned run has no curves.
     """
     ev = config.evalue
     if ev is None:
         raise ConfigError("monitoring requires an e-value config")
     state = MartingaleState()
     rng = np.random.default_rng([config.seed, 1])
-    threshold = 1.0 / ev.alpha  # a constant column keeps the trace plottable as-is
-    line_end = f",{threshold!r}\n"
-    es: list[float] = []  # the e-value after each record
-    csv_lines: list[str] = []  # etrace.csv after its header, one chunk per batch
+    peak = -math.inf  # the largest e-value so far
     incomplete = False
     error = None
     try:
@@ -590,16 +591,16 @@ def run_monitor(
                 state, log_e = monitor_step_halfplane(state, batch, ev, rng)
             else:
                 state, log_e = monitor_step_gaussian(state, batch, ev)
+            es: list[float] = []  # the e-value after each record of the batch
             try:
                 # math.exp, not np.exp: the trace holds libm's bits; extend
                 # keeps the values before an overflowing one
                 es.extend(map(math.exp, log_e.tolist()))
             finally:
                 # on an overflow, the lines before it are still emitted
-                lines = _trace_lines(t0, es[t0:], state.first_crossing)
                 if on_row is not None:
-                    on_row(lines)
-            csv_lines.append(lines.replace("\n", line_end))
+                    on_row(_trace_lines(t0, es, state.first_crossing))
+            peak = max(peak, max(es, default=peak))
     except DataError as exc:
         incomplete = True
         error = str(exc)
@@ -607,8 +608,8 @@ def run_monitor(
         raise DataError("no records to monitor")
     report = TestReport(
         decision="reject" if state.alarmed else "accept",
-        statistic=max(es, default=1.0),
-        threshold=threshold,
+        statistic=peak if state.t else 1.0,
+        threshold=_threshold(ev),
         alpha=ev.alpha,
         recipe_config={
             "test": "evalue_monitor",
@@ -621,14 +622,13 @@ def run_monitor(
             **({"error": error} if error else {}),
         },
     )
-    crossing = state.first_crossing or math.inf  # steps count from 1
-    rows = [[t, e, int(t >= crossing), threshold] for t, e in enumerate(es, start=1)]
-    return RunReport(
-        report=dataclasses.asdict(report),
-        curves={"etrace": (["t", "e_value", "alarmed", "threshold"], rows)},
-        provenance=_provenance(config, digest),
-        rendered={"etrace": csv_lines},
-    )
+    return RunReport(report=dataclasses.asdict(report), provenance=_provenance(config, digest))
+
+
+def _threshold(ev: EValueConfig) -> float:
+    """The alarm line ``1/alpha``, the trace's constant last column, which
+    keeps it plottable as-is."""
+    return 1.0 / ev.alpha
 
 
 # ---------------------------------------------------------------------------
@@ -706,29 +706,124 @@ def _writing_output():
         raise ConfigError(f"cannot write output: {exc}") from None
 
 
-def _write_csvs(curves: dict, out_dir: str | Path, rendered: dict | None = None) -> None:
+def _write_csvs(curves: dict, out_dir: str | Path) -> None:
     """Write each ``name: (header, rows)`` table to ``<out_dir>/<name>.csv``,
-    a cell as ``str`` of its value; a table in ``rendered`` has its lines
-    after the header written from there instead (see :class:`RunReport`)."""
+    a cell as ``str`` of its value."""
     out = Path(out_dir)
-    rendered = rendered or {}
     with _writing_output():
         out.mkdir(parents=True, exist_ok=True)
         for name, (header, rows) in curves.items():
-            lines = rendered[name] if name in rendered else [
-                "".join([",".join(["" if x is None else str(x) for x in row]) + "\n"
-                         for row in rows])]
             with open(out / f"{name}.csv", "w") as handle:
                 handle.write(",".join(header) + "\n")
-                handle.writelines(lines)
+                handle.write("".join([",".join(["" if x is None else str(x) for x in row]) + "\n"
+                                      for row in rows]))
 
 
-def _write_outputs(run: RunReport, out_dir: str | Path | None) -> None:
+_ETRACE_HEADER = ["t", "e_value", "alarmed", "threshold"]
+
+
+class _TraceWriter:
+    """A monitor's output directory while its stream runs, which stands for
+    the directory wherever a path is taken.
+
+    The files are opened before the monitor scores its first record, so an
+    unwritable directory fails before any row is printed.  ``write`` takes
+    each batch's trace text from :func:`run_monitor`, sends it to ``echo``
+    when one is given, and appends it to two partial files: to
+    ``etrace.csv``, with the threshold as each line's fourth cell, and to
+    ``report.json``'s ``curves.etrace`` rows, each line as
+    ``[t, e_value, alarmed, threshold]``.  ``finish`` writes the rest of the
+    report and renames both files into place; ``discard``, on any failure,
+    removes them.
+
+    The streamed report is byte for byte ``RunReport.to_json`` of the run
+    with its rows in memory: ``to_json`` sorts keys, so ``curves`` comes
+    first; json writes an int as ``int.__repr__`` and a finite float as
+    ``float.__repr__``, as the trace text has them; and every e-value is
+    finite, since ``math.exp`` raises rather than overflow to ``inf``.
+    """
+
+    def __init__(self, out_dir: str | Path, threshold: float,
+                 echo: Callable[[str], None] | None = None):
+        self.dir = Path(out_dir)
+        self._echo = echo
+        self._csv_end = f",{threshold!r}\n"
+        self._row_end = f", {threshold!r}]"
+        self._sep = ""  # what goes before the next report row
+        self._files: list = []  # the open partial files, etrace.csv's first
+        with _writing_output():
+            self.dir.mkdir(parents=True, exist_ok=True)
+            try:
+                for name in ("etrace.csv", "report.json"):
+                    self._files.append(open(self.dir / f"{name}.part", "w"))
+            except BaseException:
+                self.discard()
+                raise
+        self._csv, self._json = self._files
+        self._csv.write(",".join(_ETRACE_HEADER) + "\n")
+        # the report up to its first row: the dump of no rows, cut before "]]}}"
+        self._json.write(json.dumps({"curves": {"etrace": [_ETRACE_HEADER, []]}})[:-4])
+
+    def __fspath__(self) -> str:
+        return str(self.dir)
+
+    def __enter__(self) -> "_TraceWriter":
+        return self
+
+    def __exit__(self, exc_type, *exc) -> None:
+        if exc_type is not None:
+            self.discard()
+
+    def write(self, text: str) -> None:
+        if self._echo is not None:
+            self._echo(text)
+        if not text:
+            return
+        rows = text[:-1].replace(",", ", ").replace("\n", self._row_end + ", [")
+        with _writing_output():  # not around echo: a closed stdout is no config error
+            self._csv.write(text.replace("\n", self._csv_end))
+            self._json.write(f"{self._sep}[{rows}{self._row_end}")
+        self._sep = ", "
+
+    def finish(self, run: RunReport) -> None:
+        rest = json.dumps({"provenance": run.provenance, "report": run.report}, sort_keys=True)
+        self._json.write("]]}, " + rest[1:] + "\n")
+        for handle in self._files:
+            handle.close()
+            os.replace(handle.name, handle.name.removesuffix(".part"))
+
+    def discard(self) -> None:
+        for handle in self._files:
+            handle.close()
+            Path(handle.name).unlink(missing_ok=True)
+
+
+@contextlib.contextmanager
+def _trace_output(out_dir: str | None, config: RecipeConfig,
+                  echo: Callable[[str], None] | None = None):
+    """``(on_row, out)`` for a run of ``config`` emitted under ``out_dir``:
+    a monitor run with an output directory streams its trace through a
+    :class:`_TraceWriter`, whose partial files are removed if the run fails;
+    any other run hands its trace text, if any, to ``echo`` and writes its
+    outputs under ``out_dir`` at the end."""
+    if out_dir is None or config.testing != "evalue_monitor":
+        yield echo, out_dir
+        return
+    with _TraceWriter(out_dir, _threshold(config.evalue), echo) as out:
+        yield out.write, out
+
+
+def _write_outputs(run: RunReport, out_dir: str | Path | _TraceWriter | None) -> None:
+    """Write the run's tables and ``report.json`` under ``out_dir``, or
+    finish the files a :class:`_TraceWriter` streamed."""
     if out_dir is None:
         return
-    _write_csvs(run.curves, out_dir, run.rendered)
+    _write_csvs(run.curves, out_dir)
     with _writing_output():
-        (Path(out_dir) / "report.json").write_text(run.to_json() + "\n")
+        if isinstance(out_dir, _TraceWriter):
+            out_dir.finish(run)
+        else:
+            (Path(out_dir) / "report.json").write_text(run.to_json() + "\n")
 
 
 _SIMULATION_KEYS = ("kind", "n_records", "multipliers", "n_seeds", "alarm_counts", "files")
@@ -972,7 +1067,7 @@ def _recipe_from_args(settings: _Settings, source: RecordSource,
     return config
 
 
-def _finish(run: RunReport, out_dir: str | None) -> int:
+def _finish(run: RunReport, out_dir: str | _TraceWriter | None) -> int:
     """Print a run's summary, write its outputs under ``out_dir``, return its exit code."""
     print(_render_summary(run.report))
     _write_outputs(run, out_dir)
@@ -984,16 +1079,18 @@ def _cmd_check(args) -> int:
     with RecordSource(args.records) as source:
         config = _recipe_from_args(settings, source, testing=None)
         records = parse_records(source, config.model)
-    return _finish(run_check(config, records, digest=source.sha256), args.out)
+    with _trace_output(args.out, config) as (on_row, out):
+        return _finish(run_check(config, records, digest=source.sha256, on_row=on_row), out)
 
 
 def _cmd_monitor(args) -> int:
     settings = _Settings(args)
     with RecordSource(args.records) as source:
         config = _recipe_from_args(settings, source, testing="evalue_monitor")
-        run = run_monitor(config, iter_records(source, config.model), digest=source.sha256,
-                          on_row=sys.stdout.write)
-    code = _finish(run, args.out)
+        with _trace_output(args.out, config, echo=sys.stdout.write) as (on_row, out):
+            run = run_monitor(config, iter_records(source, config.model), digest=source.sha256,
+                              on_row=on_row)
+            code = _finish(run, out)
     if error := run.report["recipe_config"].get("error"):
         print(f"data error: {error}", file=sys.stderr)  # why the run is incomplete
     return code

@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -9,6 +11,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -227,29 +230,37 @@ def test_run_check_slot_swap_to_monitor_runs(tmp_path):
         testing="evalue_monitor",
         evalue=EValueConfig(level=0.9, p_alt=0.8, alpha=0.05),
     )
-    rep_off = run_check(offline, recs)
-    rep_on = run_check(online, recs)
+    emitted = []
+    rep_off = run_check(offline, recs, on_row=emitted.append)
+    assert emitted == []
+    rep_on = run_check(online, recs, on_row=emitted.append)
     assert rep_off.report["recipe_config"]["test"].startswith("binom")
     assert rep_on.report["recipe_config"]["test"] == "evalue_monitor"
-    assert "etrace" in rep_on.curves
+    # the monitor's trace is streamed to on_row, one line per record, not kept
+    assert [line.split(",")[0] for line in "".join(emitted).splitlines()] == [
+        str(t) for t in range(1, len(recs) + 1)]
+    assert rep_on.curves == {}
 
 
-def test_run_monitor_all_miss_crosses_at_five():
+def test_run_monitor_all_miss_crosses_at_five(tmp_path):
     recs = GaussianBatch(np.zeros(8), np.ones(8), np.full(8, 100.0))
     emitted = []  # one string of trace lines per batch
-    run = run_monitor(MONITOR, [recs.take(range(3)), recs.take(range(3, 8))],
-                      on_row=emitted.append)
+    with cli._trace_output(str(tmp_path), MONITOR, echo=emitted.append) as (on_row, out):
+        run = run_monitor(MONITOR, [recs.take(range(3)), recs.take(range(3, 8))], on_row=on_row)
+        cli._write_outputs(run, out)
     assert run.report["decision"] == "reject"
     assert run.report["recipe_config"]["first_crossing"] == 5
     assert [text.count("\n") for text in emitted] == [3, 5]
     rows = [line.split(",") for line in "".join(emitted).splitlines()]
     assert [int(row[0]) for row in rows] == list(range(1, 9))
     assert rows[3][2] == "0" and rows[4][2] == "1"
-    header, table = run.curves["etrace"]
+    header, table = json.loads((tmp_path / "report.json").read_text())["curves"]["etrace"]
     assert header == ["t", "e_value", "alarmed", "threshold"]
     assert [row[:3] for row in table] == [[int(t), float(e), int(a)] for t, e, a in rows]
     assert all(row[3] == 20.0 for row in table)
-    assert "".join(run.rendered["etrace"]) == "".join(emitted).replace("\n", ",20.0\n")
+    assert ((tmp_path / "etrace.csv").read_text()
+            == "t,e_value,alarmed,threshold\n" + "".join(emitted).replace("\n", ",20.0\n"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["etrace.csv", "report.json"]
 
 
 def test_run_monitor_overflow_emits_every_line_before_it():
@@ -276,17 +287,29 @@ def test_run_monitor_overflow_emits_every_line_before_it():
     assert "".join(emitted) == "".join(want)
 
 
-def monitor_outputs(recs, cuts) -> tuple[str, bytes, bytes]:
+def monitor_outputs(recs, cuts, config=MONITOR) -> tuple[str, bytes, bytes]:
     """The stdout text, ``etrace.csv`` and ``report.json`` of a monitor over
-    ``recs`` delivered in blocks split before each record position in ``cuts``."""
+    ``recs`` delivered in blocks split before each record position in
+    ``cuts``, written as ``monitor --out`` writes them.  The streamed
+    ``report.json`` is checked against ``json.dumps`` of the run with the
+    rows the printed text holds."""
     bounds = [0, *sorted(set(cuts)), len(recs)]
     emitted = []
-    run = run_monitor(MONITOR, [recs.take(range(a, b)) for a, b in zip(bounds, bounds[1:])],
-                      on_row=emitted.append)
-    with tempfile.TemporaryDirectory() as out:
+    with tempfile.TemporaryDirectory() as d, \
+            cli._trace_output(d, config, echo=emitted.append) as (on_row, out):
+        run = run_monitor(config, [recs.take(range(a, b)) for a, b in zip(bounds, bounds[1:])],
+                          on_row=on_row)
         cli._write_outputs(run, out)
-        return ("".join(emitted), (Path(out) / "etrace.csv").read_bytes(),
-                (Path(out) / "report.json").read_bytes())
+        got = ("".join(emitted), (Path(d) / "etrace.csv").read_bytes(),
+               (Path(d) / "report.json").read_bytes())
+    threshold = 1.0 / config.evalue.alpha
+    rows = [[int(t), float(e), int(a), threshold]
+            for t, e, a in (line.split(",") for line in got[0].splitlines())]
+    want = json.dumps({"report": run.report, "provenance": run.provenance,
+                       "curves": {"etrace": [["t", "e_value", "alarmed", "threshold"], rows]}},
+                      sort_keys=True)
+    assert got[2] == (want + "\n").encode()
+    return got
 
 
 @pytest.mark.parametrize("y, cuts", [
@@ -317,14 +340,19 @@ def gaussian_streams(draw):
 @given(gaussian_streams(), st.data())
 def test_run_monitor_output_does_not_depend_on_random_block_split(recs, data):
     # cut right before or right after the first crossing as well as at
-    # random, so the alarmed column is pinned at block edges too
-    whole = monitor_outputs(recs, [])
+    # random, so the alarmed column is pinned at block edges too; a far
+    # alternative makes e-values that print in exponent form, and each
+    # alpha a different threshold text
+    level, p_alt, alpha = data.draw(st.sampled_from(
+        [(0.9, 0.8, 0.05), (0.9, 0.1, 0.3), (0.5, 0.01, 0.007)]))
+    config = dataclasses.replace(MONITOR, evalue=EValueConfig(level, p_alt, alpha))
+    whole = monitor_outputs(recs, [], config)
     n, crossing = len(recs), json.loads(whole[2])["report"]["recipe_config"]["first_crossing"]
     cuts = data.draw(st.lists(st.integers(1, n - 1), max_size=6)) if n > 1 else []
     if crossing is not None:
         cuts += [c for c in data.draw(st.sampled_from([[], [crossing - 1], [crossing]]))
                  if 0 < c < n]
-    assert monitor_outputs(recs, cuts) == whole
+    assert monitor_outputs(recs, cuts, config) == whole
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "mv_gaussian", "particles"])
@@ -622,7 +650,10 @@ def test_cli_unwritable_out_exits_2(tmp_path, capsys):
                  ["simulate", "weather"], ["report", str(saved)]):
         capsys.readouterr()
         assert cli.main(argv + ["--out", blocked]) == 2, argv
-        assert capsys.readouterr().err.startswith("config error: cannot write output: "), argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: cannot write output: "), argv
+        if argv[0] == "monitor":  # its files are opened before the first row is printed
+            assert captured.out == ""
 
 
 def test_cli_monitor_stream_and_exit(tmp_path, capsys):
@@ -652,6 +683,75 @@ def test_cli_monitor_broken_pipe_exits_141(tmp_path):
         err = proc.stderr.read()
     assert proc.wait(timeout=120) == 141
     assert err == b""
+
+
+def test_cli_monitor_overflow_leaves_no_output_files(tmp_path, capsys):
+    # an all-miss stream overflows math.exp after about a thousand rows
+    path = write_lines(tmp_path / "miss.jsonl", [gaussian_line(0.0, 1.0, 10.0)] * 1100)
+    with pytest.raises(OverflowError):
+        cli.main(["monitor", path])
+    printed = capsys.readouterr().out
+    assert 1000 < printed.count("\n") < 1100
+    with pytest.raises(OverflowError):
+        cli.main(["monitor", path, "--out", str(tmp_path / "out")])
+    assert capsys.readouterr().out == printed
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+class FailingStdout(io.StringIO):
+    """A stdout whose third write raises ``exc``."""
+
+    def __init__(self, exc: BaseException, fd: int):
+        super().__init__()
+        self.exc, self.fd, self.writes = exc, fd, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == 3:
+            raise self.exc
+        return super().write(text)
+
+    def fileno(self):  # main points a broken stdout at os.devnull
+        return self.fd
+
+
+@pytest.mark.parametrize("exc", [BrokenPipeError(), KeyboardInterrupt()])
+def test_cli_monitor_stopped_midstream_leaves_no_output_files(tmp_path, monkeypatch, exc):
+    monkeypatch.setattr(cli, "BLOCK", 1 << 10)  # rows are printed over many blocks
+    path = write_lines(tmp_path / "r.jsonl", [gaussian_line(0.0, 1.0, 0.5)] * 300)
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    stdout = FailingStdout(exc, fd)
+    argv = ["monitor", path, "--out", str(tmp_path / "out")]
+    try:
+        with contextlib.redirect_stdout(stdout):
+            if isinstance(exc, BrokenPipeError):
+                assert cli.main(argv) == cli.EXIT_BROKEN_PIPE
+            else:
+                with pytest.raises(KeyboardInterrupt):
+                    cli.main(argv)
+    finally:
+        os.close(fd)
+    assert stdout.getvalue().count("\n") > 10  # two blocks' rows were printed
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_cli_monitor_memory_does_not_grow_with_the_stream(tmp_path):
+    # the monitor keeps no per-record state, and --out streams its trace;
+    # one miss in eight lines lets the e-value drift down without overflow
+    cycle = [gaussian_line(0.0, 1.0, y) for y in (0.1, -0.5, 2.0, 0.3, -1.2, 0.0, 1.5, -0.2)]
+
+    def peak(n: int) -> int:
+        path = write_lines(tmp_path / f"r{n}.jsonl", cycle * (n // len(cycle)))
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert cli.main(["monitor", path, "--out", str(tmp_path / f"out{n}")]) in (0, 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    peak(8)  # imports scipy.special and warms caches outside the measurement
+    assert peak(40_000) - peak(4_000) < 250_000
 
 
 def test_cli_seed_env_fallback(tmp_path, capsys, monkeypatch):

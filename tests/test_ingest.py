@@ -95,17 +95,18 @@ def assert_same_records(kind: str, got: list, want: list) -> None:
 
 
 def monitor_outcome(kind: str, batches) -> tuple:
-    """What a monitor over ``batches`` ends with: its rows, ``t``,
+    """What a monitor over ``batches`` ends with: its trace text, ``t``,
     ``incomplete`` and error, or the error it raises."""
     config = RecipeConfig(model=kind, metric="halfplane" if kind == "particles" else "coverage",
                           testing="evalue_monitor",
                           evalue=EValueConfig(level=0.9, p_alt=0.8, alpha=0.05))
+    emitted = []
     try:
-        run = run_monitor(config, batches)
+        run = run_monitor(config, batches, on_row=emitted.append)
     except DataError as exc:
         return ("raised", str(exc))
     cfg = run.report["recipe_config"]
-    return run.curves["etrace"][1], cfg["t"], cfg["incomplete"], cfg.get("error")
+    return "".join(emitted), cfg["t"], cfg["incomplete"], cfg.get("error")
 
 
 def replay(batches: list, error: str | None):

@@ -63,7 +63,9 @@ def test_gaussian_monitor_hits_equal_coverage_counts(data):
     level = data.draw(st.floats(0.001, 0.999))
     config = RecipeConfig(testing="evalue_monitor", evalue=EValueConfig(level, level / 2, 0.05))
     # a hit halves the e-value and a miss raises it
-    e = [1.0] + [row[1] for row in run_monitor(config, [batch]).curves["etrace"][1]]
+    emitted = []
+    run_monitor(config, [batch], on_row=emitted.append)
+    e = [1.0] + [float(line.split(",")[1]) for line in "".join(emitted).splitlines()]
     hits = sum(after < before for before, after in zip(e, e[1:]))
     assert hits == coverage_counts(batch, LevelGrid([level])).counts[0]
 
