@@ -117,6 +117,12 @@ def _checked_cloud(w, pts) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidDistributionError("particles must be finite")
     if np.any(w < 0):
         raise InvalidDistributionError("weights must be nonnegative")
+    return _normalised(w), pts
+
+
+def _normalised(w: np.ndarray) -> np.ndarray:
+    """Weights that sum to 1 within ``WEIGHT_SUM_TOL``, renormalised to sum to
+    1 exactly; any other sum raises."""
     total = float(w.sum())
     # boundary inclusive up to representation error of the inputs
     if abs(total - 1.0) > WEIGHT_SUM_TOL * (1.0 + 1e-6):
@@ -128,7 +134,7 @@ def _checked_cloud(w, pts) -> tuple[np.ndarray, np.ndarray]:
     # bit for bit
     if abs(total - 1.0) > 1e-12:
         w = w / total
-    return w, pts
+    return w
 
 
 def _time_index(v) -> int:
@@ -320,6 +326,19 @@ class ParticleBatch(RecordBatch):
         self.w = [wi for wi, _ in clouds]
         self.pts = [pi for _, pi in clouds]
         self._set_outcomes(y, t, len(clouds), {pi.shape[1] for pi in self.pts})
+
+    @classmethod
+    def from_filter(cls, w, pts, y, t=None) -> "ParticleBatch":
+        """A batch of clouds a particle filter built: float arrays, weights
+        ``(m,)`` and points ``(m, d)`` with ``m >= 2``, finite, the weights
+        nonnegative.  Those checks of ``__init__`` are skipped; the weight
+        sum is still tested and renormalised as there, so the clouds are
+        bit for bit the ones ``__init__`` would store."""
+        new = object.__new__(cls)
+        new.w = list(map(_normalised, w))
+        new.pts = list(pts)
+        new._set_outcomes(y, t, len(new.w), {pi.shape[1] for pi in new.pts})
+        return new
 
     def _json_columns(self):
         return [wi.tolist() for wi in self.w], [pi.tolist() for pi in self.pts], self.y.tolist()

@@ -203,3 +203,22 @@ def test_gaussian_line_parses_as_the_constructor_builds_it(obj):
     assert got.t == want.t and list(vars(got)) == list(vars(want))
     for a, b in zip(float_arrays(want), float_arrays(got), strict=True):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("slack", [0.0, 1e-10, -3e-10])
+def test_filter_batch_equals_checked_batch_bit_for_bit(slack):
+    # the simulator's constructor skips the shape, finiteness and sign checks
+    # but keeps the weight-sum test and its renormalisation
+    rng = np.random.default_rng(3)
+    w = [(lambda v: v / v.sum() * (1.0 + slack))(rng.uniform(0.1, 1.0, m)) for m in (2, 5, 9)]
+    pts = [rng.normal(size=(len(wi), 2)) for wi in w]
+    y = rng.normal(size=(3, 2))
+    checked = ParticleBatch(w, pts, y, t=range(1, 4))
+    trusted = ParticleBatch.from_filter(w, pts, y, t=range(1, 4))
+    assert list(vars(trusted)) == list(vars(checked))
+    for name in ("w", "pts"):
+        assert [a.tobytes() for a in getattr(trusted, name)] == [
+            a.tobytes() for a in getattr(checked, name)]
+    assert trusted.y.tobytes() == checked.y.tobytes() and trusted.t == checked.t == [1, 2, 3]
+    with pytest.raises(InvalidDistributionError, match="weights sum to"):
+        ParticleBatch.from_filter([w[0] * 1.01], pts[:1], y[:1])
