@@ -5,14 +5,15 @@ e-value monitor), ``simulate`` (generate experiment data), ``report``
 (re-render a saved run report).  Records travel as JSON lines, one record
 per line, so monitors can stream and tests can diff.  Input is read in
 blocks, and each block's complete lines become one batch of their family
-(:mod:`calcheck.records`); ``check`` joins a file's blocks into one batch,
-and ``monitor`` advances its martingale and prints its trace rows one block
-at a time, as the blocks arrive, and writes them under ``--out`` as it
-prints them, so its memory does not grow with the stream; it takes every
-family and scores the sets ``check`` scores.  Exit codes are scriptable
-safety gates: 0 accept/clean, 1 reject/alarm, 2 usage or configuration
-error, 3 data error, 70 when a drift sweep worker process dies before
-returning its cell (a signal, the out-of-memory killer), and 141
+(:mod:`calcheck.records`).  The testing slot decides how they are consumed:
+an offline recipe joins them into one batch, and the ``evalue_monitor`` slot
+(``monitor``, ``check --testing evalue_monitor``) steps its martingale one
+block at a time as they arrive and streams its trace rows to ``--out``
+(``monitor`` prints them too), so its memory does not grow with the stream;
+it takes every family and scores the sets ``check`` scores.  Exit codes are
+scriptable safety gates: 0 accept/clean, 1 reject/alarm, 2 usage or
+configuration error, 3 data error, 70 when a drift sweep worker process dies
+before returning its cell (a signal, the out-of-memory killer), and 141
 (128 + SIGPIPE) when the reader of stdout goes away.  ``report`` prints the
 summary block the saved run printed and exits as it did: 1 for a reject,
 3 for an incomplete monitor, 0 for an accept or a simulation summary.
@@ -484,24 +485,23 @@ def run_check(
     config: RecipeConfig,
     records: RecordBatch,
     digest: hashlib._Hash = hashlib.sha256(),
-    on_row: Callable[[str], None] | None = None,
 ) -> RunReport:
-    """Execute metric, hypothesis, and testing slots on a record batch.
+    """Execute an offline recipe's slots on a record batch.
 
     ``digest``, a sha256 of the input bytes (see :class:`RecordSource`),
-    identifies the input in the provenance.  The ``evalue_monitor`` testing
-    slot runs :func:`run_monitor` on the batch, which hands its trace text
-    to ``on_row``.
+    identifies the input in the provenance.  An ``evalue_monitor`` recipe is
+    a configuration error here: :func:`run_monitor` consumes a stream of
+    batches and is the one monitor entry point.
 
     With ``bins`` configured, the records are partitioned by predicted
     uncertainty and the inner check runs per bin at ``alpha / bins``
     (Bonferroni across bins; disjoint samples make this tight); the family
     rejects when any bin does.
     """
+    if config.testing == "evalue_monitor":
+        raise ConfigError("an evalue_monitor recipe runs through run_monitor")
     if not len(records):
         raise DataError("no records to check")
-    if config.testing == "evalue_monitor":
-        return run_monitor(config, [records], digest=digest, on_row=on_row)
     if config.bins is None:
         report, curves = _single_check(config, records, config.alpha)
         return RunReport(report=dataclasses.asdict(report), curves=curves,
@@ -563,11 +563,11 @@ def run_monitor(
     grow with the stream.  Each record gets one ``t,e_value,alarmed`` line
     of trace text, and ``on_row`` receives each batch's lines as one string,
     in order, as soon as the batch is scored; the trace is kept nowhere
-    else.  ``monitor`` prints it and, under ``--out``, writes the same text
-    to ``etrace.csv`` and to ``report.json``'s ``curves.etrace`` rows as it
-    arrives (:class:`_TraceWriter`), so each e-value is turned into text
-    once.  The monitor keeps recording after an alarm; the decision is the
-    first crossing of ``1/alpha``.  A stream that dies mid-flight yields a
+    else.  ``monitor`` prints it, and under ``--out`` the CLI writes the same
+    text to ``etrace.csv`` and to ``report.json``'s ``curves.etrace`` rows
+    as it arrives (:class:`_TraceWriter`), so each e-value is turned into
+    text once.  The monitor keeps recording after an alarm; the decision is
+    the first crossing of ``1/alpha``.  A stream that dies mid-flight yields a
     partial report marked incomplete rather than nothing.  An e-value too
     large for a float raises ``OverflowError`` after the lines before it
     have been emitted.  The provenance is taken after the stream ends, so a
@@ -802,10 +802,10 @@ class _TraceWriter:
 def _trace_output(out_dir: str | None, config: RecipeConfig,
                   echo: Callable[[str], None] | None = None):
     """``(on_row, out)`` for a run of ``config`` emitted under ``out_dir``:
-    a monitor run with an output directory streams its trace through a
-    :class:`_TraceWriter`, whose partial files are removed if the run fails;
-    any other run hands its trace text, if any, to ``echo`` and writes its
-    outputs under ``out_dir`` at the end."""
+    a monitor run hands its trace text to ``on_row``, which is ``echo`` or,
+    with an output directory, a :class:`_TraceWriter`'s, whose partial files
+    are removed if the run fails; an offline run makes no trace text and
+    writes its outputs under ``out_dir`` at the end."""
     if out_dir is None or config.testing != "evalue_monitor":
         yield echo, out_dir
         return
@@ -1074,26 +1074,28 @@ def _finish(run: RunReport, out_dir: str | _TraceWriter | None) -> int:
     return _report_exit_code(run.report)
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args, testing: str | None = None,
+               echo: Callable[[str], None] | None = None) -> int:
+    """A check or monitor run, whose testing slot is ``testing`` or else the
+    settings'; ``echo`` receives a monitor recipe's trace text."""
     settings = _Settings(args)
     with RecordSource(args.records) as source:
-        config = _recipe_from_args(settings, source, testing=None)
-        records = parse_records(source, config.model)
-    with _trace_output(args.out, config) as (on_row, out):
-        return _finish(run_check(config, records, digest=source.sha256, on_row=on_row), out)
-
-
-def _cmd_monitor(args) -> int:
-    settings = _Settings(args)
-    with RecordSource(args.records) as source:
-        config = _recipe_from_args(settings, source, testing="evalue_monitor")
-        with _trace_output(args.out, config, echo=sys.stdout.write) as (on_row, out):
-            run = run_monitor(config, iter_records(source, config.model), digest=source.sha256,
-                              on_row=on_row)
+        config = _recipe_from_args(settings, source, testing)
+        with _trace_output(args.out, config, echo) as (on_row, out):
+            if config.testing == "evalue_monitor":
+                run = run_monitor(config, iter_records(source, config.model),
+                                  digest=source.sha256, on_row=on_row)
+            else:
+                run = run_check(config, parse_records(source, config.model),
+                                digest=source.sha256)
             code = _finish(run, out)
     if error := run.report["recipe_config"].get("error"):
         print(f"data error: {error}", file=sys.stderr)  # why the run is incomplete
     return code
+
+
+def _cmd_monitor(args) -> int:
+    return _cmd_check(args, "evalue_monitor", sys.stdout.write)
 
 
 def _sim_config(cls, settings: _Settings, seed: int):

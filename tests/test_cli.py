@@ -221,7 +221,7 @@ def test_run_check_deterministic_reports(tmp_path):
     assert a == b
 
 
-def test_run_check_slot_swap_to_monitor_runs(tmp_path):
+def test_slot_swap_to_monitor_runs_on_run_monitor(tmp_path):
     _, recs = weather_file(tmp_path, seed=5)
     base = dict(model="gaussian", metric="coverage", alpha=0.05)
     offline = RecipeConfig(**base, testing="binom_bonferroni")
@@ -230,16 +230,18 @@ def test_run_check_slot_swap_to_monitor_runs(tmp_path):
         testing="evalue_monitor",
         evalue=EValueConfig(level=0.9, p_alt=0.8, alpha=0.05),
     )
+    rep_off = run_check(offline, recs)
     emitted = []
-    rep_off = run_check(offline, recs, on_row=emitted.append)
-    assert emitted == []
-    rep_on = run_check(online, recs, on_row=emitted.append)
+    rep_on = run_monitor(online, [recs], on_row=emitted.append)
     assert rep_off.report["recipe_config"]["test"].startswith("binom")
     assert rep_on.report["recipe_config"]["test"] == "evalue_monitor"
     # the monitor's trace is streamed to on_row, one line per record, not kept
     assert [line.split(",")[0] for line in "".join(emitted).splitlines()] == [
         str(t) for t in range(1, len(recs) + 1)]
     assert rep_on.curves == {}
+    # run_monitor is the one monitor entry point
+    with pytest.raises(ConfigError, match="run_monitor"):
+        run_check(online, recs)
 
 
 def test_run_monitor_all_miss_crosses_at_five(tmp_path):
@@ -735,23 +737,53 @@ def test_cli_monitor_stopped_midstream_leaves_no_output_files(tmp_path, monkeypa
     assert list((tmp_path / "out").iterdir()) == []
 
 
-def test_cli_monitor_memory_does_not_grow_with_the_stream(tmp_path):
-    # the monitor keeps no per-record state, and --out streams its trace;
-    # one miss in eight lines lets the e-value drift down without overflow
+@pytest.mark.parametrize("command", [["monitor"], ["check", "--testing", "evalue_monitor"]])
+def test_cli_monitor_memory_does_not_grow_with_the_stream(tmp_path, command):
+    # the monitor keeps no per-record state, and --out streams its trace,
+    # whether monitor or check's monitor slot runs it; one miss in eight
+    # lines lets the e-value drift down without overflow
     cycle = [gaussian_line(0.0, 1.0, y) for y in (0.1, -0.5, 2.0, 0.3, -1.2, 0.0, 1.5, -0.2)]
 
     def peak(n: int) -> int:
         path = write_lines(tmp_path / f"r{n}.jsonl", cycle * (n // len(cycle)))
+        argv = [command[0], path, *command[1:], "--out", str(tmp_path / f"out{n}")]
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             tracemalloc.start()
             try:
-                assert cli.main(["monitor", path, "--out", str(tmp_path / f"out{n}")]) in (0, 1)
+                assert cli.main(argv) in (0, 1)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
     peak(8)  # imports scipy.special and warms caches outside the measurement
     assert peak(40_000) - peak(4_000) < 250_000
+
+
+def test_cli_check_monitor_slot_and_monitor_agree_on_a_cut_stream(tmp_path, capsys):
+    # check's monitor slot streams as monitor does: a bad line mid-file ends
+    # both runs after the rows before it, with the same files and error line
+    path, _ = weather_file(tmp_path, seed=3)
+    lines = path.read_text().splitlines(keepends=True)
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text("".join(lines[:200] + ['{"mu": 1.0, "sigma": 2.0,\n'] + lines[200:]))
+    runs = {}
+    for name, flags in (("check", ["--testing", "evalue_monitor"]), ("monitor", [])):
+        argv = [name, str(cut), *flags, "--out", str(tmp_path / name)]
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+        runs[name] = code, out, err, files
+    check, monitor = runs["check"], runs["monitor"]
+    assert check[0] == monitor[0] == cli.EXIT_DATA
+    assert check[2] == monitor[2]
+    assert check[2].startswith("data error: line 201: ") and check[2].count("\n") == 1
+    assert sorted(check[3]) == ["etrace.csv", "report.json"]
+    assert check[3] == monitor[3]
+    assert check[3]["etrace.csv"].count(b"\n") == 201  # the header and 200 rows
+    # monitor prints the 200 trace rows before the summary both print
+    rows, summary = monitor[1].split("\n", 200), check[1]
+    assert rows[-1] == summary
+    assert [row.split(",")[0] for row in rows[:-1]] == [str(t) for t in range(1, 201)]
 
 
 def test_cli_seed_env_fallback(tmp_path, capsys, monkeypatch):

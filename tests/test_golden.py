@@ -46,7 +46,7 @@ CASES = {
     "monitor_mv": ["monitor", "{mv}", "--out", "{out}"],
     "simulate_robot_many_beacons": ["simulate", "robot", "--seed", "1", "--config", "{many_cfg}",
                                     "--out", "{out}"],
-    # the slot swap that reaches the monitor through run_check
+    # check's monitor slot, streamed through run_monitor as monitor streams it
     "check_evalue_monitor": ["check", "{weather}", "--testing", "evalue_monitor", "--lambda", "0.9",
                              "--out", "{out}"],
     # incomplete runs: rows up to a bad line, and none at all
