@@ -161,20 +161,17 @@ class RecipeConfig:
             raise ConfigError("variance binning needs a scalar predicted uncertainty")
 
     def to_dict(self) -> dict:
-        d = {
-            "model": self.model,
-            "metric": self.metric,
-            "sided": "one" if self.hypothesis.sidedness == ONE_SIDED else "two",
-            "tolerance": self.hypothesis.tolerance,
-            "testing": self.testing,
-            "alpha": self.alpha,
-            "levels": [float(x) for x in self.levels.levels],
-            "bins": self.bins,
-            "seed": self.seed,
-        }
+        """The recipe as applied, for the provenance: a monitor tests
+        coverage at lambda alone and applies no sidedness, tolerance, level
+        grid or bins, so its dict holds none of them."""
+        d = {"model": self.model, "metric": self.metric, "testing": self.testing,
+             "alpha": self.alpha, "seed": self.seed}
+        if self.testing != "evalue_monitor":
+            d.update(sided="one" if self.hypothesis.sidedness == ONE_SIDED else "two",
+                     tolerance=self.hypothesis.tolerance,
+                     levels=[float(x) for x in self.levels.levels], bins=self.bins)
         if self.evalue is not None:
-            d["lambda"] = self.evalue.level
-            d["p_alt"] = self.evalue.p_alt
+            d.update({"lambda": self.evalue.level, "p_alt": self.evalue.p_alt})
         return d
 
 

@@ -197,6 +197,18 @@ def test_config_slot_compatibility():
     RecipeConfig(model="particles", metric="halfplane", testing="binom_bonferroni")
 
 
+def test_provenance_config_holds_the_keys_the_recipe_applies():
+    offline = RecipeConfig(model="gaussian", metric="coverage", bins=3)
+    assert sorted(offline.to_dict()) == ["alpha", "bins", "levels", "metric", "model", "seed",
+                                         "sided", "testing", "tolerance"]
+    # a monitor applies no sidedness, tolerance, level grid or bins
+    monitor = RecipeConfig(model="gaussian", testing="evalue_monitor",
+                           evalue=EValueConfig(level=0.9, p_alt=0.8, alpha=0.05))
+    assert monitor.to_dict() == {"model": "gaussian", "metric": "coverage",
+                                 "testing": "evalue_monitor", "alpha": 0.05, "seed": 0,
+                                 "lambda": 0.9, "p_alt": 0.8}
+
+
 # ---------------------------------------------------------------------------
 # run_check / run_monitor library behavior
 # ---------------------------------------------------------------------------

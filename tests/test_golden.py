@@ -71,7 +71,7 @@ GOLDEN = {
         "exit": 0,
         "stdout": "2da45335fb122e0c8932623129da1253b66268fce1e485c89c56ff0f2f576a6d",
         "etrace.csv": "fda8dcde7db9fce1aea9f91dab870d507c0a63889bb98c2e33bb226df30850eb",
-        "report.json": "60ab0372a424da70c102f48434681cdbe4549fedd0c6f2617346d4630b8cc621",
+        "report.json": "3acb1ef0f712f19c3a0266cb5ca03af4cc756483f60760cb2189858a37df013b",
     },
     "check_folded_ks": {
         "exit": 0,
@@ -107,31 +107,31 @@ GOLDEN = {
         "exit": 3,
         "stdout": "c9844f7c06f7e9a0ba1b6d04ae6e203325dc8ec2bdc846ab998a824d9bb1fbbe",
         "etrace.csv": "c2dbd3d46fb63b2197b48bdfed62fea5e41dd81c2472b9e4d450999cbad2f4da",
-        "report.json": "6d789ae15b333723a7bfd3455c94ed1c8b70e636173cfad903e7d30fb8624479",
+        "report.json": "eddd654c6cb829c53887ec53de285193ba65507de611e199e08a6758786f1eed",
     },
     "monitor_cut": {
         "exit": 3,
         "stdout": "ddd69dbc771ff751edcc8167f9cce34ca509a4c7f00bd5b2d526170b5ecb3304",
         "etrace.csv": "a2cf3f4cfd224474b414e9948e199ebbae053df12dbbb6afd93cac920e77e4c2",
-        "report.json": "b5500dd8c774e92d2a1e42c86f82126bbc4e93165e94291bc36d79cc7461be0d",
+        "report.json": "8b56b1b10d839349ad53f9e9c2f158e2efeb6ac31f3462a5018289cd6dffcbfb",
     },
     "monitor_mv": {
         "exit": 0,
         "stdout": "1c04881a617000ec605e5cb0b2a0c73e5caacf9614ffbd86bd36abdcedec95b0",
         "etrace.csv": "1ed6d0c2a195f34c27d712365c4a8b9bee4cecaa214c3d00f7bf5d17d234de15",
-        "report.json": "769616a444fb064319a3ccf3db6a75d331576c9c64e6ae96cf3c01ebb0454318",
+        "report.json": "9552f4a5d778c20945cf1dd24c3b6bf93a6d2db381d0198cfae807a8f3f6bd2d",
     },
     "monitor_robot": {
         "exit": 0,
         "stdout": "642a51ccafb09e51b43a96fa8fe48ee06de490f98e5e62ca0cac2a15c09f5c99",
         "etrace.csv": "cab9772e219af47d73156dcb6ba2ceffa7d462662c97f8655cda0b7499e676b2",
-        "report.json": "3cbae30716c8af42bef097a669306597f6776d4715726caf69109fb941650aff",
+        "report.json": "8d539a278176a6f5178c6344db2a561ab19446bc0a4970c52643dcea35749aec",
     },
     "monitor_weather": {
         "exit": 0,
         "stdout": "f19f0fcee16551c133ec75475a5ed94c70c79708eccc396de4f333213e6a2890",
         "etrace.csv": "fda8dcde7db9fce1aea9f91dab870d507c0a63889bb98c2e33bb226df30850eb",
-        "report.json": "60ab0372a424da70c102f48434681cdbe4549fedd0c6f2617346d4630b8cc621",
+        "report.json": "3acb1ef0f712f19c3a0266cb5ca03af4cc756483f60760cb2189858a37df013b",
     },
     "report_rerender": {
         "exit": 0,
