@@ -202,6 +202,9 @@ def _check_slots(metric: str, testing: str, alpha: float, hypothesis: Hypothesis
         out = (lv - tol <= 0.0) | ((hypothesis.sidedness == TWO_SIDED) & (lv + tol >= 1.0))
         if out.any():
             raise ConfigError(f"tolerance {tol} shifts level {lv[out][0]:g} out of (0, 1)")
+    if evalue is not None and evalue.alpha != alpha:  # one alpha for the whole recipe
+        raise ConfigError(f"the e-value config's alpha {evalue.alpha} differs from the "
+                          f"recipe's alpha {alpha}")
     if testing == "evalue_monitor":
         if evalue is None:
             raise ConfigError("evalue_monitor requires an e-value config")

@@ -197,6 +197,19 @@ def test_config_slot_compatibility():
     RecipeConfig(model="particles", metric="halfplane", testing="binom_bonferroni")
 
 
+def test_monitor_alpha_has_one_source():
+    # the alarm line and the report's alpha come from the e-value config, the
+    # provenance's alpha from the recipe: the two must agree
+    with pytest.raises(ConfigError, match="alpha 0.01 differs"):
+        RecipeConfig(model="gaussian", testing="evalue_monitor", alpha=0.05,
+                     evalue=EValueConfig(level=0.9, p_alt=0.8, alpha=0.01))
+    config = RecipeConfig(model="gaussian", testing="evalue_monitor", alpha=0.01,
+                          evalue=EValueConfig(level=0.9, p_alt=0.8, alpha=0.01))
+    run = run_monitor(config, [GaussianBatch(np.zeros(2), np.ones(2), np.zeros(2))])
+    assert run.report["alpha"] == run.provenance["config"]["alpha"] == 0.01
+    assert run.report["threshold"] == 100.0
+
+
 def test_provenance_config_holds_the_keys_the_recipe_applies():
     offline = RecipeConfig(model="gaussian", metric="coverage", bins=3)
     assert sorted(offline.to_dict()) == ["alpha", "bins", "levels", "metric", "model", "seed",
@@ -359,7 +372,7 @@ def test_run_monitor_output_does_not_depend_on_random_block_split(recs, data):
     # alpha a different threshold text
     level, p_alt, alpha = data.draw(st.sampled_from(
         [(0.9, 0.8, 0.05), (0.9, 0.1, 0.3), (0.5, 0.01, 0.007)]))
-    config = dataclasses.replace(MONITOR, evalue=EValueConfig(level, p_alt, alpha))
+    config = dataclasses.replace(MONITOR, alpha=alpha, evalue=EValueConfig(level, p_alt, alpha))
     whole = monitor_outputs(recs, [], config)
     n, crossing = len(recs), json.loads(whole[2])["report"]["recipe_config"]["first_crossing"]
     cuts = data.draw(st.lists(st.integers(1, n - 1), max_size=6)) if n > 1 else []
