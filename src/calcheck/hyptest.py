@@ -258,17 +258,21 @@ def binom_test(
 # multiplicity corrections
 # ---------------------------------------------------------------------------
 
-def _holm_mask(ps: np.ndarray, alpha: float) -> np.ndarray:
-    """Boolean rejection mask of the step-down procedure, original order."""
+def _holm_alphas(ps: np.ndarray, alpha: float) -> np.ndarray:
+    """Each p-value's step-down threshold, in original order.
+
+    The p-value of rank ``r`` (0 for the smallest, ties in input order) is
+    tested at ``alpha / (k - r)`` until the first rank ``stop`` that is not
+    rejected; from there on every level is held at ``alpha / (k - stop)``.
+    The procedure rejects exactly ``ps < _holm_alphas(ps, alpha)``.
+    """
     k = ps.size
     order = np.argsort(ps, kind="stable")
-    mask = np.zeros(k, dtype=bool)
-    for rank, idx in enumerate(order):  # rank 0 tests at alpha/k
-        if ps[idx] < alpha / (k - rank):
-            mask[idx] = True
-        else:
-            break
-    return mask
+    rank = np.empty(k, dtype=int)
+    rank[order] = np.arange(k)
+    passed = ps[order] < alpha / (k - np.arange(k))
+    stop = k if passed.all() else int(passed.argmin())
+    return alpha / (k - np.minimum(rank, stop))
 
 
 def coverage_binomial_report(
@@ -293,19 +297,9 @@ def coverage_binomial_report(
     if correction == "bonferroni":
         per_alpha = [alpha / k] * k
     else:
-        ps = np.array(
-            [
-                binom_directional_p(int(c), n, float(lam), spec)
-                for c, lam in zip(counts, curve.levels.levels)
-            ]
-        )
-        mask = _holm_mask(ps, alpha)
-        order = np.argsort(ps, kind="stable")
-        stop = int(mask.sum())  # ranks [0, stop) rejected
-        per_alpha = np.empty(k)
-        for rank, idx in enumerate(order):
-            step = rank if rank < stop else stop
-            per_alpha[idx] = alpha / (k - step)
+        ps = np.array([binom_directional_p(int(c), n, float(lam), spec)
+                       for c, lam in zip(counts, curve.levels.levels)])
+        per_alpha = _holm_alphas(ps, alpha)
     rows = tuple(
         binom_test(int(c), n, float(lam), spec, a)
         for c, lam, a in zip(counts, curve.levels.levels, per_alpha)

@@ -15,7 +15,7 @@ from calcheck.hyptest import (
     ONE_SIDED,
     TWO_SIDED,
     HypothesisSpec,
-    _holm_mask,
+    _holm_alphas,
     binom_directional_p,
     binom_lower_quantile,
     binom_test,
@@ -240,14 +240,35 @@ def test_bonferroni_threshold_and_decisions():
     assert [r.reject for r in rep.per_level] == [False] * 9 + [True]
 
 
+def holm_rejects(ps, alpha):
+    ps = np.array(ps)
+    return (ps < _holm_alphas(ps, alpha)).tolist()
+
+
 def test_holm_hand_stepdown():
-    assert _holm_mask(np.array([0.010, 0.026, 0.9]), 0.05).tolist() == [True, False, False]
-    assert _holm_mask(np.array([0.9, 0.010, 0.02]), 0.05).tolist() == [False, True, True]
+    assert holm_rejects([0.010, 0.026, 0.9], 0.05) == [True, False, False]
+    assert holm_rejects([0.9, 0.010, 0.02], 0.05) == [False, True, True]
 
 
 def test_holm_single_p_equals_plain_test():
-    assert _holm_mask(np.array([0.04]), 0.05).tolist() == [True]
-    assert _holm_mask(np.array([0.06]), 0.05).tolist() == [False]
+    assert holm_rejects([0.04], 0.05) == [True]
+    assert holm_rejects([0.06], 0.05) == [False]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.001, 0.005, 0.01, 0.0125, 0.02, 0.025, 0.05, 0.5]),
+                min_size=1, max_size=12),
+       st.sampled_from([0.05, 0.1]))
+def test_holm_alphas_follow_the_stepdown_rank_by_rank(ps, alpha):
+    # walk the sorted p-values (ties in input order): each rank is tested
+    # at alpha / (k - rank) until the first that is not rejected, whose
+    # threshold every later rank keeps
+    k, want, step = len(ps), [0.0] * len(ps), 0
+    for rank, idx in enumerate(sorted(range(k), key=ps.__getitem__)):
+        want[idx] = alpha / (k - step)
+        if step == rank and ps[idx] < want[idx]:
+            step += 1
+    assert _holm_alphas(np.array(ps), alpha).tolist() == want
 
 
 @st.composite
