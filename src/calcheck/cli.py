@@ -163,15 +163,15 @@ class RecipeConfig:
     def to_dict(self) -> dict:
         """The recipe as applied, for the provenance: a monitor tests
         coverage at lambda alone and applies no sidedness, tolerance, level
-        grid or bins, so its dict holds none of them."""
+        grid or bins, and an offline recipe applies no lambda or p_alt."""
         d = {"model": self.model, "metric": self.metric, "testing": self.testing,
              "alpha": self.alpha, "seed": self.seed}
-        if self.testing != "evalue_monitor":
+        if self.testing == "evalue_monitor":
+            d.update({"lambda": self.evalue.level, "p_alt": self.evalue.p_alt})
+        else:
             d.update(sided="one" if self.hypothesis.sidedness == ONE_SIDED else "two",
                      tolerance=self.hypothesis.tolerance,
                      levels=[float(x) for x in self.levels.levels], bins=self.bins)
-        if self.evalue is not None:
-            d.update({"lambda": self.evalue.level, "p_alt": self.evalue.p_alt})
         return d
 
 

@@ -211,7 +211,8 @@ def test_monitor_alpha_has_one_source():
 
 
 def test_provenance_config_holds_the_keys_the_recipe_applies():
-    offline = RecipeConfig(model="gaussian", metric="coverage", bins=3)
+    offline = RecipeConfig(model="gaussian", metric="coverage", bins=3,
+                           evalue=EValueConfig(level=0.9, p_alt=0.8, alpha=0.05))
     assert sorted(offline.to_dict()) == ["alpha", "bins", "levels", "metric", "model", "seed",
                                          "sided", "testing", "tolerance"]
     # a monitor applies no sidedness, tolerance, level grid or bins
