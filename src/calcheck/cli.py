@@ -572,11 +572,12 @@ def run_monitor(
     large for a float raises ``OverflowError`` after the lines before it
     have been emitted.  The provenance is taken after the stream ends, so a
     running ``digest`` of the input covers every byte the stream consumed.
-    The returned run has no curves.
+    The returned run has no curves.  An offline recipe is a configuration
+    error here: :func:`run_check` runs it.
     """
+    if config.testing != "evalue_monitor":
+        raise ConfigError("an offline recipe runs through run_check")
     ev = config.evalue
-    if ev is None:
-        raise ConfigError("monitoring requires an e-value config")
     state = MartingaleState()
     rng = np.random.default_rng([config.seed, 1])
     peak = -math.inf  # the largest e-value so far

@@ -265,9 +265,11 @@ def test_slot_swap_to_monitor_runs_on_run_monitor(tmp_path):
     assert [line.split(",")[0] for line in "".join(emitted).splitlines()] == [
         str(t) for t in range(1, len(recs) + 1)]
     assert rep_on.curves == {}
-    # run_monitor is the one monitor entry point
+    # run_monitor is the one monitor entry point, and runs no offline recipe
     with pytest.raises(ConfigError, match="run_monitor"):
         run_check(online, recs)
+    with pytest.raises(ConfigError, match="run_check"):
+        run_monitor(offline, [recs])
 
 
 def test_run_monitor_all_miss_crosses_at_five(tmp_path):
