@@ -263,7 +263,7 @@ def _holm_alphas(ps: np.ndarray, alpha: float) -> np.ndarray:
 
     The p-value of rank ``r`` (0 for the smallest, ties in input order) is
     tested at ``alpha / (k - r)`` until the first rank ``stop`` that is not
-    rejected; from there on every level is held at ``alpha / (k - stop)``.
+    rejected; from there on every rank is held at ``alpha / (k - stop)``.
     The procedure rejects exactly ``ps < _holm_alphas(ps, alpha)``.
     """
     k = ps.size
