@@ -24,11 +24,12 @@ configuration error before records are parsed or output is made, and before
 a bad, empty or missing record input is reported.
 ``check``, ``monitor`` and ``simulate`` all emit through ``_finish``.
 
-Importing this module loads numpy but no scipy.  ``scipy.special`` is
-loaded by the first PIT of (multivariate) Gaussian records and by the first
-Binomial tail, so by ``check`` and by ``monitor`` on Gaussian records;
-``simulate``, ``report``, ``monitor`` on particles and a run that fails on
-its configuration never load it.
+Importing this module loads numpy but neither scipy nor orjson.
+``scipy.special`` is loaded by the first PIT of (multivariate) Gaussian
+records and by the first Binomial tail, so by ``check`` and by ``monitor`` on
+Gaussian records; ``simulate``, ``report``, ``monitor`` on particles and a
+run that fails on its configuration never load it.  orjson is loaded by the
+first block of record lines parsed, so by ``check`` and ``monitor`` alone.
 
 ``simulate drift_sweep`` runs its independent (multiplier, seed) cells in
 forked worker processes, one per usable CPU (on Linux; elsewhere in this
@@ -325,36 +326,72 @@ def _opened(source: str | Path | RecordSource):
     return RecordSource(source)
 
 
-_SCAN = json.JSONDecoder().scan_once  # the scanner json.loads wraps in Python
-
-
 def _parse_line(line: bytes):
-    """The JSON value of one record line, in one scanner call.
+    """The JSON value of one record line, as ``json.loads`` gives it: a bad
+    line raises json's own exception and message, positions included.  Deep
+    nesting raises ``RecursionError`` and an integer of more than
+    ``sys.get_int_max_str_digits()`` digits ``ValueError``."""
+    return json.loads(line.decode())  # decoding first is faster than json's own
 
-    Only JSON's four whitespace characters are stripped around the value, so
-    a line ``json.loads`` refuses (a BOM, a form feed) is refused here too: a
-    line the scanner does not read whole, or fails on, goes to ``json.loads``,
-    which raises json's own exception and message.  Deep nesting raises
-    ``RecursionError`` and an integer of more than
-    ``sys.get_int_max_str_digits()`` digits ``ValueError``, as from
-    ``json.loads``.
-    """
-    text = line.decode()  # decoding first is faster than json's own
-    value = text.strip(" \t\r\n")
+
+# At most this many "[" and "{" bytes on a line that orjson parses: it has no
+# nesting limit and overflows the C stack on a deep enough line, where json
+# raises RecursionError.  A 500-particle cloud holds 504.
+MAX_BRACKETS = 1024
+
+
+def _orjson_batch(cls: type[RecordBatch], block: list[bytes]) -> RecordBatch | None:
+    """The batch of a block's non-blank lines parsed by orjson, or None for a
+    block that the json loop must parse (see :func:`iter_records`)."""
+    import orjson
+
+    read = {*cls.keys, "t"}
+    objs = []
+    for line in block:
+        if not line.strip():
+            continue
+        # a line no longer than the bound cannot hold more brackets
+        if len(line) > MAX_BRACKETS and line.count(b"[") + line.count(b"{") > MAX_BRACKETS:
+            return None
+        try:
+            obj = orjson.loads(line)
+        except orjson.JSONDecodeError:
+            return None
+        if type(obj) is not dict:
+            return None
+        # with every family key present (else the constructor raises), an
+        # object holds other keys exactly when it is longer than this
+        if len(obj) > len(read) - ("t" not in obj) and any(
+                isinstance(obj[key], (dict, list)) for key in obj.keys() - read):
+            return None
+        objs.append(obj)
+    if not objs:
+        return None
     try:
-        obj, end = _SCAN(value, 0)
-        if end == len(value):
-            return obj
-    except (StopIteration, ValueError):
-        pass
-    return json.loads(text)  # the unstripped line, so json's error positions hold
+        return cls.from_objs(objs)
+    except (KeyError, TypeError, ValueError, OverflowError):  # the json loop reports it
+        return None
 
 
 def iter_records(source: str | Path | RecordSource, model_kind: str) -> Iterator[RecordBatch]:
     """Lazily parse records from a JSON-lines file ('-' reads stdin): one
     batch per block of complete lines read (see :class:`RecordSource`),
     blank lines skipped; all share the first record's outcome dimension.
-    Each line is parsed by ``_parse_line``, one call of json's scanner.
+
+    A block's lines are parsed by orjson and its batch is built from them in
+    one step.  orjson reads what json reads, except that it refuses NaN,
+    Infinity, lone surrogates and numbers beyond the float range, turns
+    integers beyond 64 bits into their correctly rounded floats, and has no
+    nesting limit: a deep enough line overflows its C stack, where json
+    raises ``RecursionError``.  So a block goes through json line by line
+    (``_parse_line``) instead when a line holds more than ``MAX_BRACKETS``
+    ``[`` and ``{`` bytes, orjson refuses a line, a line is not an object,
+    an object holds a container under a key the family does not read (json
+    may refuse it as nested too deeply; a family column that deep fails the
+    batch), or the batch cannot be built (a float ``t`` cannot).  Every
+    batch is therefore the one json gives, bit for bit, and every error,
+    line number and block boundary is the json loop's.
+
     The first bad line in file order raises a :class:`DataError` naming it,
     after the records before it have been yielded: a line that is not UTF-8,
     not JSON, nested too deeply or holding too long an integer is invalid
@@ -363,27 +400,32 @@ def iter_records(source: str | Path | RecordSource, model_kind: str) -> Iterator
     dim, line_no = None, 0
     with _opened(source) as src:
         for block in src.blocks():
-            objs, line_nos, error = [], [], None
-            for line in block:
-                line_no += 1
-                if not line.strip():
-                    continue
+            batch = _orjson_batch(cls, block)
+            if batch is not None:
+                batches, error = [batch], None
+                line_nos = [next(n for n, line in enumerate(block, line_no + 1) if line.strip())]
+                line_no += len(block)
+            else:
+                objs, line_nos, error = [], [], None
+                for line in block:
+                    line_no += 1
+                    if not line.strip():
+                        continue
+                    try:
+                        obj = _parse_line(line)
+                    except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors are ValueErrors
+                        error = DataError(f"line {line_no}: invalid JSON "
+                                          f"({getattr(exc, 'msg', exc)})")
+                        break
+                    if not isinstance(obj, dict):
+                        error = DataError(f"line {line_no}: expected an object")
+                        break
+                    objs.append(obj)
+                    line_nos.append(line_no)
                 try:
-                    obj = _parse_line(line)
-                except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors are ValueErrors
-                    error = DataError(f"line {line_no}: invalid JSON "
-                                      f"({getattr(exc, 'msg', exc)})")
-                    break
-                if not isinstance(obj, dict):
-                    error = DataError(f"line {line_no}: expected an object")
-                    break
-                objs.append(obj)
-                line_nos.append(line_no)
-            try:
-                batches = [cls(*([obj[key] for obj in objs] for key in cls.keys),
-                               t=[obj.get("t") for obj in objs])] if objs else []
-            except (KeyError, TypeError, ValueError, OverflowError):  # from_obj names the bad line
-                batches = map(cls.from_obj, objs, line_nos)
+                    batches = [cls.from_objs(objs)] if objs else []
+                except (KeyError, TypeError, ValueError, OverflowError):  # from_obj names the bad line
+                    batches = map(cls.from_obj, objs, line_nos)
             # a block batch holds one outcome dimension, so its first line is
             # the first whose dimension can differ
             for batch, first in zip(batches, line_nos):

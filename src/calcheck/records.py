@@ -193,11 +193,17 @@ class RecordBatch:
         return new
 
     @classmethod
+    def from_objs(cls, objs: list[dict]) -> "RecordBatch":
+        """A batch of decoded record lines, one column per key, ``t`` where set."""
+        return cls(*([obj[key] for obj in objs] for key in cls.keys),
+                   t=[obj.get("t") for obj in objs])
+
+    @classmethod
     def from_obj(cls, obj: dict, line_no: int) -> "RecordBatch":
         """A one-record batch from the decoded record line ``line_no``, which
         ingest builds to find a bad line; it raises :class:`DataError` naming it."""
         try:
-            return cls(*([obj[key]] for key in cls.keys), t=[obj.get("t")])
+            return cls.from_objs([obj])
         except KeyError as exc:
             error = f"missing field {exc.args[0]!r}"
         except (InvalidDistributionError, TypeError, ValueError, OverflowError) as exc:

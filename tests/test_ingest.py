@@ -5,9 +5,10 @@ parse through ``RecordBatch.from_obj`` joined by ``concat``: the records must
 be the same bit for bit, and a bad line must end the input at the same
 record with the same error text, in ``parse_records`` and in ``run_monitor``
 alike.  The monitor, which advances one batch at a time, must print and save
-the same bytes however its input is cut into blocks.  Each line is parsed by
-one call of json's scanner, which must give what ``json.loads`` gives: the
-same value, or the same exception and message.
+the same bytes however its input is cut into blocks.  A block is parsed by
+orjson when it can be, and line by line by ``json.loads`` otherwise: both
+must give the per-line reference's records and error text, also on the
+numbers, strings and nesting where orjson and json differ.
 """
 
 import hashlib
@@ -16,7 +17,9 @@ import json
 import os
 import itertools
 import signal
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,7 +260,7 @@ def test_digest_covers_the_whole_block_a_bad_line_stops(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# one scanner call per line, against json.loads
+# the json line parse, against json.loads
 # ---------------------------------------------------------------------------
 
 GOOD = '{"mu": 0.5, "sigma": 1.0, "y": 0.25}'
@@ -372,6 +375,225 @@ def byte_lines(draw) -> bytes:
 @given(st.one_of(text_lines(), byte_lines()))
 def test_scanner_path_matches_json_loads_on_any_line(tmp_path_factory, line):
     assert_scanner_matches_json_loads(tmp_path_factory.getbasetemp() / "scan.jsonl", line)
+
+
+# ---------------------------------------------------------------------------
+# orjson's block parse, against the per-line json reference
+# ---------------------------------------------------------------------------
+
+def parse_noting_json_lines(monkeypatch, path, kind) -> tuple[list, str | None, list]:
+    """``by_blocks`` of ``path``, and the lines that went through the json loop."""
+    seen = []
+
+    def noted(line):
+        seen.append(line)
+        return json_loads_line(line)
+
+    monkeypatch.setattr(cli, "_parse_line", noted)
+    return (*by_blocks(path, kind), seen)
+
+
+# each line between two good ones: the error iter_records must end with, and
+# whether orjson takes the block
+ORJSON_CASES = {
+    # orjson reads 2**64 as a float, which no time index may be
+    "t_beyond_64_bits": ('{"mu": 0.5, "sigma": 1.0, "y": 0.25, "t": 18446744073709551616}',
+                         None, False),
+    "t_at_the_64_bit_limit": ('{"mu": 0.5, "sigma": 1.0, "y": 0.25, "t": 18446744073709551615}',
+                              None, True),
+    # in a numeric column it is the float json's int becomes
+    "mu_beyond_64_bits": ('{"mu": 123456789012345678901234567890, "sigma": 1.0, "y": 0.25}',
+                          None, True),
+    "nan_in_y": ('{"mu": 0.5, "sigma": 1.0, "y": NaN}',
+                 "line 2: outcome must be a finite 1-D vector", False),
+    "beyond_the_float_range": ('{"mu": 0.5, "sigma": 1e400, "y": 0.25}',
+                               "line 2: gaussian parameters must be finite", False),
+    "lone_surrogate": ('{"mu": 0.5, "sigma": 1.0, "y": 0.25, "station": "\\ud800"}', None, False),
+    "scalar_extra_key": ('{"mu": 0.5, "sigma": 1.0, "y": 0.25, "station": "x"}', None, True),
+    "container_extra_key": ('{"mu": 0.5, "sigma": 1.0, "y": 0.25, "meta": {"a": 1}}', None, False),
+    # within the bracket bound, beyond json's nesting limit
+    "deep_extra_key": ('{"mu": 0.5, "sigma": 1.0, "y": 0.25, "n": ' + "[" * 1_020 + "]" * 1_020
+                       + "}", "line 2: invalid JSON (maximum recursion depth exceeded while "
+                       "decoding a JSON array from a unicode string)", False),
+    "deep_outcome": ('{"mu": 0.5, "sigma": 1.0, "y": ' + "[" * 1_020 + "0" + "]" * 1_020 + "}",
+                     "line 2: invalid JSON (maximum recursion depth exceeded while "
+                     "decoding a JSON array from a unicode string)", False),
+    "duplicate_key": ('{"mu": 0.5, "sigma": -1.0, "y": 0.25, "sigma": 2.0}', None, True),
+}
+
+
+@pytest.mark.parametrize("line, error, fast", ORJSON_CASES.values(), ids=ORJSON_CASES)
+def test_orjson_block_matches_the_per_line_parse(tmp_path, monkeypatch, line, error, fast):
+    data = "\n".join([GOOD, line, GOOD, ""]).encode("utf-8", "surrogatepass")
+    path = tmp_path / "r.jsonl"
+    path.write_bytes(data)
+    got, got_error, json_lines = parse_noting_json_lines(monkeypatch, path, "gaussian")
+    want, want_error = per_line(data, "gaussian")
+    assert got_error == want_error == error
+    assert_same_records("gaussian", got, want)
+    assert (not json_lines) == fast, json_lines
+
+
+def test_orjson_block_keeps_json_values_beyond_64_bits(tmp_path):
+    path = tmp_path / "r.jsonl"
+    path.write_text('{"mu": 123456789012345678901234567890, "sigma": 1.0, "y": 0.25, '
+                    '"t": 18446744073709551616}\n')
+    (batch,) = iter_records(path, "gaussian")
+    assert batch.t == [2**64] and type(batch.t[0]) is int
+    assert batch.mu.tolist() == [float(123456789012345678901234567890)]
+
+
+def cloud_line(rng, m: int, t: int) -> str:
+    w = np.exp(0.5 * rng.standard_normal(m))
+    return json.dumps({"w": (w / w.sum()).tolist(), "pts": rng.normal(5.0, 0.3, (m, 2)).tolist(),
+                       "y": rng.normal(5.0, 0.3, 2).tolist(), "t": t})
+
+
+def test_cloud_over_the_bracket_bound_takes_the_json_loop(tmp_path, monkeypatch):
+    rng = np.random.default_rng(10)
+    long = cloud_line(rng, 1_100, 1).encode()
+    assert long.count(b"[") > cli.MAX_BRACKETS
+    data = b"\n".join([cloud_line(rng, 5, 0).encode(), long, b""])
+    path = tmp_path / "clouds.jsonl"
+    path.write_bytes(data)
+    got, error, json_lines = parse_noting_json_lines(monkeypatch, path, "particles")
+    want, _ = per_line(data, "particles")
+    assert error is None and long in json_lines
+    assert_same_records("particles", got, want)
+
+
+def test_benchmark_line_shapes_take_orjson(tmp_path, monkeypatch):
+    # the shapes of the benchmark's inputs: Gaussians with a time index, and
+    # 500-particle clouds, which hold 504 brackets a line
+    def refused(line):
+        raise AssertionError(f"the json loop parsed {line[:40]!r}")
+
+    rng = np.random.default_rng(11)
+    gaussian = [json.dumps({"mu": float(m), "sigma": 3.1, "y": float(m) + 0.5, "t": i})
+                for i, m in enumerate(rng.normal(16.9, 8.0, 3_000))]
+    clouds = [cloud_line(rng, 500, i) for i in range(20)]
+    for kind, lines in (("gaussian", gaussian), ("particles", clouds)):
+        data = ("\n".join(lines) + "\n").encode()
+        path = tmp_path / f"{kind}.jsonl"
+        path.write_bytes(data)
+        want, _ = per_line(data, kind)
+        monkeypatch.setattr(cli, "_parse_line", refused)
+        got = list(iter_records(path, kind))
+        monkeypatch.undo()
+        assert len(got) > 1
+        assert_same_records(kind, got, want)
+
+
+# JSON number texts where orjson and json differ, or could
+ODD_NUMBERS = [
+    "18446744073709551616", "-9223372036854775809", "123456789012345678901234567890",
+    str(2**1024 - 2**970 - 1),  # the largest integer below float overflow
+    str(2**1024 - 2**970), "1e400", "-1e400", "NaN", "Infinity", "-Infinity",
+    "18446744073709551615", "-9223372036854775808", "-0", "-0.0", "1e-400", "-1e-400",
+    "2.4703282292062328e-324", "0.1000000000000000055511151231257827021181583404541015625",
+    "[" * 1_020 + "0" + "]" * 1_020, "[" * 1_100 + "0" + "]" * 1_100,
+]
+EXTRA_VALUES = [
+    '"x"', '"\\ud800"', '"\\u00e9\\n"', "true", "null", "7", "NaN", "18446744073709551616",
+    '{"a": 1}', "[1, 2]", "[NaN]", "[]", '{"n": 123456789012345678901234567890}',
+    "[" * 1_020 + "]" * 1_020,
+]
+
+
+@st.composite
+def number_texts(draw, positive: bool = False) -> str:
+    x = draw(st.floats(0.1, 10.0) if positive else st.floats(-1e6, 1e6))
+    return draw(st.sampled_from([repr(x), f"{x:.25g}", f"{x:.3e}"]))
+
+
+@st.composite
+def record_lines(draw, kind: str, d: int) -> str:
+    """A record line of ``kind`` and outcome dimension ``d``, perhaps with a
+    number or key that orjson reads differently, or a fault."""
+    number = number_texts()
+    if kind == "gaussian":
+        fields = {"mu": draw(number), "sigma": draw(number_texts(True)), "y": draw(number)}
+    elif kind == "mv_gaussian":
+        zero = st.sampled_from(["0", "0.0", "-0.0"])
+        fields = {"mu": [draw(number) for _ in range(d)],
+                  "cov": [[draw(number_texts(True)) if i == j else draw(zero) for j in range(d)]
+                          for i in range(d)],
+                  "y": [draw(number) for _ in range(d)]}
+    else:
+        w = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=2, max_size=4)))
+        fields = {"w": list(map(repr, (w / w.sum()).tolist())),
+                  "pts": [[draw(number) for _ in range(d)] for _ in w], "y": [draw(number)] * d}
+    if draw(st.booleans()):
+        fields["t"] = draw(st.sampled_from([str(draw(st.integers(0, 2**70))), "1.5", "true"]))
+    faults = draw(st.lists(st.sampled_from(["odd_number", "odd_t", "extra", "duplicate", "bom",
+                                            "not_object", "truncated", "blank"]), max_size=2))
+    for fault in faults:
+        if fault == "odd_number":  # one leaf of the family's columns
+            holder, at = fields, draw(st.sampled_from(FAMILIES[kind].keys))
+            while isinstance(holder[at], list):
+                holder, at = holder[at], draw(st.integers(0, len(holder[at]) - 1))
+            holder[at] = draw(st.sampled_from(ODD_NUMBERS))
+        elif fault == "odd_t":
+            fields["t"] = draw(st.sampled_from(ODD_NUMBERS))
+        elif fault == "extra":
+            fields[draw(st.sampled_from(["station", "meta", ""]))] = draw(
+                st.sampled_from(EXTRA_VALUES))
+    keys = draw(st.permutations(list(fields)))
+    line = ", ".join(f"{json.dumps(key)}: {text(fields[key])}" for key in keys)
+    if "duplicate" in faults:  # json and orjson both keep the last value
+        line = f'{json.dumps(draw(st.sampled_from(FAMILIES[kind].keys)))}: "first", ' + line
+    line = "[" + line.replace(": ", ", ") + "]" if "not_object" in faults else "{" + line + "}"
+    if "truncated" in faults:
+        line = line[:draw(st.integers(0, len(line) - 1))]
+    if "bom" in faults:
+        line = "\ufeff" + line
+    return " " * draw(st.integers(0, 2)) if "blank" in faults else line
+
+
+def text(value) -> str:
+    return value if isinstance(value, str) else "[" + ", ".join(map(text, value)) + "]"
+
+
+@st.composite
+def record_files(draw) -> tuple[str, bytes]:
+    kind = draw(st.sampled_from(list(FAMILIES)))
+    d = 1 if kind == "gaussian" else draw(st.integers(1, 2))
+    lines = draw(st.lists(record_lines(kind, d), max_size=8))
+    ending = draw(st.sampled_from(["\n", "\r\n", ""]))
+    return kind, ("".join(line + ending for line in lines)).encode("utf-8", "surrogatepass")
+
+
+@settings(max_examples=200, deadline=None)
+@given(record_files(), st.sampled_from([1 << 16, 61]))
+def test_orjson_blocks_match_the_per_line_parse_on_odd_records(tmp_path_factory, file, block):
+    kind, data = file
+    path = tmp_path_factory.getbasetemp() / "odd.jsonl"
+    path.write_bytes(data)
+    want, want_error = per_line(data, kind)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "BLOCK", block)
+        got, error = by_blocks(path, kind)
+    assert error == want_error
+    assert_same_records(kind, got, want)
+
+
+@pytest.mark.parametrize("command", ["check", "monitor"])
+@pytest.mark.parametrize("deep", [
+    '{"mu": 0.5, "sigma": 1.0, "y": 0.25, "n": ' + '{"a": ' * 100_000 + "1" + "}" * 100_001,
+    "[" * 1_000_000 + "]" * 1_000_000,
+], ids=["object_in_an_extra_key", "array"])
+def test_deep_line_is_a_data_error_not_a_crash(tmp_path, command, deep):
+    # orjson overflows the C stack on such a line; in a subprocess, a crash
+    # fails this test instead of ending pytest
+    path = tmp_path / "deep.jsonl"
+    path.write_text("\n".join([GOOD, deep, GOOD, ""]))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "calcheck.cli", command, str(path)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=120)
+    assert proc.returncode == 3, proc
+    assert proc.stderr.startswith("data error: line 2: invalid JSON (maximum recursion depth")
+    assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 # ---------------------------------------------------------------------------

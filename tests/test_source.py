@@ -2,7 +2,7 @@
 module uses every name it imports, and every name in an ``__all__`` or
 imported from a sibling module is defined there.  A deleted function whose
 import or export was left behind fails here, not at a user's import.  No
-module imports scipy when it is itself imported."""
+module imports scipy or orjson when it is itself imported."""
 
 import ast
 from pathlib import Path
@@ -94,12 +94,13 @@ def import_time_modules(tree):
 
 
 @pytest.mark.parametrize("module", sorted(TREES))
-def test_no_module_level_scipy_import(module):
-    # scipy is imported by the first call that needs it, so importing the
-    # CLI loads numpy only
+def test_no_module_level_scipy_or_orjson_import(module):
+    # scipy and orjson are imported by the first call that needs them, so
+    # importing the CLI loads numpy only
     found = sorted(line for line, name in import_time_modules(TREES[module])
-                   if name.split(".")[0] == "scipy")
-    assert not found, f"calcheck/{module}.py imports scipy at module level, lines {found}"
+                   if name.split(".")[0] in ("scipy", "orjson"))
+    assert not found, (f"calcheck/{module}.py imports scipy or orjson at module level, "
+                       f"lines {found}")
 
 
 def callers(tree, callee: str) -> set[str]:
@@ -121,10 +122,11 @@ def callers(tree, callee: str) -> set[str]:
 
 def test_record_lines_have_one_parse_path():
     # json.loads and json.load read the config file and a saved report; a
-    # record line is parsed by _parse_line alone, whose scanner call falls
-    # back to json.loads for a line it does not take whole
+    # block of record lines is parsed by orjson in _orjson_batch alone, and a
+    # block it declines, like the sniffed first line, by _parse_line alone
     cli = TREES["cli"]
     assert callers(cli, "json.loads") == {"_parse_line", "_cmd_report"}
     assert callers(cli, "json.load") == {"_load_file_config"}
-    assert callers(cli, "_SCAN") == {"_parse_line"}
+    assert callers(cli, "orjson.loads") == {"_orjson_batch"}
+    assert callers(cli, "_orjson_batch") == {"iter_records"}
     assert callers(cli, "_parse_line") == {"iter_records", "sniff_model_kind"}
