@@ -11,7 +11,8 @@ A four-slot pipeline, each slot independently swappable:
 * testing (:mod:`calcheck.hyptest`, :mod:`calcheck.seqtest`) - exact
   Binomial and KS tests offline, anytime-valid e-value monitors online.
 
-Every recipe ends in a single accept/reject decision.
+Every recipe ends in a single accept/reject decision, and refuses a field
+its slots do not apply (say, a monitor's tolerance) instead of ignoring it.
 """
 
 __version__ = "0.1.0"

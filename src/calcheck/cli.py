@@ -21,7 +21,8 @@ summary block the saved run printed and exits as it did: 1 for a reject,
 Each setting comes from its flag, else the ``--config`` file, else its
 default; a given setting that the run does not apply is refused as a
 configuration error before records are parsed or output is made, and before
-a bad, empty or missing record input is reported.
+a bad, empty or missing record input is reported.  The ``_METRICS`` and
+``_TESTINGS`` tables are the one place where slot pairings are stated.
 ``check``, ``monitor`` and ``simulate`` all emit through ``_finish``.
 
 Importing this module loads numpy but neither scipy nor orjson.
@@ -101,12 +102,6 @@ __all__ = [
     "main",
 ]
 
-MODELS = tuple(FAMILIES)
-METRICS = ("coverage", "pit_ks", "folded_ks", "halfplane")
-TESTINGS = ("binom_bonferroni", "binom_holm", "ks", "evalue_monitor")
-
-_CDF_MODELS = ("gaussian", "mv_gaussian")
-
 SEED_ENV_VAR = "CALCHECK_SEED"
 
 EXIT_ACCEPT = 0
@@ -123,99 +118,129 @@ BLOCK = 1 << 16  # bytes asked of each read of a record input
 # configuration
 # ---------------------------------------------------------------------------
 
+MODELS = tuple(FAMILIES)
+
+# The two tables below are the one statement of which slot values combine.
+# _check_slots reads them for RecipeConfig and for a run before its input is
+# read; a run resolves the settings of the fields its testing applies, the
+# provenance records them, and argparse offers the tables' keys as choices.
+# Each metric: the model families it is defined on, and the refusal for the
+# others.
+_CDF_MODELS = ("gaussian", "mv_gaussian")
+_NO_PIT = "metric {metric!r} needs a CDF-bearing model; the PIT is undefined for {model!r}"
+_METRICS = {
+    "coverage": (_CDF_MODELS, "particle clouds have no centered interval; use metric=halfplane"),
+    "pit_ks": (_CDF_MODELS, _NO_PIT),
+    "folded_ks": (_CDF_MODELS, _NO_PIT),
+    "halfplane": (("particles",), "the half-plane metric requires the particles model"),
+}
+# Each testing procedure: the metrics it consumes, the refusal for the others,
+# and the RecipeConfig fields it applies (it refuses the others).  A metric's
+# default testing is the first that consumes it.
+_OFFLINE = ("hypothesis", "levels", "bins")
+_BINOMIAL = (("coverage", "halfplane"), "Binomial testing consumes coverage counts", _OFFLINE)
+_TESTINGS = {
+    "binom_bonferroni": _BINOMIAL,
+    "binom_holm": _BINOMIAL,
+    "ks": (("pit_ks", "folded_ks"), "the KS test requires a PIT-family metric", _OFFLINE),
+    "evalue_monitor": (("coverage", "halfplane"),
+                       "the e-value monitor scores coverage, not the PIT", ("evalue",)),
+}
+METRICS = tuple(_METRICS)
+TESTINGS = tuple(_TESTINGS)
+
+
 @dataclass(frozen=True)
 class RecipeConfig:
     """One concrete four-slot recipe plus run parameters.
 
-    Slot compatibility is enforced here, before any computation: PIT metrics
-    need a CDF-bearing model, the half-plane metric needs particles, the KS
-    test needs a PIT-family metric, and monitors need an e-value config.
+    Slot compatibility is enforced here, before any computation, from the
+    ``_METRICS`` and ``_TESTINGS`` tables, the one place where slot pairings
+    are stated.  A field the testing does not apply is refused, not ignored:
+    an offline test applies ``hypothesis`` (two-sided, no tolerance, when
+    unset), ``levels`` (the default grid) and ``bins``; the monitor ``evalue``.
     """
 
     model: str = "gaussian"
     metric: str = "coverage"
-    hypothesis: HypothesisSpec = field(default_factory=HypothesisSpec)
+    hypothesis: HypothesisSpec | None = None
     testing: str = "binom_bonferroni"
     alpha: float = 0.05
-    levels: LevelGrid = field(default_factory=LevelGrid.default)
+    levels: LevelGrid | None = None
     bins: int | None = None
     evalue: EValueConfig | None = None
     seed: int = 0
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise ConfigError(f"unknown model {self.model!r}")
-        _check_slots(self.metric, self.testing, self.alpha, self.hypothesis, self.levels,
-                     self.bins, self.evalue)
-        if self.metric in ("pit_ks", "folded_ks") and self.model not in _CDF_MODELS:
-            raise ConfigError(
-                f"metric {self.metric!r} needs a CDF-bearing model; the PIT is "
-                f"undefined for {self.model!r}"
-            )
-        if self.metric == "halfplane" and self.model != "particles":
-            raise ConfigError("the half-plane metric requires the particles model")
-        if self.metric == "coverage" and self.model == "particles":
-            raise ConfigError(
-                "particle clouds have no centered interval; use metric=halfplane"
-            )
-        if self.bins is not None and self.model not in _CDF_MODELS:
-            raise ConfigError("variance binning needs a scalar predicted uncertainty")
+        # an offline test's hypothesis and levels come back with their defaults
+        # filled in; a frozen dataclass takes them through its __dict__
+        self.__dict__.update(_check_slots(self.model, self.metric, self.testing, self.alpha,
+                                          self.hypothesis, self.levels, self.bins, self.evalue))
 
     def to_dict(self) -> dict:
-        """The recipe as applied, for the provenance: a monitor tests
-        coverage at lambda alone and applies no sidedness, tolerance, level
-        grid or bins, and an offline recipe applies no lambda or p_alt."""
+        """The recipe as applied, for the provenance: the settings of the
+        fields its testing applies, so a monitor's lambda and p_alt, and an
+        offline recipe's sidedness, tolerance, level grid and bins."""
         d = {"model": self.model, "metric": self.metric, "testing": self.testing,
              "alpha": self.alpha, "seed": self.seed}
-        if self.testing == "evalue_monitor":
+        (_, _, fields), hyp = _TESTINGS[self.testing], self.hypothesis
+        if "hypothesis" in fields:
+            d.update(sided="one" if hyp.sidedness == ONE_SIDED else "two", tolerance=hyp.tolerance)
+        if "levels" in fields:
+            d["levels"] = [float(x) for x in self.levels.levels]
+        if "bins" in fields:
+            d["bins"] = self.bins
+        if "evalue" in fields:
             d.update({"lambda": self.evalue.level, "p_alt": self.evalue.p_alt})
-        else:
-            d.update(sided="one" if self.hypothesis.sidedness == ONE_SIDED else "two",
-                     tolerance=self.hypothesis.tolerance,
-                     levels=[float(x) for x in self.levels.levels], bins=self.bins)
         return d
 
 
-def _check_slots(metric: str, testing: str, alpha: float, hypothesis: HypothesisSpec,
-                 levels: LevelGrid, bins: int | None, evalue: EValueConfig | None) -> None:
-    """The recipe checks that do not read the model, so a run can make them
-    before it reads its input to learn the model."""
+def _check_slots(model: str | None, metric: str, testing: str, alpha: float,
+                 hypothesis=None, levels=None, bins=None, evalue=None) -> dict:
+    """Refuse a recipe the tables do not pair or whose settings are out of
+    range; return an offline test's hypothesis and levels, defaults filled
+    in.  ``model`` None leaves out the checks that read the model."""
+    if model is not None and model not in MODELS:
+        raise ConfigError(f"unknown model {model!r}")
     if metric not in METRICS:
         raise ConfigError(f"unknown metric {metric!r}")
     if testing not in TESTINGS:
         raise ConfigError(f"unknown testing {testing!r}")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    metrics, refusal, applies = _TESTINGS[testing]
+    if metric not in metrics:
+        raise ConfigError(refusal)
+    given = {"hypothesis": hypothesis, "levels": levels, "bins": bins, "evalue": evalue}
+    if refused := [k for k, v in given.items() if v is not None and k not in applies]:
+        raise ConfigError(f"{testing} does not apply {refused[0]!r}")
+    spec, grid = hypothesis or HypothesisSpec(), levels or LevelGrid.default()
     if testing == "ks":
-        if metric not in ("pit_ks", "folded_ks"):
-            raise ConfigError("the KS test requires a PIT-family metric")
-        if hypothesis.sidedness == ONE_SIDED and metric != "folded_ks":
+        if spec.sidedness == ONE_SIDED and metric != "folded_ks":
             raise ConfigError("the one-sided KS test runs on the folded PIT")
-        if hypothesis.tolerance > 0.0 and metric != "folded_ks":
+        if spec.tolerance > 0.0 and metric != "folded_ks":
             raise ConfigError("KS tolerance bands run on the folded PIT")
-        if hypothesis.sidedness == TWO_SIDED and hypothesis.tolerance > 0.0:
+        if spec.sidedness == TWO_SIDED and spec.tolerance > 0.0:
             raise ConfigError("no two-sided KS tolerance band is defined")
-    if testing in ("binom_bonferroni", "binom_holm"):
-        if metric not in ("coverage", "halfplane"):
-            raise ConfigError("Binomial testing consumes coverage counts")
-        # the tests run at level - tolerance and, two-sided, level + tolerance
-        tol, lv = hypothesis.tolerance, levels.levels
-        out = (lv - tol <= 0.0) | ((hypothesis.sidedness == TWO_SIDED) & (lv + tol >= 1.0))
+    elif "levels" in applies:
+        # a Binomial test runs at level - tolerance and, two-sided, level + tolerance
+        tol, lv = spec.tolerance, grid.levels
+        out = (lv - tol <= 0.0) | ((spec.sidedness == TWO_SIDED) & (lv + tol >= 1.0))
         if out.any():
             raise ConfigError(f"tolerance {tol} shifts level {lv[out][0]:g} out of (0, 1)")
+    if "evalue" in applies and evalue is None:
+        raise ConfigError(f"{testing} requires an e-value config")
     if evalue is not None and evalue.alpha != alpha:  # one alpha for the whole recipe
         raise ConfigError(f"the e-value config's alpha {evalue.alpha} differs from the "
                           f"recipe's alpha {alpha}")
-    if testing == "evalue_monitor":
-        if evalue is None:
-            raise ConfigError("evalue_monitor requires an e-value config")
-        if metric in ("pit_ks", "folded_ks"):
-            raise ConfigError("the e-value monitor scores coverage, not the PIT")
-    if bins is not None:
-        if bins < 1:
-            raise ConfigError("bins must be >= 1")
-        if testing == "evalue_monitor":
-            raise ConfigError("variance binning does not wrap monitors")
+    if bins is not None and bins < 1:
+        raise ConfigError("bins must be >= 1")
+    families, refusal = _METRICS[metric]
+    if model is not None and model not in families:
+        raise ConfigError(refusal.format(metric=metric, model=model))
+    if model is not None and bins is not None and model not in _CDF_MODELS:
+        raise ConfigError("variance binning needs a scalar predicted uncertainty")
+    return {"hypothesis": spec, "levels": grid} if "levels" in applies else {}
 
 
 @dataclass(frozen=True)
@@ -505,22 +530,19 @@ def _ks_tables(sample, report: TestReport, grid: LevelGrid) -> dict:
 def _single_check(
     config: RecipeConfig, records: RecordBatch, alpha: float
 ) -> tuple[TestReport, dict]:
-    spec = config.hypothesis
-    if config.metric in ("coverage", "halfplane"):
-        if config.metric == "coverage":
-            curve = coverage_counts(records, config.levels)
-        else:
-            curve = halfplane_coverage(
-                records, config.levels, np.random.default_rng([config.seed, 2])
-            )
-        correction = "holm" if config.testing == "binom_holm" else "bonferroni"
-        report = coverage_binomial_report(curve, spec, alpha, correction)
-        return report, {"coverage": _coverage_table(report)}
-    sample = pit(records)
-    if config.metric == "folded_ks":
-        sample = fold(sample)
-    report = ks_test(sample, spec, alpha)
-    return report, _ks_tables(sample, report, config.levels)
+    if config.testing == "ks":
+        sample = pit(records)
+        if config.metric == "folded_ks":
+            sample = fold(sample)
+        report = ks_test(sample, config.hypothesis, alpha)
+        return report, _ks_tables(sample, report, config.levels)
+    if config.metric == "coverage":
+        curve = coverage_counts(records, config.levels)
+    else:
+        curve = halfplane_coverage(records, config.levels, np.random.default_rng([config.seed, 2]))
+    correction = "holm" if config.testing == "binom_holm" else "bonferroni"
+    report = coverage_binomial_report(curve, config.hypothesis, alpha, correction)
+    return report, {"coverage": _coverage_table(report)}
 
 
 def run_check(
@@ -1058,6 +1080,17 @@ def _evalue_config(settings: _Settings, alpha: float) -> EValueConfig:
     return EValueConfig(level=lam, p_alt=p_alt, alpha=alpha)
 
 
+# How a run resolves each field a testing may apply from its settings; a
+# setting of a field the testing does not apply is left unread, so refused.
+_FIELD_SETTINGS = {
+    "hypothesis": lambda s, alpha: HypothesisSpec(s.resolve("sided", _sidedness, TWO_SIDED),
+                                                  s.resolve("tolerance", _number, 0.0)),
+    "levels": lambda s, alpha: s.resolve("levels", _parse_levels),
+    "bins": lambda s, alpha: s.resolve("bins", _integer),
+    "evalue": _evalue_config,
+}
+
+
 def _recipe_from_args(settings: _Settings, source: RecordSource,
                       testing: str | None) -> RecipeConfig:
     """The recipe of a check or monitor run over ``source``, after
@@ -1075,37 +1108,23 @@ def _recipe_from_args(settings: _Settings, source: RecordSource,
     model = settings.resolve("model")
     alpha = settings.resolve("alpha", _number, 0.05)
     metric = settings.resolve("metric")
-    if testing is None:
-        testing = settings.resolve(
-            "testing",
-            default="ks" if metric in ("pit_ks", "folded_ks") else "binom_bonferroni",
-        )
-    slots = {"hypothesis": HypothesisSpec(), "levels": LevelGrid.default(), "bins": None,
-             "evalue": None}
-    if testing == "evalue_monitor":
-        # a monitor tests coverage at lambda alone: it applies no sidedness,
-        # tolerance, level grid or bins, so those keep their defaults
-        slots["evalue"] = _evalue_config(settings, alpha)
-    else:
-        slots.update(
-            hypothesis=HypothesisSpec(
-                sidedness=settings.resolve("sided", _sidedness, TWO_SIDED),
-                tolerance=settings.resolve("tolerance", _number, 0.0),
-            ),
-            levels=settings.resolve("levels", _parse_levels, LevelGrid.default()),
-            bins=settings.resolve("bins", _integer),
-        )
+    if testing is None:  # the first testing that consumes the metric
+        testing = settings.resolve("testing", default=next(
+            (t for t, (consumed, _, _) in _TESTINGS.items() if (metric or "coverage") in consumed),
+            None))
+    fields = {name: _FIELD_SETTINGS[name](settings, alpha)
+              for name in (_TESTINGS[testing][2] if testing in TESTINGS else ())}
     seed = _resolve_seed(settings)
-    _check_slots(metric or "coverage", testing, alpha, **slots)
+    _check_slots(None, metric or "coverage", testing, alpha, **fields)  # before any input is read
     try:
         model = model or sniff_model_kind(source)
     except (DataError, OSError):
         settings.refuse_unread()
         raise
-    if metric is None:
-        metric = "halfplane" if model == "particles" else "coverage"
+    if metric is None:  # the first metric defined on the model
+        metric = next((m for m, (families, _) in _METRICS.items() if model in families), None)
     config = RecipeConfig(model=model, metric=metric, testing=testing, alpha=alpha,
-                          seed=seed, **slots)
+                          seed=seed, **fields)
     settings.refuse_unread()
     return config
 

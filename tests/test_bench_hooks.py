@@ -88,6 +88,24 @@ def test_traced_layers_see_ingest_and_monitor_steps(tmp_path):
         tracer.uninstall(saved)
     for layer in ("metric.coverage_counts", "metric.halfplane_coverage"):
         assert tracer.totals[layer][0] > 0, layer
+    # the slot tables name what a recipe runs, not the functions: check must
+    # look the PIT, the tests and the binning up on cli when it runs, where
+    # the tracer wraps them
+    saved = tracer.install({"cli": calcheck.cli, "metric": calcheck.metric,
+                            "sim": calcheck.sim})
+    try:
+        for flags in (["--metric", "folded_ks", "--sided", "one", "--tolerance", "0.01"],
+                      ["--bins", "3"], ["--testing", "binom_holm"]):
+            argv = ["check", str(weather / "weather_records.jsonl"), *flags]
+            tracer.begin_command()
+            code = calcheck.cli.main(argv)
+            tracer.end_command(keep=True)
+            assert code in (0, 1), flags
+    finally:
+        tracer.uninstall(saved)
+    for layer in ("metric.pit", "hyptest.ks_test", "metric.variance_bin",
+                  "hyptest.coverage_binomial_report"):
+        assert tracer.totals[layer][0] > 0, layer
 
 
 def test_traced_simulate_reaches_the_render_layer(tmp_path):

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import math
 import multiprocessing
@@ -31,7 +32,7 @@ from calcheck.cli import (
     write_records,
 )
 from calcheck.errors import ConfigError, DataError
-from calcheck.hyptest import ONE_SIDED, HypothesisSpec
+from calcheck.hyptest import ONE_SIDED, TWO_SIDED, HypothesisSpec
 from calcheck.metric import LevelGrid, fold, pit
 from calcheck.records import GaussianBatch, MvGaussianBatch, ParticleBatch
 from calcheck.seqtest import EValueConfig
@@ -211,8 +212,7 @@ def test_monitor_alpha_has_one_source():
 
 
 def test_provenance_config_holds_the_keys_the_recipe_applies():
-    offline = RecipeConfig(model="gaussian", metric="coverage", bins=3,
-                           evalue=EValueConfig(level=0.9, p_alt=0.8, alpha=0.05))
+    offline = RecipeConfig(model="gaussian", metric="coverage", bins=3)
     assert sorted(offline.to_dict()) == ["alpha", "bins", "levels", "metric", "model", "seed",
                                          "sided", "testing", "tolerance"]
     # a monitor applies no sidedness, tolerance, level grid or bins
@@ -221,6 +221,72 @@ def test_provenance_config_holds_the_keys_the_recipe_applies():
     assert monitor.to_dict() == {"model": "gaussian", "metric": "coverage",
                                  "testing": "evalue_monitor", "alpha": 0.05, "seed": 0,
                                  "lambda": 0.9, "p_alt": 0.8}
+
+
+def test_offline_recipe_refuses_an_evalue_config_it_would_ignore():
+    with pytest.raises(ConfigError, match="^binom_bonferroni does not apply 'evalue'$"):
+        RecipeConfig(model="gaussian", metric="coverage", bins=3,
+                     evalue=EValueConfig(level=0.9, p_alt=0.8, alpha=0.05))
+    with pytest.raises(ConfigError, match="^ks does not apply 'evalue'$"):
+        RecipeConfig(model="gaussian", metric="pit_ks", testing="ks",
+                     evalue=EValueConfig(level=0.9, p_alt=0.8, alpha=0.05))
+
+
+def test_monitor_recipe_refuses_settings_it_would_ignore():
+    # run_monitor tests coverage at lambda alone: a sidedness, tolerance, level
+    # grid or bins given to it would be recorded nowhere and applied nowhere
+    monitor = dict(testing="evalue_monitor", evalue=EValueConfig(0.9, 0.8, 0.05))
+    with pytest.raises(ConfigError, match="^evalue_monitor does not apply 'hypothesis'$"):
+        RecipeConfig(**monitor, hypothesis=HypothesisSpec(ONE_SIDED, 0.05),
+                     levels=LevelGrid(np.array([0.5])))
+    for name, value in [("hypothesis", HypothesisSpec()), ("levels", LevelGrid.default()),
+                        ("bins", 3)]:
+        with pytest.raises(ConfigError, match=f"^evalue_monitor does not apply '{name}'$"):
+            RecipeConfig(**monitor, **{name: value})
+    config = RecipeConfig(**monitor)
+    assert config.hypothesis is config.levels is config.bins is None
+
+
+def test_recipe_and_cli_accept_the_same_recipes(tmp_path, capsys):
+    # every model x metric x testing x sidedness x tolerance x bins: the
+    # library accepts a recipe exactly when check (and monitor, for the
+    # monitor's testing) does; a refused one exits 2 before its input is
+    # opened, and an accepted one runs on a small input of its model
+    rng = np.random.default_rng(3)
+    inputs = {}
+    for kind in cli.MODELS:
+        inputs[kind] = tmp_path / f"{kind}.jsonl"
+        write_records(_random_records(rng, kind, 40), inputs[kind])
+    missing, cfg = str(tmp_path / "absent.jsonl"), tmp_path / "cfg.json"
+    accepted = {"offline": 0, "monitor": 0}
+    for model, metric, testing, sided, tolerance, bins in itertools.product(
+            cli.MODELS, cli.METRICS, cli.TESTINGS, [None, "one"], [None, 0.02], [None, 3]):
+        kwargs = {"bins": bins}
+        if sided or tolerance:
+            kwargs["hypothesis"] = HypothesisSpec(ONE_SIDED if sided else TWO_SIDED,
+                                                  tolerance or 0.0)
+        if testing == "evalue_monitor":
+            kwargs["evalue"] = EValueConfig(0.9, 0.8, 0.05)
+        try:
+            RecipeConfig(model=model, metric=metric, testing=testing, **kwargs)
+            ok = True
+        except ConfigError:
+            ok = False
+        settings = {"model": model, "metric": metric, "testing": testing, "sided": sided,
+                    "tolerance": tolerance, "bins": bins}
+        runs = [("check", settings)]
+        if testing == "evalue_monitor":
+            runs.append(("monitor", {k: v for k, v in settings.items() if k != "testing"}))
+        for command, file_cfg in runs:
+            cfg.write_text(json.dumps(file_cfg))
+            argv = [command, missing, "--config", str(cfg)]
+            assert cli.main(argv) == (3 if ok else 2), file_cfg
+            if ok:
+                argv[1] = str(inputs[model])
+                assert cli.main(argv) in (0, 1), file_cfg
+            capsys.readouterr()
+        accepted["monitor" if testing == "evalue_monitor" else "offline"] += ok
+    assert accepted == {"offline": 56, "monitor": 3}
 
 
 # ---------------------------------------------------------------------------
