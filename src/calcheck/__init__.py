@@ -4,8 +4,8 @@ A four-slot pipeline, each slot independently swappable:
 
 * model & data (:mod:`calcheck.records`) - what the forecaster emits, as
   columnar batches of (prediction, outcome) records, one type per family;
-* metric (:mod:`calcheck.metric`) - coverage counts, PIT samples,
-  variance bins, half-plane coverage for particle clouds;
+* metric (:mod:`calcheck.metric`) - coverage counts (half-plane coverage
+  for particle clouds), PIT samples, variance bins;
 * hypothesis (:class:`calcheck.hyptest.HypothesisSpec`) - two-sided,
   one-sided over-confidence-only, with an optional tolerance margin;
 * testing (:mod:`calcheck.hyptest`, :mod:`calcheck.seqtest`) - exact
@@ -45,18 +45,12 @@ from .metric import (
     VarianceBins,
     coverage_counts,
     fold,
-    halfplane_coverage,
     pit,
     variance_bin,
     weighted_quantile,
 )
 from .records import GaussianBatch, MvGaussianBatch, ParticleBatch, RecordBatch
-from .seqtest import (
-    EValueConfig,
-    MartingaleState,
-    monitor_step_gaussian,
-    monitor_step_halfplane,
-)
+from .seqtest import EValueConfig, MartingaleState, monitor_step
 from .sim import (
     RobotSimConfig,
     WeatherSimConfig,

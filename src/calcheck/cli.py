@@ -48,6 +48,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -66,21 +67,9 @@ from .hyptest import (
     coverage_binomial_report,
     ks_test,
 )
-from .metric import (
-    LevelGrid,
-    coverage_counts,
-    fold,
-    halfplane_coverage,
-    pit,
-    variance_bin,
-)
+from .metric import LevelGrid, coverage_counts, fold, pit, variance_bin
 from .records import FAMILIES, RecordBatch
-from .seqtest import (
-    EValueConfig,
-    MartingaleState,
-    monitor_step_gaussian,
-    monitor_step_halfplane,
-)
+from .seqtest import EValueConfig, MartingaleState, monitor_step
 from .sim import (
     RobotSimConfig,
     WeatherSimConfig,
@@ -88,6 +77,12 @@ from .sim import (
     run_robot_sim,
     run_weather_sim,
 )
+
+# The benchmark's tracer (bench/tracing.py) wraps functions by module
+# attribute and times each family's coverage count and monitor step as a
+# layer of its own, so this module calls them by these per-family names.
+monitor_step_gaussian = monitor_step_halfplane = monitor_step
+halfplane_coverage = coverage_counts
 
 __all__ = [
     "RecipeConfig",
@@ -351,17 +346,34 @@ def _opened(source: str | Path | RecordSource):
     return RecordSource(source)
 
 
+# The deepest nesting of arrays and objects a record line may hold; a
+# record needs 3.  json's C scanner counts nesting against the recursion
+# limit from the caller's stack depth, so without a bound of its own whether
+# a line is valid would depend on how deep the program was called.
+MAX_DEPTH = 64
+# a string, or an unterminated one to the end of the line
+_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"?', re.DOTALL)
+# each bracket as its step in nesting depth, with every other byte deleted
+_DEPTH_STEPS = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")
+_NOT_BRACKETS = bytes(b for b in range(256) if b not in b"[{]}")
+
+
 def _parse_line(line: bytes):
     """The JSON value of one record line, as ``json.loads`` gives it: a bad
-    line raises json's own exception and message, positions included.  Deep
-    nesting raises ``RecursionError`` and an integer of more than
-    ``sys.get_int_max_str_digits()`` digits ``ValueError``."""
+    line raises json's own exception and message, positions included.  A
+    line nested more than ``MAX_DEPTH`` deep outside its strings raises
+    ``ValueError`` before json reads it, and an integer of more than
+    ``sys.get_int_max_str_digits()`` digits raises json's ``ValueError``."""
+    if line.count(b"[") + line.count(b"{") > MAX_DEPTH:  # else it cannot be deeper
+        steps = _STRING.sub(b"", line).translate(_DEPTH_STEPS, _NOT_BRACKETS)
+        if np.frombuffer(steps, np.int8).cumsum().max(initial=0) > MAX_DEPTH:
+            raise ValueError(f"nested more than {MAX_DEPTH} deep")
     return json.loads(line.decode())  # decoding first is faster than json's own
 
 
 # At most this many "[" and "{" bytes on a line that orjson parses: it has no
-# nesting limit and overflows the C stack on a deep enough line, where json
-# raises RecursionError.  A 500-particle cloud holds 504.
+# nesting limit and overflows the C stack on a deep enough line, which
+# _parse_line refuses before json reads it.  A 500-particle cloud holds 504.
 MAX_BRACKETS = 1024
 
 
@@ -407,13 +419,14 @@ def iter_records(source: str | Path | RecordSource, model_kind: str) -> Iterator
     one step.  orjson reads what json reads, except that it refuses NaN,
     Infinity, lone surrogates and numbers beyond the float range, turns
     integers beyond 64 bits into their correctly rounded floats, and has no
-    nesting limit: a deep enough line overflows its C stack, where json
-    raises ``RecursionError``.  So a block goes through json line by line
-    (``_parse_line``) instead when a line holds more than ``MAX_BRACKETS``
-    ``[`` and ``{`` bytes, orjson refuses a line, a line is not an object,
-    an object holds a container under a key the family does not read (json
-    may refuse it as nested too deeply; a family column that deep fails the
-    batch), or the batch cannot be built (a float ``t`` cannot).  Every
+    nesting limit: a deep enough line overflows its C stack, where
+    ``_parse_line`` refuses a line nested more than ``MAX_DEPTH`` deep.  So
+    a block goes through json line by line (``_parse_line``) instead when a
+    line holds more than ``MAX_BRACKETS`` ``[`` and ``{`` bytes, orjson
+    refuses a line, a line is not an object, an object holds a container
+    under a key the family does not read (it may be nested too deeply; a
+    family column that deep fails the batch), or the batch cannot be built
+    (a float ``t`` cannot).  Every
     batch is therefore the one json gives, bit for bit, and every error,
     line number and block boundary is the json loop's.
 
@@ -649,13 +662,10 @@ def run_monitor(
     error = None
     try:
         for batch in batches:
-            # the steps are looked up on this module, where the benchmark's
-            # tracer (bench/tracing.py) wraps them
             t0 = state.t
-            if batch.kind == "particles":
-                state, log_e = monitor_step_halfplane(state, batch, ev, rng)
-            else:
-                state, log_e = monitor_step_gaussian(state, batch, ev)
+            # one step under the tracer's per-family names (see their bindings)
+            step = monitor_step_halfplane if batch.kind == "particles" else monitor_step_gaussian
+            state, log_e = step(state, batch, ev, rng)
             es: list[float] = []  # the e-value after each record of the batch
             try:
                 # math.exp, not np.exp: the trace holds libm's bits; extend

@@ -33,7 +33,6 @@ __all__ = [
     "variance_bin",
     "weighted_quantile",
     "halfplane_indicator",
-    "halfplane_coverage",
     "random_direction",
 ]
 
@@ -293,8 +292,3 @@ def halfplane_indicator(
     lo, hi = weighted_quantile(w, pts @ d, q)
     zy = float(y @ d)
     return (lo <= zy) & (zy <= hi)
-
-
-# The half-plane metric's coverage curve is coverage_counts on particle
-# clouds; a name of its own keeps it a separate layer in bench/tracing.py.
-halfplane_coverage = coverage_counts

@@ -2,9 +2,13 @@
 
 An e-value is a nonnegative statistic with null expectation at most 1; its
 running product is a test martingale that may be inspected at every step,
-with Type-I error controlled by Ville's inequality.  The monitors here
-multiply one likelihood-ratio e-value per incoming prediction/outcome pair
-and raise an alarm at the first crossing of ``1/alpha``.
+with Type-I error controlled by Ville's inequality.  The monitor here
+multiplies one likelihood-ratio e-value per incoming prediction/outcome pair
+and raises an alarm at the first crossing of ``1/alpha``.  One step,
+:func:`monitor_step`, serves every prediction family: it scores the coverage
+indicator the family's record batch supplies
+(:meth:`~calcheck.records.RecordBatch.covered`), so scalar Gaussian,
+multivariate Gaussian and particle-cloud streams are monitored alike.
 
 The running product is held in log space: an all-miss stream doubles the
 product every step, which would overflow floating point near one thousand
@@ -21,13 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .records import ParticleBatch, RecordBatch
+from .records import RecordBatch
 
 __all__ = [
     "EValueConfig",
     "MartingaleState",
-    "monitor_step_gaussian",
-    "monitor_step_halfplane",
+    "monitor_step",
 ]
 
 
@@ -65,16 +68,19 @@ class EValueConfig:
 class MartingaleState:
     """Immutable snapshot of a running test martingale.
 
-    ``alarmed`` latches at the first step where the product exceeds
-    ``1/alpha`` and ``first_crossing`` records that step; the trajectory
+    ``first_crossing`` records the first step where the product exceeds
+    ``1/alpha``, and the state is ``alarmed`` from then on; the trajectory
     keeps accumulating afterwards for diagnostics, but the decision contract
     is the first crossing.
     """
 
     log_e: float = 0.0
     t: int = 0
-    alarmed: bool = False
     first_crossing: int | None = None
+
+    @property
+    def alarmed(self) -> bool:
+        return self.first_crossing is not None
 
     @property
     def e_value(self) -> float:
@@ -90,61 +96,40 @@ def _log_lr(k: int, config: EValueConfig) -> float:
     return math.log1p(-config.p_alt) - math.log1p(-config.level)
 
 
-def _advanced(
-    state: MartingaleState, covered: np.ndarray, config: EValueConfig
+def monitor_step(
+    state: MartingaleState,
+    batch: RecordBatch,
+    config: EValueConfig,
+    rng: np.random.Generator | None = None,
 ) -> tuple[MartingaleState, np.ndarray]:
-    """The state after one step per coverage indicator in ``covered``, and
-    the running log e-value after each of those steps.
+    """Advance the coverage monitor over a batch of records of any family.
+
+    Scores each record's coverage indicator
+    :meth:`~calcheck.records.RecordBatch.covered` at the configured level,
+    the one :func:`calcheck.metric.coverage_counts` counts, and multiplies
+    the running martingale by the likelihood-ratio e-value of each
+    indicator in record order.  Particle clouds need ``rng``: each cloud's
+    half-plane indicator is drawn on a fresh direction from it, cloud by
+    cloud in record order; the other families do not read it.  Returns the
+    state after the batch and the running log e-value after each of its
+    records.
 
     ``np.add.accumulate`` over ``[log_e, *steps]`` adds the steps one at a
     time, left to right, so every entry is the sum a step-by-step loop would
     hold, bit for bit; adding the carried ``log_e`` to a cumulative sum of
     the steps would round differently.
     """
+    covered = batch.covered(np.array([config.level]), rng)[:, 0]
     steps = np.where(covered, _log_lr(1, config), _log_lr(0, config))
     log_e = np.add.accumulate(np.concatenate(([state.log_e], steps)))
     first_crossing = state.first_crossing
-    if not state.alarmed:
+    if first_crossing is None:
         above = np.flatnonzero(log_e[1:] > config.log_threshold)
         if above.size:
             first_crossing = state.t + int(above[0]) + 1
     new = MartingaleState(
         log_e=float(log_e[-1]),
         t=state.t + len(steps),
-        alarmed=state.alarmed or first_crossing is not None,
         first_crossing=first_crossing,
     )
     return new, log_e[1:]
-
-
-def monitor_step_gaussian(
-    state: MartingaleState, batch: RecordBatch, config: EValueConfig
-) -> tuple[MartingaleState, np.ndarray]:
-    """Advance the coverage monitor over a batch of records of any family
-    with a CDF, scalar and multivariate Gaussians alike; ``bench/tracing.py``
-    traces it under this name.
-
-    Scores each record's coverage indicator
-    :meth:`~calcheck.records.RecordBatch.covered` at the configured level,
-    the one :func:`calcheck.metric.coverage_counts` counts, and multiplies
-    the running martingale by the likelihood-ratio e-value of each
-    indicator in record order.  Returns the state after the batch and the
-    running log e-value after each of its records.
-    """
-    return _advanced(state, batch.covered(np.array([config.level]))[:, 0], config)
-
-
-def monitor_step_halfplane(
-    state: MartingaleState,
-    batch: ParticleBatch,
-    config: EValueConfig,
-    rng: np.random.Generator,
-) -> tuple[MartingaleState, np.ndarray]:
-    """Advance the half-plane particle monitor over a batch of clouds.
-
-    Scores each record's half-plane coverage indicator at the configured
-    level, on a fresh direction drawn from ``rng`` cloud by cloud in record
-    order, and feeds them to the martingale.  Returns what
-    :func:`monitor_step_gaussian` returns.
-    """
-    return _advanced(state, batch.covered(np.array([config.level]), rng)[:, 0], config)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import calcheck.cli
 import calcheck.metric
+import calcheck.seqtest
 import calcheck.sim
 from calcheck.sim import RobotSimConfig, WeatherSimConfig, run_robot_sim, run_weather_sim
 
@@ -32,6 +33,15 @@ def test_every_traced_layer_resolves():
         fn = getattr(importlib.import_module(f"calcheck.{mod_name}"), fn_name, None)
         assert callable(fn), f"{layer}: calcheck.{attr} is missing"
         assert inspect.isgeneratorfunction(fn) == (kind == "gen"), attr
+
+
+def test_per_family_layers_are_bindings_of_one_function():
+    # the tracer times each family's monitor step and coverage count under a
+    # name of its own; the library defines each once, and cli and sim alone
+    # bind the tracer's names to it
+    assert (calcheck.cli.monitor_step_gaussian is calcheck.cli.monitor_step_halfplane
+            is calcheck.sim.monitor_step_halfplane is calcheck.seqtest.monitor_step)
+    assert calcheck.cli.halfplane_coverage is calcheck.metric.coverage_counts
 
 
 def test_benchmark_entry_points_exist():

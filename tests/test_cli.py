@@ -565,8 +565,7 @@ def test_cli_data_error_exit_3(tmp_path):
 
 
 MALFORMED_LINES = {
-    "deep_nesting": ("[" * 100_000 + "]" * 100_000,
-                     "maximum recursion depth exceeded while decoding a JSON array"),
+    "deep_nesting": ("[" * 100_000 + "]" * 100_000, "nested more than 64 deep"),
     "long_integer": ('{"mu": ' + "7" * 5_000 + ', "sigma": 1.0, "y": 0.5}',
                      "Exceeds the limit (4300 digits) for integer string conversion"),
 }
@@ -592,6 +591,22 @@ def test_cli_line_json_cannot_hold_is_a_data_error(tmp_path, capsys, command, at
         line_no = 2 if at == "later" else 1
         assert err.startswith(f"data error: line {line_no}: invalid JSON ({reason}")
         assert err.endswith(")\n") and err.count("\n") == 1
+
+
+def test_line_validity_does_not_depend_on_the_callers_stack_depth(tmp_path, capsys):
+    # json counts nesting against the recursion limit from the caller's
+    # depth; the line bound does not, so a deep line fails alike at any depth
+    good = gaussian_line(0.0, 1.0, 0.5)
+    deep = good[:-1] + ', "n": ' + "[" * 960 + "]" * 960 + "}"
+    path = write_lines(tmp_path / "deep.jsonl", [good, deep] + [good] * 20)
+
+    def at(depth):
+        return at(depth - 1) if depth else cli.main(["check", path, "--metric", "pit_ks"])
+
+    for depth in (0, 200):
+        assert at(depth) == 3
+        err = capsys.readouterr().err
+        assert err == "data error: line 2: invalid JSON (nested more than 64 deep)\n"
 
 
 @pytest.mark.parametrize("saved", [
@@ -1356,24 +1371,41 @@ def test_cli_stdin_particles_sniffed_without_config(tmp_path, monkeypatch, capsy
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _written_invocations() -> list[list[str]]:
-    """Every argv list passed literally to a ``main`` under tests/ and bench/.
+def _invocations_in(source: str) -> list[list[str]]:
+    """Every argv list passed literally to a ``main`` in Python ``source``.
 
     Elements that are not string literals become "1", which every flag
-    value and path argument accepts.
+    value and path argument accepts.  A list with a starred element or a
+    command that is not a literal is skipped, as its argv cannot be known.
     """
     found = []
-    for path in sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("bench/*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not (isinstance(node, ast.Call) and node.args
-                    and isinstance(node.args[0], ast.List)):
-                continue
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-            if name.endswith("main"):
-                found.append([e.value if isinstance(e, ast.Constant) else "1"
-                              for e in node.args[0].elts])
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and node.args
+                and isinstance(node.args[0], ast.List)):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        elts = node.args[0].elts
+        if (not name.endswith("main") or any(isinstance(e, ast.Starred) for e in elts)
+                or elts and not isinstance(elts[0], ast.Constant)):
+            continue
+        found.append([e.value if isinstance(e, ast.Constant) else "1" for e in elts])
     return found
+
+
+def _written_invocations() -> list[list[str]]:
+    """Every argv list passed literally to a ``main`` under tests/ and bench/."""
+    paths = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("bench/*.py"))
+    return [argv for path in paths for argv in _invocations_in(path.read_text())]
+
+
+def test_invocations_skip_an_argv_the_source_does_not_spell_out():
+    source = """
+cli.main(["check", path, *flags])
+main([command, path])
+cli.main(["monitor", path, "--seed", "1"])
+"""
+    assert _invocations_in(source) == [["monitor", "1", "--seed", "1"]]
 
 
 def _load(path: Path):

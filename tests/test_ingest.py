@@ -46,8 +46,8 @@ def per_line(data: bytes, kind: str) -> tuple[list, str | None]:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line.decode())
-        except (ValueError, RecursionError) as exc:
+            obj = json_loads_line(line)
+        except ValueError as exc:
             return good, f"line {line_no}: invalid JSON ({getattr(exc, 'msg', exc)})"
         if not isinstance(obj, dict):
             return good, f"line {line_no}: expected an object"
@@ -61,6 +61,37 @@ def per_line(data: bytes, kind: str) -> tuple[list, str | None]:
         dim = batch.dim
         good.append(batch)
     return good, None
+
+
+MAX_DEPTH = 64  # the deepest nesting a record line may hold
+
+
+def nesting_depth(line: bytes) -> int:
+    """The deepest nesting of arrays and objects in ``line`` outside its
+    strings, read one byte at a time; an unterminated string runs to the end."""
+    depth = deepest = 0
+    in_string = escaped = False
+    for char in line.decode("latin-1"):
+        if escaped:
+            escaped = False
+        elif in_string:
+            escaped, in_string = char == "\\", char != '"'
+        elif char == '"':
+            in_string = True
+        elif char in "[{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif char in "]}":
+            depth -= 1
+    return deepest
+
+
+def json_loads_line(line: bytes):
+    """``json.loads`` of a record line, which may nest at most ``MAX_DEPTH``
+    deep, whatever the stack depth it is called at."""
+    if nesting_depth(line) > MAX_DEPTH:
+        raise ValueError(f"nested more than {MAX_DEPTH} deep")
+    return json.loads(line.decode())
 
 
 def by_blocks(path, kind: str) -> tuple[list, str | None]:
@@ -291,12 +322,22 @@ SCANNER_CASES = {
     "top_level_list": ("[0.5, 1.0, 0.25]", "line 2: expected an object"),
     "top_level_number": ("0.5", "line 2: expected an object"),
     "deep_nesting": ("[" * 100_000 + "]" * 100_000,
-                     "line 2: invalid JSON (maximum recursion depth exceeded while decoding "
-                     "a JSON array from a unicode string)"),
+                     "line 2: invalid JSON (nested more than 64 deep)"),
     "deep_in_a_record": ('{"mu": 0.5, "sigma": 1.0, "y": 0.25, "n": ' + "{\"a\": " * 100_000
                          + "1" + "}" * 100_001,
-                         "line 2: invalid JSON (maximum recursion depth exceeded while decoding "
-                         "a JSON object from a unicode string)"),
+                         "line 2: invalid JSON (nested more than 64 deep)"),
+    # the record's object is the first level of nesting
+    "as_deep_as_the_bound": ('{"mu": 0.5, "sigma": 1.0, "y": 0.25, "n": ' + "[" * 63 + "]" * 63
+                             + "}", None),
+    "one_deeper_than_the_bound": ('{"mu": 0.5, "sigma": 1.0, "y": 0.25, "n": ' + "[" * 64
+                                  + "]" * 64 + "}",
+                                  "line 2: invalid JSON (nested more than 64 deep)"),
+    "brackets_in_strings": ('{"mu": 0.5, "sigma": 1.0, "y": 0.25, "n": ["\\"' + "[" * 100
+                            + '", "{' + "{" * 100 + '"]}', None),
+    "brackets_after_an_unterminated_string": ('{"mu": 0.5, "sigma": 1.0, "y": 0.25, "n": "'
+                                              + "[" * 100,
+                                              "line 2: invalid JSON (Unterminated string "
+                                              "starting at)"),
     "long_integer": ('{"mu": ' + "7" * 5_000 + ', "sigma": 1.0, "y": 0.25}',
                      "line 2: invalid JSON (Exceeds the limit (4300 digits) for integer string "
                      "conversion: value has 5000 digits; use sys.set_int_max_str_digits() to "
@@ -315,10 +356,6 @@ def parsed(parse, line: bytes) -> tuple:
         return "value", repr(parse(line))
     except (ValueError, RecursionError) as exc:
         return type(exc), str(exc)
-
-
-def json_loads_line(line: bytes):
-    return json.loads(line.decode())
 
 
 def assert_scanner_matches_json_loads(path, line: bytes) -> str | None:
@@ -383,11 +420,11 @@ def test_scanner_path_matches_json_loads_on_any_line(tmp_path_factory, line):
 
 def parse_noting_json_lines(monkeypatch, path, kind) -> tuple[list, str | None, list]:
     """``by_blocks`` of ``path``, and the lines that went through the json loop."""
-    seen = []
+    seen, parse = [], cli._parse_line
 
     def noted(line):
         seen.append(line)
-        return json_loads_line(line)
+        return parse(line)
 
     monkeypatch.setattr(cli, "_parse_line", noted)
     return (*by_blocks(path, kind), seen)
@@ -413,11 +450,9 @@ ORJSON_CASES = {
     "container_extra_key": ('{"mu": 0.5, "sigma": 1.0, "y": 0.25, "meta": {"a": 1}}', None, False),
     # within the bracket bound, beyond json's nesting limit
     "deep_extra_key": ('{"mu": 0.5, "sigma": 1.0, "y": 0.25, "n": ' + "[" * 1_020 + "]" * 1_020
-                       + "}", "line 2: invalid JSON (maximum recursion depth exceeded while "
-                       "decoding a JSON array from a unicode string)", False),
+                       + "}", "line 2: invalid JSON (nested more than 64 deep)", False),
     "deep_outcome": ('{"mu": 0.5, "sigma": 1.0, "y": ' + "[" * 1_020 + "0" + "]" * 1_020 + "}",
-                     "line 2: invalid JSON (maximum recursion depth exceeded while "
-                     "decoding a JSON array from a unicode string)", False),
+                     "line 2: invalid JSON (nested more than 64 deep)", False),
     "duplicate_key": ('{"mu": 0.5, "sigma": -1.0, "y": 0.25, "sigma": 2.0}', None, True),
 }
 
@@ -592,7 +627,7 @@ def test_deep_line_is_a_data_error_not_a_crash(tmp_path, command, deep):
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
                           timeout=120)
     assert proc.returncode == 3, proc
-    assert proc.stderr.startswith("data error: line 2: invalid JSON (maximum recursion depth")
+    assert proc.stderr == "data error: line 2: invalid JSON (nested more than 64 deep)\n"
     assert proc.stderr.count("\n") == 1, proc.stderr
 
 

@@ -10,7 +10,6 @@ from calcheck.metric import (
     PitSample,
     coverage_counts,
     fold,
-    halfplane_coverage,
     pit,
     variance_bin,
 )
@@ -225,7 +224,7 @@ def test_halfplane_coverage_calibrated_and_monotone():
         pts.append(rng.normal(size=(m, 2)))
         ys.append(pts[-1][rng.integers(0, m)])
     records = ParticleBatch([np.full(m, 1.0 / m)] * len(pts), pts, ys)
-    curve = halfplane_coverage(records, grid, np.random.default_rng(99))
+    curve = coverage_counts(records, grid, np.random.default_rng(99))
     assert np.all(np.diff(curve.counts) >= 0)
     for lam, frac in zip(grid.levels, curve.fractions):
         se = math.sqrt(lam * (1 - lam) / len(records))

@@ -14,12 +14,7 @@ from calcheck.cli import parse_records, write_records
 from calcheck.errors import DataError, InvalidDistributionError
 from calcheck.metric import LevelGrid, coverage_counts, fold, pit
 from calcheck.records import GaussianBatch, MvGaussianBatch, ParticleBatch
-from calcheck.seqtest import (
-    EValueConfig,
-    MartingaleState,
-    monitor_step_gaussian,
-    monitor_step_halfplane,
-)
+from calcheck.seqtest import EValueConfig, MartingaleState, monitor_step
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +134,7 @@ def test_check_and_monitor_read_one_coverage_indicator(batch, levels, lam, seed)
     for j in range(grid.k):
         assert np.array_equal(covered[:, j], batch.covered(grid.levels[j:j + 1], rng())[:, 0])
     config = EValueConfig(lam, lam / 2, 0.05)
-    if isinstance(batch, ParticleBatch):
-        _, log_e = monitor_step_halfplane(MartingaleState(), batch, config, rng())
-    else:
-        _, log_e = monitor_step_gaussian(MartingaleState(), batch, config)
+    _, log_e = monitor_step(MartingaleState(), batch, config, rng())
     hits = np.diff(log_e, prepend=0.0) < 0.0  # a covered step halves the e-value
     assert np.array_equal(hits, batch.covered(np.array([lam]), rng())[:, 0])
     assert np.count_nonzero(hits) == coverage_counts(batch, LevelGrid([lam]), rng()).counts[0]

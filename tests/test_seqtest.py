@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,8 +14,7 @@ from calcheck.seqtest import (
     EValueConfig,
     MartingaleState,
     _log_lr,
-    monitor_step_gaussian,
-    monitor_step_halfplane,
+    monitor_step,
 )
 
 
@@ -28,7 +28,7 @@ CFG = EValueConfig(level=0.9, p_alt=0.8, alpha=0.05)
 def hits(mu, sigma, y, config) -> list[bool]:
     """Whether one monitor step over the records scored each ``y`` inside
     its centered interval: a hit lowers the running log e-value."""
-    _, log_e = monitor_step_gaussian(MartingaleState(), GaussianBatch(mu, sigma, y), config)
+    _, log_e = monitor_step(MartingaleState(), GaussianBatch(mu, sigma, y), config)
     return (np.diff(log_e, prepend=0.0) < 0.0).tolist()
 
 
@@ -107,7 +107,7 @@ def constant_batch(n: int, y: float) -> GaussianBatch:
 
 
 def test_gaussian_monitor_all_hits_never_alarms():
-    state, log_e = monitor_step_gaussian(MartingaleState(), constant_batch(200, 0.0), CFG)
+    state, log_e = monitor_step(MartingaleState(), constant_batch(200, 0.0), CFG)
     assert not state.alarmed
     assert state.first_crossing is None
     assert state.t == len(log_e) == 200
@@ -115,9 +115,9 @@ def test_gaussian_monitor_all_hits_never_alarms():
 
 
 def test_gaussian_monitor_all_misses_crosses_at_five():
-    state, _ = monitor_step_gaussian(MartingaleState(), constant_batch(4, 100.0), CFG)
+    state, _ = monitor_step(MartingaleState(), constant_batch(4, 100.0), CFG)
     assert not state.alarmed  # 2^4 = 16 < 20
-    state, log_e = monitor_step_gaussian(state, constant_batch(3, 100.0), CFG)
+    state, log_e = monitor_step(state, constant_batch(3, 100.0), CFG)
     assert state.alarmed
     assert state.first_crossing == 5  # 2^5 = 32 > 20
     assert state.e_value == pytest.approx(2.0**7, rel=1e-9)
@@ -125,11 +125,21 @@ def test_gaussian_monitor_all_misses_crosses_at_five():
 
 
 def test_monitor_keeps_recording_after_alarm():
-    state, _ = monitor_step_gaussian(MartingaleState(), constant_batch(6, 100.0), CFG)
+    state, _ = monitor_step(MartingaleState(), constant_batch(6, 100.0), CFG)
     assert state.alarmed and state.first_crossing == 5
-    later, _ = monitor_step_gaussian(state, constant_batch(1, 0.0), CFG)
+    later, _ = monitor_step(state, constant_batch(1, 0.0), CFG)
     assert later.alarmed and later.first_crossing == 5
     assert later.t == 7
+
+
+def test_the_first_crossing_is_the_one_alarm_record():
+    # alarmed is read off first_crossing, so no state can be alarmed without
+    # a crossing, or hold a crossing without being alarmed
+    assert "alarmed" not in {f.name for f in dataclasses.fields(MartingaleState)}
+    with pytest.raises(TypeError):
+        MartingaleState(alarmed=True)
+    assert MartingaleState(first_crossing=3).alarmed
+    assert not MartingaleState(log_e=10.0, t=4).alarmed
 
 
 def sequential(state: MartingaleState, covered, config: EValueConfig):
@@ -160,7 +170,7 @@ def test_batch_steps_equal_sequential_steps_bit_for_bit(data):
     start = data.draw(st.sampled_from([
         MartingaleState(),
         MartingaleState(log_e=data.draw(st.floats(-50.0, 50.0)), t=data.draw(st.integers(0, 99))),
-        MartingaleState(log_e=1.5, t=9, alarmed=True, first_crossing=3),
+        MartingaleState(log_e=1.5, t=9, first_crossing=3),
     ]))
     want_logs, want = sequential(start, covered, config)
     state, logs = start, []
@@ -169,7 +179,7 @@ def test_batch_steps_equal_sequential_steps_bit_for_bit(data):
             continue  # ingest yields no empty batch
         # a hit scores the median, a miss an outcome fifty sigmas out
         batch = GaussianBatch(np.zeros(b - a), np.ones(b - a), np.where(covered[a:b], 0.0, 50.0))
-        state, log_e = monitor_step_gaussian(state, batch, config)
+        state, log_e = monitor_step(state, batch, config)
         assert len(log_e) == b - a
         logs += log_e.tolist()
     assert logs == want_logs
@@ -207,7 +217,7 @@ def test_anytime_validity_light_monte_carlo():
 def test_halfplane_monitor_tie_policy_two_particles():
     w, pts = np.array([0.5, 0.5]), np.array([[0.0, 0.0], [1.0, 1.0]])
     batch = ParticleBatch([w] * 50, [pts] * 50, [[1.0, 1.0]] * 50)
-    state, _ = monitor_step_halfplane(MartingaleState(), batch, CFG, np.random.default_rng(0))
+    state, _ = monitor_step(MartingaleState(), batch, CFG, np.random.default_rng(0))
     # outcome equals a particle: indicator is 1 for any direction at lambda=0.9
     assert state.e_value == pytest.approx((0.8 / 0.9) ** 50, rel=1e-9)
 
@@ -227,7 +237,7 @@ def test_halfplane_monitor_deterministic_given_seed():
         rng = np.random.default_rng(777)
         state, trace = MartingaleState(), []
         for a, b in zip([0, *cuts], [*cuts, 30]):
-            state, log_e = monitor_step_halfplane(state, batch.take(range(a, b)), CFG, rng)
+            state, log_e = monitor_step(state, batch.take(range(a, b)), CFG, rng)
             trace += log_e.tolist()
         return state, trace
 
@@ -247,7 +257,7 @@ def test_halfplane_monitor_ville_light():
         mon_rng = np.random.default_rng(rng.integers(2**63))
         ys = [pts[rng.integers(0, m)] for _ in range(horizon)]
         batch = ParticleBatch([np.full(m, 1 / m)] * horizon, [pts] * horizon, ys)
-        st, _ = monitor_step_halfplane(MartingaleState(), batch, CFG, mon_rng)
+        st, _ = monitor_step(MartingaleState(), batch, CFG, mon_rng)
         alarms += st.alarmed
     assert alarms / reps <= 0.05 + 3 * math.sqrt(0.05 * 0.95 / reps)
 
@@ -259,5 +269,5 @@ def test_log_accumulation_stays_finite_at_huge_horizons():
     worst = max(abs(math.log((1 - extreme.p_alt) / (1 - extreme.level))),
                 abs(math.log(extreme.p_alt / extreme.level)))
     assert math.isfinite(worst * 1e9)
-    state = MartingaleState(log_e=worst * 1e9, t=10**9, alarmed=True, first_crossing=1)
+    state = MartingaleState(log_e=worst * 1e9, t=10**9, first_crossing=1)
     assert math.isfinite(state.log_e)

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 from calcheck import sim
 from calcheck.errors import DataError, WorkerLostError
 from calcheck.hyptest import ONE_SIDED, TWO_SIDED, HypothesisSpec, ks_test
-from calcheck.metric import LevelGrid, coverage_counts, fold, halfplane_coverage, pit
+from calcheck.metric import LevelGrid, coverage_counts, fold, pit
 from calcheck.records import MvGaussianBatch, ParticleBatch
-from calcheck.seqtest import EValueConfig, MartingaleState, monitor_step_halfplane
+from calcheck.seqtest import EValueConfig, MartingaleState, monitor_step
 from calcheck.sim import (
     _INIT_SD,
     DRIFT_PER_STEP,
@@ -171,7 +171,7 @@ def test_robot_depletion_raises_with_step_number():
 
 def test_robot_zero_drift_halfplane_coverage_at_half():
     recs = run_robot_sim(RobotSimConfig(seed=3, drift_multiplier=0.0))
-    curve = halfplane_coverage(recs, LevelGrid([0.5]), np.random.default_rng(11))
+    curve = coverage_counts(recs, LevelGrid([0.5]), np.random.default_rng(11))
     se = math.sqrt(0.25 / len(recs))
     assert abs(curve.fractions[0] - 0.5) <= 3.0 * se
 
@@ -195,7 +195,7 @@ def test_robot_baseline_drift_filter_lags_truth():
 def test_robot_gaussian_swap_tracks_halfplane_curve():
     grid = LevelGrid.default()
     recs = run_robot_sim(RobotSimConfig(seed=3, drift_multiplier=0.0))
-    hp = halfplane_coverage(recs, grid, np.random.default_rng([3, 2]))
+    hp = coverage_counts(recs, grid, np.random.default_rng([3, 2]))
     # each cloud's weighted mean and covariance (weights sum to 1)
     mu = np.array([w @ pts for w, pts in zip(recs.w, recs.pts)])
     cov = np.array([(w[:, None] * (pts - m)).T @ (pts - m)
@@ -311,7 +311,7 @@ def serial_sweep(base, multipliers, n_seeds, monitor):
         crossings = []
         for s in range(n_seeds):
             cfg = replace(base, drift_multiplier=float(mult), seed=base.seed + s)
-            state, log_traces[s] = monitor_step_halfplane(
+            state, log_traces[s] = monitor_step(
                 MartingaleState(), run_robot_sim(cfg), monitor,
                 np.random.default_rng([cfg.seed, 1]))
             if state.alarmed:

@@ -130,3 +130,10 @@ def test_record_lines_have_one_parse_path():
     assert callers(cli, "orjson.loads") == {"_orjson_batch"}
     assert callers(cli, "_orjson_batch") == {"iter_records"}
     assert callers(cli, "_parse_line") == {"iter_records", "sniff_model_kind"}
+
+
+def test_only_cli_and_sim_serve_the_benchmark():
+    # the names bench/tracing.py wraps are bound in cli and sim; the library
+    # modules hold no code kept for the benchmark
+    mentions = {path.stem for path in SRC.glob("*.py") if "bench/" in path.read_text()}
+    assert mentions == {"cli", "sim"}
