@@ -359,7 +359,8 @@ def parsed(parse, line: bytes) -> tuple:
 
 
 def assert_scanner_matches_json_loads(path, line: bytes) -> str | None:
-    """``_parse_line`` gives what ``json.loads`` gives on ``line``, and
+    """``_parse_line`` gives what ``json_loads_line`` (``json.loads`` within
+    the nesting bound) gives on ``line``, and
     ``iter_records`` over the line between two good ones stops where and as
     the per-line reference does; returns that error."""
     assert b"\n" not in line
