@@ -581,34 +581,28 @@ def run_check(
         raise DataError("no records to check")
     if config.bins is None:
         report, curves = _single_check(config, records, config.alpha)
-        return RunReport(report=dataclasses.asdict(report), curves=curves,
-                         provenance=_provenance(config, digest))
-
-    bins = variance_bin(records, config.bins)
-    per_bin_alpha = config.alpha / config.bins
-    curves: dict = {}
-    bin_reports = []
-    for b in range(config.bins):
-        rep, tables = _single_check(config, records.take(bins.bin_indices(b)), per_bin_alpha)
-        bin_reports.append(rep)
-        for name, table in tables.items():
-            curves[f"{name}_bin{b}"] = table
-    any_reject = any(r.rejected for r in bin_reports)
-    p_min = min(r.p_value for r in bin_reports)
-    report = TestReport(
-        decision="reject" if any_reject else "accept",
-        statistic=p_min,
-        threshold=per_bin_alpha,
-        alpha=config.alpha,
-        p_value=p_min,
-        recipe_config={
-            "test": "variance_binned",
-            "bins": config.bins,
-            "bin_edges": [float(e) for e in bins.bin_edges],
-            "bin_decisions": [r.decision for r in bin_reports],
-            "inner": bin_reports[0].recipe_config.get("test"),
-        },
-    )
+    else:
+        bins = variance_bin(records, config.bins)
+        per_bin_alpha = config.alpha / config.bins
+        results = [_single_check(config, records.take(part), per_bin_alpha) for part in bins.parts]
+        bin_reports = [rep for rep, _ in results]
+        curves = {f"{name}_bin{b}": table for b, (_, tables) in enumerate(results)
+                  for name, table in tables.items()}
+        p_min = min(r.p_value for r in bin_reports)
+        report = TestReport(
+            decision="reject" if any(r.rejected for r in bin_reports) else "accept",
+            statistic=p_min,
+            threshold=per_bin_alpha,
+            alpha=config.alpha,
+            p_value=p_min,
+            recipe_config={
+                "test": "variance_binned",
+                "bins": config.bins,
+                "bin_edges": [float(e) for e in bins.bin_edges],
+                "bin_decisions": [r.decision for r in bin_reports],
+                "inner": bin_reports[0].recipe_config.get("test"),
+            },
+        )
     return RunReport(report=dataclasses.asdict(report), curves=curves,
                      provenance=_provenance(config, digest))
 

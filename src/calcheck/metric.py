@@ -119,23 +119,19 @@ class CoverageCurve:
 class VarianceBins:
     """Partition of a record batch by predicted uncertainty.
 
-    ``assignments[i]`` is the bin index of record ``i``; ``bin_edges`` holds
-    the interior uncertainty values where consecutive bins split.
+    ``parts[b]`` holds bin ``b``'s record positions in record order, ready for
+    ``take``; ``bin_edges`` holds the interior uncertainty values where
+    consecutive bins split.
     """
 
     bin_edges: np.ndarray
-    assignments: np.ndarray
+    parts: tuple
 
     def __post_init__(self):
         edges = np.atleast_1d(np.asarray(self.bin_edges, dtype=float))
-        assign = np.atleast_1d(np.asarray(self.assignments, dtype=int))
         if edges.size and np.any(np.diff(edges) < 0):
             raise ValueError("bin edges must be sorted")
         object.__setattr__(self, "bin_edges", edges)
-        object.__setattr__(self, "assignments", assign)
-
-    def bin_indices(self, b: int) -> np.ndarray:
-        return np.flatnonzero(self.assignments == b)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +188,8 @@ def variance_bin(records, k_bins: int) -> VarianceBins:
     Bin edges sit at the empirical ``j / k_bins`` quantiles of the
     uncertainty values, so bin sizes differ by at most one.  Ties are broken
     by record order (stable sort), sending edge-straddling ties to the lower
-    bin, which keeps reports reproducible.
+    bin, which keeps reports reproducible.  Each bin's part lists its record
+    positions in record order, so a bin's batch keeps the input's order.
     """
     if not len(records):
         raise DataError("cannot bin an empty record list")
@@ -203,11 +200,8 @@ def variance_bin(records, k_bins: int) -> VarianceBins:
     values = records.uncertainty()
     order = np.argsort(values, kind="stable")
     chunks = np.array_split(order, k_bins)
-    assignments = np.empty(len(records), dtype=int)
-    for b, chunk in enumerate(chunks):
-        assignments[chunk] = b
     edges = np.array([values[chunk[0]] for chunk in chunks[1:]])
-    return VarianceBins(bin_edges=edges, assignments=assignments)
+    return VarianceBins(bin_edges=edges, parts=tuple(np.sort(chunk) for chunk in chunks))
 
 
 # ---------------------------------------------------------------------------

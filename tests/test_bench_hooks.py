@@ -118,6 +118,34 @@ def test_traced_layers_see_ingest_and_monitor_steps(tmp_path):
         assert tracer.totals[layer][0] > 0, layer
 
 
+def test_binned_check_scores_and_tests_each_bin_through_the_traced_layers(tmp_path):
+    # a binned check bins once and then scores and tests each bin's records
+    # by the names the tracer wraps; scoring the whole batch once and slicing
+    # the scores would give the same bytes but zero these layers' figures
+    weather = tmp_path / "w"
+    assert calcheck.cli.main(["simulate", "weather", "--seed", "1", "--out", str(weather)]) == 0
+    records = str(weather / "weather_records.jsonl")
+    binomial = ["check", records, "--bins", "3"]
+    folded_ks = ["check", records, "--bins", "3", "--metric", "folded_ks", "--sided", "one",
+                 "--tolerance", "0.01"]
+    cases = (
+        (binomial, {"metric.variance_bin": 1, "metric.coverage_counts": 3,
+                    "hyptest.coverage_binomial_report": 3}),
+        (folded_ks, {"metric.variance_bin": 1, "metric.pit": 3, "hyptest.ks_test": 3}),
+    )
+    for argv, calls in cases:
+        tracer = load_tracing().Tracer()
+        saved = tracer.install({"cli": calcheck.cli, "metric": calcheck.metric,
+                                "sim": calcheck.sim})
+        try:
+            tracer.begin_command()
+            assert calcheck.cli.main(argv) in (0, 1)
+            tracer.end_command(keep=True)
+        finally:
+            tracer.uninstall(saved)
+        assert {layer: tracer.totals[layer][0] for layer in calls} == calls, argv
+
+
 def test_traced_simulate_reaches_the_render_layer(tmp_path):
     # simulate prints and writes report.json through the functions the
     # tracer wraps as cli.render, or sweep_robot's render figures read zero

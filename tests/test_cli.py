@@ -76,6 +76,54 @@ def test_parse_particles_renormalizes_near_one(tmp_path):
     assert recs.w[0].sum() == pytest.approx(1.0, abs=1e-15)
 
 
+def self_drawn_clouds(rng, n, m, d):
+    """``n`` weighted clouds of ``m`` particles in ``d`` dimensions, each
+    outcome drawn from its own cloud by weight: calibrated by construction."""
+    w = rng.uniform(0.1, 1.0, size=(n, m))
+    w /= w.sum(axis=1, keepdims=True)
+    pts = rng.normal(size=(n, m, d))
+    y = np.array([p[rng.choice(m, p=wi)] for wi, p in zip(w, pts)])
+    return list(w), list(pts), y
+
+
+def test_three_dimensional_clouds_cover_at_their_levels(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    n, m = 2000, 500
+    batch = ParticleBatch(*self_drawn_clouds(rng, n, m, 3))
+    levels = LevelGrid.default().levels
+    frac = batch.covered(levels, np.random.default_rng(6)).mean(axis=0)
+    # 2 / m allows for the weak-inequality tie when the outcome is a particle
+    se = np.sqrt(levels * (1 - levels) / n)
+    assert np.all(np.abs(frac - levels) <= 4 * se + 2 / m)
+    path = tmp_path / "clouds3.jsonl"
+    write_records(batch.take(np.arange(60)), path)
+    for command in ("check", "monitor"):
+        argv = [command, str(path), "--seed", "1"]
+        assert cli.main(argv) in (0, 1), command
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("decision: ") for line in lines), command
+
+
+def test_one_dimensional_points_parse_flat_or_nested(tmp_path, capsys):
+    w, pts, y = self_drawn_clouds(np.random.default_rng(8), 40, 30, 1)
+    flat = write_lines(tmp_path / "flat.jsonl", [
+        json.dumps({"w": wi.tolist(), "pts": p[:, 0].tolist(), "y": float(yi[0])})
+        for wi, p, yi in zip(w, pts, y)])
+    nested = write_lines(tmp_path / "nested.jsonl", [
+        json.dumps({"w": wi.tolist(), "pts": p.tolist(), "y": yi.tolist()})
+        for wi, p, yi in zip(w, pts, y)])
+    a, b = parse_records(flat, "particles"), parse_records(nested, "particles")
+    assert all(p.shape == (30, 1) for p in a.pts + b.pts)
+    for name in ("w", "pts"):
+        assert [v.tobytes() for v in getattr(a, name)] == [v.tobytes() for v in getattr(b, name)]
+    assert a.y.tobytes() == b.y.tobytes() and a.t == b.t
+    stdouts = []
+    for path in (flat, nested):
+        assert cli.main(["check", path, "--seed", "1"]) in (0, 1)
+        stdouts.append(capsys.readouterr().out)
+    assert stdouts[0] == stdouts[1]
+
+
 def test_parse_errors_cite_line_and_field(tmp_path):
     p = write_lines(
         tmp_path / "bad.jsonl",

@@ -30,6 +30,8 @@ CASES = {
     "check_holm_tol": ["check", "{weather}", "--sided", "one", "--tolerance", "0.02",
                        "--testing", "binom_holm"],
     "check_bins3": ["check", "{weather}", "--bins", "3", "--out", "{out}"],
+    "check_bins3_folded_ks": ["check", "{weather}", "--bins", "3", "--metric", "folded_ks",
+                              "--sided", "one", "--tolerance", "0.01", "--out", "{out}"],
     "check_folded_ks": ["check", "{weather}", "--metric", "folded_ks", "--sided", "one",
                         "--tolerance", "0.01", "--out", "{out}"],
     "check_pit_ks": ["check", "{weather}", "--metric", "pit_ks", "--out", "{out}"],
@@ -62,6 +64,17 @@ GOLDEN = {
         "coverage_bin1.csv": "15186196561871d0e20e5e6d55993f0d5761e8797df1ba2d7377abd8d3646e36",
         "coverage_bin2.csv": "346a92ca1288e137a4c242394f611186e4751ddb7cac5290d16cafa0a929327e",
         "report.json": "a14745935e0ba8662f1243556c4632b9a30f1fecd61dade2e0a7b1be729dd0ed",
+    },
+    "check_bins3_folded_ks": {
+        "exit": 0,
+        "stdout": "ec09938b7769a6c17d2ee6fcef2a7f37d93cde257e08958a024fe5190705f52a",
+        "band_bin0.csv": "5aacafe37d69cab5b9ef9f96374f2d920400249b27d34370055a90c73fa1a739",
+        "band_bin1.csv": "5aacafe37d69cab5b9ef9f96374f2d920400249b27d34370055a90c73fa1a739",
+        "band_bin2.csv": "a230fcae4d7bb8ec2eef2d1be7c42a8e4bede847d2c4a580244a54f3744b6144",
+        "ecdf_bin0.csv": "c3bb312125aa4275cc7d1732e747a848a0b54e5760eea87fca3b593771e47b68",
+        "ecdf_bin1.csv": "d2bbde1b4de8f515b67ac31c3455fc64ec4d3d87905a0a8071fd56f5d139a26a",
+        "ecdf_bin2.csv": "ac13029e0c74e06f0d81aa23edf146dc413eb542986a3e2e3fd928c16ca92351",
+        "report.json": "9487b83499d106f19883a833527ade68b94f0845710fd5ae30d930f01d012809",
     },
     "check_default": {
         "exit": 0,

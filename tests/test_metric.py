@@ -167,24 +167,32 @@ def test_variance_bin_equal_sizes_366():
         np.zeros(366), np.linspace(1.0, 2.0, 366), np.zeros(366)
     )
     bins = variance_bin(recs, 3)
-    sizes = [len(bins.bin_indices(b)) for b in range(3)]
+    sizes = [len(part) for part in bins.parts]
     assert sizes == [122, 122, 122]
 
 
 def test_variance_bin_tie_stability():
     recs = gaussian_records(np.zeros(10), np.ones(10), np.zeros(10))
     bins = variance_bin(recs, 3)
-    sizes = [len(bins.bin_indices(b)) for b in range(3)]
+    sizes = [len(part) for part in bins.parts]
     assert max(sizes) - min(sizes) <= 1
     # ties broken by record order: first records land in the lower bins
-    assert bins.assignments[0] == 0
-    assert bins.assignments[-1] == 2
+    assert 0 in bins.parts[0]
+    assert len(recs) - 1 in bins.parts[2]
+
+
+def test_variance_bin_parts_partition_the_records_in_record_order():
+    sigmas = np.random.default_rng(2).permutation(np.arange(1.0, 13.0))
+    bins = variance_bin(gaussian_records(np.zeros(12), sigmas, np.zeros(12)), 3)
+    assert np.array_equal(np.sort(np.concatenate(bins.parts)), np.arange(12))
+    for part, edge in zip(bins.parts, [*bins.bin_edges, np.inf]):
+        assert np.all(np.diff(part) > 0) and np.all(sigmas[part] <= edge)
 
 
 def test_variance_bin_single_bin_is_whole_sample():
     recs = gaussian_records(np.zeros(5), np.arange(1.0, 6.0), np.zeros(5))
     bins = variance_bin(recs, 1)
-    assert len(bins.bin_indices(0)) == 5
+    assert [len(part) for part in bins.parts] == [5]
 
 
 def test_variance_bin_rejects_more_bins_than_records():
@@ -198,7 +206,7 @@ def test_variance_bin_mv_uses_log_det_ordering():
         mu=np.zeros((3, 2)), cov=[s * np.eye(2) for s in (3.0, 1.0, 2.0)], y=np.zeros((3, 2))
     )
     bins = variance_bin(recs, 3)
-    assert list(bins.assignments) == [2, 0, 1]
+    assert [list(part) for part in bins.parts] == [[1], [2], [0]]
 
 
 def test_coverage_counts_ellipsoid_center_and_chi2_boundary():
