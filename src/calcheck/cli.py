@@ -23,7 +23,9 @@ default; a given setting that the run does not apply is refused as a
 configuration error before records are parsed or output is made, and before
 a bad, empty or missing record input is reported.  The ``_METRICS`` and
 ``_TESTINGS`` tables are the one place where slot pairings are stated.
-``check``, ``monitor`` and ``simulate`` all emit through ``_finish``.
+``check``, ``monitor`` and ``simulate`` all emit through ``_finish``.  Each
+output value is turned into text once: a record line by its family's format
+string, a table cell into CSV text, from which ``report.json``'s rows are made.
 
 Importing this module loads numpy but neither scipy nor orjson.
 ``scipy.special`` is loaded by the first PIT of (multivariate) Gaussian
@@ -244,21 +246,16 @@ class RunReport:
 
     ``report`` holds what ``report.json`` saves: a TestReport as
     ``dataclasses.asdict`` gives it, or a simulation summary; ``curves`` maps
-    table names to (header, rows); ``provenance`` carries the input digest,
-    the full recipe configuration, and the tool version, so a rerun with
-    identical inputs reproduces the report byte for byte.  A monitor run
-    holds no ``etrace`` table: its rows are streamed as they are made (see
-    :func:`run_monitor` and :class:`_TraceWriter`) and exist only in the
-    files they are written to.
+    table names to (header, columns), an array or list per name, as they
+    are made (see :func:`_csv_rows`); ``provenance`` carries the input
+    digest, the full recipe configuration, and the tool version, so a rerun
+    with identical inputs reproduces the report byte for byte.  A monitor
+    run's trace rows are streamed as they are made (:class:`_TraceWriter`).
     """
 
     report: dict
     curves: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps({"report": self.report, "curves": self.curves,
-                           "provenance": self.provenance}, sort_keys=True)
 
 
 def _provenance(config: RecipeConfig | dict, digest: hashlib._Hash) -> dict:
@@ -485,10 +482,18 @@ def parse_records(source: str | Path | RecordSource, model_kind: str) -> RecordB
 
 
 def write_records(records: RecordBatch, path: str | Path) -> None:
-    """Write records as JSON lines; floats round-trip exactly."""
+    """Write records as JSON lines, keys in file order and ``t`` where set,
+    each value formatted once by ``str``: json writes an int and a finite
+    float as their ``repr``, which is ``str`` of the value, and a list of
+    them with the ``", "`` that ``str`` of a list uses.  Floats round-trip,
+    and batches hold no NaN or inf, which json would write otherwise."""
+    fields = ", ".join(f'"{key}": {{}}' for key in records.keys)
+    bare, timed = "{{" + fields + "}}\n", "{{" + fields + ', "t": {}}}\n'
+    columns, t = records._json_columns(), records.t
+    lines = (map(timed.format, *columns, t) if None not in t else
+             (bare.format(*v) if u is None else timed.format(*v, u) for *v, u in zip(*columns, t)))
     with open(path, "w") as handle:
-        for obj in records.to_objs():
-            handle.write(json.dumps(obj) + "\n")
+        handle.writelines(lines)
 
 
 def sniff_model_kind(source: str | Path | RecordSource) -> str:
@@ -512,50 +517,32 @@ def sniff_model_kind(source: str | Path | RecordSource) -> str:
 # offline check
 # ---------------------------------------------------------------------------
 
-def _coverage_table(report: TestReport) -> tuple[list, list]:
-    header = ["level", "count", "n", "fraction", "lower_bound", "upper_bound",
-              "p_value", "reject"]
-    rows = [[row.level, row.count, row.n, row.count / row.n, row.lower_bound,
-             row.upper_bound, row.p_value, int(row.reject)] for row in report.per_level]
-    return header, rows
-
-
-def _ks_tables(sample, report: TestReport, grid: LevelGrid) -> dict:
-    v = np.sort(sample.values)
-    n = v.size
-    ecdf_rows = np.column_stack((v, np.arange(1, n + 1) / n)).tolist()
-    crit = report.recipe_config["band_halfwidth"]
-    tol = report.recipe_config["tolerance"]
-    band_rows = []
-    for lam in grid.levels:
-        if report.recipe_config["sidedness"] == ONE_SIDED:
-            band_rows.append([float(lam), float(lam - crit - tol), 1.0])
-        else:
-            band_rows.append(
-                [float(lam), float(max(lam - crit, 0.0)), float(min(lam + crit, 1.0))]
-            )
-    return {
-        "ecdf": (["value", "ecdf"], ecdf_rows),
-        "band": (["level", "lower", "upper"], band_rows),
-    }
-
-
-def _single_check(
-    config: RecipeConfig, records: RecordBatch, alpha: float
-) -> tuple[TestReport, dict]:
+def _single_check(config: RecipeConfig, records: RecordBatch,
+                  alpha: float) -> tuple[TestReport, dict]:
+    """One check's test report and its tables, each as columns."""
     if config.testing == "ks":
         sample = pit(records)
         if config.metric == "folded_ks":
             sample = fold(sample)
         report = ks_test(sample, config.hypothesis, alpha)
-        return report, _ks_tables(sample, report, config.levels)
+        v, cfg, lam = np.sort(sample.values), report.recipe_config, config.levels.levels
+        crit, tol = cfg["band_halfwidth"], cfg["tolerance"]
+        if cfg["sidedness"] == ONE_SIDED:
+            bounds = [lam - crit - tol, np.ones_like(lam)]
+        else:
+            bounds = [np.maximum(lam - crit, 0.0), np.minimum(lam + crit, 1.0)]
+        return report, {"ecdf": (["value", "ecdf"], [v, np.arange(1, v.size + 1) / v.size]),
+                        "band": (["level", "lower", "upper"], [lam, *bounds])}
     if config.metric == "coverage":
         curve = coverage_counts(records, config.levels)
     else:
         curve = halfplane_coverage(records, config.levels, np.random.default_rng([config.seed, 2]))
     correction = "holm" if config.testing == "binom_holm" else "bonferroni"
     report = coverage_binomial_report(curve, config.hypothesis, alpha, correction)
-    return report, {"coverage": _coverage_table(report)}
+    rows = [(r.level, r.count, r.n, r.count / r.n, r.lower_bound, r.upper_bound, r.p_value,
+             int(r.reject)) for r in report.per_level]
+    return report, {"coverage": (["level", "count", "n", "fraction", "lower_bound",
+                                  "upper_bound", "p_value", "reject"], list(zip(*rows)))}
 
 
 def run_check(
@@ -730,24 +717,15 @@ def run_simulate(
         if monitor is None:
             raise ConfigError("drift_sweep requires an e-value monitor config")
         sweep = drift_sweep(sim_config, multipliers, n_seeds, monitor)
-        summary_rows = []
-        env_rows = []
-        for entry in sweep:
-            summary_rows.append(
-                [entry.multiplier, entry.n_seeds, entry.alarm_count,
-                 entry.median_first_crossing]
-            )
-            for t in range(entry.envelope.shape[0]):
-                env_rows.append(
-                    [entry.multiplier, t + 1, *[float(x) for x in entry.envelope[t]]]
-                )
         curves["sweep_summary"] = (
             ["multiplier", "n_seeds", "alarms", "median_first_crossing"],
-            summary_rows,
-        )
-        curves["sweep_envelope"] = (
-            ["multiplier", "t", "e05", "e50", "e95"], env_rows
-        )
+            list(zip(*[(e.multiplier, e.n_seeds, e.alarm_count, e.median_first_crossing)
+                       for e in sweep])))
+        # each multiplier's envelope rows, t = 1, 2, ... within each
+        parts = [(np.full(len(e.envelope), e.multiplier), np.arange(1, len(e.envelope) + 1),
+                  *e.envelope.T) for e in sweep]
+        curves["sweep_envelope"] = (["multiplier", "t", "e05", "e50", "e95"],
+                                    [np.concatenate(column) for column in zip(*parts)])
         summary = {
             "kind": kind,
             "multipliers": list(multipliers),
@@ -775,17 +753,54 @@ def _writing_output():
         raise ConfigError(f"cannot write output: {exc}") from None
 
 
-def _write_csvs(curves: dict, out_dir: str | Path) -> None:
-    """Write each ``name: (header, rows)`` table to ``<out_dir>/<name>.csv``,
-    a cell as ``str`` of its value."""
-    out = Path(out_dir)
+def _csv_rows(columns: list) -> str:
+    """A table's CSV row lines from its columns, arrays or lists of one
+    length: ``str`` of each value (so floats round-trip), ``""`` for None."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else ["" if x is None else x for x in c]
+               for c in columns]
+    line = ",".join(["{}"] * len(columns)) + "\n"
+    return "".join(map(line.format, *columns)) if columns else ""  # no column holds a row
+
+
+def _write_csvs(curves: dict, out_dir: str | Path) -> dict[str, str]:
+    """Write each table to ``<out_dir>/<name>.csv``; return its row text by name."""
+    out, texts = Path(out_dir), {}
     with _writing_output():
         out.mkdir(parents=True, exist_ok=True)
-        for name, (header, rows) in curves.items():
+        for name, (header, columns) in curves.items():
+            texts[name] = _csv_rows(columns)
             with open(out / f"{name}.csv", "w") as handle:
-                handle.write(",".join(header) + "\n")
-                handle.write("".join([",".join(["" if x is None else str(x) for x in row]) + "\n"
-                                      for row in rows]))
+                handle.write(",".join(header) + "\n" + texts[name])
+    return texts
+
+
+# The CSV text of each cell that json writes otherwise: None and the floats
+# that are not finite
+_JSON_CELLS = {"": "null", "inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _json_rows(text: str, columns: list = ()) -> str:
+    """The JSON rows json writes for CSV lines of numbers and None, as
+    ``"[1, 0.5], [2, 0.25]"``.  The text holds each int and finite float as
+    json writes it, so only cells in ``_JSON_CELLS`` are rewritten, and only
+    where one can occur: where a list among the table's ``columns`` holds
+    None (an array cannot), or the text holds an ``n``, which no finite
+    number's ``repr`` does.  Scanning the text for empty cells would cost
+    more than the conversion."""
+    body = text[:-1]
+    if "n" in body or any(not isinstance(c, np.ndarray) and None in c for c in columns):
+        body = "\n".join([",".join([_JSON_CELLS.get(cell, cell) for cell in line.split(",")])
+                          for line in body.split("\n")])
+    return "[" + body.replace(",", ", ").replace("\n", "], [") + "]" if text else ""
+
+
+def _json_report(run: RunReport, texts: dict[str, str]) -> str:
+    """``report.json``'s text, the rows of each table from its CSV rows in
+    ``texts``: byte for byte ``json.dumps`` of the run with sorted keys."""
+    tables = [f"{json.dumps(name)}: [{json.dumps(run.curves[name][0])}, "
+              f"[{_json_rows(texts[name], run.curves[name][1])}]]" for name in sorted(texts)]
+    rest = json.dumps({"provenance": run.provenance, "report": run.report}, sort_keys=True)
+    return '{"curves": {' + ", ".join(tables) + "}, " + rest[1:]
 
 
 _ETRACE_HEADER = ["t", "e_value", "alarmed", "threshold"]
@@ -796,20 +811,15 @@ class _TraceWriter:
     the directory wherever a path is taken.
 
     The files are opened before the monitor scores its first record, so an
-    unwritable directory fails before any row is printed.  ``write`` takes
-    each batch's trace text from :func:`run_monitor`, sends it to ``echo``
-    when one is given, and appends it to two partial files: to
-    ``etrace.csv``, with the threshold as each line's fourth cell, and to
-    ``report.json``'s ``curves.etrace`` rows, each line as
-    ``[t, e_value, alarmed, threshold]``.  ``finish`` writes the rest of the
-    report and renames both files into place; ``discard``, on any failure,
-    removes them.
-
-    The streamed report is byte for byte ``RunReport.to_json`` of the run
-    with its rows in memory: ``to_json`` sorts keys, so ``curves`` comes
-    first; json writes an int as ``int.__repr__`` and a finite float as
-    ``float.__repr__``, as the trace text has them; and every e-value is
-    finite, since ``math.exp`` raises rather than overflow to ``inf``.
+    unwritable directory fails before any row is printed.  ``write`` sends
+    each batch's trace text from :func:`run_monitor` to ``echo``, if given,
+    and appends it, with the threshold as each line's fourth cell, to the
+    partial ``etrace.csv`` and, through :func:`_json_rows` as an offline
+    table goes, to ``report.json``'s ``curves.etrace`` rows: one text path,
+    so the report is byte for byte what :func:`_json_report` would write
+    (every e-value is finite, as ``math.exp`` raises rather than overflow).
+    ``finish`` writes the rest of the report and renames both files into
+    place; ``discard``, on any failure, removes them.
     """
 
     def __init__(self, out_dir: str | Path, threshold: float,
@@ -817,7 +827,6 @@ class _TraceWriter:
         self.dir = Path(out_dir)
         self._echo = echo
         self._csv_end = f",{threshold!r}\n"
-        self._row_end = f", {threshold!r}]"
         self._sep = ""  # what goes before the next report row
         self._files: list = []  # the open partial files, etrace.csv's first
         with _writing_output():
@@ -848,15 +857,15 @@ class _TraceWriter:
             self._echo(text)
         if not text:
             return
-        rows = text[:-1].replace(",", ", ").replace("\n", self._row_end + ", [")
+        text = text.replace("\n", self._csv_end)
         with _writing_output():  # not around echo: a closed stdout is no config error
-            self._csv.write(text.replace("\n", self._csv_end))
-            self._json.write(f"{self._sep}[{rows}{self._row_end}")
+            self._csv.write(text)
+            self._json.write(self._sep + _json_rows(text))
         self._sep = ", "
 
     def finish(self, run: RunReport) -> None:
-        rest = json.dumps({"provenance": run.provenance, "report": run.report}, sort_keys=True)
-        self._json.write("]]}, " + rest[1:] + "\n")
+        # the rest of the report, after the curves of a run that has none
+        self._json.write("]]" + _json_report(run, {}).removeprefix('{"curves": {') + "\n")
         for handle in self._files:
             handle.close()
             os.replace(handle.name, handle.name.removesuffix(".part"))
@@ -887,12 +896,12 @@ def _write_outputs(run: RunReport, out_dir: str | Path | _TraceWriter | None) ->
     finish the files a :class:`_TraceWriter` streamed."""
     if out_dir is None:
         return
-    _write_csvs(run.curves, out_dir)
+    texts = _write_csvs(run.curves, out_dir)
     with _writing_output():
         if isinstance(out_dir, _TraceWriter):
             out_dir.finish(run)
         else:
-            (Path(out_dir) / "report.json").write_text(run.to_json() + "\n")
+            (Path(out_dir) / "report.json").write_text(_json_report(run, texts) + "\n")
 
 
 _SIMULATION_KEYS = ("kind", "n_records", "multipliers", "n_seeds", "alarm_counts", "files")
@@ -1219,11 +1228,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _saved_report_parts(data) -> tuple[dict, dict, dict]:
-    """The ``report``, ``provenance`` and ``curves`` objects of a saved run
-    report, each ``{}`` when absent or null; any other shape is bad data, and
-    so are a ``recipe_config`` or ``per_level`` rows the summary cannot
-    render, and a table name that is not a plain file name, since ``--out``
-    writes each table to ``<name>.csv``."""
+    """The ``report``, ``provenance`` and ``curves`` (as (header, columns))
+    of a saved run report, each ``{}`` when absent or null; any other shape
+    is bad data, and so are a ``recipe_config`` or ``per_level`` rows the
+    summary cannot render, a table row without one cell per header name, and
+    a table name that is not a plain file name (``--out`` writes ``<name>.csv``)."""
     if not isinstance(data, dict):
         raise DataError("report must be a JSON object")
     parts = {key: {} if data.get(key) is None else data[key]
@@ -1244,9 +1253,11 @@ def _saved_report_parts(data) -> tuple[dict, dict, dict]:
         if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
             raise DataError(f"report table name {name!r} is not a plain file name")
         header, rows = table if isinstance(table, list) and len(table) == 2 else (None, None)
-        if not (isinstance(header, list) and all(isinstance(h, str) for h in header)
-                and isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
-            raise DataError(f"report table {name!r} must be [header, rows]")
+        if not (isinstance(header, list) and header and all(isinstance(h, str) for h in header)
+                and isinstance(rows, list)
+                and all(isinstance(row, list) and len(row) == len(header) for row in rows)):
+            raise DataError(f"report table {name!r} must be [header, rows], a cell per name")
+        parts["curves"][name] = (header, [[row[i] for row in rows] for i in range(len(header))])
     return parts["report"], parts["provenance"], parts["curves"]
 
 

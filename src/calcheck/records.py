@@ -150,8 +150,10 @@ class RecordBatch:
     Every attribute of a batch holds one entry per record, so :meth:`take`
     indexes them all together.  ``keys`` are the family's JSON fields in
     file order, the outcome ``y`` last; the second key is the one that names
-    the family in a record line.  :meth:`covered` is the family's one
-    coverage indicator.
+    the family in a record line.  ``_json_columns()`` gives one column per
+    key, each record's value as Python floats (lists of them for an array),
+    which ``calcheck.cli.write_records`` turns into text.  :meth:`covered`
+    is the family's one coverage indicator.
     """
 
     kind: str
@@ -219,14 +221,6 @@ class RecordBatch:
             setattr(new, name, np.concatenate(cols) if isinstance(col, np.ndarray)
                     else [v for c in cols for v in c])
         return new
-
-    def to_objs(self):
-        """The records as JSON-ready dicts, keys in file order, ``t`` where set."""
-        for values, t in zip(zip(*self._json_columns()), self.t):
-            obj = dict(zip(self.keys, values))
-            if t is not None:
-                obj["t"] = t
-            yield obj
 
     def pit_values(self) -> np.ndarray:
         """Each prediction's CDF at its outcome (unclipped)."""

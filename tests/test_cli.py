@@ -24,6 +24,7 @@ import calcheck.sim
 from calcheck import cli
 from calcheck.cli import (
     RecipeConfig,
+    RunReport,
     iter_records,
     parse_records,
     run_check,
@@ -36,7 +37,7 @@ from calcheck.hyptest import ONE_SIDED, TWO_SIDED, HypothesisSpec
 from calcheck.metric import LevelGrid, fold, pit
 from calcheck.records import GaussianBatch, MvGaussianBatch, ParticleBatch
 from calcheck.seqtest import EValueConfig
-from calcheck.sim import WeatherSimConfig, run_weather_sim
+from calcheck.sim import RobotSimConfig, WeatherSimConfig, run_weather_sim
 
 
 def gaussian_line(mu, sigma, y):
@@ -356,9 +357,10 @@ def test_run_check_deterministic_reports(tmp_path):
     path, recs = weather_file(tmp_path, seed=5)
     config = RecipeConfig(model="gaussian", metric="coverage")
     payload = path.read_bytes()
-    a = run_check(config, recs, digest=hashlib.sha256(payload)).to_json()
-    b = run_check(config, recs, digest=hashlib.sha256(payload)).to_json()
-    assert a == b
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        cli._write_outputs(run_check(config, recs, digest=hashlib.sha256(payload)), out)
+    assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
 
 def test_slot_swap_to_monitor_runs_on_run_monitor(tmp_path):
@@ -572,7 +574,8 @@ def test_ks_ecdf_table_pairs_each_sorted_pit_with_its_level(tmp_path):
     _, recs = weather_file(tmp_path, seed=5)
     config = RecipeConfig(model="gaussian", metric="folded_ks", testing="ks",
                           hypothesis=HypothesisSpec(ONE_SIDED, 0.01))
-    header, rows = run_check(config, recs).curves["ecdf"]
+    header, columns = run_check(config, recs).curves["ecdf"]
+    rows = np.column_stack(columns).tolist()
     v = np.sort(fold(pit(recs)).values)
     want = [[float(val), float((i + 1) / v.size)] for i, val in enumerate(v)]
     assert header == ["value", "ecdf"] and repr(rows) == repr(want)
@@ -580,11 +583,66 @@ def test_ks_ecdf_table_pairs_each_sorted_pit_with_its_level(tmp_path):
 
 def test_csv_cells_are_str_of_each_value(tmp_path):
     # a float's str is its repr, so floats round-trip; a numpy scalar prints
-    # as its number, not as its constructor
-    rows = [[0.1, 1e-300, float("inf"), -0.0, None, 3, True, np.float64(0.5), np.int64(7)]]
-    cli._write_csvs({"t": (["a", "b", "c", "d", "e", "f", "g", "h", "i"], rows)}, tmp_path)
+    # as its number, not as its constructor; only a None cell is empty, and a
+    # saved report's string and list cells print as they are
+    row = [0.1, 1e-300, float("inf"), -0.0, None, 3, True, np.float64(0.5), np.int64(7)]
+    saved = ["None", "inf", [1, 2.5], None]
+    cli._write_csvs({"t": (["a", "b", "c", "d", "e", "f", "g", "h", "i"], [[x] for x in row]),
+                     "s": (["j", "k", "l", "m"], [[x] for x in saved])}, tmp_path)
     assert (tmp_path / "t.csv").read_text() == (
         "a,b,c,d,e,f,g,h,i\n0.1,1e-300,inf,-0.0,,3,True,0.5,7\n")
+    assert (tmp_path / "s.csv").read_text() == "j,k,l,m\nNone,inf,[1, 2.5],\n"
+
+
+def test_report_out_writes_saved_cells_as_they_are(tmp_path):
+    saved = tmp_path / "r.json"
+    saved.write_text(json.dumps({"curves": {"c": [["a", "b", "c"], [
+        ["None", "inf", [1, 2.5]], [None, 1e16, "x,y"]]]}}))
+    assert cli.main(["report", str(saved), "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "c.csv").read_text() == "a,b,c\nNone,inf,[1, 2.5]\n,1e+16,x,y\n"
+
+
+TABLE_CELLS = st.one_of(
+    st.sampled_from([None, math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e16]),
+    st.floats(), st.integers(), st.floats().map(np.float64))
+
+
+@st.composite
+def table_sets(draw):
+    """Tables as the program holds them: per header name, a float array or
+    a list of numbers and None."""
+    curves = {}
+    for name in draw(st.lists(st.text("abz_", min_size=1, max_size=3), max_size=3, unique=True)):
+        width, n = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+        cells = st.lists(TABLE_CELLS, min_size=n, max_size=n)
+        arrays = st.lists(st.floats(), min_size=n, max_size=n).map(np.array)
+        curves[name] = ([f"h{i}" for i in range(width)],
+                        [draw(st.one_of(cells, arrays)) for _ in range(width)])
+    return curves
+
+
+@settings(max_examples=80, deadline=None)
+@given(table_sets())
+def test_tables_and_report_are_str_of_each_cell_and_json_dumps(curves):
+    # each table is written as str of each cell, "" for None, and
+    # report.json as json.dumps of the run with every table's rows, where
+    # None, inf, -inf and nan are null, Infinity, -Infinity and NaN
+    run = RunReport(report={"decision": "accept", "statistic": math.nan},
+                    curves=curves, provenance={"input_digest": "0"})
+    rows = {name: [list(row) for row in zip(*(col.tolist() if isinstance(col, np.ndarray)
+                                              else col for col in columns))]
+            for name, (_, columns) in curves.items()}
+    want_json = json.dumps({"report": run.report, "provenance": run.provenance,
+                            "curves": {name: [header, rows[name]]
+                                       for name, (header, _) in curves.items()}},
+                           sort_keys=True) + "\n"
+    with tempfile.TemporaryDirectory() as d:
+        cli._write_outputs(run, d)
+        for name, (header, _) in curves.items():
+            want = "".join([",".join(["" if x is None else str(x) for x in row]) + "\n"
+                            for row in [header, *rows[name]]])
+            assert (Path(d) / f"{name}.csv").read_text() == want
+        assert (Path(d) / "report.json").read_text() == want_json
 
 
 def test_cli_binned_check_runs(tmp_path, capsys):
@@ -664,6 +722,8 @@ def test_line_validity_does_not_depend_on_the_callers_stack_depth(tmp_path, caps
     {"report": {}, "curves": {"coverage": [1]}},
     {"report": {}, "curves": {"coverage": [["level", 2], []]}},
     {"report": {}, "curves": {"coverage": [["level"], [0.5]]}},
+    {"report": {}, "curves": {"coverage": [["level", "count"], [[0.5, 3], [0.9]]]}},
+    {"report": {}, "curves": {"coverage": [[], [[], []]]}},
     {"report": {"decision": "accept", "recipe_config": [1]}},
     {"report": {"decision": "accept", "per_level": {"level": 0.5}}},
     {"report": {"decision": "accept", "per_level": [{"level": 0.5, "count": 3}]}},
@@ -1013,6 +1073,16 @@ def test_cli_simulate_drift_sweep_scaled(tmp_path, capsys):
     assert len(table) == 4  # default three multipliers
     env = (out / "sweep_envelope.csv").read_text().splitlines()
     assert len(env) == 1 + 3 * 60
+
+
+def test_drift_sweep_over_no_multipliers_writes_empty_tables(tmp_path):
+    # the CLI refuses an empty multiplier list; the library runs no cell
+    run = cli.run_simulate("drift_sweep", RobotSimConfig(n_steps=3, n_particles=20), tmp_path,
+                           EValueConfig(0.9, 0.8, 0.05), multipliers=(), n_seeds=1)
+    cli._write_outputs(run, tmp_path)
+    assert (tmp_path / "sweep_envelope.csv").read_text() == "multiplier,t,e05,e50,e95\n"
+    curves = json.loads((tmp_path / "report.json").read_text())["curves"]
+    assert curves == {name: [header, []] for name, (header, _) in run.curves.items()}
 
 
 def mv_gaussian_file(tmp_path, seed: int, scale: float):

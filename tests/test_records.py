@@ -2,11 +2,12 @@
 property tests of the Mahalanobis distances, the JSON round trip, the parse of
 one record line, and the coverage path, over random batches of every family."""
 
+import json
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
@@ -96,6 +97,64 @@ def test_write_then_parse_round_trips_bit_for_bit(tmp_path_factory, batch):
     write_records(batch, path)
     back = parse_records(path, batch.kind)
     assert type(back) is type(batch) and back.t == batch.t
+    for a, b in zip(float_arrays(batch), float_arrays(back), strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+EDGE_POSITIVE = st.sampled_from([5e-324, 1e-05, 1e16, 1.7976931348623157e308])
+EDGE = st.one_of(st.just(-0.0), EDGE_POSITIVE, EDGE_POSITIVE.map(float.__neg__))
+# each weight vector sums to 1 exactly, so no cloud is renormalised
+EDGE_WEIGHTS = st.sampled_from([[-0.0, 1.0], [5e-324, 1.0], [0.5, 0.25, 0.25], [1e-05, 0.99999]])
+
+
+@st.composite
+def edge_batches(draw):
+    """A batch of any family whose values are drawn mostly from the floats
+    whose text is most likely to differ between formatters, and whose time
+    indices are all absent, all set or mixed, 2**70 among them."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    values, spreads = st.one_of(EDGE, finite), st.one_of(EDGE_POSITIVE, positive)
+
+    def column(strategy, size=n):
+        return draw(st.lists(strategy, min_size=size, max_size=size))
+
+    t = draw(st.sampled_from([st.none(), st.one_of(st.just(2**70), st.integers()),
+                              st.one_of(st.none(), st.just(2**70), st.integers())]))
+    kind = draw(st.sampled_from(["gaussian", "mv_gaussian", "particles"]))
+    if kind == "gaussian":
+        return GaussianBatch(column(values), column(spreads), column(values), column(t))
+    y = np.array(column(values, n * d)).reshape(n, d)
+    if kind == "mv_gaussian":
+        # diagonal covariances with signed zeros off the diagonal
+        cov = np.array(column(st.sampled_from([0.0, -0.0]), n * d * d)).reshape(n, d, d)
+        cov[:, np.arange(d), np.arange(d)] = np.array(column(spreads, n * d)).reshape(n, d)
+        return MvGaussianBatch(np.array(column(values, n * d)).reshape(n, d), cov, y, column(t))
+    weights = column(EDGE_WEIGHTS)
+    points = [np.array(column(values, len(w) * d)).reshape(len(w), d) for w in weights]
+    return ParticleBatch(weights, points, y, column(t))
+
+
+@SETTINGS
+@given(edge_batches())
+@example(GaussianBatch([-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308],
+                       [5e-324, 1e-05, 1e16, 1.7976931348623157e308, 1.0],
+                       [1e16, -0.0, -1.7976931348623157e308, 1e-05, -5e-324],
+                       [None, 2**70, 3, None, -1]))
+def test_written_lines_are_json_dumps_of_each_record(tmp_path_factory, batch):
+    # each line is what json.dumps of the record's dict writes, keys in file
+    # order and t where set, and the file reads back bit for bit
+    want = []
+    for values, t in zip(zip(*batch._json_columns()), batch.t):
+        obj = dict(zip(batch.keys, values))
+        if t is not None:
+            obj["t"] = t
+        want.append(json.dumps(obj) + "\n")
+    path = tmp_path_factory.mktemp("lines") / "records.jsonl"
+    write_records(batch, path)
+    assert path.read_text().splitlines(keepends=True) == want
+    back = parse_records(path, batch.kind)
+    assert type(back) is type(batch) and back.t == batch.t
+    assert [type(t) for t in back.t] == [type(t) for t in batch.t]
     for a, b in zip(float_arrays(batch), float_arrays(back), strict=True):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 

@@ -132,6 +132,20 @@ def test_record_lines_have_one_parse_path():
     assert callers(cli, "_parse_line") == {"iter_records", "sniff_model_kind"}
 
 
+def test_output_values_are_turned_into_text_once():
+    # json.dumps writes report.json's table names and headers and all of it
+    # but the tables, the streamed trace's start, and a simulation's config
+    # for its digest; record lines and table cells are turned into text by
+    # str formatting, and report.json's rows are converted from the tables'
+    # CSV text, monitor trace and offline tables alike
+    cli = TREES["cli"]
+    dumpers = callers(cli, "json.dumps")
+    assert dumpers == {"_json_report", "__init__", "run_simulate"}
+    assert not dumpers & {"write_records", "_csv_rows", "_write_csvs", "_json_rows"}
+    assert callers(cli, "_csv_rows") == {"_write_csvs"}
+    assert callers(cli, "_json_rows") == {"_json_report", "write"}
+
+
 def test_only_cli_and_sim_serve_the_benchmark():
     # the names bench/tracing.py wraps are bound in cli and sim; the library
     # modules hold no code kept for the benchmark
