@@ -45,6 +45,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -384,8 +385,10 @@ def _orjson_batch(cls: type[RecordBatch], block: list[bytes]) -> RecordBatch | N
     for line in block:
         if not line.strip():
             continue
-        # a line no longer than the bound cannot hold more brackets
-        if len(line) > MAX_BRACKETS and line.count(b"[") + line.count(b"{") > MAX_BRACKETS:
+        # a line no longer than the bound cannot hold more brackets; "[" and
+        # "{" are the bytes that OR 32 makes "{", counted in one numpy pass
+        if len(line) > MAX_BRACKETS and np.count_nonzero(
+                (np.frombuffer(line, np.uint8) | 32) == 123) > MAX_BRACKETS:
             return None
         try:
             obj = orjson.loads(line)
@@ -405,6 +408,40 @@ def _orjson_batch(cls: type[RecordBatch], block: list[bytes]) -> RecordBatch | N
         return cls.from_objs(objs)
     except (KeyError, TypeError, ValueError, OverflowError):  # the json loop reports it
         return None
+
+
+def _json_objs(block: list[bytes], line_no: int) -> tuple[list[dict], list[int], DataError | None]:
+    """The objects of a block's non-blank lines parsed by json line by line,
+    the first line being ``line_no + 1``, with each object's line number, up
+    to the first line that is not JSON or not an object, whose DataError
+    comes third (None if there is none)."""
+    objs, line_nos = [], []
+    for line_no, line in enumerate(block, line_no + 1):
+        if not line.strip():
+            continue
+        try:
+            obj = _parse_line(line)
+        except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors are ValueErrors
+            return objs, line_nos, DataError(f"line {line_no}: invalid JSON "
+                                             f"({getattr(exc, 'msg', exc)})")
+        if not isinstance(obj, dict):
+            return objs, line_nos, DataError(f"line {line_no}: expected an object")
+        objs.append(obj)
+        line_nos.append(line_no)
+    return objs, line_nos, None
+
+
+@contextlib.contextmanager
+def _gc_paused():
+    """Keep the cyclic garbage collector from running inside the block, and
+    leave it on or off as it was, however the block ends."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def iter_records(source: str | Path | RecordSource, model_kind: str) -> Iterator[RecordBatch]:
@@ -430,37 +467,31 @@ def iter_records(source: str | Path | RecordSource, model_kind: str) -> Iterator
     The first bad line in file order raises a :class:`DataError` naming it,
     after the records before it have been yielded: a line that is not UTF-8,
     not JSON, nested too deeply or holding too long an integer is invalid
-    JSON."""
+    JSON.
+
+    The cyclic garbage collector is paused while a block is parsed and its
+    batch built, and set back as it was before the batch is yielded or any
+    exception leaves.  A cloud line's hundreds of lists would otherwise trigger
+    collections that scan every object the block holds and can free none of
+    it: parsed JSON has no reference cycles, so reference counting frees all
+    of it.  The caller's code between batches never runs with the collector
+    paused; another thread's collections wait until a block is built."""
     cls = FAMILIES[model_kind]
     dim, line_no = None, 0
     with _opened(source) as src:
         for block in src.blocks():
-            batch = _orjson_batch(cls, block)
+            with _gc_paused():
+                batch = _orjson_batch(cls, block)
+                if batch is None:
+                    objs, line_nos, error = _json_objs(block, line_no)
+                    try:
+                        batches = [cls.from_objs(objs)] if objs else []
+                    except (KeyError, TypeError, ValueError, OverflowError):
+                        batches = map(cls.from_obj, objs, line_nos)  # naming the bad line
             if batch is not None:
                 batches, error = [batch], None
                 line_nos = [next(n for n, line in enumerate(block, line_no + 1) if line.strip())]
-                line_no += len(block)
-            else:
-                objs, line_nos, error = [], [], None
-                for line in block:
-                    line_no += 1
-                    if not line.strip():
-                        continue
-                    try:
-                        obj = _parse_line(line)
-                    except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors are ValueErrors
-                        error = DataError(f"line {line_no}: invalid JSON "
-                                          f"({getattr(exc, 'msg', exc)})")
-                        break
-                    if not isinstance(obj, dict):
-                        error = DataError(f"line {line_no}: expected an object")
-                        break
-                    objs.append(obj)
-                    line_nos.append(line_no)
-                try:
-                    batches = [cls.from_objs(objs)] if objs else []
-                except (KeyError, TypeError, ValueError, OverflowError):  # from_obj names the bad line
-                    batches = map(cls.from_obj, objs, line_nos)
+            line_no += len(block)
             # a block batch holds one outcome dimension, so its first line is
             # the first whose dimension can differ
             for batch, first in zip(batches, line_nos):
@@ -1232,7 +1263,9 @@ def _saved_report_parts(data) -> tuple[dict, dict, dict]:
     of a saved run report, each ``{}`` when absent or null; any other shape
     is bad data, and so are a ``recipe_config`` or ``per_level`` rows the
     summary cannot render, a table row without one cell per header name, and
-    a table name that is not a plain file name (``--out`` writes ``<name>.csv``)."""
+    a table name that is not a plain file name (``--out`` writes ``<name>.csv``).
+    A table's header names and cells come back as :func:`_csv_field` gives
+    them, so each is one CSV field."""
     if not isinstance(data, dict):
         raise DataError("report must be a JSON object")
     parts = {key: {} if data.get(key) is None else data[key]
@@ -1257,8 +1290,19 @@ def _saved_report_parts(data) -> tuple[dict, dict, dict]:
                 and isinstance(rows, list)
                 and all(isinstance(row, list) and len(row) == len(header) for row in rows)):
             raise DataError(f"report table {name!r} must be [header, rows], a cell per name")
-        parts["curves"][name] = (header, [[row[i] for row in rows] for i in range(len(header))])
+        parts["curves"][name] = ([_csv_field(h) for h in header],
+                                 [[_csv_field(row[i]) for row in rows] for i in range(len(header))])
     return parts["report"], parts["provenance"], parts["curves"]
+
+
+def _csv_field(cell):
+    """A saved cell or header name as ``_csv_rows`` writes it, but one whose
+    ``str`` holds a comma, quote, CR or LF (a string, list or object cell; no
+    number's does) as its text in one RFC 4180 quoted field."""
+    text = str(cell)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return cell
 
 
 def _cmd_report(args) -> int:

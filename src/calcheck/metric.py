@@ -7,6 +7,13 @@ coverage indicator for particle clouds, whose centered projected intervals
 come from :func:`weighted_quantile`.  What differs by prediction family
 comes from the batch; the statistics here are the same for every family.
 
+Particle clouds are scored a stack at a time: :func:`halfplane_indicator`
+takes ``n`` clouds of one particle count and :func:`weighted_quantile`
+answers each row of a stack, so numpy's per-call overhead is paid once per
+stack, not once per cloud.  Each cloud's indicators are bit for bit those
+it would get alone, and the directions are drawn one cloud at a time in
+record order, so the generator ends where a cloud-by-cloud loop leaves it.
+
 Coverage counts sum the batch's own coverage indicator,
 :meth:`~calcheck.records.RecordBatch.covered`, which the online monitor
 reads too, so the offline and online tests score the same sets.  For scalar
@@ -225,12 +232,22 @@ def random_direction(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def weighted_quantile(weights, values, q):
-    """Left-continuous generalized inverse of the weighted ECDF.
+    """Left-continuous generalized inverse of the weighted ECDF, row by row.
 
-    Returns the smallest sample value whose cumulative weight reaches ``q``.
+    ``values`` and ``weights`` hold samples of shape ``(..., m)``: a flat
+    sample is one row, a stack of ``n`` samples is ``(n, m)``.  Each row's
+    answer is its smallest value whose cumulative weight reaches ``q``.
     This matches the unweighted empirical quantile convention and keeps the
     coverage indicator conservative at ties.  ``q`` may be an array of
-    levels, answered from one sort as an array of the same shape.
+    levels, shared by every row, each row answered from one sort: the result
+    has shape ``values.shape[:-1] + q.shape``, a float for a flat sample and
+    a scalar ``q``.
+
+    The rows are sorted with the default ``argsort``, and only the rows whose
+    sorted values hold a tie (or a NaN) are sorted again, stably: a row of
+    distinct values has one sorted order, so every row gets the stable
+    order, and tied values sum their weights in record order.  Each row's
+    cumulative weights are searched once for all its levels.
     """
     w = np.asarray(weights, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -239,50 +256,64 @@ def weighted_quantile(weights, values, q):
         raise ValueError("cannot take a quantile of an empty sample")
     if not (q.min() > 0.0 and q.max() < 1.0):
         raise ValueError(f"q must be in (0, 1), got {q}")
-    order = np.argsort(v, kind="stable")
-    cum = np.cumsum(w[order])
-    idx = np.searchsorted(cum, q * cum[-1], side="left")
-    idx = np.minimum(idx, v.size - 1)  # guard float roundoff at q ~ 1
-    quantiles = v[order[idx]]
+    shape, m = v.shape[:-1] + q.shape, v.shape[-1]
+    v, w = v.reshape(-1, m), w.reshape(-1, m)
+    rows = np.arange(len(v))[:, None]
+    order = v.argsort(axis=1)
+    s = v[rows, order]
+    increasing = s[:, 1:] > s[:, :-1]  # all of a row: no tie and no NaN
+    if not increasing.all():
+        tied = ~increasing.all(axis=1)
+        order[tied] = np.argsort(v[tied], axis=1, kind="stable")
+    cum = np.cumsum(w[rows, order], axis=1)
+    # guard float roundoff at q ~ 1
+    idx = np.minimum([np.searchsorted(c, q * c[-1], side="left") for c in cum], m - 1)
+    quantiles = v[rows, order[rows, idx.reshape(len(v), -1)]].reshape(shape)
     return float(quantiles) if quantiles.ndim == 0 else quantiles
 
 
 def halfplane_indicator(
     w: np.ndarray,
     pts: np.ndarray,
-    y,
+    y: np.ndarray,
     levels,
     rng: np.random.Generator,
-):
-    """Whether one outcome falls in a cloud's centered projected intervals.
+) -> np.ndarray:
+    """Whether each outcome of a stack of clouds falls in its cloud's
+    centered projected intervals.
 
-    The cloud is weights ``w`` of shape ``(m,)`` and points ``pts`` of shape
-    ``(m, d)``.  Draws a fresh direction independently of the outcome,
-    projects the cloud and the outcome onto it, and tests the outcome's
-    projection against the centered weighted-quantile interval at each level
-    in ``levels`` (a float or an array), with weak inequalities at the
-    endpoints.  Both endpoints at every level come from one
-    :func:`weighted_quantile` call, so the projected cloud is sorted once.
+    The stack is ``n`` clouds of ``m`` particles each: weights ``w`` of shape
+    ``(n, m)``, points ``pts`` of shape ``(n, m, d)`` and outcomes ``y`` of
+    shape ``(n, d)``; the result is ``(n, k)`` for ``k`` levels.  For each
+    cloud, in order, a fresh direction is drawn from ``rng`` independently
+    of the outcome; the cloud and its outcome are projected onto it, and
+    the outcome's projection is tested against the centered weighted-quantile
+    interval at each level, with weak inequalities at the endpoints.  Both
+    endpoints at every level come from one :func:`weighted_quantile` call.
     Because the direction never looks at the data, each indicator is
     Bernoulli(level) under calibration whatever the cloud looks like; a
     degenerate cloud resolves through the quantile tie policy.
+
+    Every indicator is bit for bit the one a single-cloud stack gives: the
+    projections are one batched ``matmul``, which computes each cloud's
+    ``pts @ d`` as that product alone does, where ``einsum`` or a sum of
+    coordinate products round differently.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    dim = pts.shape[1]
-    if y.shape[0] != dim:
-        raise ValueError(
-            f"outcome has dimension {y.shape[0]}, cloud has {dim}"
-        )
-    d = random_direction(dim, rng)
+    n, _, dim = pts.shape
+    if y.shape != (n, dim):
+        raise ValueError(f"outcomes have shape {y.shape}, clouds {(n, dim)}")
+    d = np.array([random_direction(dim, rng) for _ in range(n)])
     # coordinates beyond 2**500 could overflow their projections; the interval
-    # test is invariant under positive scaling, so scale the cloud and the
-    # outcome by an exact power of two, and leave every other input untouched
-    k = np.frexp(max(np.abs(pts).max(), np.abs(y).max()))[1]
-    if k > 500:
-        pts, y = pts * np.ldexp(1.0, -k), y * np.ldexp(1.0, -k)
+    # test is invariant under positive scaling, so scale such a cloud and its
+    # outcome by an exact power of two, and leave every other cloud untouched
+    k = np.frexp(np.maximum(np.abs(pts).max(axis=(1, 2)), np.abs(y).max(axis=1)))[1]
+    if (k > 500).any():
+        scale = np.ldexp(1.0, np.where(k > 500, -k, 0))  # 1 elsewhere, an exact product
+        pts, y = pts * scale[:, None, None], y * scale[:, None]
+    levels = np.atleast_1d(levels)
     # (1 + level) / 2 rounds up to 1 at the level one ulp below 1, where the
     # largest float below 1 stands in for it
     q = np.minimum(np.array([1.0 - levels, 1.0 + levels]) / 2.0, np.nextafter(1.0, 0.0))
-    lo, hi = weighted_quantile(w, pts @ d, q)
-    zy = float(y @ d)
-    return (lo <= zy) & (zy <= hi)
+    ends = weighted_quantile(w, (pts @ d[:, :, None])[:, :, 0], q)
+    zy = (y[:, None, :] @ d[:, :, None])[:, 0]  # (n, 1), against each row's k levels
+    return (ends[:, 0] <= zy) & (zy <= ends[:, 1])

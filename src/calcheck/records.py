@@ -13,6 +13,8 @@ so a batch's family is decided once, when its type is chosen.
 
 from __future__ import annotations
 
+from itertools import chain, groupby
+
 import numpy as np
 
 from .errors import DataError, InvalidDistributionError, UnsupportedMetricError
@@ -30,6 +32,9 @@ __all__ = [
 # Weight tolerance for particle clouds: the weight vector must sum to 1
 # within this absolute slack before the exact renormalisation is applied.
 WEIGHT_SUM_TOL = 1e-9
+# At most this many particles in one stack of clouds that half-plane coverage
+# scores at once: larger stacks gain little and cost memory.
+STACK_PARTICLES = 8192
 
 
 def chi2_cdf(x, d: int):
@@ -104,7 +109,7 @@ def _checked_cloud(w, pts) -> tuple[np.ndarray, np.ndarray]:
     required.
     """
     w = np.asarray(w, dtype=float)
-    pts = np.asarray(pts, dtype=float)
+    pts = _points(pts)
     if pts.ndim == 1:
         pts = pts[:, None]
     if w.ndim != 1 or pts.ndim != 2 or w.shape[0] != pts.shape[0]:
@@ -118,6 +123,22 @@ def _checked_cloud(w, pts) -> tuple[np.ndarray, np.ndarray]:
     if np.any(w < 0):
         raise InvalidDistributionError("weights must be nonnegative")
     return _normalised(w), pts
+
+
+def _points(pts) -> np.ndarray:
+    """``np.asarray(pts, dtype=float)``, read by ``np.fromiter`` when ``pts``
+    is a nonempty list of equal-length lists, as a decoded record line holds:
+    that skips asarray's shape discovery and gives the same floats.  Any other
+    value, or a cell fromiter refuses, goes through asarray, so every refusal
+    keeps asarray's message."""
+    if (type(pts) is list and pts and [*map(type, pts)].count(list) == len(pts)
+            and len(set(map(len, pts))) == 1):
+        m, d = len(pts), len(pts[0])
+        try:
+            return np.fromiter(chain.from_iterable(pts), float, m * d).reshape(m, d)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    return np.asarray(pts, dtype=float)
 
 
 def _normalised(w: np.ndarray) -> np.ndarray:
@@ -344,11 +365,23 @@ class ParticleBatch(RecordBatch):
         return [wi.tolist() for wi in self.w], [pi.tolist() for pi in self.pts], self.y.tolist()
 
     def covered(self, levels, rng=None):
-        # one halfplane_indicator row per cloud, each on a fresh direction
+        """Half-plane coverage (:func:`~calcheck.metric.halfplane_indicator`),
+        each cloud on a fresh direction from ``rng``, drawn in record order.
+        Consecutive clouds of one particle count form a run, scored a stack
+        of at most ``STACK_PARTICLES`` particles (one cloud, if larger) at a
+        time: a stack pays numpy's per-call overhead once for all its clouds,
+        and the bound keeps its sort buffers small."""
         if rng is None:
             raise UnsupportedMetricError("half-plane coverage of particle clouds needs an rng")
-        return np.array([halfplane_indicator(w, pts, y, levels, rng) for w, pts, y
-                         in zip(self.w, self.pts, self.y)], bool).reshape(len(self), len(levels))
+        out, start = np.empty((len(self), len(levels)), bool), 0
+        for m, run in groupby(map(len, self.w)):
+            stop, step = start + len(list(run)), max(1, STACK_PARTICLES // m)
+            for i in range(start, stop, step):
+                j = min(i + step, stop)
+                out[i:j] = halfplane_indicator(np.array(self.w[i:j]), np.array(self.pts[i:j]),
+                                               self.y[i:j], levels, rng)
+            start = stop
+        return out
 
 
 FAMILIES: dict[str, type[RecordBatch]] = {

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import importlib.util
@@ -599,7 +600,29 @@ def test_report_out_writes_saved_cells_as_they_are(tmp_path):
     saved.write_text(json.dumps({"curves": {"c": [["a", "b", "c"], [
         ["None", "inf", [1, 2.5]], [None, 1e16, "x,y"]]]}}))
     assert cli.main(["report", str(saved), "--out", str(tmp_path / "o")]) == 0
-    assert (tmp_path / "o" / "c.csv").read_text() == "a,b,c\nNone,inf,[1, 2.5]\n,1e+16,x,y\n"
+    assert (tmp_path / "o" / "c.csv").read_text() == 'a,b,c\nNone,inf,"[1, 2.5]"\n,1e+16,"x,y"\n'
+
+
+CSV_TEXT = 'a,"\r\n '
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.one_of(st.none(), st.floats(), st.integers(), st.text(CSV_TEXT),
+                                   st.lists(st.integers(), max_size=3),
+                                   st.dictionaries(st.text(CSV_TEXT), st.integers(), max_size=2)),
+                         min_size=3, max_size=3), max_size=4),
+       st.lists(st.text(CSV_TEXT), min_size=3, max_size=3))
+def test_report_out_writes_one_csv_field_per_header_name(rows, header):
+    # a saved string, list or object cell, or header name, holding a comma,
+    # quote, CR or LF is one quoted field, which csv.reader reads back as
+    # its text; a number or None cell is written as before
+    with tempfile.TemporaryDirectory() as tmp:
+        saved = Path(tmp) / "r.json"
+        saved.write_text(json.dumps({"curves": {"c": [header, rows]}}))
+        assert cli.main(["report", str(saved), "--out", str(Path(tmp) / "o")]) == 0
+        with open(Path(tmp) / "o" / "c.csv", newline="") as handle:
+            read = list(csv.reader(handle))
+    assert read == [header] + [["" if x is None else str(x) for x in row] for row in rows]
 
 
 TABLE_CELLS = st.one_of(

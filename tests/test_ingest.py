@@ -11,6 +11,7 @@ must give the per-line reference's records and error text, also on the
 numbers, strings and nesting where orjson and json differ.
 """
 
+import gc
 import hashlib
 import io
 import json
@@ -20,13 +21,14 @@ import signal
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calcheck import cli
+from calcheck import cli, records
 from calcheck.cli import RecipeConfig, RecordSource, iter_records, parse_records, run_monitor
 from calcheck.errors import DataError
 from calcheck.records import FAMILIES
@@ -718,3 +720,106 @@ def test_monitor_carries_its_state_across_blocks_and_reads(tmp_path, monkeypatch
     for name in ("etrace.csv", "report.json"):
         pipe, file = ((tmp_path / d / name).read_text() for d in ("pipe", "file"))
         assert first_difference(pipe, file) is None, name
+
+
+# ---------------------------------------------------------------------------
+# cloud points read by fromiter, and the collector paused per block
+# ---------------------------------------------------------------------------
+
+# point cells as a record line may hold them, numbers or not
+POINT_CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.just("1.5"),
+                        st.booleans(), st.none(), st.integers(2**53 - 3, 2**53 + 3),
+                        st.integers(-2**70, 2**70), st.just(10**400))
+
+
+@st.composite
+def cloud_points(draw):
+    """A cloud's ``pts`` value: equal-length point lists, ragged ones, a
+    flat list, an object, a string, or point lists mixed with strings."""
+    m = draw(st.integers(0, 4))
+    shape = draw(st.sampled_from(["equal", "ragged", "flat", "object", "string", "mixed"]))
+    if shape == "equal":
+        d = draw(st.integers(0, 3))
+        return [draw(st.lists(POINT_CELLS, min_size=d, max_size=d)) for _ in range(m)]
+    if shape == "ragged":
+        return [draw(st.lists(POINT_CELLS, max_size=3)) for _ in range(m)]
+    if shape == "flat":
+        return draw(st.lists(POINT_CELLS, min_size=m, max_size=m))
+    if shape == "object":
+        return draw(st.dictionaries(st.text("12", max_size=2), POINT_CELLS, max_size=m))
+    if shape == "string":
+        return draw(st.text("12.", max_size=m))
+    # a string or object with a point list's length, which a flattening
+    # of the value would read as that many cells
+    return [[1.0, 2.0], draw(st.sampled_from(["12", {"1": 0, "2": 0}]))] * max(m // 2, 1)
+
+
+@st.composite
+def cloud_lines(draw) -> bytes:
+    lines = []
+    for _ in range(draw(st.integers(1, 3))):
+        pts = draw(cloud_points())
+        m = len(pts) if draw(st.booleans()) else draw(st.integers(0, 4))
+        first = pts[0] if isinstance(pts, list) and pts else None
+        d = len(first) if isinstance(first, list) else 1
+        lines.append(json.dumps({"w": [1.0 / m] * m if m else [], "pts": pts, "y": [0.5] * d}))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(cloud_lines())
+def test_cloud_points_are_the_floats_asarray_reads(tmp_path_factory, data):
+    # points read by fromiter are bit for bit those np.asarray reads, and a
+    # cloud it refuses ends the input with asarray's error text
+    path = tmp_path_factory.mktemp("clouds") / "clouds.jsonl"
+    path.write_bytes(data)
+    got, error = by_blocks(path, "particles")
+    with mock.patch.object(records, "_points", lambda pts: np.asarray(pts, dtype=float)):
+        want, want_error = by_blocks(path, "particles")
+    assert error == want_error
+    assert_same_records("particles", got, want)
+
+
+def test_benchmark_cloud_points_are_read_by_fromiter(tmp_path):
+    rng = np.random.default_rng(12)
+    path = tmp_path / "clouds.jsonl"
+    path.write_text("".join(cloud_line(rng, 500, i) + "\n" for i in range(5)))
+    with mock.patch.object(records.np, "fromiter", wraps=np.fromiter) as fromiter:
+        batch = parse_records(path, "particles")
+    assert fromiter.call_count == 5 and [p.shape for p in batch.pts] == [(500, 2)] * 5
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_iter_records_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    # the collector is paused while a block is parsed and built, never
+    # while the caller holds a batch, and is left as it was however the
+    # input ends: a bad line, or a block whose parse raises
+    rng = np.random.default_rng(13)
+    lines = [cloud_line(rng, 5, i) for i in range(300)]
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    good.write_text("\n".join(lines) + "\n")
+    bad.write_text("\n".join(lines + ["{"]) + "\n")
+    parse = cli._orjson_batch
+    seen = []
+
+    def noting(cls, block):
+        seen.append(gc.isenabled())
+        return parse(cls, block)
+
+    def failing(cls, block):
+        raise MemoryError
+
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        with mock.patch.object(cli, "BLOCK", 4096), mock.patch.object(cli, "_orjson_batch", noting):
+            held = [gc.isenabled() for _ in iter_records(good, "particles")]
+        assert len(held) > 2 and held == [enabled] * len(held) and not any(seen)
+        with pytest.raises(DataError, match="invalid JSON"):
+            list(iter_records(bad, "particles"))
+        assert gc.isenabled() == enabled
+        with mock.patch.object(cli, "_orjson_batch", failing), pytest.raises(MemoryError):
+            list(iter_records(good, "particles"))
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if was else gc.disable()

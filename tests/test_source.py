@@ -123,13 +123,15 @@ def callers(tree, callee: str) -> set[str]:
 def test_record_lines_have_one_parse_path():
     # json.loads and json.load read the config file and a saved report; a
     # block of record lines is parsed by orjson in _orjson_batch alone, and a
-    # block it declines, like the sniffed first line, by _parse_line alone
+    # block it declines, like the sniffed first line, by _parse_line alone,
+    # which _json_objs calls line by line
     cli = TREES["cli"]
     assert callers(cli, "json.loads") == {"_parse_line", "_cmd_report"}
     assert callers(cli, "json.load") == {"_load_file_config"}
     assert callers(cli, "orjson.loads") == {"_orjson_batch"}
     assert callers(cli, "_orjson_batch") == {"iter_records"}
-    assert callers(cli, "_parse_line") == {"iter_records", "sniff_model_kind"}
+    assert callers(cli, "_json_objs") == {"iter_records"}
+    assert callers(cli, "_parse_line") == {"_json_objs", "sniff_model_kind"}
 
 
 def test_output_values_are_turned_into_text_once():
