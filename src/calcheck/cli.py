@@ -31,8 +31,9 @@ Importing this module loads numpy but neither scipy nor orjson.
 ``scipy.special`` is loaded by the first PIT of (multivariate) Gaussian
 records and by the first Binomial tail, so by ``check`` and by ``monitor`` on
 Gaussian records; ``simulate``, ``report``, ``monitor`` on particles and a
-run that fails on its configuration never load it.  orjson is loaded by the
-first block of record lines parsed, so by ``check`` and ``monitor`` alone.
+run that fails on its configuration never load it.  orjson, the one parser
+of record lines, is loaded by the first line parsed, the sniffed first line
+included, so by ``check`` and ``monitor`` alone.
 
 ``simulate drift_sweep`` runs its independent (multiplier, seed) cells in
 forked worker processes, one per usable CPU (on Linux; elsewhere in this
@@ -282,8 +283,9 @@ class RecordSource:
     last block read when a bad line stops the parse.  ``blocks`` yields the
     lines of each block as undecoded bytes, split on ``b"\n"`` only, with a
     partial last line carried into the next; a line keeps its ``\r`` and any
-    other whitespace, which ``_parse_line`` strips as JSON does.  ``peek``
-    reads ahead to the first non-blank line for schema sniffing, and
+    other whitespace, of which the parse strips JSON's own (see
+    :func:`_parse_lines`), and a line that ``bytes.strip`` empties is blank.
+    ``peek`` reads ahead to the first non-blank line for schema sniffing, and
     ``blocks`` replays what it read.  Use as a context manager to close a
     file that was not read to its end.
     """
@@ -345,10 +347,9 @@ def _opened(source: str | Path | RecordSource):
 
 
 # The deepest nesting of arrays and objects a record line may hold; a
-# record needs 3.  json's C scanner counts nesting against the recursion
-# limit from the caller's stack depth, so without a bound of its own whether
-# a line is valid would depend on how deep the program was called.
-MAX_DEPTH = 64
+# record needs 3, and a 500-particle cloud holds 504 brackets in all.  orjson
+# has no nesting limit and overflows the C stack on a deep enough line.
+MAX_DEPTH = 1024
 # a string, or an unterminated one to the end of the line
 _STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"?', re.DOTALL)
 # each bracket as its step in nesting depth, with every other byte deleted
@@ -356,79 +357,49 @@ _DEPTH_STEPS = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")
 _NOT_BRACKETS = bytes(b for b in range(256) if b not in b"[{]}")
 
 
-def _parse_line(line: bytes):
-    """The JSON value of one record line, as ``json.loads`` gives it: a bad
-    line raises json's own exception and message, positions included.  A
-    line nested more than ``MAX_DEPTH`` deep outside its strings raises
-    ``ValueError`` before json reads it, and an integer of more than
-    ``sys.get_int_max_str_digits()`` digits raises json's ``ValueError``."""
-    if line.count(b"[") + line.count(b"{") > MAX_DEPTH:  # else it cannot be deeper
-        steps = _STRING.sub(b"", line).translate(_DEPTH_STEPS, _NOT_BRACKETS)
-        if np.frombuffer(steps, np.int8).cumsum().max(initial=0) > MAX_DEPTH:
-            raise ValueError(f"nested more than {MAX_DEPTH} deep")
-    return json.loads(line.decode())  # decoding first is faster than json's own
+def _too_deep(line: bytes) -> bool:
+    """Whether ``line`` nests arrays and objects more than ``MAX_DEPTH`` deep
+    outside its strings.  Only a line holding more ``[`` and ``{`` bytes than
+    that can, so they are counted first, in one numpy pass (they are the
+    bytes that OR 32 makes ``{``), and only such a line is scanned."""
+    if np.count_nonzero((np.frombuffer(line, np.uint8) | 32) == 123) <= MAX_DEPTH:
+        return False
+    steps = _STRING.sub(b"", line).translate(_DEPTH_STEPS, _NOT_BRACKETS)
+    return np.frombuffer(steps, np.int8).cumsum().max(initial=0) > MAX_DEPTH
 
 
-# At most this many "[" and "{" bytes on a line that orjson parses: it has no
-# nesting limit and overflows the C stack on a deep enough line, which
-# _parse_line refuses before json reads it.  A 500-particle cloud holds 504.
-MAX_BRACKETS = 1024
+def _refusal(line: bytes, exc: json.JSONDecodeError) -> str:
+    """Why orjson refused ``line`` with ``exc``: json's message where json
+    refuses the line too, else that it is not RFC 8259 JSON, with orjson's
+    reason.  json reads NaN, Infinity, lone surrogates and numbers beyond the
+    float range, which RFC 8259 and I-JSON (RFC 7493) leave out."""
+    try:
+        json.loads(line.decode())  # decoding first is faster than json's own
+    except (ValueError, RecursionError) as error:  # JSON and UTF-8 errors are ValueErrors
+        return getattr(error, "msg", str(error))
+    return f"not RFC 8259 JSON: {exc.msg}"
 
 
-def _orjson_batch(cls: type[RecordBatch], block: list[bytes]) -> RecordBatch | None:
-    """The batch of a block's non-blank lines parsed by orjson, or None for a
-    block that the json loop must parse (see :func:`iter_records`)."""
+def _parse_lines(lines: list[bytes], line_no: int) -> tuple[list, DataError | None]:
+    """The values of the non-blank ``lines``, the first being line
+    ``line_no + 1``, as ``orjson.loads`` reads them, up to the first line
+    that is invalid JSON, whose DataError comes second (None if there is
+    none).  A line nested more than ``MAX_DEPTH`` deep is invalid, and is
+    refused before orjson reads it; :func:`_refusal` words orjson's refusals."""
     import orjson
 
-    read = {*cls.keys, "t"}
-    objs = []
-    for line in block:
+    values = []
+    for line_no, line in enumerate(lines, line_no + 1):
         if not line.strip():
             continue
-        # a line no longer than the bound cannot hold more brackets; "[" and
-        # "{" are the bytes that OR 32 makes "{", counted in one numpy pass
-        if len(line) > MAX_BRACKETS and np.count_nonzero(
-                (np.frombuffer(line, np.uint8) | 32) == 123) > MAX_BRACKETS:
-            return None
+        if len(line) > MAX_DEPTH and _too_deep(line):  # a shorter line cannot be
+            return values, DataError(f"line {line_no}: invalid JSON "
+                                     f"(nested more than {MAX_DEPTH} deep)")
         try:
-            obj = orjson.loads(line)
-        except orjson.JSONDecodeError:
-            return None
-        if type(obj) is not dict:
-            return None
-        # with every family key present (else the constructor raises), an
-        # object holds other keys exactly when it is longer than this
-        if len(obj) > len(read) - ("t" not in obj) and any(
-                isinstance(obj[key], (dict, list)) for key in obj.keys() - read):
-            return None
-        objs.append(obj)
-    if not objs:
-        return None
-    try:
-        return cls.from_objs(objs)
-    except (KeyError, TypeError, ValueError, OverflowError):  # the json loop reports it
-        return None
-
-
-def _json_objs(block: list[bytes], line_no: int) -> tuple[list[dict], list[int], DataError | None]:
-    """The objects of a block's non-blank lines parsed by json line by line,
-    the first line being ``line_no + 1``, with each object's line number, up
-    to the first line that is not JSON or not an object, whose DataError
-    comes third (None if there is none)."""
-    objs, line_nos = [], []
-    for line_no, line in enumerate(block, line_no + 1):
-        if not line.strip():
-            continue
-        try:
-            obj = _parse_line(line)
-        except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors are ValueErrors
-            return objs, line_nos, DataError(f"line {line_no}: invalid JSON "
-                                             f"({getattr(exc, 'msg', exc)})")
-        if not isinstance(obj, dict):
-            return objs, line_nos, DataError(f"line {line_no}: expected an object")
-        objs.append(obj)
-        line_nos.append(line_no)
-    return objs, line_nos, None
+            values.append(orjson.loads(line))
+        except orjson.JSONDecodeError as exc:
+            return values, DataError(f"line {line_no}: invalid JSON ({_refusal(line, exc)})")
+    return values, None
 
 
 @contextlib.contextmanager
@@ -449,25 +420,17 @@ def iter_records(source: str | Path | RecordSource, model_kind: str) -> Iterator
     batch per block of complete lines read (see :class:`RecordSource`),
     blank lines skipped; all share the first record's outcome dimension.
 
-    A block's lines are parsed by orjson and its batch is built from them in
-    one step.  orjson reads what json reads, except that it refuses NaN,
-    Infinity, lone surrogates and numbers beyond the float range, turns
-    integers beyond 64 bits into their correctly rounded floats, and has no
-    nesting limit: a deep enough line overflows its C stack, where
-    ``_parse_line`` refuses a line nested more than ``MAX_DEPTH`` deep.  So
-    a block goes through json line by line (``_parse_line``) instead when a
-    line holds more than ``MAX_BRACKETS`` ``[`` and ``{`` bytes, orjson
-    refuses a line, a line is not an object, an object holds a container
-    under a key the family does not read (it may be nested too deeply; a
-    family column that deep fails the batch), or the batch cannot be built
-    (a float ``t`` cannot).  Every
-    batch is therefore the one json gives, bit for bit, and every error,
-    line number and block boundary is the json loop's.
+    Each line is parsed by :func:`_parse_lines`, as the sniffed first line
+    is, and a block's batch is built from its values in one step.  Where the
+    batch cannot be built, the block's records are built one line at a time,
+    so the error names the first bad line.  orjson reads integers beyond 64
+    bits as their correctly rounded floats, so no ``t`` can be one.
 
     The first bad line in file order raises a :class:`DataError` naming it,
     after the records before it have been yielded: a line that is not UTF-8,
-    not JSON, nested too deeply or holding too long an integer is invalid
-    JSON.
+    not RFC 8259 JSON (NaN, Infinity, a lone surrogate or a number beyond
+    the float range are not), or nested more than ``MAX_DEPTH`` deep is
+    invalid JSON.
 
     The cyclic garbage collector is paused while a block is parsed and its
     batch built, and set back as it was before the batch is yielded or any
@@ -480,17 +443,17 @@ def iter_records(source: str | Path | RecordSource, model_kind: str) -> Iterator
     dim, line_no = None, 0
     with _opened(source) as src:
         for block in src.blocks():
+            # the numbers of the block's non-blank lines, as far as they are read
+            line_nos = (n for n, line in enumerate(block, line_no + 1) if line.strip())
             with _gc_paused():
-                batch = _orjson_batch(cls, block)
-                if batch is None:
-                    objs, line_nos, error = _json_objs(block, line_no)
-                    try:
-                        batches = [cls.from_objs(objs)] if objs else []
-                    except (KeyError, TypeError, ValueError, OverflowError):
-                        batches = map(cls.from_obj, objs, line_nos)  # naming the bad line
-            if batch is not None:
-                batches, error = [batch], None
-                line_nos = [next(n for n, line in enumerate(block, line_no + 1) if line.strip())]
+                values, error = _parse_lines(block, line_no)
+                try:
+                    batches = [cls.from_objs(values)] if values else []
+                except (KeyError, TypeError, ValueError, OverflowError, AttributeError):
+                    # AttributeError: a value that is not an object has no .get
+                    line_nos = list(line_nos)
+                    batches = map(cls.from_obj, values, line_nos)  # naming the bad line
+                del values  # freed here, not kept while the caller holds a batch
             line_no += len(block)
             # a block batch holds one outcome dimension, so its first line is
             # the first whose dimension can differ
@@ -528,18 +491,18 @@ def write_records(records: RecordBatch, path: str | Path) -> None:
 
 
 def sniff_model_kind(source: str | Path | RecordSource) -> str:
-    """Infer the record schema from the first non-blank line."""
+    """Infer the record schema from the first non-blank line, parsed as
+    every record line is (:func:`_parse_lines`)."""
     with _opened(source) as src:
         line = src.peek()
     if line is None:
         raise DataError(f"no records in {source}")
-    try:
-        obj = _parse_line(line)
-    except (ValueError, RecursionError):
-        raise DataError(f"{source}: first record line is not valid JSON") from None
-    if isinstance(obj, dict):
+    values, error = _parse_lines([line], 0)
+    if error is not None:
+        raise DataError(f"{source}: first record line is not valid JSON")
+    if isinstance(values[0], dict):
         for kind, cls in FAMILIES.items():
-            if cls.keys[1] in obj:
+            if cls.keys[1] in values[0]:
                 return kind
     raise DataError(f"{source}: record schema not recognized")
 
@@ -1307,11 +1270,15 @@ def _csv_field(cell):
 
 def _cmd_report(args) -> int:
     try:
-        data = json.loads(Path(args.path).read_text())
+        data = json.loads(Path(args.path).read_bytes().decode())
+        # json loads an escaped lone surrogate, which no output can encode
+        json.dumps(data, ensure_ascii=False).encode()
     except OSError as exc:
         raise DataError(f"cannot read report: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"report is not valid JSON: {exc.msg}") from None
+    except UnicodeEncodeError:
+        raise DataError("report holds a lone surrogate, which is not text") from None
+    except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors are ValueErrors
+        raise DataError(f"report is not valid JSON: {getattr(exc, 'msg', exc)}") from None
     rep, prov, curves = _saved_report_parts(data)
     print(_render_summary(rep))
     if prov:

@@ -222,9 +222,12 @@ class RecordBatch:
                    t=[obj.get("t") for obj in objs])
 
     @classmethod
-    def from_obj(cls, obj: dict, line_no: int) -> "RecordBatch":
+    def from_obj(cls, obj, line_no: int) -> "RecordBatch":
         """A one-record batch from the decoded record line ``line_no``, which
-        ingest builds to find a bad line; it raises :class:`DataError` naming it."""
+        ingest builds to find a bad line; a value that is not an object, or
+        one that makes no record, raises :class:`DataError` naming it."""
+        if type(obj) is not dict:
+            raise DataError(f"line {line_no}: expected an object")
         try:
             return cls.from_objs([obj])
         except KeyError as exc:

@@ -139,7 +139,7 @@ def test_parse_errors_cite_line_and_field(tmp_path):
     # an integer beyond the float range is bad data, not a crash
     p3 = write_lines(tmp_path / "bad3.jsonl",
                      [gaussian_line(0, 1, 0), gaussian_line(10**400, 1, 0)])
-    with pytest.raises(DataError, match="^line 2: int too large"):
+    with pytest.raises(DataError, match=r"^line 2: invalid JSON \(not RFC 8259 JSON: "):
         parse_records(p3, "gaussian")
 
 
@@ -694,7 +694,7 @@ def test_cli_data_error_exit_3(tmp_path):
 
 
 MALFORMED_LINES = {
-    "deep_nesting": ("[" * 100_000 + "]" * 100_000, "nested more than 64 deep"),
+    "deep_nesting": ("[" * 100_000 + "]" * 100_000, "nested more than 1024 deep"),
     "long_integer": ('{"mu": ' + "7" * 5_000 + ', "sigma": 1.0, "y": 0.5}',
                      "Exceeds the limit (4300 digits) for integer string conversion"),
 }
@@ -704,8 +704,8 @@ MALFORMED_LINES = {
 @pytest.mark.parametrize("at", ["first", "first_of_a_named_model", "later"])
 @pytest.mark.parametrize("line, reason", MALFORMED_LINES.values(), ids=MALFORMED_LINES)
 def test_cli_line_json_cannot_hold_is_a_data_error(tmp_path, capsys, command, at, line, reason):
-    # a line too deep for the parser's recursion or holding an integer too
-    # long to convert exits 3 with one message, as any invalid JSON does
+    # a line nested deeper than the bound or holding an integer too long to
+    # convert exits 3 with one message, as any invalid JSON does
     good = gaussian_line(0.0, 1.0, 0.5)
     path = write_lines(tmp_path / "r.jsonl", [good, line, good] if at == "later" else [line, good])
     argv = [command, path]
@@ -724,18 +724,35 @@ def test_cli_line_json_cannot_hold_is_a_data_error(tmp_path, capsys, command, at
 
 def test_line_validity_does_not_depend_on_the_callers_stack_depth(tmp_path, capsys):
     # json counts nesting against the recursion limit from the caller's
-    # depth; the line bound does not, so a deep line fails alike at any depth
+    # depth; orjson and the nesting bound do not.  So at every depth at which
+    # a file of good lines still decides, a line nested 60 deep under a key
+    # the family does not read gives the same verdict, and a line nested
+    # 1,100 deep fails alike
     good = gaussian_line(0.0, 1.0, 0.5)
-    deep = good[:-1] + ', "n": ' + "[" * 960 + "]" * 960 + "}"
-    path = write_lines(tmp_path / "deep.jsonl", [good, deep] + [good] * 20)
+    paths = {}
+    for name, n in (("good", 0), ("unread", 60), ("deep", 1_100)):
+        line = good[:-1] + ', "n": ' + "[" * n + "0" + "]" * n + "}"
+        paths[name] = write_lines(tmp_path / f"{name}.jsonl", [good, line] + [good] * 20)
 
-    def at(depth):
-        return at(depth - 1) if depth else cli.main(["check", path, "--metric", "pit_ks"])
+    def at(depth, name):
+        if depth:
+            return at(depth - 1, name)
+        return cli.main(["check", paths[name], "--metric", "pit_ks"]), capsys.readouterr().err
 
-    for depth in (0, 200):
-        assert at(depth) == 3
-        err = capsys.readouterr().err
-        assert err == "data error: line 2: invalid JSON (nested more than 64 deep)\n"
+    want = at(0, "good")
+    assert want[0] in (0, 1)
+    depth = 0
+    while True:
+        try:
+            if at(depth, "good") != want:
+                break
+        except RecursionError:
+            break
+        assert at(depth, "unread") == want, depth
+        assert at(depth, "deep") == (
+            3, "data error: line 2: invalid JSON (nested more than 1024 deep)\n"), depth
+        depth += 10
+    assert depth > 800  # within the recursion limit, less what pytest and the run use
 
 
 @pytest.mark.parametrize("saved", [
@@ -756,6 +773,26 @@ def test_cli_report_of_wrong_shape_exits_3(tmp_path, capsys, saved):
     path.write_text(json.dumps(saved))
     assert cli.main(["report", str(path), "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err.startswith("data error: report")
+
+
+SURROGATE = "data error: report holds a lone surrogate, which is not text\n"
+
+
+@pytest.mark.parametrize("saved, err", [
+    (b'{"curves": {"c": [["a"], [["\\ud800"]]]}}', SURROGATE),
+    (b'{"report": {"decision": "\\ud800"}}', SURROGATE),
+    (b'{"provenance": {"input_digest": "\\udfff"}}', SURROGATE),
+    (b'{"report": {"decision": "\xff"}}', "data error: report is not valid JSON: 'utf-8' codec "
+     "can't decode byte 0xff in position 25: invalid start byte\n"),
+], ids=["table_cell", "summary", "provenance", "not_utf8"])
+def test_cli_report_of_text_no_output_can_encode_exits_3(tmp_path, capsys, saved, err):
+    # json loads an escaped lone surrogate, which no output can encode: it is
+    # refused before anything is printed or written
+    path = tmp_path / "report.json"
+    path.write_bytes(saved)
+    assert cli.main(["report", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr() == ("", err)
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("name", ["../escaped", "sub/table", "..", ""])

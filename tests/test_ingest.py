@@ -1,14 +1,14 @@
 """Block ingest: ``iter_records`` builds one batch per block of lines read.
 
-The differential tests compare it with the reference it replaced, a per-line
-parse through ``RecordBatch.from_obj`` joined by ``concat``: the records must
-be the same bit for bit, and a bad line must end the input at the same
-record with the same error text, in ``parse_records`` and in ``run_monitor``
-alike.  The monitor, which advances one batch at a time, must print and save
-the same bytes however its input is cut into blocks.  A block is parsed by
-orjson when it can be, and line by line by ``json.loads`` otherwise: both
-must give the per-line reference's records and error text, also on the
-numbers, strings and nesting where orjson and json differ.
+The differential tests compare it with a per-line reference written from the
+rules a record line must meet: a per-line parse, with its own byte-at-a-time
+nesting bound, through ``RecordBatch.from_obj`` joined by ``concat``.  The
+records must be the same bit for bit, and a bad line must end the input at
+the same record with the same error text, in ``parse_records`` and in
+``run_monitor`` alike.  The monitor, which advances one batch at a time,
+must print and save the same bytes however its input is cut into blocks.
+Every line is parsed by orjson; the cases below pin the error text of lines
+json and orjson read differently, and of lines nested near the bound.
 """
 
 import gc
@@ -24,6 +24,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,8 +49,8 @@ def per_line(data: bytes, kind: str) -> tuple[list, str | None]:
         if not line.strip():
             continue
         try:
-            obj = json_loads_line(line)
-        except ValueError as exc:
+            obj = loads_line(line)
+        except (ValueError, RecursionError) as exc:
             return good, f"line {line_no}: invalid JSON ({getattr(exc, 'msg', exc)})"
         if not isinstance(obj, dict):
             return good, f"line {line_no}: expected an object"
@@ -65,7 +66,7 @@ def per_line(data: bytes, kind: str) -> tuple[list, str | None]:
     return good, None
 
 
-MAX_DEPTH = 64  # the deepest nesting a record line may hold
+MAX_DEPTH = 1024  # the deepest nesting a record line may hold
 
 
 def nesting_depth(line: bytes) -> int:
@@ -88,12 +89,17 @@ def nesting_depth(line: bytes) -> int:
     return deepest
 
 
-def json_loads_line(line: bytes):
-    """``json.loads`` of a record line, which may nest at most ``MAX_DEPTH``
-    deep, whatever the stack depth it is called at."""
+def loads_line(line: bytes):
+    """The value of a record line: ``orjson.loads`` of a line nested at most
+    ``MAX_DEPTH`` deep.  A line orjson refuses raises json's error where json
+    refuses it too, else one saying it is not RFC 8259 JSON."""
     if nesting_depth(line) > MAX_DEPTH:
         raise ValueError(f"nested more than {MAX_DEPTH} deep")
-    return json.loads(line.decode())
+    try:
+        return orjson.loads(line)
+    except orjson.JSONDecodeError as refusal:
+        json.loads(line.decode())
+        raise ValueError(f"not RFC 8259 JSON: {refusal.msg}") from None
 
 
 def by_blocks(path, kind: str) -> tuple[list, str | None]:
@@ -293,13 +299,16 @@ def test_digest_covers_the_whole_block_a_bad_line_stops(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the json line parse, against json.loads
+# the rules for one line, against the per-line reference
 # ---------------------------------------------------------------------------
 
 GOOD = '{"mu": 0.5, "sigma": 1.0, "y": 0.25}'
+NOT_RFC_8259 = "line 2: invalid JSON (not RFC 8259 JSON: "
+UNEXPECTED = NOT_RFC_8259 + "unexpected character)"
+TOO_DEEP = "line 2: invalid JSON (nested more than 1024 deep)"
 
 # each line between two good ones, and the error iter_records must end with
-SCANNER_CASES = {
+LINE_CASES = {
     "plain": (GOOD, None),
     "trailing_data": (GOOD + ' {"a": 1}', "line 2: invalid JSON (Extra data)"),
     "trailing_garbage": (GOOD + "x", "line 2: invalid JSON (Extra data)"),
@@ -315,35 +324,49 @@ SCANNER_CASES = {
     "only_form_feed": ("\x0c", None),  # blank to bytes.strip(): skipped
     "json_whitespace_around": (" \t " + GOOD + "\t \r", None),
     "crlf": (GOOD + "\r", None),
-    "nan_constant": ('{"mu": 0.5, "sigma": 1.0, "y": 0.25, "note": NaN}', None),
-    "infinity_constant": ('{"mu": 0.5, "sigma": Infinity, "y": -Infinity}',
-                          "line 2: gaussian parameters must be finite"),
     "invalid_utf8": (b'{"mu": 0.5, "sigma": 1.0, "y": 0.25, "n": "\xff"}',
                      "line 2: invalid JSON ('utf-8' codec can't decode byte 0xff in "
                      "position 43: invalid start byte)"),
     "top_level_list": ("[0.5, 1.0, 0.25]", "line 2: expected an object"),
     "top_level_number": ("0.5", "line 2: expected an object"),
-    "deep_nesting": ("[" * 100_000 + "]" * 100_000,
-                     "line 2: invalid JSON (nested more than 64 deep)"),
-    "deep_in_a_record": ('{"mu": 0.5, "sigma": 1.0, "y": 0.25, "n": ' + "{\"a\": " * 100_000
-                         + "1" + "}" * 100_001,
-                         "line 2: invalid JSON (nested more than 64 deep)"),
-    # the record's object is the first level of nesting
-    "as_deep_as_the_bound": ('{"mu": 0.5, "sigma": 1.0, "y": 0.25, "n": ' + "[" * 63 + "]" * 63
-                             + "}", None),
-    "one_deeper_than_the_bound": ('{"mu": 0.5, "sigma": 1.0, "y": 0.25, "n": ' + "[" * 64
-                                  + "]" * 64 + "}",
-                                  "line 2: invalid JSON (nested more than 64 deep)"),
-    "brackets_in_strings": ('{"mu": 0.5, "sigma": 1.0, "y": 0.25, "n": ["\\"' + "[" * 100
-                            + '", "{' + "{" * 100 + '"]}', None),
-    "brackets_after_an_unterminated_string": ('{"mu": 0.5, "sigma": 1.0, "y": 0.25, "n": "'
-                                              + "[" * 100,
-                                              "line 2: invalid JSON (Unterminated string "
-                                              "starting at)"),
     "long_integer": ('{"mu": ' + "7" * 5_000 + ', "sigma": 1.0, "y": 0.25}',
                      "line 2: invalid JSON (Exceeds the limit (4300 digits) for integer string "
                      "conversion: value has 5000 digits; use sys.set_int_max_str_digits() to "
                      "increase the limit)"),
+    # json reads these, RFC 8259 and I-JSON do not: under a key the family
+    # does not read too
+    "nan_in_an_unread_key": (GOOD[:-1] + ', "note": NaN}', UNEXPECTED),
+    "nan_in_y": ('{"mu": 0.5, "sigma": 1.0, "y": NaN}', UNEXPECTED),
+    "infinity_constant": ('{"mu": 0.5, "sigma": Infinity, "y": -Infinity}', UNEXPECTED),
+    "beyond_the_float_range": ('{"mu": 0.5, "sigma": 1e400, "y": 0.25}',
+                               NOT_RFC_8259 + "number is infinity when parsed as double)"),
+    "lone_surrogate": (GOOD[:-1] + ', "station": "\\ud800"}',
+                       NOT_RFC_8259 + "no matched low surrogate in string)"),
+    # orjson reads an integer beyond 64 bits as its correctly rounded float
+    "t_beyond_64_bits": (GOOD[:-1] + ', "t": 18446744073709551616}',
+                         "line 2: time index must be an integer or null, "
+                         "got 1.8446744073709552e+19"),
+    "t_at_the_64_bit_limit": (GOOD[:-1] + ', "t": 18446744073709551615}', None),
+    "mu_beyond_64_bits": ('{"mu": 123456789012345678901234567890, "sigma": 1.0, "y": 0.25}', None),
+    "scalar_extra_key": (GOOD[:-1] + ', "station": "x"}', None),
+    "container_extra_key": (GOOD[:-1] + ', "meta": {"a": [1, {"b": null}]}}', None),
+    "duplicate_key": ('{"mu": 0.5, "sigma": -1.0, "y": 0.25, "sigma": 2.0}', None),
+    # the nesting bound; the record's object is the first level
+    "deep_nesting": ("[" * 100_000 + "]" * 100_000, TOO_DEEP),
+    "deep_in_a_record": (GOOD[:-1] + ', "n": ' + '{"a": ' * 100_000 + "1" + "}" * 100_001,
+                         TOO_DEEP),
+    "as_deep_as_the_bound": (GOOD[:-1] + ', "n": ' + "[" * 1_023 + "]" * 1_023 + "}", None),
+    "one_deeper_than_the_bound": (GOOD[:-1] + ', "n": ' + "[" * 1_024 + "]" * 1_024 + "}",
+                                  TOO_DEEP),
+    "deep_outcome": ('{"mu": 0.5, "sigma": 1.0, "y": ' + "[" * 1_020 + "0" + "]" * 1_020 + "}",
+                     "line 2: setting an array element with a sequence. The requested array "
+                     "would exceed the maximum number of dimension of 64."),
+    "many_shallow_brackets": (GOOD[:-1] + ', "n": [' + "[], " * 1_100 + "[]]}", None),
+    "brackets_in_strings": (GOOD[:-1] + ', "n": ["\\"' + "[" * 1_100 + '", "{' + "{" * 1_100
+                            + '"]}', None),
+    "brackets_after_an_unterminated_string": (GOOD[:-1] + ', "n": "' + "[" * 1_100,
+                                              "line 2: invalid JSON (Unterminated string "
+                                              "starting at)"),
 }
 
 
@@ -351,22 +374,10 @@ def as_bytes(line: str | bytes) -> bytes:
     return line if isinstance(line, bytes) else line.encode("utf-8", "surrogatepass")
 
 
-def parsed(parse, line: bytes) -> tuple:
-    """A parse's value as its ``repr`` (so NaN equals NaN, and -0.0, 0 and
-    False differ from 0.0), or the type and message of what it raised."""
-    try:
-        return "value", repr(parse(line))
-    except (ValueError, RecursionError) as exc:
-        return type(exc), str(exc)
-
-
-def assert_scanner_matches_json_loads(path, line: bytes) -> str | None:
-    """``_parse_line`` gives what ``json_loads_line`` (``json.loads`` within
-    the nesting bound) gives on ``line``, and
-    ``iter_records`` over the line between two good ones stops where and as
-    the per-line reference does; returns that error."""
+def assert_block_matches_the_reference(path, line: bytes) -> str | None:
+    """``iter_records`` over ``line`` between two good ones stops where and
+    as the per-line reference does; returns that error."""
     assert b"\n" not in line
-    assert parsed(cli._parse_line, line) == parsed(json_loads_line, line)
     data = b"\n".join([GOOD.encode(), line, GOOD.encode(), b""])
     path.write_bytes(data)
     got, error = by_blocks(path, "gaussian")
@@ -376,9 +387,9 @@ def assert_scanner_matches_json_loads(path, line: bytes) -> str | None:
     return error
 
 
-@pytest.mark.parametrize("line, error", SCANNER_CASES.values(), ids=SCANNER_CASES)
-def test_scanner_path_matches_json_loads(tmp_path, line, error):
-    assert assert_scanner_matches_json_loads(tmp_path / "r.jsonl", as_bytes(line)) == error
+@pytest.mark.parametrize("line, error", LINE_CASES.values(), ids=LINE_CASES)
+def test_line_rules(tmp_path, line, error):
+    assert assert_block_matches_the_reference(tmp_path / "r.jsonl", as_bytes(line)) == error
 
 
 keys = st.sampled_from(["mu", "sigma", "y", "t", "n", ""]) | st.text(max_size=4)
@@ -413,71 +424,16 @@ def byte_lines(draw) -> bytes:
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(text_lines(), byte_lines()))
-def test_scanner_path_matches_json_loads_on_any_line(tmp_path_factory, line):
-    assert_scanner_matches_json_loads(tmp_path_factory.getbasetemp() / "scan.jsonl", line)
+def test_line_rules_on_any_line(tmp_path_factory, line):
+    assert_block_matches_the_reference(tmp_path_factory.getbasetemp() / "scan.jsonl", line)
 
 
-# ---------------------------------------------------------------------------
-# orjson's block parse, against the per-line json reference
-# ---------------------------------------------------------------------------
-
-def parse_noting_json_lines(monkeypatch, path, kind) -> tuple[list, str | None, list]:
-    """``by_blocks`` of ``path``, and the lines that went through the json loop."""
-    seen, parse = [], cli._parse_line
-
-    def noted(line):
-        seen.append(line)
-        return parse(line)
-
-    monkeypatch.setattr(cli, "_parse_line", noted)
-    return (*by_blocks(path, kind), seen)
-
-
-# each line between two good ones: the error iter_records must end with, and
-# whether orjson takes the block
-ORJSON_CASES = {
-    # orjson reads 2**64 as a float, which no time index may be
-    "t_beyond_64_bits": ('{"mu": 0.5, "sigma": 1.0, "y": 0.25, "t": 18446744073709551616}',
-                         None, False),
-    "t_at_the_64_bit_limit": ('{"mu": 0.5, "sigma": 1.0, "y": 0.25, "t": 18446744073709551615}',
-                              None, True),
-    # in a numeric column it is the float json's int becomes
-    "mu_beyond_64_bits": ('{"mu": 123456789012345678901234567890, "sigma": 1.0, "y": 0.25}',
-                          None, True),
-    "nan_in_y": ('{"mu": 0.5, "sigma": 1.0, "y": NaN}',
-                 "line 2: outcome must be a finite 1-D vector", False),
-    "beyond_the_float_range": ('{"mu": 0.5, "sigma": 1e400, "y": 0.25}',
-                               "line 2: gaussian parameters must be finite", False),
-    "lone_surrogate": ('{"mu": 0.5, "sigma": 1.0, "y": 0.25, "station": "\\ud800"}', None, False),
-    "scalar_extra_key": ('{"mu": 0.5, "sigma": 1.0, "y": 0.25, "station": "x"}', None, True),
-    "container_extra_key": ('{"mu": 0.5, "sigma": 1.0, "y": 0.25, "meta": {"a": 1}}', None, False),
-    # within the bracket bound, beyond json's nesting limit
-    "deep_extra_key": ('{"mu": 0.5, "sigma": 1.0, "y": 0.25, "n": ' + "[" * 1_020 + "]" * 1_020
-                       + "}", "line 2: invalid JSON (nested more than 64 deep)", False),
-    "deep_outcome": ('{"mu": 0.5, "sigma": 1.0, "y": ' + "[" * 1_020 + "0" + "]" * 1_020 + "}",
-                     "line 2: invalid JSON (nested more than 64 deep)", False),
-    "duplicate_key": ('{"mu": 0.5, "sigma": -1.0, "y": 0.25, "sigma": 2.0}', None, True),
-}
-
-
-@pytest.mark.parametrize("line, error, fast", ORJSON_CASES.values(), ids=ORJSON_CASES)
-def test_orjson_block_matches_the_per_line_parse(tmp_path, monkeypatch, line, error, fast):
-    data = "\n".join([GOOD, line, GOOD, ""]).encode("utf-8", "surrogatepass")
-    path = tmp_path / "r.jsonl"
-    path.write_bytes(data)
-    got, got_error, json_lines = parse_noting_json_lines(monkeypatch, path, "gaussian")
-    want, want_error = per_line(data, "gaussian")
-    assert got_error == want_error == error
-    assert_same_records("gaussian", got, want)
-    assert (not json_lines) == fast, json_lines
-
-
-def test_orjson_block_keeps_json_values_beyond_64_bits(tmp_path):
+def test_integers_beyond_64_bits_read_as_their_floats(tmp_path):
     path = tmp_path / "r.jsonl"
     path.write_text('{"mu": 123456789012345678901234567890, "sigma": 1.0, "y": 0.25, '
-                    '"t": 18446744073709551616}\n')
+                    '"t": 18446744073709551615}\n')
     (batch,) = iter_records(path, "gaussian")
-    assert batch.t == [2**64] and type(batch.t[0]) is int
+    assert batch.t == [2**64 - 1] and type(batch.t[0]) is int
     assert batch.mu.tolist() == [float(123456789012345678901234567890)]
 
 
@@ -487,25 +443,28 @@ def cloud_line(rng, m: int, t: int) -> str:
                        "y": rng.normal(5.0, 0.3, 2).tolist(), "t": t})
 
 
-def test_cloud_over_the_bracket_bound_takes_the_json_loop(tmp_path, monkeypatch):
+def test_cloud_of_more_brackets_than_the_bound_is_scanned_and_read(tmp_path):
+    # a 1,100-particle cloud holds more "[" than the nesting bound, so the
+    # string-aware scan measures its depth, 3, before orjson reads it
     rng = np.random.default_rng(10)
     long = cloud_line(rng, 1_100, 1).encode()
-    assert long.count(b"[") > cli.MAX_BRACKETS
+    assert long.count(b"[") > cli.MAX_DEPTH
     data = b"\n".join([cloud_line(rng, 5, 0).encode(), long, b""])
     path = tmp_path / "clouds.jsonl"
     path.write_bytes(data)
-    got, error, json_lines = parse_noting_json_lines(monkeypatch, path, "particles")
+    with mock.patch.object(cli, "_STRING", wraps=cli._STRING) as scan:
+        got, error = by_blocks(path, "particles")
+    assert scan.sub.call_args_list == [mock.call(b"", long)]
     want, _ = per_line(data, "particles")
-    assert error is None and long in json_lines
+    assert error is None and [p.shape for p in FAMILIES["particles"].concat(got).pts] == [
+        (5, 2), (1_100, 2)]
     assert_same_records("particles", got, want)
 
 
-def test_benchmark_line_shapes_take_orjson(tmp_path, monkeypatch):
-    # the shapes of the benchmark's inputs: Gaussians with a time index, and
-    # 500-particle clouds, which hold 504 brackets a line
-    def refused(line):
-        raise AssertionError(f"the json loop parsed {line[:40]!r}")
-
+def test_benchmark_line_shapes_skip_the_string_scan(tmp_path):
+    # the shapes of the benchmark's inputs: Gaussians with a time index, too
+    # short to nest past the bound, and 500-particle clouds, which hold 504
+    # brackets a line; no line of either is scanned for strings or re-read
     rng = np.random.default_rng(11)
     gaussian = [json.dumps({"mu": float(m), "sigma": 3.1, "y": float(m) + 0.5, "t": i})
                 for i, m in enumerate(rng.normal(16.9, 8.0, 3_000))]
@@ -515,9 +474,10 @@ def test_benchmark_line_shapes_take_orjson(tmp_path, monkeypatch):
         path = tmp_path / f"{kind}.jsonl"
         path.write_bytes(data)
         want, _ = per_line(data, kind)
-        monkeypatch.setattr(cli, "_parse_line", refused)
-        got = list(iter_records(path, kind))
-        monkeypatch.undo()
+        with (mock.patch.object(cli, "_STRING") as scan,
+              mock.patch.object(cli, "_refusal") as refusal):
+            got = list(iter_records(path, kind))
+        assert not scan.mock_calls and not refusal.mock_calls
         assert len(got) > 1
         assert_same_records(kind, got, want)
 
@@ -630,7 +590,7 @@ def test_deep_line_is_a_data_error_not_a_crash(tmp_path, command, deep):
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
                           timeout=120)
     assert proc.returncode == 3, proc
-    assert proc.stderr == "data error: line 2: invalid JSON (nested more than 64 deep)\n"
+    assert proc.stderr == "data error: line 2: invalid JSON (nested more than 1024 deep)\n"
     assert proc.stderr.count("\n") == 1, proc.stderr
 
 
@@ -799,26 +759,26 @@ def test_iter_records_leaves_the_collector_as_it_found_it(tmp_path, enabled):
     good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
     good.write_text("\n".join(lines) + "\n")
     bad.write_text("\n".join(lines + ["{"]) + "\n")
-    parse = cli._orjson_batch
+    parse = cli._parse_lines
     seen = []
 
-    def noting(cls, block):
+    def noting(block, line_no):
         seen.append(gc.isenabled())
-        return parse(cls, block)
+        return parse(block, line_no)
 
-    def failing(cls, block):
+    def failing(block, line_no):
         raise MemoryError
 
     was = gc.isenabled()
     try:
         gc.enable() if enabled else gc.disable()
-        with mock.patch.object(cli, "BLOCK", 4096), mock.patch.object(cli, "_orjson_batch", noting):
+        with mock.patch.object(cli, "BLOCK", 4096), mock.patch.object(cli, "_parse_lines", noting):
             held = [gc.isenabled() for _ in iter_records(good, "particles")]
         assert len(held) > 2 and held == [enabled] * len(held) and not any(seen)
         with pytest.raises(DataError, match="invalid JSON"):
             list(iter_records(bad, "particles"))
         assert gc.isenabled() == enabled
-        with mock.patch.object(cli, "_orjson_batch", failing), pytest.raises(MemoryError):
+        with mock.patch.object(cli, "_parse_lines", failing), pytest.raises(MemoryError):
             list(iter_records(good, "particles"))
         assert gc.isenabled() == enabled
     finally:

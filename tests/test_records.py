@@ -142,7 +142,8 @@ def edge_batches(draw):
                        [None, 2**70, 3, None, -1]))
 def test_written_lines_are_json_dumps_of_each_record(tmp_path_factory, batch):
     # each line is what json.dumps of the record's dict writes, keys in file
-    # order and t where set, and the file reads back bit for bit
+    # order and t where set, and the file reads back bit for bit, unless a t
+    # lies beyond 64 bits: orjson reads it as a float, which no t may be
     want = []
     for values, t in zip(zip(*batch._json_columns()), batch.t):
         obj = dict(zip(batch.keys, values))
@@ -152,6 +153,10 @@ def test_written_lines_are_json_dumps_of_each_record(tmp_path_factory, batch):
     path = tmp_path_factory.mktemp("lines") / "records.jsonl"
     write_records(batch, path)
     assert path.read_text().splitlines(keepends=True) == want
+    if any(t is not None and not -2**63 <= t < 2**64 for t in batch.t):
+        with pytest.raises(DataError, match="time index must be an integer or null, got "):
+            parse_records(path, batch.kind)
+        return
     back = parse_records(path, batch.kind)
     assert type(back) is type(batch) and back.t == batch.t
     assert [type(t) for t in back.t] == [type(t) for t in batch.t]

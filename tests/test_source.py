@@ -121,28 +121,28 @@ def callers(tree, callee: str) -> set[str]:
 
 
 def test_record_lines_have_one_parse_path():
-    # json.loads and json.load read the config file and a saved report; a
-    # block of record lines is parsed by orjson in _orjson_batch alone, and a
-    # block it declines, like the sniffed first line, by _parse_line alone,
-    # which _json_objs calls line by line
+    # every record line, the sniffed first line included, is parsed by
+    # orjson in _parse_lines alone; json.loads reads a saved report and, in
+    # _refusal, only a line orjson refused, to word the error; json.load
+    # reads the config file
     cli = TREES["cli"]
-    assert callers(cli, "json.loads") == {"_parse_line", "_cmd_report"}
+    assert callers(cli, "orjson.loads") == {"_parse_lines"}
+    assert callers(cli, "json.loads") == {"_refusal", "_cmd_report"}
+    assert callers(cli, "_refusal") == {"_parse_lines"}
     assert callers(cli, "json.load") == {"_load_file_config"}
-    assert callers(cli, "orjson.loads") == {"_orjson_batch"}
-    assert callers(cli, "_orjson_batch") == {"iter_records"}
-    assert callers(cli, "_json_objs") == {"iter_records"}
-    assert callers(cli, "_parse_line") == {"_json_objs", "sniff_model_kind"}
+    assert callers(cli, "_parse_lines") == {"iter_records", "sniff_model_kind"}
 
 
 def test_output_values_are_turned_into_text_once():
     # json.dumps writes report.json's table names and headers and all of it
     # but the tables, the streamed trace's start, and a simulation's config
-    # for its digest; record lines and table cells are turned into text by
+    # for its digest, and finds a lone surrogate in a saved report before
+    # report prints it; record lines and table cells are turned into text by
     # str formatting, and report.json's rows are converted from the tables'
     # CSV text, monitor trace and offline tables alike
     cli = TREES["cli"]
     dumpers = callers(cli, "json.dumps")
-    assert dumpers == {"_json_report", "__init__", "run_simulate"}
+    assert dumpers == {"_json_report", "__init__", "run_simulate", "_cmd_report"}
     assert not dumpers & {"write_records", "_csv_rows", "_write_csvs", "_json_rows"}
     assert callers(cli, "_csv_rows") == {"_write_csvs"}
     assert callers(cli, "_json_rows") == {"_json_report", "write"}
