@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from calcheck import cli
-from calcheck.records import MvGaussianBatch
+from calcheck.records import GaussianBatch, MvGaussianBatch
 
 ROBOT_SIM = {"n_particles": 60, "n_steps": 40}
 # nine beacons: numpy sums a row of 8 or more pairwise, not in sequence
@@ -24,7 +24,8 @@ MANY_BEACONS = {**ROBOT_SIM, "beacon_positions": [[x, y] for y in (0, 5, 10) for
 SWEEP = {"n_particles": 60, "n_steps": 30, "n_seeds": 2}
 
 # name -> argv; "{weather}", "{robot}", "{robot_cfg}", "{many_cfg}", "{sweep}",
-# "{saved}", "{mv}", "{cut}", "{bad_first}" and "{out}" are filled in per run.
+# "{saved}", "{mv}", "{cut}", "{bad_first}", "{layouts}" and "{out}" are filled
+# in per run.
 CASES = {
     "check_default": ["check", "{weather}"],
     "check_holm_tol": ["check", "{weather}", "--sided", "one", "--tolerance", "0.02",
@@ -54,6 +55,9 @@ CASES = {
     # incomplete runs: rows up to a bad line, and none at all
     "monitor_cut": ["monitor", "{cut}", "--out", "{out}"],
     "monitor_bad_first": ["monitor", "{bad_first}", "--out", "{out}"],
+    # every layout repr gives a float, in the records, the trace and ecdf.csv
+    "monitor_layouts": ["monitor", "{layouts}", "--out", "{out}"],
+    "check_layouts": ["check", "{layouts}", "--metric", "pit_ks", "--out", "{out}"],
 }
 
 GOLDEN = {
@@ -104,6 +108,13 @@ GOLDEN = {
         "ecdf.csv": "8616415fdaeb6a7e103be53bd34d1bb40c9152844fb8bd62b5a1ba8ac7ea760b",
         "report.json": "5e4f945d03c60cb40069b8be9b1ae4fb4b0355dd56b7d368dcb852cee3739080",
     },
+    "check_layouts": {
+        "exit": 1,
+        "stdout": "fc86877fdcb09d14783959ade18ce5f0920a46ab74d16c2ae069dfb4b452ee6f",
+        "band.csv": "93dfb8cb7979204ab4cfaa839ac6ae762f34cbae061ab173e115815fd014c542",
+        "ecdf.csv": "627b6f226532aeb70ac8f4288dd918430ee878a87caa2ef86c65e68eeeb58e5c",
+        "report.json": "389c0cad68ab79012cb4286841223625faacdf41d7adc1b8a86a6ecb4603cec0",
+    },
     "check_mv": {
         "exit": 0,
         "stdout": "9edb3a4bb30ec9fc06b9225ff7798b7ae302edae74380ceb88754ac750a6f507",
@@ -127,6 +138,12 @@ GOLDEN = {
         "stdout": "ddd69dbc771ff751edcc8167f9cce34ca509a4c7f00bd5b2d526170b5ecb3304",
         "etrace.csv": "a2cf3f4cfd224474b414e9948e199ebbae053df12dbbb6afd93cac920e77e4c2",
         "report.json": "8b56b1b10d839349ad53f9e9c2f158e2efeb6ac31f3462a5018289cd6dffcbfb",
+    },
+    "monitor_layouts": {
+        "exit": 1,
+        "stdout": "4f6f106324df9013a96499e229d920c8dc54436af08cf76fe244caa327d2b277",
+        "etrace.csv": "f76d07c19096065aab6638ed15ea683958d661df63fecf0fb9e93081b072e81b",
+        "report.json": "54dc66e94088595dfe41ba079ab7e38bd3990abb00430c18a67dbd61b6906f67",
     },
     "monitor_mv": {
         "exit": 0,
@@ -203,6 +220,20 @@ def mv_records(path, seed=7, n=200):
     return str(path)
 
 
+def layout_records(path):
+    """Gaussian records whose values, PITs and monitor e-values take each
+    layout of ``repr``: below 1e-10, in [1e-5, 1e-4) and from 1e16 up, with
+    one- to three-digit exponents.  250 covered records take the e-value
+    from 1 to about 1e-13, and 100 misses, at z of -7, -4, -4.3 and 9, take
+    it up to about 1e17, far from the float range's end."""
+    scales = [(3e-11, 2e-11), (-4.5e-5, 6e-5), (2.5e17, 3e16), (7e-5, 1e-5), (-1e-7, 2e-7),
+              (1e300, 1e299)]
+    mu, sigma = (np.resize(column, 350) for column in zip(*scales))
+    z = np.concatenate([np.resize([0.0, 0.3, -0.5], 250), np.resize([-7.0, -4.0, -4.3, 9.0], 100)])
+    cli.write_records(GaussianBatch(mu, sigma, mu + z * sigma), path)
+    return str(path)
+
+
 def make_inputs(root):
     """Simulate the input files and save the report that ``report`` re-renders."""
     code, _ = _run(["simulate", "weather", "--seed", "3", "--out", str(root / "weather")])
@@ -236,6 +267,7 @@ def make_inputs(root):
         "mv": mv_records(root / "mv_records.jsonl"),
         "cut": str(cut),
         "bad_first": str(bad_first),
+        "layouts": layout_records(root / "layout_records.jsonl"),
     }
 
 
