@@ -24,16 +24,16 @@ configuration error before records are parsed or output is made, and before
 a bad, empty or missing record input is reported.  The ``_METRICS`` and
 ``_TESTINGS`` tables are the one place where slot pairings are stated.
 ``check``, ``monitor`` and ``simulate`` all emit through ``_finish``.  Each
-output value is turned into text once: a record line by its family's format
-string, a table cell into CSV text, from which ``report.json``'s rows are made.
+output value is turned into text once: the numbers of record lines, table
+arrays and trace rows by ``_float_texts``, ``report.json``'s rows from CSV text.
 
 Importing this module loads numpy but neither scipy nor orjson.
 ``scipy.special`` is loaded by the first PIT of (multivariate) Gaussian
 records and by the first Binomial tail, so by ``check`` and by ``monitor`` on
 Gaussian records; ``simulate``, ``report``, ``monitor`` on particles and a
-run that fails on its configuration never load it.  orjson, the one parser
-of record lines, is loaded by the first line parsed, the sniffed first line
-included, so by ``check`` and ``monitor`` alone.
+run that fails on its configuration never load it.  orjson, which parses
+every record line and writes every output number, is loaded by the first
+line parsed or number written, so by ``check``, ``monitor`` and ``simulate``.
 
 ``simulate drift_sweep`` runs its independent (multiplier, seed) cells in
 forked worker processes, one per usable CPU (on Linux; elsewhere in this
@@ -350,6 +350,9 @@ def _opened(source: str | Path | RecordSource):
 # record needs 3, and a 500-particle cloud holds 504 brackets in all.  orjson
 # has no nesting limit and overflows the C stack on a deep enough line.
 MAX_DEPTH = 1024
+# The deepest refused line that json re-reads to word the refusal: json
+# counts nesting against the recursion limit from the caller's stack depth
+REREAD_DEPTH = 64
 # a string, or an unterminated one to the end of the line
 _STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"?', re.DOTALL)
 # each bracket as its step in nesting depth, with every other byte deleted
@@ -357,22 +360,25 @@ _DEPTH_STEPS = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")
 _NOT_BRACKETS = bytes(b for b in range(256) if b not in b"[{]}")
 
 
-def _too_deep(line: bytes) -> bool:
-    """Whether ``line`` nests arrays and objects more than ``MAX_DEPTH`` deep
+def _too_deep(line: bytes, bound: int = MAX_DEPTH) -> bool:
+    """Whether ``line`` nests arrays and objects more than ``bound`` deep
     outside its strings.  Only a line holding more ``[`` and ``{`` bytes than
     that can, so they are counted first, in one numpy pass (they are the
     bytes that OR 32 makes ``{``), and only such a line is scanned."""
-    if np.count_nonzero((np.frombuffer(line, np.uint8) | 32) == 123) <= MAX_DEPTH:
+    if np.count_nonzero((np.frombuffer(line, np.uint8) | 32) == 123) <= bound:
         return False
     steps = _STRING.sub(b"", line).translate(_DEPTH_STEPS, _NOT_BRACKETS)
-    return np.frombuffer(steps, np.int8).cumsum().max(initial=0) > MAX_DEPTH
+    return np.frombuffer(steps, np.int8).cumsum().max(initial=0) > bound
 
 
 def _refusal(line: bytes, exc: json.JSONDecodeError) -> str:
     """Why orjson refused ``line`` with ``exc``: json's message where json
     refuses the line too, else that it is not RFC 8259 JSON, with orjson's
-    reason.  json reads NaN, Infinity, lone surrogates and numbers beyond the
-    float range, which RFC 8259 and I-JSON (RFC 7493) leave out."""
+    reason, alone for a line nested over ``REREAD_DEPTH`` deep.  json reads NaN,
+    Infinity, lone surrogates and numbers beyond the float range, which RFC
+    8259 and I-JSON (RFC 7493) leave out."""
+    if _too_deep(line, REREAD_DEPTH):
+        return exc.msg
     try:
         json.loads(line.decode())  # decoding first is faster than json's own
     except (ValueError, RecursionError) as error:  # JSON and UTF-8 errors are ValueErrors
@@ -475,19 +481,46 @@ def parse_records(source: str | Path | RecordSource, model_kind: str) -> RecordB
     return FAMILIES[model_kind].concat(batches)
 
 
+# orjson writes a float's shortest round-trip digits, as repr does, but lays
+# out some otherwise: one-digit negative exponents unpadded (1e-6, not
+# 1e-06), positive ones unsigned (1e16, not 1e+16), a value in [1e-5, 1e-4)
+# without an exponent (0.000099, not 9.9e-05), and NaN and inf as null
+_SHORT_EXPONENT = re.compile(r"e-(\d)\b")
+_UNSIGNED_EXPONENT = re.compile(r"e(?=\d)")
+_NO_EXPONENT = re.compile(r"0(?<!\d0)\.0000\d+")  # its 0 after no digit; a sign stays
+TEXT_ROWS = 1 << 12  # records, or table rows, turned into text at a time
+
+
+def _float_texts(values: list) -> list[str]:
+    """``repr`` of each value in ``values``, a number (not a bool) or a list of them nested as
+    deep as the others, by one ``orjson.dumps`` (imported by the first call) and a few passes."""
+    import orjson
+
+    text = orjson.dumps(values).decode()
+    if "null" in text:
+        return list(map(repr, values))
+    text = _UNSIGNED_EXPONENT.sub("e+", _SHORT_EXPONENT.sub(r"e-0\1", text))
+    if "0.0000" in text:
+        text = _NO_EXPONENT.sub(lambda number: repr(float(number[0])), text)
+    if depth := len(text) - len(text.lstrip("[")) - 1:  # how deep each value's lists nest
+        # only that many brackets on each side of a comma end one value and
+        # start the next; json, as repr, puts ", " between the items of a list
+        between = "]" * depth + "," + "[" * depth
+        text = text.replace(between, between.replace(",", "\n")).replace(",", ", ")
+    return text[1:-1].split("\n" if depth else ",") if values else []
+
+
 def write_records(records: RecordBatch, path: str | Path) -> None:
-    """Write records as JSON lines, keys in file order and ``t`` where set,
-    each value formatted once by ``str``: json writes an int and a finite
-    float as their ``repr``, which is ``str`` of the value, and a list of
-    them with the ``", "`` that ``str`` of a list uses.  Floats round-trip,
-    and batches hold no NaN or inf, which json would write otherwise."""
+    """Write records as JSON lines, byte for byte ``json.dumps`` of each
+    record's dict (keys in file order, ``t`` where set; batches hold no NaN
+    or inf), ``TEXT_ROWS`` records at a time, a column by one :func:`_float_texts`."""
     fields = ", ".join(f'"{key}": {{}}' for key in records.keys)
-    bare, timed = "{{" + fields + "}}\n", "{{" + fields + ', "t": {}}}\n'
-    columns, t = records._json_columns(), records.t
-    lines = (map(timed.format, *columns, t) if None not in t else
-             (bare.format(*v) if u is None else timed.format(*v, u) for *v, u in zip(*columns, t)))
+    line = "{{" + fields + "{}}}\n"  # the last field: ', "t": ...' where t is set
     with open(path, "w") as handle:
-        handle.writelines(lines)
+        for i in range(0, len(records), TEXT_ROWS):
+            cells = map(_float_texts, records._json_columns(slice(i, i + TEXT_ROWS)))
+            t = ["" if u is None else f', "t": {u}' for u in records.t[i:i + TEXT_ROWS]]
+            handle.writelines(map(line.format, *cells, t))
 
 
 def sniff_model_kind(source: str | Path | RecordSource) -> str:
@@ -595,10 +628,11 @@ def run_check(
 def _trace_lines(t0: int, es: list[float], crossing: int | None) -> str:
     """The ``t,e_value,alarmed`` trace lines of records ``t0 + 1, ...``,
     whose e-values are ``es``; a record is alarmed from ``crossing`` on."""
-    n = len(es)
-    quiet = n if crossing is None else min(max(crossing - t0 - 1, 0), n)
-    alarmed = itertools.chain(itertools.repeat(0, quiet), itertools.repeat(1, n - quiet))
-    return "".join(map("{},{!r},{}\n".format, range(t0 + 1, t0 + n + 1), es, alarmed))
+    quiet = len(es) if crossing is None else min(max(crossing - t0 - 1, 0), len(es))
+    rows = list(map(",".join, zip(map(str, range(t0 + 1, t0 + len(es) + 1)), _float_texts(es))))
+    # the alarmed cell, constant before the crossing and after it, ends each
+    # row as the separator that joins the rows of its run
+    return ",0\n".join(rows[:quiet] + [""]) + ",1\n".join(rows[quiet:] + [""])
 
 
 def run_monitor(
@@ -612,20 +646,18 @@ def run_monitor(
 
     The monitor holds no per-record state, only the martingale, the running
     maximum of the e-value and the batch in hand, so its memory does not
-    grow with the stream.  Each record gets one ``t,e_value,alarmed`` line
-    of trace text, and ``on_row`` receives each batch's lines as one string,
-    in order, as soon as the batch is scored; the trace is kept nowhere
-    else.  ``monitor`` prints it, and under ``--out`` the CLI writes the same
-    text to ``etrace.csv`` and to ``report.json``'s ``curves.etrace`` rows
-    as it arrives (:class:`_TraceWriter`), so each e-value is turned into
-    text once.  The monitor keeps recording after an alarm; the decision is
-    the first crossing of ``1/alpha``.  A stream that dies mid-flight yields a
-    partial report marked incomplete rather than nothing.  An e-value too
-    large for a float raises ``OverflowError`` after the lines before it
-    have been emitted.  The provenance is taken after the stream ends, so a
-    running ``digest`` of the input covers every byte the stream consumed.
-    The returned run has no curves.  An offline recipe is a configuration
-    error here: :func:`run_check` runs it.
+    grow with the stream.  ``on_row`` receives each batch's
+    ``t,e_value,alarmed`` lines (:func:`_trace_lines`, the batch's e-values
+    made text by one :func:`_float_texts`) as one string as soon as the
+    batch is scored; ``monitor`` prints it, and under ``--out`` the CLI
+    writes that text to ``etrace.csv`` and ``report.json`` as it arrives
+    (:class:`_TraceWriter`).  The decision is the first crossing of
+    ``1/alpha``; recording goes on after it.  A stream that dies mid-flight
+    yields a partial report marked incomplete.  An e-value too large for a
+    float raises ``OverflowError`` after the lines before it are emitted.
+    The provenance is taken after the stream ends, so a running ``digest``
+    covers every byte consumed.  The returned run has no curves.  An
+    offline recipe is a configuration error here: :func:`run_check` runs it.
     """
     if config.testing != "evalue_monitor":
         raise ConfigError("an offline recipe runs through run_check")
@@ -748,12 +780,14 @@ def _writing_output():
 
 
 def _csv_rows(columns: list) -> str:
-    """A table's CSV row lines from its columns, arrays or lists of one
-    length: ``str`` of each value (so floats round-trip), ``""`` for None."""
-    columns = [c.tolist() if isinstance(c, np.ndarray) else ["" if x is None else x for x in c]
-               for c in columns]
-    line = ",".join(["{}"] * len(columns)) + "\n"
-    return "".join(map(line.format, *columns)) if columns else ""  # no column holds a row
+    """A table's CSV row lines, ``TEXT_ROWS`` at a time, from its columns of one length: an
+    array's numbers by :func:`_float_texts`, a list's values by ``str``, None as ``""``."""
+    parts = []
+    for i in range(0, len(columns[0]) if columns else 0, TEXT_ROWS):  # no column holds a row
+        cells = [_float_texts(c[i:i + TEXT_ROWS].tolist()) if isinstance(c, np.ndarray) else
+                 ["" if x is None else str(x) for x in c[i:i + TEXT_ROWS]] for c in columns]
+        parts.append("\n".join(map(",".join, zip(*cells))) + "\n")
+    return "".join(parts)
 
 
 def _write_csvs(curves: dict, out_dir: str | Path) -> dict[str, str]:
@@ -807,11 +841,10 @@ class _TraceWriter:
     The files are opened before the monitor scores its first record, so an
     unwritable directory fails before any row is printed.  ``write`` sends
     each batch's trace text from :func:`run_monitor` to ``echo``, if given,
-    and appends it, with the threshold as each line's fourth cell, to the
-    partial ``etrace.csv`` and, through :func:`_json_rows` as an offline
-    table goes, to ``report.json``'s ``curves.etrace`` rows: one text path,
-    so the report is byte for byte what :func:`_json_report` would write
-    (every e-value is finite, as ``math.exp`` raises rather than overflow).
+    and appends that same text, the threshold added as each line's fourth
+    cell, to the partial ``etrace.csv`` and, through :func:`_json_rows`, to
+    ``report.json``'s rows, so the report is byte for byte what
+    :func:`_json_report` writes (``math.exp`` raises rather than give inf).
     ``finish`` writes the rest of the report and renames both files into
     place; ``discard``, on any failure, removes them.
     """

@@ -158,11 +158,17 @@ def _normalised(w: np.ndarray) -> np.ndarray:
     return w
 
 
+# The time indices a record line can hold: orjson reads an integer outside
+# them as a float, which no time index may be
+TIME_INDICES = range(-2**63, 2**64)
+
+
 def _time_index(v) -> int:
-    """A record's time index, an integer: not a bool, float or string stored as one."""
-    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+    """A record's time index: an integer in ``TIME_INDICES``, not a bool or a float."""
+    # int(v): range tests a numpy integer by comparing it with each of its values
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool) and int(v) in TIME_INDICES:
         return int(v)
-    raise InvalidDistributionError(f"time index must be an integer or null, got {v!r}")
+    raise InvalidDistributionError(f"time index must be a 64-bit integer or null, got {v!r}")
 
 
 class RecordBatch:
@@ -171,10 +177,10 @@ class RecordBatch:
     Every attribute of a batch holds one entry per record, so :meth:`take`
     indexes them all together.  ``keys`` are the family's JSON fields in
     file order, the outcome ``y`` last; the second key is the one that names
-    the family in a record line.  ``_json_columns()`` gives one column per
-    key, each record's value as Python floats (lists of them for an array),
-    which ``calcheck.cli.write_records`` turns into text.  :meth:`covered`
-    is the family's one coverage indicator.
+    the family in a record line.  ``_json_columns(rows)`` gives one column
+    per key of the records ``rows``, a slice, each value as Python floats
+    (lists of them for an array), which ``calcheck.cli.write_records``
+    turns into text.  :meth:`covered` is the family's one coverage indicator.
     """
 
     kind: str
@@ -196,8 +202,8 @@ class RecordBatch:
                 f"outcome has dimension {y.shape[1]}, prediction expects {min(bad)}"
             )
         self.y = y
-        self.t = [None] * n if t is None else [v if v is None or type(v) is int else _time_index(v)
-                                               for v in t]
+        self.t = [None] * n if t is None else [
+            v if v is None or type(v) is int and v in TIME_INDICES else _time_index(v) for v in t]
         if len(self.t) != n:
             raise InvalidDistributionError(f"{len(self.t)} time indices for {n} records")
 
@@ -275,8 +281,8 @@ class GaussianBatch(RecordBatch):
         check_gaussian(self.mu, self.sigma)
         self._set_outcomes(y, t, len(self.mu), {1})
 
-    def _json_columns(self):
-        return self.mu.tolist(), self.sigma.tolist(), self.y[:, 0].tolist()
+    def _json_columns(self, rows):
+        return self.mu[rows].tolist(), self.sigma[rows].tolist(), self.y[rows, 0].tolist()
 
     def pit_values(self):
         """The standard normal CDF of each standardised residual;
@@ -308,8 +314,8 @@ class MvGaussianBatch(RecordBatch):
         self.chol = mv_cholesky(self.mu, self.cov)
         self._set_outcomes(y, t, len(self.mu), {self.mu.shape[1]})
 
-    def _json_columns(self):
-        return self.mu.tolist(), self.cov.tolist(), self.y.tolist()
+    def _json_columns(self, rows):
+        return self.mu[rows].tolist(), self.cov[rows].tolist(), self.y[rows].tolist()
 
     def pit_values(self):
         """Squared Mahalanobis distances through the chi-square CDF with ``d``
@@ -364,8 +370,9 @@ class ParticleBatch(RecordBatch):
         new._set_outcomes(y, t, len(new.w), {pi.shape[1] for pi in new.pts})
         return new
 
-    def _json_columns(self):
-        return [wi.tolist() for wi in self.w], [pi.tolist() for pi in self.pts], self.y.tolist()
+    def _json_columns(self, rows):
+        return ([wi.tolist() for wi in self.w[rows]], [pi.tolist() for pi in self.pts[rows]],
+                self.y[rows].tolist())
 
     def covered(self, levels, rng=None):
         """Half-plane coverage (:func:`~calcheck.metric.halfplane_indicator`),

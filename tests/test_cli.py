@@ -167,11 +167,11 @@ def test_parse_time_index_that_is_not_an_integer_exits_3(tmp_path, capsys, t):
     # each would be stored, and written back, as another integer: 1, 1 and 7
     line = json.dumps({"mu": 0.0, "sigma": 1.0, "y": 0.5, "t": t})
     p = write_lines(tmp_path / "t.jsonl", [gaussian_line(0, 1, 0), line])
-    with pytest.raises(DataError, match=r"^line 2: time index must be an integer or null"):
+    with pytest.raises(DataError, match=r"^line 2: time index must be a 64-bit integer or null"):
         parse_records(p, "gaussian")
     assert cli.main(["check", p]) == 3
     assert capsys.readouterr().err == (
-        f"data error: line 2: time index must be an integer or null, got {t!r}\n")
+        f"data error: line 2: time index must be a 64-bit integer or null, got {t!r}\n")
     good = write_lines(tmp_path / "good.jsonl", [json.dumps({"mu": 0.0, "sigma": 1.0, "y": 0.5,
                                                              "t": tt}) for tt in (7, None)])
     assert parse_records(good, "gaussian").t == [7, None]
@@ -595,6 +595,45 @@ def test_csv_cells_are_str_of_each_value(tmp_path):
     assert (tmp_path / "s.csv").read_text() == "j,k,l,m\nNone,inf,[1, 2.5],\n"
 
 
+# every power of ten from 1e-12 to 1e20, where repr's layout changes, with
+# both its float neighbours, the smallest and the largest float, and their
+# negatives
+FLOAT_BOUNDARIES = [x for p in range(-12, 21) for x in (
+    math.nextafter(10.0**p, 0.0), 10.0**p, math.nextafter(10.0**p, math.inf))]
+FLOAT_BOUNDARIES += [5e-324, sys.float_info.max, 0.0]
+FLOAT_BOUNDARIES += [-x for x in FLOAT_BOUNDARIES]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_subnormal=True), max_size=40)
+       | st.lists(st.sampled_from(FLOAT_BOUNDARIES) | st.floats(), max_size=40))
+def test_float_texts_are_the_repr_of_each_float(values):
+    assert cli._float_texts(values) == list(map(repr, values))
+
+
+def test_float_texts_of_each_layout_boundary():
+    assert cli._float_texts(FLOAT_BOUNDARIES) == list(map(repr, FLOAT_BOUNDARIES))
+    for x in FLOAT_BOUNDARIES:
+        assert cli._float_texts([x]) == [repr(x)]
+    specials = [math.nan, math.inf, -math.inf, 9.9e-05, 1e16]
+    assert cli._float_texts(specials) == ["nan", "inf", "-inf", "9.9e-05", "1e+16"]
+    # lists, as record lines hold them: each value's repr, as json writes it
+    for values in ([[x, -x, 3] for x in FLOAT_BOUNDARIES],
+                   [[[x], [1.0, x]] for x in FLOAT_BOUNDARIES], [[1.0, 2.0, 3.0], [0.5]]):
+        assert cli._float_texts(values) == list(map(repr, values)) == list(map(json.dumps, values))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.lists(st.floats(min_value=0.0, allow_infinity=False),
+                                        max_size=30), st.data())
+def test_trace_lines_are_one_row_per_e_value(t0, es, data):
+    # the crossing falls before the batch, inside it, after it, or never
+    crossing = data.draw(st.none() | st.integers(max(t0 - 5, 1), t0 + len(es) + 5))
+    want = "".join(f"{t},{e!r},{int(crossing is not None and t >= crossing)}\n"
+                   for t, e in enumerate(es, t0 + 1))
+    assert cli._trace_lines(t0, es, crossing) == want
+
+
 def test_report_out_writes_saved_cells_as_they_are(tmp_path):
     saved = tmp_path / "r.json"
     saved.write_text(json.dumps({"curves": {"c": [["a", "b", "c"], [
@@ -753,6 +792,23 @@ def test_line_validity_does_not_depend_on_the_callers_stack_depth(tmp_path, caps
             3, "data error: line 2: invalid JSON (nested more than 1024 deep)\n"), depth
         depth += 10
     assert depth > 800  # within the recursion limit, less what pytest and the run use
+
+
+def test_refused_deep_line_is_worded_alike_at_every_stack_depth(tmp_path, capsys):
+    # json's re-read of a refused line counts its nesting against the
+    # recursion limit from the caller's depth, so it would word a line nested
+    # hundreds deep by its own message or by a recursion error; such a line
+    # gets orjson's reason at every depth
+    good = gaussian_line(0.0, 1.0, 0.5)
+    path = write_lines(tmp_path / "r.jsonl", [good, good[:-1] + ', "n": ' + "[" * 900 + "0", good])
+
+    def at(depth):
+        if depth:
+            return at(depth - 1)
+        return cli.main(["check", path]), capsys.readouterr().err
+
+    want = (3, "data error: line 2: invalid JSON (unexpected end of data)\n")
+    assert [at(depth) for depth in (0, 50, 100)] == [want] * 3
 
 
 @pytest.mark.parametrize("saved", [

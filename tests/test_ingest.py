@@ -67,6 +67,7 @@ def per_line(data: bytes, kind: str) -> tuple[list, str | None]:
 
 
 MAX_DEPTH = 1024  # the deepest nesting a record line may hold
+REREAD_DEPTH = 64  # the deepest refused line worded by json's message
 
 
 def nesting_depth(line: bytes) -> int:
@@ -92,12 +93,15 @@ def nesting_depth(line: bytes) -> int:
 def loads_line(line: bytes):
     """The value of a record line: ``orjson.loads`` of a line nested at most
     ``MAX_DEPTH`` deep.  A line orjson refuses raises json's error where json
-    refuses it too, else one saying it is not RFC 8259 JSON."""
+    refuses it too, else one saying it is not RFC 8259 JSON; one nested more
+    than ``REREAD_DEPTH`` deep raises orjson's reason."""
     if nesting_depth(line) > MAX_DEPTH:
         raise ValueError(f"nested more than {MAX_DEPTH} deep")
     try:
         return orjson.loads(line)
     except orjson.JSONDecodeError as refusal:
+        if nesting_depth(line) > REREAD_DEPTH:
+            raise ValueError(refusal.msg) from None
         json.loads(line.decode())
         raise ValueError(f"not RFC 8259 JSON: {refusal.msg}") from None
 
@@ -344,7 +348,7 @@ LINE_CASES = {
                        NOT_RFC_8259 + "no matched low surrogate in string)"),
     # orjson reads an integer beyond 64 bits as its correctly rounded float
     "t_beyond_64_bits": (GOOD[:-1] + ', "t": 18446744073709551616}',
-                         "line 2: time index must be an integer or null, "
+                         "line 2: time index must be a 64-bit integer or null, "
                          "got 1.8446744073709552e+19"),
     "t_at_the_64_bit_limit": (GOOD[:-1] + ', "t": 18446744073709551615}', None),
     "mu_beyond_64_bits": ('{"mu": 123456789012345678901234567890, "sigma": 1.0, "y": 0.25}', None),
@@ -361,6 +365,12 @@ LINE_CASES = {
     "deep_outcome": ('{"mu": 0.5, "sigma": 1.0, "y": ' + "[" * 1_020 + "0" + "]" * 1_020 + "}",
                      "line 2: setting an array element with a sequence. The requested array "
                      "would exceed the maximum number of dimension of 64."),
+    # a refused line is worded by json's message up to REREAD_DEPTH deep,
+    # and by orjson's reason beyond it
+    "refused_at_the_reread_depth": (GOOD[:-1] + ', "n": ' + "[" * 63 + "0",
+                                    "line 2: invalid JSON (Expecting ',' delimiter)"),
+    "refused_beyond_the_reread_depth": (GOOD[:-1] + ', "n": ' + "[" * 64 + "0",
+                                        "line 2: invalid JSON (unexpected end of data)"),
     "many_shallow_brackets": (GOOD[:-1] + ', "n": [' + "[], " * 1_100 + "[]]}", None),
     "brackets_in_strings": (GOOD[:-1] + ', "n": ["\\"' + "[" * 1_100 + '", "{' + "{" * 1_100
                             + '"]}', None),
