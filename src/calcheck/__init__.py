@@ -47,7 +47,6 @@ from .metric import (
     fold,
     pit,
     variance_bin,
-    weighted_quantile,
 )
 from .records import GaussianBatch, MvGaussianBatch, ParticleBatch, RecordBatch
 from .seqtest import EValueConfig, MartingaleState, monitor_step

@@ -563,13 +563,15 @@ def _single_check(config: RecipeConfig, records: RecordBatch,
     if config.metric == "coverage":
         curve = coverage_counts(records, config.levels)
     else:
-        curve = halfplane_coverage(records, config.levels, np.random.default_rng([config.seed, 2]))
+        curve = halfplane_coverage(records, config.levels, np.random.default_rng([config.seed, 2]),
+                                   np.random.default_rng([config.seed, 3]))
     correction = "holm" if config.testing == "binom_holm" else "bonferroni"
     report = coverage_binomial_report(curve, config.hypothesis, alpha, correction)
     rows = [(r.level, r.count, r.n, r.count / r.n, r.lower_bound, r.upper_bound, r.p_value,
              int(r.reject)) for r in report.per_level]
     return report, {"coverage": (["level", "count", "n", "fraction", "lower_bound",
-                                  "upper_bound", "p_value", "reject"], list(zip(*rows)))}
+                                  "upper_bound", "p_value", "reject"],
+                                 [np.array(column) for column in zip(*rows)])}
 
 
 def run_check(
@@ -663,7 +665,7 @@ def run_monitor(
         raise ConfigError("an offline recipe runs through run_check")
     ev = config.evalue
     state = MartingaleState()
-    rng = np.random.default_rng([config.seed, 1])
+    rng, ties = np.random.default_rng([config.seed, 1]), np.random.default_rng([config.seed, 3])
     peak = -math.inf  # the largest e-value so far
     incomplete = False
     error = None
@@ -672,7 +674,7 @@ def run_monitor(
             t0 = state.t
             # one step under the tracer's per-family names (see their bindings)
             step = monitor_step_halfplane if batch.kind == "particles" else monitor_step_gaussian
-            state, log_e = step(state, batch, ev, rng)
+            state, log_e = step(state, batch, ev, rng, ties)
             es: list[float] = []  # the e-value after each record of the batch
             try:
                 # math.exp, not np.exp: the trace holds libm's bits; extend

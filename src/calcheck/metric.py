@@ -2,23 +2,24 @@
 
 Transforms a record batch (:mod:`calcheck.records`) into the quantities the
 hypothesis tests consume: coverage counts over a level grid, PIT samples
-(raw and folded), variance bins for conditional checks, and the half-plane
-coverage indicator for particle clouds, whose centered projected intervals
-come from :func:`weighted_quantile`.  What differs by prediction family
-comes from the batch; the statistics here are the same for every family.
+(raw and folded), variance bins for conditional checks, and, for particle
+clouds, the randomized projected PIT of :func:`halfplane_indicator`, whose
+folded value ``<= lambda`` is the half-plane coverage indicator.  What
+differs by prediction family comes from the batch; the statistics here are
+the same for every family.
 
-Particle clouds are scored a stack at a time: :func:`halfplane_indicator`
-takes ``n`` clouds of one particle count and :func:`weighted_quantile`
-answers each row of a stack, so numpy's per-call overhead is paid once per
-stack, not once per cloud.  Each cloud's indicators are bit for bit those
-it would get alone, and the directions are drawn one cloud at a time in
-record order, so the generator ends where a cloud-by-cloud loop leaves it.
+Particle clouds are scored many at a time, however their particle counts
+differ: each cloud's PIT is two masked sums of its weights over one flat
+array of projected particles, bit for bit what it would get alone, and the
+direction and tie draws are made one cloud at a time in record order, so
+both generators end where a cloud-by-cloud loop leaves them.
 
 Coverage counts sum the batch's own coverage indicator,
 :meth:`~calcheck.records.RecordBatch.covered`, which the online monitor
 reads too, so the offline and online tests score the same sets.  For scalar
-Gaussians that indicator is the folded PIT ``<= lambda``, so the empirical
-coverage curve and the folded-PIT ECDF are the same object bit for bit.
+Gaussians and particle clouds that indicator is the folded PIT
+``<= lambda``, so the empirical coverage curve and the folded-PIT ECDF are
+the same object bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "pit",
     "fold",
     "variance_bin",
-    "weighted_quantile",
     "halfplane_indicator",
     "random_direction",
 ]
@@ -86,7 +86,7 @@ class PitSample:
         v = np.atleast_1d(np.asarray(self.values, dtype=float))
         if v.size == 0:
             raise DataError("PIT sample must be nonempty")
-        if np.any(v < 0.0) or np.any(v > 1.0):
+        if (v < 0.0).any() or (v > 1.0).any():  # methods: np.any's wrapper costs more
             raise ValueError("PIT values must lie in [0, 1]")
         object.__setattr__(self, "values", v)
 
@@ -170,18 +170,19 @@ def fold(sample: PitSample) -> PitSample:
 # coverage
 # ---------------------------------------------------------------------------
 
-def coverage_counts(records, grid: LevelGrid, rng=None) -> CoverageCurve:
+def coverage_counts(records, grid: LevelGrid, rng=None, ties=None) -> CoverageCurve:
     """Observed coverage counts of centered prediction sets over a grid.
 
     Counts, level by level, the records that the batch's coverage indicator
     :meth:`~calcheck.records.RecordBatch.covered` puts inside the centered
     set: the folded PIT ``<= lambda`` for scalar Gaussians, the chi-square
     PIT (ellipsoid membership) for multivariate Gaussians, and
-    :func:`halfplane_indicator` for particle clouds, which need ``rng``.
+    the folded :func:`halfplane_indicator` for particle clouds, which need a
+    direction stream ``rng`` and a tie stream ``ties``.
     """
     if not len(records):
         raise DataError("cannot compute coverage of an empty record list")
-    counts = np.count_nonzero(records.covered(grid.levels, rng), axis=0)
+    counts = np.count_nonzero(records.covered(grid.levels, rng, ties), axis=0)
     return CoverageCurve(levels=grid, counts=counts, n=len(records))
 
 
@@ -231,96 +232,74 @@ def random_direction(dim: int, rng: np.random.Generator) -> np.ndarray:
     return g / np.linalg.norm(g)
 
 
-def weighted_quantile(weights, values, q):
-    """Left-continuous generalized inverse of the weighted ECDF, row by row.
+def _project(x: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Each row of ``x`` projected onto the same row of ``d``, both ``(n, dim)``,
+    as ``x[:, 0]*d[:, 0] + x[:, 1]*d[:, 1] + ...``: equal rows on equal
+    directions project to equal floats, where a matmul's rounding depends on
+    the shape of its operands."""
+    z = x[:, 0] * d[:, 0]
+    for i in range(1, x.shape[1]):
+        z += x[:, i] * d[:, i]
+    return z
 
-    ``values`` and ``weights`` hold samples of shape ``(..., m)``: a flat
-    sample is one row, a stack of ``n`` samples is ``(n, m)``.  Each row's
-    answer is its smallest value whose cumulative weight reaches ``q``.
-    This matches the unweighted empirical quantile convention and keeps the
-    coverage indicator conservative at ties.  ``q`` may be an array of
-    levels, shared by every row, each row answered from one sort: the result
-    has shape ``values.shape[:-1] + q.shape``, a float for a flat sample and
-    a scalar ``q``.
 
-    The rows are sorted with the default ``argsort``, and only the rows whose
-    sorted values hold a tie (or a NaN) are sorted again, stably: a row of
-    distinct values has one sorted order, so every row gets the stable
-    order, and tied values sum their weights in record order.  Each row's
-    cumulative weights are searched once for all its levels.
+# At most about this many particles are scored at once: the flat arrays of a
+# whole check's clouds would raise its peak memory by several of their sizes
+CHUNK_PARTICLES = 1 << 14
+
+
+def halfplane_indicator(w, pts, y: np.ndarray, rng: np.random.Generator,
+                        ties: np.random.Generator) -> PitSample:
+    """The randomized projected PIT of each outcome under its particle cloud.
+
+    ``w`` and ``pts`` hold ``n`` clouds, weights ``(m_i,)`` and points
+    ``(m_i, d)`` each, and ``y`` their outcomes ``(n, d)``.  For each cloud,
+    in record order, a fresh direction is drawn from ``rng`` independently
+    of the outcome, and the particles and the outcome are projected onto it
+    (:func:`_project`), so an outcome equal to a particle projects equal to
+    it.  Two masked sums of the cloud's weights ``w`` (total ``W``) give
+    ``F_lo = sum(w[z < zy]) / W``, the mass strictly below the outcome's
+    projection ``zy``, and ``a = sum(w[z == zy]) / W``, the mass at it; the
+    PIT is ``u = F_lo + V a`` (Czado, Gneiting & Held, Biometrics 2009).
+    ``V`` is uniform, drawn from ``ties`` only for the clouds with ``a > 0``,
+    in record order, so a tie-free batch draws nothing from it.  Because the
+    direction and ``V`` never look at the outcome, ``u`` is exactly
+    Uniform(0, 1) under calibration, atoms and point masses included, and
+    the half-plane indicator at level ``lambda``, ``fold(u) <= lambda``, is
+    Bernoulli(lambda).
+
+    The clouds are scored a chunk at a time, the clouds whose last particle
+    falls in one window of ``CHUNK_PARTICLES``, as one flat array of the
+    chunk's particles: each cloud's sums are one ``np.add.reduceat``
+    segment, which sums a cloud alone as it sums it among others.  So every
+    value is bit for bit the one a one-cloud call gives, and both generators
+    end where a cloud-by-cloud loop leaves them.
     """
-    w = np.asarray(weights, dtype=float)
-    v = np.asarray(values, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if v.size == 0:
-        raise ValueError("cannot take a quantile of an empty sample")
-    if not (q.min() > 0.0 and q.max() < 1.0):
-        raise ValueError(f"q must be in (0, 1), got {q}")
-    shape, m = v.shape[:-1] + q.shape, v.shape[-1]
-    v, w = v.reshape(-1, m), w.reshape(-1, m)
-    rows = np.arange(len(v))[:, None]
-    order = v.argsort(axis=1)
-    s = v[rows, order]
-    increasing = s[:, 1:] > s[:, :-1]  # all of a row: no tie and no NaN
-    if not increasing.all():
-        tied = ~increasing.all(axis=1)
-        order[tied] = np.argsort(v[tied], axis=1, kind="stable")
-    cum = np.cumsum(w[rows, order], axis=1)
-    # guard float roundoff at q ~ 1
-    idx = np.minimum([np.searchsorted(c, q * c[-1], side="left") for c in cum], m - 1)
-    quantiles = v[rows, order[rows, idx.reshape(len(v), -1)]].reshape(shape)
-    return float(quantiles) if quantiles.ndim == 0 else quantiles
+    counts = np.fromiter(map(len, w), int, len(y))
+    ends = [*np.flatnonzero(np.diff(np.cumsum(counts) // CHUNK_PARTICLES)) + 1, len(y)]
+    return PitSample(np.concatenate([_projected_pit(counts[i:j], w[i:j], pts[i:j], y[i:j], rng,
+                                                    ties) for i, j in zip([0, *ends], ends)]))
 
 
-def halfplane_indicator(
-    w: np.ndarray,
-    pts: np.ndarray,
-    y: np.ndarray,
-    levels,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Whether each outcome of a stack of clouds falls in its cloud's
-    centered projected intervals.
-
-    The stack is ``n`` clouds of ``m`` particles each: weights ``w`` of shape
-    ``(n, m)``, points ``pts`` of shape ``(n, m, d)`` and outcomes ``y`` of
-    shape ``(n, d)``; the result is ``(n, k)`` for ``k`` levels.  For each
-    cloud, in order, a fresh direction is drawn from ``rng`` independently
-    of the outcome; the cloud and its outcome are projected onto it, and
-    the outcome's projection is tested against the centered weighted-quantile
-    interval at each level, with weak inequalities at the endpoints.  Both
-    endpoints at every level come from one :func:`weighted_quantile` call.
-    Because the direction never looks at the data, each indicator is
-    Bernoulli(level) under calibration when the predictive law is atomless,
-    so that an outcome falls on an interval endpoint with probability 0.  A
-    cloud's own particles are atoms: an outcome drawn from a calibrated
-    cloud can land on one, and the weak inequalities then count it as
-    covered.  So on calibrated clouds of few particles the coverage rate
-    departs from the level: with 5 equal-weight particles, 20,000 records
-    miss it by up to 91 binomial standard errors.  ROADMAP item 9 (a
-    randomized projected PIT) would make the indicators exact.  A degenerate
-    cloud resolves through the quantile tie policy.
-
-    Every indicator is bit for bit the one a single-cloud stack gives: the
-    projections are one batched ``matmul``, which computes each cloud's
-    ``pts @ d`` as that product alone does, where ``einsum`` or a sum of
-    coordinate products round differently.
-    """
-    n, _, dim = pts.shape
-    if y.shape != (n, dim):
-        raise ValueError(f"outcomes have shape {y.shape}, clouds {(n, dim)}")
-    d = np.array([random_direction(dim, rng) for _ in range(n)])
-    # coordinates beyond 2**500 could overflow their projections; the interval
-    # test is invariant under positive scaling, so scale such a cloud and its
-    # outcome by an exact power of two, and leave every other cloud untouched
-    k = np.frexp(np.maximum(np.abs(pts).max(axis=(1, 2)), np.abs(y).max(axis=1)))[1]
-    if (k > 500).any():
+def _projected_pit(counts, w, pts, y, rng, ties) -> np.ndarray:
+    """:func:`halfplane_indicator`'s PIT of one chunk of clouds, whose
+    particle counts are ``counts``."""
+    starts = np.cumsum(counts) - counts
+    w, pts = np.concatenate(w), np.concatenate(pts)
+    d = np.array([random_direction(y.shape[1], rng) for _ in range(len(y))])
+    # coordinates beyond 2**500 could overflow their projections; the PIT is
+    # invariant under positive scaling, so scale such a cloud and its outcome
+    # by an exact power of two, and leave every other cloud untouched
+    if max(pts.max(), -pts.min(), y.max(), -y.min()) >= 2.0**500:
+        k = np.frexp(np.maximum(np.maximum.reduceat(np.abs(pts).max(axis=1), starts),
+                                np.abs(y).max(axis=1)))[1]
         scale = np.ldexp(1.0, np.where(k > 500, -k, 0))  # 1 elsewhere, an exact product
-        pts, y = pts * scale[:, None, None], y * scale[:, None]
-    levels = np.atleast_1d(levels)
-    # (1 + level) / 2 rounds up to 1 at the level one ulp below 1, where the
-    # largest float below 1 stands in for it
-    q = np.minimum(np.array([1.0 - levels, 1.0 + levels]) / 2.0, np.nextafter(1.0, 0.0))
-    ends = weighted_quantile(w, (pts @ d[:, :, None])[:, :, 0], q)
-    zy = (y[:, None, :] @ d[:, :, None])[:, 0]  # (n, 1), against each row's k levels
-    return (ends[:, 0] <= zy) & (zy <= ends[:, 1])
+        pts, y = pts * np.repeat(scale, counts)[:, None], y * scale[:, None]
+    z, zy = _project(pts, np.repeat(d, counts, axis=0)), np.repeat(_project(y, d), counts)
+    total = np.add.reduceat(w, starts)
+    below = np.add.reduceat(np.where(z < zy, w, 0.0), starts) / total
+    at = np.add.reduceat(np.where(z == zy, w, 0.0), starts) / total
+    tied, v = np.flatnonzero(at), np.zeros(len(y))
+    v[tied] = ties.random(tied.size)
+    # the two sums may round to a total above W by an ulp
+    return np.minimum(below + v * at, 1.0)

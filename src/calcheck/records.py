@@ -7,13 +7,16 @@ type: the JSON keys of its record lines, parsing and validation of the
 parameters, serialisation, the PIT, the scalar uncertainty that variance
 bins sort by, and the coverage indicator, whether each outcome lies in its
 prediction's centered level set, which the offline coverage counts and the
-online monitor both read.  ``FAMILIES`` maps each model name to its type,
-so a batch's family is decided once, when its type is chosen.
+online monitor both read.  Scalar Gaussians and particle clouds share that
+indicator's rule, a folded PIT ``<= lambda``; a cloud's PIT is its
+randomized projected PIT, which draws from a direction stream and a tie
+stream.  ``FAMILIES`` maps each model name to its type, so a batch's family
+is decided once, when its type is chosen.
 """
 
 from __future__ import annotations
 
-from itertools import chain, groupby
+from itertools import chain
 
 import numpy as np
 
@@ -32,9 +35,6 @@ __all__ = [
 # Weight tolerance for particle clouds: the weight vector must sum to 1
 # within this absolute slack before the exact renormalisation is applied.
 WEIGHT_SUM_TOL = 1e-9
-# At most this many particles in one stack of clouds that half-plane coverage
-# scores at once: larger stacks gain little and cost memory.
-STACK_PARTICLES = 8192
 
 
 def chi2_cdf(x, d: int):
@@ -260,10 +260,12 @@ class RecordBatch:
         """One scalar spread per record; a monotone transform is enough for binning."""
         raise UnsupportedMetricError(f"{self.kind} records have no scalar uncertainty to bin by")
 
-    def covered(self, levels: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
+    def covered(self, levels: np.ndarray, rng: np.random.Generator | None = None,
+                ties: np.random.Generator | None = None) -> np.ndarray:
         """Whether each outcome lies in its prediction's centered set at each of
         ``levels``, as ``(n, k)`` booleans.  By default the PIT, the mass of the
-        smallest centered set holding the outcome, is ``<= lambda``."""
+        smallest centered set holding the outcome, is ``<= lambda``.  Only
+        particle clouds read the random streams ``rng`` and ``ties``."""
         return pit(self).values[:, None] <= levels
 
 
@@ -294,7 +296,7 @@ class GaussianBatch(RecordBatch):
     def uncertainty(self):
         return self.sigma
 
-    def covered(self, levels, rng=None):
+    def covered(self, levels, rng=None, ties=None):
         # the centered interval at level lambda holds y exactly when the
         # folded PIT |2 Phi(z) - 1| is <= lambda
         return fold(pit(self)).values[:, None] <= levels
@@ -374,24 +376,19 @@ class ParticleBatch(RecordBatch):
         return ([wi.tolist() for wi in self.w[rows]], [pi.tolist() for pi in self.pts[rows]],
                 self.y[rows].tolist())
 
-    def covered(self, levels, rng=None):
-        """Half-plane coverage (:func:`~calcheck.metric.halfplane_indicator`),
-        each cloud on a fresh direction from ``rng``, drawn in record order.
-        Consecutive clouds of one particle count form a run, scored a stack
-        of at most ``STACK_PARTICLES`` particles (one cloud, if larger) at a
-        time: a stack pays numpy's per-call overhead once for all its clouds,
-        and the bound keeps its sort buffers small."""
-        if rng is None:
-            raise UnsupportedMetricError("half-plane coverage of particle clouds needs an rng")
-        out, start = np.empty((len(self), len(levels)), bool), 0
-        for m, run in groupby(map(len, self.w)):
-            stop, step = start + len(list(run)), max(1, STACK_PARTICLES // m)
-            for i in range(start, stop, step):
-                j = min(i + step, stop)
-                out[i:j] = halfplane_indicator(np.array(self.w[i:j]), np.array(self.pts[i:j]),
-                                               self.y[i:j], levels, rng)
-            start = stop
-        return out
+    def covered(self, levels, rng=None, ties=None):
+        """Half-plane coverage: the folded randomized projected PIT
+        (:func:`~calcheck.metric.halfplane_indicator`) ``<= lambda``, the rule
+        scalar Gaussians use.  Each cloud takes a fresh direction from
+        ``rng`` and, when the outcome's projection ties with particles, a
+        uniform from ``ties``, drawn in record order; so a batch scores as
+        its records do one at a time, and the streams run on across
+        batches."""
+        if rng is None or ties is None:
+            raise UnsupportedMetricError(
+                "half-plane coverage of particle clouds needs a direction and a tie stream")
+        u = halfplane_indicator(self.w, self.pts, self.y, rng, ties)
+        return fold(u).values[:, None] <= levels
 
 
 FAMILIES: dict[str, type[RecordBatch]] = {

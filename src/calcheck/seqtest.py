@@ -101,6 +101,7 @@ def monitor_step(
     batch: RecordBatch,
     config: EValueConfig,
     rng: np.random.Generator | None = None,
+    ties: np.random.Generator | None = None,
 ) -> tuple[MartingaleState, np.ndarray]:
     """Advance the coverage monitor over a batch of records of any family.
 
@@ -108,18 +109,19 @@ def monitor_step(
     :meth:`~calcheck.records.RecordBatch.covered` at the configured level,
     the one :func:`calcheck.metric.coverage_counts` counts, and multiplies
     the running martingale by the likelihood-ratio e-value of each
-    indicator in record order.  Particle clouds need ``rng``: each cloud's
-    half-plane indicator is drawn on a fresh direction from it, cloud by
-    cloud in record order; the other families do not read it.  Returns the
-    state after the batch and the running log e-value after each of its
-    records.
+    indicator in record order.  Particle clouds need ``rng`` and ``ties``:
+    each cloud's half-plane indicator is drawn on a fresh direction from
+    ``rng``, and a tie with its particles is broken by a uniform from
+    ``ties``, cloud by cloud in record order, so a block step equals
+    sequential steps; the other families read neither.  Returns the state
+    after the batch and the running log e-value after each of its records.
 
     ``np.add.accumulate`` over ``[log_e, *steps]`` adds the steps one at a
     time, left to right, so every entry is the sum a step-by-step loop would
     hold, bit for bit; adding the carried ``log_e`` to a cumulative sum of
     the steps would round differently.
     """
-    covered = batch.covered(np.array([config.level]), rng)[:, 0]
+    covered = batch.covered(np.array([config.level]), rng, ties)[:, 0]
     steps = np.where(covered, _log_lr(1, config), _log_lr(0, config))
     log_e = np.add.accumulate(np.concatenate(([state.log_e], steps)))
     first_crossing = state.first_crossing

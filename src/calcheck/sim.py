@@ -341,8 +341,9 @@ def _sweep_cell(cfg: RobotSimConfig, monitor: EValueConfig) -> tuple[MartingaleS
     """One (multiplier, seed) cell of the sweep: the robot sim, then the
     half-plane monitor over its whole run on the cell's own stream.  Returns
     the final state and the running log e-value after every step."""
-    mon_rng = np.random.default_rng([cfg.seed, 1])  # independent of sim
-    return monitor_step_halfplane(MartingaleState(), run_robot_sim(cfg), monitor, mon_rng)
+    # the direction and tie streams, independent of the sim's
+    mon_rng, ties = np.random.default_rng([cfg.seed, 1]), np.random.default_rng([cfg.seed, 3])
+    return monitor_step_halfplane(MartingaleState(), run_robot_sim(cfg), monitor, mon_rng, ties)
 
 
 # The cell's layers as this module defines and imports them.  A wrapper put

@@ -93,10 +93,9 @@ def test_three_dimensional_clouds_cover_at_their_levels(tmp_path, capsys):
     n, m = 2000, 500
     batch = ParticleBatch(*self_drawn_clouds(rng, n, m, 3))
     levels = LevelGrid.default().levels
-    frac = batch.covered(levels, np.random.default_rng(6)).mean(axis=0)
-    # 2 / m allows for the weak-inequality tie when the outcome is a particle
+    frac = batch.covered(levels, np.random.default_rng(6), np.random.default_rng(7)).mean(axis=0)
     se = np.sqrt(levels * (1 - levels) / n)
-    assert np.all(np.abs(frac - levels) <= 4 * se + 2 / m)
+    assert np.all(np.abs(frac - levels) <= 4 * se)
     path = tmp_path / "clouds3.jsonl"
     write_records(batch.take(np.arange(60)), path)
     for command in ("check", "monitor"):
@@ -104,6 +103,22 @@ def test_three_dimensional_clouds_cover_at_their_levels(tmp_path, capsys):
         assert cli.main(argv) in (0, 1), command
         lines = capsys.readouterr().out.splitlines()
         assert any(line.startswith("decision: ") for line in lines), command
+
+
+def test_check_accepts_calibrated_point_masses(tmp_path, capsys):
+    # both particles and each outcome sit at (1, 1): the outcome's projected
+    # PIT is the tie stream's uniform, so each level covers Binomial(50, level)
+    # records, where weak inequalities covered all 50 at every level
+    path = write_lines(tmp_path / "points.jsonl",
+                       ['{"w": [0.5, 0.5], "pts": [[1, 1], [1, 1]], "y": [1, 1]}'] * 50)
+    argv = ["check", str(path), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    rows = (tmp_path / "out" / "coverage.csv").read_text().splitlines()[1:]
+    for row in rows:
+        level, count = float(row.split(",")[0]), int(row.split(",")[1])
+        assert abs(count - 50 * level) <= 4.0 * math.sqrt(50 * level * (1.0 - level)), row
+    assert len(rows) == 10
 
 
 def test_one_dimensional_points_parse_flat_or_nested(tmp_path, capsys):

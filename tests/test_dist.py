@@ -1,7 +1,7 @@
 """Per-family distribution math as the record batches and the metric compute
 it: parameter checks, squared Mahalanobis distances through the chi-square CDF,
-and weighted quantiles of particle clouds, scored a stack of clouds at a time
-and checked against a one-cloud-at-a-time oracle."""
+and the randomized projected PIT of particle clouds, scored all at once and
+checked against a one-cloud-at-a-time oracle."""
 
 import math
 from unittest import mock
@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calcheck import records
-from calcheck.errors import InvalidDistributionError
-from calcheck.metric import random_direction, weighted_quantile
+from calcheck import metric
+from calcheck.errors import InvalidDistributionError, UnsupportedMetricError
+from calcheck.metric import random_direction
 from calcheck.records import GaussianBatch, MvGaussianBatch, ParticleBatch, chi2_cdf
 
 
@@ -100,65 +100,90 @@ def test_mahalanobis_affine_invariance():
 
 
 # ---------------------------------------------------------------------------
-# weighted quantiles
+# the randomized projected PIT of particle clouds
 # ---------------------------------------------------------------------------
 
-def test_weighted_quantile_equal_weights_median():
-    assert weighted_quantile([0.25] * 4, [1.0, 2.0, 3.0, 4.0], 0.5) == 2.0
-
-
-def test_weighted_quantile_degenerate_single_value():
-    for q in (0.01, 0.5, 0.99):
-        assert weighted_quantile([1.0], [7.3], q) == 7.3
-
-
-def test_weighted_quantile_skewed_weights():
-    assert weighted_quantile([0.9, 0.1], [0.0, 100.0], 0.95) == 100.0
+def streams(seed):
+    """A direction stream and a tie stream, as a run makes them."""
+    return np.random.default_rng([seed, 1]), np.random.default_rng([seed, 3])
 
 
 def test_halfplane_interval_at_the_level_one_ulp_below_one():
-    # (1 + lambda) / 2 rounds to 1 there, outside weighted_quantile's domain
+    # the outcome ties with the cloud's top particle, so its PIT is uniform
+    # on [0.75, 1]: its folded PIT is above 0.5 and, but for V = 1, below
+    # the largest level under 1
     lam = np.nextafter(1.0, 0.0)
-    assert (1.0 + lam) / 2.0 == 1.0
     cloud = ParticleBatch([[0.25, 0.5, 0.25]], [[[0.0], [1.0], [2.0]]], [[2.0]])
-    assert cloud.covered(np.array([0.5, lam]), np.random.default_rng(0)).tolist() == [
-        [False, True]]
+    assert cloud.covered(np.array([0.5, lam]), *streams(0)).tolist() == [[False, True]]
 
 
 def test_halfplane_indicator_scales_clouds_whose_projections_would_overflow():
     # finite points near the float maximum project to inf unless scaled; the
-    # interval test is scale-free, so the cloud scores as its copy at 2**-600
+    # PIT is scale-free, so the cloud scores as its copy at 2**-600
     pts = np.array([[1.5e308, 1.5e308], [-1.5e308, 1e308]])
     levels = np.array([0.1, 0.5, 0.9])
     for seed in range(20):
         for y in ([0.0, 1.2e308], [1.5e308, 1.5e308], [-1e308, -1e308]):
             big = ParticleBatch([[0.5, 0.5]], [pts], [y])
             small = ParticleBatch([[0.5, 0.5]], [pts * 2.0**-600], [np.multiply(y, 2.0**-600)])
-            assert np.array_equal(big.covered(levels, np.random.default_rng(seed)),
-                                  small.covered(levels, np.random.default_rng(seed)))
+            assert np.array_equal(big.covered(levels, *streams(seed)),
+                                  small.covered(levels, *streams(seed)))
 
 
-def oracle_quantile(weights, values, q):
-    """The weighted quantile of one cloud from a stable sort, as it was
-    computed before clouds were stacked."""
-    order = np.argsort(values, kind="stable")
-    cum = np.cumsum(weights[order])
-    idx = np.minimum(np.searchsorted(cum, q * cum[-1], side="left"), values.size - 1)
-    return values[order[idx]]
+def test_particle_coverage_needs_both_streams():
+    cloud = ParticleBatch([[0.5, 0.5]], [[[0.0], [1.0]]], [[0.5]])
+    for rngs in ((), (np.random.default_rng(0),), (None, np.random.default_rng(0))):
+        with pytest.raises(UnsupportedMetricError, match="a direction and a tie stream"):
+            cloud.covered(np.array([0.5]), *rngs)
 
 
-def oracle_indicator(w, pts, y, levels, rng):
-    """One cloud's half-plane indicators, one direction: the per-cloud path
-    that stacked coverage replaced, kept as the oracle it must match."""
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(2, 30), st.integers(1, 6), st.integers(0, 2**32 - 1),
+       st.data())
+def test_an_outcome_at_a_particle_projects_onto_it_bit_for_bit(dim, m, n, seed, data):
+    # the outcome is one of its cloud's particles, which may repeat; on every
+    # direction it projects to that particle's float, so every cloud ties
+    # and draws one uniform from the tie stream
+    coords = st.floats(-1e300, 1e300, allow_subnormal=True)
+    pts = [np.array(data.draw(st.lists(st.lists(coords, min_size=dim, max_size=dim),
+                                       min_size=m, max_size=m))) for _ in range(n)]
+    at = [data.draw(st.integers(0, m - 1)) for _ in range(n)]
+    y = np.array([p[j] for p, j in zip(pts, at)])
+    rng = np.random.default_rng(seed)
+    d = np.array([random_direction(dim, rng) for _ in range(n)])
+    z = metric._project(np.concatenate(pts), np.repeat(d, m, axis=0)).reshape(n, m)
+    zy = metric._project(y, d)
+    assert z[np.arange(n), at].tobytes() == zy.tobytes()
+    rng, ties = streams(seed)
+    metric.halfplane_indicator([np.full(m, 1.0 / m)] * n, pts, y, rng, ties)
+    want = streams(seed)[1]
+    want.random(n)
+    assert ties.bit_generator.state == want.bit_generator.state
+
+
+def cloud_sum(x):
+    """A cloud's sum as ``np.add.reduceat`` takes a segment: its first term
+    plus numpy's pairwise sum of the rest."""
+    return x[0] + x[1:].sum()
+
+
+def oracle_indicator(w, pts, y, levels, rng, ties):
+    """One cloud's half-plane indicators by the randomized projected PIT,
+    on one direction from ``rng`` and, at a tie, one uniform from ``ties``:
+    the rule, written for one cloud alone."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     d = random_direction(pts.shape[1], rng)
     k = np.frexp(max(np.abs(pts).max(), np.abs(y).max()))[1]
     if k > 500:
         pts, y = pts * np.ldexp(1.0, -k), y * np.ldexp(1.0, -k)
-    q = np.minimum(np.array([1.0 - levels, 1.0 + levels]) / 2.0, np.nextafter(1.0, 0.0))
-    lo, hi = oracle_quantile(w, pts @ d, q)
-    zy = float(y @ d)
-    return (lo <= zy) & (zy <= hi)
+    z, zy = pts[:, 0] * d[0], y[0] * d[0]
+    for i in range(1, d.size):
+        z, zy = z + pts[:, i] * d[i], zy + y[i] * d[i]
+    total = cloud_sum(w)
+    below = cloud_sum(np.where(z < zy, w, 0.0)) / total
+    at = cloud_sum(np.where(z == zy, w, 0.0)) / total
+    u = min(below + (ties.random() * at if at > 0.0 else 0.0), 1.0)
+    return np.abs(2.0 * u - 1.0) <= levels
 
 
 CLOUD_KINDS = ("spread", "point_mass", "tied", "signed_zeros", "huge")
@@ -189,84 +214,57 @@ def cloud(rng, kind: str, m: int, dim: int):
        st.lists(st.integers(1, 8), min_size=6, max_size=6),
        st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
                 min_size=1, max_size=6, unique=True),
-       st.booleans(), st.sampled_from([records.STACK_PARTICLES, 20]), st.integers(0, 2**32 - 1))
+       st.booleans(), st.sampled_from([metric.CHUNK_PARTICLES, 20]),
+       st.lists(st.integers(1, 47), max_size=4), st.integers(0, 2**32 - 1))
 def test_stacked_coverage_matches_the_per_cloud_oracle(dim, runs, counts, levels, top,
-                                                       stack, seed):
-    # runs of equal-size clouds, ragged between runs and cut into stacks of
-    # at most `stack` particles, score bit for bit as one cloud at a time on
-    # one direction each, and leave the generator where the oracle leaves it
+                                                       chunk, cuts, seed):
+    # clouds of mixed sizes, scored in chunks of about `chunk` particles,
+    # score bit for bit as one cloud at a time on one direction and one tie
+    # draw each, and leave both generators where the oracle leaves them; so
+    # do the batch's blocks, scored in turn on the same two streams
     data = np.random.default_rng(seed)
     clouds = [cloud(data, kind, m, dim) for (kind, m), count in zip(runs, counts)
               for _ in range(count)]
     w, pts, y = zip(*clouds)
     batch = ParticleBatch(w, pts, y)
     levels = np.array(sorted(levels) + [np.nextafter(1.0, 0.0)] * top)
-    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    with mock.patch.object(records, "STACK_PARTICLES", stack):
-        got = batch.covered(levels, got_rng)
-    want = [oracle_indicator(wi, pi, yi, levels, want_rng)
+    got_rngs, want_rngs, block_rngs = streams(seed), streams(seed), streams(seed)
+    ends = sorted({0, len(batch), *(c for c in cuts if c < len(batch))})
+    with mock.patch.object(metric, "CHUNK_PARTICLES", chunk):
+        got = batch.covered(levels, *got_rngs)
+        blocks = [batch.take(range(a, b)).covered(levels, *block_rngs)
+                  for a, b in zip(ends, ends[1:])]
+    want = [oracle_indicator(wi, pi, yi, levels, *want_rngs)
             for wi, pi, yi in zip(batch.w, batch.pts, batch.y)]
     assert np.array_equal(got, np.array(want).reshape(len(batch), levels.size))
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    for got_rng, want_rng in zip(got_rngs, want_rngs):
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert np.array_equal(np.concatenate(blocks), got)
+    for block_rng, got_rng in zip(block_rngs, got_rngs):
+        assert block_rng.bit_generator.state == got_rng.bit_generator.state
 
 
-def test_stacked_coverage_cuts_a_long_run_into_stacks():
-    # 9 clouds of 2,000 particles hold more than one stack's particles; the
-    # run is cut after every STACK_PARTICLES // 2000 clouds
+def test_large_clouds_match_the_per_cloud_oracle():
+    # clouds of 2,000 particles, past numpy's pairwise-summation blocks, and
+    # more of them than one chunk holds
     rng = np.random.default_rng(3)
-    w, pts, y = zip(*(cloud(rng, "spread", 2000, 2) for _ in range(9)))
+    w, pts, y = zip(*(cloud(rng, kind, 2000, 2) for kind in CLOUD_KINDS for _ in range(2)))
     batch, levels = ParticleBatch(w, pts, y), np.array([0.1, 0.5, 0.9])
-    assert 9 * 2000 > records.STACK_PARTICLES >= 2000
-    got_rng, want_rng = np.random.default_rng(4), np.random.default_rng(4)
-    got = batch.covered(levels, got_rng)
-    want = [oracle_indicator(*cloud_, levels, want_rng) for cloud_ in zip(w, pts, y)]
+    assert 10 * 2000 > metric.CHUNK_PARTICLES
+    got_rngs, want_rngs = streams(4), streams(4)
+    got = batch.covered(levels, *got_rngs)
+    want = [oracle_indicator(*cloud_, levels, *want_rngs)
+            for cloud_ in zip(batch.w, batch.pts, batch.y)]
     assert np.array_equal(got, want)
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    for got_rng, want_rng in zip(got_rngs, want_rngs):
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
-def test_weighted_quantile_answers_each_row_of_a_stack():
-    # each row of a stack, tied or not, is answered bit for bit as the
-    # stable-sort oracle answers it alone; signed zeros, equal but told apart
-    # by their bits, show which of its tied values a row returns
-    rng = np.random.default_rng(13)
-    m = 300
-    values = np.where(rng.random((6, m)) < 0.5, 0.0, -0.0)
-    values[:, :m // 4] = rng.integers(-3, 3, size=(6, m // 4))
-    values[0] = rng.normal(size=m)  # distinct: the default sort's order stands
-    weights = rng.dirichlet(np.ones(m), size=6)
-    q = np.array([[0.05, 0.3], [0.5, 0.7]])
-    got = weighted_quantile(weights, values, q)
-    assert got.shape == (6, 2, 2)
-    for row in range(6):
-        want = oracle_quantile(weights[row], values[row], q).tobytes()
-        assert got[row].tobytes() == want
-        assert weighted_quantile(weights[row], values[row], q).tobytes() == want
-
-
-def test_weighted_quantile_empty_errors():
-    with pytest.raises(ValueError):
-        weighted_quantile([], [], 0.5)
-
-
-def test_weighted_quantile_matches_order_statistic():
-    rng = np.random.default_rng(11)
-    for _ in range(1000):
-        n = int(rng.integers(1, 40))
-        values = rng.normal(size=n)
-        q = float(rng.uniform(0.01, 0.99))
-        got = weighted_quantile(np.full(n, 1.0 / n), values, q)
-        expected = np.sort(values)[math.ceil(q * n) - 1]
-        assert got == expected
-
-
-def test_weighted_quantile_array_matches_scalar_calls():
-    rng = np.random.default_rng(12)
-    weights = rng.dirichlet(np.ones(30))
-    values = np.round(rng.normal(size=30), 1)  # ties exercise the policy
-    q = np.array([[0.05, 0.25], [0.5, 0.999]])
-    got = weighted_quantile(weights, values, q)
-    assert got.shape == q.shape
-    for idx in np.ndindex(q.shape):
-        assert got[idx] == weighted_quantile(weights, values, float(q[idx]))
-    with pytest.raises(ValueError):
-        weighted_quantile(weights, values, [0.5, 1.0])
+def test_a_tie_free_batch_draws_nothing_from_the_tie_stream():
+    rng = np.random.default_rng(3)
+    w, pts, y = zip(*(cloud(rng, "spread", m, 2) for m in (2, 500, 7) for _ in range(20)))
+    batch = ParticleBatch(w, pts, [yi + 0.5 for yi in y])  # off every particle
+    directions, ties = streams(4)
+    batch.covered(np.array([0.1, 0.5, 0.9]), directions, ties)
+    assert ties.bit_generator.state == streams(4)[1].bit_generator.state
+    assert directions.bit_generator.state != streams(4)[0].bit_generator.state

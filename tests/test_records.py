@@ -196,22 +196,23 @@ def test_gaussian_coverage_counts_are_the_folded_pit_ecdf(batch, levels):
 def test_check_and_monitor_read_one_coverage_indicator(batch, levels, lam, seed):
     # coverage counts, each level's column alone, and a monitor step all
     # score the same sets; particle clouds draw one direction per record
-    # whatever the number of levels, so equal seeds give equal draws
-    def rng():
-        return np.random.default_rng(seed)
+    # and at most one tie draw per record whatever the number of levels, so
+    # equal seeds give equal draws
+    def rngs():
+        return np.random.default_rng(seed), np.random.default_rng([seed, 3])
 
     grid = LevelGrid(sorted(levels))
-    covered = batch.covered(grid.levels, rng())
+    covered = batch.covered(grid.levels, *rngs())
     assert covered.shape == (len(batch), grid.k) and covered.dtype == bool
-    assert np.array_equal(coverage_counts(batch, grid, rng()).counts,
+    assert np.array_equal(coverage_counts(batch, grid, *rngs()).counts,
                           np.count_nonzero(covered, axis=0))
     for j in range(grid.k):
-        assert np.array_equal(covered[:, j], batch.covered(grid.levels[j:j + 1], rng())[:, 0])
+        assert np.array_equal(covered[:, j], batch.covered(grid.levels[j:j + 1], *rngs())[:, 0])
     config = EValueConfig(lam, lam / 2, 0.05)
-    _, log_e = monitor_step(MartingaleState(), batch, config, rng())
+    _, log_e = monitor_step(MartingaleState(), batch, config, *rngs())
     hits = np.diff(log_e, prepend=0.0) < 0.0  # a covered step halves the e-value
-    assert np.array_equal(hits, batch.covered(np.array([lam]), rng())[:, 0])
-    assert np.count_nonzero(hits) == coverage_counts(batch, LevelGrid([lam]), rng()).counts[0]
+    assert np.array_equal(hits, batch.covered(np.array([lam]), *rngs())[:, 0])
+    assert np.count_nonzero(hits) == coverage_counts(batch, LevelGrid([lam]), *rngs()).counts[0]
 
 
 @SETTINGS

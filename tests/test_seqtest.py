@@ -214,12 +214,25 @@ def test_anytime_validity_light_monte_carlo():
     assert alarms / reps <= 0.05 + 3 * math.sqrt(0.05 * 0.95 / reps)
 
 
+def streams(seed):
+    """A direction stream and a tie stream, as a monitor run makes them."""
+    return np.random.default_rng([seed, 1]), np.random.default_rng([seed, 3])
+
+
 def test_halfplane_monitor_tie_policy_two_particles():
+    # the outcome equals the particle (1, 1) on every direction, so half the
+    # mass is tied with it: the PIT is 1/2 + V/2 where (0, 0) projects below
+    # it, and V/2 where above, V the tie stream's uniform; the indicator at
+    # 0.9 is then Bernoulli(0.9), where weak inequalities always counted it
+    n = 400
     w, pts = np.array([0.5, 0.5]), np.array([[0.0, 0.0], [1.0, 1.0]])
-    batch = ParticleBatch([w] * 50, [pts] * 50, [[1.0, 1.0]] * 50)
-    state, _ = monitor_step(MartingaleState(), batch, CFG, np.random.default_rng(0))
-    # outcome equals a particle: indicator is 1 for any direction at lambda=0.9
-    assert state.e_value == pytest.approx((0.8 / 0.9) ** 50, rel=1e-9)
+    batch = ParticleBatch([w] * n, [pts] * n, [[1.0, 1.0]] * n)
+    _, log_e = monitor_step(MartingaleState(), batch, CFG, *streams(0))
+    hits = np.diff(log_e, prepend=0.0) < 0.0  # a covered step lowers the e-value
+    theta = streams(0)[0].uniform(0.0, np.pi, n)  # each cloud's direction
+    u = np.where(np.cos(theta) + np.sin(theta) > 0.0, 0.5, 0.0) + streams(0)[1].random(n) * 0.5
+    assert np.array_equal(hits, np.abs(2.0 * u - 1.0) <= CFG.level)
+    assert abs(np.count_nonzero(hits) - 0.9 * n) <= 4.0 * math.sqrt(0.09 * n)
 
 
 def test_halfplane_monitor_deterministic_given_seed():
@@ -233,11 +246,11 @@ def test_halfplane_monitor_deterministic_given_seed():
     batch = ParticleBatch([np.full(64, 1 / 64)] * 30, points, ys)
 
     def run(cuts):
-        # the direction stream runs on across batches, cloud by cloud
-        rng = np.random.default_rng(777)
+        # the direction and tie streams run on across batches, cloud by cloud
+        rngs = np.random.default_rng(777), np.random.default_rng([777, 3])
         state, trace = MartingaleState(), []
         for a, b in zip([0, *cuts], [*cuts, 30]):
-            state, log_e = monitor_step(state, batch.take(range(a, b)), CFG, rng)
+            state, log_e = monitor_step(state, batch.take(range(a, b)), CFG, *rngs)
             trace += log_e.tolist()
         return state, trace
 
@@ -254,10 +267,11 @@ def test_halfplane_monitor_ville_light():
     alarms = 0
     for _ in range(reps):
         pts = rng.normal(size=(m, 2))
-        mon_rng = np.random.default_rng(rng.integers(2**63))
+        seed = int(rng.integers(2**63))
+        mon_rngs = np.random.default_rng(seed), np.random.default_rng([seed, 3])
         ys = [pts[rng.integers(0, m)] for _ in range(horizon)]
         batch = ParticleBatch([np.full(m, 1 / m)] * horizon, [pts] * horizon, ys)
-        st, _ = monitor_step(MartingaleState(), batch, CFG, mon_rng)
+        st, _ = monitor_step(MartingaleState(), batch, CFG, *mon_rngs)
         alarms += st.alarmed
     assert alarms / reps <= 0.05 + 3 * math.sqrt(0.05 * 0.95 / reps)
 

@@ -171,7 +171,8 @@ def test_robot_depletion_raises_with_step_number():
 
 def test_robot_zero_drift_halfplane_coverage_at_half():
     recs = run_robot_sim(RobotSimConfig(seed=3, drift_multiplier=0.0))
-    curve = coverage_counts(recs, LevelGrid([0.5]), np.random.default_rng(11))
+    curve = coverage_counts(recs, LevelGrid([0.5]), np.random.default_rng(11),
+                            np.random.default_rng(12))
     se = math.sqrt(0.25 / len(recs))
     assert abs(curve.fractions[0] - 0.5) <= 3.0 * se
 
@@ -195,7 +196,7 @@ def test_robot_baseline_drift_filter_lags_truth():
 def test_robot_gaussian_swap_tracks_halfplane_curve():
     grid = LevelGrid.default()
     recs = run_robot_sim(RobotSimConfig(seed=3, drift_multiplier=0.0))
-    hp = coverage_counts(recs, grid, np.random.default_rng([3, 2]))
+    hp = coverage_counts(recs, grid, np.random.default_rng([3, 2]), np.random.default_rng([3, 3]))
     # each cloud's weighted mean and covariance (weights sum to 1)
     mu = np.array([w @ pts for w, pts in zip(recs.w, recs.pts)])
     cov = np.array([(w[:, None] * (pts - m)).T @ (pts - m)
@@ -313,7 +314,7 @@ def serial_sweep(base, multipliers, n_seeds, monitor):
             cfg = replace(base, drift_multiplier=float(mult), seed=base.seed + s)
             state, log_traces[s] = monitor_step(
                 MartingaleState(), run_robot_sim(cfg), monitor,
-                np.random.default_rng([cfg.seed, 1]))
+                np.random.default_rng([cfg.seed, 1]), np.random.default_rng([cfg.seed, 3]))
             if state.alarmed:
                 crossings.append(state.first_crossing)
         envelope = np.exp(np.percentile(log_traces, [5.0, 50.0, 95.0], axis=0).T)

@@ -9,9 +9,11 @@ standard errors of its repetitions.
 
 import math
 
+import numpy as np
 import pytest
 
 from calcheck.cli import RecipeConfig, run_check, run_monitor
+from calcheck.records import ParticleBatch
 from calcheck.seqtest import EValueConfig
 from calcheck.sim import WeatherSimConfig, run_weather_oracle
 
@@ -49,4 +51,41 @@ def test_gaussian_monitor_holds_its_size_on_the_weather_oracle_to_horizon_ten_th
         records = run_weather_oracle(WeatherSimConfig(seed=seed, n_days=10_000 + window))
         assert len(records) == 10_000
         alarms += run_monitor(config, [records]).report["decision"] == "reject"
+    assert alarms / REPS <= size_bound(ALPHA, REPS)
+
+
+PARTICLE_COUNTS = [2, 5, 20, 100, 500]
+
+
+def discrete_clouds(seed: int, n: int, m: int) -> ParticleBatch:
+    """``n`` weighted 2-D clouds of ``m`` particles, a quarter of them point
+    masses, each outcome a particle of its own cloud drawn by weight: the
+    clouds are discrete and calibrated by construction."""
+    rng = np.random.default_rng([seed, m])
+    w = rng.dirichlet(np.ones(m), size=n)
+    pts = rng.normal(size=(n, m, 2))
+    points = rng.random(n) < 0.25
+    pts[points] = pts[points, :1]
+    drawn = np.minimum((w.cumsum(axis=1) < rng.random((n, 1))).sum(axis=1), m - 1)
+    return ParticleBatch.from_filter(list(w), list(pts), pts[np.arange(n), drawn])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("m", PARTICLE_COUNTS)
+def test_two_sided_binomial_check_holds_its_size_on_discrete_clouds(m):
+    # each outcome's projected PIT is uniform, atoms and all, so every
+    # level's half-plane count is exactly Binomial(n, level)
+    config = RecipeConfig(model="particles", metric="halfplane", alpha=ALPHA)
+    rejections = sum(run_check(config, discrete_clouds(seed, 200, m)).report["decision"]
+                     == "reject" for seed in range(REPS))
+    assert rejections / REPS <= size_bound(ALPHA, REPS)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("m", PARTICLE_COUNTS)
+def test_halfplane_monitor_holds_its_size_on_discrete_clouds(m):
+    config = RecipeConfig(model="particles", metric="halfplane", testing="evalue_monitor",
+                          evalue=EValueConfig(level=0.9, p_alt=0.8, alpha=ALPHA))
+    alarms = sum(run_monitor(config, [discrete_clouds(seed, 300, m)]).report["decision"]
+                 == "reject" for seed in range(REPS))
     assert alarms / REPS <= size_bound(ALPHA, REPS)
