@@ -137,6 +137,54 @@ def test_particle_coverage_needs_both_streams():
             cloud.covered(np.array([0.5]), *rngs)
 
 
+def projected_pit(w, pts, y, seed=0):
+    """:func:`metric.halfplane_indicator`'s PIT values of the clouds
+    ``(w, pts)`` at the outcomes ``y``, and the tie stream it drew from."""
+    rng, ties = streams(seed)
+    w = [np.asarray(wi, dtype=float) for wi in w]
+    pts = [np.asarray(p, dtype=float) for p in pts]
+    u = metric.halfplane_indicator(w, pts, np.asarray(y, dtype=float), rng, ties)
+    return u.values, ties
+
+
+def test_projected_pit_of_a_tie_free_cloud_is_its_weight_below():
+    # in one dimension the direction is +1, so the PIT is the weight of the
+    # particles below the outcome over the total, however the weights scale
+    for w in ([0.125, 0.25, 0.625], [1.0, 2.0, 5.0]):
+        y = [[-1.0], [0.5], [1.5], [3.0]]
+        u, ties = projected_pit([w] * 4, [[[0.0], [1.0], [2.0]]] * 4, y)
+        assert u.tolist() == [0.0, 0.125, 0.375, 1.0]
+        assert ties.bit_generator.state == streams(0)[1].bit_generator.state
+
+
+def test_projected_pit_of_equal_weights_is_the_outcome_rank():
+    rng = np.random.default_rng(5)
+    pts = [rng.normal(size=(8, 1)) for _ in range(50)]
+    y = rng.normal(size=(50, 1))
+    u, _ = projected_pit([np.full(8, 0.125)] * 50, pts, y)
+    assert u.tolist() == [np.count_nonzero(p[:, 0] < yi[0]) / 8 for p, yi in zip(pts, y)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_projected_pit_of_a_point_mass_is_the_tie_uniform(dim):
+    # every particle sits at the outcome: no mass below, all of it at the
+    # outcome, so the PIT is the cloud's uniform from the tie stream
+    rng = np.random.default_rng(dim)
+    w = [rng.dirichlet(np.ones(m)) for m in (2, 5, 20)]
+    y = rng.normal(size=(3, dim))
+    u, _ = projected_pit(w, [np.tile(yi, (len(wi), 1)) for wi, yi in zip(w, y)], y, seed=dim)
+    assert u.tolist() == streams(dim)[1].random(3).tolist()
+
+
+def test_projected_pit_splits_an_atom_by_the_tie_uniform_in_record_order():
+    # the middle atom holds half the mass: the PIT is uniform on [0.25, 0.75];
+    # only the tied clouds draw, the first tie the first uniform
+    w, pts = [0.25] * 4, [[0.0], [1.0], [1.0], [2.0]]
+    u, _ = projected_pit([w] * 4, [pts] * 4, [[0.5], [1.0], [3.0], [1.0]], seed=2)
+    v = streams(2)[1].random(2)
+    assert u.tolist() == [0.25, 0.25 + v[0] * 0.5, 1.0, 0.25 + v[1] * 0.5]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3), st.integers(2, 30), st.integers(1, 6), st.integers(0, 2**32 - 1),
        st.data())
