@@ -5,7 +5,8 @@ A four-slot pipeline, each slot independently swappable:
 * model & data (:mod:`calcheck.records`) - what the forecaster emits, as
   columnar batches of (prediction, outcome) records, one type per family;
 * metric (:mod:`calcheck.metric`) - coverage counts (half-plane coverage
-  for particle clouds), PIT samples, variance bins;
+  for particle clouds), PIT samples of every family (the randomized
+  projected PIT for particle clouds), variance bins;
 * hypothesis (:class:`calcheck.hyptest.HypothesisSpec`) - two-sided,
   one-sided over-confidence-only, with an optional tolerance margin;
 * testing (:mod:`calcheck.hyptest`, :mod:`calcheck.seqtest`) - exact

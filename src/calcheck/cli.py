@@ -23,6 +23,8 @@ default; a given setting that the run does not apply is refused as a
 configuration error before records are parsed or output is made, and before
 a bad, empty or missing record input is reported.  The ``_METRICS`` and
 ``_TESTINGS`` tables are the one place where slot pairings are stated.
+Every family has a PIT, so the KS recipes take every model; a cloud's PIT
+draws on the streams that its half-plane coverage draws on.
 ``check``, ``monitor`` and ``simulate`` all emit through ``_finish``.  Each
 output value is turned into text once: the numbers of record lines, table
 arrays and trace rows by ``_float_texts``, ``report.json``'s rows from CSV text.
@@ -124,14 +126,15 @@ MODELS = tuple(FAMILIES)
 # read; a run resolves the settings of the fields its testing applies, the
 # provenance records them, and argparse offers the tables' keys as choices.
 # Each metric: the model families it is defined on, and the refusal for the
-# others.
+# others.  Every family has a PIT, so the PIT metrics take every model.  A
+# model's default metric is the first defined on it, so halfplane comes
+# before them.
 _CDF_MODELS = ("gaussian", "mv_gaussian")
-_NO_PIT = "metric {metric!r} needs a CDF-bearing model; the PIT is undefined for {model!r}"
 _METRICS = {
     "coverage": (_CDF_MODELS, "particle clouds have no centered interval; use metric=halfplane"),
-    "pit_ks": (_CDF_MODELS, _NO_PIT),
-    "folded_ks": (_CDF_MODELS, _NO_PIT),
     "halfplane": (("particles",), "the half-plane metric requires the particles model"),
+    "pit_ks": (MODELS, None),
+    "folded_ks": (MODELS, None),
 }
 # Each testing procedure: the metrics it consumes, the refusal for the others,
 # and the RecipeConfig fields it applies (it refuses the others).  A metric's
@@ -236,7 +239,7 @@ def _check_slots(model: str | None, metric: str, testing: str, alpha: float,
         raise ConfigError("bins must be >= 1")
     families, refusal = _METRICS[metric]
     if model is not None and model not in families:
-        raise ConfigError(refusal.format(metric=metric, model=model))
+        raise ConfigError(refusal)
     if model is not None and bins is not None and model not in _CDF_MODELS:
         raise ConfigError("variance binning needs a scalar predicted uncertainty")
     return {"hypothesis": spec, "levels": grid} if "levels" in applies else {}
@@ -488,7 +491,8 @@ def parse_records(source: str | Path | RecordSource, model_kind: str) -> RecordB
 _SHORT_EXPONENT = re.compile(r"e-(\d)\b")
 _UNSIGNED_EXPONENT = re.compile(r"e(?=\d)")
 _NO_EXPONENT = re.compile(r"0(?<!\d0)\.0000\d+")  # its 0 after no digit; a sign stays
-TEXT_ROWS = 1 << 12  # records, or table rows, turned into text at a time
+TEXT_ROWS = 1 << 12  # table rows turned into text at a time
+TEXT_VALUES = 3 << 12  # numbers of record lines turned into text at a time
 
 
 def _float_texts(values: list) -> list[str]:
@@ -513,13 +517,17 @@ def _float_texts(values: list) -> list[str]:
 def write_records(records: RecordBatch, path: str | Path) -> None:
     """Write records as JSON lines, byte for byte ``json.dumps`` of each
     record's dict (keys in file order, ``t`` where set; batches hold no NaN
-    or inf), ``TEXT_ROWS`` records at a time, a column by one :func:`_float_texts`."""
+    or inf), a column by one :func:`_float_texts`, as many records at a time
+    as hold ``TEXT_VALUES`` numbers when each holds as many as the largest."""
     fields = ", ".join(f'"{key}": {{}}' for key in records.keys)
     line = "{{" + fields + "{}}}\n"  # the last field: ', "t": ...' where t is set
+    largest = sum(max(map(np.size, col), default=0) if isinstance(col, list) else
+                  math.prod(col.shape[1:]) for col in map(records.__getattribute__, records.keys))
+    rows = max(1, TEXT_VALUES // largest)  # each record holds an outcome
     with open(path, "w") as handle:
-        for i in range(0, len(records), TEXT_ROWS):
-            cells = map(_float_texts, records._json_columns(slice(i, i + TEXT_ROWS)))
-            t = ["" if u is None else f', "t": {u}' for u in records.t[i:i + TEXT_ROWS]]
+        for i in range(0, len(records), rows):
+            cells = map(_float_texts, records._json_columns(slice(i, i + rows)))
+            t = ["" if u is None else f', "t": {u}' for u in records.t[i:i + rows]]
             handle.writelines(map(line.format, *cells, t))
 
 
@@ -547,8 +555,11 @@ def sniff_model_kind(source: str | Path | RecordSource) -> str:
 def _single_check(config: RecipeConfig, records: RecordBatch,
                   alpha: float) -> tuple[TestReport, dict]:
     """One check's test report and its tables, each as columns."""
+    # a particle cloud's PIT, and so its coverage, draws its directions and
+    # tie-breaking uniforms from these streams; the other families read neither
+    rng, ties = np.random.default_rng([config.seed, 2]), np.random.default_rng([config.seed, 3])
     if config.testing == "ks":
-        sample = pit(records)
+        sample = pit(records, rng, ties)
         if config.metric == "folded_ks":
             sample = fold(sample)
         report = ks_test(sample, config.hypothesis, alpha)
@@ -563,8 +574,7 @@ def _single_check(config: RecipeConfig, records: RecordBatch,
     if config.metric == "coverage":
         curve = coverage_counts(records, config.levels)
     else:
-        curve = halfplane_coverage(records, config.levels, np.random.default_rng([config.seed, 2]),
-                                   np.random.default_rng([config.seed, 3]))
+        curve = halfplane_coverage(records, config.levels, rng, ties)
     correction = "holm" if config.testing == "binom_holm" else "bonferroni"
     report = coverage_binomial_report(curve, config.hypothesis, alpha, correction)
     rows = [(r.level, r.count, r.n, r.count / r.n, r.lower_bound, r.upper_bound, r.p_value,

@@ -12,8 +12,9 @@ class InvalidDistributionError(CalcheckError, ValueError):
 
 
 class UnsupportedMetricError(CalcheckError, TypeError):
-    """The requested metric is undefined for the given prediction family
-    (e.g. PIT of a particle cloud)."""
+    """The requested metric is undefined for the given prediction family, or
+    for its arguments (e.g. the scalar uncertainty of a particle cloud, or
+    its PIT without a direction and a tie stream)."""
 
 
 class ConfigError(CalcheckError, ValueError):

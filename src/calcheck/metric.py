@@ -2,17 +2,17 @@
 
 Transforms a record batch (:mod:`calcheck.records`) into the quantities the
 hypothesis tests consume: coverage counts over a level grid, PIT samples
-(raw and folded), variance bins for conditional checks, and, for particle
-clouds, the randomized projected PIT of :func:`halfplane_indicator`, whose
-folded value ``<= lambda`` is the half-plane coverage indicator.  What
-differs by prediction family comes from the batch; the statistics here are
-the same for every family.
+(raw and folded) and variance bins for conditional checks.  What differs by
+prediction family comes from the batch; the statistics here are the same
+for every family.  Every family has a PIT; a particle cloud's is the
+randomized projected PIT of :func:`projected_pit`, which draws from a
+direction stream and a tie stream that :func:`pit` passes through.
 
 Particle clouds are scored many at a time, however their particle counts
 differ: each cloud's PIT is two masked sums of its weights over one flat
 array of projected particles, bit for bit what it would get alone, and the
-direction and tie draws are made one cloud at a time in record order, so
-both generators end where a cloud-by-cloud loop leaves them.
+direction and tie draws are made in record order, so both generators end
+where a cloud-by-cloud loop leaves them.
 
 Coverage counts sum the batch's own coverage indicator,
 :meth:`~calcheck.records.RecordBatch.covered`, which the online monitor
@@ -39,7 +39,7 @@ __all__ = [
     "pit",
     "fold",
     "variance_bin",
-    "halfplane_indicator",
+    "projected_pit",
     "random_direction",
 ]
 
@@ -145,18 +145,20 @@ class VarianceBins:
 # PIT
 # ---------------------------------------------------------------------------
 
-def pit(records) -> PitSample:
+def pit(records, rng=None, ties=None) -> PitSample:
     """Probability integral transform of a record batch.
 
     Scalar predictions use their own CDF at the outcome; multivariate
     Gaussians reduce through the squared Mahalanobis distance, whose CDF
     under calibration is chi-square with ``d`` degrees of freedom.  Particle
-    clouds have no CDF, so their PIT is undefined and raises.
+    clouds take their randomized projected PIT (:func:`projected_pit`),
+    drawn from the direction stream ``rng`` and the tie stream ``ties``,
+    which the other families ignore.
     """
     if not len(records):
         raise DataError("cannot compute the PIT of an empty record list")
     # CDF callables may stray outside [0, 1] by an ulp; clip defensively.
-    return PitSample(values=np.clip(records.pit_values(), 0.0, 1.0), folded=False)
+    return PitSample(values=np.clip(records.pit_values(rng, ties), 0.0, 1.0), folded=False)
 
 
 def fold(sample: PitSample) -> PitSample:
@@ -176,9 +178,9 @@ def coverage_counts(records, grid: LevelGrid, rng=None, ties=None) -> CoverageCu
     Counts, level by level, the records that the batch's coverage indicator
     :meth:`~calcheck.records.RecordBatch.covered` puts inside the centered
     set: the folded PIT ``<= lambda`` for scalar Gaussians, the chi-square
-    PIT (ellipsoid membership) for multivariate Gaussians, and
-    the folded :func:`halfplane_indicator` for particle clouds, which need a
-    direction stream ``rng`` and a tie stream ``ties``.
+    PIT (ellipsoid membership) for multivariate Gaussians, and the folded
+    :func:`projected_pit` for particle clouds, which need a direction stream
+    ``rng`` and a tie stream ``ties``.
     """
     if not len(records):
         raise DataError("cannot compute coverage of an empty record list")
@@ -216,20 +218,22 @@ def variance_bin(records, k_bins: int) -> VarianceBins:
 # half-plane coverage for particle clouds
 # ---------------------------------------------------------------------------
 
-def random_direction(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random unit direction.
+def random_direction(dim: int, rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` uniform random unit directions as ``(n, dim)``, drawn in one call
+    with the values and end state of ``n`` draws of one direction each.
 
     In one dimension the direction is the constant +1; in two dimensions an
     angle uniform on (0, pi) covers every distinct cut; in higher dimensions
     a normalized standard Gaussian vector is uniform on the sphere.
     """
     if dim == 1:
-        return np.ones(1)
+        return np.ones((n, 1))
     if dim == 2:
-        theta = rng.uniform(0.0, np.pi)
-        return np.array([np.cos(theta), np.sin(theta)])
-    g = rng.standard_normal(dim)
-    return g / np.linalg.norm(g)
+        theta = rng.uniform(0.0, np.pi, n)
+        return np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    g = rng.standard_normal((n, dim))
+    # row by row: norm(g, axis=1) rounds some rows otherwise than norm(row)
+    return g / np.array([np.linalg.norm(row) for row in g])[:, None]
 
 
 def _project(x: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -248,8 +252,8 @@ def _project(x: np.ndarray, d: np.ndarray) -> np.ndarray:
 CHUNK_PARTICLES = 1 << 14
 
 
-def halfplane_indicator(w, pts, y: np.ndarray, rng: np.random.Generator,
-                        ties: np.random.Generator) -> PitSample:
+def projected_pit(w, pts, y: np.ndarray, rng: np.random.Generator,
+                  ties: np.random.Generator) -> np.ndarray:
     """The randomized projected PIT of each outcome under its particle cloud.
 
     ``w`` and ``pts`` hold ``n`` clouds, weights ``(m_i,)`` and points
@@ -277,16 +281,16 @@ def halfplane_indicator(w, pts, y: np.ndarray, rng: np.random.Generator,
     """
     counts = np.fromiter(map(len, w), int, len(y))
     ends = [*np.flatnonzero(np.diff(np.cumsum(counts) // CHUNK_PARTICLES)) + 1, len(y)]
-    return PitSample(np.concatenate([_projected_pit(counts[i:j], w[i:j], pts[i:j], y[i:j], rng,
-                                                    ties) for i, j in zip([0, *ends], ends)]))
+    return np.concatenate([_chunk_pit(counts[i:j], w[i:j], pts[i:j], y[i:j], rng, ties)
+                           for i, j in zip([0, *ends], ends)])
 
 
-def _projected_pit(counts, w, pts, y, rng, ties) -> np.ndarray:
-    """:func:`halfplane_indicator`'s PIT of one chunk of clouds, whose
-    particle counts are ``counts``."""
+def _chunk_pit(counts, w, pts, y, rng, ties) -> np.ndarray:
+    """:func:`projected_pit` of one chunk of clouds, whose particle counts
+    are ``counts``."""
     starts = np.cumsum(counts) - counts
     w, pts = np.concatenate(w), np.concatenate(pts)
-    d = np.array([random_direction(y.shape[1], rng) for _ in range(len(y))])
+    d = random_direction(y.shape[1], rng, len(y))
     # coordinates beyond 2**500 could overflow their projections; the PIT is
     # invariant under positive scaling, so scale such a cloud and its outcome
     # by an exact power of two, and leave every other cloud untouched

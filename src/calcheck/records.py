@@ -7,11 +7,12 @@ type: the JSON keys of its record lines, parsing and validation of the
 parameters, serialisation, the PIT, the scalar uncertainty that variance
 bins sort by, and the coverage indicator, whether each outcome lies in its
 prediction's centered level set, which the offline coverage counts and the
-online monitor both read.  Scalar Gaussians and particle clouds share that
-indicator's rule, a folded PIT ``<= lambda``; a cloud's PIT is its
+online monitor both read.  Every family has a PIT; a cloud's is its
 randomized projected PIT, which draws from a direction stream and a tie
-stream.  ``FAMILIES`` maps each model name to its type, so a batch's family
-is decided once, when its type is chosen.
+stream.  Coverage is one rule, a folded PIT ``<= lambda``, but for
+multivariate Gaussians, whose chi-square PIT is ``<= lambda``.  ``FAMILIES``
+maps each model name to its type, so a batch's family is decided once, when
+its type is chosen.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DataError, InvalidDistributionError, UnsupportedMetricError
-from .metric import fold, halfplane_indicator, pit
+from .metric import fold, pit, projected_pit
 
 __all__ = [
     "RecordBatch",
@@ -33,8 +34,12 @@ __all__ = [
 ]
 
 # Weight tolerance for particle clouds: the weight vector must sum to 1
-# within this absolute slack before the exact renormalisation is applied.
+# within this absolute slack (up to representation error of the inputs)
+# before the exact renormalisation is applied.
 WEIGHT_SUM_TOL = 1e-9
+# Clouds whose finiteness and signs are checked at once: one copy of a whole
+# simulated run's particles raised an in-process drift sweep's peak memory 7%
+CHECK_CLOUDS = 64
 
 
 def chi2_cdf(x, d: int):
@@ -101,30 +106,6 @@ def _jittered_cholesky(cov: np.ndarray) -> np.ndarray:
             ) from None
 
 
-def _checked_cloud(w, pts) -> tuple[np.ndarray, np.ndarray]:
-    """One cloud's weights ``(m,)`` and points ``(m, d)``, validated.
-
-    Weights must be nonnegative and sum to 1 within ``WEIGHT_SUM_TOL``; they
-    are then renormalised to sum to 1 exactly.  At least 2 particles are
-    required.
-    """
-    w = np.asarray(w, dtype=float)
-    pts = _points(pts)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if w.ndim != 1 or pts.ndim != 2 or w.shape[0] != pts.shape[0]:
-        raise InvalidDistributionError(
-            f"weights {w.shape} do not match points {pts.shape}"
-        )
-    if w.shape[0] < 2:
-        raise InvalidDistributionError("need at least 2 particles")
-    if not np.all(np.isfinite(w)) or not np.all(np.isfinite(pts)):
-        raise InvalidDistributionError("particles must be finite")
-    if np.any(w < 0):
-        raise InvalidDistributionError("weights must be nonnegative")
-    return _normalised(w), pts
-
-
 def _points(pts) -> np.ndarray:
     """``np.asarray(pts, dtype=float)``, read by ``np.fromiter`` when ``pts``
     is a nonempty list of equal-length lists, as a decoded record line holds:
@@ -139,23 +120,6 @@ def _points(pts) -> np.ndarray:
         except (TypeError, ValueError, OverflowError):
             pass
     return np.asarray(pts, dtype=float)
-
-
-def _normalised(w: np.ndarray) -> np.ndarray:
-    """Weights that sum to 1 within ``WEIGHT_SUM_TOL``, renormalised to sum to
-    1 exactly; any other sum raises."""
-    total = float(w.sum())
-    # boundary inclusive up to representation error of the inputs
-    if abs(total - 1.0) > WEIGHT_SUM_TOL * (1.0 + 1e-6):
-        raise InvalidDistributionError(
-            f"weights sum to {total!r}, outside 1 +/- {WEIGHT_SUM_TOL}"
-        )
-    # skip the division when the sum is already 1 to working precision:
-    # renormalization stays idempotent, so serialized clouds round-trip
-    # bit for bit
-    if abs(total - 1.0) > 1e-12:
-        w = w / total
-    return w
 
 
 # The time indices a record line can hold: orjson reads an integer outside
@@ -180,7 +144,9 @@ class RecordBatch:
     the family in a record line.  ``_json_columns(rows)`` gives one column
     per key of the records ``rows``, a slice, each value as Python floats
     (lists of them for an array), which ``calcheck.cli.write_records``
-    turns into text.  :meth:`covered` is the family's one coverage indicator.
+    turns into text.  Each family defines ``pit_values(rng, ties)``, the
+    PIT :func:`~calcheck.metric.pit` takes, and :meth:`covered` is its one
+    coverage indicator.
     """
 
     kind: str
@@ -252,10 +218,6 @@ class RecordBatch:
                     else [v for c in cols for v in c])
         return new
 
-    def pit_values(self) -> np.ndarray:
-        """Each prediction's CDF at its outcome (unclipped)."""
-        raise UnsupportedMetricError(f"{self.kind} records have no PIT; use half-plane coverage")
-
     def uncertainty(self) -> np.ndarray:
         """One scalar spread per record; a monotone transform is enough for binning."""
         raise UnsupportedMetricError(f"{self.kind} records have no scalar uncertainty to bin by")
@@ -263,10 +225,11 @@ class RecordBatch:
     def covered(self, levels: np.ndarray, rng: np.random.Generator | None = None,
                 ties: np.random.Generator | None = None) -> np.ndarray:
         """Whether each outcome lies in its prediction's centered set at each of
-        ``levels``, as ``(n, k)`` booleans.  By default the PIT, the mass of the
-        smallest centered set holding the outcome, is ``<= lambda``.  Only
-        particle clouds read the random streams ``rng`` and ``ties``."""
-        return pit(self).values[:, None] <= levels
+        ``levels``, as ``(n, k)`` booleans: the folded PIT ``|2u - 1|``, the
+        mass of the smallest centered interval holding the outcome, is
+        ``<= lambda``.  Only particle clouds read the random streams ``rng``
+        and ``ties``."""
+        return fold(pit(self, rng, ties)).values[:, None] <= levels
 
 
 class GaussianBatch(RecordBatch):
@@ -286,7 +249,7 @@ class GaussianBatch(RecordBatch):
     def _json_columns(self, rows):
         return self.mu[rows].tolist(), self.sigma[rows].tolist(), self.y[rows, 0].tolist()
 
-    def pit_values(self):
+    def pit_values(self, rng=None, ties=None):
         """The standard normal CDF of each standardised residual;
         ``scipy.special`` is imported by the first call, not with this module."""
         from scipy.special import ndtr
@@ -295,11 +258,6 @@ class GaussianBatch(RecordBatch):
 
     def uncertainty(self):
         return self.sigma
-
-    def covered(self, levels, rng=None, ties=None):
-        # the centered interval at level lambda holds y exactly when the
-        # folded PIT |2 Phi(z) - 1| is <= lambda
-        return fold(pit(self)).values[:, None] <= levels
 
 
 class MvGaussianBatch(RecordBatch):
@@ -319,7 +277,7 @@ class MvGaussianBatch(RecordBatch):
     def _json_columns(self, rows):
         return self.mu[rows].tolist(), self.cov[rows].tolist(), self.y[rows].tolist()
 
-    def pit_values(self):
+    def pit_values(self, rng=None, ties=None):
         """Squared Mahalanobis distances through the chi-square CDF with ``d``
         degrees of freedom, their law under calibration.
 
@@ -344,51 +302,72 @@ class MvGaussianBatch(RecordBatch):
         # unchanged and cannot overflow in high dimension.
         return 2.0 * np.log(np.diagonal(self.chol, axis1=1, axis2=2)).sum(axis=1)
 
+    def covered(self, levels, rng=None, ties=None):
+        # the ellipsoid at level lambda holds y exactly when the chi-square
+        # PIT of its Mahalanobis distance is <= lambda
+        return pit(self).values[:, None] <= levels
+
 
 class ParticleBatch(RecordBatch):
     """Weighted particle clouds as ragged columns: per record, weights
     ``w[i]`` of shape ``(m_i,)`` and points ``pts[i]`` of shape ``(m_i, d)``;
-    clouds may differ in particle count but not in dimension."""
+    clouds may differ in particle count but not in dimension.
+
+    Each cloud needs at least 2 particles, finite, with nonnegative weights
+    that sum to 1 within ``WEIGHT_SUM_TOL``; they are then renormalised to
+    sum to 1 exactly.  Shapes and sums are checked cloud by cloud, finiteness
+    and signs over ``CHECK_CLOUDS`` clouds at a time, before any sum is
+    tested, so a one-cloud batch is refused for the first of these it fails."""
 
     kind = "particles"
     keys = ("w", "pts", "y")
 
     def __init__(self, w, pts, y, t=None):
-        clouds = [_checked_cloud(wi, pi) for wi, pi in zip(w, pts, strict=True)]
-        self.w = [wi for wi, _ in clouds]
-        self.pts = [pi for _, pi in clouds]
-        self._set_outcomes(y, t, len(clouds), {pi.shape[1] for pi in self.pts})
-
-    @classmethod
-    def from_filter(cls, w, pts, y, t=None) -> "ParticleBatch":
-        """A batch of clouds a particle filter built: float arrays, weights
-        ``(m,)`` and points ``(m, d)`` with ``m >= 2``, finite, the weights
-        nonnegative.  Those checks of ``__init__`` are skipped; the weight
-        sum is still tested and renormalised as there, so the clouds are
-        bit for bit the ones ``__init__`` would store."""
-        new = object.__new__(cls)
-        new.w = list(map(_normalised, w))
-        new.pts = list(pts)
-        new._set_outcomes(y, t, len(new.w), {pi.shape[1] for pi in new.pts})
-        return new
+        self.w, self.pts, totals = [], [], []
+        for wi, pi in zip(w, pts, strict=True):
+            wi, pi = np.asarray(wi, dtype=float), _points(pi)
+            if pi.ndim == 1:
+                pi = pi[:, None]
+            if wi.ndim != 1 or pi.ndim != 2 or wi.shape[0] != pi.shape[0]:
+                raise InvalidDistributionError(
+                    f"weights {wi.shape} do not match points {pi.shape}")
+            if wi.shape[0] < 2:
+                raise InvalidDistributionError("need at least 2 particles")
+            self.w.append(wi)
+            self.pts.append(pi)
+            totals.append(float(wi.sum()))
+        for i in range(0, len(self.w), CHECK_CLOUDS):
+            flat = np.concatenate(self.w[i:i + CHECK_CLOUDS])
+            if not (np.isfinite(flat).all() and np.isfinite(
+                    np.concatenate([pi.ravel() for pi in self.pts[i:i + CHECK_CLOUDS]])).all()):
+                raise InvalidDistributionError("particles must be finite")
+            if (flat < 0).any():
+                raise InvalidDistributionError("weights must be nonnegative")
+        for i, total in enumerate(totals):
+            if abs(total - 1.0) > WEIGHT_SUM_TOL * (1.0 + 1e-6):
+                raise InvalidDistributionError(
+                    f"weights sum to {total!r}, outside 1 +/- {WEIGHT_SUM_TOL}")
+            # skip the division when the sum is already 1 to working
+            # precision: renormalization stays idempotent, so serialized
+            # clouds round-trip bit for bit
+            if abs(total - 1.0) > 1e-12:
+                self.w[i] = self.w[i] / total
+        self._set_outcomes(y, t, len(self.w), {pi.shape[1] for pi in self.pts})
 
     def _json_columns(self, rows):
         return ([wi.tolist() for wi in self.w[rows]], [pi.tolist() for pi in self.pts[rows]],
                 self.y[rows].tolist())
 
-    def covered(self, levels, rng=None, ties=None):
-        """Half-plane coverage: the folded randomized projected PIT
-        (:func:`~calcheck.metric.halfplane_indicator`) ``<= lambda``, the rule
-        scalar Gaussians use.  Each cloud takes a fresh direction from
-        ``rng`` and, when the outcome's projection ties with particles, a
-        uniform from ``ties``, drawn in record order; so a batch scores as
-        its records do one at a time, and the streams run on across
-        batches."""
+    def pit_values(self, rng=None, ties=None):
+        """The randomized projected PIT (:func:`~calcheck.metric.projected_pit`).
+        Each cloud takes a fresh direction from ``rng`` and, when the
+        outcome's projection ties with particles, a uniform from ``ties``,
+        drawn in record order; so a batch scores as its records do one at a
+        time, and the streams run on across batches."""
         if rng is None or ties is None:
             raise UnsupportedMetricError(
-                "half-plane coverage of particle clouds needs a direction and a tie stream")
-        u = halfplane_indicator(self.w, self.pts, self.y, rng, ties)
-        return fold(u).values[:, None] <= levels
+                "the PIT of particle clouds needs a direction and a tie stream")
+        return projected_pit(self.w, self.pts, self.y, rng, ties)
 
 
 FAMILIES: dict[str, type[RecordBatch]] = {

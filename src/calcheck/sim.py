@@ -282,8 +282,7 @@ def run_robot_sim(config: RobotSimConfig) -> ParticleBatch:
             idx = _systematic_resample(weights, rng)
             particles = particles[idx]
             log_w = flat
-    return ParticleBatch.from_filter(weights_seq, particles_seq, truths,
-                                     t=range(1, config.n_steps + 1))
+    return ParticleBatch(weights_seq, particles_seq, truths, t=range(1, config.n_steps + 1))
 
 
 # ---------------------------------------------------------------------------

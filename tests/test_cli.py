@@ -15,6 +15,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -119,6 +120,59 @@ def test_check_accepts_calibrated_point_masses(tmp_path, capsys):
         level, count = float(row.split(",")[0]), int(row.split(",")[1])
         assert abs(count - 50 * level) <= 4.0 * math.sqrt(50 * level * (1.0 - level)), row
     assert len(rows) == 10
+
+
+def test_folded_ks_ecdf_counts_what_halfplane_coverage_counts(tmp_path, capsys):
+    # both draw a cloud's PIT from the seed's direction and tie streams, so
+    # the folded PITs at or below each level are the half-plane check's
+    # count; plain check keeps the half-plane metric, and the KS recipes run
+    assert cli.main(["simulate", "robot", "--seed", "1", "--out", str(tmp_path)]) == 0
+    records = str(tmp_path / "robot_records.jsonl")
+    runs = {"halfplane": [], "folded_ks": ["--metric", "folded_ks", "--sided", "one"],
+            "pit_ks": ["--metric", "pit_ks"]}
+    for metric, flags in runs.items():
+        out = tmp_path / metric
+        assert cli.main(["check", records, "--seed", "1", *flags, "--out", str(out)]) in (0, 1)
+        saved = json.loads((out / "report.json").read_text())
+        assert saved["provenance"]["config"]["metric"] == metric
+    capsys.readouterr()
+    rows = [row.split(",") for row in
+            (tmp_path / "halfplane" / "coverage.csv").read_text().splitlines()[1:]]
+    folded = np.array([float(row.split(",")[0]) for row in
+                       (tmp_path / "folded_ks" / "ecdf.csv").read_text().splitlines()[1:]])
+    counts = [int(row[1]) for row in rows]
+    assert counts == [np.count_nonzero(folded <= float(row[0])) for row in rows]
+    assert len(folded) == 500 and counts[0] == 30 and counts[-1] == 476
+
+
+def test_record_lines_are_turned_into_text_a_chunk_at_a_time(tmp_path):
+    # a chunk takes as many records as hold TEXT_VALUES numbers when each
+    # holds as many as the largest, one at least, and hands _float_texts no
+    # more numbers than that, but for one record that holds more: Gaussian
+    # chunks are 4,096 records, and the bytes are those of one chunk
+    rng = np.random.default_rng(9)
+    m = rng.integers(2, 600, 300)
+    big = [*m[:10], 5000, *m[10:20]]
+    weather = GaussianBatch(rng.normal(size=10_000), np.ones(10_000), rng.normal(size=10_000))
+    cases = [(weather, [3] * 10_000, 4096)] + [
+        (ParticleBatch([np.full(k, 1.0 / k) for k in ks], [rng.normal(size=(k, 2)) for k in ks],
+                       rng.normal(size=(len(ks), 2))), [3 * k + 2 for k in ks], rows)
+        for ks, rows in ((m, cli.TEXT_VALUES // (3 * max(m) + 2)), (big, 1))]
+    for batch, size, rows in cases:
+        calls, real = [], cli._float_texts
+        with mock.patch.object(cli, "_float_texts",
+                               lambda values: calls.append(values) or real(values)):
+            write_records(batch, tmp_path / "chunked.jsonl")
+        with mock.patch.object(cli, "TEXT_VALUES", math.inf):
+            write_records(batch, tmp_path / "whole.jsonl")
+        assert (tmp_path / "chunked.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
+        chunks = [calls[i:i + 3] for i in range(0, len(calls), 3)]
+        assert [len(chunk[0]) for chunk in chunks] == [
+            min(rows, len(batch) - i) for i in range(0, len(batch), rows)]
+        for i, chunk in enumerate(chunks):
+            numbers = sum(np.size(v) for column in chunk for v in column)
+            assert numbers == sum(size[i * rows:(i + 1) * rows])
+            assert numbers <= cli.TEXT_VALUES or rows == 1
 
 
 def test_one_dimensional_points_parse_flat_or_nested(tmp_path, capsys):
@@ -242,8 +296,8 @@ def test_round_trip_all_kinds(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_config_slot_compatibility():
-    with pytest.raises(ConfigError):
-        RecipeConfig(model="particles", metric="pit_ks", testing="ks")
+    with pytest.raises(ConfigError, match="particle clouds have no centered interval"):
+        RecipeConfig(model="particles", metric="coverage")
     with pytest.raises(ConfigError):
         RecipeConfig(model="gaussian", metric="halfplane")
     with pytest.raises(ConfigError):
@@ -351,7 +405,7 @@ def test_recipe_and_cli_accept_the_same_recipes(tmp_path, capsys):
                 assert cli.main(argv) in (0, 1), file_cfg
             capsys.readouterr()
         accepted["monitor" if testing == "evalue_monitor" else "offline"] += ok
-    assert accepted == {"offline": 56, "monitor": 3}
+    assert accepted == {"offline": 60, "monitor": 3}
 
 
 # ---------------------------------------------------------------------------

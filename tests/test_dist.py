@@ -138,13 +138,12 @@ def test_particle_coverage_needs_both_streams():
 
 
 def projected_pit(w, pts, y, seed=0):
-    """:func:`metric.halfplane_indicator`'s PIT values of the clouds
-    ``(w, pts)`` at the outcomes ``y``, and the tie stream it drew from."""
+    """:func:`metric.projected_pit`'s PIT values of the clouds ``(w, pts)``
+    at the outcomes ``y``, and the tie stream it drew from."""
     rng, ties = streams(seed)
     w = [np.asarray(wi, dtype=float) for wi in w]
     pts = [np.asarray(p, dtype=float) for p in pts]
-    u = metric.halfplane_indicator(w, pts, np.asarray(y, dtype=float), rng, ties)
-    return u.values, ties
+    return metric.projected_pit(w, pts, np.asarray(y, dtype=float), rng, ties), ties
 
 
 def test_projected_pit_of_a_tie_free_cloud_is_its_weight_below():
@@ -197,16 +196,38 @@ def test_an_outcome_at_a_particle_projects_onto_it_bit_for_bit(dim, m, n, seed, 
                                        min_size=m, max_size=m))) for _ in range(n)]
     at = [data.draw(st.integers(0, m - 1)) for _ in range(n)]
     y = np.array([p[j] for p, j in zip(pts, at)])
-    rng = np.random.default_rng(seed)
-    d = np.array([random_direction(dim, rng) for _ in range(n)])
+    d = random_direction(dim, np.random.default_rng(seed), n)
     z = metric._project(np.concatenate(pts), np.repeat(d, m, axis=0)).reshape(n, m)
     zy = metric._project(y, d)
     assert z[np.arange(n), at].tobytes() == zy.tobytes()
     rng, ties = streams(seed)
-    metric.halfplane_indicator([np.full(m, 1.0 / m)] * n, pts, y, rng, ties)
+    metric.projected_pit([np.full(m, 1.0 / m)] * n, pts, y, rng, ties)
     want = streams(seed)[1]
     want.random(n)
     assert ties.bit_generator.state == want.bit_generator.state
+
+
+def one_direction(dim: int, rng):
+    """One cloud's direction, drawn alone: +1, an angle uniform on (0, pi),
+    or a standard Gaussian vector over its norm."""
+    if dim == 1:
+        return np.ones(1)
+    if dim == 2:
+        theta = rng.uniform(0.0, np.pi)
+        return np.array([np.cos(theta), np.sin(theta)])
+    g = rng.standard_normal(dim)
+    return g / np.linalg.norm(g)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_directions_drawn_at_once_are_the_ones_drawn_one_at_a_time(dim):
+    # the same floats, and the generator left in the same state
+    for n in (0, 1, 7, 5000):
+        rng, alone = np.random.default_rng([dim, n]), np.random.default_rng([dim, n])
+        d = random_direction(dim, rng, n)
+        want = np.array([one_direction(dim, alone) for _ in range(n)]).reshape(n, dim)
+        assert d.shape == (n, dim) and d.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == alone.bit_generator.state
 
 
 def cloud_sum(x):
@@ -220,7 +241,7 @@ def oracle_indicator(w, pts, y, levels, rng, ties):
     on one direction from ``rng`` and, at a tie, one uniform from ``ties``:
     the rule, written for one cloud alone."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    d = random_direction(pts.shape[1], rng)
+    d = one_direction(pts.shape[1], rng)
     k = np.frexp(max(np.abs(pts).max(), np.abs(y).max()))[1]
     if k > 500:
         pts, y = pts * np.ldexp(1.0, -k), y * np.ldexp(1.0, -k)

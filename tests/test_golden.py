@@ -37,6 +37,11 @@ CASES = {
                         "--tolerance", "0.01", "--out", "{out}"],
     "check_pit_ks": ["check", "{weather}", "--metric", "pit_ks", "--out", "{out}"],
     "check_robot": ["check", "{robot}", "--seed", "1", "--out", "{out}"],
+    # a particle PIT: the half-plane check's direction and tie streams
+    "check_robot_pit_ks": ["check", "{robot}", "--metric", "pit_ks", "--seed", "1",
+                           "--out", "{out}"],
+    "check_robot_folded_ks": ["check", "{robot}", "--metric", "folded_ks", "--sided", "one",
+                              "--seed", "1", "--out", "{out}"],
     "monitor_robot": ["monitor", "{robot}", "--seed", "1", "--out", "{out}"],
     "monitor_weather": ["monitor", "{weather}", "--out", "{out}"],
     "simulate_drift_sweep": ["simulate", "drift_sweep", "--config", "{sweep}", "--seed", "0",
@@ -126,6 +131,20 @@ GOLDEN = {
         "stdout": "a232d2be0e4b0aa8b0244bdfb2b2b46acb9e2d9c60fe870e6e5814a48fb02fd6",
         "coverage.csv": "60c0205ff96398e97b498dc1cc7f6158edf620f44ae2d83400ca27918047a488",
         "report.json": "93b0e496910c9486cdb51ecac12cf12e7ac9288a31e24945be29d3af158d78ea",
+    },
+    "check_robot_folded_ks": {
+        "exit": 0,
+        "stdout": "24e901aa98aa0a9ea63ee38512d5a7af8072ec8400e6ad00af4690526e28cd16",
+        "band.csv": "96d4b38fc104abeaf20e4fa325d8b4a5476d7cfd1458362609acb1435afe9e4b",
+        "ecdf.csv": "f516994b96f5c9ef43c5924e594416c811caaa9118e14283d0f8897d42c555ff",
+        "report.json": "1df7acaff3ed373d799e238572b67daad0576b2827ff65fdd96eecf5c95ac333",
+    },
+    "check_robot_pit_ks": {
+        "exit": 0,
+        "stdout": "695161dd740f013db022757c126d30e93ded09549ca0b0554d8be58ef3bd6b6d",
+        "band.csv": "6cc70afc5dea675f53d314ff05692d8886209a3a6283aa1c961153382e4dd1a0",
+        "ecdf.csv": "e78bc52c836d242739e0d8cb4161f03b3843e295878e4f59907acc84197acd7e",
+        "report.json": "772b98182f1d04714a8f4f72f5442218dd67a1aff3f296b22a6b8842cc2207e3",
     },
     "monitor_bad_first": {
         "exit": 3,

@@ -58,8 +58,14 @@ def test_pit_mv_gaussian_chi2_reduction():
 
 
 def test_pit_undefined_for_particles():
-    with pytest.raises(UnsupportedMetricError):
-        pit(one_cloud_batch())
+    # a cloud's PIT is undefined without its two random streams; with them,
+    # in one dimension and tie free, it is the weight below the outcome
+    for streams in ((), (np.random.default_rng(0),), (None, np.random.default_rng(0))):
+        with pytest.raises(UnsupportedMetricError, match="^the PIT of particle clouds needs "
+                                                         "a direction and a tie stream$"):
+            pit(one_cloud_batch(), *streams)
+    rng, ties = np.random.default_rng(0), np.random.default_rng(1)
+    assert pit(one_cloud_batch(), rng, ties).values.tolist() == [0.5]
 
 
 def test_pit_empty_errors():

@@ -272,20 +272,73 @@ def test_gaussian_line_parses_as_the_constructor_builds_it(obj):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def checked_cloud(w, pts):
+    """One cloud checked alone, the reference the batch check must match:
+    shapes, particle count, finiteness and signs, then the weight sum, and
+    the renormalisation of a sum more than 1e-12 from 1."""
+    w, pts = np.asarray(w, dtype=float), np.asarray(pts, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if w.ndim != 1 or pts.ndim != 2 or w.shape[0] != pts.shape[0]:
+        raise InvalidDistributionError(f"weights {w.shape} do not match points {pts.shape}")
+    if w.shape[0] < 2:
+        raise InvalidDistributionError("need at least 2 particles")
+    if not np.all(np.isfinite(w)) or not np.all(np.isfinite(pts)):
+        raise InvalidDistributionError("particles must be finite")
+    if np.any(w < 0):
+        raise InvalidDistributionError("weights must be nonnegative")
+    total = float(w.sum())
+    if abs(total - 1.0) > 1e-9 * (1.0 + 1e-6):
+        raise InvalidDistributionError(f"weights sum to {total!r}, outside 1 +/- 1e-09")
+    return (w / total if abs(total - 1.0) > 1e-12 else w), pts
+
+
 @pytest.mark.parametrize("slack", [0.0, 1e-10, -3e-10])
-def test_filter_batch_equals_checked_batch_bit_for_bit(slack):
-    # the simulator's constructor skips the shape, finiteness and sign checks
-    # but keeps the weight-sum test and its renormalisation
+def test_batch_check_equals_the_per_cloud_oracle_bit_for_bit(slack):
+    # clouds of mixed sizes, 2-D arrays and 1-D point lists, whose weights
+    # sum to 1 within the slack: the batch holds the oracle's clouds
     rng = np.random.default_rng(3)
-    w = [(lambda v: v / v.sum() * (1.0 + slack))(rng.uniform(0.1, 1.0, m)) for m in (2, 5, 9)]
-    pts = [rng.normal(size=(len(wi), 2)) for wi in w]
-    y = rng.normal(size=(3, 2))
-    checked = ParticleBatch(w, pts, y, t=range(1, 4))
-    trusted = ParticleBatch.from_filter(w, pts, y, t=range(1, 4))
-    assert list(vars(trusted)) == list(vars(checked))
-    for name in ("w", "pts"):
-        assert [a.tobytes() for a in getattr(trusted, name)] == [
-            a.tobytes() for a in getattr(checked, name)]
-    assert trusted.y.tobytes() == checked.y.tobytes() and trusted.t == checked.t == [1, 2, 3]
-    with pytest.raises(InvalidDistributionError, match="weights sum to"):
-        ParticleBatch.from_filter([w[0] * 1.01], pts[:1], y[:1])
+    for dim in (1, 2):
+        w = [(lambda v: v / v.sum() * (1.0 + slack))(rng.uniform(0.1, 1.0, m))
+             for m in (2, 5, 9, 500)]
+        pts = [rng.normal(size=(len(wi), dim)) for wi in w]
+        if dim == 1:
+            pts = [p[:, 0].tolist() for p in pts]
+        y = rng.normal(size=(4, dim))
+        batch = ParticleBatch(w, pts, y, t=range(1, 5))
+        want = [checked_cloud(wi, pi) for wi, pi in zip(w, pts)]
+        assert list(vars(batch)) == ["w", "pts", "y", "t"] and batch.t == [1, 2, 3, 4]
+        for got, col in ((batch.w, 0), (batch.pts, 1)):
+            assert [(a.shape, a.tobytes()) for a in got] == [
+                (cloud[col].shape, cloud[col].tobytes()) for cloud in want]
+        assert batch.y.tobytes() == y.tobytes()
+
+
+BAD_CLOUDS = [
+    ([0.5, 0.5], np.zeros((3, 1))),
+    ([[0.5, 0.5]], np.zeros((2, 1))),
+    ([0.5, 0.5], np.zeros((2, 1, 1))),
+    ([1.0], np.zeros((1, 1))),
+    ([0.5, 0.5], [[0.0], [np.nan]]),
+    ([np.inf, 0.5], [[0.0], [1.0]]),
+    ([np.nan, 0.5], [[0.0], [1.0]]),
+    ([1.5, -0.5], [[0.0], [np.inf]]),
+    ([0.6, 0.6], [[-np.inf], [0.0]]),
+    ([1.5, -0.5], [[0.0], [1.0]]),
+    ([0.5, 0.4], [[0.0], [1.0]]),
+    ([0.5, 0.5 + 1.1e-9], [[0.0], [1.0]]),
+]
+
+
+@pytest.mark.parametrize("w, pts", BAD_CLOUDS)
+def test_a_bad_cloud_is_refused_as_the_per_cloud_oracle_refuses_it(w, pts):
+    # alone, after a good cloud, and after more good clouds than one group
+    # of the batch check: it words the refusal of the first check the cloud
+    # fails as a cloud checked alone does
+    with pytest.raises(InvalidDistributionError) as want:
+        checked_cloud(w, pts)
+    for k in (0, 1, 70):
+        batch = [[0.5, 0.5]] * k + [w], [[0.0, 1.0]] * k + [pts], [[0.0]] * (k + 1)
+        with pytest.raises(InvalidDistributionError) as got:
+            ParticleBatch(*batch)
+        assert str(got.value) == str(want.value)

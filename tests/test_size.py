@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from calcheck.cli import RecipeConfig, run_check, run_monitor
+from calcheck.hyptest import ONE_SIDED, TWO_SIDED, HypothesisSpec
 from calcheck.records import ParticleBatch
 from calcheck.seqtest import EValueConfig
 from calcheck.sim import WeatherSimConfig, run_weather_oracle
@@ -67,7 +68,7 @@ def discrete_clouds(seed: int, n: int, m: int) -> ParticleBatch:
     points = rng.random(n) < 0.25
     pts[points] = pts[points, :1]
     drawn = np.minimum((w.cumsum(axis=1) < rng.random((n, 1))).sum(axis=1), m - 1)
-    return ParticleBatch.from_filter(list(w), list(pts), pts[np.arange(n), drawn])
+    return ParticleBatch(list(w), list(pts), pts[np.arange(n), drawn])
 
 
 @pytest.mark.slow
@@ -76,6 +77,19 @@ def test_two_sided_binomial_check_holds_its_size_on_discrete_clouds(m):
     # each outcome's projected PIT is uniform, atoms and all, so every
     # level's half-plane count is exactly Binomial(n, level)
     config = RecipeConfig(model="particles", metric="halfplane", alpha=ALPHA)
+    rejections = sum(run_check(config, discrete_clouds(seed, 200, m)).report["decision"]
+                     == "reject" for seed in range(REPS))
+    assert rejections / REPS <= size_bound(ALPHA, REPS)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("m", PARTICLE_COUNTS)
+@pytest.mark.parametrize("metric, sided", [("pit_ks", TWO_SIDED), ("folded_ks", ONE_SIDED)])
+def test_ks_check_holds_its_size_on_discrete_clouds(metric, sided, m):
+    # the projected PIT itself is exactly Uniform(0, 1), so the KS band of
+    # the PIT, or of the folded PIT, holds its size
+    config = RecipeConfig(model="particles", metric=metric, testing="ks", alpha=ALPHA,
+                          hypothesis=HypothesisSpec(sided))
     rejections = sum(run_check(config, discrete_clouds(seed, 200, m)).report["decision"]
                      == "reject" for seed in range(REPS))
     assert rejections / REPS <= size_bound(ALPHA, REPS)
