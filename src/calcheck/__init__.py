@@ -44,6 +44,7 @@ from .metric import (
     LevelGrid,
     PitSample,
     VarianceBins,
+    central,
     coverage_counts,
     fold,
     pit,

@@ -73,7 +73,7 @@ from .hyptest import (
     coverage_binomial_report,
     ks_test,
 )
-from .metric import LevelGrid, coverage_counts, fold, pit, variance_bin
+from .metric import LevelGrid, central, coverage_counts, pit, variance_bin
 from .records import FAMILIES, RecordBatch
 from .seqtest import EValueConfig, MartingaleState, monitor_step
 from .sim import (
@@ -559,9 +559,7 @@ def _single_check(config: RecipeConfig, records: RecordBatch,
     # tie-breaking uniforms from these streams; the other families read neither
     rng, ties = np.random.default_rng([config.seed, 2]), np.random.default_rng([config.seed, 3])
     if config.testing == "ks":
-        sample = pit(records, rng, ties)
-        if config.metric == "folded_ks":
-            sample = fold(sample)
+        sample = (central if config.metric == "folded_ks" else pit)(records, rng, ties)
         report = ks_test(sample, config.hypothesis, alpha)
         v, cfg, lam = np.sort(sample.values), report.recipe_config, config.levels.levels
         crit, tol = cfg["band_halfwidth"], cfg["tolerance"]

@@ -2,11 +2,10 @@
 
 Transforms a record batch (:mod:`calcheck.records`) into the quantities the
 hypothesis tests consume: coverage counts over a level grid, PIT samples
-(raw and folded) and variance bins for conditional checks.  What differs by
+(raw and central) and variance bins for conditional checks.  What differs by
 prediction family comes from the batch; the statistics here are the same
-for every family.  Every family has a PIT; a particle cloud's is the
-randomized projected PIT of :func:`projected_pit`, which draws from a
-direction stream and a tie stream that :func:`pit` passes through.
+for every family.  A particle cloud's PIT, :func:`projected_pit`, draws from
+a direction stream and a tie stream that :func:`pit` passes through.
 
 Particle clouds are scored many at a time, however their particle counts
 differ: each cloud's PIT is two masked sums of its weights over one flat
@@ -14,12 +13,10 @@ array of projected particles, bit for bit what it would get alone, and the
 direction and tie draws are made in record order, so both generators end
 where a cloud-by-cloud loop leaves them.
 
-Coverage counts sum the batch's own coverage indicator,
-:meth:`~calcheck.records.RecordBatch.covered`, which the online monitor
-reads too, so the offline and online tests score the same sets.  For scalar
-Gaussians and particle clouds that indicator is the folded PIT
-``<= lambda``, so the empirical coverage curve and the folded-PIT ECDF are
-the same object bit for bit.
+Coverage counts sum the batch's coverage indicator, the :func:`central`
+PIT ``<= lambda`` (:meth:`~calcheck.records.RecordBatch.covered`), which the
+online monitor reads too; so the offline and online tests score the same
+sets, and the coverage curve and the central-PIT ECDF are one object.
 """
 
 from __future__ import annotations
@@ -38,6 +35,7 @@ __all__ = [
     "coverage_counts",
     "pit",
     "fold",
+    "central",
     "variance_bin",
     "projected_pit",
     "random_direction",
@@ -75,8 +73,8 @@ class LevelGrid:
 class PitSample:
     """A batch of probability integral transform values in [0, 1].
 
-    ``folded`` records whether the values have been mapped through
-    ``v = |2u - 1|``.
+    ``folded`` records whether the values are central PIT values
+    (:func:`central`), as the fold ``v = |2u - 1|`` of a PIT is.
     """
 
     values: np.ndarray
@@ -146,14 +144,9 @@ class VarianceBins:
 # ---------------------------------------------------------------------------
 
 def pit(records, rng=None, ties=None) -> PitSample:
-    """Probability integral transform of a record batch.
-
-    Scalar predictions use their own CDF at the outcome; multivariate
-    Gaussians reduce through the squared Mahalanobis distance, whose CDF
-    under calibration is chi-square with ``d`` degrees of freedom.  Particle
-    clouds take their randomized projected PIT (:func:`projected_pit`),
-    drawn from the direction stream ``rng`` and the tie stream ``ties``,
-    which the other families ignore.
+    """Probability integral transform of a record batch, the batch's
+    ``pit_values``; particle clouds draw theirs from the direction stream
+    ``rng`` and the tie stream ``ties``, which the other families ignore.
     """
     if not len(records):
         raise DataError("cannot compute the PIT of an empty record list")
@@ -168,6 +161,14 @@ def fold(sample: PitSample) -> PitSample:
     return PitSample(values=np.abs(2.0 * sample.values - 1.0), folded=True)
 
 
+def central(records, rng=None, ties=None) -> PitSample:
+    """The central PIT of a record batch, each forecast's mass in the
+    smallest central region holding the outcome: the :func:`fold` of the
+    :func:`pit`, or the PIT itself where the family's is (``pit_is_central``)."""
+    sample = pit(records, rng, ties)
+    return PitSample(values=sample.values, folded=True) if records.pit_is_central else fold(sample)
+
+
 # ---------------------------------------------------------------------------
 # coverage
 # ---------------------------------------------------------------------------
@@ -177,10 +178,8 @@ def coverage_counts(records, grid: LevelGrid, rng=None, ties=None) -> CoverageCu
 
     Counts, level by level, the records that the batch's coverage indicator
     :meth:`~calcheck.records.RecordBatch.covered` puts inside the centered
-    set: the folded PIT ``<= lambda`` for scalar Gaussians, the chi-square
-    PIT (ellipsoid membership) for multivariate Gaussians, and the folded
-    :func:`projected_pit` for particle clouds, which need a direction stream
-    ``rng`` and a tie stream ``ties``.
+    set: those whose :func:`central` PIT is ``<= lambda``.  Particle clouds
+    draw it from a direction stream ``rng`` and a tie stream ``ties``.
     """
     if not len(records):
         raise DataError("cannot compute coverage of an empty record list")

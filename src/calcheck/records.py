@@ -4,15 +4,14 @@ A batch holds ``n`` (prediction, outcome) records of one family: outcomes
 ``y`` of shape ``(n, d)``, the optional per-record time index ``t``, and the
 family's parameter columns.  What depends on the family lives on its batch
 type: the JSON keys of its record lines, parsing and validation of the
-parameters, serialisation, the PIT, the scalar uncertainty that variance
-bins sort by, and the coverage indicator, whether each outcome lies in its
-prediction's centered level set, which the offline coverage counts and the
-online monitor both read.  Every family has a PIT; a cloud's is its
-randomized projected PIT, which draws from a direction stream and a tie
-stream.  Coverage is one rule, a folded PIT ``<= lambda``, but for
-multivariate Gaussians, whose chi-square PIT is ``<= lambda``.  ``FAMILIES``
-maps each model name to its type, so a batch's family is decided once, when
-its type is chosen.
+parameters, serialisation, the PIT and whether it is already central, and
+the scalar uncertainty that variance bins sort by.  Every family has a
+PIT; a cloud's is its randomized projected PIT, which draws from a
+direction stream and a tie stream.  Coverage is one rule, the central PIT
+(:func:`~calcheck.metric.central`) ``<= lambda``, which the offline
+coverage counts and the online monitor both read.  ``FAMILIES`` maps each
+model name to its type, so a batch's family is decided once, when its type
+is chosen.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DataError, InvalidDistributionError, UnsupportedMetricError
-from .metric import fold, pit, projected_pit
+from .metric import central, projected_pit
 
 __all__ = [
     "RecordBatch",
@@ -145,12 +144,13 @@ class RecordBatch:
     per key of the records ``rows``, a slice, each value as Python floats
     (lists of them for an array), which ``calcheck.cli.write_records``
     turns into text.  Each family defines ``pit_values(rng, ties)``, the
-    PIT :func:`~calcheck.metric.pit` takes, and :meth:`covered` is its one
-    coverage indicator.
+    PIT :func:`~calcheck.metric.pit` takes, and ``pit_is_central``, whether
+    it is already central; :meth:`covered` is its one coverage indicator.
     """
 
     kind: str
     keys: tuple[str, ...]
+    pit_is_central = False
 
     def _set_outcomes(self, y, t, n: int, dims: set[int]) -> None:
         """Store the outcomes of ``n`` predictions as ``(n, d)``, checked
@@ -225,11 +225,10 @@ class RecordBatch:
     def covered(self, levels: np.ndarray, rng: np.random.Generator | None = None,
                 ties: np.random.Generator | None = None) -> np.ndarray:
         """Whether each outcome lies in its prediction's centered set at each of
-        ``levels``, as ``(n, k)`` booleans: the folded PIT ``|2u - 1|``, the
-        mass of the smallest centered interval holding the outcome, is
-        ``<= lambda``.  Only particle clouds read the random streams ``rng``
-        and ``ties``."""
-        return fold(pit(self, rng, ties)).values[:, None] <= levels
+        ``levels``, as ``(n, k)`` booleans: the central PIT, the mass of the
+        smallest centered set holding the outcome, is ``<= lambda``.  Only
+        particle clouds read the random streams ``rng`` and ``ties``."""
+        return central(self, rng, ties).values[:, None] <= levels
 
 
 class GaussianBatch(RecordBatch):
@@ -254,7 +253,9 @@ class GaussianBatch(RecordBatch):
         ``scipy.special`` is imported by the first call, not with this module."""
         from scipy.special import ndtr
 
-        return ndtr((self.y[:, 0] - self.mu) / self.sigma)
+        # a residual beyond the float range is +-inf, whose CDF is exactly 0 or 1
+        with np.errstate(over="ignore"):
+            return ndtr((self.y[:, 0] - self.mu) / self.sigma)
 
     def uncertainty(self):
         return self.sigma
@@ -266,6 +267,8 @@ class MvGaussianBatch(RecordBatch):
 
     kind = "mv_gaussian"
     keys = ("mu", "cov", "y")
+    # the chi-square PIT is the mass of the smallest ellipsoid holding y
+    pit_is_central = True
 
     def __init__(self, mu, cov, y, t=None):
         mu = np.asarray(mu, dtype=float)
@@ -302,11 +305,6 @@ class MvGaussianBatch(RecordBatch):
         # unchanged and cannot overflow in high dimension.
         return 2.0 * np.log(np.diagonal(self.chol, axis1=1, axis2=2)).sum(axis=1)
 
-    def covered(self, levels, rng=None, ties=None):
-        # the ellipsoid at level lambda holds y exactly when the chi-square
-        # PIT of its Mahalanobis distance is <= lambda
-        return pit(self).values[:, None] <= levels
-
 
 class ParticleBatch(RecordBatch):
     """Weighted particle clouds as ragged columns: per record, weights
@@ -323,7 +321,7 @@ class ParticleBatch(RecordBatch):
     keys = ("w", "pts", "y")
 
     def __init__(self, w, pts, y, t=None):
-        self.w, self.pts, totals = [], [], []
+        self.w, self.pts = [], []
         for wi, pi in zip(w, pts, strict=True):
             wi, pi = np.asarray(wi, dtype=float), _points(pi)
             if pi.ndim == 1:
@@ -335,7 +333,6 @@ class ParticleBatch(RecordBatch):
                 raise InvalidDistributionError("need at least 2 particles")
             self.w.append(wi)
             self.pts.append(pi)
-            totals.append(float(wi.sum()))
         for i in range(0, len(self.w), CHECK_CLOUDS):
             flat = np.concatenate(self.w[i:i + CHECK_CLOUDS])
             if not (np.isfinite(flat).all() and np.isfinite(
@@ -343,6 +340,8 @@ class ParticleBatch(RecordBatch):
                 raise InvalidDistributionError("particles must be finite")
             if (flat < 0).any():
                 raise InvalidDistributionError("weights must be nonnegative")
+        with np.errstate(over="ignore"):  # finite weights may sum to inf, refused below
+            totals = [float(wi.sum()) for wi in self.w]
         for i, total in enumerate(totals):
             if abs(total - 1.0) > WEIGHT_SUM_TOL * (1.0 + 1e-6):
                 raise InvalidDistributionError(

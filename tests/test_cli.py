@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -123,26 +124,31 @@ def test_check_accepts_calibrated_point_masses(tmp_path, capsys):
 
 
 def test_folded_ks_ecdf_counts_what_halfplane_coverage_counts(tmp_path, capsys):
-    # both draw a cloud's PIT from the seed's direction and tie streams, so
-    # the folded PITs at or below each level are the half-plane check's
-    # count; plain check keeps the half-plane metric, and the KS recipes run
+    # folded_ks tests the central PIT that coverage counts, so the folded
+    # PITs at or below each level are plain check's count: a cloud's, drawn
+    # from the seed's direction and tie streams in both, and a multivariate
+    # Gaussian's, whose chi-square PIT is central as it is; plain check keeps
+    # the family's coverage metric, and the KS recipes run
     assert cli.main(["simulate", "robot", "--seed", "1", "--out", str(tmp_path)]) == 0
-    records = str(tmp_path / "robot_records.jsonl")
-    runs = {"halfplane": [], "folded_ks": ["--metric", "folded_ks", "--sided", "one"],
-            "pit_ks": ["--metric", "pit_ks"]}
-    for metric, flags in runs.items():
-        out = tmp_path / metric
-        assert cli.main(["check", records, "--seed", "1", *flags, "--out", str(out)]) in (0, 1)
-        saved = json.loads((out / "report.json").read_text())
-        assert saved["provenance"]["config"]["metric"] == metric
-    capsys.readouterr()
-    rows = [row.split(",") for row in
-            (tmp_path / "halfplane" / "coverage.csv").read_text().splitlines()[1:]]
-    folded = np.array([float(row.split(",")[0]) for row in
-                       (tmp_path / "folded_ks" / "ecdf.csv").read_text().splitlines()[1:]])
-    counts = [int(row[1]) for row in rows]
-    assert counts == [np.count_nonzero(folded <= float(row[0])) for row in rows]
-    assert len(folded) == 500 and counts[0] == 30 and counts[-1] == 476
+    inputs = [(tmp_path / "robot_records.jsonl", "halfplane", 500, (30, 476)),
+              (mv_gaussian_file(tmp_path, seed=12, scale=1.0), "coverage", 200, (12, 192))]
+    for records, coverage, n, ends in inputs:
+        runs = {coverage: [], "folded_ks": ["--metric", "folded_ks", "--sided", "one"],
+                "pit_ks": ["--metric", "pit_ks"]}
+        for metric, flags in runs.items():
+            out = tmp_path / coverage / metric
+            argv = ["check", str(records), "--seed", "1", *flags, "--out", str(out)]
+            assert cli.main(argv) in (0, 1)
+            saved = json.loads((out / "report.json").read_text())
+            assert saved["provenance"]["config"]["metric"] == metric
+        capsys.readouterr()
+        rows = [row.split(",") for row in
+                (tmp_path / coverage / coverage / "coverage.csv").read_text().splitlines()[1:]]
+        folded = np.array([float(row.split(",")[0]) for row in (
+            tmp_path / coverage / "folded_ks" / "ecdf.csv").read_text().splitlines()[1:]])
+        counts = [int(row[1]) for row in rows]
+        assert counts == [np.count_nonzero(folded <= float(row[0])) for row in rows], coverage
+        assert len(folded) == n and (counts[0], counts[-1]) == ends
 
 
 def test_record_lines_are_turned_into_text_a_chunk_at_a_time(tmp_path):
@@ -1292,6 +1298,63 @@ def test_cli_monitor_mv_gaussian_decides(tmp_path, capsys, scale, code):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["report"]["recipe_config"]["t"] == 200
     assert report["report"]["decision"] == ("reject" if code else "accept")
+
+
+def spread_file(tmp_path, family: str, scale: float):
+    """200 calibrated records of ``family`` whose forecasts are then widened
+    ``scale`` times: Gaussian standard deviations, multivariate Gaussian
+    covariances by ``scale**2``, and clouds about their weighted mean."""
+    if family == "mv_gaussian":
+        return mv_gaussian_file(tmp_path, seed=12, scale=scale)
+    rng = np.random.default_rng(13)
+    if family == "gaussian":
+        mu, sigma = rng.normal(size=200), rng.uniform(0.5, 2.0, 200)
+        batch = GaussianBatch(mu, sigma * scale, mu + sigma * rng.standard_normal(200))
+    else:
+        w, pts, y = self_drawn_clouds(rng, 200, 50, 2)
+        mean = [wi @ p for wi, p in zip(w, pts)]
+        batch = ParticleBatch(w, [m + scale * (p - m) for m, p in zip(mean, pts)], y)
+    path = tmp_path / f"{family}_{scale}.jsonl"
+    write_records(batch, path)
+    return path
+
+
+ONE_SIDED_RECIPES = {"binomial": ["check", "--sided", "one"],
+                     "folded_ks": ["check", "--metric", "folded_ks", "--sided", "one"],
+                     "monitor": ["monitor"]}
+
+
+@pytest.mark.parametrize("recipe", ONE_SIDED_RECIPES)
+@pytest.mark.parametrize("family", ["gaussian", "mv_gaussian", "particles"])
+def test_one_sided_recipes_accept_cautious_and_reject_overconfident_forecasts(
+        tmp_path, capsys, family, recipe):
+    # the paper's modification (a): a one-sided recipe rejects only
+    # over-confidence, so a forecast 4x too wide passes on every family
+    # and one 2x too narrow is rejected
+    command, *flags = ONE_SIDED_RECIPES[recipe]
+    for scale, code in ((4.0, 0), (0.5, 1)):
+        assert cli.main([command, str(spread_file(tmp_path, family, scale)), *flags]) == code, scale
+    capsys.readouterr()
+
+
+def test_cli_gaussian_residual_beyond_the_float_range_scores_as_a_far_miss(tmp_path, capsys):
+    # y - mu past the float maximum warned of overflow in subtract, and a
+    # residual over a subnormal sigma of overflow in divide: a traceback and
+    # exit 1 under -W error; each scores PIT 1, as a miss of 1e3 standard
+    # deviations already does, silently whether warnings print or raise
+    lines = weather_file(tmp_path, seed=5)[0].read_text().splitlines()
+    runs = []
+    for far in ({"mu": 0, "sigma": 1, "y": 1e3}, {"mu": -1e308, "sigma": 1, "y": 1e308},
+                {"mu": 0, "sigma": 1e-310, "y": 1}):
+        path = write_lines(tmp_path / "far.jsonl", lines[:100] + [json.dumps(far)] + lines[100:])
+        for action in ("error", "default"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                check = cli.main(["check", str(path)]), capsys.readouterr()
+                monitor = cli.main(["monitor", str(path)]), capsys.readouterr()
+            runs.append((check, monitor))
+    assert all(run == runs[0] for run in runs)
+    assert all(out.err == "" and "decision: " in out.out for out in (runs[0][0][1], runs[0][1][1]))
 
 
 def test_cli_mv_residual_beyond_the_float_range_scores_as_a_far_miss(tmp_path, capsys):

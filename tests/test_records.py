@@ -13,7 +13,7 @@ from scipy.linalg import solve_triangular
 
 from calcheck.cli import parse_records, write_records
 from calcheck.errors import DataError, InvalidDistributionError
-from calcheck.metric import LevelGrid, coverage_counts, fold, pit
+from calcheck.metric import LevelGrid, central, coverage_counts, fold, pit
 from calcheck.records import GaussianBatch, MvGaussianBatch, ParticleBatch
 from calcheck.seqtest import EValueConfig, MartingaleState, monitor_step
 
@@ -175,13 +175,17 @@ def test_time_index_beyond_64_bits_is_refused(t):
 
 
 @SETTINGS
-@given(gaussian_batches(moderate, st.floats(1e-6, 1e6)),
+@given(st.one_of(gaussian_batches(moderate, st.floats(1e-6, 1e6)), mv_gaussian_batches()),
        st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
                 min_size=1, max_size=12, unique=True))
 def test_gaussian_coverage_counts_are_the_folded_pit_ecdf(batch, levels):
+    # the central PIT folds a scalar Gaussian's PIT and takes a multivariate
+    # Gaussian's chi-square PIT as it is; coverage counts its ECDF
     grid = LevelGrid(sorted(levels))
     curve = coverage_counts(batch, grid)
-    folded = fold(pit(batch))
+    folded = central(batch)
+    want = pit(batch) if isinstance(batch, MvGaussianBatch) else fold(pit(batch))
+    assert folded.folded and np.array_equal(folded.values, want.values)
     for count, lam in zip(curve.counts, grid.levels):
         assert count == np.count_nonzero(folded.values <= lam)
         assert count / curve.n == np.mean(folded.values <= lam)
@@ -287,7 +291,8 @@ def checked_cloud(w, pts):
         raise InvalidDistributionError("particles must be finite")
     if np.any(w < 0):
         raise InvalidDistributionError("weights must be nonnegative")
-    total = float(w.sum())
+    with np.errstate(over="ignore"):
+        total = float(w.sum())
     if abs(total - 1.0) > 1e-9 * (1.0 + 1e-6):
         raise InvalidDistributionError(f"weights sum to {total!r}, outside 1 +/- 1e-09")
     return (w / total if abs(total - 1.0) > 1e-12 else w), pts
@@ -327,6 +332,8 @@ BAD_CLOUDS = [
     ([1.5, -0.5], [[0.0], [1.0]]),
     ([0.5, 0.4], [[0.0], [1.0]]),
     ([0.5, 0.5 + 1.1e-9], [[0.0], [1.0]]),
+    ([1e308, 1e308], [[0.0], [1.0]]),
+    ([np.inf, -np.inf], [[0.0], [1.0]]),
 ]
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from calcheck.cli import RecipeConfig, run_check, run_monitor
 from calcheck.hyptest import ONE_SIDED, TWO_SIDED, HypothesisSpec
-from calcheck.records import ParticleBatch
+from calcheck.records import MvGaussianBatch, ParticleBatch
 from calcheck.seqtest import EValueConfig
 from calcheck.sim import WeatherSimConfig, run_weather_oracle
 
@@ -103,3 +103,31 @@ def test_halfplane_monitor_holds_its_size_on_discrete_clouds(m):
     alarms = sum(run_monitor(config, [discrete_clouds(seed, 300, m)]).report["decision"]
                  == "reject" for seed in range(REPS))
     assert alarms / REPS <= size_bound(ALPHA, REPS)
+
+
+def mv_gaussians(seed: int, n: int, d: int, inflate: float) -> MvGaussianBatch:
+    """``n`` calibrated ``d``-dimensional Gaussians, random means and
+    covariances, whose covariances are then multiplied by ``inflate``."""
+    rng = np.random.default_rng([seed, d])
+    a = rng.normal(size=(n, d, d))
+    cov = a @ a.transpose(0, 2, 1) + 0.5 * np.eye(d)
+    mu = rng.normal(size=(n, d))
+    y = mu + (np.linalg.cholesky(cov) @ rng.standard_normal((n, d, 1)))[:, :, 0]
+    return MvGaussianBatch(mu, cov * inflate, y)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("inflate", [1.0, 16.0])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("metric, testing", [("coverage", "binom_bonferroni"),
+                                             ("folded_ks", "ks")])
+def test_one_sided_check_holds_its_size_on_calibrated_and_cautious_mv_gaussians(
+        metric, testing, d, inflate):
+    # a one-sided recipe rejects over-confidence only: calibrated
+    # ellipsoids, and ones whose covariance is 16 times too large, are
+    # rejected at most at the size bound
+    config = RecipeConfig(model="mv_gaussian", metric=metric, testing=testing, alpha=ALPHA,
+                          hypothesis=HypothesisSpec(ONE_SIDED))
+    rejections = sum(run_check(config, mv_gaussians(seed, 200, d, inflate)).report["decision"]
+                     == "reject" for seed in range(REPS))
+    assert rejections / REPS <= size_bound(ALPHA, REPS)

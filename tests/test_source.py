@@ -182,15 +182,13 @@ def test_only_cli_and_sim_serve_the_benchmark():
 
 
 def test_coverage_has_one_rule_and_clouds_one_constructor():
-    # every family covers by its folded PIT, through RecordBatch.covered,
-    # but multivariate Gaussians, whose chi-square PIT is already a
-    # centered mass; particle clouds, the simulator's included, are built
-    # and checked by the one constructor
+    # every family covers by its central PIT, through RecordBatch.covered
+    # alone; particle clouds, the simulator's included, are built and
+    # checked by the one constructor
     methods = {(cls.name, node.name) for tree in TREES.values() for cls in ast.walk(tree)
                if isinstance(cls, ast.ClassDef) for node in cls.body
                if isinstance(node, ast.FunctionDef)}
-    assert {cls for cls, name in methods if name == "covered"} == {"RecordBatch",
-                                                                   "MvGaussianBatch"}
+    assert {cls for cls, name in methods if name == "covered"} == {"RecordBatch"}
     assert {cls for cls, name in methods if name == "pit_values"} == {
         "GaussianBatch", "MvGaussianBatch", "ParticleBatch"}
     functions = {node.name for tree in TREES.values() for node in ast.walk(tree)
