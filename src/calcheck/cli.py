@@ -25,9 +25,12 @@ a bad, empty or missing record input is reported.  The ``_METRICS`` and
 ``_TESTINGS`` tables are the one place where slot pairings are stated.
 Every family has a PIT, so the KS recipes take every model; a cloud's PIT
 draws on the streams that its half-plane coverage draws on.
-``check``, ``monitor`` and ``simulate`` all emit through ``_finish``.  Each
-output value is turned into text once: the numbers of record lines, table
-arrays and trace rows by ``_float_texts``, ``report.json``'s rows from CSV text.
+``check``, ``monitor`` and ``simulate`` all emit through ``_finish``.  Every
+``--out`` file but a record file is written by ``_Output``, opened before
+anything is printed, and appears only when the run succeeds.  Each output
+value is turned into text once: record lines' numbers by ``_float_texts``,
+every table's, the trace's too, by ``_csv_rows``, ``report.json``'s rows from
+CSV text.
 
 Importing this module loads numpy but neither scipy nor orjson.
 ``scipy.special`` is loaded by the first PIT of (multivariate) Gaussian
@@ -161,12 +164,13 @@ class RecipeConfig:
     are stated.  A field the testing does not apply is refused, not ignored:
     an offline test applies ``hypothesis`` (two-sided, no tolerance, when
     unset), ``levels`` (the default grid) and ``bins``; the monitor ``evalue``.
+    An unset ``metric`` or ``testing`` takes its default (:func:`_slot_defaults`).
     """
 
     model: str = "gaussian"
-    metric: str = "coverage"
+    metric: str | None = None
     hypothesis: HypothesisSpec | None = None
-    testing: str = "binom_bonferroni"
+    testing: str | None = None
     alpha: float = 0.05
     levels: LevelGrid | None = None
     bins: int | None = None
@@ -174,10 +178,13 @@ class RecipeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # an offline test's hypothesis and levels come back with their defaults
-        # filled in; a frozen dataclass takes them through its __dict__
-        self.__dict__.update(_check_slots(self.model, self.metric, self.testing, self.alpha,
-                                          self.hypothesis, self.levels, self.bins, self.evalue))
+        # the slots, and an offline test's hypothesis and levels, come back
+        # with their defaults filled in; a frozen dataclass takes them
+        # through its __dict__
+        metric, testing = _slot_defaults(self.model, self.metric, self.testing)
+        self.__dict__.update(metric=metric, testing=testing, **_check_slots(
+            self.model, metric, testing, self.alpha, self.hypothesis, self.levels, self.bins,
+            self.evalue))
 
     def to_dict(self) -> dict:
         """The recipe as applied, for the provenance: the settings of the
@@ -195,6 +202,18 @@ class RecipeConfig:
         if "evalue" in fields:
             d.update({"lambda": self.evalue.level, "p_alt": self.evalue.p_alt})
         return d
+
+
+def _slot_defaults(model: str | None, metric: str | None, testing: str | None) -> tuple:
+    """``metric``, else the first defined on ``model`` (on any, for None), and
+    ``testing``, else the first that consumes the metric; None where there is
+    none, for an unknown value, which :func:`_check_slots` refuses."""
+    if metric is None:
+        metric = next((m for m, (families, _) in _METRICS.items() if model in (None, *families)),
+                      None)
+    if testing is None:
+        testing = next((t for t, (metrics, _, _) in _TESTINGS.items() if metric in metrics), None)
+    return metric, testing
 
 
 def _check_slots(model: str | None, metric: str, testing: str, alpha: float,
@@ -255,7 +274,7 @@ class RunReport:
     are made (see :func:`_csv_rows`); ``provenance`` carries the input
     digest, the full recipe configuration, and the tool version, so a rerun
     with identical inputs reproduces the report byte for byte.  A monitor
-    run's trace rows are streamed as they are made (:class:`_TraceWriter`).
+    run's trace rows are streamed as they are made (:class:`_Output`).
     """
 
     report: dict
@@ -635,16 +654,6 @@ def run_check(
 # streaming monitor
 # ---------------------------------------------------------------------------
 
-def _trace_lines(t0: int, es: list[float], crossing: int | None) -> str:
-    """The ``t,e_value,alarmed`` trace lines of records ``t0 + 1, ...``,
-    whose e-values are ``es``; a record is alarmed from ``crossing`` on."""
-    quiet = len(es) if crossing is None else min(max(crossing - t0 - 1, 0), len(es))
-    rows = list(map(",".join, zip(map(str, range(t0 + 1, t0 + len(es) + 1)), _float_texts(es))))
-    # the alarmed cell, constant before the crossing and after it, ends each
-    # row as the separator that joins the rows of its run
-    return ",0\n".join(rows[:quiet] + [""]) + ",1\n".join(rows[quiet:] + [""])
-
-
 def run_monitor(
     config: RecipeConfig,
     batches: Iterable[RecordBatch],
@@ -657,14 +666,13 @@ def run_monitor(
     The monitor holds no per-record state, only the martingale, the running
     maximum of the e-value and the batch in hand, so its memory does not
     grow with the stream.  ``on_row`` receives each batch's
-    ``t,e_value,alarmed`` lines (:func:`_trace_lines`, the batch's e-values
-    made text by one :func:`_float_texts`) as one string as soon as the
-    batch is scored; ``monitor`` prints it, and under ``--out`` the CLI
-    writes that text to ``etrace.csv`` and ``report.json`` as it arrives
-    (:class:`_TraceWriter`).  The decision is the first crossing of
+    ``t,e_value,alarmed`` rows, rendered by :func:`_csv_rows`, as one string
+    as soon as the batch is scored; ``monitor`` prints it, and under
+    ``--out`` the CLI streams it as an :class:`_Output`'s ``etrace`` table
+    (:func:`_trace_output`).  The decision is the first crossing of
     ``1/alpha``; recording goes on after it.  A stream that dies mid-flight
     yields a partial report marked incomplete.  An e-value too large for a
-    float raises ``OverflowError`` after the lines before it are emitted.
+    float raises ``OverflowError`` after the rows before it are emitted.
     The provenance is taken after the stream ends, so a running ``digest``
     covers every byte consumed.  The returned run has no curves.  An
     offline recipe is a configuration error here: :func:`run_check` runs it.
@@ -689,9 +697,12 @@ def run_monitor(
                 # keeps the values before an overflowing one
                 es.extend(map(math.exp, log_e.tolist()))
             finally:
-                # on an overflow, the lines before it are still emitted
+                # on an overflow, the rows before it are still emitted; a
+                # record is alarmed from the first crossing on
                 if on_row is not None:
-                    on_row(_trace_lines(t0, es, state.first_crossing))
+                    ts = np.arange(t0 + 1, t0 + len(es) + 1)
+                    alarmed = (ts >= (state.first_crossing or math.inf)).astype(int)
+                    on_row(_csv_rows([ts, np.array(es), alarmed]))
             peak = max(peak, max(es, default=peak))
     except DataError as exc:
         incomplete = True
@@ -800,18 +811,6 @@ def _csv_rows(columns: list) -> str:
     return "".join(parts)
 
 
-def _write_csvs(curves: dict, out_dir: str | Path) -> dict[str, str]:
-    """Write each table to ``<out_dir>/<name>.csv``; return its row text by name."""
-    out, texts = Path(out_dir), {}
-    with _writing_output():
-        out.mkdir(parents=True, exist_ok=True)
-        for name, (header, columns) in curves.items():
-            texts[name] = _csv_rows(columns)
-            with open(out / f"{name}.csv", "w") as handle:
-                handle.write(",".join(header) + "\n" + texts[name])
-    return texts
-
-
 # The CSV text of each cell that json writes otherwise: None and the floats
 # that are not finite
 _JSON_CELLS = {"": "null", "inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
@@ -832,113 +831,107 @@ def _json_rows(text: str, columns: list = ()) -> str:
     return "[" + body.replace(",", ", ").replace("\n", "], [") + "]" if text else ""
 
 
-def _json_report(run: RunReport, texts: dict[str, str]) -> str:
-    """``report.json``'s text, the rows of each table from its CSV rows in
-    ``texts``: byte for byte ``json.dumps`` of the run with sorted keys."""
-    tables = [f"{json.dumps(name)}: [{json.dumps(run.curves[name][0])}, "
-              f"[{_json_rows(texts[name], run.curves[name][1])}]]" for name in sorted(texts)]
-    rest = json.dumps({"provenance": run.provenance, "report": run.report}, sort_keys=True)
-    return '{"curves": {' + ", ".join(tables) + "}, " + rest[1:]
+class _Output(contextlib.AbstractContextManager):
+    """A run's output directory while the run writes it, which stands for the
+    directory wherever a path is taken.
 
-
-_ETRACE_HEADER = ["t", "e_value", "alarmed", "threshold"]
-
-
-class _TraceWriter:
-    """A monitor's output directory while its stream runs, which stands for
-    the directory wherever a path is taken.
-
-    The files are opened before the monitor scores its first record, so an
-    unwritable directory fails before any row is printed.  ``write`` sends
-    each batch's trace text from :func:`run_monitor` to ``echo``, if given,
-    and appends that same text, the threshold added as each line's fourth
-    cell, to the partial ``etrace.csv`` and, through :func:`_json_rows`, to
-    ``report.json``'s rows, so the report is byte for byte what
-    :func:`_json_report` writes (``math.exp`` raises rather than give inf).
-    ``finish`` writes the rest of the report and renames both files into
-    place; ``discard``, on any failure, removes them.
+    It is opened before the run prints anything, so an unwritable directory
+    fails first.  Each file is written as ``<name>.part``, renamed into place
+    by ``finish`` and removed if the ``with`` block fails.  A table's CSV row
+    text, whole or in parts as a monitor streams it, goes to ``<name>.csv``
+    and, through :func:`_json_rows`, becomes its rows in ``report.json``,
+    tables in name order: byte for byte ``json.dumps`` of the run with sorted
+    keys.  With ``report`` False only the tables are written.
     """
 
-    def __init__(self, out_dir: str | Path, threshold: float,
-                 echo: Callable[[str], None] | None = None):
-        self.dir = Path(out_dir)
-        self._echo = echo
-        self._csv_end = f",{threshold!r}\n"
-        self._sep = ""  # what goes before the next report row
-        self._files: list = []  # the open partial files, etrace.csv's first
+    def __init__(self, out_dir: str | Path, report: bool = True):
+        # _sep goes before the report's next row
+        self.dir, self._parts, self._csv, self._sep = Path(out_dir), [], None, ""
         with _writing_output():
             self.dir.mkdir(parents=True, exist_ok=True)
-            try:
-                for name in ("etrace.csv", "report.json"):
-                    self._files.append(open(self.dir / f"{name}.part", "w"))
-            except BaseException:
-                self.discard()
-                raise
-        self._csv, self._json = self._files
-        self._csv.write(",".join(_ETRACE_HEADER) + "\n")
-        # the report up to its first row: the dump of no rows, cut before "]]}}"
-        self._json.write(json.dumps({"curves": {"etrace": [_ETRACE_HEADER, []]}})[:-4])
+            self._json = self._open("report.json", '{"curves": {') if report else None
 
     def __fspath__(self) -> str:
         return str(self.dir)
 
-    def __enter__(self) -> "_TraceWriter":
-        return self
-
     def __exit__(self, exc_type, *exc) -> None:
         if exc_type is not None:
-            self.discard()
+            for handle in filter(None, (self._csv, self._json)):
+                with contextlib.suppress(OSError):  # a failed flush still closes it
+                    handle.close()
+            for part in self._parts:
+                part.unlink(missing_ok=True)
 
-    def write(self, text: str) -> None:
-        if self._echo is not None:
-            self._echo(text)
-        if not text:
-            return
-        text = text.replace("\n", self._csv_end)
-        with _writing_output():  # not around echo: a closed stdout is no config error
-            self._csv.write(text)
-            self._json.write(self._sep + _json_rows(text))
-        self._sep = ", "
+    def _open(self, name: str, text: str):
+        self._parts.append(self.dir / f"{name}.part")
+        handle = open(self._parts[-1], "w")
+        handle.write(text)
+        return handle
+
+    def table(self, name: str | None, header: list = ()) -> None:
+        """End the table begun last, and begin table ``name`` unless None."""
+        text, self._sep = "", ""  # the report's text between the two tables' rows
+        with _writing_output():
+            if self._csv is not None:
+                self._csv.close()
+                text, self._csv = "]]", None
+            if name is not None:
+                self._csv = self._open(f"{name}.csv", ",".join(header) + "\n")
+                text += f"{', ' if text else ''}{json.dumps(name)}: [{json.dumps(header)}, ["
+            if self._json is not None:
+                self._json.write(text)
+
+    def rows(self, text: str, columns: list = ()) -> None:
+        """Append CSV row lines, of ``columns`` if given, to the table begun last."""
+        if text:
+            with _writing_output():
+                self._csv.write(text)
+                if self._json is not None:
+                    self._json.write(self._sep + _json_rows(text, columns))
+            self._sep = ", "
 
     def finish(self, run: RunReport) -> None:
-        # the rest of the report, after the curves of a run that has none
-        self._json.write("]]" + _json_report(run, {}).removeprefix('{"curves": {') + "\n")
-        for handle in self._files:
-            handle.close()
-            os.replace(handle.name, handle.name.removesuffix(".part"))
-
-    def discard(self) -> None:
-        for handle in self._files:
-            handle.close()
-            Path(handle.name).unlink(missing_ok=True)
+        """Write the run's tables and the rest of its report; rename each file into place."""
+        for name, (header, columns) in sorted(run.curves.items()):  # names are unique
+            self.table(name, header)
+            self.rows(_csv_rows(columns), columns)
+        self.table(None)
+        with _writing_output():
+            if self._json is not None:
+                rest = json.dumps({"provenance": run.provenance, "report": run.report},
+                                  sort_keys=True)
+                self._json.write("}, " + rest[1:] + "\n")
+                self._json.close()
+            for part in self._parts:
+                os.replace(part, part.with_suffix(""))
 
 
 @contextlib.contextmanager
 def _trace_output(out_dir: str | None, config: RecipeConfig,
                   echo: Callable[[str], None] | None = None):
     """``(on_row, out)`` for a run of ``config`` emitted under ``out_dir``:
-    a monitor run hands its trace text to ``on_row``, which is ``echo`` or,
-    with an output directory, a :class:`_TraceWriter`'s, whose partial files
-    are removed if the run fails; an offline run makes no trace text and
-    writes its outputs under ``out_dir`` at the end."""
-    if out_dir is None or config.testing != "evalue_monitor":
-        yield echo, out_dir
-        return
-    with _TraceWriter(out_dir, _threshold(config.evalue), echo) as out:
-        yield out.write, out
+    ``out`` is its :class:`_Output`, None without a directory.  A monitor's
+    ``on_row`` passes each batch's trace text to ``echo``, if given, and
+    streams it as ``out``'s ``etrace`` table, the threshold as a fourth cell."""
+    with contextlib.nullcontext() if out_dir is None else _Output(out_dir) as out:
+        if out is None or config.testing != "evalue_monitor":
+            yield echo, out
+            return
+        out.table("etrace", ["t", "e_value", "alarmed", "threshold"])
+        end = f",{_threshold(config.evalue)!r}\n"
+
+        def on_row(text: str) -> None:
+            if echo is not None:  # not among out's writes: a closed stdout is no config error
+                echo(text)
+            out.rows(text.replace("\n", end))
+
+        yield on_row, out
 
 
-def _write_outputs(run: RunReport, out_dir: str | Path | _TraceWriter | None) -> None:
-    """Write the run's tables and ``report.json`` under ``out_dir``, or
-    finish the files a :class:`_TraceWriter` streamed."""
-    if out_dir is None:
-        return
-    texts = _write_csvs(run.curves, out_dir)
-    with _writing_output():
-        if isinstance(out_dir, _TraceWriter):
-            out_dir.finish(run)
-        else:
-            (Path(out_dir) / "report.json").write_text(_json_report(run, texts) + "\n")
+def _write_outputs(run: RunReport, out: _Output | None) -> None:
+    """Write the run's outputs to ``out`` and rename its files into place."""
+    if out is not None:
+        out.finish(run)
 
 
 _SIMULATION_KEYS = ("kind", "n_records", "multipliers", "n_seeds", "alarm_counts", "files")
@@ -1003,6 +996,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="calcheck",
         description="Calibration checks with a single accept/reject decision.",
+        epilog="Exit codes: 0 accept, 1 reject or alarm, 2 usage or configuration error, "
+               "3 data error, 70 a drift sweep worker lost, 141 the reader of stdout gone. "
+               "Under --out, report.json and the CSV tables appear only when the run "
+               "succeeds; simulate writes its record files as it makes them.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     p_check = sub.add_parser("check", help="offline batch calibration check")
@@ -1158,31 +1155,28 @@ def _recipe_from_args(settings: _Settings, source: RecordSource,
     model = settings.resolve("model")
     alpha = settings.resolve("alpha", _number, 0.05)
     metric = settings.resolve("metric")
-    if testing is None:  # the first testing that consumes the metric
-        testing = settings.resolve("testing", default=next(
-            (t for t, (consumed, _, _) in _TESTINGS.items() if (metric or "coverage") in consumed),
-            None))
+    # the model's default metric waits for the input, but any model's takes
+    # the same default testing and passes the same checks
+    any_metric, testing = _slot_defaults(None, metric, testing or settings.resolve("testing"))
     fields = {name: _FIELD_SETTINGS[name](settings, alpha)
               for name in (_TESTINGS[testing][2] if testing in TESTINGS else ())}
     seed = _resolve_seed(settings)
-    _check_slots(None, metric or "coverage", testing, alpha, **fields)  # before any input is read
+    _check_slots(None, any_metric, testing, alpha, **fields)  # before any input is read
     try:
         model = model or sniff_model_kind(source)
     except (DataError, OSError):
         settings.refuse_unread()
         raise
-    if metric is None:  # the first metric defined on the model
-        metric = next((m for m, (families, _) in _METRICS.items() if model in families), None)
     config = RecipeConfig(model=model, metric=metric, testing=testing, alpha=alpha,
                           seed=seed, **fields)
     settings.refuse_unread()
     return config
 
 
-def _finish(run: RunReport, out_dir: str | _TraceWriter | None) -> int:
-    """Print a run's summary, write its outputs under ``out_dir``, return its exit code."""
+def _finish(run: RunReport, out: _Output | None) -> int:
+    """Print a run's summary, write its outputs to ``out``, return its exit code."""
     print(_render_summary(run.report))
-    _write_outputs(run, out_dir)
+    _write_outputs(run, out)
     return _report_exit_code(run.report)
 
 
@@ -1260,8 +1254,8 @@ def _cmd_simulate(args) -> int:
             "n_seeds": settings.resolve("n_seeds", _positive_integer, 20),
         }
     settings.refuse_unread()
-    out = args.out or "."
-    return _finish(run_simulate(args.kind, sim_config, out, **sweep), out)
+    with _Output(args.out or ".") as out:
+        return _finish(run_simulate(args.kind, sim_config, out, **sweep), out)
 
 
 def _saved_report_parts(data) -> tuple[dict, dict, dict]:
@@ -1323,12 +1317,13 @@ def _cmd_report(args) -> int:
     except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors are ValueErrors
         raise DataError(f"report is not valid JSON: {getattr(exc, 'msg', exc)}") from None
     rep, prov, curves = _saved_report_parts(data)
-    print(_render_summary(rep))
-    if prov:
-        print(f"input_digest: {prov.get('input_digest', '?')}")
-        print(f"tool_version: {prov.get('tool_version', '?')}")
-    if args.out:
-        _write_csvs(curves, args.out)
+    with contextlib.nullcontext() if args.out is None else _Output(args.out, report=False) as out:
+        print(_render_summary(rep))
+        if prov:
+            print(f"input_digest: {prov.get('input_digest', '?')}")
+            print(f"tool_version: {prov.get('tool_version', '?')}")
+        if out is not None:  # its tables alone
+            out.finish(RunReport(rep, curves, prov))
     return _report_exit_code(rep)
 
 

@@ -83,8 +83,9 @@ def mv_cholesky(mu: np.ndarray, cov: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.isfinite(mu)) or not np.all(np.isfinite(cov)):
         raise InvalidDistributionError("parameters must be finite")
-    if not np.allclose(cov, np.swapaxes(cov, 1, 2), rtol=1e-9, atol=1e-12):
-        raise InvalidDistributionError("covariance must be symmetric")
+    with np.errstate(over="ignore"):  # finite entries: only their difference can overflow
+        if not np.allclose(cov, np.swapaxes(cov, 1, 2), rtol=1e-9, atol=1e-12):
+            raise InvalidDistributionError("covariance must be symmetric")
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
@@ -92,17 +93,16 @@ def mv_cholesky(mu: np.ndarray, cov: np.ndarray) -> np.ndarray:
 
 
 def _jittered_cholesky(cov: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        d = cov.shape[0]
-        jitter = 1e-10 * np.trace(cov) / d
+    d = cov.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # a jitter past the float range is refused
+        jittered = cov + 1e-10 * np.trace(cov) / d * np.eye(d)
+    for c in (cov, jittered):
         try:
-            return np.linalg.cholesky(cov + jitter * np.eye(d))
+            if np.isfinite(c).all():  # cholesky factors inf and nan without complaint
+                return np.linalg.cholesky(c)
         except np.linalg.LinAlgError:
-            raise InvalidDistributionError(
-                "covariance is singular or indefinite (jitter retry failed)"
-            ) from None
+            pass
+    raise InvalidDistributionError("covariance is singular or indefinite (jitter retry failed)")
 
 
 def _points(pts) -> np.ndarray:

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import csv
 import dataclasses
+import errno
 import hashlib
 import importlib.util
 import io
@@ -414,6 +415,21 @@ def test_recipe_and_cli_accept_the_same_recipes(tmp_path, capsys):
     assert accepted == {"offline": 60, "monitor": 3}
 
 
+@pytest.mark.parametrize("kind, metric", [(kind, metric) for kind in cli.MODELS
+                                          for metric in [None, *cli.METRICS]
+                                          if metric is None or kind in cli._METRICS[metric][0]])
+def test_library_defaults_are_the_recipe_check_records(tmp_path, monkeypatch, kind, metric):
+    # a model's default metric, and a metric's default testing, are the ones
+    # check runs when neither is given
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    path, out = tmp_path / "records.jsonl", tmp_path / "out"
+    write_records(_random_records(np.random.default_rng(3), kind, 30), path)
+    flags = [] if metric is None else ["--metric", metric]
+    assert cli.main(["check", str(path), "--out", str(out), *flags]) in (0, 1)
+    recorded = json.loads((out / "report.json").read_text())["provenance"]["config"]
+    assert RecipeConfig(model=kind, metric=metric).to_dict() == recorded
+
+
 # ---------------------------------------------------------------------------
 # run_check / run_monitor library behavior
 # ---------------------------------------------------------------------------
@@ -435,7 +451,8 @@ def test_run_check_deterministic_reports(tmp_path):
     payload = path.read_bytes()
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
-        cli._write_outputs(run_check(config, recs, digest=hashlib.sha256(payload)), out)
+        with cli._Output(out) as writer:
+            cli._write_outputs(run_check(config, recs, digest=hashlib.sha256(payload)), writer)
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
 
@@ -663,11 +680,14 @@ def test_csv_cells_are_str_of_each_value(tmp_path):
     # saved report's string and list cells print as they are
     row = [0.1, 1e-300, float("inf"), -0.0, None, 3, True, np.float64(0.5), np.int64(7)]
     saved = ["None", "inf", [1, 2.5], None]
-    cli._write_csvs({"t": (["a", "b", "c", "d", "e", "f", "g", "h", "i"], [[x] for x in row]),
-                     "s": (["j", "k", "l", "m"], [[x] for x in saved])}, tmp_path)
+    tables = {"t": (["a", "b", "c", "d", "e", "f", "g", "h", "i"], [[x] for x in row]),
+              "s": (["j", "k", "l", "m"], [[x] for x in saved])}
+    with cli._Output(tmp_path, report=False) as out:
+        out.finish(RunReport({}, tables))
     assert (tmp_path / "t.csv").read_text() == (
         "a,b,c,d,e,f,g,h,i\n0.1,1e-300,inf,-0.0,,3,True,0.5,7\n")
     assert (tmp_path / "s.csv").read_text() == "j,k,l,m\nNone,inf,[1, 2.5],\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "t.csv"]
 
 
 # every power of ten from 1e-12 to 1e20, where repr's layout changes, with
@@ -699,14 +719,29 @@ def test_float_texts_of_each_layout_boundary():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 10**6), st.lists(st.floats(min_value=0.0, allow_infinity=False),
-                                        max_size=30), st.data())
-def test_trace_lines_are_one_row_per_e_value(t0, es, data):
-    # the crossing falls before the batch, inside it, after it, or never
-    crossing = data.draw(st.none() | st.integers(max(t0 - 5, 1), t0 + len(es) + 5))
-    want = "".join(f"{t},{e!r},{int(crossing is not None and t >= crossing)}\n"
-                   for t, e in enumerate(es, t0 + 1))
-    assert cli._trace_lines(t0, es, crossing) == want
+@given(st.lists(st.booleans(), min_size=1, max_size=60), st.data())
+def test_trace_lines_are_one_row_per_e_value(misses, data):
+    # each batch's text holds one t,e_value,alarmed row per record: the repr
+    # of the e-value a step-by-step loop holds, alarmed from the first
+    # crossing on, which falls before a batch, inside it, after it, or never;
+    # a far alternative makes e-values that print in exponent form
+    level, p_alt, alpha = data.draw(st.sampled_from([(0.9, 0.8, 0.05), (0.5, 0.01, 0.007)]))
+    config = dataclasses.replace(MONITOR, alpha=alpha, evalue=EValueConfig(level, p_alt, alpha))
+    n = len(misses)
+    cuts = data.draw(st.lists(st.integers(1, n - 1), max_size=5)) if n > 1 else []
+    bounds = [0, *sorted(set(cuts)), n]
+    recs = GaussianBatch(np.zeros(n), np.ones(n), np.where(misses, 100.0, 0.0))
+    emitted = []
+    run_monitor(config, [recs.take(range(a, b)) for a, b in zip(bounds, bounds[1:])],
+                on_row=emitted.append)
+    log_e, crossing, want = 0.0, None, []
+    for t, miss in enumerate(misses, 1):
+        log_e += (math.log1p(-p_alt) - math.log1p(-level) if miss
+                  else math.log(p_alt) - math.log(level))
+        crossing = crossing or (t if log_e > -math.log(alpha) else None)
+        want.append(f"{t},{math.exp(log_e)!r},{int(crossing is not None)}\n")
+    assert [text.count("\n") for text in emitted] == [b - a for a, b in zip(bounds, bounds[1:])]
+    assert "".join(emitted) == "".join(want)
 
 
 def test_report_out_writes_saved_cells_as_they_are(tmp_path):
@@ -774,7 +809,8 @@ def test_tables_and_report_are_str_of_each_cell_and_json_dumps(curves):
                                        for name, (header, _) in curves.items()}},
                            sort_keys=True) + "\n"
     with tempfile.TemporaryDirectory() as d:
-        cli._write_outputs(run, d)
+        with cli._Output(d) as out:
+            cli._write_outputs(run, out)
         for name, (header, _) in curves.items():
             want = "".join([",".join(["" if x is None else str(x) for x in row]) + "\n"
                             for row in [header, *rows[name]]])
@@ -1062,8 +1098,32 @@ def test_cli_unwritable_out_exits_2(tmp_path, capsys):
         assert cli.main(argv + ["--out", blocked]) == 2, argv
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: cannot write output: "), argv
-        if argv[0] == "monitor":  # its files are opened before the first row is printed
-            assert captured.out == ""
+        assert captured.out == "", argv  # the writer opens before anything is printed
+
+
+def test_cli_check_failing_after_its_first_table_leaves_no_output_files(tmp_path, monkeypatch):
+    # a write that fails midway, as on a full disk, removes every partial
+    # file: report.json's, the first table's and the one being written
+    path, _ = weather_file(tmp_path, seed=5)
+    json_rows, calls = cli._json_rows, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return json_rows(*args)
+
+    monkeypatch.setattr(cli, "_json_rows", failing)
+    out = tmp_path / "out"
+    assert cli.main(["check", str(path), "--bins", "3", "--out", str(out)]) == 2
+    assert len(calls) == 2
+    assert list(out.iterdir()) == []
+
+
+def test_help_states_the_exit_codes():
+    text = " ".join(cli._build_parser().format_help().split())
+    assert ("0 accept, 1 reject or alarm, 2 usage or configuration error, 3 data error, "
+            "70 a drift sweep worker lost, 141 the reader of stdout gone") in text
 
 
 def test_cli_monitor_stream_and_exit(tmp_path, capsys):
@@ -1270,7 +1330,8 @@ def test_drift_sweep_over_no_multipliers_writes_empty_tables(tmp_path):
     # the CLI refuses an empty multiplier list; the library runs no cell
     run = cli.run_simulate("drift_sweep", RobotSimConfig(n_steps=3, n_particles=20), tmp_path,
                            EValueConfig(0.9, 0.8, 0.05), multipliers=(), n_seeds=1)
-    cli._write_outputs(run, tmp_path)
+    with cli._Output(tmp_path) as out:
+        cli._write_outputs(run, out)
     assert (tmp_path / "sweep_envelope.csv").read_text() == "multiplier,t,e05,e50,e95\n"
     curves = json.loads((tmp_path / "report.json").read_text())["curves"]
     assert curves == {name: [header, []] for name, (header, _) in run.curves.items()}

@@ -4,6 +4,7 @@ and the randomized projected PIT of particle clouds, scored all at once and
 checked against a one-cloud-at-a-time oracle."""
 
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -28,10 +29,14 @@ def test_gaussian_requires_positive_sigma():
 
 
 def test_mv_gaussian_rejects_asymmetric_and_indefinite():
-    with pytest.raises(InvalidDistributionError, match="symmetric"):
-        MvGaussianBatch(mu=[[0, 0]], cov=[[[1.0, 0.5], [0.2, 1.0]]], y=[[0, 0]])
-    with pytest.raises(InvalidDistributionError, match="jitter retry failed"):
-        MvGaussianBatch(mu=[[0, 0]], cov=[[[1.0, 2.0], [2.0, 1.0]]], y=[[0, 0]])
+    # entries whose difference overflows are refused without a warning
+    for cov in ([[1.0, 0.5], [0.2, 1.0]], [[1.0, 1e308], [-1e308, 1.0]]):
+        with pytest.raises(InvalidDistributionError, match="symmetric"):
+            MvGaussianBatch(mu=[[0, 0]], cov=[cov], y=[[0, 0]])
+    # so is an indefinite one whose jitter passes the float range
+    for cov in ([[1.0, 2.0], [2.0, 1.0]], [[-1e19, 0.0], [0.0, sys.float_info.max]]):
+        with pytest.raises(InvalidDistributionError, match="jitter retry failed"):
+            MvGaussianBatch(mu=[[0, 0]], cov=[cov], y=[[0, 0]])
 
 
 def test_particle_weights_renormalized_within_tolerance():

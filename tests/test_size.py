@@ -131,3 +131,51 @@ def test_one_sided_check_holds_its_size_on_calibrated_and_cautious_mv_gaussians(
     rejections = sum(run_check(config, mv_gaussians(seed, 200, d, inflate)).report["decision"]
                      == "reject" for seed in range(REPS))
     assert rejections / REPS <= size_bound(ALPHA, REPS)
+
+
+# The one-sided recipes of the paper's claim (a), and, for the size tier,
+# the two-sided PIT test and variance binning, on scalar Gaussians
+ONE_SIDED_RECIPES = {
+    "binomial": dict(metric="coverage", testing="binom_bonferroni",
+                     hypothesis=HypothesisSpec(ONE_SIDED)),
+    "holm_tolerance": dict(metric="coverage", testing="binom_holm",
+                           hypothesis=HypothesisSpec(ONE_SIDED, 0.02)),
+    "folded_ks": dict(metric="folded_ks", testing="ks", hypothesis=HypothesisSpec(ONE_SIDED)),
+}
+SIZE_RECIPES = {**ONE_SIDED_RECIPES, "pit_ks": dict(metric="pit_ks", testing="ks"),
+                "bins3": dict(bins=3)}
+# rejections of REPS overconfident oracles, sigma x 0.8, measured when the
+# power floors were set
+MEASURED_POWER = {"binomial": 397, "holm_tolerance": 376, "folded_ks": 398}
+
+
+def oracle_rejections(recipe: dict, sd_scale: float) -> int:
+    """How many of REPS weather oracles, 365 records each, their forecast
+    spread scaled by ``sd_scale``, the recipe rejects."""
+    config = RecipeConfig(model="gaussian", alpha=ALPHA, **recipe)
+    return sum(run_check(config, run_weather_oracle(WeatherSimConfig(
+        seed=seed, injected_sd_scale=sd_scale))).report["decision"] == "reject"
+        for seed in range(REPS))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", SIZE_RECIPES)
+def test_gaussian_recipe_holds_its_size_on_the_weather_oracle(name):
+    assert oracle_rejections(SIZE_RECIPES[name], 1.0) / REPS <= size_bound(ALPHA, REPS)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ONE_SIDED_RECIPES)
+def test_one_sided_recipe_lets_cautious_gaussians_through(name):
+    # a forecast spread 1.3 times too wide is cautious, not wrong: claim (a)
+    assert oracle_rejections(ONE_SIDED_RECIPES[name], 1.3) / REPS <= size_bound(ALPHA, REPS)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ONE_SIDED_RECIPES)
+def test_one_sided_recipe_rejects_overconfident_gaussians(name):
+    # a spread 0.8 times the truth is rejected at least at the measured
+    # rate less three binomial standard errors
+    rate = MEASURED_POWER[name] / REPS
+    floor = rate - 3.0 * math.sqrt(rate * (1.0 - rate) / REPS)
+    assert oracle_rejections(ONE_SIDED_RECIPES[name], 0.8) / REPS >= floor

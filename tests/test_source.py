@@ -141,37 +141,51 @@ def function(tree, name: str) -> ast.FunctionDef:
 
 def test_output_values_are_turned_into_text_once():
     # json.dumps writes report.json's table names and headers and all of it
-    # but the tables, the streamed trace's start, and a simulation's config
-    # for its digest, and finds a lone surrogate in a saved report before
-    # report prints it; every float of a record line, a table cell or a
-    # trace row is turned into text by _float_texts, the one caller of
-    # orjson.dumps, and report.json's rows are converted from the tables'
-    # CSV text, monitor trace and offline tables alike
+    # but the tables, and a simulation's config for its digest, and finds a
+    # lone surrogate in a saved report before report prints it; every float
+    # of a record line, a table cell or a trace row is turned into text by
+    # _float_texts, the one caller of orjson.dumps, and report.json's rows
+    # are converted from the tables' CSV text, monitor trace and offline
+    # tables alike, both rendered by _csv_rows
     cli = TREES["cli"]
     dumpers = callers(cli, "json.dumps")
-    assert dumpers == {"_json_report", "__init__", "run_simulate", "_cmd_report"}
-    assert not dumpers & {"write_records", "_csv_rows", "_write_csvs", "_json_rows"}
+    assert dumpers == {"table", "finish", "run_simulate", "_cmd_report"}
+    assert not dumpers & {"write_records", "_csv_rows", "rows", "_json_rows"}
     assert callers(cli, "orjson.dumps") == {"_float_texts"}
-    assert callers(cli, "_csv_rows") == {"_write_csvs"}
-    assert callers(cli, "_json_rows") == {"_json_report", "write"}
+    assert callers(cli, "_csv_rows") == {"finish", "run_monitor"}
+    assert callers(cli, "_json_rows") == {"rows"}
     # each writer hands its numbers to _float_texts and formats none itself:
-    # no repr, no {!r}, and str only of the trace's time indices and of a
-    # table's list cells, which hold saved or mixed values
-    for name in ("write_records", "_csv_rows", "_trace_lines"):
+    # no repr, no {!r}, and str only of a table's list cells, which hold
+    # saved or mixed values
+    for name in ("write_records", "_csv_rows"):
         body = ast.Module(function(cli, name).body, [])  # not the annotations
         names = [node.id for node in ast.walk(body) if isinstance(node, ast.Name)]
         texts = [node.value for node in ast.walk(body)
                  if isinstance(node, ast.Constant) and isinstance(node.value, str)]
         assert "_float_texts" in names and "repr" not in names, name
         assert not any("!r" in text for text in texts), name
-        allowed = [node for node in ast.walk(body) if isinstance(node, ast.IfExp)
+        allowed = [node.orelse for node in ast.walk(body) if isinstance(node, ast.IfExp)
                    and ast.unparse(node.test) == "isinstance(c, np.ndarray)"]
-        allowed = [node.orelse for node in allowed] + [
-            node for node in ast.walk(body) if isinstance(node, ast.Call)
-            and ast.unparse(node).startswith("map(str, range(")]
         in_allowed = sum(isinstance(node, ast.Name) and node.id == "str"
                          for part in allowed for node in ast.walk(part))
         assert names.count("str") == in_allowed, name
+    # the monitor renders its trace rows by _csv_rows; it makes text only of
+    # a data error's message
+    body = ast.Module(function(cli, "run_monitor").body, [])
+    texts = [ast.unparse(node) for node in ast.walk(body) if isinstance(node, ast.Call)
+             and ast.unparse(node.func) in ("str", "repr", "format")]
+    assert callers(body, "_csv_rows") and texts == ["str(exc)"]
+
+
+def test_output_files_have_one_writer():
+    # every output file but a record file is written by _Output, as a
+    # partial file renamed into place when the run succeeds; the other
+    # opens read records and the config file, and write_records writes its
+    # final path
+    cli = TREES["cli"]
+    assert callers(cli, "open") == {"_read", "_load_file_config", "write_records", "_open"}
+    assert not [node for node in ast.walk(cli) if isinstance(node, ast.Attribute)
+                and node.attr in ("write_text", "write_bytes")]
 
 
 def test_only_cli_and_sim_serve_the_benchmark():
