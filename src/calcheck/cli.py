@@ -25,12 +25,13 @@ a bad, empty or missing record input is reported.  The ``_METRICS`` and
 ``_TESTINGS`` tables are the one place where slot pairings are stated.
 Every family has a PIT, so the KS recipes take every model; a cloud's PIT
 draws on the streams that its half-plane coverage draws on.
-``check``, ``monitor`` and ``simulate`` all emit through ``_finish``.  Every
-``--out`` file but a record file is written by ``_Output``, opened before
-anything is printed, and appears only when the run succeeds.  Each output
-value is turned into text once: record lines' numbers by ``_float_texts``,
-every table's, the trace's too, by ``_csv_rows``, ``report.json``'s rows from
-CSV text.
+The runs (``run_check``, ``run_monitor``, ``run_simulate``) touch no file;
+every command emits through ``_finish``, which has ``_Output`` write every
+``--out`` file, record files included, and then prints the summary.  The
+files appear only when the run succeeds; a failed run removes the
+directories it made.  Each output value is turned into text once: record
+lines' numbers by ``_float_texts``, every table's, the trace's too, by
+``_csv_rows``, ``report.json``'s rows from CSV text.
 
 Importing this module loads numpy but neither scipy nor orjson.
 ``scipy.special`` is loaded by the first PIT of (multivariate) Gaussian
@@ -134,7 +135,7 @@ MODELS = tuple(FAMILIES)
 # before them.
 _CDF_MODELS = ("gaussian", "mv_gaussian")
 _METRICS = {
-    "coverage": (_CDF_MODELS, "particle clouds have no centered interval; use metric=halfplane"),
+    "coverage": (_CDF_MODELS, "particle clouds are covered by metric=halfplane"),
     "halfplane": (("particles",), "the half-plane metric requires the particles model"),
     "pit_ks": (MODELS, None),
     "folded_ks": (MODELS, None),
@@ -266,20 +267,22 @@ def _check_slots(model: str | None, metric: str, testing: str, alpha: float,
 
 @dataclass(frozen=True)
 class RunReport:
-    """Decision-first run output with curve tables and provenance.
+    """Decision-first run output with curve tables, record files and provenance.
 
     ``report`` holds what ``report.json`` saves: a TestReport as
     ``dataclasses.asdict`` gives it, or a simulation summary; ``curves`` maps
     table names to (header, columns), an array or list per name, as they
     are made (see :func:`_csv_rows`); ``provenance`` carries the input
     digest, the full recipe configuration, and the tool version, so a rerun
-    with identical inputs reproduces the report byte for byte.  A monitor
-    run's trace rows are streamed as they are made (:class:`_Output`).
+    with identical inputs reproduces the report byte for byte; ``records``
+    maps each record file's name to its batch.  :class:`_Output` writes the
+    run, and streams a monitor's trace rows as they are made.
     """
 
     report: dict
     curves: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
+    records: dict = field(default_factory=dict)
 
 
 def _provenance(config: RecipeConfig | dict, digest: hashlib._Hash) -> dict:
@@ -668,8 +671,8 @@ def run_monitor(
     grow with the stream.  ``on_row`` receives each batch's
     ``t,e_value,alarmed`` rows, rendered by :func:`_csv_rows`, as one string
     as soon as the batch is scored; ``monitor`` prints it, and under
-    ``--out`` the CLI streams it as an :class:`_Output`'s ``etrace`` table
-    (:func:`_trace_output`).  The decision is the first crossing of
+    ``--out`` :meth:`_Output.trace` streams it as the ``etrace`` table.
+    The decision is the first crossing of
     ``1/alpha``; recording goes on after it.  A stream that dies mid-flight
     yields a partial report marked incomplete.  An e-value too large for a
     float raises ``OverflowError`` after the rows before it are emitted.
@@ -741,25 +744,19 @@ def _threshold(ev: EValueConfig) -> float:
 def run_simulate(
     kind: str,
     sim_config: WeatherSimConfig | RobotSimConfig,
-    out_dir: str | Path,
     monitor: EValueConfig | None = None,
     multipliers: tuple[float, ...] = (0.5, 1.0, 2.0),
     n_seeds: int = 20,
 ) -> RunReport:
-    """Generate experiment data and write its record files under ``out_dir``;
-    the caller emits the returned run, ``report.json`` included."""
-    out = Path(out_dir)
-    with _writing_output():
-        out.mkdir(parents=True, exist_ok=True)
+    """Generate experiment data, a record file's batch in ``records`` or a
+    drift sweep's tables in ``curves``; the caller writes the run's files."""
     cfg_dict = dataclasses.asdict(sim_config)
     digest = hashlib.sha256(json.dumps(cfg_dict, sort_keys=True).encode())
-    curves: dict = {}
+    curves, files = {}, {}
     if kind in ("weather", "robot"):
-        records = (run_weather_sim if kind == "weather" else run_robot_sim)(sim_config)
-        path = out / f"{kind}_records.jsonl"
-        with _writing_output():
-            write_records(records, path)
-        summary = {"kind": kind, "n_records": len(records), "files": [path.name]}
+        batch = (run_weather_sim if kind == "weather" else run_robot_sim)(sim_config)
+        files[f"{kind}_records.jsonl"] = batch
+        summary = {"kind": kind, "n_records": len(batch), "files": list(files)}
     elif kind == "drift_sweep":
         if monitor is None:
             raise ConfigError("drift_sweep requires an e-value monitor config")
@@ -782,8 +779,8 @@ def run_simulate(
         }
     else:
         raise ConfigError(f"unknown simulation kind {kind!r}")
-    return RunReport(report=summary, curves=curves,
-                     provenance=_provenance(cfg_dict, digest))
+    return RunReport(report=summary, curves=curves, provenance=_provenance(cfg_dict, digest),
+                     records=files)
 
 
 # ---------------------------------------------------------------------------
@@ -836,18 +833,21 @@ class _Output(contextlib.AbstractContextManager):
     directory wherever a path is taken.
 
     It is opened before the run prints anything, so an unwritable directory
-    fails first.  Each file is written as ``<name>.part``, renamed into place
-    by ``finish`` and removed if the ``with`` block fails.  A table's CSV row
-    text, whole or in parts as a monitor streams it, goes to ``<name>.csv``
-    and, through :func:`_json_rows`, becomes its rows in ``report.json``,
-    tables in name order: byte for byte ``json.dumps`` of the run with sorted
-    keys.  With ``report`` False only the tables are written.
+    fails first.  Each file, record files too, is written as ``<name>.part``,
+    renamed into place by ``finish`` and removed if the ``with`` block
+    fails, as are the directories it made that hold no other file.  A
+    table's CSV row text, whole or in parts as a monitor streams it, goes to
+    ``<name>.csv`` and, through :func:`_json_rows`, becomes its rows in
+    ``report.json``, tables in name order: byte for byte ``json.dumps`` of
+    the run with sorted keys.  With ``report`` False only the tables are written.
     """
 
     def __init__(self, out_dir: str | Path, report: bool = True):
         # _sep goes before the report's next row
         self.dir, self._parts, self._csv, self._sep = Path(out_dir), [], None, ""
         with _writing_output():
+            # the directories mkdir makes, deepest first
+            self._made = [d for d in (self.dir, *self.dir.parents) if not d.exists()]
             self.dir.mkdir(parents=True, exist_ok=True)
             self._json = self._open("report.json", '{"curves": {') if report else None
 
@@ -861,6 +861,9 @@ class _Output(contextlib.AbstractContextManager):
                     handle.close()
             for part in self._parts:
                 part.unlink(missing_ok=True)
+            for made in self._made:
+                with contextlib.suppress(OSError):  # one holding another file stays
+                    made.rmdir()
 
     def _open(self, name: str, text: str):
         self._parts.append(self.dir / f"{name}.part")
@@ -890,13 +893,29 @@ class _Output(contextlib.AbstractContextManager):
                     self._json.write(self._sep + _json_rows(text, columns))
             self._sep = ", "
 
+    def trace(self, ev: EValueConfig, echo: Callable[[str], None] | None) -> Callable[[str], None]:
+        """A monitor's ``on_row``: each batch's trace text goes to ``echo``, if
+        given, and to the ``etrace`` table, the threshold as a fourth cell."""
+        self.table("etrace", ["t", "e_value", "alarmed", "threshold"])
+        end = f",{_threshold(ev)!r}\n"
+
+        def on_row(text: str) -> None:
+            if echo is not None:  # not among the writes: a closed stdout is no config error
+                echo(text)
+            self.rows(text.replace("\n", end))
+
+        return on_row
+
     def finish(self, run: RunReport) -> None:
-        """Write the run's tables and the rest of its report; rename each file into place."""
+        """Write the run's tables, record files and the rest of its report; rename each."""
         for name, (header, columns) in sorted(run.curves.items()):  # names are unique
             self.table(name, header)
             self.rows(_csv_rows(columns), columns)
         self.table(None)
         with _writing_output():
+            for name, batch in run.records.items():
+                self._parts.append(self.dir / f"{name}.part")
+                write_records(batch, self._parts[-1])
             if self._json is not None:
                 rest = json.dumps({"provenance": run.provenance, "report": run.report},
                                   sort_keys=True)
@@ -904,28 +923,6 @@ class _Output(contextlib.AbstractContextManager):
                 self._json.close()
             for part in self._parts:
                 os.replace(part, part.with_suffix(""))
-
-
-@contextlib.contextmanager
-def _trace_output(out_dir: str | None, config: RecipeConfig,
-                  echo: Callable[[str], None] | None = None):
-    """``(on_row, out)`` for a run of ``config`` emitted under ``out_dir``:
-    ``out`` is its :class:`_Output`, None without a directory.  A monitor's
-    ``on_row`` passes each batch's trace text to ``echo``, if given, and
-    streams it as ``out``'s ``etrace`` table, the threshold as a fourth cell."""
-    with contextlib.nullcontext() if out_dir is None else _Output(out_dir) as out:
-        if out is None or config.testing != "evalue_monitor":
-            yield echo, out
-            return
-        out.table("etrace", ["t", "e_value", "alarmed", "threshold"])
-        end = f",{_threshold(config.evalue)!r}\n"
-
-        def on_row(text: str) -> None:
-            if echo is not None:  # not among out's writes: a closed stdout is no config error
-                echo(text)
-            out.rows(text.replace("\n", end))
-
-        yield on_row, out
 
 
 def _write_outputs(run: RunReport, out: _Output | None) -> None:
@@ -980,8 +977,8 @@ def _report_exit_code(rep: dict) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_run_flags(sp: argparse.ArgumentParser) -> None:
-    """The flags that check, monitor and simulate all read."""
+def _add_run_flags(sp: argparse.ArgumentParser, out: str = "output directory") -> None:
+    """The flags that check, monitor and simulate all read; ``out`` is ``--out``'s help."""
     sp.add_argument("--alpha", type=float)
     sp.add_argument("--lambda", type=float,
                     help="coverage level monitored by the e-value recipe")
@@ -989,7 +986,7 @@ def _add_run_flags(sp: argparse.ArgumentParser) -> None:
                     help="over-confidence alternative (default: lambda - 0.1)")
     sp.add_argument("--seed", type=int)
     sp.add_argument("--config", help="JSON config file")
-    sp.add_argument("--out", help="output directory")
+    sp.add_argument("--out", help=out)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -998,8 +995,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Calibration checks with a single accept/reject decision.",
         epilog="Exit codes: 0 accept, 1 reject or alarm, 2 usage or configuration error, "
                "3 data error, 70 a drift sweep worker lost, 141 the reader of stdout gone. "
-               "Under --out, report.json and the CSV tables appear only when the run "
-               "succeeds; simulate writes its record files as it makes them.",
+               "Under --out, report.json, the CSV tables and the record files appear only "
+               "when the run succeeds, and the decision line is printed after them.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     p_check = sub.add_parser("check", help="offline batch calibration check")
@@ -1016,7 +1013,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p_mon)
     p_sim = sub.add_parser("simulate", help="generate experiment data")
     p_sim.add_argument("kind", choices=("weather", "robot", "drift_sweep"))
-    _add_run_flags(p_sim)
+    _add_run_flags(p_sim, "output directory (default: the current directory)")
     p_rep = sub.add_parser("report", help="re-render a saved run report")
     p_rep.add_argument("path", help="report.json produced by a previous run")
     p_rep.add_argument("--out", help="directory for the report's CSV tables")
@@ -1174,9 +1171,9 @@ def _recipe_from_args(settings: _Settings, source: RecordSource,
 
 
 def _finish(run: RunReport, out: _Output | None) -> int:
-    """Print a run's summary, write its outputs to ``out``, return its exit code."""
-    print(_render_summary(run.report))
+    """Write a run's outputs to ``out``, then print its summary; return its exit code."""
     _write_outputs(run, out)
+    print(_render_summary(run.report))
     return _report_exit_code(run.report)
 
 
@@ -1187,8 +1184,9 @@ def _cmd_check(args, testing: str | None = None,
     settings = _Settings(args)
     with RecordSource(args.records) as source:
         config = _recipe_from_args(settings, source, testing)
-        with _trace_output(args.out, config, echo) as (on_row, out):
+        with contextlib.nullcontext() if args.out is None else _Output(args.out) as out:
             if config.testing == "evalue_monitor":
+                on_row = echo if out is None else out.trace(config.evalue, echo)
                 run = run_monitor(config, iter_records(source, config.model),
                                   digest=source.sha256, on_row=on_row)
             else:
@@ -1255,7 +1253,7 @@ def _cmd_simulate(args) -> int:
         }
     settings.refuse_unread()
     with _Output(args.out or ".") as out:
-        return _finish(run_simulate(args.kind, sim_config, out, **sweep), out)
+        return _finish(run_simulate(args.kind, sim_config, **sweep), out)
 
 
 def _saved_report_parts(data) -> tuple[dict, dict, dict]:
@@ -1318,13 +1316,11 @@ def _cmd_report(args) -> int:
         raise DataError(f"report is not valid JSON: {getattr(exc, 'msg', exc)}") from None
     rep, prov, curves = _saved_report_parts(data)
     with contextlib.nullcontext() if args.out is None else _Output(args.out, report=False) as out:
-        print(_render_summary(rep))
-        if prov:
-            print(f"input_digest: {prov.get('input_digest', '?')}")
-            print(f"tool_version: {prov.get('tool_version', '?')}")
-        if out is not None:  # its tables alone
-            out.finish(RunReport(rep, curves, prov))
-    return _report_exit_code(rep)
+        code = _finish(RunReport(rep, curves, prov), out)
+    if prov:
+        print(f"input_digest: {prov.get('input_digest', '?')}")
+        print(f"tool_version: {prov.get('tool_version', '?')}")
+    return code
 
 
 def main(argv=None) -> int:

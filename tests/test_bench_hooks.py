@@ -162,7 +162,7 @@ def test_traced_simulate_reaches_the_render_layer(tmp_path):
         tracer.end_command(keep=True)
     finally:
         tracer.uninstall(saved)
-    assert tracer.totals["cli.render"][0] == 2  # the summary, then the files
+    assert tracer.totals["cli.render"][0] == 2  # the files, then the summary
     names = ["report.json", "sweep_envelope.csv", "sweep_summary.csv"]
     assert sorted(p.name for p in out.iterdir()) == names
     assert tracer.counts["cli.report_bytes"] == sum((out / n).stat().st_size for n in names)

@@ -303,7 +303,7 @@ def test_round_trip_all_kinds(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_config_slot_compatibility():
-    with pytest.raises(ConfigError, match="particle clouds have no centered interval"):
+    with pytest.raises(ConfigError, match="particle clouds are covered by metric=halfplane"):
         RecipeConfig(model="particles", metric="coverage")
     with pytest.raises(ConfigError):
         RecipeConfig(model="gaussian", metric="halfplane")
@@ -484,8 +484,9 @@ def test_slot_swap_to_monitor_runs_on_run_monitor(tmp_path):
 def test_run_monitor_all_miss_crosses_at_five(tmp_path):
     recs = GaussianBatch(np.zeros(8), np.ones(8), np.full(8, 100.0))
     emitted = []  # one string of trace lines per batch
-    with cli._trace_output(str(tmp_path), MONITOR, echo=emitted.append) as (on_row, out):
-        run = run_monitor(MONITOR, [recs.take(range(3)), recs.take(range(3, 8))], on_row=on_row)
+    with cli._Output(tmp_path) as out:
+        run = run_monitor(MONITOR, [recs.take(range(3)), recs.take(range(3, 8))],
+                          on_row=out.trace(MONITOR.evalue, emitted.append))
         cli._write_outputs(run, out)
     assert run.report["decision"] == "reject"
     assert run.report["recipe_config"]["first_crossing"] == 5
@@ -534,10 +535,9 @@ def monitor_outputs(recs, cuts, config=MONITOR) -> tuple[str, bytes, bytes]:
     rows the printed text holds."""
     bounds = [0, *sorted(set(cuts)), len(recs)]
     emitted = []
-    with tempfile.TemporaryDirectory() as d, \
-            cli._trace_output(d, config, echo=emitted.append) as (on_row, out):
+    with tempfile.TemporaryDirectory() as d, cli._Output(d) as out:
         run = run_monitor(config, [recs.take(range(a, b)) for a, b in zip(bounds, bounds[1:])],
-                          on_row=on_row)
+                          on_row=out.trace(config.evalue, emitted.append))
         cli._write_outputs(run, out)
         got = ("".join(emitted), (Path(d) / "etrace.csv").read_bytes(),
                (Path(d) / "report.json").read_bytes())
@@ -1101,9 +1101,11 @@ def test_cli_unwritable_out_exits_2(tmp_path, capsys):
         assert captured.out == "", argv  # the writer opens before anything is printed
 
 
-def test_cli_check_failing_after_its_first_table_leaves_no_output_files(tmp_path, monkeypatch):
+def test_cli_check_failing_after_its_first_table_leaves_no_output_files(tmp_path, monkeypatch,
+                                                                        capsys):
     # a write that fails midway, as on a full disk, removes every partial
-    # file: report.json's, the first table's and the one being written
+    # file: report.json's, the first table's and the one being written, and
+    # the directory the run made; no decision is printed, as none stands
     path, _ = weather_file(tmp_path, seed=5)
     json_rows, calls = cli._json_rows, []
 
@@ -1115,9 +1117,41 @@ def test_cli_check_failing_after_its_first_table_leaves_no_output_files(tmp_path
 
     monkeypatch.setattr(cli, "_json_rows", failing)
     out = tmp_path / "out"
+    capsys.readouterr()
     assert cli.main(["check", str(path), "--bins", "3", "--out", str(out)]) == 2
     assert len(calls) == 2
-    assert list(out.iterdir()) == []
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+def test_cli_failed_run_removes_only_the_directories_it_made(tmp_path):
+    # a bad second line fails the check after the writer has made its
+    # directories; a directory that was there stays, with its other files
+    bad = write_lines(tmp_path / "bad.jsonl", [gaussian_line(0.0, 1.0, 0.5), "not json"])
+    assert cli.main(["check", bad, "--out", str(tmp_path / "o" / "sub")]) == 3
+    assert not (tmp_path / "o").exists()
+    kept, empty = tmp_path / "kept", tmp_path / "empty"
+    kept.mkdir()
+    empty.mkdir()
+    (kept / "other.txt").write_text("x")
+    for out in (kept, kept / "sub", empty, empty / "sub"):
+        assert cli.main(["check", bad, "--out", str(out)]) == 3, out
+        assert [p.name for p in kept.iterdir()] == ["other.txt"], out
+        assert list(empty.iterdir()) == [], out
+
+
+def test_cli_simulate_failing_to_write_its_records_leaves_no_output_files(tmp_path, monkeypatch,
+                                                                          capsys):
+    # a record file is written as a partial file, removed when the write fails
+    def failing(records, path):
+        Path(path).write_text("{")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_records", failing)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "weather", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
 
 
 def test_help_states_the_exit_codes():
@@ -1165,7 +1199,7 @@ def test_cli_monitor_overflow_leaves_no_output_files(tmp_path, capsys):
     with pytest.raises(OverflowError):
         cli.main(["monitor", path, "--out", str(tmp_path / "out")])
     assert capsys.readouterr().out == printed
-    assert list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
 
 
 class FailingStdout(io.StringIO):
@@ -1202,7 +1236,7 @@ def test_cli_monitor_stopped_midstream_leaves_no_output_files(tmp_path, monkeypa
     finally:
         os.close(fd)
     assert stdout.getvalue().count("\n") > 10  # two blocks' rows were printed
-    assert list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", [["monitor"], ["check", "--testing", "evalue_monitor"]])
@@ -1328,7 +1362,7 @@ def test_cli_simulate_drift_sweep_scaled(tmp_path, capsys):
 
 def test_drift_sweep_over_no_multipliers_writes_empty_tables(tmp_path):
     # the CLI refuses an empty multiplier list; the library runs no cell
-    run = cli.run_simulate("drift_sweep", RobotSimConfig(n_steps=3, n_particles=20), tmp_path,
+    run = cli.run_simulate("drift_sweep", RobotSimConfig(n_steps=3, n_particles=20),
                            EValueConfig(0.9, 0.8, 0.05), multipliers=(), n_seeds=1)
     with cli._Output(tmp_path) as out:
         cli._write_outputs(run, out)
@@ -1623,7 +1657,7 @@ PARTICLE_LINE = json.dumps({"w": [0.5, 0.5], "pts": [[0.0, 0.0], [1.0, 1.0]], "y
         (["check", "{weather}", "--config", "{dir}/c.json"], {"c.json": '{"testing": "t"}'},
          2, "unknown testing 't'"),
         (["check", "{dir}/p.jsonl", "--metric", "coverage"], {"p.jsonl": PARTICLE_LINE}, 2,
-         "particle clouds have no centered interval"),
+         "particle clouds are covered by metric=halfplane"),
         (["check", "{weather}", "--metric", "pit_ks", "--tolerance", "0.1"], {}, 2,
          "KS tolerance bands run on the folded PIT"),
         (["check", "{weather}", "--metric", "folded_ks", "--tolerance", "0.1"], {}, 2,

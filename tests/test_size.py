@@ -73,10 +73,13 @@ def discrete_clouds(seed: int, n: int, m: int) -> ParticleBatch:
 
 @pytest.mark.slow
 @pytest.mark.parametrize("m", PARTICLE_COUNTS)
-def test_two_sided_binomial_check_holds_its_size_on_discrete_clouds(m):
+@pytest.mark.parametrize("hypothesis", [HypothesisSpec(), HypothesisSpec(ONE_SIDED, 0.02)],
+                         ids=["two_sided", "one_sided_tolerance"])
+def test_binomial_check_holds_its_size_on_discrete_clouds(hypothesis, m):
     # each outcome's projected PIT is uniform, atoms and all, so every
     # level's half-plane count is exactly Binomial(n, level)
-    config = RecipeConfig(model="particles", metric="halfplane", alpha=ALPHA)
+    config = RecipeConfig(model="particles", metric="halfplane", alpha=ALPHA,
+                          hypothesis=hypothesis)
     rejections = sum(run_check(config, discrete_clouds(seed, 200, m)).report["decision"]
                      == "reject" for seed in range(REPS))
     assert rejections / REPS <= size_bound(ALPHA, REPS)
@@ -130,6 +133,28 @@ def test_one_sided_check_holds_its_size_on_calibrated_and_cautious_mv_gaussians(
                           hypothesis=HypothesisSpec(ONE_SIDED))
     rejections = sum(run_check(config, mv_gaussians(seed, 200, d, inflate)).report["decision"]
                      == "reject" for seed in range(REPS))
+    assert rejections / REPS <= size_bound(ALPHA, REPS)
+
+
+# Two-sided recipes and the default monitor, which test calibration itself
+MV_RECIPES = {
+    "binomial": dict(metric="coverage", testing="binom_bonferroni"),
+    "pit_ks": dict(metric="pit_ks", testing="ks"),
+    "monitor": dict(metric="coverage", testing="evalue_monitor",
+                    evalue=EValueConfig(level=0.9, p_alt=0.8, alpha=ALPHA)),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("name", MV_RECIPES)
+def test_recipe_holds_its_size_on_calibrated_mv_gaussians(name, d):
+    # each ellipsoid's central PIT is exactly uniform on calibrated records
+    config = RecipeConfig(model="mv_gaussian", alpha=ALPHA, **MV_RECIPES[name])
+    run = ((lambda batch: run_monitor(config, [batch])) if name == "monitor"
+           else (lambda batch: run_check(config, batch)))
+    rejections = sum(run(mv_gaussians(seed, 200, d, 1.0)).report["decision"] == "reject"
+                     for seed in range(REPS))
     assert rejections / REPS <= size_bound(ALPHA, REPS)
 
 

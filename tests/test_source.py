@@ -178,14 +178,24 @@ def test_output_values_are_turned_into_text_once():
 
 
 def test_output_files_have_one_writer():
-    # every output file but a record file is written by _Output, as a
-    # partial file renamed into place when the run succeeds; the other
-    # opens read records and the config file, and write_records writes its
-    # final path
+    # every output file is written by _Output, as a partial file renamed
+    # into place when the run succeeds, a record file by write_records
+    # called from its finish; the other opens read records and the config
+    # file
     cli = TREES["cli"]
     assert callers(cli, "open") == {"_read", "_load_file_config", "write_records", "_open"}
+    assert callers(cli, "write_records") == {"finish"}
     assert not [node for node in ast.walk(cli) if isinstance(node, ast.Attribute)
                 and node.attr in ("write_text", "write_bytes")]
+    # the runs compute and the CLI emits: no run opens, makes, writes or
+    # renames a file, and the monitor's trace is streamed by _Output.trace
+    for name in ("run_check", "run_monitor", "run_simulate"):
+        calls = {ast.unparse(node.func) for node in ast.walk(function(cli, name))
+                 if isinstance(node, ast.Call)}
+        assert not {call for call in calls if call in ("open", "write_records", "os.replace")
+                    or call.endswith(".mkdir")}, name
+    assert "_trace_output" not in {node.name for node in ast.walk(cli)
+                                   if isinstance(node, ast.FunctionDef)}
 
 
 def test_only_cli_and_sim_serve_the_benchmark():
