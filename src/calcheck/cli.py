@@ -5,10 +5,10 @@ e-value monitor), ``simulate`` (generate experiment data), ``report``
 (re-render a saved run report).  Records travel as JSON lines, one record
 per line, so monitors can stream and tests can diff.  Input is read in
 blocks, and each block's complete lines become one batch of their family
-(:mod:`calcheck.records`).  The testing slot decides how they are consumed:
-an offline recipe joins them into one batch, and the ``evalue_monitor`` slot
-(``monitor``, ``check --testing evalue_monitor``) steps its martingale one
-block at a time as they arrive and streams its trace rows to ``--out``
+(:mod:`calcheck.records`).  The run the testing slot picks scores each batch
+as it arrives and drops it: an offline recipe keeps one score per record,
+and the ``evalue_monitor`` slot (``monitor``, ``check --testing
+evalue_monitor``) steps its martingale and streams its trace rows to ``--out``
 (``monitor`` prints them too), so its memory does not grow with the stream;
 it takes every family and scores the sets ``check`` scores.  Exit codes are
 scriptable safety gates: 0 accept/clean, 1 reject/alarm, 2 usage or
@@ -77,7 +77,7 @@ from .hyptest import (
     coverage_binomial_report,
     ks_test,
 )
-from .metric import LevelGrid, central, coverage_counts, pit, variance_bin
+from .metric import LevelGrid, PitSample, central, coverage_counts, pit, variance_bin
 from .records import FAMILIES, RecordBatch
 from .seqtest import EValueConfig, MartingaleState, monitor_step
 from .sim import (
@@ -574,14 +574,11 @@ def sniff_model_kind(source: str | Path | RecordSource) -> str:
 # offline check
 # ---------------------------------------------------------------------------
 
-def _single_check(config: RecipeConfig, records: RecordBatch,
+def _single_check(config: RecipeConfig, sample: PitSample,
                   alpha: float) -> tuple[TestReport, dict]:
-    """One check's test report and its tables, each as columns."""
-    # a particle cloud's PIT, and so its coverage, draws its directions and
-    # tie-breaking uniforms from these streams; the other families read neither
-    rng, ties = np.random.default_rng([config.seed, 2]), np.random.default_rng([config.seed, 3])
+    """One check's test report and its tables, each as columns, from the
+    records' scores ``sample``."""
     if config.testing == "ks":
-        sample = (central if config.metric == "folded_ks" else pit)(records, rng, ties)
         report = ks_test(sample, config.hypothesis, alpha)
         v, cfg, lam = np.sort(sample.values), report.recipe_config, config.levels.levels
         crit, tol = cfg["band_halfwidth"], cfg["tolerance"]
@@ -591,10 +588,9 @@ def _single_check(config: RecipeConfig, records: RecordBatch,
             bounds = [np.maximum(lam - crit, 0.0), np.minimum(lam + crit, 1.0)]
         return report, {"ecdf": (["value", "ecdf"], [v, np.arange(1, v.size + 1) / v.size]),
                         "band": (["level", "lower", "upper"], [lam, *bounds])}
-    if config.metric == "coverage":
-        curve = coverage_counts(records, config.levels)
-    else:
-        curve = halfplane_coverage(records, config.levels, rng, ties)
+    # the tracer times a cloud's coverage count under its own name
+    count = coverage_counts if config.metric == "coverage" else halfplane_coverage
+    curve = count(sample, config.levels)
     correction = "holm" if config.testing == "binom_holm" else "bonferroni"
     report = coverage_binomial_report(curve, config.hypothesis, alpha, correction)
     rows = [(r.level, r.count, r.n, r.count / r.n, r.lower_bound, r.upper_bound, r.p_value,
@@ -604,33 +600,52 @@ def _single_check(config: RecipeConfig, records: RecordBatch,
                                  [np.array(column) for column in zip(*rows)])}
 
 
+def _scores(config: RecipeConfig, batches: Iterable[RecordBatch]) -> tuple:
+    """Each record's PIT for the offline test, central but for ``pit_ks``, and under
+    ``bins`` its predicted uncertainty (else None), scored a batch at a time."""
+    # a particle cloud's PIT draws its directions and tie-breaking uniforms
+    # from these streams, run on across batches; the other families read neither
+    rng, ties = np.random.default_rng([config.seed, 2]), np.random.default_rng([config.seed, 3])
+    folded, scores, spreads = config.metric != "pit_ks", [], []
+    for batch in batches:  # the PIT by its name here, which the tracer wraps
+        scores.append((central if folded else pit)(batch, rng, ties).values)
+        if config.bins is not None:
+            spreads.append(batch.uncertainty())
+    if not scores:
+        raise DataError("no records to check")
+    sample = PitSample(np.concatenate(scores), folded)
+    scores.clear()  # freed before the uncertainty is joined
+    return sample, np.concatenate(spreads) if spreads else None
+
+
 def run_check(
     config: RecipeConfig,
-    records: RecordBatch,
+    batches: Iterable[RecordBatch],
     digest: hashlib._Hash = hashlib.sha256(),
 ) -> RunReport:
-    """Execute an offline recipe's slots on a record batch.
+    """Execute an offline recipe's slots on a stream of record batches,
+    each scored as it arrives (:func:`_scores`) and dropped.
 
     ``digest``, a sha256 of the input bytes (see :class:`RecordSource`),
     identifies the input in the provenance.  An ``evalue_monitor`` recipe is
-    a configuration error here: :func:`run_monitor` consumes a stream of
-    batches and is the one monitor entry point.
+    a configuration error here: :func:`run_monitor` is the one monitor entry
+    point.
 
     With ``bins`` configured, the records are partitioned by predicted
-    uncertainty and the inner check runs per bin at ``alpha / bins``
-    (Bonferroni across bins; disjoint samples make this tight); the family
-    rejects when any bin does.
+    uncertainty and the inner check runs on each bin's scores at
+    ``alpha / bins`` (Bonferroni across bins; disjoint samples make this
+    tight); the family rejects when any bin does.
     """
     if config.testing == "evalue_monitor":
         raise ConfigError("an evalue_monitor recipe runs through run_monitor")
-    if not len(records):
-        raise DataError("no records to check")
+    sample, uncertainty = _scores(config, batches)
     if config.bins is None:
-        report, curves = _single_check(config, records, config.alpha)
+        report, curves = _single_check(config, sample, config.alpha)
     else:
-        bins = variance_bin(records, config.bins)
+        bins = variance_bin(uncertainty, config.bins)
         per_bin_alpha = config.alpha / config.bins
-        results = [_single_check(config, records.take(part), per_bin_alpha) for part in bins.parts]
+        results = [_single_check(config, PitSample(sample.values[part], sample.folded),
+                                 per_bin_alpha) for part in bins.parts]
         bin_reports = [rep for rep, _ in results]
         curves = {f"{name}_bin{b}": table for b, (_, tables) in enumerate(results)
                   for name, table in tables.items()}
@@ -1185,13 +1200,12 @@ def _cmd_check(args, testing: str | None = None,
     with RecordSource(args.records) as source:
         config = _recipe_from_args(settings, source, testing)
         with contextlib.nullcontext() if args.out is None else _Output(args.out) as out:
+            batches = iter_records(source, config.model)
             if config.testing == "evalue_monitor":
                 on_row = echo if out is None else out.trace(config.evalue, echo)
-                run = run_monitor(config, iter_records(source, config.model),
-                                  digest=source.sha256, on_row=on_row)
+                run = run_monitor(config, batches, digest=source.sha256, on_row=on_row)
             else:
-                run = run_check(config, parse_records(source, config.model),
-                                digest=source.sha256)
+                run = run_check(config, batches, digest=source.sha256)
             code = _finish(run, out)
     if error := run.report["recipe_config"].get("error"):
         print(f"data error: {error}", file=sys.stderr)  # why the run is incomplete

@@ -1,8 +1,8 @@
 """The metric slot: record batches in, test-ready statistics out.
 
-Transforms a record batch (:mod:`calcheck.records`) into the quantities the
-hypothesis tests consume: coverage counts over a level grid, PIT samples
-(raw and central) and variance bins for conditional checks.  What differs by
+Scores a record batch (:mod:`calcheck.records`) as PIT samples, raw and
+central, which coverage counts over a level grid read, and bins records by
+predicted uncertainty for conditional checks.  What differs by
 prediction family comes from the batch; the statistics here are the same
 for every family.  A particle cloud's PIT, :func:`projected_pit`, draws from
 a direction stream and a tie stream that :func:`pit` passes through.
@@ -13,10 +13,10 @@ array of projected particles, bit for bit what it would get alone, and the
 direction and tie draws are made in record order, so both generators end
 where a cloud-by-cloud loop leaves them.
 
-Coverage counts sum the batch's coverage indicator, the :func:`central`
-PIT ``<= lambda`` (:meth:`~calcheck.records.RecordBatch.covered`), which the
-online monitor reads too; so the offline and online tests score the same
-sets, and the coverage curve and the central-PIT ECDF are one object.
+Coverage is one rule, :func:`covered`: the :func:`central` PIT ``<= lambda``.
+The offline coverage counts and the online monitor both read it, so they
+score the same sets, and the coverage curve and the central-PIT ECDF are
+one object.  Counts and bins take no records, only one score per record.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ __all__ = [
     "PitSample",
     "CoverageCurve",
     "VarianceBins",
+    "covered",
     "coverage_counts",
     "pit",
     "fold",
@@ -122,11 +123,11 @@ class CoverageCurve:
 
 @dataclass(frozen=True, eq=False)
 class VarianceBins:
-    """Partition of a record batch by predicted uncertainty.
+    """Partition of the records by predicted uncertainty.
 
-    ``parts[b]`` holds bin ``b``'s record positions in record order, ready for
-    ``take``; ``bin_edges`` holds the interior uncertainty values where
-    consecutive bins split.
+    ``parts[b]`` holds bin ``b``'s record positions in record order, which
+    index the records' scores; ``bin_edges`` holds the interior uncertainty
+    values where consecutive bins split.
     """
 
     bin_edges: np.ndarray
@@ -173,43 +174,44 @@ def central(records, rng=None, ties=None) -> PitSample:
 # coverage
 # ---------------------------------------------------------------------------
 
-def coverage_counts(records, grid: LevelGrid, rng=None, ties=None) -> CoverageCurve:
-    """Observed coverage counts of centered prediction sets over a grid.
+def covered(sample: PitSample, levels: np.ndarray) -> np.ndarray:
+    """The coverage rule: whether each outcome lies in its centered set at
+    each of ``levels``, as ``(n, k)`` booleans: its central PIT is ``<= lambda``."""
+    if not sample.folded:
+        raise ValueError("coverage reads the central PIT")
+    return sample.values[:, None] <= levels
 
-    Counts, level by level, the records that the batch's coverage indicator
-    :meth:`~calcheck.records.RecordBatch.covered` puts inside the centered
-    set: those whose :func:`central` PIT is ``<= lambda``.  Particle clouds
-    draw it from a direction stream ``rng`` and a tie stream ``ties``.
-    """
-    if not len(records):
-        raise DataError("cannot compute coverage of an empty record list")
-    counts = np.count_nonzero(records.covered(grid.levels, rng, ties), axis=0)
-    return CoverageCurve(levels=grid, counts=counts, n=len(records))
+
+def coverage_counts(sample: PitSample, grid: LevelGrid) -> CoverageCurve:
+    """Observed coverage counts of centered prediction sets over a grid: at
+    each level, the records whose central PIT in ``sample`` is :func:`covered`."""
+    counts = np.count_nonzero(covered(sample, grid.levels), axis=0)
+    return CoverageCurve(levels=grid, counts=counts, n=sample.n)
 
 
 # ---------------------------------------------------------------------------
 # variance binning
 # ---------------------------------------------------------------------------
 
-def variance_bin(records, k_bins: int) -> VarianceBins:
-    """Partition records into equal-count bins by predicted uncertainty.
+def variance_bin(uncertainty: np.ndarray, k_bins: int) -> VarianceBins:
+    """Partition records into equal-count bins by their predicted
+    ``uncertainty``, one value per record.
 
     Bin edges sit at the empirical ``j / k_bins`` quantiles of the
     uncertainty values, so bin sizes differ by at most one.  Ties are broken
     by record order (stable sort), sending edge-straddling ties to the lower
     bin, which keeps reports reproducible.  Each bin's part lists its record
-    positions in record order, so a bin's batch keeps the input's order.
+    positions in record order, so a bin's scores keep the input's order.
     """
-    if not len(records):
+    if not len(uncertainty):
         raise DataError("cannot bin an empty record list")
     if k_bins < 1:
         raise ValueError("k_bins must be >= 1")
-    if k_bins > len(records):
-        raise DataError(f"k_bins={k_bins} exceeds the number of records {len(records)}")
-    values = records.uncertainty()
-    order = np.argsort(values, kind="stable")
+    if k_bins > len(uncertainty):
+        raise DataError(f"k_bins={k_bins} exceeds the number of records {len(uncertainty)}")
+    order = np.argsort(uncertainty, kind="stable")
     chunks = np.array_split(order, k_bins)
-    edges = np.array([values[chunk[0]] for chunk in chunks[1:]])
+    edges = np.array([uncertainty[chunk[0]] for chunk in chunks[1:]])
     return VarianceBins(bin_edges=edges, parts=tuple(np.sort(chunk) for chunk in chunks))
 
 

@@ -7,11 +7,10 @@ type: the JSON keys of its record lines, parsing and validation of the
 parameters, serialisation, the PIT and whether it is already central, and
 the scalar uncertainty that variance bins sort by.  Every family has a
 PIT; a cloud's is its randomized projected PIT, which draws from a
-direction stream and a tie stream.  Coverage is one rule, the central PIT
-(:func:`~calcheck.metric.central`) ``<= lambda``, which the offline
-coverage counts and the online monitor both read.  ``FAMILIES`` maps each
-model name to its type, so a batch's family is decided once, when its type
-is chosen.
+direction stream and a tie stream.  Coverage is read from the PIT by
+:mod:`calcheck.metric`, not from the batch: a batch is scored once, as it is
+read, and dropped.  ``FAMILIES`` maps each model name to its type, so a
+batch's family is decided once, when its type is chosen.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DataError, InvalidDistributionError, UnsupportedMetricError
-from .metric import central, projected_pit
+from .metric import projected_pit
 
 __all__ = [
     "RecordBatch",
@@ -137,15 +136,15 @@ def _time_index(v) -> int:
 class RecordBatch:
     """Records of one prediction family; each subclass is one family.
 
-    Every attribute of a batch holds one entry per record, so :meth:`take`
-    indexes them all together.  ``keys`` are the family's JSON fields in
+    Every attribute of a batch holds one entry per record, so :meth:`concat`
+    joins them all together.  ``keys`` are the family's JSON fields in
     file order, the outcome ``y`` last; the second key is the one that names
     the family in a record line.  ``_json_columns(rows)`` gives one column
     per key of the records ``rows``, a slice, each value as Python floats
     (lists of them for an array), which ``calcheck.cli.write_records``
     turns into text.  Each family defines ``pit_values(rng, ties)``, the
     PIT :func:`~calcheck.metric.pit` takes, and ``pit_is_central``, whether
-    it is already central; :meth:`covered` is its one coverage indicator.
+    it is already central.
     """
 
     kind: str
@@ -179,13 +178,6 @@ class RecordBatch:
     @property
     def dim(self) -> int:
         return self.y.shape[1]
-
-    def take(self, idx) -> "RecordBatch":
-        """The records at positions ``idx``, in that order, as a batch of this family."""
-        new = object.__new__(type(self))
-        for name, col in vars(self).items():
-            setattr(new, name, col[idx] if isinstance(col, np.ndarray) else [col[i] for i in idx])
-        return new
 
     @classmethod
     def from_objs(cls, objs: list[dict]) -> "RecordBatch":
@@ -221,14 +213,6 @@ class RecordBatch:
     def uncertainty(self) -> np.ndarray:
         """One scalar spread per record; a monotone transform is enough for binning."""
         raise UnsupportedMetricError(f"{self.kind} records have no scalar uncertainty to bin by")
-
-    def covered(self, levels: np.ndarray, rng: np.random.Generator | None = None,
-                ties: np.random.Generator | None = None) -> np.ndarray:
-        """Whether each outcome lies in its prediction's centered set at each of
-        ``levels``, as ``(n, k)`` booleans: the central PIT, the mass of the
-        smallest centered set holding the outcome, is ``<= lambda``.  Only
-        particle clouds read the random streams ``rng`` and ``ties``."""
-        return central(self, rng, ties).values[:, None] <= levels
 
 
 class GaussianBatch(RecordBatch):

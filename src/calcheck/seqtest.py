@@ -5,10 +5,10 @@ running product is a test martingale that may be inspected at every step,
 with Type-I error controlled by Ville's inequality.  The monitor here
 multiplies one likelihood-ratio e-value per incoming prediction/outcome pair
 and raises an alarm at the first crossing of ``1/alpha``.  One step,
-:func:`monitor_step`, serves every prediction family: it scores the coverage
-indicator the family's record batch supplies
-(:meth:`~calcheck.records.RecordBatch.covered`), so scalar Gaussian,
-multivariate Gaussian and particle-cloud streams are monitored alike.
+:func:`monitor_step`, serves every prediction family: it scores each
+record by the coverage rule (:func:`calcheck.metric.covered`) on its
+central PIT, so scalar Gaussian, multivariate Gaussian and particle-cloud
+streams are monitored alike.
 
 The running product is held in log space: an all-miss stream doubles the
 product every step, which would overflow floating point near one thousand
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .metric import central, covered
 from .records import RecordBatch
 
 __all__ = [
@@ -105,9 +106,9 @@ def monitor_step(
 ) -> tuple[MartingaleState, np.ndarray]:
     """Advance the coverage monitor over a batch of records of any family.
 
-    Scores each record's coverage indicator
-    :meth:`~calcheck.records.RecordBatch.covered` at the configured level,
-    the one :func:`calcheck.metric.coverage_counts` counts, and multiplies
+    Scores each record by the coverage rule :func:`calcheck.metric.covered`
+    on its :func:`~calcheck.metric.central` PIT at the configured level, the
+    rule :func:`calcheck.metric.coverage_counts` counts by, and multiplies
     the running martingale by the likelihood-ratio e-value of each
     indicator in record order.  Particle clouds need ``rng`` and ``ties``:
     each cloud's half-plane indicator is drawn on a fresh direction from
@@ -121,8 +122,8 @@ def monitor_step(
     hold, bit for bit; adding the carried ``log_e`` to a cumulative sum of
     the steps would round differently.
     """
-    covered = batch.covered(np.array([config.level]), rng, ties)[:, 0]
-    steps = np.where(covered, _log_lr(1, config), _log_lr(0, config))
+    hits = covered(central(batch, rng, ties), np.array([config.level]))[:, 0]
+    steps = np.where(hits, _log_lr(1, config), _log_lr(0, config))
     log_e = np.add.accumulate(np.concatenate(([state.log_e], steps)))
     first_crossing = state.first_crossing
     if first_crossing is None:

@@ -85,9 +85,9 @@ def test_traced_layers_see_ingest_and_monitor_steps(tmp_path):
     for layer in ("cli.iter_records", "seqtest.monitor_step_gaussian",
                   "seqtest.monitor_step_halfplane"):
         assert tracer.totals[layer][0] > 0, layer
-    # coverage_counts and halfplane_coverage each delegate to the batch's
-    # coverage indicator; check must still reach both by the names the
-    # tracer wraps, the weather check the one and a particle check the other
+    # coverage_counts and halfplane_coverage each count by the one coverage
+    # rule; check must still reach both by the names the tracer wraps, the
+    # weather check the one and a particle check the other
     saved = tracer.install({"cli": calcheck.cli, "metric": calcheck.metric,
                             "sim": calcheck.sim})
     try:
@@ -118,10 +118,11 @@ def test_traced_layers_see_ingest_and_monitor_steps(tmp_path):
         assert tracer.totals[layer][0] > 0, layer
 
 
-def test_binned_check_scores_and_tests_each_bin_through_the_traced_layers(tmp_path):
-    # a binned check bins once and then scores and tests each bin's records
-    # by the names the tracer wraps; scoring the whole batch once and slicing
-    # the scores would give the same bytes but zero these layers' figures
+def test_binned_check_scores_each_block_and_tests_each_bin_through_the_traced_layers(tmp_path):
+    # a binned check scores each block of records once, as it is read (the
+    # 365-record file is one block), then bins once and counts and tests each
+    # bin's scores, all by the names the tracer wraps; a call made by another
+    # name would give the same bytes but zero these layers' figures
     weather = tmp_path / "w"
     assert calcheck.cli.main(["simulate", "weather", "--seed", "1", "--out", str(weather)]) == 0
     records = str(weather / "weather_records.jsonl")
@@ -129,9 +130,9 @@ def test_binned_check_scores_and_tests_each_bin_through_the_traced_layers(tmp_pa
     folded_ks = ["check", records, "--bins", "3", "--metric", "folded_ks", "--sided", "one",
                  "--tolerance", "0.01"]
     cases = (
-        (binomial, {"metric.variance_bin": 1, "metric.coverage_counts": 3,
+        (binomial, {"metric.pit": 1, "metric.variance_bin": 1, "metric.coverage_counts": 3,
                     "hyptest.coverage_binomial_report": 3}),
-        (folded_ks, {"metric.variance_bin": 1, "metric.pit": 3, "hyptest.ks_test": 3}),
+        (folded_ks, {"metric.pit": 1, "metric.variance_bin": 1, "hyptest.ks_test": 3}),
     )
     for argv, calls in cases:
         tracer = load_tracing().Tracer()

@@ -38,7 +38,7 @@ from calcheck.cli import (
 )
 from calcheck.errors import ConfigError, DataError
 from calcheck.hyptest import ONE_SIDED, TWO_SIDED, HypothesisSpec
-from calcheck.metric import LevelGrid, fold, pit
+from calcheck.metric import LevelGrid, central, covered, fold, pit
 from calcheck.records import GaussianBatch, MvGaussianBatch, ParticleBatch
 from calcheck.seqtest import EValueConfig
 from calcheck.sim import RobotSimConfig, WeatherSimConfig, run_weather_sim
@@ -51,6 +51,11 @@ def gaussian_line(mu, sigma, y):
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+def sliced(batch, a, b):
+    """Records ``a`` to ``b`` of ``batch``, built as a batch of its family from slices."""
+    return type(batch)(*(getattr(batch, key)[a:b] for key in batch.keys), t=batch.t[a:b])
 
 
 # ---------------------------------------------------------------------------
@@ -96,11 +101,12 @@ def test_three_dimensional_clouds_cover_at_their_levels(tmp_path, capsys):
     n, m = 2000, 500
     batch = ParticleBatch(*self_drawn_clouds(rng, n, m, 3))
     levels = LevelGrid.default().levels
-    frac = batch.covered(levels, np.random.default_rng(6), np.random.default_rng(7)).mean(axis=0)
+    frac = covered(central(batch, np.random.default_rng(6), np.random.default_rng(7)),
+                   levels).mean(axis=0)
     se = np.sqrt(levels * (1 - levels) / n)
     assert np.all(np.abs(frac - levels) <= 4 * se)
     path = tmp_path / "clouds3.jsonl"
-    write_records(batch.take(np.arange(60)), path)
+    write_records(sliced(batch, 0, 60), path)
     for command in ("check", "monitor"):
         argv = [command, str(path), "--seed", "1"]
         assert cli.main(argv) in (0, 1), command
@@ -452,7 +458,7 @@ def test_run_check_deterministic_reports(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         with cli._Output(out) as writer:
-            cli._write_outputs(run_check(config, recs, digest=hashlib.sha256(payload)), writer)
+            cli._write_outputs(run_check(config, [recs], digest=hashlib.sha256(payload)), writer)
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
 
@@ -465,7 +471,7 @@ def test_slot_swap_to_monitor_runs_on_run_monitor(tmp_path):
         testing="evalue_monitor",
         evalue=EValueConfig(level=0.9, p_alt=0.8, alpha=0.05),
     )
-    rep_off = run_check(offline, recs)
+    rep_off = run_check(offline, [recs])
     emitted = []
     rep_on = run_monitor(online, [recs], on_row=emitted.append)
     assert rep_off.report["recipe_config"]["test"].startswith("binom")
@@ -476,7 +482,7 @@ def test_slot_swap_to_monitor_runs_on_run_monitor(tmp_path):
     assert rep_on.curves == {}
     # run_monitor is the one monitor entry point, and runs no offline recipe
     with pytest.raises(ConfigError, match="run_monitor"):
-        run_check(online, recs)
+        run_check(online, [recs])
     with pytest.raises(ConfigError, match="run_check"):
         run_monitor(offline, [recs])
 
@@ -485,7 +491,7 @@ def test_run_monitor_all_miss_crosses_at_five(tmp_path):
     recs = GaussianBatch(np.zeros(8), np.ones(8), np.full(8, 100.0))
     emitted = []  # one string of trace lines per batch
     with cli._Output(tmp_path) as out:
-        run = run_monitor(MONITOR, [recs.take(range(3)), recs.take(range(3, 8))],
+        run = run_monitor(MONITOR, [sliced(recs, 0, 3), sliced(recs, 3, 8)],
                           on_row=out.trace(MONITOR.evalue, emitted.append))
         cli._write_outputs(run, out)
     assert run.report["decision"] == "reject"
@@ -521,7 +527,7 @@ def test_run_monitor_overflow_emits_every_line_before_it():
     assert 900 < len(want) < n
     emitted = []
     with pytest.raises(OverflowError):
-        run_monitor(MONITOR, [recs.take(range(a, min(a + 300, n))) for a in range(0, n, 300)],
+        run_monitor(MONITOR, [sliced(recs, a, a + 300) for a in range(0, n, 300)],
                     on_row=emitted.append)
     assert [text.count("\n") for text in emitted] == [300, 300, 300, len(want) - 900]
     assert "".join(emitted) == "".join(want)
@@ -536,7 +542,7 @@ def monitor_outputs(recs, cuts, config=MONITOR) -> tuple[str, bytes, bytes]:
     bounds = [0, *sorted(set(cuts)), len(recs)]
     emitted = []
     with tempfile.TemporaryDirectory() as d, cli._Output(d) as out:
-        run = run_monitor(config, [recs.take(range(a, b)) for a, b in zip(bounds, bounds[1:])],
+        run = run_monitor(config, [sliced(recs, a, b) for a, b in zip(bounds, bounds[1:])],
                           on_row=out.trace(config.evalue, emitted.append))
         cli._write_outputs(run, out)
         got = ("".join(emitted), (Path(d) / "etrace.csv").read_bytes(),
@@ -667,7 +673,7 @@ def test_ks_ecdf_table_pairs_each_sorted_pit_with_its_level(tmp_path):
     _, recs = weather_file(tmp_path, seed=5)
     config = RecipeConfig(model="gaussian", metric="folded_ks", testing="ks",
                           hypothesis=HypothesisSpec(ONE_SIDED, 0.01))
-    header, columns = run_check(config, recs).curves["ecdf"]
+    header, columns = run_check(config, [recs]).curves["ecdf"]
     rows = np.column_stack(columns).tolist()
     v = np.sort(fold(pit(recs)).values)
     want = [[float(val), float((i + 1) / v.size)] for i, val in enumerate(v)]
@@ -732,7 +738,7 @@ def test_trace_lines_are_one_row_per_e_value(misses, data):
     bounds = [0, *sorted(set(cuts)), n]
     recs = GaussianBatch(np.zeros(n), np.ones(n), np.where(misses, 100.0, 0.0))
     emitted = []
-    run_monitor(config, [recs.take(range(a, b)) for a, b in zip(bounds, bounds[1:])],
+    run_monitor(config, [sliced(recs, a, b) for a, b in zip(bounds, bounds[1:])],
                 on_row=emitted.append)
     log_e, crossing, want = 0.0, None, []
     for t, miss in enumerate(misses, 1):
@@ -833,12 +839,19 @@ def test_cli_config_error_exit_2(tmp_path):
     assert cli.main(["check", str(path), "--alpha", "2.0"]) == 2
 
 
-def test_cli_data_error_exit_3(tmp_path):
+def test_cli_data_error_exit_3(tmp_path, capsys):
     missing = tmp_path / "nope.jsonl"
     assert cli.main(["check", str(missing)]) == 3
     empty = tmp_path / "empty.jsonl"
     empty.write_text("\n")
     assert cli.main(["check", str(empty)]) == 3
+    # with the model configured nothing is sniffed: the run finds no records
+    config = tmp_path / "model.json"
+    config.write_text('{"model": "gaussian"}')
+    capsys.readouterr()
+    for command in ("check", "monitor"):
+        assert cli.main([command, str(empty), "--config", str(config)]) == 3
+        assert capsys.readouterr().err == f"data error: no records to {command}\n"
     five = write_lines(tmp_path / "five.jsonl", [gaussian_line(0.0, 1.0, 0.5)] * 5)
     assert cli.main(["check", five, "--bins", "6"]) == 3  # more bins than records
 
@@ -1239,26 +1252,44 @@ def test_cli_monitor_stopped_midstream_leaves_no_output_files(tmp_path, monkeypa
     assert not (tmp_path / "out").exists()
 
 
+def traced_peak(tmp_path, command: list, n: int, out: bool = True) -> int:
+    """The peak traced memory of ``command`` over ``n`` Gaussian records,
+    one miss in eight lines, which lets a monitor's e-value drift down
+    without overflow."""
+    cycle = [gaussian_line(0.0, 1.0, y) for y in (0.1, -0.5, 2.0, 0.3, -1.2, 0.0, 1.5, -0.2)]
+    path = write_lines(tmp_path / f"r{n}.jsonl", cycle * (n // len(cycle)))
+    argv = [command[0], path, *command[1:]]
+    argv += ["--out", str(tmp_path / f"out{n}")] if out else []
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) in (0, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
 @pytest.mark.parametrize("command", [["monitor"], ["check", "--testing", "evalue_monitor"]])
 def test_cli_monitor_memory_does_not_grow_with_the_stream(tmp_path, command):
     # the monitor keeps no per-record state, and --out streams its trace,
-    # whether monitor or check's monitor slot runs it; one miss in eight
-    # lines lets the e-value drift down without overflow
-    cycle = [gaussian_line(0.0, 1.0, y) for y in (0.1, -0.5, 2.0, 0.3, -1.2, 0.0, 1.5, -0.2)]
+    # whether monitor or check's monitor slot runs it
+    traced_peak(tmp_path, command, 8)  # imports scipy.special and warms caches
+    assert traced_peak(tmp_path, command, 40_000) - traced_peak(tmp_path, command, 4_000) < 250_000
 
-    def peak(n: int) -> int:
-        path = write_lines(tmp_path / f"r{n}.jsonl", cycle * (n // len(cycle)))
-        argv = [command[0], path, *command[1:], "--out", str(tmp_path / f"out{n}")]
-        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-            tracemalloc.start()
-            try:
-                assert cli.main(argv) in (0, 1)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
 
-    peak(8)  # imports scipy.special and warms caches outside the measurement
-    assert peak(40_000) - peak(4_000) < 250_000
+@pytest.mark.parametrize("command, per_record", [
+    (["check"], 24),
+    (["check", "--bins", "3"], 24),
+    (["check", "--metric", "folded_ks", "--sided", "one"], 32),
+])
+def test_cli_check_memory_holds_one_score_per_record(tmp_path, command, per_record):
+    # an offline check keeps one score per record, and drops each block once
+    # it is scored; a joined batch held 46 to 55 bytes per Gaussian record.
+    # Without --out: the tables' text grows with the records by design
+    traced_peak(tmp_path, command, 8, out=False)
+    growth = (traced_peak(tmp_path, command, 40_000, out=False)
+              - traced_peak(tmp_path, command, 4_000, out=False))
+    assert growth < per_record * 36_000
 
 
 def test_cli_check_monitor_slot_and_monitor_agree_on_a_cut_stream(tmp_path, capsys):

@@ -113,13 +113,18 @@ def streams(seed):
     return np.random.default_rng([seed, 1]), np.random.default_rng([seed, 3])
 
 
+def covered(batch, levels, *rngs):
+    """The coverage rule on the batch's central PIT, drawn on ``rngs``."""
+    return metric.covered(metric.central(batch, *rngs), levels)
+
+
 def test_halfplane_interval_at_the_level_one_ulp_below_one():
     # the outcome ties with the cloud's top particle, so its PIT is uniform
     # on [0.75, 1]: its folded PIT is above 0.5 and, but for V = 1, below
     # the largest level under 1
     lam = np.nextafter(1.0, 0.0)
     cloud = ParticleBatch([[0.25, 0.5, 0.25]], [[[0.0], [1.0], [2.0]]], [[2.0]])
-    assert cloud.covered(np.array([0.5, lam]), *streams(0)).tolist() == [[False, True]]
+    assert covered(cloud, np.array([0.5, lam]), *streams(0)).tolist() == [[False, True]]
 
 
 def test_halfplane_indicator_scales_clouds_whose_projections_would_overflow():
@@ -131,15 +136,15 @@ def test_halfplane_indicator_scales_clouds_whose_projections_would_overflow():
         for y in ([0.0, 1.2e308], [1.5e308, 1.5e308], [-1e308, -1e308]):
             big = ParticleBatch([[0.5, 0.5]], [pts], [y])
             small = ParticleBatch([[0.5, 0.5]], [pts * 2.0**-600], [np.multiply(y, 2.0**-600)])
-            assert np.array_equal(big.covered(levels, *streams(seed)),
-                                  small.covered(levels, *streams(seed)))
+            assert np.array_equal(covered(big, levels, *streams(seed)),
+                                  covered(small, levels, *streams(seed)))
 
 
 def test_particle_coverage_needs_both_streams():
     cloud = ParticleBatch([[0.5, 0.5]], [[[0.0], [1.0]]], [[0.5]])
     for rngs in ((), (np.random.default_rng(0),), (None, np.random.default_rng(0))):
         with pytest.raises(UnsupportedMetricError, match="a direction and a tie stream"):
-            cloud.covered(np.array([0.5]), *rngs)
+            covered(cloud, np.array([0.5]), *rngs)
 
 
 def projected_pit(w, pts, y, seed=0):
@@ -305,9 +310,9 @@ def test_stacked_coverage_matches_the_per_cloud_oracle(dim, runs, counts, levels
     got_rngs, want_rngs, block_rngs = streams(seed), streams(seed), streams(seed)
     ends = sorted({0, len(batch), *(c for c in cuts if c < len(batch))})
     with mock.patch.object(metric, "CHUNK_PARTICLES", chunk):
-        got = batch.covered(levels, *got_rngs)
-        blocks = [batch.take(range(a, b)).covered(levels, *block_rngs)
-                  for a, b in zip(ends, ends[1:])]
+        got = covered(batch, levels, *got_rngs)
+        blocks = [covered(ParticleBatch(batch.w[a:b], batch.pts[a:b], batch.y[a:b]), levels,
+                          *block_rngs) for a, b in zip(ends, ends[1:])]
     want = [oracle_indicator(wi, pi, yi, levels, *want_rngs)
             for wi, pi, yi in zip(batch.w, batch.pts, batch.y)]
     assert np.array_equal(got, np.array(want).reshape(len(batch), levels.size))
@@ -326,7 +331,7 @@ def test_large_clouds_match_the_per_cloud_oracle():
     batch, levels = ParticleBatch(w, pts, y), np.array([0.1, 0.5, 0.9])
     assert 10 * 2000 > metric.CHUNK_PARTICLES
     got_rngs, want_rngs = streams(4), streams(4)
-    got = batch.covered(levels, *got_rngs)
+    got = covered(batch, levels, *got_rngs)
     want = [oracle_indicator(*cloud_, levels, *want_rngs)
             for cloud_ in zip(batch.w, batch.pts, batch.y)]
     assert np.array_equal(got, want)
@@ -339,6 +344,6 @@ def test_a_tie_free_batch_draws_nothing_from_the_tie_stream():
     w, pts, y = zip(*(cloud(rng, "spread", m, 2) for m in (2, 500, 7) for _ in range(20)))
     batch = ParticleBatch(w, pts, [yi + 0.5 for yi in y])  # off every particle
     directions, ties = streams(4)
-    batch.covered(np.array([0.1, 0.5, 0.9]), directions, ties)
+    covered(batch, np.array([0.1, 0.5, 0.9]), directions, ties)
     assert ties.bit_generator.state == streams(4)[1].bit_generator.state
     assert directions.bit_generator.state != streams(4)[0].bit_generator.state

@@ -30,8 +30,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calcheck import cli, records
-from calcheck.cli import RecipeConfig, RecordSource, iter_records, parse_records, run_monitor
+from calcheck.cli import (
+    RecipeConfig,
+    RecordSource,
+    iter_records,
+    parse_records,
+    run_check,
+    run_monitor,
+)
 from calcheck.errors import DataError
+from calcheck.hyptest import ONE_SIDED, HypothesisSpec
 from calcheck.records import FAMILIES
 from calcheck.seqtest import EValueConfig
 
@@ -258,6 +266,44 @@ def test_block_ingest_matches_the_per_line_parse(tmp_path, monkeypatch, kind, bl
             assert_same_records(kind, whole, want if error is None else [])
         assert (monitor_outcome(kind, iter_records(path, kind))
                 == monitor_outcome(kind, replay(want, want_error))), seed
+
+
+# Every offline recipe: Binomial coverage (half-plane for clouds), the KS
+# tests, and variance bins on the families with a scalar uncertainty
+CHECK_RECIPES = {
+    "bonferroni": dict(testing="binom_bonferroni"),
+    "holm_one_sided_tolerance": dict(testing="binom_holm",
+                                     hypothesis=HypothesisSpec(ONE_SIDED, 0.02)),
+    "pit_ks": dict(metric="pit_ks", testing="ks"),
+    "folded_ks_one_sided": dict(metric="folded_ks", testing="ks",
+                                hypothesis=HypothesisSpec(ONE_SIDED)),
+    "bins3": dict(testing="binom_bonferroni", bins=3),
+}
+
+
+@pytest.mark.parametrize("block", [cli.BLOCK, 97, 1])
+@pytest.mark.parametrize("kind", list(FAMILIES))
+def test_check_over_blocks_matches_the_check_of_the_joined_batch(tmp_path, monkeypatch, kind,
+                                                                 block):
+    # run_check scores each block as it is read and keeps one score per
+    # record; its report and tables are those of the whole file joined into
+    # one batch, however the file is cut into blocks
+    monkeypatch.setattr(cli, "BLOCK", block)
+    path = tmp_path / "records.jsonl"
+    for seed in range(2):
+        rng = np.random.default_rng([seed, list(FAMILIES).index(kind)])
+        path.write_text("".join(json.dumps(good_obj(rng, kind)) + "\n" for _ in range(40)))
+        for name, recipe in CHECK_RECIPES.items():
+            if kind == "particles" and "bins" in recipe:
+                continue  # a cloud has no scalar uncertainty to bin by
+            config = RecipeConfig(model=kind, seed=seed, **recipe)
+            got = run_check(config, iter_records(path, kind))
+            want = run_check(config, [parse_records(path, kind)])
+            assert got.report == want.report, (name, seed)
+            assert got.curves.keys() == want.curves.keys()
+            for table, (header, columns) in want.curves.items():
+                assert got.curves[table][0] == header
+                assert all(map(np.array_equal, got.curves[table][1], columns)), (name, table)
 
 
 def test_file_of_many_blocks_cut_by_a_bad_line(tmp_path):

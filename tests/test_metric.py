@@ -8,6 +8,7 @@ from calcheck.metric import (
     CoverageCurve,
     LevelGrid,
     PitSample,
+    central,
     coverage_counts,
     fold,
     pit,
@@ -103,13 +104,13 @@ def test_fold_preserves_uniformity():
 def test_coverage_all_medians_hit_every_level():
     n = 20
     recs = gaussian_records(np.zeros(n), np.ones(n), np.zeros(n))
-    curve = coverage_counts(recs, LevelGrid.default())
+    curve = coverage_counts(central(recs), LevelGrid.default())
     assert np.all(curve.counts == n)
 
 
 def test_coverage_hand_counted_at_95():
     recs = gaussian_records([0.0] * 3, [1.0] * 3, [0.0, 0.5, 3.0])
-    curve = coverage_counts(recs, LevelGrid([0.95]))
+    curve = coverage_counts(central(recs), LevelGrid([0.95]))
     assert curve.counts[0] == 2  # qtl(0.975) ~ 1.96 so only 3.0 falls outside
 
 
@@ -121,7 +122,7 @@ def test_coverage_matches_folded_ecdf_bit_for_bit():
         recs = gaussian_records(
             rng.normal(size=n), rng.uniform(0.5, 2.0, size=n), rng.normal(size=n)
         )
-        curve = coverage_counts(recs, grid)
+        curve = coverage_counts(central(recs), grid)
         folded = fold(pit(recs))
         for k, lam in enumerate(grid.levels):
             assert curve.counts[k] / curve.n == np.mean(folded.values <= lam)
@@ -135,7 +136,7 @@ def test_coverage_calibrated_monte_carlo():
     ys = mus + sigmas * rng.standard_normal(n)
     recs = gaussian_records(mus, sigmas, ys)
     grid = LevelGrid.default()
-    curve = coverage_counts(recs, grid)
+    curve = coverage_counts(central(recs), grid)
     for lam, frac in zip(grid.levels, curve.fractions):
         assert abs(frac - lam) <= 3.0 * math.sqrt(lam * (1 - lam) / n)
 
@@ -147,7 +148,14 @@ def test_coverage_curve_monotonicity_guard():
 
 def test_coverage_rejects_particles():
     with pytest.raises(UnsupportedMetricError):
-        coverage_counts(one_cloud_batch(), LevelGrid.default())
+        coverage_counts(central(one_cloud_batch()), LevelGrid.default())
+
+
+def test_coverage_reads_only_the_central_pit():
+    # the coverage rule reads the mass of the centered set, which a raw PIT is not
+    recs = gaussian_records([0.0] * 3, [1.0] * 3, [0.0, 0.5, 3.0])
+    with pytest.raises(ValueError, match="central PIT"):
+        coverage_counts(pit(recs), LevelGrid.default())
 
 
 def test_brownian_bridge_covariance_light():
@@ -172,14 +180,14 @@ def test_variance_bin_equal_sizes_366():
     recs = gaussian_records(
         np.zeros(366), np.linspace(1.0, 2.0, 366), np.zeros(366)
     )
-    bins = variance_bin(recs, 3)
+    bins = variance_bin(recs.uncertainty(), 3)
     sizes = [len(part) for part in bins.parts]
     assert sizes == [122, 122, 122]
 
 
 def test_variance_bin_tie_stability():
     recs = gaussian_records(np.zeros(10), np.ones(10), np.zeros(10))
-    bins = variance_bin(recs, 3)
+    bins = variance_bin(recs.uncertainty(), 3)
     sizes = [len(part) for part in bins.parts]
     assert max(sizes) - min(sizes) <= 1
     # ties broken by record order: first records land in the lower bins
@@ -189,7 +197,7 @@ def test_variance_bin_tie_stability():
 
 def test_variance_bin_parts_partition_the_records_in_record_order():
     sigmas = np.random.default_rng(2).permutation(np.arange(1.0, 13.0))
-    bins = variance_bin(gaussian_records(np.zeros(12), sigmas, np.zeros(12)), 3)
+    bins = variance_bin(gaussian_records(np.zeros(12), sigmas, np.zeros(12)).uncertainty(), 3)
     assert np.array_equal(np.sort(np.concatenate(bins.parts)), np.arange(12))
     for part, edge in zip(bins.parts, [*bins.bin_edges, np.inf]):
         assert np.all(np.diff(part) > 0) and np.all(sigmas[part] <= edge)
@@ -197,21 +205,21 @@ def test_variance_bin_parts_partition_the_records_in_record_order():
 
 def test_variance_bin_single_bin_is_whole_sample():
     recs = gaussian_records(np.zeros(5), np.arange(1.0, 6.0), np.zeros(5))
-    bins = variance_bin(recs, 1)
+    bins = variance_bin(recs.uncertainty(), 1)
     assert [len(part) for part in bins.parts] == [5]
 
 
 def test_variance_bin_rejects_more_bins_than_records():
     recs = gaussian_records(np.zeros(3), np.ones(3), np.zeros(3))
     with pytest.raises(ValueError):
-        variance_bin(recs, 4)
+        variance_bin(recs.uncertainty(), 4)
 
 
 def test_variance_bin_mv_uses_log_det_ordering():
     recs = MvGaussianBatch(
         mu=np.zeros((3, 2)), cov=[s * np.eye(2) for s in (3.0, 1.0, 2.0)], y=np.zeros((3, 2))
     )
-    bins = variance_bin(recs, 3)
+    bins = variance_bin(recs.uncertainty(), 3)
     assert [list(part) for part in bins.parts] == [[1], [2], [0]]
 
 
@@ -220,7 +228,7 @@ def test_coverage_counts_ellipsoid_center_and_chi2_boundary():
     radius = math.sqrt(2.0 * math.log(2.0))
     recs = MvGaussianBatch(mu=np.zeros((3, 2)), cov=[np.eye(2)] * 3,
                            y=[[0.0, 0.0], [radius, 0.0], [math.sqrt(10.0), 0.0]])
-    curve = coverage_counts(recs, LevelGrid([0.5, 0.999]))
+    curve = coverage_counts(central(recs), LevelGrid([0.5, 0.999]))
     # the center and the boundary point lie in the 0.5 ellipsoid, the far point only at 0.999
     assert curve.counts.tolist() == [2, 3]
 
@@ -238,7 +246,8 @@ def test_halfplane_coverage_calibrated_and_monotone():
         pts.append(rng.normal(size=(m, 2)))
         ys.append(pts[-1][rng.integers(0, m)])
     records = ParticleBatch([np.full(m, 1.0 / m)] * len(pts), pts, ys)
-    curve = coverage_counts(records, grid, np.random.default_rng(99), np.random.default_rng(98))
+    rngs = np.random.default_rng(99), np.random.default_rng(98)
+    curve = coverage_counts(central(records, *rngs), grid)
     assert np.all(np.diff(curve.counts) >= 0)
     for lam, frac in zip(grid.levels, curve.fractions):
         se = math.sqrt(lam * (1 - lam) / len(records))

@@ -13,7 +13,7 @@ from scipy.linalg import solve_triangular
 
 from calcheck.cli import parse_records, write_records
 from calcheck.errors import DataError, InvalidDistributionError
-from calcheck.metric import LevelGrid, central, coverage_counts, fold, pit
+from calcheck.metric import LevelGrid, central, coverage_counts, covered, fold, pit
 from calcheck.records import GaussianBatch, MvGaussianBatch, ParticleBatch
 from calcheck.seqtest import EValueConfig, MartingaleState, monitor_step
 
@@ -182,8 +182,8 @@ def test_gaussian_coverage_counts_are_the_folded_pit_ecdf(batch, levels):
     # the central PIT folds a scalar Gaussian's PIT and takes a multivariate
     # Gaussian's chi-square PIT as it is; coverage counts its ECDF
     grid = LevelGrid(sorted(levels))
-    curve = coverage_counts(batch, grid)
     folded = central(batch)
+    curve = coverage_counts(folded, grid)
     want = pit(batch) if isinstance(batch, MvGaussianBatch) else fold(pit(batch))
     assert folded.folded and np.array_equal(folded.values, want.values)
     for count, lam in zip(curve.counts, grid.levels):
@@ -206,17 +206,19 @@ def test_check_and_monitor_read_one_coverage_indicator(batch, levels, lam, seed)
         return np.random.default_rng(seed), np.random.default_rng([seed, 3])
 
     grid = LevelGrid(sorted(levels))
-    covered = batch.covered(grid.levels, *rngs())
-    assert covered.shape == (len(batch), grid.k) and covered.dtype == bool
-    assert np.array_equal(coverage_counts(batch, grid, *rngs()).counts,
-                          np.count_nonzero(covered, axis=0))
+    inside = covered(central(batch, *rngs()), grid.levels)
+    assert inside.shape == (len(batch), grid.k) and inside.dtype == bool
+    assert np.array_equal(coverage_counts(central(batch, *rngs()), grid).counts,
+                          np.count_nonzero(inside, axis=0))
     for j in range(grid.k):
-        assert np.array_equal(covered[:, j], batch.covered(grid.levels[j:j + 1], *rngs())[:, 0])
+        assert np.array_equal(inside[:, j],
+                              covered(central(batch, *rngs()), grid.levels[j:j + 1])[:, 0])
     config = EValueConfig(lam, lam / 2, 0.05)
     _, log_e = monitor_step(MartingaleState(), batch, config, *rngs())
     hits = np.diff(log_e, prepend=0.0) < 0.0  # a covered step halves the e-value
-    assert np.array_equal(hits, batch.covered(np.array([lam]), *rngs())[:, 0])
-    assert np.count_nonzero(hits) == coverage_counts(batch, LevelGrid([lam]), *rngs()).counts[0]
+    assert np.array_equal(hits, covered(central(batch, *rngs()), np.array([lam]))[:, 0])
+    assert (np.count_nonzero(hits)
+            == coverage_counts(central(batch, *rngs()), LevelGrid([lam])).counts[0])
 
 
 @SETTINGS

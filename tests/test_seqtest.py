@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from calcheck.cli import RecipeConfig, run_monitor
 from calcheck.errors import ConfigError
-from calcheck.metric import LevelGrid, coverage_counts
+from calcheck.metric import LevelGrid, central, coverage_counts
 from calcheck.records import GaussianBatch, ParticleBatch
 from calcheck.seqtest import (
     EValueConfig,
@@ -67,7 +67,7 @@ def test_gaussian_monitor_hits_equal_coverage_counts(data):
     run_monitor(config, [batch], on_row=emitted.append)
     e = [1.0] + [float(line.split(",")[1]) for line in "".join(emitted).splitlines()]
     hits = sum(after < before for before, after in zip(e, e[1:]))
-    assert hits == coverage_counts(batch, LevelGrid([level])).counts[0]
+    assert hits == coverage_counts(central(batch), LevelGrid([level])).counts[0]
 
 
 def test_config_validation():
@@ -250,7 +250,8 @@ def test_halfplane_monitor_deterministic_given_seed():
         rngs = np.random.default_rng(777), np.random.default_rng([777, 3])
         state, trace = MartingaleState(), []
         for a, b in zip([0, *cuts], [*cuts, 30]):
-            state, log_e = monitor_step(state, batch.take(range(a, b)), CFG, *rngs)
+            block = ParticleBatch(batch.w[a:b], batch.pts[a:b], batch.y[a:b])
+            state, log_e = monitor_step(state, block, CFG, *rngs)
             trace += log_e.tolist()
         return state, trace
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from calcheck import sim
 from calcheck.errors import DataError, WorkerLostError
 from calcheck.hyptest import ONE_SIDED, TWO_SIDED, HypothesisSpec, ks_test
-from calcheck.metric import LevelGrid, coverage_counts, fold, pit
+from calcheck.metric import LevelGrid, central, coverage_counts, fold, pit
 from calcheck.records import MvGaussianBatch, ParticleBatch
 from calcheck.seqtest import EValueConfig, MartingaleState, monitor_step
 from calcheck.sim import (
@@ -171,8 +171,8 @@ def test_robot_depletion_raises_with_step_number():
 
 def test_robot_zero_drift_halfplane_coverage_at_half():
     recs = run_robot_sim(RobotSimConfig(seed=3, drift_multiplier=0.0))
-    curve = coverage_counts(recs, LevelGrid([0.5]), np.random.default_rng(11),
-                            np.random.default_rng(12))
+    curve = coverage_counts(central(recs, np.random.default_rng(11), np.random.default_rng(12)),
+                            LevelGrid([0.5]))
     se = math.sqrt(0.25 / len(recs))
     assert abs(curve.fractions[0] - 0.5) <= 3.0 * se
 
@@ -196,13 +196,14 @@ def test_robot_baseline_drift_filter_lags_truth():
 def test_robot_gaussian_swap_tracks_halfplane_curve():
     grid = LevelGrid.default()
     recs = run_robot_sim(RobotSimConfig(seed=3, drift_multiplier=0.0))
-    hp = coverage_counts(recs, grid, np.random.default_rng([3, 2]), np.random.default_rng([3, 3]))
+    rngs = np.random.default_rng([3, 2]), np.random.default_rng([3, 3])
+    hp = coverage_counts(central(recs, *rngs), grid)
     # each cloud's weighted mean and covariance (weights sum to 1)
     mu = np.array([w @ pts for w, pts in zip(recs.w, recs.pts)])
     cov = np.array([(w[:, None] * (pts - m)).T @ (pts - m)
                     for w, pts, m in zip(recs.w, recs.pts, mu)])
     mm = MvGaussianBatch(mu, (cov + cov.transpose(0, 2, 1)) / 2.0, recs.y)
-    mv = coverage_counts(mm, grid)
+    mv = coverage_counts(central(mm), grid)
     assert np.max(np.abs(mv.fractions - hp.fractions)) <= 0.05
 
 

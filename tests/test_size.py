@@ -33,7 +33,7 @@ def test_two_sided_binomial_recipe_holds_its_size_on_the_weather_oracle(testing)
     # coverage count is exactly Binomial(n, level)
     config = RecipeConfig(model="gaussian", metric="coverage", testing=testing, alpha=ALPHA)
     rejections = sum(
-        run_check(config, run_weather_oracle(WeatherSimConfig(seed=seed))).report["decision"]
+        run_check(config, [run_weather_oracle(WeatherSimConfig(seed=seed))]).report["decision"]
         == "reject"
         for seed in range(REPS)
     )
@@ -73,14 +73,18 @@ def discrete_clouds(seed: int, n: int, m: int) -> ParticleBatch:
 
 @pytest.mark.slow
 @pytest.mark.parametrize("m", PARTICLE_COUNTS)
-@pytest.mark.parametrize("hypothesis", [HypothesisSpec(), HypothesisSpec(ONE_SIDED, 0.02)],
-                         ids=["two_sided", "one_sided_tolerance"])
-def test_binomial_check_holds_its_size_on_discrete_clouds(hypothesis, m):
+@pytest.mark.parametrize("testing, hypothesis", [
+    ("binom_bonferroni", HypothesisSpec()),
+    ("binom_bonferroni", HypothesisSpec(ONE_SIDED, 0.02)),
+    ("binom_bonferroni", HypothesisSpec(ONE_SIDED)),
+    ("binom_holm", HypothesisSpec()),
+], ids=["two_sided", "one_sided_tolerance", "one_sided", "holm_two_sided"])
+def test_binomial_check_holds_its_size_on_discrete_clouds(testing, hypothesis, m):
     # each outcome's projected PIT is uniform, atoms and all, so every
     # level's half-plane count is exactly Binomial(n, level)
-    config = RecipeConfig(model="particles", metric="halfplane", alpha=ALPHA,
+    config = RecipeConfig(model="particles", metric="halfplane", testing=testing, alpha=ALPHA,
                           hypothesis=hypothesis)
-    rejections = sum(run_check(config, discrete_clouds(seed, 200, m)).report["decision"]
+    rejections = sum(run_check(config, [discrete_clouds(seed, 200, m)]).report["decision"]
                      == "reject" for seed in range(REPS))
     assert rejections / REPS <= size_bound(ALPHA, REPS)
 
@@ -93,7 +97,7 @@ def test_ks_check_holds_its_size_on_discrete_clouds(metric, sided, m):
     # the PIT, or of the folded PIT, holds its size
     config = RecipeConfig(model="particles", metric=metric, testing="ks", alpha=ALPHA,
                           hypothesis=HypothesisSpec(sided))
-    rejections = sum(run_check(config, discrete_clouds(seed, 200, m)).report["decision"]
+    rejections = sum(run_check(config, [discrete_clouds(seed, 200, m)]).report["decision"]
                      == "reject" for seed in range(REPS))
     assert rejections / REPS <= size_bound(ALPHA, REPS)
 
@@ -131,7 +135,7 @@ def test_one_sided_check_holds_its_size_on_calibrated_and_cautious_mv_gaussians(
     # rejected at most at the size bound
     config = RecipeConfig(model="mv_gaussian", metric=metric, testing=testing, alpha=ALPHA,
                           hypothesis=HypothesisSpec(ONE_SIDED))
-    rejections = sum(run_check(config, mv_gaussians(seed, 200, d, inflate)).report["decision"]
+    rejections = sum(run_check(config, [mv_gaussians(seed, 200, d, inflate)]).report["decision"]
                      == "reject" for seed in range(REPS))
     assert rejections / REPS <= size_bound(ALPHA, REPS)
 
@@ -139,6 +143,7 @@ def test_one_sided_check_holds_its_size_on_calibrated_and_cautious_mv_gaussians(
 # Two-sided recipes and the default monitor, which test calibration itself
 MV_RECIPES = {
     "binomial": dict(metric="coverage", testing="binom_bonferroni"),
+    "bins3": dict(metric="coverage", testing="binom_bonferroni", bins=3),
     "pit_ks": dict(metric="pit_ks", testing="ks"),
     "monitor": dict(metric="coverage", testing="evalue_monitor",
                     evalue=EValueConfig(level=0.9, p_alt=0.8, alpha=ALPHA)),
@@ -152,14 +157,15 @@ def test_recipe_holds_its_size_on_calibrated_mv_gaussians(name, d):
     # each ellipsoid's central PIT is exactly uniform on calibrated records
     config = RecipeConfig(model="mv_gaussian", alpha=ALPHA, **MV_RECIPES[name])
     run = ((lambda batch: run_monitor(config, [batch])) if name == "monitor"
-           else (lambda batch: run_check(config, batch)))
+           else (lambda batch: run_check(config, [batch])))
     rejections = sum(run(mv_gaussians(seed, 200, d, 1.0)).report["decision"] == "reject"
                      for seed in range(REPS))
     assert rejections / REPS <= size_bound(ALPHA, REPS)
 
 
 # The one-sided recipes of the paper's claim (a), and, for the size tier,
-# the two-sided PIT test and variance binning, on scalar Gaussians
+# the two-sided PIT test and variance binning, Binomial and one-sided KS,
+# on scalar Gaussians
 ONE_SIDED_RECIPES = {
     "binomial": dict(metric="coverage", testing="binom_bonferroni",
                      hypothesis=HypothesisSpec(ONE_SIDED)),
@@ -168,7 +174,8 @@ ONE_SIDED_RECIPES = {
     "folded_ks": dict(metric="folded_ks", testing="ks", hypothesis=HypothesisSpec(ONE_SIDED)),
 }
 SIZE_RECIPES = {**ONE_SIDED_RECIPES, "pit_ks": dict(metric="pit_ks", testing="ks"),
-                "bins3": dict(bins=3)}
+                "bins3": dict(bins=3),
+                "bins3_folded_ks": dict(**ONE_SIDED_RECIPES["folded_ks"], bins=3)}
 # rejections of REPS overconfident oracles, sigma x 0.8, measured when the
 # power floors were set
 MEASURED_POWER = {"binomial": 397, "holm_tolerance": 376, "folded_ks": 398}
@@ -178,8 +185,8 @@ def oracle_rejections(recipe: dict, sd_scale: float) -> int:
     """How many of REPS weather oracles, 365 records each, their forecast
     spread scaled by ``sd_scale``, the recipe rejects."""
     config = RecipeConfig(model="gaussian", alpha=ALPHA, **recipe)
-    return sum(run_check(config, run_weather_oracle(WeatherSimConfig(
-        seed=seed, injected_sd_scale=sd_scale))).report["decision"] == "reject"
+    return sum(run_check(config, [run_weather_oracle(WeatherSimConfig(
+        seed=seed, injected_sd_scale=sd_scale))]).report["decision"] == "reject"
         for seed in range(REPS))
 
 

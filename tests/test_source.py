@@ -206,13 +206,31 @@ def test_only_cli_and_sim_serve_the_benchmark():
 
 
 def test_coverage_has_one_rule_and_clouds_one_constructor():
-    # every family covers by its central PIT, through RecordBatch.covered
-    # alone; particle clouds, the simulator's included, are built and
-    # checked by the one constructor
+    # every family covers by its central PIT, through metric.covered alone,
+    # which the offline counts and the monitor step both read; a batch has
+    # no coverage of its own, and no way to pick records out of it for a
+    # check that joins them; particle clouds, the simulator's included, are
+    # built and checked by the one constructor
     methods = {(cls.name, node.name) for tree in TREES.values() for cls in ast.walk(tree)
                if isinstance(cls, ast.ClassDef) for node in cls.body
                if isinstance(node, ast.FunctionDef)}
-    assert {cls for cls, name in methods if name == "covered"} == {"RecordBatch"}
+    batch_methods = {node.name for cls in ast.walk(TREES["records"])
+                     if isinstance(cls, ast.ClassDef) for node in cls.body
+                     if isinstance(node, ast.FunctionDef)}
+    assert not batch_methods & {"covered", "take"}
+    rules = [(module, node) for module, tree in TREES.items() for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name == "covered"]
+    assert [(module, node in TREES["metric"].body) for module, node in rules] == [("metric", True)]
+    assert callers(TREES["metric"], "covered") == {"coverage_counts"}
+    assert callers(TREES["seqtest"], "covered") == {"monitor_step"}
+    # no command joins the records: check and monitor both take the stream
+    # of blocks that iter_records yields
+    assert callers(TREES["cli"], "parse_records") == set()
+    cmd_check = function(TREES["cli"], "_cmd_check")
+    assert "parse_records" not in {node.id for node in ast.walk(cmd_check)
+                                   if isinstance(node, ast.Name)}
+    for name in ("run_check", "run_monitor"):
+        assert [a.arg for a in function(TREES["cli"], name).args.args][:2] == ["config", "batches"]
     assert {cls for cls, name in methods if name == "pit_values"} == {
         "GaussianBatch", "MvGaussianBatch", "ParticleBatch"}
     functions = {node.name for tree in TREES.values() for node in ast.walk(tree)
