@@ -33,13 +33,11 @@ directories it made.  Each output value is turned into text once: record
 lines' numbers by ``_float_texts``, every table's, the trace's too, by
 ``_csv_rows``, ``report.json``'s rows from CSV text.
 
-Importing this module loads numpy but neither scipy nor orjson.
-``scipy.special`` is loaded by the first PIT of (multivariate) Gaussian
-records and by the first Binomial tail, so by ``check`` and by ``monitor`` on
-Gaussian records; ``simulate``, ``report``, ``monitor`` on particles and a
-run that fails on its configuration never load it.  orjson, which parses
-every record line and writes every output number, is loaded by the first
-line parsed or number written, so by ``check``, ``monitor`` and ``simulate``.
+Importing this module loads numpy but not orjson, and no command loads
+scipy: the Gaussian and chi-square CDFs and the Binomial tails are
+calcheck's own (:mod:`calcheck.special`).  orjson, which parses every record
+line and writes every output number, is loaded by the first line parsed or
+number written, so by ``check``, ``monitor`` and ``simulate``.
 
 ``simulate drift_sweep`` runs its independent (multiplier, seed) cells in
 forked worker processes, one per usable CPU (on Linux; elsewhere in this
@@ -579,8 +577,9 @@ def _single_check(config: RecipeConfig, sample: PitSample,
     """One check's test report and its tables, each as columns, from the
     records' scores ``sample``."""
     if config.testing == "ks":
+        sample.values.sort()  # the run's own scores: in order, they serve the test and ecdf
         report = ks_test(sample, config.hypothesis, alpha)
-        v, cfg, lam = np.sort(sample.values), report.recipe_config, config.levels.levels
+        v, cfg, lam = sample.values, report.recipe_config, config.levels.levels
         crit, tol = cfg["band_halfwidth"], cfg["tolerance"]
         if cfg["sidedness"] == ONE_SIDED:
             bounds = [lam - crit - tol, np.ones_like(lam)]
@@ -1017,7 +1016,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="offline batch calibration check")
     p_check.add_argument("records", help="JSON-lines record file ('-' for stdin)")
     _add_run_flags(p_check)
-    p_check.add_argument("--levels", help="comma-separated coverage levels in (0,1)")
+    p_check.add_argument("--levels", help="comma-separated coverage levels in (0,1); the "
+                         "default grid stops at 0.95, and a grid reaching 0.99, such as "
+                         "0.5,0.8,0.9,0.95,0.99, is what sees over-confidence in the tails")
     p_check.add_argument("--tolerance", type=float)
     p_check.add_argument("--sided", choices=("one", "two"))
     p_check.add_argument("--metric", choices=METRICS)

@@ -6,14 +6,10 @@ through every test: a one-sided variant that only rejects over-confidence
 (under-coverage), and a tolerance that widens the null by an engineering
 margin so benign miscalibration survives large samples.
 
-Binomial tail probabilities are computed through the regularized incomplete
-beta function, never a normal approximation, so the integer quantiles are
-exact at any sample size.  They come from the Boost ufuncs in
-``scipy.special._ufuncs`` that ``scipy.stats.binom`` itself calls, behind a
-small adapter that keeps ``binom``'s boundary rules.  The adapter is built on
-the first Binomial tail, so importing this module loads no scipy and a run
-that tests no count never does; where the private names are missing, the
-first tail loads ``scipy.stats.binom`` instead.
+Binomial tail probabilities are exact sums of the pmf
+(:class:`calcheck.special.Binomial`), never a normal approximation, so the
+integer quantiles are exact at any sample size.  Each level's Binomial laws
+are built once, and read for both its bounds and its p-value.
 
 KS critical values use the closed-form finite-sample-valid bounds rather
 than the asymptotic Kolmogorov distribution; the slight conservatism is the
@@ -22,7 +18,6 @@ safe direction.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -30,6 +25,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .metric import CoverageCurve, PitSample
+from .special import Binomial
 
 __all__ = [
     "TWO_SIDED",
@@ -115,81 +111,61 @@ def _decision(reject: bool) -> str:
 # exact Binomial machinery
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _binom():
-    """The Binomial distribution every tail and quantile here reads, built on
-    the first call: ``_BoostBinom`` over the Boost ufuncs that
-    ``scipy.stats.binom`` itself calls, or ``scipy.stats.binom`` where those
-    private names are missing."""
-    try:
-        from scipy.special._ufuncs import _binom_cdf, _binom_isf, _binom_ppf, _binom_sf
-    except ImportError:  # private names, moved between scipy releases
-        from scipy.stats import binom
+def _check_quantile_args(n: int, p: float, a: float) -> None:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not 0.0 < p < 1.0 or not 0.0 < a < 1.0:
+        raise ValueError("p and a must lie in (0, 1)")
 
-        return binom
 
-    class _BoostBinom:
-        """``scipy.stats.binom``'s scalar ``cdf``, ``sf``, ``ppf`` and ``isf``
-        for integer ``n >= 1`` and ``0 < p < 1``, bit for bit: the same Boost
-        kernels, with ``rv_discrete``'s flooring of ``k``, its answers outside
-        the support ``[0, n)`` and its clipping to [0, 1].  The quantiles take
-        ``0 < q < 1``."""
+def _lower_quantile(law: Binomial, a: float) -> int:
+    c = law.ppf(a)
+    # ppf already implements this inverse; nudge across any floating-point
+    # knife edge so the definition holds exactly.
+    while c > 0 and law.cdf(c - 1) >= a:
+        c -= 1
+    while c < law.n and law.cdf(c) < a:
+        c += 1
+    return c
 
-        @staticmethod
-        def cdf(k, n, p):
-            if k < 0:
-                return 0.0
-            if k >= n:
-                return 1.0
-            return min(max(float(_binom_cdf(float(math.floor(k)), float(n), p)), 0.0), 1.0)
 
-        @staticmethod
-        def sf(k, n, p):
-            if k < 0:
-                return 1.0
-            if k >= n:
-                return 0.0
-            return min(max(float(_binom_sf(float(math.floor(k)), float(n), p)), 0.0), 1.0)
-
-        @staticmethod
-        def ppf(q, n, p):
-            return float(_binom_ppf(q, float(n), p))
-
-        @staticmethod
-        def isf(q, n, p):
-            return float(_binom_isf(q, float(n), p))
-
-    return _BoostBinom
+def _upper_quantile(law: Binomial, a: float) -> int:
+    c = law.isf(a)
+    while c < law.n and law.sf(c) >= a:  # P(C >= c+1) still >= a
+        c += 1
+    while c > 0 and law.sf(c - 1) < a:  # P(C >= c) < a
+        c -= 1
+    return c
 
 
 def binom_lower_quantile(n: int, p: float, a: float) -> int:
     """Smallest integer c with P(C <= c) >= a for C ~ Binomial(n, p)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 < p < 1.0 or not 0.0 < a < 1.0:
-        raise ValueError("p and a must lie in (0, 1)")
-    c = int(np.clip(_binom().ppf(a, n, p), 0, n))
-    # scipy's ppf already implements this inverse; nudge across any
-    # floating-point knife edge so the definition holds exactly.
-    while c > 0 and _binom().cdf(c - 1, n, p) >= a:
-        c -= 1
-    while c < n and _binom().cdf(c, n, p) < a:
-        c += 1
-    return c
+    _check_quantile_args(n, p, a)
+    return _lower_quantile(Binomial(n, p), a)
 
 
 def binom_upper_quantile(n: int, p: float, a: float) -> int:
     """Largest integer c with P(C >= c) >= a, mirroring the lower quantile."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 < p < 1.0 or not 0.0 < a < 1.0:
-        raise ValueError("p and a must lie in (0, 1)")
-    c = int(np.clip(_binom().isf(a, n, p), 0, n))
-    while c < n and _binom().sf(c, n, p) >= a:  # P(C >= c+1) still >= a
-        c += 1
-    while c > 0 and _binom().sf(c - 1, n, p) < a:  # P(C >= c) < a
-        c -= 1
-    return c
+    _check_quantile_args(n, p, a)
+    return _upper_quantile(Binomial(n, p), a)
+
+
+def _laws(n: int, level: float, spec: HypothesisSpec) -> tuple[Binomial, Binomial | None]:
+    """The Binomial laws a level's count is tested against: at ``level -
+    tolerance``, and two-sided at ``level + tolerance`` (None one-sided),
+    each built once; with zero tolerance both are one law."""
+    lo_level, hi_level = _shifted_levels(level, spec)
+    low = Binomial(n, lo_level)
+    if spec.sidedness == ONE_SIDED:
+        return low, None
+    return low, low if hi_level == lo_level else Binomial(n, hi_level)
+
+
+def _directional_p(count: int, low: Binomial, high: Binomial | None) -> float:
+    p_low = low.cdf(count)
+    if high is None:
+        return p_low
+    return min(1.0, 2.0 * min(p_low, high.sf(count - 1)))  # P(C >= count)
 
 
 def binom_directional_p(count: int, n: int, level: float, spec: HypothesisSpec) -> float:
@@ -200,12 +176,7 @@ def binom_directional_p(count: int, n: int, level: float, spec: HypothesisSpec) 
     ``level + tolerance``, capped at 1.  With zero tolerance these are the
     classical exact-Binomial p-values.
     """
-    lo_level, hi_level = _shifted_levels(level, spec)
-    p_low = float(_binom().cdf(count, n, lo_level))
-    if spec.sidedness == ONE_SIDED:
-        return p_low
-    p_high = float(_binom().sf(count - 1, n, hi_level))  # P(C >= count)
-    return min(1.0, 2.0 * min(p_low, p_high))
+    return _directional_p(count, *_laws(n, level, spec))
 
 
 def _shifted_levels(level: float, spec: HypothesisSpec) -> tuple[float, float]:
@@ -235,22 +206,25 @@ def binom_test(
     """
     if not 0 <= count <= n:
         raise ValueError(f"count must lie in [0, {n}], got {count}")
-    lo_level, hi_level = _shifted_levels(level, spec)
-    if spec.sidedness == ONE_SIDED:
-        lower = binom_lower_quantile(n, lo_level, alpha)
-        upper = n
+    return _level_result(count, level, alpha, *_laws(n, level, spec))
+
+
+def _level_result(count: int, level: float, alpha: float, low: Binomial,
+                  high: Binomial | None, p_value: float | None = None) -> BinomLevelResult:
+    """:func:`binom_test` on the level's laws (:func:`_laws`), with its
+    p-value when it is already known."""
+    if high is None:
+        lower, upper = _lower_quantile(low, alpha), low.n
     else:
-        lower = binom_lower_quantile(n, lo_level, alpha / 2.0)
-        upper = binom_upper_quantile(n, hi_level, alpha / 2.0)
-    reject = count < lower or count > upper
+        lower, upper = _lower_quantile(low, alpha / 2.0), _upper_quantile(high, alpha / 2.0)
     return BinomLevelResult(
         level=level,
         count=count,
-        n=n,
-        p_value=binom_directional_p(count, n, level, spec),
+        n=low.n,
+        p_value=_directional_p(count, low, high) if p_value is None else p_value,
         lower_bound=lower,
         upper_bound=upper,
-        reject=reject,
+        reject=count < lower or count > upper,
     )
 
 
@@ -293,17 +267,14 @@ def coverage_binomial_report(
         raise ConfigError(f"unknown correction {correction!r}")
     k = curve.levels.k
     n = curve.n
-    counts = curve.counts
-    if correction == "bonferroni":
-        per_alpha = [alpha / k] * k
-    else:
-        ps = np.array([binom_directional_p(int(c), n, float(lam), spec)
-                       for c, lam in zip(counts, curve.levels.levels)])
-        per_alpha = _holm_alphas(ps, alpha)
-    rows = tuple(
-        binom_test(int(c), n, float(lam), spec, a)
-        for c, lam, a in zip(counts, curve.levels.levels, per_alpha)
-    )
+    counts, levels = curve.counts.tolist(), curve.levels.levels.tolist()
+    if correction == "bonferroni":  # one level's laws at a time
+        rows = tuple(binom_test(c, n, lam, spec, alpha / k) for c, lam in zip(counts, levels))
+    else:  # each level's laws and p-value serve both passes
+        laws = [_laws(n, lam, spec) for lam in levels]
+        ps = [_directional_p(c, *law) for c, law in zip(counts, laws)]
+        rows = tuple(_level_result(c, lam, a, *law, p) for c, lam, a, law, p in
+                     zip(counts, levels, _holm_alphas(np.array(ps), alpha).tolist(), laws, ps))
     any_reject = any(r.reject for r in rows)
     p_min = min(r.p_value for r in rows)
     return TestReport(
@@ -333,18 +304,19 @@ def ks_statistic(sample: PitSample, spec: HypothesisSpec) -> float:
     Two-sided: ``sup |F_hat(t) - t|``.  One-sided: ``sup (t - F_hat(t))``,
     the deficit of the ECDF below the diagonal, which is the direction
     over-confidence pushes the folded PIT.  Both suprema are evaluated
-    exactly from the order statistics.
+    exactly from the order statistics; values already in order, as the CLI
+    hands them over, are read as they are, not sorted into a copy.
     """
-    v = np.sort(sample.values)
+    if spec.sidedness == ONE_SIDED and not sample.folded:
+        raise ValueError("the one-sided statistic is defined on folded samples")
+    v = sample.values
+    if not (v[1:] >= v[:-1]).all():
+        v = np.sort(v)
     n = v.size
-    i = np.arange(1, n + 1)
-    below = v - (i - 1) / n  # sup of (t - F_hat) approached left of each jump
+    below = float((v - np.arange(n) / n).max())  # sup of (t - F_hat) left of each jump
     if spec.sidedness == ONE_SIDED:
-        if not sample.folded:
-            raise ValueError("the one-sided statistic is defined on folded samples")
-        return float(max(below.max(), 0.0))
-    above = i / n - v
-    return float(max(below.max(), above.max()))
+        return max(below, 0.0)
+    return max(below, float((np.arange(1, n + 1) / n - v).max()))
 
 
 def ks_critical(n: int, alpha: float, sidedness: str = TWO_SIDED) -> float:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DataError, InvalidDistributionError, UnsupportedMetricError
 from .metric import projected_pit
+from .special import chi2_cdf, ndtr
 
 __all__ = [
     "RecordBatch",
@@ -38,19 +39,6 @@ WEIGHT_SUM_TOL = 1e-9
 # Clouds whose finiteness and signs are checked at once: one copy of a whole
 # simulated run's particles raised an in-process drift sweep's peak memory 7%
 CHECK_CLOUDS = 64
-
-
-def chi2_cdf(x, d: int):
-    """Chi-square CDF with ``d`` degrees of freedom.
-
-    Computed as the regularized lower incomplete gamma function
-    ``P(d/2, x/2)``, which is stable to far more digits than any tolerance
-    used by the tests built on top of it.  ``scipy.special`` is imported by
-    the first call, not with this module.
-    """
-    from scipy.special import gammainc
-
-    return gammainc(d / 2.0, np.asarray(x, dtype=float) / 2.0)
 
 
 def check_gaussian(mu, sigma) -> None:
@@ -233,10 +221,8 @@ class GaussianBatch(RecordBatch):
         return self.mu[rows].tolist(), self.sigma[rows].tolist(), self.y[rows, 0].tolist()
 
     def pit_values(self, rng=None, ties=None):
-        """The standard normal CDF of each standardised residual;
-        ``scipy.special`` is imported by the first call, not with this module."""
-        from scipy.special import ndtr
-
+        """The standard normal CDF of each standardised residual, scipy's
+        ``ndtr`` bit for bit (:func:`calcheck.special.ndtr`)."""
         # a residual beyond the float range is +-inf, whose CDF is exactly 0 or 1
         with np.errstate(over="ignore"):
             return ndtr((self.y[:, 0] - self.mu) / self.sigma)

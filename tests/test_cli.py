@@ -1035,28 +1035,12 @@ def test_cli_report_prints_and_exits_as_the_run_that_saved_it(tmp_path, capsys, 
     assert (f"error: {reason}" in block) == (code == 3)
 
 
-def test_cli_import_leaves_out_scipy_stats_and_linalg(tmp_path):
-    # and so do check and monitor on mv_gaussian records, whose distances
-    # come from numpy's batched matmul
-    path = str(mv_gaussian_file(tmp_path, seed=12, scale=1.0))
-    probe = ("import sys, calcheck.cli\n"
-             "def loaded():\n"
-             "    print(sorted(m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules))\n"
-             f"loaded(); calcheck.cli.main(['check', {path!r}])\n"
-             f"calcheck.cli.main(['monitor', {path!r}]); loaded()\n")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, check=True)
-    lines = proc.stdout.splitlines()
-    assert len(lines) > 2 and lines[0] == lines[-1] == "[]"
-
-
-def test_cli_loads_scipy_only_for_a_gaussian_cdf_or_binomial_tail(tmp_path):
-    # scipy.special is imported by the first Gaussian PIT, chi-square CDF or
-    # Binomial tail; simulations, particle monitors, report and refused
-    # settings need none of them.  multiprocessing is imported by a drift
-    # sweep that starts worker processes, and by no other command
+def test_cli_loads_no_scipy_and_forks_only_for_a_drift_sweep(tmp_path):
+    # no command imports a scipy module: the Gaussian and chi-square PITs and
+    # the Binomial tails are calcheck's own.  multiprocessing is imported by
+    # a drift sweep that starts worker processes, and by no other command
     weather, _ = weather_file(tmp_path, seed=5)
+    mv = str(mv_gaussian_file(tmp_path, seed=12, scale=1.0))
     bad = write_lines(tmp_path / "bad.jsonl", ["not json"])
     sweep = tmp_path / "sweep.json"
     sweep.write_text(json.dumps({"n_seeds": 1, "n_steps": 5, "n_particles": 20}))
@@ -1072,6 +1056,12 @@ def test_cli_loads_scipy_only_for_a_gaussian_cdf_or_binomial_tail(tmp_path):
         ["check", str(weather), "--lambda", "0.5"],
         ["check", bad],
         ["check", str(weather)],
+        ["check", str(weather), "--sided", "one", "--tolerance", "0.02", "--testing", "binom_holm"],
+        ["check", str(weather), "--metric", "pit_ks", "--bins", "2"],
+        ["monitor", str(weather)],
+        ["check", str(sim / "robot_records.jsonl")],
+        ["check", mv],
+        ["monitor", mv],
     ]
     result = tmp_path / "loaded.json"
     probe = ("import json, sys, calcheck.cli\n"
@@ -1090,14 +1080,11 @@ def test_cli_loads_scipy_only_for_a_gaussian_cdf_or_binomial_tail(tmp_path):
     (_, on_import, forked), *ran = json.loads(result.read_text())
     codes = [code for code, _, _ in ran]
     assert codes[:2] == [0, 0] and codes[2] in (0, 1) and codes[3] == codes[2]
-    assert codes[4:] == [0, 2, 3, 0]
+    assert codes[4:8] == [0, 2, 3, 0] and all(code in (0, 1) for code in codes[8:])
     assert on_import == [], on_import
-    for argv, (_, loaded, _) in zip(steps[:-1], ran):
+    for argv, (_, loaded, _) in zip(steps, ran):
         assert loaded == [], (argv, loaded)
     assert [forked] + [f for _, _, f in ran[:4]] == [False] * 5
-    loaded = ran[-1][1]
-    assert "scipy.special" in loaded
-    assert not [m for m in loaded if m.startswith(("scipy.stats", "scipy.linalg"))], loaded
 
 
 def test_cli_unwritable_out_exits_2(tmp_path, capsys):
@@ -1273,18 +1260,19 @@ def traced_peak(tmp_path, command: list, n: int, out: bool = True) -> int:
 def test_cli_monitor_memory_does_not_grow_with_the_stream(tmp_path, command):
     # the monitor keeps no per-record state, and --out streams its trace,
     # whether monitor or check's monitor slot runs it
-    traced_peak(tmp_path, command, 8)  # imports scipy.special and warms caches
+    traced_peak(tmp_path, command, 8)  # imports orjson and warms caches
     assert traced_peak(tmp_path, command, 40_000) - traced_peak(tmp_path, command, 4_000) < 250_000
 
 
 @pytest.mark.parametrize("command, per_record", [
     (["check"], 24),
     (["check", "--bins", "3"], 24),
-    (["check", "--metric", "folded_ks", "--sided", "one"], 32),
+    (["check", "--metric", "folded_ks", "--sided", "one"], 16),
 ])
 def test_cli_check_memory_holds_one_score_per_record(tmp_path, command, per_record):
     # an offline check keeps one score per record, and drops each block once
     # it is scored; a joined batch held 46 to 55 bytes per Gaussian record.
+    # A KS check sorts those scores in place, and the ecdf table reads them.
     # Without --out: the tables' text grows with the records by design
     traced_peak(tmp_path, command, 8, out=False)
     growth = (traced_peak(tmp_path, command, 40_000, out=False)

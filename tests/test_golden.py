@@ -68,11 +68,11 @@ CASES = {
 GOLDEN = {
     "check_bins3": {
         "exit": 0,
-        "stdout": "02c319772036a06c4bf96db3cb793da80461b8fb611542ae5e3db3e58a4034a5",
-        "coverage_bin0.csv": "a04ccc6b636cab2c6966987a9617ba519309a7081b13af91f528857be4766189",
-        "coverage_bin1.csv": "15186196561871d0e20e5e6d55993f0d5761e8797df1ba2d7377abd8d3646e36",
-        "coverage_bin2.csv": "346a92ca1288e137a4c242394f611186e4751ddb7cac5290d16cafa0a929327e",
-        "report.json": "a14745935e0ba8662f1243556c4632b9a30f1fecd61dade2e0a7b1be729dd0ed",
+        "stdout": "67a6f36d74c7655af42deac37c7b543bac9672cfff7d05a72a9ed8c568ad043e",
+        "coverage_bin0.csv": "30a1e9ab572f00a4393f76c7f677240ae981c8ee7da0de32fbbdfd7799a73ac7",
+        "coverage_bin1.csv": "0d42b225f85c62d8b5cfb8d81ae746904a8ba36199a887750415a3a7d37819d1",
+        "coverage_bin2.csv": "bc328832ca65fb20f0dc31b4d96820a55ad629ecf4652162fdbe0ee99321c41d",
+        "report.json": "7ac3956507cff5cd87fa17b2e859a65d19af4232ccbcf302056f645fc73d9c08",
     },
     "check_bins3_folded_ks": {
         "exit": 0,
@@ -87,7 +87,7 @@ GOLDEN = {
     },
     "check_default": {
         "exit": 0,
-        "stdout": "3ab6087ce5f8b7f24f152520f764ddd4916324c50ba443a7407e4233cbbd310e",
+        "stdout": "dfaba57f407f3e6bbc805bf3be1ea775092c2385324d511f704051d4b7ccb966",
     },
     "check_evalue_monitor": {
         "exit": 0,
@@ -104,7 +104,7 @@ GOLDEN = {
     },
     "check_holm_tol": {
         "exit": 0,
-        "stdout": "d5bc7bb88c0cb09b802c224639d6ce58c11362337619133778cd3ab29c1b4d5a",
+        "stdout": "15aa730d245312168bef9d809e1a5eaecddca57ebd4f3cbc9233ff6054b6adfc",
     },
     "check_pit_ks": {
         "exit": 0,
@@ -122,15 +122,15 @@ GOLDEN = {
     },
     "check_mv": {
         "exit": 0,
-        "stdout": "9edb3a4bb30ec9fc06b9225ff7798b7ae302edae74380ceb88754ac750a6f507",
-        "coverage.csv": "539dbd57d7daa5b5914ad4bf021498d7d236772ce2f6f153577c84221509eddc",
-        "report.json": "973144fc338655820901f8a9df31335d3a3b959b1c5fca45346896c576a887ca",
+        "stdout": "746d6d25ff992d35b189493765805d598143175c306421cdfbfadd70e7997702",
+        "coverage.csv": "8ab801579829256c5fc7dbc0366ca6900e187888a7b9ba16d4243a2c7d4c67a8",
+        "report.json": "25a601c1fe9b72d7b37fb5234cdb04d9f4a9563ad4b8ac0589131b5cd340676b",
     },
     "check_robot": {
         "exit": 0,
-        "stdout": "a232d2be0e4b0aa8b0244bdfb2b2b46acb9e2d9c60fe870e6e5814a48fb02fd6",
-        "coverage.csv": "60c0205ff96398e97b498dc1cc7f6158edf620f44ae2d83400ca27918047a488",
-        "report.json": "93b0e496910c9486cdb51ecac12cf12e7ac9288a31e24945be29d3af158d78ea",
+        "stdout": "a82c1a4f6362c1aac9260ade3848e7843b40e2a2540202997f3305072b17ea79",
+        "coverage.csv": "b196b4cb7c4d10551b192921bab9ebed56a41a305f6cdcc72f228f7c43fc3b37",
+        "report.json": "56d45788317b150653c31a55a6e77a25a89b51c2e2263a954a06f19ded5403e6",
     },
     "check_robot_folded_ks": {
         "exit": 0,
@@ -184,10 +184,10 @@ GOLDEN = {
     },
     "report_rerender": {
         "exit": 0,
-        "stdout": "ed1350cffa84d8ea7452c9ae4e015d7c51189429eced124c6825ba6cbae97d76",
-        "coverage_bin0.csv": "a04ccc6b636cab2c6966987a9617ba519309a7081b13af91f528857be4766189",
-        "coverage_bin1.csv": "15186196561871d0e20e5e6d55993f0d5761e8797df1ba2d7377abd8d3646e36",
-        "coverage_bin2.csv": "346a92ca1288e137a4c242394f611186e4751ddb7cac5290d16cafa0a929327e",
+        "stdout": "cc85f2504f005846b777919329b396ce8a33cea60cb3bcb8ef051704163fed2c",
+        "coverage_bin0.csv": "30a1e9ab572f00a4393f76c7f677240ae981c8ee7da0de32fbbdfd7799a73ac7",
+        "coverage_bin1.csv": "0d42b225f85c62d8b5cfb8d81ae746904a8ba36199a887750415a3a7d37819d1",
+        "coverage_bin2.csv": "bc328832ca65fb20f0dc31b4d96820a55ad629ecf4652162fdbe0ee99321c41d",
     },
     "simulate_drift_sweep": {
         "exit": 0,

@@ -164,8 +164,8 @@ def test_recipe_holds_its_size_on_calibrated_mv_gaussians(name, d):
 
 
 # The one-sided recipes of the paper's claim (a), and, for the size tier,
-# the two-sided PIT test and variance binning, Binomial and one-sided KS,
-# on scalar Gaussians
+# the two-sided PIT test and variance binning, Binomial, one-sided KS and
+# two-sided KS, on scalar Gaussians
 ONE_SIDED_RECIPES = {
     "binomial": dict(metric="coverage", testing="binom_bonferroni",
                      hypothesis=HypothesisSpec(ONE_SIDED)),
@@ -175,7 +175,8 @@ ONE_SIDED_RECIPES = {
 }
 SIZE_RECIPES = {**ONE_SIDED_RECIPES, "pit_ks": dict(metric="pit_ks", testing="ks"),
                 "bins3": dict(bins=3),
-                "bins3_folded_ks": dict(**ONE_SIDED_RECIPES["folded_ks"], bins=3)}
+                "bins3_folded_ks": dict(**ONE_SIDED_RECIPES["folded_ks"], bins=3),
+                "bins3_pit_ks": dict(metric="pit_ks", testing="ks", bins=3)}
 # rejections of REPS overconfident oracles, sigma x 0.8, measured when the
 # power floors were set
 MEASURED_POWER = {"binomial": 397, "holm_tolerance": 376, "folded_ks": 398}

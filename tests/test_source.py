@@ -2,7 +2,8 @@
 module uses every name it imports, and every name in an ``__all__`` or
 imported from a sibling module is defined there.  A deleted function whose
 import or export was left behind fails here, not at a user's import.  No
-module imports scipy or orjson when it is itself imported."""
+module imports scipy or orjson when it is itself imported, and none imports
+scipy at all."""
 
 import ast
 from pathlib import Path
@@ -93,10 +94,28 @@ def import_time_modules(tree):
             stack.extend(ast.iter_child_nodes(node))
 
 
+def imported_modules(tree):
+    """(line, module) of every absolute import, function bodies included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.lineno, node.module
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_module_imports_scipy_anywhere(module):
+    # scipy is a test oracle: the special functions are calcheck's own, so
+    # no command loads it, not even in a function body
+    found = sorted(line for line, name in imported_modules(TREES[module])
+                   if name.split(".")[0] == "scipy")
+    assert not found, f"calcheck/{module}.py imports scipy, lines {found}"
+
+
 @pytest.mark.parametrize("module", sorted(TREES))
 def test_no_module_level_scipy_or_orjson_import(module):
-    # scipy and orjson are imported by the first call that needs them, so
-    # importing the CLI loads numpy only
+    # orjson is imported by the first call that needs it, and scipy by none,
+    # so importing the CLI loads numpy only
     found = sorted(line for line, name in import_time_modules(TREES[module])
                    if name.split(".")[0] in ("scipy", "orjson"))
     assert not found, (f"calcheck/{module}.py imports scipy or orjson at module level, "
