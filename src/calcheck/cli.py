@@ -5,12 +5,15 @@ e-value monitor), ``simulate`` (generate experiment data), ``report``
 (re-render a saved run report).  Records travel as JSON lines, one record
 per line, so monitors can stream and tests can diff.  Input is read in
 blocks, and each block's complete lines become one batch of their family
-(:mod:`calcheck.records`).  The run the testing slot picks scores each batch
-as it arrives and drops it: an offline recipe keeps one score per record,
-and the ``evalue_monitor`` slot (``monitor``, ``check --testing
-evalue_monitor``) steps its martingale and streams its trace rows to ``--out``
-(``monitor`` prints them too), so its memory does not grow with the stream;
-it takes every family and scores the sets ``check`` scores.  Exit codes are
+(:mod:`calcheck.records`).  One scoring loop serves check and monitor: it
+scores each batch as it arrives, the PIT for ``pit_ks`` and the central PIT
+otherwise, and drops it, and the testing slot reads the scores a block at a
+time.  A Binomial test adds up k coverage counts; the KS test and variance
+bins keep one score per record; the ``evalue_monitor`` slot (``monitor``,
+``check --testing evalue_monitor``) steps its martingale and streams its
+trace rows to ``--out`` (``monitor`` prints them too).  So only a KS or
+binned check's memory grows with the stream, and the monitor takes every
+family and scores the sets ``check`` scores.  Exit codes are
 scriptable safety gates: 0 accept/clean, 1 reject/alarm, 2 usage or
 configuration error, 3 data error, 70 when a drift sweep worker process dies
 before returning its cell (a signal, the out-of-memory killer), and 141
@@ -25,13 +28,14 @@ a bad, empty or missing record input is reported.  The ``_METRICS`` and
 ``_TESTINGS`` tables are the one place where slot pairings are stated.
 Every family has a PIT, so the KS recipes take every model; a cloud's PIT
 draws on the streams that its half-plane coverage draws on.
-The runs (``run_check``, ``run_monitor``, ``run_simulate``) touch no file;
-every command emits through ``_finish``, which has ``_Output`` write every
-``--out`` file, record files included, and then prints the summary.  The
-files appear only when the run succeeds; a failed run removes the
-directories it made.  Each output value is turned into text once: record
-lines' numbers by ``_float_texts``, every table's, the trace's too, by
-``_csv_rows``, ``report.json``'s rows from CSV text.
+The runs (``run_check``, called as ``run_monitor`` for a monitor recipe,
+and ``run_simulate``) touch no file; every command emits through
+``_finish``, which has ``_Output`` write every ``--out`` file, record files
+included, and then prints the summary.  The files appear only when the run
+succeeds; a failed run removes the directories it made.  Each output value
+is turned into text once: record lines' numbers by ``_float_texts``, every
+table's, the trace's too, by ``_csv_rows``, ``report.json``'s rows from CSV
+text.
 
 Importing this module loads numpy but not orjson, and no command loads
 scipy: the Gaussian and chi-square CDFs and the Binomial tails are
@@ -50,6 +54,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import gc
 import hashlib
 import itertools
@@ -75,7 +80,8 @@ from .hyptest import (
     coverage_binomial_report,
     ks_test,
 )
-from .metric import LevelGrid, PitSample, central, coverage_counts, pit, variance_bin
+from .metric import (CoverageCurve, LevelGrid, PitSample, central, coverage_counts, pit,
+                     variance_bin)
 from .records import FAMILIES, RecordBatch
 from .seqtest import EValueConfig, MartingaleState, monitor_step
 from .sim import (
@@ -569,14 +575,37 @@ def sniff_model_kind(source: str | Path | RecordSource) -> str:
 
 
 # ---------------------------------------------------------------------------
-# offline check
+# check and monitor runs
 # ---------------------------------------------------------------------------
 
-def _single_check(config: RecipeConfig, sample: PitSample,
-                  alpha: float) -> tuple[TestReport, dict]:
-    """One check's test report and its tables, each as columns, from the
-    records' scores ``sample``."""
+def _block_scores(config: RecipeConfig,
+                  batches: Iterable[RecordBatch]) -> Iterator[tuple[PitSample, np.ndarray | None]]:
+    """The one scoring loop of check and monitor: each batch's scores, the
+    PIT for ``pit_ks`` and the central PIT otherwise, and under ``bins`` its
+    predicted uncertainty (else None), a pair per batch in record order.  A
+    check of no records is a data error here; a monitor reports its own."""
+    # a particle cloud's PIT draws its directions and tie-breaking uniforms
+    # from these streams, run on across batches; the other families read neither
+    rng = np.random.default_rng([config.seed, 1 if config.testing == "evalue_monitor" else 2])
+    ties = np.random.default_rng([config.seed, 3])
+    score = pit if config.metric == "pit_ks" else central  # by the names the tracer wraps
+    batch = None
+    for batch in batches:
+        yield score(batch, rng, ties), None if config.bins is None else batch.uncertainty()
+    if batch is None and config.testing != "evalue_monitor":
+        raise DataError("no records to check")
+
+
+def _offline(config: RecipeConfig, samples: Iterable[PitSample],
+             alpha: float) -> tuple[TestReport, dict]:
+    """The offline test at ``alpha`` of the scores in ``samples``, read a
+    block at a time, and its tables, each as columns.  A Binomial test adds
+    each block's coverage counts to k running counts, so no score outlives
+    its block; the KS test joins the scores and sorts them."""
     if config.testing == "ks":
+        samples = list(samples)
+        sample = PitSample(np.concatenate([s.values for s in samples]), samples[0].folded)
+        del samples  # the blocks' scores, freed before the sort
         sample.values.sort()  # the run's own scores: in order, they serve the test and ecdf
         report = ks_test(sample, config.hypothesis, alpha)
         v, cfg, lam = sample.values, report.recipe_config, config.levels.levels
@@ -589,9 +618,13 @@ def _single_check(config: RecipeConfig, sample: PitSample,
                         "band": (["level", "lower", "upper"], [lam, *bounds])}
     # the tracer times a cloud's coverage count under its own name
     count = coverage_counts if config.metric == "coverage" else halfplane_coverage
-    curve = count(sample, config.levels)
+    counts, n = 0, 0
+    for sample in samples:
+        curve = count(sample, config.levels)
+        counts, n = counts + curve.counts, n + curve.n
     correction = "holm" if config.testing == "binom_holm" else "bonferroni"
-    report = coverage_binomial_report(curve, config.hypothesis, alpha, correction)
+    report = coverage_binomial_report(CoverageCurve(config.levels, counts, n), config.hypothesis,
+                                      alpha, correction)
     rows = [(r.level, r.count, r.n, r.count / r.n, r.lower_bound, r.upper_bound, r.p_value,
              int(r.reject)) for r in report.per_level]
     return report, {"coverage": (["level", "count", "n", "fraction", "lower_bound",
@@ -599,116 +632,61 @@ def _single_check(config: RecipeConfig, sample: PitSample,
                                  [np.array(column) for column in zip(*rows)])}
 
 
-def _scores(config: RecipeConfig, batches: Iterable[RecordBatch]) -> tuple:
-    """Each record's PIT for the offline test, central but for ``pit_ks``, and under
-    ``bins`` its predicted uncertainty (else None), scored a batch at a time."""
-    # a particle cloud's PIT draws its directions and tie-breaking uniforms
-    # from these streams, run on across batches; the other families read neither
-    rng, ties = np.random.default_rng([config.seed, 2]), np.random.default_rng([config.seed, 3])
-    folded, scores, spreads = config.metric != "pit_ks", [], []
-    for batch in batches:  # the PIT by its name here, which the tracer wraps
-        scores.append((central if folded else pit)(batch, rng, ties).values)
-        if config.bins is not None:
-            spreads.append(batch.uncertainty())
-    if not scores:
-        raise DataError("no records to check")
-    sample = PitSample(np.concatenate(scores), folded)
-    scores.clear()  # freed before the uncertainty is joined
-    return sample, np.concatenate(spreads) if spreads else None
+def _binned(config: RecipeConfig, blocks: Iterable[tuple]) -> tuple[TestReport, dict]:
+    """The offline test on each bin of the records by predicted uncertainty,
+    at ``alpha / bins`` (Bonferroni across bins; disjoint samples make this
+    tight), and the bins' tables; the family rejects when any bin does."""
+    scores, spreads = [], []
+    for sample, spread in blocks:
+        scores.append(sample.values)
+        spreads.append(spread)
+    values = np.concatenate(scores)
+    scores.clear()  # each list is freed before the next is joined
+    uncertainty = np.concatenate(spreads)
+    spreads.clear()
+    bins = variance_bin(uncertainty, config.bins)
+    del uncertainty  # freed before the bins' scores are copied out
+    per_bin_alpha = config.alpha / config.bins
+    results = [_offline(config, [PitSample(values[part], sample.folded)], per_bin_alpha)
+               for part in bins.parts]
+    bin_reports = [rep for rep, _ in results]
+    curves = {f"{name}_bin{b}": table for b, (_, tables) in enumerate(results)
+              for name, table in tables.items()}
+    p_min = min(r.p_value for r in bin_reports)
+    return TestReport(
+        decision="reject" if any(r.rejected for r in bin_reports) else "accept",
+        statistic=p_min, threshold=per_bin_alpha, alpha=config.alpha, p_value=p_min,
+        recipe_config={"test": "variance_binned", "bins": config.bins,
+                       "bin_edges": [float(e) for e in bins.bin_edges],
+                       "bin_decisions": [r.decision for r in bin_reports],
+                       "inner": bin_reports[0].recipe_config.get("test")},
+    ), curves
 
 
-def run_check(
-    config: RecipeConfig,
-    batches: Iterable[RecordBatch],
-    digest: hashlib._Hash = hashlib.sha256(),
-) -> RunReport:
-    """Execute an offline recipe's slots on a stream of record batches,
-    each scored as it arrives (:func:`_scores`) and dropped.
+def _monitor(config: RecipeConfig, blocks: Iterable[tuple],
+             on_row: Callable[[str], None] | None) -> TestReport:
+    """The e-value monitor over the central PITs of ``blocks``: its
+    martingale, stepped a block at a time by one e-value per record, the
+    running maximum of the e-value and the block in hand are all it holds.
 
-    ``digest``, a sha256 of the input bytes (see :class:`RecordSource`),
-    identifies the input in the provenance.  An ``evalue_monitor`` recipe is
-    a configuration error here: :func:`run_monitor` is the one monitor entry
-    point.
-
-    With ``bins`` configured, the records are partitioned by predicted
-    uncertainty and the inner check runs on each bin's scores at
-    ``alpha / bins`` (Bonferroni across bins; disjoint samples make this
-    tight); the family rejects when any bin does.
-    """
-    if config.testing == "evalue_monitor":
-        raise ConfigError("an evalue_monitor recipe runs through run_monitor")
-    sample, uncertainty = _scores(config, batches)
-    if config.bins is None:
-        report, curves = _single_check(config, sample, config.alpha)
-    else:
-        bins = variance_bin(uncertainty, config.bins)
-        per_bin_alpha = config.alpha / config.bins
-        results = [_single_check(config, PitSample(sample.values[part], sample.folded),
-                                 per_bin_alpha) for part in bins.parts]
-        bin_reports = [rep for rep, _ in results]
-        curves = {f"{name}_bin{b}": table for b, (_, tables) in enumerate(results)
-                  for name, table in tables.items()}
-        p_min = min(r.p_value for r in bin_reports)
-        report = TestReport(
-            decision="reject" if any(r.rejected for r in bin_reports) else "accept",
-            statistic=p_min,
-            threshold=per_bin_alpha,
-            alpha=config.alpha,
-            p_value=p_min,
-            recipe_config={
-                "test": "variance_binned",
-                "bins": config.bins,
-                "bin_edges": [float(e) for e in bins.bin_edges],
-                "bin_decisions": [r.decision for r in bin_reports],
-                "inner": bin_reports[0].recipe_config.get("test"),
-            },
-        )
-    return RunReport(report=dataclasses.asdict(report), curves=curves,
-                     provenance=_provenance(config, digest))
-
-
-# ---------------------------------------------------------------------------
-# streaming monitor
-# ---------------------------------------------------------------------------
-
-def run_monitor(
-    config: RecipeConfig,
-    batches: Iterable[RecordBatch],
-    digest: hashlib._Hash = hashlib.sha256(),
-    on_row: Callable[[str], None] | None = None,
-) -> RunReport:
-    """Consume ``batches`` in order, advancing the test martingale one batch
-    at a time and multiplying it by one e-value per record.
-
-    The monitor holds no per-record state, only the martingale, the running
-    maximum of the e-value and the batch in hand, so its memory does not
-    grow with the stream.  ``on_row`` receives each batch's
-    ``t,e_value,alarmed`` rows, rendered by :func:`_csv_rows`, as one string
-    as soon as the batch is scored; ``monitor`` prints it, and under
-    ``--out`` :meth:`_Output.trace` streams it as the ``etrace`` table.
-    The decision is the first crossing of
+    ``on_row`` receives each block's ``t,e_value,alarmed`` rows, rendered by
+    :func:`_csv_rows`, as one string as soon as the block is stepped;
+    ``monitor`` prints it, and under ``--out`` :meth:`_Output.trace` streams
+    it as the ``etrace`` table.  The decision is the first crossing of
     ``1/alpha``; recording goes on after it.  A stream that dies mid-flight
     yields a partial report marked incomplete.  An e-value too large for a
     float raises ``OverflowError`` after the rows before it are emitted.
-    The provenance is taken after the stream ends, so a running ``digest``
-    covers every byte consumed.  The returned run has no curves.  An
-    offline recipe is a configuration error here: :func:`run_check` runs it.
     """
-    if config.testing != "evalue_monitor":
-        raise ConfigError("an offline recipe runs through run_check")
-    ev = config.evalue
-    state = MartingaleState()
-    rng, ties = np.random.default_rng([config.seed, 1]), np.random.default_rng([config.seed, 3])
+    ev, state = config.evalue, MartingaleState()
+    # one step under the tracer's per-family names (see their bindings)
+    step = monitor_step_halfplane if config.model == "particles" else monitor_step_gaussian
     peak = -math.inf  # the largest e-value so far
-    incomplete = False
-    error = None
+    incomplete, error = False, None
     try:
-        for batch in batches:
+        for sample, _ in blocks:
             t0 = state.t
-            # one step under the tracer's per-family names (see their bindings)
-            step = monitor_step_halfplane if batch.kind == "particles" else monitor_step_gaussian
-            state, log_e = step(state, batch, ev, rng, ties)
-            es: list[float] = []  # the e-value after each record of the batch
+            state, log_e = step(state, sample, ev)
+            es: list[float] = []  # the e-value after each record of the block
             try:
                 # math.exp, not np.exp: the trace holds libm's bits; extend
                 # keeps the values before an overflowing one
@@ -722,27 +700,47 @@ def run_monitor(
                     on_row(_csv_rows([ts, np.array(es), alarmed]))
             peak = max(peak, max(es, default=peak))
     except DataError as exc:
-        incomplete = True
-        error = str(exc)
+        incomplete, error = True, str(exc)
     if state.t == 0 and not incomplete:
         raise DataError("no records to monitor")
-    report = TestReport(
+    return TestReport(
         decision="reject" if state.alarmed else "accept",
-        statistic=peak if state.t else 1.0,
-        threshold=_threshold(ev),
-        alpha=ev.alpha,
-        recipe_config={
-            "test": "evalue_monitor",
-            "level": ev.level,
-            "p_alt": ev.p_alt,
-            "t": state.t,
-            "first_crossing": state.first_crossing,
-            "final_e": state.e_value,
-            "incomplete": incomplete,
-            **({"error": error} if error else {}),
-        },
+        statistic=peak if state.t else 1.0, threshold=_threshold(ev), alpha=ev.alpha,
+        recipe_config={"test": "evalue_monitor", "level": ev.level, "p_alt": ev.p_alt,
+                       "t": state.t, "first_crossing": state.first_crossing,
+                       "final_e": state.e_value, "incomplete": incomplete,
+                       **({"error": error} if error else {})},
     )
-    return RunReport(report=dataclasses.asdict(report), provenance=_provenance(config, digest))
+
+
+def run_check(
+    config: RecipeConfig,
+    batches: Iterable[RecordBatch],
+    digest: hashlib._Hash = hashlib.sha256(),
+    on_row: Callable[[str], None] | None = None,
+) -> RunReport:
+    """Execute a recipe's slots on a stream of record batches, each scored as
+    it arrives (:func:`_block_scores`) and dropped: an offline test
+    (:func:`_offline`), under ``bins`` on each bin (:func:`_binned`), or the
+    ``evalue_monitor`` slot (:func:`_monitor`), whose trace rows go to
+    ``on_row`` and whose run has no curves.  ``digest``, a sha256 of the
+    input bytes (see :class:`RecordSource`), identifies the input in the
+    provenance, taken after the stream ends, so it covers every byte consumed.
+    """
+    blocks = _block_scores(config, batches)
+    if config.testing == "evalue_monitor":
+        report, curves = _monitor(config, blocks, on_row), {}
+    elif config.bins is None:
+        report, curves = _offline(config, (sample for sample, _ in blocks), config.alpha)
+    else:
+        report, curves = _binned(config, blocks)
+    return RunReport(report=dataclasses.asdict(report), curves=curves,
+                     provenance=_provenance(config, digest))
+
+
+# Every monitor run is called by this name, which the benchmark's tracer
+# wraps as a layer of its own, as it wraps the monitor steps' names.
+run_monitor = run_check
 
 
 def _threshold(ev: EValueConfig) -> float:
@@ -1003,6 +1001,7 @@ def _add_run_flags(sp: argparse.ArgumentParser, out: str = "output directory") -
     sp.add_argument("--out", help=out)
 
 
+@functools.cache  # built once per process: a parse leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="calcheck",
@@ -1204,9 +1203,9 @@ def _cmd_check(args, testing: str | None = None,
             batches = iter_records(source, config.model)
             if config.testing == "evalue_monitor":
                 on_row = echo if out is None else out.trace(config.evalue, echo)
-                run = run_monitor(config, batches, digest=source.sha256, on_row=on_row)
+                run = run_monitor(config, batches, source.sha256, on_row)
             else:
-                run = run_check(config, batches, digest=source.sha256)
+                run = run_check(config, batches, source.sha256)
             code = _finish(run, out)
     if error := run.report["recipe_config"].get("error"):
         print(f"data error: {error}", file=sys.stderr)  # why the run is incomplete
@@ -1339,8 +1338,7 @@ def _cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     handlers = {
         "check": _cmd_check,
         "monitor": _cmd_monitor,

@@ -14,9 +14,10 @@ direction and tie draws are made in record order, so both generators end
 where a cloud-by-cloud loop leaves them.
 
 Coverage is one rule, :func:`covered`: the :func:`central` PIT ``<= lambda``.
-The offline coverage counts and the online monitor both read it, so they
-score the same sets, and the coverage curve and the central-PIT ECDF are
-one object.  Counts and bins take no records, only one score per record.
+The offline coverage counts and the monitor's step
+(:func:`calcheck.seqtest.monitor_step`) both read it, so they score the
+same sets, and the coverage curve and the central-PIT ECDF are one object.
+Counts, bins and the monitor take no records, only one score per record.
 """
 
 from __future__ import annotations
@@ -200,7 +201,8 @@ def variance_bin(uncertainty: np.ndarray, k_bins: int) -> VarianceBins:
     Bin edges sit at the empirical ``j / k_bins`` quantiles of the
     uncertainty values, so bin sizes differ by at most one.  Ties are broken
     by record order (stable sort), sending edge-straddling ties to the lower
-    bin, which keeps reports reproducible.  Each bin's part lists its record
+    bin, which keeps reports reproducible.  Each bin's part, its chunk of the
+    argsort sorted in place once the edges are read, lists its record
     positions in record order, so a bin's scores keep the input's order.
     """
     if not len(uncertainty):
@@ -212,7 +214,9 @@ def variance_bin(uncertainty: np.ndarray, k_bins: int) -> VarianceBins:
     order = np.argsort(uncertainty, kind="stable")
     chunks = np.array_split(order, k_bins)
     edges = np.array([uncertainty[chunk[0]] for chunk in chunks[1:]])
-    return VarianceBins(bin_edges=edges, parts=tuple(np.sort(chunk) for chunk in chunks))
+    for chunk in chunks:
+        chunk.sort()
+    return VarianceBins(bin_edges=edges, parts=tuple(chunks))
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,17 @@ running product is a test martingale that may be inspected at every step,
 with Type-I error controlled by Ville's inequality.  The monitor here
 multiplies one likelihood-ratio e-value per incoming prediction/outcome pair
 and raises an alarm at the first crossing of ``1/alpha``.  One step,
-:func:`monitor_step`, serves every prediction family: it scores each
-record by the coverage rule (:func:`calcheck.metric.covered`) on its
-central PIT, so scalar Gaussian, multivariate Gaussian and particle-cloud
-streams are monitored alike.
+:func:`monitor_step`, serves every prediction family: it takes folded PIT
+values (:class:`~calcheck.metric.PitSample`), not records, and scores each
+by the coverage rule (:func:`calcheck.metric.covered`), so scalar Gaussian,
+multivariate Gaussian and particle-cloud streams are monitored alike once
+the metric slot has scored them.
 
 The running product is held in log space: an all-miss stream doubles the
 product every step, which would overflow floating point near one thousand
 steps if stored directly.  A step advances the martingale over a whole
-record batch at once and returns the running log e-value after each
-record, so a stream read in blocks is monitored one block at a time.
+block of scores at once and returns the running log e-value after each,
+so a stream read in blocks is monitored one block at a time.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .metric import central, covered
-from .records import RecordBatch
+from .metric import PitSample, covered
 
 __all__ = [
     "EValueConfig",
@@ -97,32 +97,22 @@ def _log_lr(k: int, config: EValueConfig) -> float:
     return math.log1p(-config.p_alt) - math.log1p(-config.level)
 
 
-def monitor_step(
-    state: MartingaleState,
-    batch: RecordBatch,
-    config: EValueConfig,
-    rng: np.random.Generator | None = None,
-    ties: np.random.Generator | None = None,
-) -> tuple[MartingaleState, np.ndarray]:
-    """Advance the coverage monitor over a batch of records of any family.
+def monitor_step(state: MartingaleState, sample: PitSample,
+                 config: EValueConfig) -> tuple[MartingaleState, np.ndarray]:
+    """Advance the coverage monitor over a block of folded PIT values.
 
-    Scores each record by the coverage rule :func:`calcheck.metric.covered`
-    on its :func:`~calcheck.metric.central` PIT at the configured level, the
-    rule :func:`calcheck.metric.coverage_counts` counts by, and multiplies
-    the running martingale by the likelihood-ratio e-value of each
-    indicator in record order.  Particle clouds need ``rng`` and ``ties``:
-    each cloud's half-plane indicator is drawn on a fresh direction from
-    ``rng``, and a tie with its particles is broken by a uniform from
-    ``ties``, cloud by cloud in record order, so a block step equals
-    sequential steps; the other families read neither.  Returns the state
-    after the batch and the running log e-value after each of its records.
+    Scores each value by the coverage rule :func:`calcheck.metric.covered`
+    at the configured level, the rule :func:`calcheck.metric.coverage_counts`
+    counts by, and multiplies the running martingale by the likelihood-ratio
+    e-value of each indicator in order.  Returns the state after the block
+    and the running log e-value after each of its values.
 
     ``np.add.accumulate`` over ``[log_e, *steps]`` adds the steps one at a
     time, left to right, so every entry is the sum a step-by-step loop would
     hold, bit for bit; adding the carried ``log_e`` to a cumulative sum of
     the steps would round differently.
     """
-    hits = covered(central(batch, rng, ties), np.array([config.level]))[:, 0]
+    hits = covered(sample, np.array([config.level]))[:, 0]
     steps = np.where(hits, _log_lr(1, config), _log_lr(0, config))
     log_e = np.add.accumulate(np.concatenate(([state.log_e], steps)))
     first_crossing = state.first_crossing

@@ -26,6 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, WorkerLostError
+from .metric import central
 from .records import GaussianBatch, ParticleBatch
 # The benchmark's tracer (bench/tracing.py) wraps functions by module
 # attribute and times the particle monitor step by this name.
@@ -342,7 +343,8 @@ def _sweep_cell(cfg: RobotSimConfig, monitor: EValueConfig) -> tuple[MartingaleS
     the final state and the running log e-value after every step."""
     # the direction and tie streams, independent of the sim's
     mon_rng, ties = np.random.default_rng([cfg.seed, 1]), np.random.default_rng([cfg.seed, 3])
-    return monitor_step_halfplane(MartingaleState(), run_robot_sim(cfg), monitor, mon_rng, ties)
+    sample = central(run_robot_sim(cfg), mon_rng, ties)
+    return monitor_step_halfplane(MartingaleState(), sample, monitor)
 
 
 # The cell's layers as this module defines and imports them.  A wrapper put

@@ -147,6 +147,30 @@ def test_binned_check_scores_each_block_and_tests_each_bin_through_the_traced_la
         assert {layer: tracer.totals[layer][0] for layer in calls} == calls, argv
 
 
+def test_binomial_check_scores_and_counts_each_block_through_the_traced_layers(
+        tmp_path, monkeypatch):
+    # an unbinned Binomial check scores each block once and adds its coverage
+    # counts as it comes, both by the names the tracer wraps; small blocks
+    # cut the 365-record file into several
+    monkeypatch.setattr(calcheck.cli, "BLOCK", 1 << 12)
+    weather = tmp_path / "w"
+    assert calcheck.cli.main(["simulate", "weather", "--seed", "1", "--out", str(weather)]) == 0
+    records = weather / "weather_records.jsonl"
+    blocks = len(list(calcheck.cli.iter_records(records, "gaussian")))
+    assert blocks > 1
+    tracer = load_tracing().Tracer()
+    saved = tracer.install({"cli": calcheck.cli, "metric": calcheck.metric,
+                            "sim": calcheck.sim})
+    try:
+        tracer.begin_command()
+        assert calcheck.cli.main(["check", str(records)]) in (0, 1)
+        tracer.end_command(keep=True)
+    finally:
+        tracer.uninstall(saved)
+    calls = {layer: tracer.totals[layer][0] for layer in ("metric.pit", "metric.coverage_counts")}
+    assert calls == {"metric.pit": blocks, "metric.coverage_counts": blocks}
+
+
 def test_traced_simulate_reaches_the_render_layer(tmp_path):
     # simulate prints and writes report.json through the functions the
     # tracer wraps as cli.render, or sweep_robot's render figures read zero

@@ -480,11 +480,6 @@ def test_slot_swap_to_monitor_runs_on_run_monitor(tmp_path):
     assert [line.split(",")[0] for line in "".join(emitted).splitlines()] == [
         str(t) for t in range(1, len(recs) + 1)]
     assert rep_on.curves == {}
-    # run_monitor is the one monitor entry point, and runs no offline recipe
-    with pytest.raises(ConfigError, match="run_monitor"):
-        run_check(online, [recs])
-    with pytest.raises(ConfigError, match="run_check"):
-        run_monitor(offline, [recs])
 
 
 def test_run_monitor_all_miss_crosses_at_five(tmp_path):
@@ -1265,19 +1260,34 @@ def test_cli_monitor_memory_does_not_grow_with_the_stream(tmp_path, command):
 
 
 @pytest.mark.parametrize("command, per_record", [
-    (["check"], 24),
+    (["check"], 2),
     (["check", "--bins", "3"], 24),
     (["check", "--metric", "folded_ks", "--sided", "one"], 16),
 ])
 def test_cli_check_memory_holds_one_score_per_record(tmp_path, command, per_record):
-    # an offline check keeps one score per record, and drops each block once
-    # it is scored; a joined batch held 46 to 55 bytes per Gaussian record.
-    # A KS check sorts those scores in place, and the ecdf table reads them.
+    # an offline check keeps at most one score per record, and drops each
+    # block once it is scored; a joined batch held 46 to 55 bytes per
+    # Gaussian record.  A Binomial check keeps only its k running counts.  A
+    # KS check sorts its scores in place, and the ecdf table reads them.
     # Without --out: the tables' text grows with the records by design
     traced_peak(tmp_path, command, 8, out=False)
     growth = (traced_peak(tmp_path, command, 40_000, out=False)
               - traced_peak(tmp_path, command, 4_000, out=False))
     assert growth < per_record * 36_000
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("command, per_record", [(["check"], 2), (["check", "--bins", "3"], 24)])
+def test_cli_check_memory_at_a_million_records(tmp_path, command, per_record):
+    # where the records' arrays, not a block's parse, set the peak: a
+    # Binomial check holds k counts, and a binned one the scores, the
+    # uncertainty and the argsort positions, whose chunks are the bins' parts
+    # (8 bytes each per record); the lists of block arrays add a few
+    # pointers per block, well under one block of input
+    traced_peak(tmp_path, command, 8, out=False)
+    growth = (traced_peak(tmp_path, command, 1_000_000, out=False)
+              - traced_peak(tmp_path, command, 100_000, out=False))
+    assert growth < per_record * 900_000 + cli.BLOCK
 
 
 def test_cli_check_monitor_slot_and_monitor_agree_on_a_cut_stream(tmp_path, capsys):
@@ -1305,6 +1315,26 @@ def test_cli_check_monitor_slot_and_monitor_agree_on_a_cut_stream(tmp_path, caps
     rows, summary = monitor[1].split("\n", 200), check[1]
     assert rows[-1] == summary
     assert [row.split(",")[0] for row in rows[:-1]] == [str(t) for t in range(1, 201)]
+
+
+def test_consecutive_main_calls_report_as_fresh_calls(tmp_path, capsys):
+    # main builds its argument parser once per process: a parse leaves no
+    # flag behind, so each command reports what it reports on a new parser
+    path, _ = weather_file(tmp_path, seed=5)
+    argvs = [["check", str(path), "--bins", "3", "--sided", "one"], ["check", str(path)],
+             ["monitor", str(path)]]
+
+    def run(argv, out):
+        code = cli.main([*argv, "--out", str(out)])
+        return code, capsys.readouterr(), (out / "report.json").read_bytes()
+
+    fresh = []
+    for i, argv in enumerate(argvs):
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv, tmp_path / f"fresh{i}"))
+    assert cli._build_parser() is cli._build_parser()
+    assert [run(argv, tmp_path / f"again{i}") for i, argv in enumerate(argvs)] == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 0]
 
 
 def test_cli_seed_env_fallback(tmp_path, capsys, monkeypatch):

@@ -214,7 +214,7 @@ def test_check_and_monitor_read_one_coverage_indicator(batch, levels, lam, seed)
         assert np.array_equal(inside[:, j],
                               covered(central(batch, *rngs()), grid.levels[j:j + 1])[:, 0])
     config = EValueConfig(lam, lam / 2, 0.05)
-    _, log_e = monitor_step(MartingaleState(), batch, config, *rngs())
+    _, log_e = monitor_step(MartingaleState(), central(batch, *rngs()), config)
     hits = np.diff(log_e, prepend=0.0) < 0.0  # a covered step halves the e-value
     assert np.array_equal(hits, covered(central(batch, *rngs()), np.array([lam]))[:, 0])
     assert (np.count_nonzero(hits)

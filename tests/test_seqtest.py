@@ -28,7 +28,7 @@ CFG = EValueConfig(level=0.9, p_alt=0.8, alpha=0.05)
 def hits(mu, sigma, y, config) -> list[bool]:
     """Whether one monitor step over the records scored each ``y`` inside
     its centered interval: a hit lowers the running log e-value."""
-    _, log_e = monitor_step(MartingaleState(), GaussianBatch(mu, sigma, y), config)
+    _, log_e = monitor_step(MartingaleState(), central(GaussianBatch(mu, sigma, y)), config)
     return (np.diff(log_e, prepend=0.0) < 0.0).tolist()
 
 
@@ -107,7 +107,7 @@ def constant_batch(n: int, y: float) -> GaussianBatch:
 
 
 def test_gaussian_monitor_all_hits_never_alarms():
-    state, log_e = monitor_step(MartingaleState(), constant_batch(200, 0.0), CFG)
+    state, log_e = monitor_step(MartingaleState(), central(constant_batch(200, 0.0)), CFG)
     assert not state.alarmed
     assert state.first_crossing is None
     assert state.t == len(log_e) == 200
@@ -115,9 +115,9 @@ def test_gaussian_monitor_all_hits_never_alarms():
 
 
 def test_gaussian_monitor_all_misses_crosses_at_five():
-    state, _ = monitor_step(MartingaleState(), constant_batch(4, 100.0), CFG)
+    state, _ = monitor_step(MartingaleState(), central(constant_batch(4, 100.0)), CFG)
     assert not state.alarmed  # 2^4 = 16 < 20
-    state, log_e = monitor_step(state, constant_batch(3, 100.0), CFG)
+    state, log_e = monitor_step(state, central(constant_batch(3, 100.0)), CFG)
     assert state.alarmed
     assert state.first_crossing == 5  # 2^5 = 32 > 20
     assert state.e_value == pytest.approx(2.0**7, rel=1e-9)
@@ -125,9 +125,9 @@ def test_gaussian_monitor_all_misses_crosses_at_five():
 
 
 def test_monitor_keeps_recording_after_alarm():
-    state, _ = monitor_step(MartingaleState(), constant_batch(6, 100.0), CFG)
+    state, _ = monitor_step(MartingaleState(), central(constant_batch(6, 100.0)), CFG)
     assert state.alarmed and state.first_crossing == 5
-    later, _ = monitor_step(state, constant_batch(1, 0.0), CFG)
+    later, _ = monitor_step(state, central(constant_batch(1, 0.0)), CFG)
     assert later.alarmed and later.first_crossing == 5
     assert later.t == 7
 
@@ -179,7 +179,7 @@ def test_batch_steps_equal_sequential_steps_bit_for_bit(data):
             continue  # ingest yields no empty batch
         # a hit scores the median, a miss an outcome fifty sigmas out
         batch = GaussianBatch(np.zeros(b - a), np.ones(b - a), np.where(covered[a:b], 0.0, 50.0))
-        state, log_e = monitor_step(state, batch, config)
+        state, log_e = monitor_step(state, central(batch), config)
         assert len(log_e) == b - a
         logs += log_e.tolist()
     assert logs == want_logs
@@ -227,7 +227,7 @@ def test_halfplane_monitor_tie_policy_two_particles():
     n = 400
     w, pts = np.array([0.5, 0.5]), np.array([[0.0, 0.0], [1.0, 1.0]])
     batch = ParticleBatch([w] * n, [pts] * n, [[1.0, 1.0]] * n)
-    _, log_e = monitor_step(MartingaleState(), batch, CFG, *streams(0))
+    _, log_e = monitor_step(MartingaleState(), central(batch, *streams(0)), CFG)
     hits = np.diff(log_e, prepend=0.0) < 0.0  # a covered step lowers the e-value
     theta = streams(0)[0].uniform(0.0, np.pi, n)  # each cloud's direction
     u = np.where(np.cos(theta) + np.sin(theta) > 0.0, 0.5, 0.0) + streams(0)[1].random(n) * 0.5
@@ -251,7 +251,7 @@ def test_halfplane_monitor_deterministic_given_seed():
         state, trace = MartingaleState(), []
         for a, b in zip([0, *cuts], [*cuts, 30]):
             block = ParticleBatch(batch.w[a:b], batch.pts[a:b], batch.y[a:b])
-            state, log_e = monitor_step(state, block, CFG, *rngs)
+            state, log_e = monitor_step(state, central(block, *rngs), CFG)
             trace += log_e.tolist()
         return state, trace
 
@@ -272,7 +272,7 @@ def test_halfplane_monitor_ville_light():
         mon_rngs = np.random.default_rng(seed), np.random.default_rng([seed, 3])
         ys = [pts[rng.integers(0, m)] for _ in range(horizon)]
         batch = ParticleBatch([np.full(m, 1 / m)] * horizon, [pts] * horizon, ys)
-        st, _ = monitor_step(MartingaleState(), batch, CFG, *mon_rngs)
+        st, _ = monitor_step(MartingaleState(), central(batch, *mon_rngs), CFG)
         alarms += st.alarmed
     assert alarms / reps <= 0.05 + 3 * math.sqrt(0.05 * 0.95 / reps)
 

@@ -313,9 +313,9 @@ def serial_sweep(base, multipliers, n_seeds, monitor):
         crossings = []
         for s in range(n_seeds):
             cfg = replace(base, drift_multiplier=float(mult), seed=base.seed + s)
-            state, log_traces[s] = monitor_step(
-                MartingaleState(), run_robot_sim(cfg), monitor,
-                np.random.default_rng([cfg.seed, 1]), np.random.default_rng([cfg.seed, 3]))
+            sample = central(run_robot_sim(cfg), np.random.default_rng([cfg.seed, 1]),
+                             np.random.default_rng([cfg.seed, 3]))
+            state, log_traces[s] = monitor_step(MartingaleState(), sample, monitor)
             if state.alarmed:
                 crossings.append(state.first_crossing)
         envelope = np.exp(np.percentile(log_traces, [5.0, 50.0, 95.0], axis=0).T)

@@ -171,7 +171,7 @@ def test_output_values_are_turned_into_text_once():
     assert dumpers == {"table", "finish", "run_simulate", "_cmd_report"}
     assert not dumpers & {"write_records", "_csv_rows", "rows", "_json_rows"}
     assert callers(cli, "orjson.dumps") == {"_float_texts"}
-    assert callers(cli, "_csv_rows") == {"finish", "run_monitor"}
+    assert callers(cli, "_csv_rows") == {"finish", "_monitor"}
     assert callers(cli, "_json_rows") == {"rows"}
     # each writer hands its numbers to _float_texts and formats none itself:
     # no repr, no {!r}, and str only of a table's list cells, which hold
@@ -190,7 +190,7 @@ def test_output_values_are_turned_into_text_once():
         assert names.count("str") == in_allowed, name
     # the monitor renders its trace rows by _csv_rows; it makes text only of
     # a data error's message
-    body = ast.Module(function(cli, "run_monitor").body, [])
+    body = ast.Module(function(cli, "_monitor").body, [])
     texts = [ast.unparse(node) for node in ast.walk(body) if isinstance(node, ast.Call)
              and ast.unparse(node.func) in ("str", "repr", "format")]
     assert callers(body, "_csv_rows") and texts == ["str(exc)"]
@@ -206,9 +206,11 @@ def test_output_files_have_one_writer():
     assert callers(cli, "write_records") == {"finish"}
     assert not [node for node in ast.walk(cli) if isinstance(node, ast.Attribute)
                 and node.attr in ("write_text", "write_bytes")]
-    # the runs compute and the CLI emits: no run opens, makes, writes or
-    # renames a file, and the monitor's trace is streamed by _Output.trace
-    for name in ("run_check", "run_monitor", "run_simulate"):
+    # the runs compute and the CLI emits: no run, nor a part of one, opens,
+    # makes, writes or renames a file, and the monitor's trace is streamed
+    # by _Output.trace
+    for name in ("run_check", "_block_scores", "_offline", "_binned", "_monitor",
+                 "run_simulate"):
         calls = {ast.unparse(node.func) for node in ast.walk(function(cli, name))
                  if isinstance(node, ast.Call)}
         assert not {call for call in calls if call in ("open", "write_records", "os.replace")
@@ -248,10 +250,23 @@ def test_coverage_has_one_rule_and_clouds_one_constructor():
     cmd_check = function(TREES["cli"], "_cmd_check")
     assert "parse_records" not in {node.id for node in ast.walk(cmd_check)
                                    if isinstance(node, ast.Name)}
-    for name in ("run_check", "run_monitor"):
-        assert [a.arg for a in function(TREES["cli"], name).args.args][:2] == ["config", "batches"]
+    assert [a.arg for a in function(TREES["cli"], "run_check").args.args][:2] == [
+        "config", "batches"]
+    assert "run_monitor = run_check" in map(ast.unparse, TREES["cli"].body)
     assert {cls for cls, name in methods if name == "pit_values"} == {
         "GaussianBatch", "MvGaussianBatch", "ParticleBatch"}
     functions = {node.name for tree in TREES.values() for node in ast.walk(tree)
                  if isinstance(node, ast.FunctionDef)}
     assert not functions & {"from_filter", "_checked_cloud"}
+
+
+def test_check_and_monitor_share_one_scoring_loop():
+    # the metric slot scores every record stream in cli's one loop, which
+    # makes the direction and tie streams; each testing procedure reads the
+    # scores, and the monitor step takes central PITs, not records
+    seqtest = TREES["seqtest"]
+    assert not [name for _, sibling, name in imports(seqtest) if sibling == "records"]
+    assert not callers(seqtest, "central") | callers(seqtest, "pit")
+    assert callers(TREES["cli"], "np.random.default_rng") == {"_block_scores"}
+    functions = {node.name for node in ast.walk(TREES["cli"]) if isinstance(node, ast.FunctionDef)}
+    assert not functions & {"_scores", "_single_check"}
